@@ -11,9 +11,8 @@
 #include <cstdio>
 #include <string>
 
-#include "allsat/cube_blocking.hpp"
+#include "allsat/blocking.hpp"
 #include "allsat/lifting.hpp"
-#include "allsat/minterm_blocking.hpp"
 #include "allsat/success_driven.hpp"
 #include "circuit/from_cnf.hpp"
 #include "cnf/dimacs.hpp"
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
   std::printf("formula: %d vars, %zu clauses; projection scope: %zu vars\n\n", cnf.numVars(),
               cnf.numClauses(), projection.size());
 
-  AllSatResult minterm = mintermBlockingAllSat(cnf, projection);
+  AllSatResult minterm = blockingAllSat(cnf, projection);
   std::printf("minterm blocking   : %s solutions, %zu blocking clauses, %.3f ms\n",
               minterm.mintermCount.toDecimal().c_str(), minterm.cubes.size(),
               minterm.stats.seconds * 1e3);
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
     ModelLifter lifter = [&cnf](const std::vector<lbool>& model) {
       return shrinkModelToImplicant(cnf, model);
     };
-    AllSatResult cube = cubeBlockingAllSat(cnf, projection, lifter);
+    AllSatResult cube = blockingAllSat(cnf, projection, lifter);
     std::printf("cube blocking      : %s solutions in %zu cubes, %.3f ms\n",
                 cube.mintermCount.toDecimal().c_str(), cube.cubes.size(),
                 cube.stats.seconds * 1e3);

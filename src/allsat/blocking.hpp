@@ -1,0 +1,35 @@
+// Blocking-clause all-SAT: the classical baseline the paper improves on.
+//
+// Repeated CDCL solving; after each model the solution is blocked by one
+// clause and the solver is called again. Without a lifter every model is
+// blocked as a full projected minterm (pairwise-disjoint cover, one solver
+// call and one clause per projected minterm). With a lifter each model is
+// first grown into a solution cube over the projection scope and the whole
+// cube is blocked at once, cutting the solver calls from #minterms to roughly
+// #cubes — but the clause database still grows with every solution and each
+// solution is still re-derived by a full CDCL search.
+#pragma once
+
+#include <functional>
+
+#include "allsat/projection.hpp"
+#include "cnf/cnf.hpp"
+
+namespace presat {
+
+// Maps a full model of the CNF to a solution cube over the ORIGINAL formula
+// variables. Contract: every literal's variable is in the projection scope,
+// the literal agrees with the model, and every projected assignment covered
+// by the returned cube is extendable to a model (that is what makes blocking
+// the whole cube sound). An empty callback means "no lifting" (full projected
+// minterm).
+using ModelLifter = std::function<LitVec(const std::vector<lbool>& model)>;
+
+// Enumerates all assignments to `projection` extendable to a model of `cnf`.
+// The engine label is "minterm-blocking" without a lifter (the cover is then
+// pairwise disjoint) and "cube-blocking" with one (cubes may overlap; the
+// count goes through a BDD).
+AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
+                            const ModelLifter& lifter = {}, const AllSatOptions& options = {});
+
+}  // namespace presat

@@ -24,10 +24,7 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   AllSatResult result;
   Governor* governor = options.governor;
   Solver solver;
-  solver.setConflictBudget(options.conflictBudget);
-  solver.setGovernor(governor);
-  solver.setProofLog(options.proofLog);
-  if (options.randomSeed != 0) solver.setRandomSeed(options.randomSeed);
+  configureSolver(solver, options);
   bool consistent = solver.addCnf(cnf);
 
   std::vector<int> varLevel(static_cast<size_t>(cnf.numVars()), 0);
@@ -105,18 +102,7 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   // Disjoint by construction, so the plain power-of-two sum is exact.
   result.mintermCount =
       countDisjointCubeMinterms(result.cubes, static_cast<int>(projection.size()));
-  result.stats.conflicts = solver.stats().conflicts;
-  result.stats.decisions = solver.stats().decisions;
-  result.stats.propagations = solver.stats().propagations;
-  result.stats.restarts = solver.stats().restarts;
-  result.stats.reduceDBs = solver.stats().reduceDBs;
-  result.stats.deletedClauses = solver.stats().deletedClauses;
-  result.stats.flips = solver.stats().flips;
-  result.stats.dbClausesPeak = solver.stats().dbClausesPeak;
-  result.stats.seconds = timer.seconds();
-  result.metrics.setLabel("engine", "chrono");
-  exportStatsToMetrics(result.stats, result.metrics);
-  finishResult(result, governor);
+  finishSolverResult(result, solver, "chrono", timer.seconds(), governor);
   // The session is closed (level 0), so the structural solver audit applies;
   // the cube-set audit proves disjointness, and BDD-exact coverage when the
   // run completed (a budgeted partial set is audited for soundness only).

@@ -1,6 +1,6 @@
 // Blocking-clause-free all-SAT via chronological backtracking.
 //
-// The classical baselines (minterm/cube blocking) store every found solution
+// The classical baseline (allsat/blocking.hpp) stores every found solution
 // as a clause, so the clause database — and each propagation — grows with the
 // solution count. This engine never adds a blocking clause: after each model
 // it emits a disjoint cube (the scope-decision prefix, widened by the

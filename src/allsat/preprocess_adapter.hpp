@@ -11,7 +11,7 @@
 
 #include <functional>
 
-#include "allsat/cube_blocking.hpp"
+#include "allsat/blocking.hpp"
 #include "allsat/projection.hpp"
 #include "cnf/cnf.hpp"
 

@@ -5,6 +5,7 @@
 #include "base/log.hpp"
 #include "bdd/bdd.hpp"
 #include "govern/governor.hpp"
+#include "sat/solver.hpp"
 
 namespace presat {
 
@@ -35,6 +36,55 @@ void exportStatsToMetrics(const AllSatStats& stats, Metrics& m) {
   m.setCounter("chrono.shrink_lits", stats.shrinkLits);
   m.setCounter("sat.db_clauses", stats.dbClausesPeak);
   m.setGauge("time.seconds", stats.seconds);
+}
+
+void accumulateStats(AllSatStats& total, const AllSatStats& part) {
+  total.satCalls += part.satCalls;
+  total.conflicts += part.conflicts;
+  total.decisions += part.decisions;
+  total.propagations += part.propagations;
+  total.restarts += part.restarts;
+  total.reduceDBs += part.reduceDBs;
+  total.deletedClauses += part.deletedClauses;
+  total.blockingClauses += part.blockingClauses;
+  total.blockingLiterals += part.blockingLiterals;
+  total.memoHits += part.memoHits;
+  total.memoMisses += part.memoMisses;
+  total.memoEvictions += part.memoEvictions;
+  total.memoEntries += part.memoEntries;
+  total.memoBytes += part.memoBytes;
+  total.graphNodes += part.graphNodes;
+  total.graphEdges += part.graphEdges;
+  total.flips += part.flips;
+  total.shrinkLits += part.shrinkLits;
+  // Parts run independent solvers; the meaningful global figure is the
+  // worst single database, not the sum. Max over a fixed part set is
+  // schedule-independent, preserving the determinism contract.
+  total.dbClausesPeak = std::max(total.dbClausesPeak, part.dbClausesPeak);
+}
+
+void configureSolver(Solver& solver, const AllSatOptions& options) {
+  solver.setConflictBudget(options.conflictBudget);
+  solver.setGovernor(options.governor);
+  solver.setProofLog(options.proofLog);
+  if (options.randomSeed != 0) solver.setRandomSeed(options.randomSeed);
+}
+
+void finishSolverResult(AllSatResult& result, const Solver& solver, const char* engine,
+                        double seconds, const Governor* governor) {
+  const SolverStats& s = solver.stats();
+  result.stats.conflicts = s.conflicts;
+  result.stats.decisions = s.decisions;
+  result.stats.propagations = s.propagations;
+  result.stats.restarts = s.restarts;
+  result.stats.reduceDBs = s.reduceDBs;
+  result.stats.deletedClauses = s.deletedClauses;
+  result.stats.flips = s.flips;
+  result.stats.dbClausesPeak = s.dbClausesPeak;
+  result.stats.seconds = seconds;
+  result.metrics.setLabel("engine", engine);
+  exportStatsToMetrics(result.stats, result.metrics);
+  finishResult(result, governor);
 }
 
 BigUint countDisjointCubeMinterms(const std::vector<LitVec>& cubes, int numProjectionVars) {

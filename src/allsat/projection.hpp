@@ -23,6 +23,7 @@ namespace presat {
 class BddManager;
 class Governor;
 class ProofLog;
+class Solver;
 
 // One wildcard merge applied by compressCubes: parents (A & x) and (A & ~x)
 // collapsed into `merged` = A by eliminating `mergeVar`. The trace is the
@@ -59,6 +60,11 @@ struct AllSatStats {
 // Serializes the shared stats block into `m` under the canonical counter
 // names used by presat_cli --stats json and the BENCH_*.json files.
 void exportStatsToMetrics(const AllSatStats& stats, Metrics& m);
+
+// Sums the counters of one sub-run (a parallel shard, one target cube) into
+// `total`; sat.db_clauses folds by max. `seconds` is owned by the caller's
+// wall-clock timer.
+void accumulateStats(AllSatStats& total, const AllSatStats& part);
 
 struct AllSatResult;
 
@@ -105,7 +111,7 @@ enum class BranchOrder {
 
 struct AllSatOptions {
   uint64_t maxCubes = 0;  // 0 = unlimited
-  // CNF engines (minterm/cube/chrono, serial and parallel): run the one-shot
+  // CNF engines (blocking/chrono, serial and parallel): run the one-shot
   // preprocessing pass (cnf/preprocess.hpp — pure-literal + subsumption
   // elimination + dense remapping, projection vars frozen) before
   // enumeration, translating models/cubes back so results keep the projected
@@ -113,12 +119,10 @@ struct AllSatOptions {
   // layer's shared TransitionEncoding, parallel shard dispatch) clear this to
   // avoid a redundant second pass.
   bool preprocess = true;
-  // Blocking engines: lift models to cubes before blocking.
-  bool liftModels = true;
-  // CDCL engines (minterm/cube blocking AND chrono): per-SAT-call conflict
-  // budget (0 = none). When a call exhausts its budget, the engine returns
-  // the cubes found so far — still pairwise disjoint for the minterm and
-  // chrono engines — with complete = false / outcome = kConflicts instead
+  // CDCL engines (blocking AND chrono): per-SAT-call conflict budget
+  // (0 = none). When a call exhausts its budget, the engine returns the
+  // cubes found so far — still pairwise disjoint for unlifted blocking and
+  // chrono — with complete = false / outcome = kConflicts instead
   // of aborting. For a budget on the WHOLE query (all calls, all shards,
   // every engine including success-driven) use Budget::conflictLimit via
   // `governor` below.
@@ -182,6 +186,16 @@ struct AllSatOptions {
   // on the shared vector).
   std::vector<CompressMergeRecord>* compressTrace = nullptr;
 };
+
+// Prologue of the CNF engines (blocking, chrono): applies the options'
+// conflict budget, governor, proof log, and decision seed to `solver`.
+void configureSolver(Solver& solver, const AllSatOptions& options);
+
+// Epilogue of the CNF engines: copies the solver's counters into
+// result.stats, stamps the wall time and the engine label, exports the stats
+// block, and runs finishResult.
+void finishSolverResult(AllSatResult& result, const Solver& solver, const char* engine,
+                        double seconds, const Governor* governor);
 
 // Sum of 2^(numProjectionVars - |cube|) over all cubes. Exact for disjoint
 // cube sets (which every engine in this library produces). Checks every

@@ -1,6 +1,5 @@
 #include "parallel/merge.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -8,31 +7,6 @@
 #include "bdd/bdd.hpp"
 
 namespace presat {
-
-void accumulateShardStats(AllSatStats& total, const AllSatStats& shard) {
-  total.satCalls += shard.satCalls;
-  total.conflicts += shard.conflicts;
-  total.decisions += shard.decisions;
-  total.propagations += shard.propagations;
-  total.restarts += shard.restarts;
-  total.reduceDBs += shard.reduceDBs;
-  total.deletedClauses += shard.deletedClauses;
-  total.blockingClauses += shard.blockingClauses;
-  total.blockingLiterals += shard.blockingLiterals;
-  total.memoHits += shard.memoHits;
-  total.memoMisses += shard.memoMisses;
-  total.memoEvictions += shard.memoEvictions;
-  total.memoEntries += shard.memoEntries;
-  total.memoBytes += shard.memoBytes;
-  total.graphNodes += shard.graphNodes;
-  total.graphEdges += shard.graphEdges;
-  total.flips += shard.flips;
-  total.shrinkLits += shard.shrinkLits;
-  // Shards run independent solvers; the meaningful global figure is the
-  // worst single database, not the sum. Max over a fixed shard set is
-  // schedule-independent, preserving the determinism contract.
-  total.dbClausesPeak = std::max(total.dbClausesPeak, shard.dbClausesPeak);
-}
 
 AllSatResult mergeShardSummaries(std::vector<ShardOutcome>& shards) {
   AllSatResult merged;
@@ -46,7 +20,7 @@ AllSatResult mergeShardSummaries(std::vector<ShardOutcome>& shards) {
     merged.mintermCount += shard.result.mintermCount;
     merged.complete = merged.complete && shard.result.complete;
     merged.outcome = combineOutcomes(merged.outcome, shard.result.outcome);
-    accumulateShardStats(merged.stats, shard.result.stats);
+    accumulateStats(merged.stats, shard.result.stats);
     merged.metrics.merge(shard.result.metrics);
   }
   return merged;

@@ -47,10 +47,6 @@ struct ShardOutcome {
   bool ran = false;
 };
 
-// Sums `shard` into `total` (counters only; seconds is owned by the caller's
-// wall-clock timer).
-void accumulateShardStats(AllSatStats& total, const AllSatStats& shard);
-
 // Concatenates shard cube lists and adds counts/stats in shard order.
 // `complete` ANDs across shards and `outcome` combines via combineOutcomes
 // (most urgent stop reason wins); metrics merge (the caller re-exports the

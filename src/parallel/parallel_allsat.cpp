@@ -4,7 +4,6 @@
 
 #include "allsat/chrono_blocking.hpp"
 #include "allsat/compress.hpp"
-#include "allsat/minterm_blocking.hpp"
 #include "allsat/preprocess_adapter.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
@@ -219,9 +218,7 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
     for (Lit l : guideOrig) sub.addUnit(l);
 
     AllSatResult r;
-    if (engine == ParallelCnfEngine::kMintermBlocking) {
-      r = mintermBlockingAllSat(sub, projection, shardOptions(options, i));
-    } else if (engine == ParallelCnfEngine::kChrono) {
+    if (engine == ParallelCnfEngine::kChrono) {
       // No guide-preserving wrapper needed: the guide units are level-0
       // assignments, and the chrono engine emits every scope literal stamped
       // at or below the emission level — the guide is in every cube.
@@ -248,7 +245,7 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
           return cube;
         };
       }
-      r = cubeBlockingAllSat(sub, projection, shardLifter, shardOptions(options, i));
+      r = blockingAllSat(sub, projection, shardLifter, shardOptions(options, i));
     }
     shards[i].guide = guide;
     shards[i].result = std::move(r);
@@ -285,14 +282,14 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
   // shard guide. It runs after the shard-partition audit on purpose — a
   // cross-shard merge may erase guide literals, which is sound (the union
   // is unchanged) but would no longer satisfy the per-shard guide shape.
-  bool disjointShardCubes =
-      engine != ParallelCnfEngine::kCubeBlocking || !options.liftModels || !lifter;
-  applyProjectionPostpass(result, options, disjointShardCubes);
+  const bool lifted = engine == ParallelCnfEngine::kBlocking && lifter;
+  applyProjectionPostpass(result, options, /*disjointCubes=*/!lifted);
 
   result.stats.seconds = timer.seconds();
-  const char* engineLabel = "cube-blocking";
-  if (engine == ParallelCnfEngine::kMintermBlocking) engineLabel = "minterm-blocking";
-  if (engine == ParallelCnfEngine::kChrono) engineLabel = "chrono";
+  const char* engineLabel = "chrono";
+  if (engine == ParallelCnfEngine::kBlocking) {
+    engineLabel = lifted ? "cube-blocking" : "minterm-blocking";
+  }
   result.metrics.setLabel("engine", engineLabel);
   exportStatsToMetrics(result.stats, result.metrics);
   exportParallelMetrics(pool, shards.size(), shardsSkipped, cpuSeconds, result.metrics);

@@ -18,7 +18,7 @@
 
 #include <vector>
 
-#include "allsat/cube_blocking.hpp"
+#include "allsat/blocking.hpp"
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
 #include "cnf/cnf.hpp"
@@ -34,8 +34,7 @@ SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& prob
 
 // Which serial CNF engine solves each subcube.
 enum class ParallelCnfEngine {
-  kMintermBlocking,
-  kCubeBlocking,  // honors options.liftModels + `lifter` like the serial engine
+  kBlocking,  // blockingAllSat; lifts with `lifter` when it is non-empty
   // Chronological backtracking (allsat/chrono_blocking.hpp). The guide
   // literals are unit clauses, i.e. level-0 assignments, so every emitted
   // prefix cube contains them automatically — the engine cannot escape its
@@ -43,9 +42,9 @@ enum class ParallelCnfEngine {
   kChrono,
 };
 
-// Parallel counterpart of mintermBlockingAllSat / cubeBlockingAllSat. Each
-// shard solves a copy of `cnf` with its guiding cube added as unit clauses.
-// `lifter` (may be empty) is built against the ORIGINAL formula; the shards
+// Parallel counterpart of blockingAllSat / chronoAllSat. Each shard solves a
+// copy of `cnf` with its guiding cube added as unit clauses. `lifter` (may
+// be empty; chrono ignores it) is built against the ORIGINAL formula; the shards
 // wrap it so every lifted cube keeps its guide literals and stays inside the
 // shard's region of the partition.
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,

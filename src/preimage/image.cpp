@@ -1,18 +1,19 @@
 #include "preimage/image.hpp"
 
-#include "allsat/minterm_blocking.hpp"
+#include <optional>
+
+#include "allsat/blocking.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "bdd/bdd.hpp"
-#include "circuit/tseitin.hpp"
 #include "preimage/bdd_preimage.hpp"
+#include "preimage/preimage.hpp"
 
 namespace presat {
 
 const char* imageMethodName(ImageMethod method) {
   switch (method) {
     case ImageMethod::kMintermBlocking: return "minterm-blocking";
-    case ImageMethod::kCubeBlocking: return "cube-blocking";
     case ImageMethod::kBdd: return "bdd";
   }
   return "?";
@@ -20,48 +21,48 @@ const char* imageMethodName(ImageMethod method) {
 
 namespace {
 
-ImageResult imageViaAllSat(const TransitionSystem& system, const StateSet& from,
-                           const AllSatOptions& options) {
-  Timer timer;
-  const Netlist& nl = system.netlist();
-  std::vector<NodeId> roots = system.nextStateRoots();
-  for (NodeId s : system.stateNodes()) roots.push_back(s);
-  CircuitEncoding enc = encodeCircuit(nl, roots);
-  Cnf& cnf = enc.cnf;
-
-  // Present state constrained to `from`.
+// Projected all-SAT over the shared encoding. State sources and next-state
+// roots are both frozen by buildTransitionEncoding, so the `from` constraint
+// and the projection translate into the preprocessed space literal by
+// literal. Two state bits driven by the same node share a variable; the
+// projected index space still has one position per bit, whose values are
+// then always equal — counting and blocking remain exact.
+ImageResult imageViaAllSat(const TransitionEncoding& te, const TransitionSystem& system,
+                           const StateSet& from, const AllSatOptions& options) {
+  Cnf cnf = te.base.cnf;
   if (from.cubes.empty()) {
     cnf.addClause({});
   } else {
+    // Present state constrained to `from`: selector per cube, (sel_i ->
+    // cube_i) plus (sel_1 | ... | sel_k).
     Clause atLeastOne;
     for (const LitVec& cube : from.cubes) {
       Lit sel = mkLit(cnf.newVar());
       atLeastOne.push_back(sel);
       for (Lit l : cube) {
-        cnf.addBinary(~sel, enc.litOf(system.stateNode(l.var()), !l.sign()));
+        Lit state = te.enc.litOf(system.stateNode(l.var()), !l.sign());
+        cnf.addBinary(~sel, te.base.internalLit(state));
       }
     }
     cnf.addClause(std::move(atLeastOne));
   }
 
-  // Projection scope: the next-state function outputs. Two state bits driven
-  // by the same node share a variable; the projected index space still has
-  // one position per bit, whose values are then always equal — counting and
-  // blocking remain exact.
   std::vector<Var> projection;
   projection.reserve(static_cast<size_t>(system.numStateBits()));
   for (int i = 0; i < system.numStateBits(); ++i) {
-    projection.push_back(enc.varOf(system.nextStateRoot(i)));
+    projection.push_back(te.base.internalVar(te.enc.varOf(system.nextStateRoot(i))));
   }
 
-  AllSatResult r = mintermBlockingAllSat(cnf, projection, options);
+  // The shared encoding is already preprocessed.
+  AllSatOptions opts = options;
+  opts.preprocess = false;
+  AllSatResult r = blockingAllSat(cnf, projection, /*lifter=*/{}, opts);
   ImageResult result;
   result.states.numStateBits = system.numStateBits();
   result.states.cubes = std::move(r.cubes);
   result.stateCount = std::move(r.mintermCount);
   result.complete = r.complete;
   result.stats = r.stats;
-  result.seconds = timer.seconds();
   return result;
 }
 
@@ -71,13 +72,12 @@ ImageResult computeImage(const TransitionSystem& system, const StateSet& from,
                          ImageMethod method, const AllSatOptions& options) {
   PRESAT_CHECK(from.numStateBits == system.numStateBits());
   switch (method) {
-    case ImageMethod::kMintermBlocking:
-      return imageViaAllSat(system, from, options);
-    case ImageMethod::kCubeBlocking: {
-      // Cube-level blocking over outputs would need a per-cube universality
-      // check to stay sound; the minterm engine with model lifting disabled
-      // is the honest baseline here.
-      return imageViaAllSat(system, from, options);
+    case ImageMethod::kMintermBlocking: {
+      Timer timer;
+      ImageResult result =
+          imageViaAllSat(buildTransitionEncoding(system, options.governor), system, from, options);
+      result.seconds = timer.seconds();
+      return result;
     }
     case ImageMethod::kBdd: {
       Timer timer;
@@ -120,6 +120,11 @@ ForwardReachResult forwardReach(const TransitionSystem& system, const StateSet& 
   BddRef reached = init.toBdd(mgr);
   BddRef frontier = reached;
 
+  std::optional<TransitionEncoding> te;
+  if (method == ImageMethod::kMintermBlocking) {
+    te = buildTransitionEncoding(system, options.governor);
+  }
+
   ForwardReachResult result;
   for (int depth = 1; depth <= maxDepth; ++depth) {
     if (frontier == BddManager::kFalse) {
@@ -129,7 +134,8 @@ ForwardReachResult forwardReach(const TransitionSystem& system, const StateSet& 
     StateSet frontierSet;
     frontierSet.numStateBits = n;
     frontierSet.cubes = mgr.enumerateCubes(frontier);
-    ImageResult img = computeImage(system, frontierSet, method, options);
+    ImageResult img = te ? imageViaAllSat(*te, system, frontierSet, options)
+                         : computeImage(system, frontierSet, method, options);
     PRESAT_CHECK(img.complete) << "forward reachability needs complete images";
     BddRef imgBdd = img.states.toBdd(mgr);
     frontier = mgr.bddAnd(imgBdd, mgr.bddNot(reached));

@@ -15,16 +15,17 @@
 namespace presat {
 
 enum class ImageMethod {
-  kMintermBlocking,  // all-SAT over next-state variables, minterm blocking
-  kCubeBlocking,     // all-SAT with implicant-shrunk cube blocking
-  kBdd,              // relational product over the transition relation
+  // Blocking all-SAT over the next-state variables of the shared
+  // TransitionEncoding (preimage/preimage.hpp). Minterm-level: lifting a
+  // cube over outputs would need a per-cube universality check to stay sound.
+  kMintermBlocking,
+  kBdd,  // relational product over the transition relation
 };
 
 const char* imageMethodName(ImageMethod method);
 
 inline constexpr ImageMethod kAllImageMethods[] = {
     ImageMethod::kMintermBlocking,
-    ImageMethod::kCubeBlocking,
     ImageMethod::kBdd,
 };
 
@@ -39,7 +40,8 @@ struct ImageResult {
 ImageResult computeImage(const TransitionSystem& system, const StateSet& from,
                          ImageMethod method, const AllSatOptions& options = {});
 
-// Forward reachability to fixpoint or depth bound (frontier-based).
+// Forward reachability to fixpoint or depth bound (frontier-based). The
+// all-SAT method encodes the circuit once and reuses it at every depth.
 struct ForwardReachResult {
   StateSet reached;
   bool fixpoint = false;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
+#include "allsat/blocking.hpp"
 #include "allsat/chrono_blocking.hpp"
 #include "allsat/compress.hpp"
-#include "allsat/cube_blocking.hpp"
 #include "allsat/lifting.hpp"
-#include "allsat/minterm_blocking.hpp"
 #include "allsat/success_driven.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
@@ -26,7 +25,6 @@ namespace presat {
 const char* preimageMethodName(PreimageMethod method) {
   switch (method) {
     case PreimageMethod::kMintermBlocking: return "minterm-blocking";
-    case PreimageMethod::kCubeBlocking: return "cube-blocking";
     case PreimageMethod::kCubeBlockingLifted: return "cube-blocking-lifted";
     case PreimageMethod::kSuccessDriven: return "success-driven";
     case PreimageMethod::kChrono: return "chrono";
@@ -37,7 +35,7 @@ const char* preimageMethodName(PreimageMethod method) {
 }
 
 bool preimageMethodUsesCnf(PreimageMethod method) {
-  return method == PreimageMethod::kMintermBlocking || method == PreimageMethod::kCubeBlocking ||
+  return method == PreimageMethod::kMintermBlocking ||
          method == PreimageMethod::kCubeBlockingLifted || method == PreimageMethod::kChrono;
 }
 
@@ -167,15 +165,14 @@ void finishPreimage(PreimageResult& result, const Governor* governor) {
   if (governor != nullptr) governor->exportMetrics(result.metrics);
 }
 
-// Disjointness guarantee backing the certificate's disjoint flag: minterm,
-// unlifted-cube, and chrono covers are disjoint by construction, BDD covers
-// are distinct root-to-true paths, and wildcard compression preserves all of
-// that. Lifted-cube and success-driven covers may overlap (their union is
-// still exact).
+// Disjointness guarantee backing the certificate's disjoint flag: minterm
+// and chrono covers are disjoint by construction, BDD covers are distinct
+// root-to-true paths, and wildcard compression preserves all of that.
+// Lifted-cube and success-driven covers may overlap (their union is still
+// exact).
 bool methodCoverDisjoint(PreimageMethod method) {
   switch (method) {
     case PreimageMethod::kMintermBlocking:
-    case PreimageMethod::kCubeBlocking:
     case PreimageMethod::kChrono:
     case PreimageMethod::kBdd:
     case PreimageMethod::kBddRelational:
@@ -266,52 +263,26 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
 
   PreimageResult result = [&]() -> PreimageResult {
   switch (method) {
-    case PreimageMethod::kMintermBlocking: {
-      SatProblem problem = buildSatProblem(*te, system, target);
-      if (satOpts.parallel.enabled()) {
-        return withPreprocessMetrics(
-            fromAllSat(parallelCnfAllSat(problem.cnf, problem.projection,
-                                         ParallelCnfEngine::kMintermBlocking, {}, satOpts),
-                       n));
-      }
-      return withPreprocessMetrics(
-          fromAllSat(mintermBlockingAllSat(problem.cnf, problem.projection, satOpts), n));
-    }
-    case PreimageMethod::kCubeBlocking: {
-      SatProblem problem = buildSatProblem(*te, system, target);
-      AllSatOptions opts = satOpts;
-      opts.liftModels = false;
-      if (opts.parallel.enabled()) {
-        return withPreprocessMetrics(
-            fromAllSat(parallelCnfAllSat(problem.cnf, problem.projection,
-                                         ParallelCnfEngine::kCubeBlocking, {}, opts),
-                       n));
-      }
-      return withPreprocessMetrics(
-          fromAllSat(cubeBlockingAllSat(problem.cnf, problem.projection, {}, opts), n));
-    }
-    case PreimageMethod::kCubeBlockingLifted: {
-      SatProblem problem = buildSatProblem(*te, system, target);
-      ModelLifter lifter = makeJustificationLifter(system, target, *te);
-      if (satOpts.parallel.enabled()) {
-        return withPreprocessMetrics(
-            fromAllSat(parallelCnfAllSat(problem.cnf, problem.projection,
-                                         ParallelCnfEngine::kCubeBlocking, lifter, satOpts),
-                       n));
-      }
-      return withPreprocessMetrics(
-          fromAllSat(cubeBlockingAllSat(problem.cnf, problem.projection, lifter, satOpts), n));
-    }
+    case PreimageMethod::kMintermBlocking:
+    case PreimageMethod::kCubeBlockingLifted:
     case PreimageMethod::kChrono: {
       SatProblem problem = buildSatProblem(*te, system, target);
-      if (satOpts.parallel.enabled()) {
-        return withPreprocessMetrics(fromAllSat(
-            parallelCnfAllSat(problem.cnf, problem.projection, ParallelCnfEngine::kChrono, {},
-                              satOpts),
-            n));
+      const bool chrono = method == PreimageMethod::kChrono;
+      ModelLifter lifter;
+      if (method == PreimageMethod::kCubeBlockingLifted) {
+        lifter = makeJustificationLifter(system, target, *te);
       }
-      return withPreprocessMetrics(
-          fromAllSat(chronoAllSat(problem.cnf, problem.projection, satOpts), n));
+      AllSatResult r;
+      if (satOpts.parallel.enabled()) {
+        r = parallelCnfAllSat(problem.cnf, problem.projection,
+                              chrono ? ParallelCnfEngine::kChrono : ParallelCnfEngine::kBlocking,
+                              lifter, satOpts);
+      } else if (chrono) {
+        r = chronoAllSat(problem.cnf, problem.projection, satOpts);
+      } else {
+        r = blockingAllSat(problem.cnf, problem.projection, lifter, satOpts);
+      }
+      return withPreprocessMetrics(fromAllSat(std::move(r), n));
     }
     case PreimageMethod::kSuccessDriven: {
       Timer timer;
@@ -329,16 +300,8 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
                                    sub.summary.cubes.end());
         result.complete = result.complete && sub.summary.complete;
         result.outcome = combineOutcomes(result.outcome, sub.summary.outcome);
-        result.stats.satCalls += 1;
-        result.stats.decisions += sub.summary.stats.decisions;
-        result.stats.conflicts += sub.summary.stats.conflicts;
-        result.stats.memoHits += sub.summary.stats.memoHits;
-        result.stats.memoMisses += sub.summary.stats.memoMisses;
-        result.stats.memoEvictions += sub.summary.stats.memoEvictions;
-        result.stats.memoEntries += sub.summary.stats.memoEntries;
-        result.stats.memoBytes += sub.summary.stats.memoBytes;
-        result.stats.graphNodes += sub.summary.stats.graphNodes;
-        result.stats.graphEdges += sub.summary.stats.graphEdges;
+        accumulateStats(result.stats, sub.summary.stats);
+        result.stats.satCalls += 1;  // one justification search per target cube
         // Histograms merge across sub-runs; the counter totals are rewritten
         // from the accumulated stats below.
         result.metrics.merge(sub.summary.metrics);

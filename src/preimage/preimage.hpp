@@ -1,11 +1,11 @@
 // One-step preimage computation — the paper's headline application.
 //
 // Pre(T) = { s | ∃x. δ(s, x) ∈ T }: all present states from which some input
-// drives the circuit into the target set in one clock. Seven engines compute
+// drives the circuit into the target set in one clock. Six engines compute
 // the same set:
 //   kMintermBlocking    CDCL + one blocking clause per projected minterm
-//   kCubeBlocking       CDCL + blocking whole projected minterms (no lift)
-//   kCubeBlockingLifted CDCL + justification-lifted cube blocking
+//   kCubeBlockingLifted CDCL + justification-lifted cube blocking (the same
+//                       blockingAllSat engine, given a lifter)
 //   kSuccessDriven      the paper's solver (justification search + success-
 //                       driven learning + solution graph)
 //   kChrono             chronological-backtracking enumeration — disjoint
@@ -29,7 +29,6 @@ namespace presat {
 
 enum class PreimageMethod {
   kMintermBlocking,
-  kCubeBlocking,
   kCubeBlockingLifted,
   kSuccessDriven,
   kChrono,
@@ -44,10 +43,9 @@ const char* preimageMethodName(PreimageMethod method);
 bool preimageMethodUsesCnf(PreimageMethod method);
 
 inline constexpr PreimageMethod kAllPreimageMethods[] = {
-    PreimageMethod::kMintermBlocking, PreimageMethod::kCubeBlocking,
-    PreimageMethod::kCubeBlockingLifted, PreimageMethod::kSuccessDriven,
-    PreimageMethod::kChrono,          PreimageMethod::kBdd,
-    PreimageMethod::kBddRelational,
+    PreimageMethod::kMintermBlocking, PreimageMethod::kCubeBlockingLifted,
+    PreimageMethod::kSuccessDriven,   PreimageMethod::kChrono,
+    PreimageMethod::kBdd,             PreimageMethod::kBddRelational,
 };
 
 // Target-independent, shareable encoding of a transition system for the CNF

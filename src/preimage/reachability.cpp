@@ -13,7 +13,7 @@ namespace presat {
 namespace {
 
 // Serializes the per-depth records and totals into `result.metrics` under
-// the stable names validated by tools/check_stats_json.py.
+// the stable names validated by tools/check_json.py stats.
 void exportReachMetrics(ReachabilityResult& result, PreimageMethod method,
                         const Governor* governor) {
   Metrics& m = result.metrics;

@@ -4,9 +4,8 @@
 
 #include <set>
 
-#include "allsat/cube_blocking.hpp"
+#include "allsat/blocking.hpp"
 #include "allsat/lifting.hpp"
-#include "allsat/minterm_blocking.hpp"
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
 #include "base/rng.hpp"
@@ -16,7 +15,7 @@
 #include "gen/generators.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "test_util.hpp"
 
 namespace presat {
@@ -82,7 +81,7 @@ TEST(ProjectionHelpers, DisjointCountAndCoverage) {
 TEST(MintermBlocking, SimpleFormula) {
   Cnf cnf(3);
   cnf.addBinary(mkLit(0), mkLit(1));  // x0 | x1
-  AllSatResult r = mintermBlockingAllSat(cnf, {0, 1});
+  AllSatResult r = blockingAllSat(cnf, {0, 1});
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.cubes.size(), 3u);
   EXPECT_EQ(r.mintermCount.toU64(), 3u);
@@ -93,7 +92,7 @@ TEST(MintermBlocking, UnsatFormula) {
   Cnf cnf(2);
   cnf.addUnit(mkLit(0));
   cnf.addUnit(~mkLit(0));
-  AllSatResult r = mintermBlockingAllSat(cnf, {0, 1});
+  AllSatResult r = blockingAllSat(cnf, {0, 1});
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(r.cubes.empty());
   EXPECT_TRUE(r.mintermCount.isZero());
@@ -102,16 +101,31 @@ TEST(MintermBlocking, UnsatFormula) {
 TEST(MintermBlocking, EmptyProjection) {
   Cnf cnf(2);
   cnf.addBinary(mkLit(0), mkLit(1));
-  AllSatResult r = mintermBlockingAllSat(cnf, {});
+  AllSatResult r = blockingAllSat(cnf, {});
   EXPECT_EQ(r.cubes.size(), 1u);
   EXPECT_EQ(r.mintermCount.toU64(), 1u);
+}
+
+// Image projects onto next-state outputs, where two state bits driven by one
+// node list the same variable twice; every position must still be filled.
+TEST(MintermBlocking, RepeatedProjectionVariable) {
+  Cnf cnf(2);
+  cnf.addBinary(mkLit(0), mkLit(1));
+  for (bool preprocess : {false, true}) {
+    AllSatOptions opts;
+    opts.preprocess = preprocess;
+    AllSatResult r = blockingAllSat(cnf, {0, 0, 1}, {}, opts);
+    ASSERT_TRUE(r.complete);
+    EXPECT_EQ(r.mintermCount.toU64(), 3u);
+    EXPECT_EQ(cubesToMinterms(r.cubes, 3), (std::set<uint64_t>{0b100, 0b011, 0b111}));
+  }
 }
 
 TEST(MintermBlocking, MaxCubesCap) {
   Cnf cnf(4);  // no constraints: 16 solutions
   AllSatOptions opts;
   opts.maxCubes = 5;
-  AllSatResult r = mintermBlockingAllSat(cnf, {0, 1, 2, 3}, opts);
+  AllSatResult r = blockingAllSat(cnf, {0, 1, 2, 3}, {}, opts);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.cubes.size(), 5u);
 }
@@ -126,30 +140,11 @@ TEST(MintermBlockingProperty, MatchesBruteForce) {
       if (rng.chance(1, 2)) projection.push_back(v);
     }
     std::set<uint64_t> expected = bruteForceProjectedSolutions(cnf, projection);
-    AllSatResult r = mintermBlockingAllSat(cnf, projection);
+    AllSatResult r = blockingAllSat(cnf, projection);
     ASSERT_TRUE(r.complete);
     EXPECT_EQ(cubesToMinterms(r.cubes, projection.size()), expected) << "iter " << iter;
     EXPECT_EQ(r.mintermCount.toU64(), expected.size());
     EXPECT_TRUE(cubesPairwiseDisjoint(r.cubes));
-  }
-}
-
-TEST(CubeBlockingNoLift, EquivalentToMintermBlocking) {
-  Rng rng(89);
-  for (int iter = 0; iter < 60; ++iter) {
-    int vars = static_cast<int>(rng.range(2, 8));
-    Cnf cnf = testutil::randomCnf(rng, vars, static_cast<int>(rng.range(1, 14)));
-    std::vector<Var> projection;
-    for (Var v = 0; v < vars; ++v) {
-      if (rng.chance(2, 3)) projection.push_back(v);
-    }
-    AllSatOptions opts;
-    opts.liftModels = false;
-    AllSatResult a = mintermBlockingAllSat(cnf, projection);
-    AllSatResult b = cubeBlockingAllSat(cnf, projection, {}, opts);
-    EXPECT_EQ(a.mintermCount, b.mintermCount);
-    EXPECT_EQ(cubesToMinterms(a.cubes, projection.size()),
-              cubesToMinterms(b.cubes, projection.size()));
   }
 }
 
@@ -164,8 +159,8 @@ TEST(CubeBlockingLifted, FullProjectionWithImplicantShrinking) {
     ModelLifter lifter = [&cnf](const std::vector<lbool>& model) {
       return shrinkModelToImplicant(cnf, model);
     };
-    AllSatResult lifted = cubeBlockingAllSat(cnf, projection, lifter);
-    AllSatResult reference = mintermBlockingAllSat(cnf, projection);
+    AllSatResult lifted = blockingAllSat(cnf, projection, lifter);
+    AllSatResult reference = blockingAllSat(cnf, projection);
     EXPECT_EQ(lifted.mintermCount, reference.mintermCount) << "iter " << iter;
     EXPECT_EQ(cubesToMinterms(lifted.cubes, projection.size()),
               cubesToMinterms(reference.cubes, projection.size()));
@@ -394,25 +389,11 @@ TEST(MintermBlocking, ExactCapReportsComplete) {
   Cnf cnf(3);  // unconstrained: exactly 8 solutions
   AllSatOptions opts;
   opts.maxCubes = 8;
-  AllSatResult r = mintermBlockingAllSat(cnf, {0, 1, 2}, opts);
+  AllSatResult r = blockingAllSat(cnf, {0, 1, 2}, {}, opts);
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.cubes.size(), 8u);
   opts.maxCubes = 7;
-  AllSatResult capped = mintermBlockingAllSat(cnf, {0, 1, 2}, opts);
-  EXPECT_FALSE(capped.complete);
-  EXPECT_EQ(capped.cubes.size(), 7u);
-}
-
-TEST(CubeBlockingNoLift, ExactCapReportsComplete) {
-  Cnf cnf(3);
-  AllSatOptions opts;
-  opts.liftModels = false;
-  opts.maxCubes = 8;
-  AllSatResult r = cubeBlockingAllSat(cnf, {0, 1, 2}, {}, opts);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.cubes.size(), 8u);
-  opts.maxCubes = 7;
-  AllSatResult capped = cubeBlockingAllSat(cnf, {0, 1, 2}, {}, opts);
+  AllSatResult capped = blockingAllSat(cnf, {0, 1, 2}, {}, opts);
   EXPECT_FALSE(capped.complete);
   EXPECT_EQ(capped.cubes.size(), 7u);
 }
@@ -438,21 +419,10 @@ TEST(MintermBlocking, ConflictBudgetReturnsPartialResult) {
   std::vector<Var> projection{0, 1, 2};
   AllSatOptions opts;
   opts.conflictBudget = 5;
-  AllSatResult r = mintermBlockingAllSat(php, projection, opts);
+  AllSatResult r = blockingAllSat(php, projection, {}, opts);
   EXPECT_FALSE(r.complete);
   EXPECT_TRUE(r.cubes.empty());
   EXPECT_EQ(r.stats.satCalls, 1u);
-}
-
-TEST(CubeBlockingNoLift, ConflictBudgetReturnsPartialResult) {
-  Cnf php = testutil::pigeonhole(7);
-  std::vector<Var> projection{0, 1, 2};
-  AllSatOptions opts;
-  opts.liftModels = false;
-  opts.conflictBudget = 5;
-  AllSatResult r = cubeBlockingAllSat(php, projection, {}, opts);
-  EXPECT_FALSE(r.complete);
-  EXPECT_TRUE(r.cubes.empty());
 }
 
 // A tiny memo bound forces evictions; evicted subproblems are re-solved, so
@@ -503,14 +473,15 @@ TEST(SuccessDriven, HashedMemoMatchesBruteForce) {
 TEST(AllSatMetrics, EnginesExportConsistentMetrics) {
   Cnf cnf(3);
   cnf.addBinary(mkLit(0), mkLit(1));
-  AllSatResult m = mintermBlockingAllSat(cnf, {0, 1, 2});
+  AllSatResult m = blockingAllSat(cnf, {0, 1, 2});
   EXPECT_EQ(m.metrics.label("engine"), "minterm-blocking");
   EXPECT_EQ(m.metrics.counter("sat.calls"), m.stats.satCalls);
   EXPECT_EQ(m.metrics.counter("blocking.clauses"), m.stats.blockingClauses);
 
-  AllSatOptions noLift;
-  noLift.liftModels = false;
-  AllSatResult c = cubeBlockingAllSat(cnf, {0, 1, 2}, {}, noLift);
+  ModelLifter lifter = [&cnf](const std::vector<lbool>& model) {
+    return shrinkModelToImplicant(cnf, model);
+  };
+  AllSatResult c = blockingAllSat(cnf, {0, 1, 2}, lifter);
   EXPECT_EQ(c.metrics.label("engine"), "cube-blocking");
   EXPECT_EQ(c.metrics.counter("sat.calls"), c.stats.satCalls);
 

@@ -7,16 +7,15 @@
 
 #include <set>
 
+#include "allsat/blocking.hpp"
 #include "allsat/chrono_blocking.hpp"
-#include "allsat/cube_blocking.hpp"
-#include "allsat/minterm_blocking.hpp"
 #include "allsat/projection.hpp"
 #include "base/rng.hpp"
 #include "check/audit_solver.hpp"
 #include "cnf/preprocess.hpp"
 #include "parallel/parallel_allsat.hpp"
 #include "sat/clause_arena.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 
@@ -318,19 +317,14 @@ TEST(Preprocess, ThenSolveMatchesBruteForce) {
     }
     std::set<uint64_t> expected = bruteForceProjectedSolutions(cnf, projection);
 
-    // options.preprocess defaults to true: all three serial CNF engines run
+    // options.preprocess defaults to true: both serial CNF engines run
     // through the adapter (internal solve + cube translation).
-    AllSatResult minterm = mintermBlockingAllSat(cnf, projection);
+    AllSatResult minterm = blockingAllSat(cnf, projection);
     ASSERT_TRUE(minterm.complete);
     EXPECT_EQ(cubesToMinterms(minterm.cubes, projection.size()), expected)
         << "minterm, iter " << iter;
     EXPECT_EQ(minterm.mintermCount.toU64(), expected.size());
     EXPECT_TRUE(cubesPairwiseDisjoint(minterm.cubes));
-
-    AllSatResult cube = cubeBlockingAllSat(cnf, projection, /*lifter=*/{});
-    ASSERT_TRUE(cube.complete);
-    EXPECT_EQ(cubesToMinterms(cube.cubes, projection.size()), expected)
-        << "cube, iter " << iter;
 
     AllSatResult chrono = chronoAllSat(cnf, projection, AllSatOptions{});
     ASSERT_TRUE(chrono.complete);
@@ -341,7 +335,7 @@ TEST(Preprocess, ThenSolveMatchesBruteForce) {
     // cube: the adapter's translation keeps the projected index space.
     AllSatOptions raw;
     raw.preprocess = false;
-    AllSatResult mintermRaw = mintermBlockingAllSat(cnf, projection, raw);
+    AllSatResult mintermRaw = blockingAllSat(cnf, projection, {}, raw);
     EXPECT_EQ(mintermRaw.mintermCount, minterm.mintermCount);
     EXPECT_EQ(cubesToMinterms(mintermRaw.cubes, projection.size()),
               cubesToMinterms(minterm.cubes, projection.size()));
@@ -352,7 +346,7 @@ TEST(Preprocess, MetricsAreExported) {
   Cnf cnf(3);
   cnf.addBinary(mkLit(0), mkLit(1));
   cnf.addBinary(mkLit(0), ~mkLit(2));
-  AllSatResult r = mintermBlockingAllSat(cnf, {0});
+  AllSatResult r = blockingAllSat(cnf, {0});
   ASSERT_TRUE(r.complete);
   EXPECT_EQ(r.metrics.counter("preprocess.vars_before"), 3u);
   EXPECT_GE(r.metrics.counter("preprocess.pure_literals"), 1u);
@@ -367,9 +361,7 @@ TEST(Preprocess, MetricsAreExported) {
 
 TEST(ParallelDeterminism, Jobs1VsJobs8BitIdentity) {
   Rng rng(777);
-  const ParallelCnfEngine engines[] = {ParallelCnfEngine::kMintermBlocking,
-                                       ParallelCnfEngine::kCubeBlocking,
-                                       ParallelCnfEngine::kChrono};
+  const ParallelCnfEngine engines[] = {ParallelCnfEngine::kBlocking, ParallelCnfEngine::kChrono};
   for (int iter = 0; iter < 12; ++iter) {
     int vars = static_cast<int>(rng.range(4, 11));
     Cnf cnf = testutil::randomCnf(rng, vars, static_cast<int>(rng.range(3, 24)));

@@ -96,7 +96,7 @@ TEST(CertAccept, AllEnginesSerial) {
 TEST(CertAccept, ParallelJobsOneAndEight) {
   Netlist nl = makeLfsr(5);
   const PreimageMethod cnfMethods[] = {PreimageMethod::kMintermBlocking,
-                                       PreimageMethod::kCubeBlocking,
+                                       PreimageMethod::kCubeBlockingLifted,
                                        PreimageMethod::kChrono};
   for (int jobs : {1, 8}) {
     for (PreimageMethod method : cnfMethods) {
@@ -115,7 +115,7 @@ TEST(CertAccept, ParallelJobsOneAndEight) {
 TEST(CertAccept, ProjectedAndCompressedCovers) {
   Netlist nl = makeLfsr(5);
   const PreimageMethod methods[] = {PreimageMethod::kMintermBlocking,
-                                    PreimageMethod::kCubeBlocking, PreimageMethod::kChrono,
+                                    PreimageMethod::kCubeBlockingLifted, PreimageMethod::kChrono,
                                     PreimageMethod::kSuccessDriven};
   for (PreimageMethod method : methods) {
     PreimageOptions options;

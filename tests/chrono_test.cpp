@@ -8,9 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "allsat/blocking.hpp"
 #include "allsat/chrono_blocking.hpp"
-#include "allsat/cube_blocking.hpp"
-#include "allsat/minterm_blocking.hpp"
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
 #include "base/rng.hpp"
@@ -21,7 +20,7 @@
 #include "preimage/preimage.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "test_util.hpp"
 
 namespace presat {
@@ -182,12 +181,8 @@ TEST(ChronoProperty, MatchesBruteForceAndOtherEngines) {
     EXPECT_TRUE(cubesPairwiseDisjoint(r.cubes)) << "iter " << iter;
     EXPECT_EQ(r.stats.blockingClauses, 0u);
 
-    AllSatResult minterm = mintermBlockingAllSat(cnf, projection);
+    AllSatResult minterm = blockingAllSat(cnf, projection);
     EXPECT_EQ(r.mintermCount, minterm.mintermCount) << "iter " << iter;
-    AllSatOptions noLift;
-    noLift.liftModels = false;
-    AllSatResult cube = cubeBlockingAllSat(cnf, projection, {}, noLift);
-    EXPECT_EQ(r.mintermCount, cube.mintermCount) << "iter " << iter;
     EXPECT_EQ(r.mintermCount, successDrivenCnfCount(cnf, projection)) << "iter " << iter;
 
     AuditResult audit = auditChronoCubes(cnf, projection, r.cubes, r.complete);
@@ -238,7 +233,7 @@ TEST(ChronoProperty, ClauseDatabaseStaysFlatAsSolutionsGrow) {
     EXPECT_EQ(chrono.stats.dbClausesPeak, 1u) << "n=" << n;
     EXPECT_EQ(chrono.metrics.counter("sat.db_clauses"), 1u);
 
-    AllSatResult minterm = mintermBlockingAllSat(cnf, projection);
+    AllSatResult minterm = blockingAllSat(cnf, projection);
     EXPECT_EQ(minterm.mintermCount, chrono.mintermCount);
     // One blocking clause per projected minterm: peak >= solution count.
     EXPECT_GE(minterm.stats.dbClausesPeak, minterm.mintermCount.toU64());

@@ -12,7 +12,7 @@
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
 #include "preimage/transition_system.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 

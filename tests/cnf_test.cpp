@@ -8,8 +8,8 @@
 #include "base/types.hpp"
 #include "cnf/cnf.hpp"
 #include "cnf/dimacs.hpp"
-#include "cnf/simplify.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/simplify.hpp"
+#include "oracle/dpll.hpp"
 
 namespace presat {
 namespace {

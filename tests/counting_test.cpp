@@ -4,7 +4,7 @@
 // independent mathematics.
 #include <gtest/gtest.h>
 
-#include "allsat/minterm_blocking.hpp"
+#include "allsat/blocking.hpp"
 #include "allsat/success_driven.hpp"
 #include "bdd/bdd.hpp"
 #include "circuit/from_cnf.hpp"
@@ -64,7 +64,7 @@ BigUint successDrivenCount(const Cnf& cnf) {
 TEST(Counting, PermutationsAreFactorial) {
   for (int n : {2, 3, 4}) {
     Cnf cnf = permutationFormula(n);
-    AllSatResult minterm = mintermBlockingAllSat(cnf, allVars(cnf));
+    AllSatResult minterm = blockingAllSat(cnf, allVars(cnf));
     EXPECT_EQ(minterm.mintermCount.toU64(), factorial(n)) << "n=" << n;
     EXPECT_EQ(successDrivenCount(cnf).toU64(), factorial(n)) << "n=" << n;
   }
@@ -73,7 +73,7 @@ TEST(Counting, PermutationsAreFactorial) {
 TEST(Counting, PigeonholeHasNoSolutions) {
   for (int n : {2, 3, 4}) {
     Cnf cnf = testutil::pigeonhole(n);
-    AllSatResult r = mintermBlockingAllSat(cnf, allVars(cnf));
+    AllSatResult r = blockingAllSat(cnf, allVars(cnf));
     EXPECT_TRUE(r.mintermCount.isZero());
     EXPECT_TRUE(successDrivenCount(cnf).isZero());
   }
@@ -92,7 +92,7 @@ TEST(Counting, IndependentExactlyOneBlocksMultiply) {
     }
     uint64_t expected = 1;
     for (int b = 0; b < blocks; ++b) expected *= 3;
-    EXPECT_EQ(mintermBlockingAllSat(cnf, allVars(cnf)).mintermCount.toU64(), expected);
+    EXPECT_EQ(blockingAllSat(cnf, allVars(cnf)).mintermCount.toU64(), expected);
     EXPECT_EQ(successDrivenCount(cnf).toU64(), expected);
   }
 }
@@ -118,7 +118,7 @@ TEST(Counting, XorChainHasHalfTheSpace) {
     // Project onto the x variables: half of all assignments have odd parity.
     std::vector<Var> projection;
     for (int i = 0; i < n; ++i) projection.push_back(x(i));
-    AllSatResult r = mintermBlockingAllSat(cnf, projection);
+    AllSatResult r = blockingAllSat(cnf, projection);
     EXPECT_EQ(r.mintermCount.toU64(), 1ull << (n - 1)) << "n=" << n;
   }
 }
@@ -140,7 +140,7 @@ TEST(Counting, S27SatCountMatchesBdd) {
       sources.push_back(id);
     }
   }
-  AllSatResult viaSat = mintermBlockingAllSat(cnf, projection);
+  AllSatResult viaSat = blockingAllSat(cnf, projection);
 
   BddManager mgr(static_cast<int>(sources.size()));
   std::vector<BddRef> nodeBdd(nl.numNodes(), BddManager::kFalse);

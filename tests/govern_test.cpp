@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "allsat/blocking.hpp"
 #include "allsat/chrono_blocking.hpp"
-#include "allsat/cube_blocking.hpp"
-#include "allsat/minterm_blocking.hpp"
+#include "allsat/lifting.hpp"
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
 #include "base/metrics.hpp"
@@ -32,7 +32,7 @@
 #include "preimage/safety.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 
@@ -248,13 +248,16 @@ TEST(GovernedEngines, PreCancelledTokenStopsBeforeAnyCube) {
     Governor g(budget);
     AllSatOptions opts;
     opts.governor = &g;
-    runs.push_back({"minterm", mintermBlockingAllSat(cnf, projection, opts)});
+    runs.push_back({"minterm", blockingAllSat(cnf, projection, {}, opts)});
   }
   {
     Governor g(budget);
     AllSatOptions opts;
     opts.governor = &g;
-    runs.push_back({"cube", cubeBlockingAllSat(cnf, projection, {}, opts)});
+    ModelLifter lifter = [&cnf](const std::vector<lbool>& m) {
+      return shrinkModelToImplicant(cnf, m);
+    };
+    runs.push_back({"cube", blockingAllSat(cnf, projection, lifter, opts)});
   }
   {
     Governor g(budget);
@@ -292,8 +295,11 @@ TEST(GovernedEngines, GlobalConflictLimitYieldsSoundPartials) {
       AllSatOptions opts;
       opts.governor = &governor;
       opts.chronoShrink = false;
-      AllSatResult r = engine == 0   ? mintermBlockingAllSat(cnf, projection, opts)
-                       : engine == 1 ? cubeBlockingAllSat(cnf, projection, {}, opts)
+      ModelLifter lifter = [&cnf](const std::vector<lbool>& m) {
+        return shrinkModelToImplicant(cnf, m);
+      };
+      AllSatResult r = engine == 0   ? blockingAllSat(cnf, projection, {}, opts)
+                       : engine == 1 ? blockingAllSat(cnf, projection, lifter, opts)
                                      : chronoAllSat(cnf, projection, opts);
 
       for (const LitVec& cube : r.cubes) {
@@ -585,7 +591,7 @@ TEST(FaultInjection, SatAllocFaultDegradesBlockingEngineToSoundPartial) {
   Governor governor(Budget{});
   AllSatOptions opts;
   opts.governor = &governor;
-  AllSatResult r = mintermBlockingAllSat(cnf, projection, opts);
+  AllSatResult r = blockingAllSat(cnf, projection, {}, opts);
   EXPECT_TRUE(faults::faultFired());
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.outcome, Outcome::kMemory);

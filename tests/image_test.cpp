@@ -77,6 +77,29 @@ TEST(Image, AccumulatorCoversEverythingFromAnyState) {
   EXPECT_EQ(r.stateCount.toU64(), 16u);
 }
 
+// Two state bits driven by one node: the all-SAT projection lists that
+// node's variable twice, and both positions must still be enumerated.
+TEST(Image, SharedNextStateDriver) {
+  Netlist nl;
+  NodeId x = nl.addInput("x");
+  NodeId s0 = nl.addDff("s0");
+  NodeId s1 = nl.addDff("s1");
+  NodeId s2 = nl.addDff("s2");
+  NodeId g = nl.mkAnd(x, s2, "g");
+  nl.connectDffData(s0, g);
+  nl.connectDffData(s1, g);
+  nl.connectDffData(s2, nl.mkNot(s0, "n"));
+  nl.validate();
+  TransitionSystem ts(nl);
+  StateSet from = StateSet::fromCube(3, {});
+  std::set<uint64_t> expected = bruteForceImage(ts, from);
+  for (ImageMethod method : kAllImageMethods) {
+    ImageResult r = computeImage(ts, from, method);
+    EXPECT_EQ(toMinterms(r.states), expected) << imageMethodName(method);
+    EXPECT_EQ(r.stateCount.toU64(), expected.size()) << imageMethodName(method);
+  }
+}
+
 class ImageFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ImageFuzz, AllMethodsMatchBruteForce) {

@@ -10,7 +10,7 @@
 #include "circuit/simulator.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 

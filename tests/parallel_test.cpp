@@ -157,7 +157,6 @@ TEST(ParallelPreimage, ResultIndependentOfWorkerCount) {
 
   const PreimageMethod methods[] = {PreimageMethod::kSuccessDriven,
                                     PreimageMethod::kMintermBlocking,
-                                    PreimageMethod::kCubeBlocking,
                                     PreimageMethod::kCubeBlockingLifted};
   for (const Fixture& fixture : suite) {
     TransitionSystem ts(fixture.nl);
@@ -224,7 +223,7 @@ TEST(ParallelCnf, GlobalMaxCubesCapHolds) {
   AllSatOptions options;
   options.maxCubes = 3;
   options.parallel.jobs = 2;
-  AllSatResult r = parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kMintermBlocking, {},
+  AllSatResult r = parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kBlocking, {},
                                      options);
   EXPECT_LE(r.cubes.size(), 3u);
   EXPECT_FALSE(r.complete);

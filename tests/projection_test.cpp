@@ -17,7 +17,7 @@
 #include "govern/governor.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/transition_system.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "test_util.hpp"
 
 namespace presat {

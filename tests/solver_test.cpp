@@ -6,7 +6,7 @@
 #include "check/audit_solver.hpp"
 #include "cnf/cnf.hpp"
 #include "cnf/dimacs.hpp"
-#include "sat/dpll.hpp"
+#include "oracle/dpll.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 

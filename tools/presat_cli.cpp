@@ -40,8 +40,8 @@
 //
 // CUBE is a string over the state bits, LSB (state bit 0) first, using
 // '0', '1', and 'x'/'-' for don't-care, e.g. --target 1x0x. Preimage METHOD
-// names are those printed by the tool (minterm-blocking, cube-blocking,
-// cube-blocking-lifted, success-driven, chrono, bdd, bdd-relational).
+// names are those printed by the tool (minterm-blocking, cube-blocking-lifted,
+// success-driven, chrono, bdd, bdd-relational).
 //
 // `audit` is the enumeration cross-checker: it runs every engine on the same
 // instance, validates the per-engine invariants (disjoint minterms, sound
@@ -58,10 +58,9 @@
 #include <utility>
 #include <vector>
 
+#include "allsat/blocking.hpp"
 #include "allsat/chrono_blocking.hpp"
-#include "allsat/cube_blocking.hpp"
 #include "allsat/lifting.hpp"
-#include "allsat/minterm_blocking.hpp"
 #include "allsat/success_driven.hpp"
 #include "bdd/bdd.hpp"
 #include "check/audit.hpp"
@@ -165,7 +164,7 @@ std::unique_ptr<Governor> makeGovernor(const Args& args) {
 // exit codes: 0 = complete, 2 = stopped early with a sound partial result.
 int finishOutcome(Outcome outcome) {
   if (outcome == Outcome::kComplete) return 0;
-  // stderr, so `--stats json | check_stats_json.py` keeps a clean JSON stream.
+  // stderr, so `--stats json | check_json.py stats` keeps a clean JSON stream.
   std::fprintf(stderr, "partial result: stopped on %s (sound under-approximation)\n",
                outcomeName(outcome));
   return 2;
@@ -295,23 +294,20 @@ int cmdAllsat(const Args& args) {
   std::string method = args.flag("method", "sd");
 
   AllSatResult result;
-  if (method == "minterm") {
-    result = options.parallel.enabled()
-                 ? parallelCnfAllSat(file.cnf, projection, ParallelCnfEngine::kMintermBlocking,
-                                     {}, options)
-                 : mintermBlockingAllSat(file.cnf, projection, options);
-  } else if (method == "cube") {
+  if (method == "minterm" || method == "cube") {
+    // One blocking engine; "cube" hands it the implicant lifter.
     const Cnf& cnf = file.cnf;
-    if (projection.size() != static_cast<size_t>(cnf.numVars())) {
-      usage("--method cube needs a full projection (implicant lifting)");
+    ModelLifter lifter;
+    if (method == "cube") {
+      if (projection.size() != static_cast<size_t>(cnf.numVars())) {
+        usage("--method cube needs a full projection (implicant lifting)");
+      }
+      lifter = [&cnf](const std::vector<lbool>& m) { return shrinkModelToImplicant(cnf, m); };
     }
-    ModelLifter lifter = [&cnf](const std::vector<lbool>& m) {
-      return shrinkModelToImplicant(cnf, m);
-    };
     result = options.parallel.enabled()
-                 ? parallelCnfAllSat(file.cnf, projection, ParallelCnfEngine::kCubeBlocking,
-                                     lifter, options)
-                 : cubeBlockingAllSat(file.cnf, projection, lifter, options);
+                 ? parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kBlocking, lifter,
+                                     options)
+                 : blockingAllSat(cnf, projection, lifter, options);
   } else if (method == "chrono") {
     result = options.parallel.enabled()
                  ? parallelCnfAllSat(file.cnf, projection, ParallelCnfEngine::kChrono, {},
@@ -554,23 +550,21 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
 
   std::vector<EngineRun> runs;
   {
-    AllSatResult r = mintermBlockingAllSat(file.cnf, projection, {});
+    AllSatResult r = blockingAllSat(file.cnf, projection);
     if (!cubesPairwiseDisjoint(r.cubes)) {
       audit.fail("audit.minterm.disjoint",
                  "minterm-blocking produced overlapping cubes on " + args.positional[0]);
     }
     runs.push_back({"minterm-blocking", std::move(r.cubes), std::move(r.mintermCount), r.complete});
   }
-  {
+  if (fullProjection) {
+    // Implicant lifting needs the full scope; without it this run would be
+    // the minterm run above again.
     const Cnf& cnf = file.cnf;
-    AllSatOptions options;
-    ModelLifter lifter;
-    if (fullProjection) {
-      lifter = [&cnf](const std::vector<lbool>& m) { return shrinkModelToImplicant(cnf, m); };
-    } else {
-      options.liftModels = false;  // implicant lifting needs the full scope
-    }
-    AllSatResult r = cubeBlockingAllSat(cnf, projection, lifter, options);
+    ModelLifter lifter = [&cnf](const std::vector<lbool>& m) {
+      return shrinkModelToImplicant(cnf, m);
+    };
+    AllSatResult r = blockingAllSat(cnf, projection, lifter);
     runs.push_back({"cube-blocking", std::move(r.cubes), std::move(r.mintermCount), r.complete});
   }
   {
@@ -646,7 +640,7 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
   return finishAudit(audit, args.positional[0] + " (" + std::to_string(runs.size()) + " engines)");
 }
 
-// Circuit mode: all seven preimage engines on a generated benchmark, with the
+// Circuit mode: all six preimage engines on a generated benchmark, with the
 // BDD baselines serving as the semantic oracle for the SAT-based ones.
 int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   const std::string spec = args.flag("gen");
@@ -695,7 +689,7 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   }
   {
     // Projected-native chrono with wildcard compression, cross-checked
-    // against the seven baselines above: a compressed cover must describe
+    // against the six baselines above: a compressed cover must describe
     // exactly the same state set, and must itself stay pairwise disjoint.
     std::unique_ptr<Governor> governor = makeGovernor(args);
     PreimageOptions projOptions = options;

@@ -17,7 +17,7 @@ lane runs:
   * optionally (--compare-cache) replays the same schedule against a
     cache-disabled daemon and reports the median-latency ratio between
     cache-hit answers and their cold equivalents;
-  * emits a machine-checkable soak report (tools/check_soak_json.py).
+  * emits a machine-checkable soak report (tools/check_json.py soak).
 
 Fault-injection soak: --fault-site/--fault-after/--fault-seed arm the
 system-under-test daemon via the PRESAT_FAULT_* environment (PRESAT_FAULTS
@@ -193,7 +193,7 @@ def check_sound(resp, oracle_states):
 SPEC_WIDTH_RE = re.compile(r"^(counter|gray|lfsr|shift|accum):(\d+)$")
 PROBE_WIDTH_RE = re.compile(r"circuit has (\d+) state bits")
 
-LIGHT_METHODS = ["success-driven", "cube-blocking", "cube-blocking-lifted",
+LIGHT_METHODS = ["success-driven", "minterm-blocking", "cube-blocking-lifted",
                  "chrono", "bdd", "bdd-relational"]
 
 # The heavy pairs anchor the cache-latency comparison: cold minterm
