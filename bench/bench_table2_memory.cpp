@@ -8,7 +8,9 @@
 // engine's peak clause database (flat — zero blocking clauses, the store IS
 // the CNF plus a bounded learnt set), the projected-chrono compressed cover
 // (cubes / literals after wildcard merging), and the solution graph (nodes /
-// edges / stored literals) with the learning-cache size.
+// edges / stored literals) with the learning-cache size. The graph is the
+// one multi-root graph of the query: a subgraph shared between branches or
+// between the roots of a multi-cube target is stored, and counted, once.
 #include <cstdio>
 
 #include "allsat/solution_graph.hpp"
@@ -46,8 +48,7 @@ int main() {
       std::printf("ENGINE DISAGREEMENT on %s\n", c.name.c_str());
       return 1;
     }
-    size_t graphLits = 0;
-    for (const SolutionGraph& g : sd.graphs) graphLits += g.numStoredLiterals();
+    size_t graphLits = sd.graph.numStoredLiterals();
     // Compressed-cover footprint: cubes and literals of the wildcard-merged
     // disjoint cover — the flat-store answer to the solution graph.
     size_t projLits = 0;
@@ -77,9 +78,10 @@ int main() {
       "stored clauses — solution-count-independent; ch-flips = pseudo-decision\n"
       "flips, the zero-storage stand-in for blocking clauses); pj = projected\n"
       "chrono + wildcard compression (compressed disjoint cover, cubes/literals);\n"
-      "gr = success-driven\n"
-      "solution graph; mt/gr = minterm blocking literals per graph literal (the\n"
-      "paper's blow-up-vs-shared-graph comparison)\n",
+      "gr = success-driven solution graph (one graph per query, one root per\n"
+      "target cube; shared subgraphs count once in gr-lits); mt/gr = minterm\n"
+      "blocking literals per graph literal (the paper's blow-up-vs-shared-graph\n"
+      "comparison)\n",
       static_cast<unsigned long long>(kMintermCap));
   return 0;
 }

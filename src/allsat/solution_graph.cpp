@@ -1,15 +1,27 @@
 #include "allsat/solution_graph.hpp"
 
 #include <sstream>
-#include <unordered_map>
 
 #include "base/log.hpp"
 #include "bdd/bdd.hpp"
 
 namespace presat {
 
+void SolutionGraph::append(const SolutionGraph& other) {
+  const int base = static_cast<int>(nodes_.size());
+  auto translate = [base](int child) { return child >= 0 ? child + base : child; };
+  for (Node node : other.nodes_) {
+    for (Branch& b : node.branch) b.child = translate(b.child);
+    nodes_.push_back(std::move(node));
+  }
+  for (const Branch& r : other.roots_) addRoot(translate(r.child), r.newLits);
+}
+
 size_t SolutionGraph::numLiveEdges() const {
-  size_t n = root_.child != kFail ? 1 : 0;
+  size_t n = 0;
+  for (const Branch& r : roots_) {
+    if (r.child != kFail) ++n;
+  }
   for (const Node& node : nodes_) {
     for (const Branch& b : node.branch) {
       if (b.child != kFail) ++n;
@@ -19,7 +31,10 @@ size_t SolutionGraph::numLiveEdges() const {
 }
 
 size_t SolutionGraph::numStoredLiterals() const {
-  size_t n = root_.child != kFail ? root_.newLits.size() : 0;
+  size_t n = 0;
+  for (const Branch& r : roots_) {
+    if (r.child != kFail) n += r.newLits.size();
+  }
   for (const Node& node : nodes_) {
     for (const Branch& b : node.branch) {
       if (b.child != kFail) n += b.newLits.size();
@@ -29,7 +44,6 @@ size_t SolutionGraph::numStoredLiterals() const {
 }
 
 BigUint SolutionGraph::countPaths() const {
-  if (root_.child == kFail) return BigUint(0);
   std::vector<BigUint> memo(nodes_.size());
   std::vector<bool> done(nodes_.size(), false);
   auto rec = [&](auto&& self, int index) -> BigUint {
@@ -42,11 +56,12 @@ BigUint SolutionGraph::countPaths() const {
     done[i] = true;
     return total;
   };
-  return rec(rec, root_.child);
+  BigUint total(0);
+  for (const Branch& r : roots_) total += rec(rec, r.child);
+  return total;
 }
 
 Dyadic SolutionGraph::pathMeasure() const {
-  if (root_.child == kFail) return Dyadic::zero();
   std::vector<Dyadic> memo(nodes_.size());
   std::vector<bool> done(nodes_.size(), false);
   auto rec = [&](auto&& self, int index) -> Dyadic {
@@ -64,16 +79,23 @@ Dyadic SolutionGraph::pathMeasure() const {
     done[i] = true;
     return total;
   };
-  Dyadic m = rec(rec, root_.child);
-  m.divPow2(static_cast<uint32_t>(root_.newLits.size()));
-  return m;
+  Dyadic total = Dyadic::zero();
+  for (const Branch& r : roots_) {
+    Dyadic m = rec(rec, r.child);
+    m.divPow2(static_cast<uint32_t>(r.newLits.size()));
+    total += m;
+  }
+  return total;
 }
 
-std::vector<LitVec> SolutionGraph::enumerateCubes(uint64_t limit) const {
-  std::vector<LitVec> cubes;
-  if (root_.child == kFail) return cubes;
-  LitVec path = root_.newLits;
-  auto rec = [&](auto&& self, int index) -> bool {  // false = limit reached
+// Appends the path cubes below `root` until `cubes` holds `limit` (0 = no
+// limit); false once the limit is reached.
+bool SolutionGraph::appendPathCubes(const Branch& root, uint64_t limit,
+                                    std::vector<LitVec>& cubes) const {
+  if (root.child == kFail) return true;
+  if (limit != 0 && cubes.size() >= limit) return false;
+  LitVec path = root.newLits;
+  auto rec = [&](auto&& self, int index) -> bool {
     if (index == kFail) return true;
     if (index == kSuccess) {
       cubes.push_back(path);
@@ -89,17 +111,31 @@ std::vector<LitVec> SolutionGraph::enumerateCubes(uint64_t limit) const {
     }
     return true;
   };
-  rec(rec, root_.child);
+  return rec(rec, root.child);
+}
+
+std::vector<LitVec> SolutionGraph::enumerateCubes(uint64_t limit) const {
+  std::vector<LitVec> cubes;
+  for (const Branch& r : roots_) {
+    if (!appendPathCubes(r, limit, cubes)) break;
+  }
   return cubes;
 }
 
-uint32_t SolutionGraph::toBdd(BddManager& mgr) const {
-  std::unordered_map<int, BddRef> memo;
+std::vector<LitVec> SolutionGraph::enumerateRootCubes(size_t r, uint64_t limit) const {
+  std::vector<LitVec> cubes;
+  appendPathCubes(roots_[r], limit, cubes);
+  return cubes;
+}
+
+std::vector<uint32_t> SolutionGraph::rootBdds(BddManager& mgr) const {
+  constexpr BddRef kUnset = ~BddRef{0};
+  std::vector<BddRef> memo(nodes_.size(), kUnset);
   auto rec = [&](auto&& self, int index) -> BddRef {
     if (index == kSuccess) return BddManager::kTrue;
     if (index == kFail) return BddManager::kFalse;
-    auto it = memo.find(index);
-    if (it != memo.end()) return it->second;
+    BddRef& slot = memo[static_cast<size_t>(index)];
+    if (slot != kUnset) return slot;
     const Node& n = nodes_[static_cast<size_t>(index)];
     BddRef acc = BddManager::kFalse;
     for (const Branch& b : n.branch) {
@@ -107,11 +143,19 @@ uint32_t SolutionGraph::toBdd(BddManager& mgr) const {
       if (child == BddManager::kFalse) continue;
       acc = mgr.bddOr(acc, mgr.bddAnd(mgr.cube(b.newLits), child));
     }
-    memo.emplace(index, acc);
+    slot = acc;
     return acc;
   };
-  BddRef body = rec(rec, root_.child);
-  return mgr.bddAnd(mgr.cube(root_.newLits), body);
+  std::vector<BddRef> bdds;
+  bdds.reserve(roots_.size());
+  for (const Branch& r : roots_) bdds.push_back(mgr.bddAnd(mgr.cube(r.newLits), rec(rec, r.child)));
+  return bdds;
+}
+
+uint32_t SolutionGraph::toBdd(BddManager& mgr) const {
+  BddRef u = BddManager::kFalse;
+  for (BddRef r : rootBdds(mgr)) u = mgr.bddOr(u, r);
+  return u;
 }
 
 std::string SolutionGraph::toDot() const {
@@ -131,10 +175,11 @@ std::string SolutionGraph::toDot() const {
     }
     return s;
   };
-  if (root_.child != kFail) {
-    out << "  root [shape=point];\n";
-    out << "  root -> " << target(root_.child) << " [label=\"" << litsLabel(root_.newLits)
-        << "\"];\n";
+  for (size_t r = 0; r < roots_.size(); ++r) {
+    if (roots_[r].child == kFail) continue;
+    out << "  root" << r << " [shape=point];\n";
+    out << "  root" << r << " -> " << target(roots_[r].child) << " [label=\""
+        << litsLabel(roots_[r].newLits) << "\"];\n";
   }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     out << "  n" << i << " [label=\"d" << nodes_[i].decisionId << "\"];\n";

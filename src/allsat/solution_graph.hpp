@@ -10,6 +10,12 @@
 // (success-driven-learned) subsearches appear as shared children, which is
 // exactly where the exponential compression over an explicit cube list comes
 // from.
+//
+// A graph may have several roots, one per objective set solved by the same
+// engine (the cubes of a multi-cube preimage target): the node array and
+// every shared subgraph are stored once, and each root is an entry branch
+// into it. Whole-graph queries (paths, cubes, BDD) cover the union of all
+// roots, in root order.
 #pragma once
 
 #include <cstdint>
@@ -47,13 +53,22 @@ class SolutionGraph {
     return static_cast<int>(nodes_.size()) - 1;
   }
 
-  // The root is itself a branch: literals implied before the first decision
-  // lead to the top decision node (or directly to a terminal).
+  // A root is itself a branch: literals implied before the first decision
+  // lead to the top decision node (or directly to a terminal). setRoot
+  // makes the graph single-rooted; addRoot appends one more root.
   void setRoot(int child, LitVec impliedLits) {
-    root_.child = child;
-    root_.newLits = std::move(impliedLits);
+    roots_.clear();
+    addRoot(child, std::move(impliedLits));
   }
-  const Branch& root() const { return root_; }
+  void addRoot(int child, LitVec impliedLits) {
+    roots_.push_back(Branch{child, std::move(impliedLits)});
+  }
+  size_t numRoots() const { return roots_.size(); }
+  const Branch& root(size_t i) const { return roots_[i]; }
+
+  // Appends `other` as further roots: its nodes are copied after this
+  // graph's and its children re-indexed.
+  void append(const SolutionGraph& other);
 
   size_t numNodes() const { return nodes_.size(); }
   const Node& node(int index) const { return nodes_[static_cast<size_t>(index)]; }
@@ -74,15 +89,21 @@ class SolutionGraph {
 
   // Explicit solution cubes, one per root-to-SUCCESS path (0 = no limit).
   std::vector<LitVec> enumerateCubes(uint64_t limit = 0) const;
+  // The same for the paths from root `r` alone.
+  std::vector<LitVec> enumerateRootCubes(size_t r, uint64_t limit = 0) const;
 
   // Union of all path cubes as a BDD over the projected index space — the
   // exact semantics of the graph, used for counting and cross-engine checks.
   uint32_t toBdd(BddManager& mgr) const;
+  // One BDD per root, from one pass that shares every subgraph's BDD.
+  std::vector<uint32_t> rootBdds(BddManager& mgr) const;
 
   std::string toDot() const;
 
  private:
-  Branch root_;
+  bool appendPathCubes(const Branch& root, uint64_t limit, std::vector<LitVec>& cubes) const;
+
+  std::vector<Branch> roots_;
   std::vector<Node> nodes_;
 };
 

@@ -42,23 +42,26 @@ struct Sig128Hash {
   }
 };
 
-// One backward-justification search with success-driven learning.
+// One backward-justification search with success-driven learning, shared by
+// every objective set of one call.
 class Engine {
  public:
-  Engine(const CircuitAllSatProblem& problem, const AllSatOptions& options)
-      : nl_(*problem.netlist),
+  Engine(const Netlist& nl, const std::vector<NodeId>& projectionSources,
+         const AllSatOptions& options)
+      : nl_(nl),
         options_(options),
         governor_(options.governor),
         fanouts_(nl_.fanouts()),
         value_(nl_.numNodes(), l_Undef),
         inFrontier_(nl_.numNodes(), 0),
         projIndex_(nl_.numNodes(), -1),
+        numProjection_(static_cast<int>(projectionSources.size())),
         visitStamp_(nl_.numNodes(), 0) {
     std::vector<NodeId> order = nl_.topologicalOrder();
     topoPos_.resize(nl_.numNodes());
     for (size_t i = 0; i < order.size(); ++i) topoPos_[order[i]] = static_cast<uint32_t>(i);
-    for (size_t i = 0; i < problem.projectionSources.size(); ++i) {
-      NodeId src = problem.projectionSources[i];
+    for (size_t i = 0; i < projectionSources.size(); ++i) {
+      NodeId src = projectionSources[i];
       PRESAT_CHECK(!isCombinational(nl_.type(src)))
           << "projection entries must be source nodes";
       projIndex_[src] = static_cast<int>(i);
@@ -72,69 +75,91 @@ class Engine {
       if (nl_.type(id) == GateType::kConst0) value_[id] = l_False;
       if (nl_.type(id) == GateType::kConst1) value_[id] = l_True;
     }
-    objectives_ = problem.objectives;
-    for (const NodeAssign& obj : objectives_) {
-      PRESAT_CHECK(obj.first < nl_.numNodes()) << "objective node out of range";
-    }
     graphLedger_.attach(governor_);
     memoLedger_.attach(governor_);
   }
 
-  SuccessDrivenResult run() {
+  // Solves every problem as the next root of the shared graph, then
+  // enumerates, post-processes and counts the covers.
+  SuccessDrivenResult run(std::span<const CircuitAllSatProblem> problems) {
     Timer timer;
-    SuccessDrivenResult result;
-    LitVec rootLits;
-    curNewProj_ = &rootLits;
-    bool consistent = true;
-    for (const NodeAssign& obj : objectives_) {
-      if (!assign(obj.first, obj.second)) {
-        consistent = false;
-        break;
-      }
-    }
-    if (consistent) consistent = propagateFixpoint();
-    int root = SolutionGraph::kFail;
-    if (consistent) root = solveState();
-    graph_.setRoot(root, std::move(rootLits));
+    for (const CircuitAllSatProblem& p : problems) solveRoot(p.objectives);
 
+    SuccessDrivenResult result;
     result.graph = std::move(graph_);
+    const SolutionGraph& graph = result.graph;
     stats_.memoEntries = memo_.size();
     stats_.memoBytes = memoBytes();
     result.summary.stats = stats_;
-    result.summary.stats.graphNodes = result.graph.numNodes();
-    result.summary.stats.graphEdges = result.graph.numLiveEdges();
-    // One path beyond the cap decides completeness without the full
-    // path-count dynamic program over the graph.
-    if (options_.maxCubes == 0) {
-      result.summary.cubes = result.graph.enumerateCubes(0);
-    } else {
-      uint64_t probe =
-          options_.maxCubes == UINT64_MAX ? options_.maxCubes : options_.maxCubes + 1;
-      result.summary.cubes = result.graph.enumerateCubes(probe);
-      if (result.summary.cubes.size() > options_.maxCubes) {
-        result.summary.outcome = Outcome::kCubeCap;
-        result.summary.cubes.pop_back();
+    result.summary.stats.graphNodes = graph.numNodes();
+    result.summary.stats.graphEdges = graph.numLiveEdges();
+    // Each root keeps the cap and the projection post-pass of a
+    // single-objective run; the compression tallies add up across roots.
+    std::vector<std::vector<LitVec>> covers(graph.numRoots());
+    bool capped = false;
+    for (size_t r = 0; r < graph.numRoots(); ++r) {
+      AllSatResult part;
+      // One path beyond the cap decides completeness without the full
+      // path-count dynamic program over the graph.
+      if (options_.maxCubes == 0) {
+        part.cubes = graph.enumerateRootCubes(r, 0);
+      } else {
+        uint64_t probe =
+            options_.maxCubes == UINT64_MAX ? options_.maxCubes : options_.maxCubes + 1;
+        part.cubes = graph.enumerateRootCubes(r, probe);
+        if (part.cubes.size() > options_.maxCubes) {
+          capped = true;
+          part.cubes.pop_back();
+        }
       }
+      // Serialized solution-graph cubes can repeat and overlap across
+      // branches; the projected/compressed epilogue cleans them up without
+      // touching the graph-side BDD count below.
+      applyProjectionPostpass(part, options_, /*disjointCubes=*/false);
+      metrics_.merge(part.metrics);
+      covers[r] = std::move(part.cubes);
     }
+    if (capped) result.summary.outcome = Outcome::kCubeCap;
     // A governor trip dominates the cap: the pruned branches are the reason
     // the graph (and hence the cube set / count) is only a lower bound.
     if (tripped_ && governor_ != nullptr) result.summary.outcome = governor_->reason();
     {
-      BddManager mgr(static_cast<int>(numProjection()));
-      BddRef u = result.graph.toBdd(mgr);
-      result.summary.mintermCount = mgr.satCount(u);
+      BddManager mgr(numProjection_);
+      result.summary.mintermCount = mgr.satCount(graph.toBdd(mgr));
     }
     result.summary.stats.seconds = timer.seconds();
     metrics_.setLabel("engine", "success-driven");
     exportStatsToMetrics(result.summary.stats, metrics_);
-    metrics_.setCounter("sig.cone_nodes", sigConeNodes_);
-    metrics_.setCounter("sig.bytes", sigConeNodes_ * sizeof(Sig128));
+    metrics_.setCounter("sig.cone_nodes", sigCutNodes_);
+    metrics_.setCounter("sig.bytes", sigCutNodes_ * sizeof(Sig128));
+    if (frontierSizes_.count() != 0) metrics_.histogram("frontier.size").merge(frontierSizes_);
     result.summary.metrics = std::move(metrics_);
-    // Serialized solution-graph cubes can repeat and overlap across
-    // branches; the projected/compressed epilogue cleans them up without
-    // touching the graph-side BDD count above.
-    applyProjectionPostpass(result.summary, options_, /*disjointCubes=*/false);
     finishResult(result.summary, governor_);
+
+    // cheap = structural DAG invariants plus each root's reported cover
+    // against its BDD; full additionally replays every sampled cube through
+    // a SAT check against the root's original circuit problem.
+    PRESAT_AUDIT_CHEAP({
+      SolutionGraphAuditOptions auditOptions;
+      auditOptions.maxCubeSatChecks = 0;
+      if constexpr (kAuditLevel == AuditLevel::kFull) {
+        auditOptions.problems = problems;
+        auditOptions.maxCubeSatChecks = 256;
+      } else {
+        auditOptions.numProjectionVars = numProjection_;
+      }
+      // A capped cover is a prefix, not the root's set; the audit then
+      // enumerates the graph itself.
+      if (!capped) auditOptions.rootCovers = covers;
+      PRESAT_CHECK_AUDIT(auditSolutionGraph(graph, auditOptions));
+    });
+
+    size_t total = 0;
+    for (const std::vector<LitVec>& cover : covers) total += cover.size();
+    result.summary.cubes.reserve(total);
+    for (std::vector<LitVec>& cover : covers) {
+      for (LitVec& cube : cover) result.summary.cubes.push_back(std::move(cube));
+    }
     return result;
   }
 
@@ -150,12 +175,25 @@ class Engine {
     uint32_t gen;  // eviction generation of the last touch
   };
 
-  size_t numProjection() const {
-    size_t n = 0;
-    for (int idx : projIndex_) {
-      if (idx >= 0) ++n;
+  // Solves one objective set as the next root of the shared graph and
+  // returns the engine to the empty assignment for the next one.
+  void solveRoot(const NodeCube& objectives) {
+    LitVec rootLits;
+    curNewProj_ = &rootLits;
+    bool consistent = true;
+    for (const NodeAssign& obj : objectives) {
+      PRESAT_CHECK(obj.first < nl_.numNodes()) << "objective node out of range";
+      if (!assign(obj.first, obj.second)) {
+        consistent = false;
+        break;
+      }
     }
-    return n;
+    if (consistent) consistent = propagateFixpoint();
+    graph_.addRoot(consistent ? solveState() : SolutionGraph::kFail, std::move(rootLits));
+    // A conflicting objective leaves the fanout rechecks it queued behind;
+    // they belong to this root's assignment, not the next one's.
+    pending_.clear();
+    undoTo(0);
   }
 
   // --- assignment & propagation ------------------------------------------------
@@ -372,22 +410,34 @@ class Engine {
   // --- success-driven learning -----------------------------------------------------
   //
   // The subproblem at a search node is determined by the justification
-  // frontier plus the assignment restricted to its transitive fanin cone
-  // (backward-only assignment makes this exact — see the header comment).
+  // frontier plus the values on its justification cut: the nodes reached
+  // from the frontier by descending through frontier gates and unassigned
+  // nodes, stopping at assigned non-frontier nodes (whose values are still
+  // part of the key). That is exactly what a subsearch can read: examine()
+  // reads the fanins of frontier gates, and assign() only ever assigns an
+  // unassigned fanin, which then joins the frontier and exposes its own
+  // fanins. An assigned node outside the frontier is justified or a source,
+  // so nothing below it is read again. Two states that agree on the cut
+  // therefore run the same subsearch, whatever lies beyond it — the key is
+  // exact, and coarser than the whole fanin cone.
+  //
   // The memo key is a 128-bit Zobrist signature of that state:
   //
   //  * the frontier-membership component is maintained INCREMENTALLY — every
   //    frontier insert/erase in assign()/removeFromFrontier()/undoTo() XORs
   //    the gate's precomputed key into frontierSig_, so it costs O(1) per
   //    event and nothing at signature time;
-  //  * the cone-assignment component is accumulated by an XOR walk over the
-  //    frontier's fanin cone. It cannot be maintained purely incrementally:
-  //    when a gate is justified, cone nodes may silently leave every live
-  //    cone (detecting that would need per-node cone reference counts), so
-  //    the walk re-derives membership. Unlike the former exact key, the walk
-  //    is allocation-free and sort-free (XOR commutes), turning the former
-  //    O(cone log cone) + heap-allocated std::string per search node into a
-  //    flat O(cone) scan.
+  //  * the cut-assignment component is accumulated by an XOR walk over the
+  //    cut. It cannot be maintained purely incrementally: when a gate is
+  //    justified, nodes may silently leave the cut, so the walk re-derives
+  //    it. The walk is allocation-free and sort-free (XOR commutes): a flat
+  //    O(cut) scan per search node.
+
+  // Whether the cut walk descends below `n`: through frontier gates and
+  // unassigned gates, never below an assigned non-frontier node.
+  bool onCutInterior(NodeId n) const {
+    return isCombinational(nl_.type(n)) && (value_[n].isUndef() || inFrontier_[n]);
+  }
 
   void initZobrist() {
     // Deterministic keys: the engine must behave identically across runs.
@@ -398,7 +448,7 @@ class Engine {
     for (size_t i = 0; i < zFrontier_.size(); ++i) zFrontier_[i] = {rng.next(), rng.next()};
   }
 
-  // Hashed signature of (frontier, cone assignment) at the current state.
+  // Hashed signature of (frontier, cut assignment) at the current state.
   Sig128 hashedSignature() {
     if (++stamp_ == 0) {  // stamp wrapped: reset the epoch array once
       std::fill(visitStamp_.begin(), visitStamp_.end(), 0u);
@@ -409,25 +459,25 @@ class Engine {
       (void)pos;
       scratchStack_.push_back(g);
     }
-    uint64_t coneNodes = 0;
+    uint64_t cutNodes = 0;
     while (!scratchStack_.empty()) {
       NodeId n = scratchStack_.back();
       scratchStack_.pop_back();
       if (visitStamp_[n] == stamp_) continue;
       visitStamp_[n] = stamp_;
-      ++coneNodes;
+      ++cutNodes;
       lbool v = value_[n];
       if (!v.isUndef()) sig.flip(zAssign_[n * 2 + (v.isTrue() ? 1 : 0)]);
-      if (isCombinational(nl_.type(n))) {
+      if (onCutInterior(n)) {
         for (NodeId f : nl_.fanins(n)) scratchStack_.push_back(f);
       }
     }
-    sigConeNodes_ += coneNodes;
+    sigCutNodes_ += cutNodes;
     return sig;
   }
 
-  // The former exact key — frontier + cone assignment serialized into a
-  // canonical byte string. Kept as the collision oracle behind
+  // The exact key — frontier + cut assignment serialized into a canonical
+  // byte string over the same cut walk. The collision oracle behind
   // AllSatOptions::memoCheckExact.
   std::string exactKey() {
     scratchCone_.clear();
@@ -442,7 +492,7 @@ class Engine {
       if (scratchMark_[n]) continue;
       scratchMark_[n] = true;
       scratchCone_.push_back(n);
-      if (isCombinational(nl_.type(n))) {
+      if (onCutInterior(n)) {
         for (NodeId f : nl_.fanins(n)) scratchStack_.push_back(f);
       }
     }
@@ -520,7 +570,7 @@ class Engine {
       }
       ++stats_.memoMisses;
     }
-    metrics_.histogram("frontier.size").record(frontier_.size());
+    frontierSizes_.record(frontier_.size());
 
     NodeId branchNode = kNoNode;
     bool firstValue = false;
@@ -581,7 +631,7 @@ class Engine {
   std::vector<lbool> value_;
   std::vector<char> inFrontier_;
   std::vector<int> projIndex_;
-  NodeCube objectives_;
+  int numProjection_;  // projected index space: [0, projectionSources.size())
 
   std::set<std::pair<uint32_t, NodeId>> frontier_;  // ordered by topo position
   std::vector<NodeId> pending_;
@@ -598,11 +648,12 @@ class Engine {
   std::unordered_map<Sig128, MemoEntry, Sig128Hash> memo_;
   std::unordered_map<Sig128, std::string, Sig128Hash> exactKeys_;  // memoCheckExact only
   uint32_t memoGen_ = 0;
-  uint64_t sigConeNodes_ = 0;
+  uint64_t sigCutNodes_ = 0;
 
   SolutionGraph graph_;
   AllSatStats stats_;
   Metrics metrics_;
+  Histogram frontierSizes_;  // merged into metrics_ once, in run()
 
   // signature scratch: epoch-stamped visit marks (no O(numNodes) clear per
   // signature) and a reusable DFS stack.
@@ -619,23 +670,20 @@ class Engine {
 
 SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
                                         const AllSatOptions& options) {
-  PRESAT_CHECK(problem.netlist != nullptr);
-  Engine engine(problem, options);
-  SuccessDrivenResult result = engine.run();
-  // cheap = structural DAG invariants only; full additionally replays every
-  // sampled cube through a SAT check against the original circuit problem.
-  PRESAT_AUDIT_CHEAP({
-    SolutionGraphAuditOptions auditOptions;
-    auditOptions.maxCubeSatChecks = 0;
-    if constexpr (kAuditLevel == AuditLevel::kFull) {
-      auditOptions.problem = &problem;
-      auditOptions.maxCubeSatChecks = 256;
-    } else {
-      auditOptions.numProjectionVars = static_cast<int>(problem.projectionSources.size());
-    }
-    PRESAT_CHECK_AUDIT(auditSolutionGraph(result.graph, auditOptions));
-  });
-  return result;
+  return successDrivenAllSat(std::span(&problem, 1), options);
+}
+
+SuccessDrivenResult successDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
+                                        const AllSatOptions& options) {
+  PRESAT_CHECK(!problems.empty());
+  const CircuitAllSatProblem& first = problems.front();
+  PRESAT_CHECK(first.netlist != nullptr);
+  for (const CircuitAllSatProblem& p : problems) {
+    PRESAT_CHECK(p.netlist == first.netlist && p.projectionSources == first.projectionSources)
+        << "one engine needs one netlist and one projection";
+  }
+  Engine engine(*first.netlist, first.projectionSources, options);
+  return engine.run(problems);
 }
 
 }  // namespace presat

@@ -13,14 +13,20 @@
 //    sources assigned so far form a solution cube; every completion of the
 //    unassigned sources works. This yields cube-level solutions for free.
 //  * Success-driven learning: each subproblem is identified by its
-//    justification frontier plus the current assignment restricted to the
-//    frontier's fanin cone — which, because assignment is backward-only,
-//    determines the entire subsearch. Solved subproblems are memoized and
-//    their solution sub-DAGs shared, so equivalent subproblems are never
-//    re-solved and the result is a compact SolutionGraph instead of an
-//    exponential cube list.
+//    justification frontier plus the values on its justification cut — the
+//    nodes reachable from the frontier through frontier gates and
+//    unassigned nodes. Assignment is backward-only and a justified gate is
+//    never re-examined, so the subsearch reads nothing beyond that cut: the
+//    key is exact. Solved subproblems are memoized and their solution
+//    sub-DAGs shared, so equivalent subproblems are never re-solved and the
+//    result is a compact SolutionGraph instead of an exponential cube list.
+//  * One engine can answer several objective sets over the same netlist and
+//    projection (a multi-cube preimage target): each becomes one root of a
+//    shared graph, and the memo carries over between them — its key never
+//    mentions the objectives, so a hit on another root's entry is exact.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "allsat/lifting.hpp"
@@ -40,13 +46,23 @@ struct CircuitAllSatProblem {
 };
 
 struct SuccessDrivenResult {
-  // cubes are the root-to-SUCCESS path cubes of `graph` (enumeration is
-  // capped by AllSatOptions::maxCubes; the graph itself is always complete).
+  // cubes are each root's root-to-SUCCESS path cubes, in root order; every
+  // root's enumeration is capped by AllSatOptions::maxCubes and projected /
+  // compressed on its own (the graph itself is always complete).
+  // mintermCount counts the union over all roots.
   AllSatResult summary;
+  // Root i answers problem i.
   SolutionGraph graph;
 };
 
 SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
+                                        const AllSatOptions& options = {});
+
+// One engine for several problems that share a netlist and projection
+// sources and differ only in their objectives. Tables, memo and graph are
+// shared; root i of the graph answers problems[i]. The cover is the
+// concatenation of the covers successDrivenAllSat gives each problem alone.
+SuccessDrivenResult successDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
                                         const AllSatOptions& options = {});
 
 }  // namespace presat

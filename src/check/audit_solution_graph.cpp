@@ -47,20 +47,85 @@ void checkBranchLits(AuditResult& r, const LitVec& lits, int projWidth,
   }
 }
 
+std::string rootName(size_t root) { return "root " + std::to_string(root); }
+
+// graph.cube.unsat for one root: every sampled path cube of the root must be
+// sound for the circuit problem the root was solved for.
+void checkCubesSound(AuditResult& r, const std::vector<LitVec>& cubes,
+                     const CircuitAllSatProblem& p, const SolutionGraphAuditOptions& opt,
+                     const std::string& where) {
+  std::vector<NodeId> roots;
+  for (const NodeAssign& obj : p.objectives) roots.push_back(obj.first);
+  const CircuitEncoding enc = encodeCircuit(*p.netlist, roots);
+  Solver solver;
+  solver.addCnf(enc.cnf);
+  bool objectivesSat = solver.okay();
+  for (const NodeAssign& obj : p.objectives) {
+    if (!solver.addClause({enc.litOf(obj.first, obj.second)})) {
+      objectivesSat = false;
+      break;
+    }
+  }
+  if (!objectivesSat) {
+    if (!cubes.empty()) {
+      r.fail("graph.cube.unsat", where + ": objectives are unsatisfiable but the graph enumerates " +
+                                     std::to_string(cubes.size()) + " cube(s)");
+    }
+    return;
+  }
+  uint64_t rng = opt.randomSeed;
+  for (const LitVec& cube : cubes) {
+    LitVec base;
+    std::vector<bool> fixed(p.projectionSources.size(), false);
+    for (Lit l : cube) {
+      if (l.var() < 0 || static_cast<size_t>(l.var()) >= p.projectionSources.size()) continue;
+      fixed[static_cast<size_t>(l.var())] = true;
+      const NodeId src = p.projectionSources[static_cast<size_t>(l.var())];
+      if (enc.isEncoded(src)) base.push_back(enc.litOf(src, !l.sign()));
+    }
+    for (int attempt = 0; attempt <= opt.completionsPerCube; ++attempt) {
+      LitVec assumptions = base;
+      if (attempt > 0) {
+        // Random completion of the projection sources left free by the
+        // cube — the universal side of the cube's guarantee.
+        for (size_t j = 0; j < p.projectionSources.size(); ++j) {
+          if (fixed[j] || !enc.isEncoded(p.projectionSources[j])) continue;
+          assumptions.push_back(enc.litOf(p.projectionSources[j], (nextRandom(rng) & 1) != 0));
+        }
+      }
+      if (!solver.solve(assumptions).isTrue()) {
+        r.fail("graph.cube.unsat",
+               where + " cube " + toString(cube) +
+                   (attempt == 0 ? " admits no satisfying input assignment"
+                                 : " fails under a random completion of the free sources"));
+        break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 AuditResult auditSolutionGraph(const SolutionGraph& g,
                                const SolutionGraphAuditOptions& opt) {
   AuditResult r;
   const int n = static_cast<int>(g.numNodes());
+  const size_t numRoots = g.numRoots();
   const auto validChild = [n](int c) { return c == kSuccess || c == kFail || (c >= 0 && c < n); };
+  PRESAT_CHECK(opt.problems.empty() || opt.problems.size() == numRoots)
+      << "audit needs one problem per root";
+  PRESAT_CHECK(opt.rootCovers.empty() || opt.rootCovers.size() == numRoots)
+      << "audit needs one cover per root";
 
   // -- child ranges ---------------------------------------------------------
   bool rangesOk = true;
-  if (!validChild(g.root().child)) {
-    r.fail("graph.child-range", "root child " + std::to_string(g.root().child) +
-                                    " out of range (numNodes=" + std::to_string(n) + ")");
-    rangesOk = false;
+  for (size_t root = 0; root < numRoots; ++root) {
+    const int child = g.root(root).child;
+    if (!validChild(child)) {
+      r.fail("graph.child-range", rootName(root) + " child " + std::to_string(child) +
+                                      " out of range (numNodes=" + std::to_string(n) + ")");
+      rangesOk = false;
+    }
   }
   for (int i = 0; i < n; ++i) {
     for (int b = 0; b < 2; ++b) {
@@ -122,14 +187,16 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
 
   // -- projection width -----------------------------------------------------
   int projWidth = opt.numProjectionVars;
-  if (opt.problem != nullptr) {
-    projWidth = static_cast<int>(opt.problem->projectionSources.size());
+  if (!opt.problems.empty()) {
+    projWidth = static_cast<int>(opt.problems.front().projectionSources.size());
   }
   if (projWidth < 0) {
     // Infer an upper bound so the range check and the BDD cross-check still
     // have a consistent variable universe.
     Var maxVar = -1;
-    for (Lit l : g.root().newLits) maxVar = std::max(maxVar, l.var());
+    for (size_t root = 0; root < numRoots; ++root) {
+      for (Lit l : g.root(root).newLits) maxVar = std::max(maxVar, l.var());
+    }
     for (int i = 0; i < n; ++i) {
       for (const auto& b : g.node(i).branch) {
         for (Lit l : b.newLits) maxVar = std::max(maxVar, l.var());
@@ -139,7 +206,9 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
   }
 
   // -- per-branch literal hygiene ------------------------------------------
-  checkBranchLits(r, g.root().newLits, projWidth, "root branch");
+  for (size_t root = 0; root < numRoots; ++root) {
+    checkBranchLits(r, g.root(root).newLits, projWidth, rootName(root) + " branch");
+  }
   for (int i = 0; i < n; ++i) {
     for (int b = 0; b < 2; ++b) {
       checkBranchLits(r, g.node(i).branch[b].newLits, projWidth,
@@ -192,25 +261,47 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
       }
     }
   }
-  checkRepeat(g.root().newLits, g.root().child, "root branch");
+  for (size_t root = 0; root < numRoots; ++root) {
+    checkRepeat(g.root(root).newLits, g.root(root).child, rootName(root) + " branch");
+  }
 
   // The semantic passes below feed enumerated cubes into BddManager::cube
   // and the SAT encoder, both of which CHECK on contradictory cubes — any
   // structural violation above makes those crash-prone, so stop here.
   if (!r.ok()) return r;
 
-  // -- enumerated cubes vs the graph's own BDD semantics -------------------
+  // -- each root's cover vs its own BDD semantics --------------------------
   if (opt.maxEnumeratedCubes > 0 && projWidth >= 0) {
-    std::vector<LitVec> cubes = g.enumerateCubes(opt.maxEnumeratedCubes + 1);
-    if (cubes.size() <= opt.maxEnumeratedCubes) {  // skip when truncated
+    // Roots whose cover exceeds the cap are skipped; when all are, the
+    // graph's BDD is never built.
+    std::vector<std::vector<LitVec>> enumerated(opt.rootCovers.empty() ? numRoots : 0);
+    std::vector<const std::vector<LitVec>*> covers(numRoots, nullptr);
+    bool anyCover = false;
+    for (size_t root = 0; root < numRoots; ++root) {
+      const std::vector<LitVec>* cover = nullptr;
+      if (opt.rootCovers.empty()) {
+        enumerated[root] = g.enumerateRootCubes(root, opt.maxEnumeratedCubes + 1);
+        cover = &enumerated[root];
+      } else {
+        cover = &opt.rootCovers[root];
+      }
+      if (cover->size() > opt.maxEnumeratedCubes) continue;
+      covers[root] = cover;
+      anyCover = true;
+    }
+    if (anyCover) {
       BddManager mgr(projWidth);
-      const BddRef fromGraph = g.toBdd(mgr);
-      const BddRef fromCubes = cubesToBdd(mgr, cubes);
-      if (!BddManager::equal(fromGraph, fromCubes)) {
-        r.fail("graph.count.cubes-vs-bdd",
-               "union of " + std::to_string(cubes.size()) + " enumerated cubes (" +
-                   mgr.satCount(fromCubes).toDecimal() + " minterms) disagrees with the graph BDD (" +
-                   mgr.satCount(fromGraph).toDecimal() + " minterms)");
+      const std::vector<BddRef> fromGraph = g.rootBdds(mgr);
+      for (size_t root = 0; root < numRoots; ++root) {
+        if (covers[root] == nullptr) continue;
+        const BddRef fromCubes = cubesToBdd(mgr, *covers[root]);
+        if (!BddManager::equal(fromGraph[root], fromCubes)) {
+          r.fail("graph.count.cubes-vs-bdd",
+                 rootName(root) + ": union of " + std::to_string(covers[root]->size()) +
+                     " cubes (" + mgr.satCount(fromCubes).toDecimal() +
+                     " minterms) disagrees with the graph BDD (" +
+                     mgr.satCount(fromGraph[root]).toDecimal() + " minterms)");
+        }
       }
     }
   }
@@ -218,59 +309,13 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
   // -- per-cube soundness against the original circuit problem -------------
   // A cube promises: for EVERY completion of the unassigned projection
   // sources there is an input assignment satisfying the objectives. The SAT
-  // check below tests the cube itself plus a few random completions; ternary
+  // check tests the cube itself plus a few random completions; ternary
   // simulation cannot express the inner existential over the inputs.
-  if (opt.problem != nullptr && opt.problem->netlist != nullptr && opt.maxCubeSatChecks > 0) {
-    const CircuitAllSatProblem& p = *opt.problem;
-    std::vector<NodeId> roots;
-    for (const NodeAssign& obj : p.objectives) roots.push_back(obj.first);
-    const CircuitEncoding enc = encodeCircuit(*p.netlist, roots);
-    Solver solver;
-    solver.addCnf(enc.cnf);
-    bool objectivesSat = solver.okay();
-    for (const NodeAssign& obj : p.objectives) {
-      if (!solver.addClause({enc.litOf(obj.first, obj.second)})) {
-        objectivesSat = false;
-        break;
-      }
-    }
-    const std::vector<LitVec> cubes = g.enumerateCubes(opt.maxCubeSatChecks);
-    if (!objectivesSat) {
-      if (!cubes.empty()) {
-        r.fail("graph.cube.unsat",
-               "objectives are unsatisfiable but the graph enumerates " +
-                   std::to_string(cubes.size()) + " cube(s)");
-      }
-      return r;
-    }
-    uint64_t rng = opt.randomSeed;
-    for (const LitVec& cube : cubes) {
-      LitVec base;
-      std::vector<bool> fixed(p.projectionSources.size(), false);
-      for (Lit l : cube) {
-        if (l.var() < 0 || static_cast<size_t>(l.var()) >= p.projectionSources.size()) continue;
-        fixed[static_cast<size_t>(l.var())] = true;
-        const NodeId src = p.projectionSources[static_cast<size_t>(l.var())];
-        if (enc.isEncoded(src)) base.push_back(enc.litOf(src, !l.sign()));
-      }
-      for (int attempt = 0; attempt <= opt.completionsPerCube; ++attempt) {
-        LitVec assumptions = base;
-        if (attempt > 0) {
-          // Random completion of the projection sources left free by the
-          // cube — the universal side of the cube's guarantee.
-          for (size_t j = 0; j < p.projectionSources.size(); ++j) {
-            if (fixed[j] || !enc.isEncoded(p.projectionSources[j])) continue;
-            assumptions.push_back(enc.litOf(p.projectionSources[j], (nextRandom(rng) & 1) != 0));
-          }
-        }
-        if (!solver.solve(assumptions).isTrue()) {
-          r.fail("graph.cube.unsat",
-                 "cube " + toString(cube) +
-                     (attempt == 0 ? " admits no satisfying input assignment"
-                                   : " fails under a random completion of the free sources"));
-          break;
-        }
-      }
+  if (opt.maxCubeSatChecks > 0) {
+    for (size_t root = 0; root < opt.problems.size(); ++root) {
+      const CircuitAllSatProblem& p = opt.problems[root];
+      if (p.netlist == nullptr) continue;
+      checkCubesSound(r, g.enumerateRootCubes(root, opt.maxCubeSatChecks), p, opt, rootName(root));
     }
   }
 

@@ -1,9 +1,16 @@
 // Deep structural + semantic validation of a SolutionGraph.
 //
+// The node-array checks run once; the root checks (child range, root
+// literal hygiene, path repeats from the root, cubes vs BDD, cube soundness)
+// run once per root of a multi-root graph, with the root's index in the
+// detail. The per-root passes read tables built once over the node array
+// (and one BDD pass shared by all roots), so auditing an R-root graph costs
+// one node-array pass plus R root passes, not R whole-graph audits.
+//
 // Structural invariants (always checked):
 //
-//   graph.child-range   every branch child is kSuccess, kFail, or a valid
-//                       node index
+//   graph.child-range   every branch child (every root's included) is
+//                       kSuccess, kFail, or a valid node index
 //   graph.acyclic       the child relation is a DAG (general DFS — does not
 //                       assume the engine's children-before-parents layout)
 //   graph.dead-node     no stored node has both branches kFail (the engine
@@ -17,9 +24,10 @@
 //
 // Semantic invariants (need the projection width / original problem):
 //
-//   graph.count.cubes-vs-bdd  the union of the enumerated path cubes equals
-//                       the graph's own BDD semantics (skipped when the cube
-//                       enumeration cap truncates)
+//   graph.count.cubes-vs-bdd  per root, the union of its cover — the
+//                       caller's reported cover when given, else its
+//                       enumerated path cubes — equals the root's own BDD
+//                       semantics (skipped when the cover exceeds the cap)
 //   graph.cube.unsat    every sampled path cube is sound for the original
 //                       circuit problem: the cube's source assignments (plus
 //                       random completions of the unassigned projection
@@ -30,7 +38,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "base/types.hpp"
 #include "check/audit.hpp"
 
 namespace presat {
@@ -39,16 +50,23 @@ class SolutionGraph;
 struct CircuitAllSatProblem;
 
 struct SolutionGraphAuditOptions {
-  // Enables graph.cube.unsat and fixes the projection width. May be null:
-  // structural checks still run, semantic ones are skipped.
-  const CircuitAllSatProblem* problem = nullptr;
-  // Projection width when `problem` is null (-1 = infer an upper bound from
-  // the literals, which still enables graph.count.cubes-vs-bdd).
+  // The problem each root was solved for (problems[i] for root i; one entry
+  // per root). Enables graph.cube.unsat and fixes the projection width. May
+  // be empty: structural checks still run, semantic ones are skipped.
+  std::span<const CircuitAllSatProblem> problems;
+  // Projection width when `problems` is empty (-1 = infer an upper bound
+  // from the literals, which still enables graph.count.cubes-vs-bdd).
   int numProjectionVars = -1;
-  // Cap on cubes enumerated for the BDD cross-check (0 disables it; the
-  // check is skipped, not failed, when the cap truncates).
+  // The cover the caller reported for each root (one entry per root): any
+  // union-preserving rewrite of the root's full path set, as well-formed
+  // cubes over the projected index space. Empty: the BDD cross-check
+  // enumerates each root's paths itself.
+  std::span<const std::vector<LitVec>> rootCovers;
+  // Cap on cubes per root for the BDD cross-check (0 disables it; the check
+  // is skipped, not failed, when a root's cover exceeds the cap).
   uint64_t maxEnumeratedCubes = 4096;
-  // Cap on per-cube SAT soundness checks (0 disables graph.cube.unsat).
+  // Cap on per-cube SAT soundness checks per root (0 disables
+  // graph.cube.unsat).
   uint64_t maxCubeSatChecks = 256;
   // Random minterm completions tested per sampled cube (the ∀state part).
   int completionsPerCube = 2;

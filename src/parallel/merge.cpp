@@ -32,22 +32,12 @@ SolutionGraph mergeSolutionGraphs(const std::vector<ShardOutcome>& shards,
       << "shard count does not match the split plan";
   SolutionGraph merged;
 
-  // Import every shard's nodes up front (shard order), remembering the index
-  // offset; terminals need no translation.
-  std::vector<int> offset(shards.size(), 0);
-  auto translate = [](int child, int base) {
-    return child >= 0 ? child + base : child;
-  };
-  for (size_t i = 0; i < shards.size(); ++i) {
-    offset[i] = static_cast<int>(merged.numNodes());
-    PRESAT_CHECK(shards[i].hasGraph) << "graph merge on a shard without a solution graph";
-    const SolutionGraph& g = shards[i].graph;
-    for (size_t n = 0; n < g.numNodes(); ++n) {
-      SolutionGraph::Node node = g.node(static_cast<int>(n));
-      node.branch[0].child = translate(node.branch[0].child, offset[i]);
-      node.branch[1].child = translate(node.branch[1].child, offset[i]);
-      merged.addNode(node);
-    }
+  // Import every shard's graph up front (shard order): shard i's root
+  // becomes root i, its children re-indexed into the merged node array.
+  for (const ShardOutcome& shard : shards) {
+    PRESAT_CHECK(shard.hasGraph && shard.graph.numRoots() == 1)
+        << "graph merge on a shard without a single-root solution graph";
+    merged.append(shard.graph);
   }
 
   // Recursive tree over the shard-index range: depth d (root = 0) splits on
@@ -57,10 +47,9 @@ SolutionGraph mergeSolutionGraphs(const std::vector<ShardOutcome>& shards,
   // graph.dead-node invariant the auditor enforces).
   auto build = [&](auto&& self, size_t lo, size_t hi) -> SolutionGraph::Branch {
     if (hi - lo == 1) {
-      const ShardOutcome& shard = shards[lo];
-      const SolutionGraph::Branch& root = shard.graph.root();
+      const SolutionGraph::Branch& root = merged.root(lo);
       SolutionGraph::Branch leaf;
-      leaf.child = translate(root.child, offset[lo]);
+      leaf.child = root.child;
       if (leaf.child != SolutionGraph::kFail) leaf.newLits = root.newLits;
       return leaf;
     }
@@ -81,7 +70,7 @@ SolutionGraph mergeSolutionGraphs(const std::vector<ShardOutcome>& shards,
   };
 
   SolutionGraph::Branch top = build(build, 0, shards.size());
-  merged.setRoot(top.child, std::move(top.newLits));
+  merged.setRoot(top.child, std::move(top.newLits));  // replaces the shard roots
   return merged;
 }
 

@@ -1,6 +1,7 @@
 #include "preimage/preimage.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "allsat/blocking.hpp"
 #include "allsat/chrono_blocking.hpp"
@@ -165,6 +166,39 @@ void finishPreimage(PreimageResult& result, const Governor* governor) {
   if (governor != nullptr) governor->exportMetrics(result.metrics);
 }
 
+// The success-driven engine over every target cube. Serially one engine
+// answers all of them, one root each; in parallel every cube gets its own
+// cube-and-conquer run and the merged graphs become the roots, counted
+// together from one BDD pass.
+SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const StateSet& target,
+                                          const AllSatOptions& options) {
+  std::vector<CircuitAllSatProblem> problems(target.cubes.size());
+  for (size_t i = 0; i < problems.size(); ++i) {
+    problems[i].netlist = &system.netlist();
+    problems[i].projectionSources = system.stateNodes();
+    for (Lit l : target.cubes[i]) {
+      problems[i].objectives.emplace_back(system.nextStateRoot(l.var()), !l.sign());
+    }
+  }
+  if (problems.empty()) return {};
+  if (!options.parallel.enabled()) return successDrivenAllSat(problems, options);
+
+  SuccessDrivenResult result;
+  for (const CircuitAllSatProblem& problem : problems) {
+    SuccessDrivenResult sub = parallelSuccessDrivenAllSat(problem, options);
+    result.summary.cubes.insert(result.summary.cubes.end(),
+                                std::make_move_iterator(sub.summary.cubes.begin()),
+                                std::make_move_iterator(sub.summary.cubes.end()));
+    result.summary.outcome = combineOutcomes(result.summary.outcome, sub.summary.outcome);
+    accumulateStats(result.summary.stats, sub.summary.stats);
+    result.summary.metrics.merge(sub.summary.metrics);
+    result.graph.append(sub.graph);
+  }
+  BddManager mgr(system.numStateBits());
+  result.summary.mintermCount = mgr.satCount(result.graph.toBdd(mgr));
+  return result;
+}
+
 // Disjointness guarantee backing the certificate's disjoint flag: minterm
 // and chrono covers are disjoint by construction, BDD covers are distinct
 // root-to-true paths, and wildcard compression preserves all of that.
@@ -288,29 +322,18 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
       Timer timer;
       PreimageResult result;
       result.states.numStateBits = n;
-      for (const LitVec& cube : target.cubes) {
-        CircuitAllSatProblem problem;
-        problem.netlist = &system.netlist();
-        problem.projectionSources = system.stateNodes();
-        for (Lit l : cube) problem.objectives.emplace_back(system.nextStateRoot(l.var()), !l.sign());
-        SuccessDrivenResult sub = satOpts.parallel.enabled()
-                                      ? parallelSuccessDrivenAllSat(problem, satOpts)
-                                      : successDrivenAllSat(problem, satOpts);
-        result.states.cubes.insert(result.states.cubes.end(), sub.summary.cubes.begin(),
-                                   sub.summary.cubes.end());
-        result.complete = result.complete && sub.summary.complete;
-        result.outcome = combineOutcomes(result.outcome, sub.summary.outcome);
-        accumulateStats(result.stats, sub.summary.stats);
-        result.stats.satCalls += 1;  // one justification search per target cube
-        // Histograms merge across sub-runs; the counter totals are rewritten
-        // from the accumulated stats below.
-        result.metrics.merge(sub.summary.metrics);
-        result.graphs.push_back(std::move(sub.graph));
-      }
-      // Cross-target epilogue: each sub-run already projected/compressed its
-      // own cover, but the concatenation across target cubes can repeat or
-      // overlap cubes between sub-runs. The union — and the graph-side
-      // count below — is unchanged.
+      SuccessDrivenResult sd = successDrivenPreimage(system, target, satOpts);
+      result.states.cubes = std::move(sd.summary.cubes);
+      result.stateCount = std::move(sd.summary.mintermCount);
+      result.outcome = sd.summary.outcome;
+      result.stats = sd.summary.stats;
+      result.stats.satCalls += target.cubes.size();  // one justification search per target cube
+      result.metrics = std::move(sd.summary.metrics);
+      result.graph = std::move(sd.graph);
+      // Cross-target epilogue: each root's cover is already projected/
+      // compressed on its own, but the concatenation across target cubes
+      // can repeat or overlap cubes between roots. The union — and the
+      // graph-side count — is unchanged.
       if (satOpts.project) dedupCubes(result.states.cubes);
       if (satOpts.compress) {
         compressCubes(result.states.cubes, satOpts.governor, satOpts.compressTrace);
@@ -318,11 +341,6 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
       if (satOpts.project) {
         result.metrics.setCounter("proj.cubes", result.states.cubes.size());
       }
-      // Exact union count straight from the graphs (never enumerates paths).
-      BddManager mgr(n);
-      BddRef u = BddManager::kFalse;
-      for (const SolutionGraph& g : result.graphs) u = mgr.bddOr(u, g.toBdd(mgr));
-      result.stateCount = mgr.satCount(u);
       result.seconds = timer.seconds();
       result.stats.seconds = result.seconds;
       result.metrics.setLabel("engine", "success-driven");

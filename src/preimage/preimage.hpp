@@ -97,13 +97,14 @@ struct PreimageResult {
   // sound under-approximation.
   Outcome outcome = Outcome::kComplete;
   AllSatStats stats;    // zero-initialized for the BDD engine
-  // Observability export of `stats` (plus engine-specific histograms, merged
-  // across per-target-cube sub-runs for the success-driven engine).
+  // Observability export of `stats` (plus engine-specific histograms; the
+  // parallel success-driven path merges them across its per-cube runs).
   Metrics metrics;
   double seconds = 0.0;
   size_t bddNodes = 0;  // BDD engine only: manager size after the query
-  // Success-driven engine only: one solution graph per target cube.
-  std::vector<SolutionGraph> graphs;
+  // Success-driven engine only: one solution graph with one root per target
+  // cube, in target order (shared subgraphs stored once).
+  SolutionGraph graph;
   // Parallel runs: the disjoint guide cubes of the shard split (projected
   // index space) — the certificate's cross-shard disjointness argument.
   std::vector<LitVec> guides;

@@ -16,6 +16,8 @@
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
 #include "oracle/dpll.hpp"
+#include "preimage/preimage.hpp"
+#include "preimage/transition_system.hpp"
 #include "test_util.hpp"
 
 namespace presat {
@@ -183,7 +185,7 @@ CircuitAllSatProblem problemFor(const Netlist& nl, NodeCube objectives) {
 // was built from — every fuzz iteration below runs through this.
 void expectGraphAuditOk(const SolutionGraph& graph, const CircuitAllSatProblem& p) {
   SolutionGraphAuditOptions options;
-  options.problem = &p;
+  options.problems = {&p, 1};
   AuditResult audit = auditSolutionGraph(graph, options);
   EXPECT_TRUE(audit.ok()) << audit.toString();
 }
@@ -264,7 +266,128 @@ TEST_P(SuccessDrivenFuzz, MatchesBruteForce) {
   }
 }
 
+// The memo key is the justification cut, not the whole fanin cone. It may
+// only make more subproblems count as solved, never change what the search
+// produces: learning on, learning off and the exact-key oracle must give the
+// same cube list, cube for cube and in the same order.
+void expectBitIdenticalCovers(const CircuitAllSatProblem& p, const std::string& what) {
+  SuccessDrivenResult on = successDrivenAllSat(p);
+  AllSatOptions off;
+  off.successLearning = false;
+  AllSatOptions exact;
+  exact.memoCheckExact = true;
+  EXPECT_EQ(successDrivenAllSat(p, off).summary.cubes, on.summary.cubes) << what;
+  EXPECT_EQ(successDrivenAllSat(p, exact).summary.cubes, on.summary.cubes) << what;
+}
+
+TEST_P(SuccessDrivenFuzz, CoversBitIdenticalAcrossMemoModes) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 977 + 13);
+  for (int iter = 0; iter < 25; ++iter) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = static_cast<int>(rng.range(1, 3));
+    params.numDffs = static_cast<int>(rng.range(3, 7));
+    params.numGates = static_cast<int>(rng.range(10, 60));
+    Netlist nl = makeRandomSequential(params);
+    NodeCube objectives;
+    for (NodeId dff : nl.dffs()) {
+      if (rng.chance(1, 2)) objectives.emplace_back(nl.dffData(dff), rng.flip());
+    }
+    expectBitIdenticalCovers(problemFor(nl, objectives),
+                             "seed-group " + std::to_string(GetParam()) + " iter " +
+                                 std::to_string(iter));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SuccessDrivenFuzz, ::testing::Range(0, 8));
+
+std::vector<std::pair<std::string, Netlist>> generatorCircuits() {
+  std::vector<std::pair<std::string, Netlist>> circuits;
+  circuits.emplace_back("counter6", makeCounter(6));
+  circuits.emplace_back("gray5", makeGrayCounter(5));
+  circuits.emplace_back("lfsr7", makeLfsr(7));
+  circuits.emplace_back("shift6", makeShiftRegister(6));
+  circuits.emplace_back("arbiter4", makeRoundRobinArbiter(4));
+  circuits.emplace_back("traffic", makeTrafficLight());
+  circuits.emplace_back("accum4", makeAccumulator(4));
+  circuits.emplace_back("lock", makeCombinationLock({3, 1, 2}, 2));
+  circuits.emplace_back("s27", makeS27());
+  return circuits;
+}
+
+TEST(SuccessDriven, GeneratorCoversBitIdenticalAcrossMemoModes) {
+  Rng rng(419);
+  for (const auto& [name, nl] : generatorCircuits()) {
+    for (int trial = 0; trial < 6; ++trial) {
+      NodeCube objectives;
+      for (NodeId dff : nl.dffs()) {
+        if (rng.chance(1, 2)) objectives.emplace_back(nl.dffData(dff), rng.flip());
+      }
+      expectBitIdenticalCovers(problemFor(nl, objectives),
+                               name + " trial " + std::to_string(trial));
+    }
+  }
+}
+
+// A multi-cube preimage target runs one engine: one root per target cube,
+// one memo across them. Its cover must be the concatenation of the per-cube
+// covers, its count the BDD engine's, and every memo hit — cross-root ones
+// included — must match the exact cut key.
+TEST(SuccessDrivenMultiRoot, PreimageMatchesPerCubeRuns) {
+  Rng rng(733);
+  std::vector<std::pair<std::string, Netlist>> circuits = generatorCircuits();
+  for (int i = 0; i < 12; ++i) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = static_cast<int>(rng.range(1, 3));
+    params.numDffs = static_cast<int>(rng.range(3, 6));
+    params.numGates = static_cast<int>(rng.range(10, 50));
+    circuits.emplace_back("random" + std::to_string(i), makeRandomSequential(params));
+  }
+  for (const auto& [name, nl] : circuits) {
+    TransitionSystem ts(nl);
+    const int bits = ts.numStateBits();
+    StateSet target;
+    target.numStateBits = bits;
+    int numCubes = static_cast<int>(rng.range(2, 6));
+    for (int c = 0; c < numCubes; ++c) {
+      LitVec cube;
+      for (int b = 0; b < bits; ++b) {
+        if (rng.chance(1, 2)) cube.push_back(mkLit(static_cast<Var>(b), rng.flip()));
+      }
+      target.cubes.push_back(cube);
+    }
+    target.cubes.push_back(target.cubes.front());  // a repeated cube is one root-level hit
+
+    std::vector<CircuitAllSatProblem> problems;
+    std::vector<LitVec> concatenated;
+    for (const LitVec& cube : target.cubes) {
+      NodeCube objectives;
+      for (Lit l : cube) objectives.emplace_back(ts.nextStateRoot(l.var()), !l.sign());
+      problems.push_back(problemFor(nl, objectives));
+      problems.back().projectionSources = ts.stateNodes();
+      SuccessDrivenResult alone = successDrivenAllSat(problems.back());
+      concatenated.insert(concatenated.end(), alone.summary.cubes.begin(),
+                          alone.summary.cubes.end());
+    }
+
+    PreimageOptions options;
+    options.allsat.memoCheckExact = true;
+    PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+    ASSERT_TRUE(pre.complete) << name;
+    EXPECT_EQ(pre.states.cubes, concatenated) << name;
+    EXPECT_EQ(pre.stateCount, computePreimage(ts, target, PreimageMethod::kBdd).stateCount)
+        << name;
+    ASSERT_EQ(pre.graph.numRoots(), target.cubes.size()) << name;
+    // The repeated last cube reuses the first cube's root subgraph.
+    EXPECT_EQ(pre.graph.root(target.cubes.size() - 1).child, pre.graph.root(0).child) << name;
+
+    SolutionGraphAuditOptions audit;
+    audit.problems = problems;
+    AuditResult result = auditSolutionGraph(pre.graph, audit);
+    EXPECT_TRUE(result.ok()) << name << "\n" << result.toString();
+  }
+}
 
 TEST(SuccessDriven, AgreesWithMintermEngineOnS27) {
   Netlist nl = makeS27();

@@ -211,7 +211,7 @@ TEST(AuditSolutionGraph, CleanEngineOutputPasses) {
   for (NodeId d : nl.dffs()) p.projectionSources.push_back(d);
   SuccessDrivenResult result = successDrivenAllSat(p);
   SolutionGraphAuditOptions options;
-  options.problem = &p;
+  options.problems = {&p, 1};
   AuditResult r = auditSolutionGraph(result.graph, options);
   EXPECT_TRUE(r.ok()) << r.toString();
 }
@@ -288,6 +288,59 @@ TEST(AuditSolutionGraphDeathTest, CheckAuditAbortsWithInvariantName) {
   SolutionGraph g;
   g.setRoot(7, {});
   EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g)), "graph\\.child-range");
+}
+
+// Multi-root graphs: the node-array checks run once, the root checks for
+// every root. Root 0 is sound in each corruption below; only root 1 breaks.
+SolutionGraph twoRootGraph() {
+  SolutionGraph g;
+  SolutionGraph::Node n;
+  n.branch[0] = {SolutionGraph::kSuccess, {mkLit(1)}};
+  n.branch[1] = {SolutionGraph::kSuccess, {~mkLit(1)}};
+  int id = g.addNode(n);
+  g.addRoot(id, {mkLit(0)});
+  g.addRoot(id, {~mkLit(0)});
+  return g;
+}
+
+TEST(AuditSolutionGraph, CleanMultiRootGraphPasses) {
+  SolutionGraph g = twoRootGraph();
+  SolutionGraphAuditOptions options;
+  options.numProjectionVars = 2;
+  AuditResult r = auditSolutionGraph(g, options);
+  EXPECT_TRUE(r.ok()) << r.toString();
+}
+
+TEST(AuditSolutionGraphDeathTest, NonFirstRootChildOutOfRange) {
+  SolutionGraph g = twoRootGraph();
+  g.addRoot(9, {});
+  EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g)), "graph\\.child-range");
+}
+
+TEST(AuditSolutionGraphDeathTest, NonFirstRootRepeatsVarBelowIt) {
+  SolutionGraph g;
+  SolutionGraph::Node n;
+  n.branch[0] = {SolutionGraph::kSuccess, {mkLit(1)}};
+  n.branch[1] = {SolutionGraph::kSuccess, {~mkLit(1)}};
+  int id = g.addNode(n);
+  g.addRoot(id, {mkLit(0)});
+  g.addRoot(id, {mkLit(1)});  // x1 is assigned again on both paths below
+  SolutionGraphAuditOptions options;
+  options.numProjectionVars = 2;
+  EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g, options)), "graph\\.path\\.repeat");
+}
+
+TEST(AuditSolutionGraphDeathTest, NonFirstRootCoverDisagreesWithBdd) {
+  SolutionGraph g = twoRootGraph();
+  // Root 1's reported cover adds the cube x1 to the ~x0 half the graph
+  // gives it: one minterm (x0 & x1) too many.
+  std::vector<std::vector<LitVec>> covers = {g.enumerateRootCubes(0),
+                                             {{~mkLit(0)}, {mkLit(1)}}};
+  SolutionGraphAuditOptions options;
+  options.numProjectionVars = 2;
+  options.rootCovers = covers;
+  EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g, options)),
+               "graph\\.count\\.cubes-vs-bdd");
 }
 
 // --- parallel shard partition -------------------------------------------------

@@ -334,9 +334,29 @@ TEST(Preimage, SuccessDrivenReportsGraphs) {
   TransitionSystem ts(nl);
   StateSet target = StateSet::fromMinterm(6, 33);
   PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven);
-  ASSERT_EQ(r.graphs.size(), 1u);
+  ASSERT_EQ(r.graph.numRoots(), 1u);
   EXPECT_GT(r.stats.graphNodes, 0u);
-  EXPECT_EQ(r.graphs[0].countPaths().toU64(), r.states.cubes.size());
+  EXPECT_EQ(r.graph.countPaths().toU64(), r.states.cubes.size());
+
+  // A multi-cube target: one root per cube, in target order, over one node
+  // array.
+  StateSet multi = StateSet::fromMinterm(6, 33);
+  multi.cubes.push_back(StateSet::fromMinterm(6, 12).cubes[0]);
+  multi.cubes.push_back({mkLit(5)});
+  PreimageResult m = computePreimage(ts, multi, PreimageMethod::kSuccessDriven);
+  ASSERT_EQ(m.graph.numRoots(), 3u);
+  EXPECT_EQ(m.stats.graphNodes, m.graph.numNodes());
+  EXPECT_EQ(m.graph.countPaths().toU64(), m.states.cubes.size());
+  BddManager mgr(6);
+  EXPECT_EQ(mgr.satCount(m.graph.toBdd(mgr)), m.stateCount);
+
+  // The parallel path appends one merged cube-and-conquer graph per cube.
+  PreimageOptions jobs;
+  jobs.allsat.parallel.jobs = 2;
+  PreimageResult p = computePreimage(ts, multi, PreimageMethod::kSuccessDriven, jobs);
+  ASSERT_EQ(p.graph.numRoots(), 3u);
+  EXPECT_EQ(p.graph.countPaths().toU64(), p.states.cubes.size());
+  EXPECT_EQ(p.stateCount, m.stateCount);
 }
 
 }  // namespace

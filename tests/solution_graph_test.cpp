@@ -118,6 +118,35 @@ TEST(SolutionGraph, RootLitsPrefixAllCubes) {
   }
 }
 
+// Two roots over one node array: whole-graph queries cover both roots in
+// root order, per-root queries only their own; append re-indexes children.
+TEST(SolutionGraph, MultiRootQueriesAndAppend) {
+  SolutionGraph g = bothBranchesSucceed();  // root 0: x0 | ~x0
+  g.addRoot(SolutionGraph::kSuccess, {mkLit(1)});
+  ASSERT_EQ(g.numRoots(), 2u);
+  EXPECT_EQ(g.countPaths(), BigUint(3));
+  EXPECT_EQ(g.enumerateCubes(), (std::vector<LitVec>{{mkLit(0)}, {~mkLit(0)}, {mkLit(1)}}));
+  EXPECT_EQ(g.enumerateRootCubes(1), (std::vector<LitVec>{{mkLit(1)}}));
+  EXPECT_EQ(g.enumerateCubes(2).size(), 2u);
+  BddManager mgr(2);
+  std::vector<BddRef> roots = g.rootBdds(mgr);
+  ASSERT_EQ(roots.size(), 2u);
+  EXPECT_EQ(roots[0], BddManager::kTrue);
+  EXPECT_EQ(roots[1], mgr.variable(1));
+  EXPECT_EQ(g.toBdd(mgr), BddManager::kTrue);
+
+  SolutionGraph merged = bothBranchesSucceed();
+  merged.append(g);
+  ASSERT_EQ(merged.numRoots(), 3u);
+  EXPECT_EQ(merged.numNodes(), 2u);
+  EXPECT_EQ(merged.root(1).child, 1);  // g's node 0, moved past merged's own
+  EXPECT_EQ(merged.countPaths(), BigUint(5));
+
+  merged.setRoot(SolutionGraph::kFail, {});  // back to one root
+  EXPECT_EQ(merged.numRoots(), 1u);
+  EXPECT_EQ(merged.countPaths(), BigUint(0));
+}
+
 TEST(SolutionGraph, DotExportMentionsNodes) {
   SolutionGraph g = bothBranchesSucceed();
   std::string dot = g.toDot();

@@ -612,7 +612,7 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     }
     SuccessDrivenResult sd = successDrivenAllSat(problem, {});
     SolutionGraphAuditOptions graphOptions;
-    graphOptions.problem = &problem;
+    graphOptions.problems = {&problem, 1};
     audit.merge(auditSolutionGraph(sd.graph, graphOptions));
     runs.push_back({"success-driven", std::move(sd.summary.cubes),
                     std::move(sd.summary.mintermCount), sd.summary.complete});
@@ -678,11 +678,9 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
                  "chrono produced overlapping preimage cubes on " + spec);
     }
     if (method == PreimageMethod::kSuccessDriven) {
-      for (const SolutionGraph& graph : r.graphs) {
-        SolutionGraphAuditOptions graphOptions;
-        graphOptions.numProjectionVars = width;
-        audit.merge(auditSolutionGraph(graph, graphOptions));
-      }
+      SolutionGraphAuditOptions graphOptions;
+      graphOptions.numProjectionVars = width;
+      audit.merge(auditSolutionGraph(r.graph, graphOptions));
     }
     runs.push_back({preimageMethodName(method), std::move(r.states.cubes),
                     std::move(r.stateCount), r.complete});
