@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
@@ -86,6 +87,28 @@ void BM_BddParity(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddParity)->Arg(16)->Arg(32)->Arg(64);
+
+// The count/audit primitive: union of a cover's cubes, then its minterm
+// count, in a fresh manager per iteration (as every graph count builds one).
+// Cubes fix about 18 of the 24 variables, like near-minterm preimage covers.
+void BM_BddCubeUnion(benchmark::State& state) {
+  constexpr int kVars = 24;
+  Rng rng(17);
+  std::vector<LitVec> cubes(static_cast<size_t>(state.range(0)));
+  for (LitVec& cube : cubes) {
+    for (Var v = 0; v < kVars; ++v) {
+      if (rng.below(4) != 0) cube.push_back(mkLit(v, rng.flip()));
+    }
+  }
+  size_t nodes = 0;
+  for (auto _ : state) {
+    BddManager mgr(kVars);
+    benchmark::DoNotOptimize(mgr.satCount(cubesToBdd(mgr, cubes)));
+    nodes = mgr.numNodes();
+  }
+  state.counters["nodes"] = benchmark::Counter(static_cast<double>(nodes));
+}
+BENCHMARK(BM_BddCubeUnion)->Arg(1024)->Arg(4096);
 
 void BM_Simulator64Patterns(benchmark::State& state) {
   RandomCircuitParams params;

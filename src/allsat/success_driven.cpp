@@ -123,10 +123,12 @@ class Engine {
     // A governor trip dominates the cap: the pruned branches are the reason
     // the graph (and hence the cube set / count) is only a lower bound.
     if (tripped_ && governor_ != nullptr) result.summary.outcome = governor_->reason();
-    {
-      BddManager mgr(numProjection_);
-      result.summary.mintermCount = mgr.satCount(graph.toBdd(mgr));
-    }
+    // One BDD pass over the graph serves the count and the audit below.
+    BddManager mgr(numProjection_);
+    const std::vector<BddRef> rootBdds = graph.rootBdds(mgr);
+    BddRef all = BddManager::kFalse;
+    for (BddRef root : rootBdds) all = mgr.bddOr(all, root);
+    result.summary.mintermCount = mgr.satCount(all);
     result.summary.stats.seconds = timer.seconds();
     metrics_.setLabel("engine", "success-driven");
     exportStatsToMetrics(result.summary.stats, metrics_);
@@ -151,6 +153,8 @@ class Engine {
       // A capped cover is a prefix, not the root's set; the audit then
       // enumerates the graph itself.
       if (!capped) auditOptions.rootCovers = covers;
+      auditOptions.bddManager = &mgr;
+      auditOptions.rootBdds = rootBdds;
       PRESAT_CHECK_AUDIT(auditSolutionGraph(graph, auditOptions));
     });
 

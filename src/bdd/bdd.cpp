@@ -9,14 +9,36 @@ namespace presat {
 
 namespace {
 
-// Per-node pool footprint: the node itself plus its unique-table entry
-// (key + ref + the typical hash-bucket overhead).
-constexpr uint64_t kBddNodeBytes = sizeof(uint64_t) * 4 + 2 * sizeof(void*);
+// Node-pool footprint per node: the node triple itself. The unique and the
+// computed table are charged separately, slot by slot, when they grow.
+constexpr uint64_t kBddNodeBytes = 3 * sizeof(uint32_t);
+// Initial slots of both tables (power of two).
+constexpr size_t kInitialSlots = 256;
+// The computed table follows the node count up to this many entries
+// (16 bytes each); past it, colliding results overwrite each other.
+constexpr size_t kMaxCacheSlots = size_t{1} << 20;
+
+// 64-bit finalizer (MurmurHash3 fmix64 shape): every input bit reaches the
+// low bits the tables mask off.
+inline uint64_t mix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+inline uint64_t hash3(uint64_t a, uint32_t b, uint32_t c) {
+  return mix64(((static_cast<uint64_t>(b) << 32) | c) ^ (a * 0x9e3779b97f4a7c15ull));
+}
 
 }  // namespace
 
-BddManager::BddManager(int numVars) : numVars_(numVars) {
+BddManager::BddManager(int numVars)
+    : numVars_(numVars), unique_(kInitialSlots, 0), cache_(kInitialSlots, CacheEntry{}) {
   PRESAT_CHECK(numVars >= 0);
+  static_assert(sizeof(Node) == kBddNodeBytes);
   nodes_.push_back({static_cast<Var>(numVars_), kFalse, kFalse});  // 0 = false
   nodes_.push_back({static_cast<Var>(numVars_), kTrue, kTrue});    // 1 = true
 }
@@ -24,18 +46,60 @@ BddManager::BddManager(int numVars) : numVars_(numVars) {
 void BddManager::setGovernor(Governor* governor) {
   governor_ = governor;
   poolLedger_.attach(governor);
-  if (governor != nullptr) poolLedger_.charge(nodes_.size() * kBddNodeBytes);
+  poolLedger_.charge(nodes_.size() * kBddNodeBytes + unique_.size() * sizeof(BddRef) +
+                     cache_.size() * sizeof(CacheEntry));
+}
+
+size_t BddManager::uniqueHome(Var var, BddRef lo, BddRef hi) const {
+  return static_cast<size_t>(hash3(static_cast<uint64_t>(var), lo, hi)) & (unique_.size() - 1);
+}
+
+BddRef BddManager::uniqueFind(Var var, BddRef lo, BddRef hi, size_t& slot) const {
+  const size_t mask = unique_.size() - 1;
+  for (slot = uniqueHome(var, lo, hi);; slot = (slot + 1) & mask) {
+    const BddRef ref = unique_[slot];
+    if (ref == 0) return 0;
+    const Node& n = nodes_[ref];
+    if (n.var == var && n.lo == lo && n.hi == hi) return ref;
+  }
+}
+
+size_t BddManager::cacheSlot(BddRef f, BddRef g, BddRef h) const {
+  return static_cast<size_t>(hash3(f, g, h)) & (cache_.size() - 1);
+}
+
+void BddManager::growUnique() {
+  // No keys are stored: every interior node re-enters from the node array.
+  const size_t oldSlots = unique_.size();
+  unique_.assign(2 * oldSlots, 0);
+  const size_t mask = unique_.size() - 1;
+  for (BddRef f = 2; f < nodes_.size(); ++f) {
+    const Node& n = nodes_[f];
+    size_t slot = uniqueHome(n.var, n.lo, n.hi);
+    while (unique_[slot] != 0) slot = (slot + 1) & mask;
+    unique_[slot] = f;
+  }
+  poolLedger_.charge(oldSlots * sizeof(BddRef));
+}
+
+void BddManager::growCache() {
+  std::vector<CacheEntry> old(2 * cache_.size(), CacheEntry{});
+  old.swap(cache_);
+  for (const CacheEntry& e : old) {
+    if (e.f != kFalse) cache_[cacheSlot(e.f, e.g, e.h)] = e;
+  }
+  poolLedger_.charge(old.size() * sizeof(CacheEntry));
 }
 
 BddRef BddManager::mkNode(Var var, BddRef lo, BddRef hi) {
   if (lo == hi) return lo;  // reduction rule
-  UniqueKey key{var, lo, hi};
-  auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
+  size_t slot = 0;
+  if (BddRef found = uniqueFind(var, lo, hi, slot); found != 0) return found;
   if (governor_ != nullptr) {
     // Injected node-pool exhaustion, then the cooperative checkpoint: a
     // governed manager is the one place that unwinds by exception, because
     // the recursive apply cannot represent "partial node" in its return.
+    // Nothing is inserted yet, so a throw leaves both tables consistent.
     if (faults::maybeFail("bdd.alloc")) governor_->trip(Outcome::kMemory);
     poolLedger_.charge(kBddNodeBytes);
     Outcome outcome = governor_->poll();
@@ -43,7 +107,9 @@ BddRef BddManager::mkNode(Var var, BddRef lo, BddRef hi) {
   }
   BddRef ref = static_cast<BddRef>(nodes_.size());
   nodes_.push_back({var, lo, hi});
-  unique_.emplace(key, ref);
+  unique_[slot] = ref;
+  if (2 * ++uniqueEntries_ > unique_.size()) growUnique();
+  if (nodes_.size() > cache_.size() && cache_.size() < kMaxCacheSlots) growCache();
   return ref;
 }
 
@@ -97,23 +163,20 @@ BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  IteKey key{f, g, h};
-  auto it = iteCache_.find(key);
-  if (it != iteCache_.end()) return it->second;
+  const CacheEntry& hit = cache_[cacheSlot(f, g, h)];
+  if (hit.f == f && hit.g == g && hit.h == h) return hit.result;
 
-  // Split on the smallest top variable among the operands.
-  Var v = node(f).var;
-  if (!isConstant(g)) v = std::min(v, node(g).var);
-  if (!isConstant(h)) v = std::min(v, node(h).var);
-
-  auto cof = [&](BddRef x, bool hi) -> BddRef {
-    if (isConstant(x) || node(x).var != v) return x;
-    return hi ? node(x).hi : node(x).lo;
-  };
-  BddRef lo = ite(cof(f, false), cof(g, false), cof(h, false));
-  BddRef hi = ite(cof(f, true), cof(g, true), cof(h, true));
-  BddRef result = mkNode(v, lo, hi);
-  iteCache_.emplace(key, result);
+  // Split on the smallest top variable among the operands (terminals carry
+  // var == numVars, past every interior variable).
+  const Node nf = node(f);
+  const Node ng = node(g);
+  const Node nh = node(h);
+  const Var v = std::min({nf.var, ng.var, nh.var});
+  const BddRef lo = ite(nf.var == v ? nf.lo : f, ng.var == v ? ng.lo : g, nh.var == v ? nh.lo : h);
+  const BddRef hi = ite(nf.var == v ? nf.hi : f, ng.var == v ? ng.hi : g, nh.var == v ? nh.hi : h);
+  const BddRef result = mkNode(v, lo, hi);
+  // Re-index: the recursion may have grown the table.
+  cache_[cacheSlot(f, g, h)] = {f, g, h, result};
   return result;
 }
 

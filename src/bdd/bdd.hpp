@@ -5,15 +5,22 @@
 // (solution sets are converted to BDDs and compared for equality).
 //
 // Design: plain nodes without complement edges (simpler invariants, easily
-// auditable), a hash-consed unique table, an ITE computed cache, and no
+// auditable), a hash-consed unique table, an ITE computed table, and no
 // garbage collection — managers are scoped to an analysis and dropped
 // wholesale, which is how every caller in this repository uses them.
 // Variable order is the integer order of the variable indices.
+//
+// Both tables are flat arrays. The unique table is open addressing over node
+// refs (linear probing, load <= 1/2, 0 = empty since terminals never enter
+// it); it stores no keys and rehashes from the node array when it grows. The
+// computed table is direct-mapped and lossy: a colliding store overwrites,
+// and a miss only recomputes. Hash-consing makes every recomputation return
+// the same ref (all of its intermediate nodes already exist), so refs,
+// covers and counts do not depend on what the cache kept.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/biguint.hpp"
@@ -37,13 +44,18 @@ class BddManager {
 
   int numVars() const { return numVars_; }
   size_t numNodes() const { return nodes_.size(); }
+  // Current table capacities (slots), for memory accounting and tests.
+  size_t uniqueSlots() const { return unique_.size(); }
+  size_t cacheSlots() const { return cache_.size(); }
 
-  // Attaches a resource governor (null to detach). Every node allocation is
-  // charged to the tracked-byte pool, and mkNode throws GovernorStop once
-  // the governor trips — the hash-consed recursion cannot return a partial
-  // node, so governed callers (BDD preimage, fixpoint algebra) catch at the
-  // engine boundary and report a sound partial Outcome. Ungoverned managers
-  // (the default, including every oracle use in tests) never throw.
+  // Attaches a resource governor (null to detach). Every node and every
+  // table growth is charged to the tracked-byte pool, and mkNode throws
+  // GovernorStop once the governor trips — the hash-consed recursion cannot
+  // return a partial node, so governed callers (BDD preimage, fixpoint
+  // algebra) catch at the engine boundary and report a sound partial
+  // Outcome. A throw leaves both tables consistent, so the manager stays
+  // usable. Ungoverned managers (the default, including every oracle use in
+  // tests) never throw.
   void setGovernor(Governor* governor);
 
   // --- constructors -----------------------------------------------------------
@@ -107,51 +119,37 @@ class BddManager {
     BddRef lo;
     BddRef hi;
   };
-  struct UniqueKey {
-    Var var;
-    BddRef lo, hi;
-    bool operator==(const UniqueKey& o) const {
-      return var == o.var && lo == o.lo && hi == o.hi;
-    }
-  };
-  struct UniqueKeyHash {
-    size_t operator()(const UniqueKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.var) * 0x9e3779b97f4a7c15ull;
-      h ^= (static_cast<uint64_t>(k.lo) << 32) | k.hi;
-      h *= 0xbf58476d1ce4e5b9ull;
-      return static_cast<size_t>(h ^ (h >> 29));
-    }
-  };
-  struct IteKey {
-    BddRef f, g, h;
-    bool operator==(const IteKey& o) const { return f == o.f && g == o.g && h == o.h; }
-  };
-  struct IteKeyHash {
-    size_t operator()(const IteKey& k) const {
-      uint64_t h = k.f;
-      h = h * 0x100000001b3ull ^ k.g;
-      h = h * 0x100000001b3ull ^ k.h;
-      return static_cast<size_t>(h ^ (h >> 31));
-    }
+  // One computed-table entry; f == kFalse marks an empty slot (ite never
+  // stores a constant f).
+  struct CacheEntry {
+    BddRef f, g, h, result;
   };
 
   BddRef mkNode(Var var, BddRef lo, BddRef hi);
   const Node& node(BddRef f) const { return nodes_[f]; }
 
+  // Home slot of a (var, lo, hi) triple in the unique table.
+  size_t uniqueHome(Var var, BddRef lo, BddRef hi) const;
+  // The ref stored under (var, lo, hi), or 0 when the probe reaches an empty
+  // slot first; `slot` is left at the matching or the empty slot.
+  BddRef uniqueFind(Var var, BddRef lo, BddRef hi, size_t& slot) const;
+  size_t cacheSlot(BddRef f, BddRef g, BddRef h) const;
+  void growUnique();
+  void growCache();
+
   int numVars_;
   std::vector<Node> nodes_;
-  std::unordered_map<UniqueKey, BddRef, UniqueKeyHash> unique_;
-  std::unordered_map<IteKey, BddRef, IteKeyHash> iteCache_;
+  std::vector<BddRef> unique_;   // power-of-two slots, 0 = empty
+  size_t uniqueEntries_ = 0;     // occupied unique-table slots
+  std::vector<CacheEntry> cache_;  // power-of-two slots, direct-mapped
 
   Governor* governor_ = nullptr;
-  MemoryLedger poolLedger_;  // node-pool bytes charged to the governor
+  MemoryLedger poolLedger_;  // node-pool and table bytes charged to the governor
 
   // Deep structural validation (src/check/audit_bdd.cpp) and its test-only
   // corruption hook need access to the node table and caches.
   friend AuditResult auditBdd(const BddManager& mgr);
   friend void corruptBddForTest(BddManager& mgr, BddCorruption kind);
-
-  friend class BddAlgoScratch;
 };
 
 }  // namespace presat

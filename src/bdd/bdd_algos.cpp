@@ -3,11 +3,62 @@
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "base/log.hpp"
 #include "bdd/bdd.hpp"
 
 namespace presat {
+
+namespace {
+
+// Memo for one pass over a BDD, keyed by interior node ref: open addressing
+// (interior refs are >= 2, so 0 marks an empty slot) grown at load 1/2, so
+// its size follows what the pass visits, not the manager's node count.
+template <typename T>
+class RefMemo {
+ public:
+  const T* find(BddRef f) const {
+    for (size_t i = home(f);; i = (i + 1) & mask()) {
+      if (keys_[i] == f) return &values_[i];
+      if (keys_[i] == 0) return nullptr;
+    }
+  }
+  void insert(BddRef f, T value) {
+    if (2 * (size_ + 1) > keys_.size()) grow();
+    size_t i = home(f);
+    while (keys_[i] != 0) i = (i + 1) & mask();
+    keys_[i] = f;
+    values_[i] = std::move(value);
+    ++size_;
+  }
+
+ private:
+  size_t mask() const { return keys_.size() - 1; }
+  size_t home(BddRef f) const {
+    return static_cast<size_t>((uint64_t{f} * 0x9e3779b97f4a7c15ull) >> 32) & mask();
+  }
+  void grow() {
+    std::vector<BddRef> keys(2 * keys_.size(), 0);
+    std::vector<T> values(keys.size());
+    keys.swap(keys_);
+    values.swap(values_);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] == 0) continue;
+      size_t j = home(keys[i]);
+      while (keys_[j] != 0) j = (j + 1) & mask();
+      keys_[j] = keys[i];
+      values_[j] = std::move(values[i]);
+    }
+  }
+
+  std::vector<BddRef> keys_ = std::vector<BddRef>(64, 0);
+  std::vector<T> values_ = std::vector<T>(64);
+  size_t size_ = 0;
+};
+
+}  // namespace
 
 BddRef BddManager::exists(BddRef f, const std::vector<Var>& vars) {
   if (vars.empty() || isConstant(f)) return f;
@@ -16,12 +67,11 @@ BddRef BddManager::exists(BddRef f, const std::vector<Var>& vars) {
     PRESAT_CHECK(v >= 0 && v < numVars_);
     quantified[static_cast<size_t>(v)] = true;
   }
-  std::unordered_map<BddRef, BddRef> memo;
+  RefMemo<BddRef> memo;
   // Iterative-friendly recursion via explicit lambda (depth <= numVars_).
   auto rec = [&](auto&& self, BddRef g) -> BddRef {
     if (isConstant(g)) return g;
-    auto it = memo.find(g);
-    if (it != memo.end()) return it->second;
+    if (const BddRef* hit = memo.find(g)) return *hit;
     // Copy by value: the recursive calls below allocate (bddOr/mkNode), which
     // can grow the node pool and invalidate references into it.
     const Node n = node(g);
@@ -29,7 +79,7 @@ BddRef BddManager::exists(BddRef f, const std::vector<Var>& vars) {
     BddRef hi = self(self, n.hi);
     BddRef result = quantified[static_cast<size_t>(n.var)] ? bddOr(lo, hi)
                                                            : mkNode(n.var, lo, hi);
-    memo.emplace(g, result);
+    memo.insert(g, result);
     return result;
   };
   return rec(rec, f);
@@ -86,11 +136,10 @@ BddRef BddManager::andExists(BddRef f, BddRef g, const std::vector<Var>& vars) {
 BddRef BddManager::composeVector(BddRef f, const std::vector<BddRef>& substitution) {
   PRESAT_CHECK(substitution.size() == static_cast<size_t>(numVars_))
       << "composeVector needs one entry per variable";
-  std::unordered_map<BddRef, BddRef> memo;
+  RefMemo<BddRef> memo;
   auto rec = [&](auto&& self, BddRef g) -> BddRef {
     if (isConstant(g)) return g;
-    auto it = memo.find(g);
-    if (it != memo.end()) return it->second;
+    if (const BddRef* hit = memo.find(g)) return *hit;
     // Copy by value: ite() in the recursion can reallocate the node pool.
     const Node n = node(g);
     BddRef lo = self(self, n.lo);
@@ -99,7 +148,7 @@ BddRef BddManager::composeVector(BddRef f, const std::vector<BddRef>& substituti
     BddRef result = (replacement == kNoSubstitution)
                         ? ite(variable(n.var), hi, lo)
                         : ite(replacement, hi, lo);
-    memo.emplace(g, result);
+    memo.insert(g, result);
     return result;
   };
   return rec(rec, f);
@@ -107,28 +156,30 @@ BddRef BddManager::composeVector(BddRef f, const std::vector<BddRef>& substituti
 
 BigUint BddManager::satCount(BddRef f) {
   // count(g) = number of assignments of variables var(g)..numVars-1 that
-  // satisfy g; the root is then scaled by 2^var(root).
-  std::unordered_map<BddRef, BigUint> memo;
-  auto varOf = [&](BddRef g) -> int {
-    return isConstant(g) ? numVars_ : node(g).var;
+  // satisfy g; the root is then scaled by 2^var(root). Terminals carry
+  // var == numVars. Below 64 variables every count fits a uint64_t.
+  const auto countAs = [this, f](auto zero) {
+    using Count = decltype(zero);
+    RefMemo<Count> memo;
+    auto rec = [&](auto&& self, BddRef g) -> Count {
+      if (g == kFalse) return Count(0);
+      if (g == kTrue) return Count(1);
+      if (const Count* hit = memo.find(g)) return *hit;
+      const Node& n = node(g);
+      Count lo = self(self, n.lo);
+      lo <<= static_cast<uint32_t>(node(n.lo).var - n.var - 1);
+      Count hi = self(self, n.hi);
+      hi <<= static_cast<uint32_t>(node(n.hi).var - n.var - 1);
+      lo += hi;
+      memo.insert(g, lo);
+      return lo;
+    };
+    Count count = rec(rec, f);
+    count <<= static_cast<uint32_t>(node(f).var);
+    return count;
   };
-  auto rec = [&](auto&& self, BddRef g) -> BigUint {
-    if (g == kFalse) return BigUint(0);
-    if (g == kTrue) return BigUint(1);
-    auto it = memo.find(g);
-    if (it != memo.end()) return it->second;
-    const Node& n = node(g);
-    BigUint lo = self(self, n.lo);
-    lo <<= static_cast<uint32_t>(varOf(n.lo) - n.var - 1);
-    BigUint hi = self(self, n.hi);
-    hi <<= static_cast<uint32_t>(varOf(n.hi) - n.var - 1);
-    BigUint result = lo + hi;
-    memo.emplace(g, result);
-    return result;
-  };
-  BigUint count = rec(rec, f);
-  count <<= static_cast<uint32_t>(varOf(f));
-  return count;
+  if (numVars_ < 64) return BigUint(countAs(uint64_t{0}));
+  return countAs(BigUint(0));
 }
 
 std::vector<Var> BddManager::support(BddRef f) {

@@ -56,38 +56,48 @@ AuditResult auditBdd(const BddManager& mgr) {
   }
 
   // -- unique table vs node array ------------------------------------------
-  if (n != mgr.unique_.size() + 2) {
-    r.fail("bdd.unique.balance",
-           std::to_string(n) + " nodes vs " + std::to_string(mgr.unique_.size()) +
-               " unique-table entries (expected nodes == entries + 2 terminals)");
-  }
-  for (const auto& [key, ref] : mgr.unique_) {
+  // The table stores refs only, so a slot's key is its node's triple; a slot
+  // is canonical when probing that triple from its home slot finds it.
+  size_t occupied = 0;
+  for (size_t slot = 0; slot < mgr.unique_.size(); ++slot) {
+    const BddRef ref = mgr.unique_[slot];
+    if (ref == 0) continue;
+    ++occupied;
     if (ref < 2 || ref >= n) {
       r.fail("bdd.unique.canonical",
-             "unique-table entry maps to invalid ref " + refStr(ref));
+             "unique-table slot " + std::to_string(slot) + " holds invalid ref " + refStr(ref));
       continue;
     }
     const BddManager::Node& node = mgr.nodes_[ref];
-    if (node.var != key.var || node.lo != key.lo || node.hi != key.hi) {
+    size_t found = 0;
+    if (mgr.uniqueFind(node.var, node.lo, node.hi, found) != ref) {
       r.fail("bdd.unique.canonical",
-             "unique-table key (" + std::to_string(key.var) + ", " + refStr(key.lo) + ", " +
-                 refStr(key.hi) + ") maps to node " + refStr(ref) + " with a different triple");
+             "unique-table slot " + std::to_string(slot) + " holds node " + refStr(ref) + " (" +
+                 std::to_string(node.var) + ", " + refStr(node.lo) + ", " + refStr(node.hi) +
+                 ") where a probe for its triple does not reach it");
     }
+  }
+  if (n != mgr.uniqueEntries_ + 2 || occupied != mgr.uniqueEntries_) {
+    r.fail("bdd.unique.balance",
+           std::to_string(n) + " nodes vs " + std::to_string(mgr.uniqueEntries_) +
+               " unique-table entries in " + std::to_string(occupied) +
+               " occupied slots (expected nodes == entries + 2 terminals == occupied + 2)");
   }
   for (BddRef f = 2; f < n; ++f) {
     const BddManager::Node& node = mgr.nodes_[f];
-    auto it = mgr.unique_.find({node.var, node.lo, node.hi});
-    if (it == mgr.unique_.end()) {
+    size_t found = 0;
+    const BddRef ref = mgr.uniqueFind(node.var, node.lo, node.hi, found);
+    if (ref == 0) {
       r.fail("bdd.unique.canonical", "node " + refStr(f) + " is missing from the unique table");
-    } else if (it->second != f) {
-      r.fail("bdd.unique.canonical", "nodes " + refStr(f) + " and " + refStr(it->second) +
+    } else if (ref != f) {
+      r.fail("bdd.unique.canonical", "nodes " + refStr(f) + " and " + refStr(ref) +
                                          " share the same (var, lo, hi) triple");
     }
   }
 
-  // -- ITE cache ------------------------------------------------------------
-  for (const auto& [key, ref] : mgr.iteCache_) {
-    if (key.f >= n || key.g >= n || key.h >= n || ref >= n) {
+  // -- computed table ---------------------------------------------------------
+  for (const BddManager::CacheEntry& e : mgr.cache_) {
+    if (e.f >= n || e.g >= n || e.h >= n || e.result >= n) {
       r.fail("bdd.cache.range", "ITE cache entry references a ref beyond the node table");
     }
   }
@@ -110,9 +120,13 @@ void corruptBddForTest(BddManager& mgr, BddCorruption kind) {
       mgr.nodes_.push_back({0, BddManager::kTrue, BddManager::kTrue});
       return;
     case BddCorruption::kUniqueTableDrift: {
-      PRESAT_CHECK(!mgr.unique_.empty()) << "corruptBddForTest: empty unique table";
-      mgr.unique_.erase(mgr.unique_.begin());
-      return;
+      for (BddRef& slot : mgr.unique_) {
+        if (slot == 0) continue;
+        slot = 0;
+        --mgr.uniqueEntries_;
+        return;
+      }
+      PRESAT_CHECK(false) << "corruptBddForTest: empty unique table";
     }
   }
   PRESAT_CHECK(false) << "corruptBddForTest: unknown corruption kind";

@@ -5,13 +5,16 @@
 //                         both children's variables (ROBDD order invariant)
 //   bdd.reduced           no interior node has lo == hi
 //   bdd.unique.canonical  the unique table and the node array agree: every
-//                         interior node is hash-consed under exactly its
-//                         (var, lo, hi) triple, and no triple repeats
-//   bdd.unique.balance    nodes == unique entries + 2 terminals — the
-//                         no-GC analogue of refcount balance (a drifting
-//                         table silently breaks canonicity of future mkNode
-//                         calls)
-//   bdd.cache.range       ITE cache operands/results are live refs
+//                         occupied slot holds a live interior ref that a
+//                         probe for its node's (var, lo, hi) triple reaches,
+//                         every interior node is found under exactly its
+//                         triple, and no triple repeats
+//   bdd.unique.balance    nodes == unique entries + 2 terminals, and the
+//                         occupied slots match the entry count — the no-GC
+//                         analogue of refcount balance (a drifting table
+//                         silently breaks canonicity of future mkNode calls)
+//   bdd.cache.range       every computed-table entry's operands and result
+//                         are refs inside the node table
 #pragma once
 
 #include "check/audit.hpp"

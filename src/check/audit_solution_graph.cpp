@@ -1,6 +1,7 @@
 #include "check/audit_solution_graph.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,28 +27,67 @@ uint64_t nextRandom(uint64_t& state) {
   return state;
 }
 
+std::string rootName(size_t root) { return "root " + std::to_string(root); }
+
+// Names one branch in a diagnostic: branch `branch` of node `index`, or the
+// branch of root `index` when `branch` < 0. Text is built only on failure.
+struct BranchName {
+  size_t index;
+  int branch;
+  std::string str() const {
+    if (branch < 0) return rootName(index) + " branch";
+    return "node " + std::to_string(index) + " branch " + std::to_string(branch);
+  }
+};
+
+// Bitset rows over the projected index space, one row per graph node, in one
+// flat array.
+class VarRows {
+ public:
+  VarRows(size_t rows, int width)
+      : words_((static_cast<size_t>(std::max(width, 0)) + 63) / 64), bits_(rows * words_, 0) {}
+  uint64_t* row(size_t i) { return bits_.data() + i * words_; }
+  size_t words() const { return words_; }
+  static bool test(const uint64_t* row, Var v) {
+    return ((row[static_cast<size_t>(v) / 64] >> (static_cast<size_t>(v) % 64)) & 1) != 0;
+  }
+  static void set(uint64_t* row, Var v) {
+    row[static_cast<size_t>(v) / 64] |= uint64_t{1} << (static_cast<size_t>(v) % 64);
+  }
+  static void reset(uint64_t* row, Var v) {
+    row[static_cast<size_t>(v) / 64] &= ~(uint64_t{1} << (static_cast<size_t>(v) % 64));
+  }
+
+ private:
+  size_t words_;
+  std::vector<uint64_t> bits_;
+};
+
 // Checks one branch's literal list in isolation: duplicate projected vars and
-// index-space range.
-void checkBranchLits(AuditResult& r, const LitVec& lits, int projWidth,
-                     const std::string& where) {
-  std::vector<Var> vars;
+// index-space range. `seen` is an all-clear row of projWidth bits, left
+// all-clear on return.
+void checkBranchLits(AuditResult& r, const LitVec& lits, int projWidth, uint64_t* seen,
+                     const BranchName& where) {
+  bool repeated = false;
   for (Lit l : lits) {
-    if (l.var() < 0 || (projWidth >= 0 && l.var() >= projWidth)) {
-      r.fail("graph.branch.lits", where + " literal " + toString(l) +
+    if (l.var() < 0 || l.var() >= projWidth) {
+      r.fail("graph.branch.lits", where.str() + " literal " + toString(l) +
                                       " outside the projected index space [0, " +
                                       std::to_string(projWidth) + ")");
       continue;
     }
-    vars.push_back(l.var());
+    if (VarRows::test(seen, l.var())) repeated = true;
+    VarRows::set(seen, l.var());
   }
-  std::sort(vars.begin(), vars.end());
-  if (std::adjacent_find(vars.begin(), vars.end()) != vars.end()) {
+  for (Lit l : lits) {
+    if (l.var() >= 0 && l.var() < projWidth) VarRows::reset(seen, l.var());
+  }
+  if (repeated) {
     r.fail("graph.branch.lits",
-           where + " assigns the same projected variable more than once: " + toString(lits));
+           where.str() + " assigns the same projected variable more than once: " +
+               toString(lits));
   }
 }
-
-std::string rootName(size_t root) { return "root " + std::to_string(root); }
 
 // graph.cube.unsat for one root: every sampled path cube of the root must be
 // sound for the circuit problem the root was solved for.
@@ -116,6 +156,10 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
       << "audit needs one problem per root";
   PRESAT_CHECK(opt.rootCovers.empty() || opt.rootCovers.size() == numRoots)
       << "audit needs one cover per root";
+  PRESAT_CHECK(opt.rootBdds.empty() || opt.bddManager != nullptr)
+      << "audit root BDDs need their manager";
+  PRESAT_CHECK(opt.bddManager == nullptr || opt.rootBdds.size() == numRoots)
+      << "audit needs one BDD per root";
 
   // -- child ranges ---------------------------------------------------------
   bool rangesOk = true;
@@ -157,10 +201,11 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
   std::vector<uint8_t> color(static_cast<size_t>(n), 0);
   std::vector<int> postorder;
   postorder.reserve(static_cast<size_t>(n));
+  std::vector<std::pair<int, int>> stack;  // (node, next branch to explore)
   bool acyclic = true;
   for (int start = 0; start < n && acyclic; ++start) {
     if (color[static_cast<size_t>(start)] != 0) continue;
-    std::vector<std::pair<int, int>> stack;  // (node, next branch to explore)
+    stack.clear();
     stack.emplace_back(start, 0);
     color[static_cast<size_t>(start)] = 1;
     while (!stack.empty() && acyclic) {
@@ -206,63 +251,63 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
   }
 
   // -- per-branch literal hygiene ------------------------------------------
-  for (size_t root = 0; root < numRoots; ++root) {
-    checkBranchLits(r, g.root(root).newLits, projWidth, rootName(root) + " branch");
-  }
-  for (int i = 0; i < n; ++i) {
-    for (int b = 0; b < 2; ++b) {
-      checkBranchLits(r, g.node(i).branch[b].newLits, projWidth,
-                      "node " + std::to_string(i) + " branch " + std::to_string(b));
+  {
+    VarRows seen(1, projWidth);
+    for (size_t root = 0; root < numRoots; ++root) {
+      checkBranchLits(r, g.root(root).newLits, projWidth, seen.row(0), {root, -1});
+    }
+    for (int i = 0; i < n; ++i) {
+      for (int b = 0; b < 2; ++b) {
+        checkBranchLits(r, g.node(i).branch[b].newLits, projWidth, seen.row(0),
+                        {static_cast<size_t>(i), b});
+      }
     }
   }
 
   if (!acyclic) return r;  // the DAG passes below assume a valid postorder
 
   // -- exact path-level variable-repeat check ------------------------------
-  // belowVars[i] = union of projected vars assigned on any live (SUCCESS-
+  // belowVars row i = union of projected vars assigned on any live (SUCCESS-
   // reaching) branch at or below node i. A non-empty intersection between a
-  // branch's own literals and belowVars of its child witnesses a real
+  // branch's own literals and the row of its child witnesses a real
   // root-to-SUCCESS path assigning a variable twice — without enumerating
   // paths.
   std::vector<char> reaches(static_cast<size_t>(n), 0);
-  std::vector<std::vector<bool>> belowVars(
-      static_cast<size_t>(n), std::vector<bool>(static_cast<size_t>(std::max(projWidth, 0)), false));
+  VarRows belowVars(static_cast<size_t>(n), projWidth);
   const auto childReaches = [&](int child) {
     if (child == kSuccess) return true;
     if (child == kFail) return false;
     return reaches[static_cast<size_t>(child)] != 0;
   };
-  const auto checkRepeat = [&](const LitVec& lits, int child, const std::string& where) {
+  const auto checkRepeat = [&](const LitVec& lits, int child, const BranchName& where) {
     if (child < 0 || !childReaches(child)) return;
+    const uint64_t* childBelow = belowVars.row(static_cast<size_t>(child));
     for (Lit l : lits) {
-      if (l.var() >= 0 && l.var() < projWidth && belowVars[static_cast<size_t>(child)][static_cast<size_t>(l.var())]) {
+      if (l.var() >= 0 && l.var() < projWidth && VarRows::test(childBelow, l.var())) {
         r.fail("graph.path.repeat",
-               where + " assigns " + toString(l) +
+               where.str() + " assigns " + toString(l) +
                    " which is assigned again on a live path below node " + std::to_string(child));
       }
     }
   };
   for (int node : postorder) {
-    auto& below = belowVars[static_cast<size_t>(node)];
+    uint64_t* below = belowVars.row(static_cast<size_t>(node));
     for (int b = 0; b < 2; ++b) {
       const SolutionGraph::Branch& branch = g.node(node).branch[b];
       if (!childReaches(branch.child)) continue;
       reaches[static_cast<size_t>(node)] = 1;
-      checkRepeat(branch.newLits, branch.child,
-                  "node " + std::to_string(node) + " branch " + std::to_string(b));
+      checkRepeat(branch.newLits, branch.child, {static_cast<size_t>(node), b});
       for (Lit l : branch.newLits) {
-        if (l.var() >= 0 && l.var() < projWidth) below[static_cast<size_t>(l.var())] = true;
+        if (l.var() >= 0 && l.var() < projWidth) VarRows::set(below, l.var());
       }
       if (branch.child >= 0) {
-        const auto& childBelow = belowVars[static_cast<size_t>(branch.child)];
-        for (size_t v = 0; v < childBelow.size(); ++v) {
-          if (childBelow[v]) below[v] = true;
-        }
+        const uint64_t* childBelow = belowVars.row(static_cast<size_t>(branch.child));
+        for (size_t w = 0; w < belowVars.words(); ++w) below[w] |= childBelow[w];
       }
     }
   }
   for (size_t root = 0; root < numRoots; ++root) {
-    checkRepeat(g.root(root).newLits, g.root(root).child, rootName(root) + " branch");
+    checkRepeat(g.root(root).newLits, g.root(root).child, {root, -1});
   }
 
   // The semantic passes below feed enumerated cubes into BddManager::cube
@@ -290,17 +335,25 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
       anyCover = true;
     }
     if (anyCover) {
-      BddManager mgr(projWidth);
-      const std::vector<BddRef> fromGraph = g.rootBdds(mgr);
+      // The caller's manager and root BDDs when supplied, else our own.
+      std::optional<BddManager> own;
+      std::vector<BddRef> built;
+      BddManager* mgr = opt.bddManager;
+      std::span<const BddRef> fromGraph = opt.rootBdds;
+      if (mgr == nullptr) {
+        mgr = &own.emplace(projWidth);
+        built = g.rootBdds(*mgr);
+        fromGraph = built;
+      }
       for (size_t root = 0; root < numRoots; ++root) {
         if (covers[root] == nullptr) continue;
-        const BddRef fromCubes = cubesToBdd(mgr, *covers[root]);
+        const BddRef fromCubes = cubesToBdd(*mgr, *covers[root]);
         if (!BddManager::equal(fromGraph[root], fromCubes)) {
           r.fail("graph.count.cubes-vs-bdd",
                  rootName(root) + ": union of " + std::to_string(covers[root]->size()) +
-                     " cubes (" + mgr.satCount(fromCubes).toDecimal() +
+                     " cubes (" + mgr->satCount(fromCubes).toDecimal() +
                      " minterms) disagrees with the graph BDD (" +
-                     mgr.satCount(fromGraph[root]).toDecimal() + " minterms)");
+                     mgr->satCount(fromGraph[root]).toDecimal() + " minterms)");
         }
       }
     }

@@ -4,8 +4,9 @@
 // literal hygiene, path repeats from the root, cubes vs BDD, cube soundness)
 // run once per root of a multi-root graph, with the root's index in the
 // detail. The per-root passes read tables built once over the node array
-// (and one BDD pass shared by all roots), so auditing an R-root graph costs
-// one node-array pass plus R root passes, not R whole-graph audits.
+// (and one BDD pass shared by all roots, or none when the caller hands in
+// the root BDDs it already built), so auditing an R-root graph costs one
+// node-array pass plus R root passes, not R whole-graph audits.
 //
 // Structural invariants (always checked):
 //
@@ -46,6 +47,7 @@
 
 namespace presat {
 
+class BddManager;
 class SolutionGraph;
 struct CircuitAllSatProblem;
 
@@ -62,6 +64,12 @@ struct SolutionGraphAuditOptions {
   // cubes over the projected index space. Empty: the BDD cross-check
   // enumerates each root's paths itself.
   std::span<const std::vector<LitVec>> rootCovers;
+  // Each root's BDD (one entry per root) in `bddManager` over the projected
+  // index space, for a caller that already built them: the cross-check then
+  // reuses them instead of converting the graph again. Both or neither;
+  // when absent the audit builds its own manager and root BDDs.
+  BddManager* bddManager = nullptr;
+  std::span<const uint32_t> rootBdds;
   // Cap on cubes per root for the BDD cross-check (0 disables it; the check
   // is skipped, not failed, when a root's cover exceeds the cap).
   uint64_t maxEnumeratedCubes = 4096;

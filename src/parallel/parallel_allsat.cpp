@@ -150,12 +150,14 @@ SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& prob
   // the cap decides the flag. Under a tripped governor the merged graph is a
   // pruned (sound) under-approximation, and the trip reason outranks the cap
   // in combineOutcomes.
+  bool capped = false;
   if (options.maxCubes == 0) {
     result.summary.cubes = result.graph.enumerateCubes(0);
   } else {
     uint64_t probe = options.maxCubes == UINT64_MAX ? options.maxCubes : options.maxCubes + 1;
     result.summary.cubes = result.graph.enumerateCubes(probe);
     if (result.summary.cubes.size() > options.maxCubes) {
+      capped = true;
       result.summary.cubes.pop_back();
       result.summary.outcome = combineOutcomes(result.summary.outcome, Outcome::kCubeCap);
     }
@@ -177,6 +179,9 @@ SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& prob
     SolutionGraphAuditOptions auditOptions;
     auditOptions.maxCubeSatChecks = 0;
     auditOptions.numProjectionVars = static_cast<int>(problem.projectionSources.size());
+    // The cross-shard check runs on the cover the caller receives; a capped
+    // cover is a prefix, so the audit then enumerates the merged graph.
+    if (!capped) auditOptions.rootCovers = std::span(&result.summary.cubes, 1);
     PRESAT_CHECK_AUDIT(auditSolutionGraph(result.graph, auditOptions));
   });
   return result;

@@ -168,8 +168,9 @@ void finishPreimage(PreimageResult& result, const Governor* governor) {
 
 // The success-driven engine over every target cube. Serially one engine
 // answers all of them, one root each; in parallel every cube gets its own
-// cube-and-conquer run and the merged graphs become the roots, counted
-// together from one BDD pass.
+// cube-and-conquer run. One cube's run is the answer as it stands (its count
+// sums disjoint guides, so it is exact); several cubes' merged graphs become
+// the roots, counted together from one BDD pass.
 SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const StateSet& target,
                                           const AllSatOptions& options) {
   std::vector<CircuitAllSatProblem> problems(target.cubes.size());
@@ -182,6 +183,7 @@ SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const 
   }
   if (problems.empty()) return {};
   if (!options.parallel.enabled()) return successDrivenAllSat(problems, options);
+  if (problems.size() == 1) return parallelSuccessDrivenAllSat(problems.front(), options);
 
   SuccessDrivenResult result;
   for (const CircuitAllSatProblem& problem : problems) {

@@ -2,10 +2,12 @@
 // composition, counting, enumeration — differentially against truth tables.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
+#include "check/audit_bdd.hpp"
 
 namespace presat {
 namespace {
@@ -110,6 +112,25 @@ TEST(Bdd, SatCountMatchesTruthTable) {
   }
 }
 
+// Counts on both sides of the 64-variable boundary, where satCount switches
+// from uint64_t to BigUint arithmetic.
+TEST(Bdd, SatCountAcrossTheWordBoundary) {
+  for (int vars : {63, 64, 70}) {
+    BddManager mgr(vars);
+    const uint32_t n = static_cast<uint32_t>(vars);
+    EXPECT_EQ(mgr.satCount(BddManager::kTrue), BigUint::powerOfTwo(n)) << vars;
+    EXPECT_EQ(mgr.satCount(BddManager::kFalse), BigUint(0)) << vars;
+    BddRef parity = BddManager::kFalse;
+    for (Var v = 0; v < vars; ++v) parity = mgr.bddXor(parity, mgr.variable(v));
+    EXPECT_EQ(mgr.satCount(parity), BigUint::powerOfTwo(n - 1)) << vars;
+    const BddRef ends = mgr.cube({mkLit(0), ~mkLit(vars - 1)});
+    EXPECT_EQ(mgr.satCount(ends), BigUint::powerOfTwo(n - 2)) << vars;
+    // x1 | x(vars-1): 3/4 of the space.
+    const BddRef either = mgr.bddOr(mgr.variable(1), mgr.variable(vars - 1));
+    EXPECT_EQ(mgr.satCount(either), BigUint::powerOfTwo(n - 2).mulSmall(3)) << vars;
+  }
+}
+
 TEST(Bdd, EnumerateCubesCoversExactlyTheOnSet) {
   Rng rng(43);
   const int vars = 5;
@@ -174,6 +195,93 @@ TEST(Bdd, IteMatchesTruthTableRandomly) {
       ASSERT_EQ(evalBdd(mgr, r, bits), expected);
     }
   }
+}
+
+// --- kernel stress: table growth, lossy cache, canonical refs -----------------
+
+constexpr int kStressVars = 16;
+// Bit m of a table is the function's value on assignment m (bit i = var i).
+using TruthTable = std::vector<uint64_t>;
+
+bool tableBit(const TruthTable& t, uint64_t m) { return ((t[m >> 6] >> (m & 63)) & 1) != 0; }
+
+// Builds a table's BDD by Shannon expansion in variable order, one node per
+// call. `hiFirst` builds the 1-cofactor first; `viaAndOr` expands with
+// (x & f1) | (~x & f0) instead of ite(x, f1, f0). Every combination creates
+// the nodes in a different order but must return the same refs.
+BddRef buildFromTable(BddManager& mgr, const TruthTable& t, bool hiFirst, bool viaAndOr,
+                      Var v = 0, uint64_t prefix = 0) {
+  if (v == kStressVars) return mgr.constant(tableBit(t, prefix));
+  BddRef lo = BddManager::kFalse;
+  BddRef hi = BddManager::kFalse;
+  const uint64_t hiPrefix = prefix | (uint64_t{1} << v);
+  if (hiFirst) {
+    hi = buildFromTable(mgr, t, hiFirst, viaAndOr, v + 1, hiPrefix);
+    lo = buildFromTable(mgr, t, hiFirst, viaAndOr, v + 1, prefix);
+  } else {
+    lo = buildFromTable(mgr, t, hiFirst, viaAndOr, v + 1, prefix);
+    hi = buildFromTable(mgr, t, hiFirst, viaAndOr, v + 1, hiPrefix);
+  }
+  const BddRef x = mgr.variable(v);
+  if (viaAndOr) return mgr.bddOr(mgr.bddAnd(x, hi), mgr.bddAnd(mgr.bddNot(x), lo));
+  return mgr.ite(x, hi, lo);
+}
+
+TEST(BddKernel, StressGrowthKeepsResultsAndRefsCanonical) {
+  Rng rng(2024);
+  const size_t words = size_t{1} << (kStressVars - 6);
+  BddManager mgr(kStressVars);
+  const BddManager fresh(kStressVars);
+
+  // Random functions: about 8.5k nodes each over 16 variables.
+  std::vector<TruthTable> tables(16, TruthTable(words));
+  std::vector<BddRef> fns;
+  for (TruthTable& t : tables) {
+    for (uint64_t& w : t) w = rng.next();
+    fns.push_back(buildFromTable(mgr, t, /*hiFirst=*/false, /*viaAndOr=*/false));
+  }
+  for (size_t i = 0; i < tables.size(); ++i) {
+    uint64_t ones = 0;
+    for (uint64_t w : tables[i]) ones += static_cast<uint64_t>(std::popcount(w));
+    EXPECT_EQ(mgr.satCount(fns[i]).toU64(), ones) << "function " << i;
+  }
+
+  // ite over random operand triples, checked on sampled assignments.
+  for (int k = 0; k < 48; ++k) {
+    const size_t a = rng.below(fns.size());
+    const size_t b = rng.below(fns.size());
+    const size_t c = rng.below(fns.size());
+    const BddRef r = mgr.ite(fns[a], fns[b], fns[c]);
+    for (int sample = 0; sample < 256; ++sample) {
+      const uint64_t m = rng.below(uint64_t{1} << kStressVars);
+      const bool want = tableBit(tables[a], m) ? tableBit(tables[b], m) : tableBit(tables[c], m);
+      ASSERT_EQ(evalBdd(mgr, r, m), want) << "ite #" << k << " on assignment " << m;
+    }
+    // A commuted rebuild hits other cache slots yet lands on the same ref.
+    EXPECT_EQ(mgr.ite(mgr.bddNot(fns[a]), fns[c], fns[b]), r);
+  }
+  EXPECT_GT(mgr.numNodes(), size_t{1} << 17);
+  // Both tables grew several times from their initial size.
+  EXPECT_GE(mgr.uniqueSlots(), 8 * fresh.uniqueSlots());
+  EXPECT_GE(mgr.cacheSlots(), 8 * fresh.cacheSlots());
+  EXPECT_GE(mgr.uniqueSlots(), 2 * (mgr.numNodes() - 2));  // load <= 1/2
+
+  // Rebuilding in reverse function order, other cofactor first, creates no
+  // node and returns the same refs; the and/or expansion adds its
+  // intermediate products but lands on the same refs too.
+  const size_t nodes = mgr.numNodes();
+  for (size_t i = tables.size(); i-- > 0;) {
+    EXPECT_EQ(buildFromTable(mgr, tables[i], /*hiFirst=*/true, /*viaAndOr=*/false), fns[i])
+        << "function " << i;
+  }
+  EXPECT_EQ(mgr.numNodes(), nodes);
+  for (size_t i = 0; i < tables.size(); i += 3) {
+    EXPECT_EQ(buildFromTable(mgr, tables[i], /*hiFirst=*/(i % 2) == 0, /*viaAndOr=*/true), fns[i])
+        << "function " << i;
+  }
+
+  AuditResult audit = auditBdd(mgr);
+  EXPECT_TRUE(audit.ok()) << audit.toString();
 }
 
 TEST(Bdd, DagSizeAndDot) {

@@ -343,6 +343,53 @@ TEST(AuditSolutionGraphDeathTest, NonFirstRootCoverDisagreesWithBdd) {
                "graph\\.count\\.cubes-vs-bdd");
 }
 
+// The same root-1 corruption, audited against root BDDs the caller already
+// built in its own manager: same verdict, same diagnostic.
+TEST(AuditSolutionGraph, SuppliedRootBddsGiveTheSameDiagnostic) {
+  SolutionGraph g = twoRootGraph();
+  std::vector<std::vector<LitVec>> covers = {g.enumerateRootCubes(0),
+                                             {{~mkLit(0)}, {mkLit(1)}}};
+  SolutionGraphAuditOptions options;
+  options.numProjectionVars = 2;
+  options.rootCovers = covers;
+  const AuditResult own = auditSolutionGraph(g, options);
+
+  BddManager mgr(2);
+  const std::vector<BddRef> rootBdds = g.rootBdds(mgr);
+  options.bddManager = &mgr;
+  options.rootBdds = rootBdds;
+  const AuditResult supplied = auditSolutionGraph(g, options);
+  EXPECT_TRUE(supplied.has("graph.count.cubes-vs-bdd")) << supplied.toString();
+  EXPECT_EQ(supplied.toString(), own.toString());
+}
+
+TEST(AuditSolutionGraphDeathTest, NonFirstRootCoverDisagreesWithSuppliedBdds) {
+  SolutionGraph g = twoRootGraph();
+  std::vector<std::vector<LitVec>> covers = {g.enumerateRootCubes(0),
+                                             {{~mkLit(0)}, {mkLit(1)}}};
+  BddManager mgr(2);
+  const std::vector<BddRef> rootBdds = g.rootBdds(mgr);
+  SolutionGraphAuditOptions options;
+  options.numProjectionVars = 2;
+  options.rootCovers = covers;
+  options.bddManager = &mgr;
+  options.rootBdds = rootBdds;
+  EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g, options)),
+               "graph\\.count\\.cubes-vs-bdd");
+}
+
+TEST(AuditSolutionGraphDeathTest, SuppliedRootBddsNeedOnePerRoot) {
+  SolutionGraph g = twoRootGraph();
+  BddManager mgr(2);
+  std::vector<BddRef> rootBdds = g.rootBdds(mgr);
+  rootBdds.pop_back();
+  SolutionGraphAuditOptions options;
+  options.numProjectionVars = 2;
+  options.bddManager = &mgr;
+  options.rootBdds = rootBdds;
+  EXPECT_DEATH((void)auditSolutionGraph(g, options), "one BDD per root");
+}
+
 // --- parallel shard partition -------------------------------------------------
 
 // Two shards splitting a 2-variable projected space on variable 0: shard 0

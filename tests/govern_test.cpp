@@ -7,6 +7,7 @@
 // harness at every governed site.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "base/metrics.hpp"
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
+#include "check/audit_bdd.hpp"
 #include "check/audit_solver.hpp"
 #include "cnf/preprocess.hpp"
 #include "gen/generators.hpp"
@@ -226,6 +228,41 @@ TEST(MemoryLedger, ReattachReleasesAndNullIsNoOp) {
   EXPECT_EQ(b.trackedBytes(), 0u);
   ledger.charge(1 << 20);  // detached: free no-op
   EXPECT_EQ(ledger.held(), 0u);
+}
+
+// --- governed BDD manager -----------------------------------------------------
+
+// A union of random cubes over `vars` variables: enough distinct nodes to
+// grow both BDD tables past their initial size.
+BddRef randomCubeUnion(BddManager& mgr, Rng& rng, int vars, int cubes) {
+  BddRef u = BddManager::kFalse;
+  for (int i = 0; i < cubes; ++i) {
+    LitVec cube;
+    for (Var v = 0; v < vars; ++v) {
+      if (rng.below(3) != 0) cube.push_back(mkLit(v, rng.below(2) != 0));
+    }
+    u = mgr.bddOr(u, mgr.cube(cube));
+  }
+  return u;
+}
+
+TEST(GovernedBdd, LedgerCoversNodePoolAndBothTables) {
+  Governor governor(Budget{});
+  BddManager mgr(16);
+  mgr.setGovernor(&governor);
+  const size_t uniqueStart = mgr.uniqueSlots();
+  const size_t cacheStart = mgr.cacheSlots();
+  Rng rng(11);
+  (void)randomCubeUnion(mgr, rng, 16, 400);
+  ASSERT_GT(mgr.uniqueSlots(), uniqueStart);
+  ASSERT_GT(mgr.cacheSlots(), cacheStart);
+  // Node: (var, lo, hi); unique slot: one ref; computed entry: f, g, h, result.
+  const uint64_t footprint = mgr.numNodes() * 3 * sizeof(BddRef) +
+                             mgr.uniqueSlots() * sizeof(BddRef) +
+                             mgr.cacheSlots() * 4 * sizeof(BddRef);
+  EXPECT_GE(governor.trackedBytes(), footprint);
+  mgr.setGovernor(nullptr);
+  EXPECT_EQ(governor.trackedBytes(), 0u);
 }
 
 // --- CNF engines under a governor --------------------------------------------
@@ -622,6 +659,48 @@ TEST(FaultInjection, BddAllocFaultDegradesSymbolicEngines) {
     EXPECT_EQ(r.outcome, Outcome::kMemory) << preimageMethodName(method);
     EXPECT_TRUE(statesSubsetOf(r.states, oracle.states)) << preimageMethodName(method);
   }
+}
+
+// A node-pool trip in the middle of an ite unwinds without leaving a half-
+// inserted node or a stale cache entry: the manager audits clean and, once
+// detached, keeps returning canonical refs.
+TEST(FaultInjection, BddAllocTripMidIteLeavesManagerConsistent) {
+  constexpr int kVars = 12;
+  const auto operands = [](BddManager& m) {
+    Rng rng(5);
+    BddRef f = randomCubeUnion(m, rng, kVars, 12);
+    BddRef g = randomCubeUnion(m, rng, kVars, 12);
+    BddRef h = randomCubeUnion(m, rng, kVars, 12);
+    return std::array<BddRef, 3>{f, g, h};
+  };
+  BddManager reference(kVars);
+  const std::array<BddRef, 3> refOps = operands(reference);
+  const size_t beforeIte = reference.numNodes();
+  const BddRef refResult = reference.ite(refOps[0], refOps[1], refOps[2]);
+  const size_t iteNodes = reference.numNodes() - beforeIte;
+  ASSERT_GT(iteNodes, 8u);
+
+  BddManager mgr(kVars);
+  Governor governor(Budget{});
+  mgr.setGovernor(&governor);
+  const std::array<BddRef, 3> ops = operands(mgr);
+  {
+    // Every new node is one bdd.alloc hit: fire halfway through the ite.
+    FaultGuard guard("bdd.alloc", iteNodes / 2);
+    EXPECT_THROW((void)mgr.ite(ops[0], ops[1], ops[2]), GovernorStop);
+    EXPECT_TRUE(faults::faultFired());
+  }
+  EXPECT_EQ(governor.reason(), Outcome::kMemory);
+  AuditResult audit = auditBdd(mgr);
+  EXPECT_TRUE(audit.ok()) << audit.toString();
+
+  mgr.setGovernor(nullptr);
+  const BddRef result = mgr.ite(ops[0], ops[1], ops[2]);
+  EXPECT_EQ(result, refResult);                      // same creation order
+  EXPECT_EQ(mgr.numNodes(), reference.numNodes());  // same nodes, none orphaned
+  EXPECT_EQ(mgr.ite(mgr.bddNot(ops[0]), ops[2], ops[1]), result);
+  audit = auditBdd(mgr);
+  EXPECT_TRUE(audit.ok()) << audit.toString();
 }
 
 TEST(FaultInjection, SolutionGraphFaultDegradesSuccessDriven) {

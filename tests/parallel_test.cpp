@@ -10,7 +10,9 @@
 
 #include "allsat/success_driven.hpp"
 #include "bdd/bdd.hpp"
+#include "check/audit_solution_graph.hpp"
 #include "gen/generators.hpp"
+#include "gen/random_circuit.hpp"
 #include "parallel/cube_splitter.hpp"
 #include "parallel/merge.hpp"
 #include "parallel/parallel_allsat.hpp"
@@ -212,6 +214,41 @@ TEST(ParallelSuccessDriven, MergedGraphMatchesSerialSemantics) {
   EXPECT_EQ(par.summary.metrics.counter("parallel.shards"),
             par.summary.metrics.counter("parallel.tasks"));
   EXPECT_GT(par.summary.metrics.counter("parallel.shards"), 1u);
+}
+
+// jobs=4 with project + compress: the cover the caller receives (projected,
+// compressed, across shard guides) passes the cheap solution-graph audit
+// against the merged graph, and the count is exact.
+TEST(ParallelSuccessDriven, ProjectCompressCoverPassesAuditAndCountsExactly) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomCircuitParams params;
+    params.numInputs = 4;
+    params.numDffs = 8;
+    params.numGates = 60;
+    params.seed = seed;
+    Netlist nl = makeRandomSequential(params);
+    TransitionSystem ts(nl);
+    const int n = ts.numStateBits();
+    for (const LitVec& cube : {LitVec{mkLit(0)}, LitVec{~mkLit(1), mkLit(2)}}) {
+      StateSet target = StateSet::fromCube(n, cube);
+      PreimageOptions options;
+      options.allsat.parallel.jobs = 4;
+      options.allsat.project = true;
+      options.allsat.compress = true;
+      PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+      PreimageResult oracle = computePreimage(ts, target, PreimageMethod::kBdd, {});
+      EXPECT_EQ(r.stateCount, oracle.stateCount) << "seed " << seed;
+      EXPECT_TRUE(sameStates(r.states, oracle.states)) << "seed " << seed;
+
+      SolutionGraphAuditOptions audit;
+      audit.numProjectionVars = n;
+      audit.maxCubeSatChecks = 0;
+      const std::vector<LitVec>& cover = r.states.cubes;
+      audit.rootCovers = {&cover, 1};
+      AuditResult a = auditSolutionGraph(r.graph, audit);
+      EXPECT_TRUE(a.ok()) << "seed " << seed << ": " << a.toString();
+    }
+  }
 }
 
 TEST(ParallelCnf, GlobalMaxCubesCapHolds) {
