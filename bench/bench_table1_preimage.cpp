@@ -15,11 +15,9 @@
 // the achieved parallel speedup (1.0 on a single-core host — the work is
 // identical by the determinism contract, only the scheduling differs).
 //
-// Usage: bench_table1_preimage [out.jsonl] [seed]
+// Usage: bench_table1_preimage [out.jsonl]
 //   out.jsonl  append one metrics line per engine run (trajectory format)
-//   seed       CDCL decision seed threaded into every SAT engine run
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hpp"
 
@@ -28,7 +26,6 @@ using namespace presat::benchutil;
 
 int main(int argc, char** argv) {
   const std::string jsonlPath = argc > 1 ? argv[1] : "";
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
 
   std::vector<BenchCase> suite = standardSuite();
   // Minterm enumeration is capped: past this many solutions the baseline is
@@ -48,24 +45,19 @@ int main(int argc, char** argv) {
 
     PreimageOptions mintermOpts;
     mintermOpts.allsat.maxCubes = kMintermCap;
-    mintermOpts.allsat.randomSeed = seed;
     PreimageResult minterm =
         computePreimage(system, c.target, PreimageMethod::kMintermBlocking, mintermOpts);
 
-    PreimageOptions seeded;
-    seeded.allsat.randomSeed = seed;
-    PreimageResult cube =
-        computePreimage(system, c.target, PreimageMethod::kCubeBlockingLifted, seeded);
-    PreimageResult sd =
-        computePreimage(system, c.target, PreimageMethod::kSuccessDriven, seeded);
-    PreimageResult chrono = computePreimage(system, c.target, PreimageMethod::kChrono, seeded);
+    PreimageResult cube = computePreimage(system, c.target, PreimageMethod::kCubeBlockingLifted);
+    PreimageResult sd = computePreimage(system, c.target, PreimageMethod::kSuccessDriven);
+    PreimageResult chrono = computePreimage(system, c.target, PreimageMethod::kChrono);
     PreimageResult bdd = computePreimage(system, c.target, PreimageMethod::kBdd);
 
-    PreimageOptions par1 = seeded;
+    PreimageOptions par1;
     par1.allsat.parallel.jobs = 1;
     PreimageResult sdPar1 =
         computePreimage(system, c.target, PreimageMethod::kSuccessDriven, par1);
-    PreimageOptions par8 = seeded;
+    PreimageOptions par8;
     par8.allsat.parallel.jobs = 8;
     PreimageResult sdPar8 =
         computePreimage(system, c.target, PreimageMethod::kSuccessDriven, par8);
@@ -76,7 +68,7 @@ int main(int argc, char** argv) {
     // proof logging + presat-cert-v1 assembly on. Its series quantifies the
     // emission overhead; the plain chrono series above doubles as the
     // proof-logging-off control the 25% regression gate pins down.
-    PreimageOptions certOpts = seeded;
+    PreimageOptions certOpts;
     certOpts.emitCertificate = true;
     PreimageResult chronoCert =
         computePreimage(system, c.target, PreimageMethod::kChrono, certOpts);
@@ -84,7 +76,7 @@ int main(int argc, char** argv) {
     // Projected-native chrono with wildcard compression: same state set as
     // every engine above, but enumerated scope-first with the projected
     // early stop and compressed into a (usually much smaller) cover.
-    PreimageOptions projOpts = seeded;
+    PreimageOptions projOpts;
     projOpts.allsat.project = true;
     projOpts.allsat.compress = true;
     PreimageResult proj = computePreimage(system, c.target, PreimageMethod::kChrono, projOpts);

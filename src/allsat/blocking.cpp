@@ -39,11 +39,9 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     lbool status = solver.solve();
     ++result.stats.satCalls;
     if (status.isUndef()) {
-      // Budget exhausted mid-call (per-call conflict budget or a governor
-      // trip): the cubes found so far are a valid partial answer, so return
-      // them instead of aborting.
-      result.outcome = (governor != nullptr && governor->tripped()) ? governor->reason()
-                                                                    : Outcome::kConflicts;
+      // The governor tripped mid-call: the cubes found so far are a valid
+      // partial answer, so return them instead of aborting.
+      result.outcome = governor->reason();
       break;
     }
     if (status.isFalse()) break;

@@ -15,6 +15,14 @@ namespace presat {
 
 AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                           const AllSatOptions& options) {
+  // Each scope variable owns one cube position; a repeated one would be
+  // counted once per position.
+  std::vector<uint8_t> inScope(static_cast<size_t>(cnf.numVars()), 0);
+  for (Var v : projection) {
+    PRESAT_CHECK(v >= 0 && v < cnf.numVars()) << "unknown variable x" << v << " in chrono scope";
+    PRESAT_CHECK(!inScope[static_cast<size_t>(v)]) << "chrono scope lists x" << v << " twice";
+    inScope[static_cast<size_t>(v)] = 1;
+  }
   if (options.preprocess) {
     return runWithPreprocess(cnf, projection, /*lifter=*/{}, options,
                              [](const Cnf& c, const std::vector<Var>& p, const ModelLifter&,
@@ -28,23 +36,15 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   bool consistent = solver.addCnf(cnf);
 
   std::vector<int> varLevel(static_cast<size_t>(cnf.numVars()), 0);
-  std::vector<uint8_t> inScope;
-  if (options.project) {
-    inScope.assign(static_cast<size_t>(cnf.numVars()), 0);
-    for (Var v : projection) inScope[static_cast<size_t>(v)] = 1;
-  }
   if (consistent) {
     solver.beginEnumeration(projection, /*projectedWitness=*/options.project);
     for (;;) {
       lbool status = solver.enumerateNextModel();
       ++result.stats.satCalls;
       if (status.isUndef()) {
-        // Budget exhausted mid-call (per-call conflict budget or a governor
-        // trip): the disjoint cubes found so far are a valid partial
-        // answer, so return them instead of aborting.
-        result.outcome = (governor != nullptr && governor->tripped())
-                             ? governor->reason()
-                             : Outcome::kConflicts;
+        // The governor tripped mid-call: the disjoint cubes found so far
+        // are a valid partial answer, so return them instead of aborting.
+        result.outcome = governor->reason();
         break;
       }
       if (status.isFalse()) break;
@@ -63,19 +63,16 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
       // variable decided below a kept non-scope level would discard the
       // sibling models of that non-scope decision).
       int k = solver.scopePrefixLength();
-      int bImplicant = solver.currentDecisionLevel();
-      if (options.chronoShrink) {
-        for (Var v = 0; v < cnf.numVars(); ++v) {
-          varLevel[static_cast<size_t>(v)] = solver.levelOf(v);
-        }
-        // Projected mode works on partial witness models: assigned non-scope
-        // literals are existential witnesses counted at level 0, so the
-        // projected level never exceeds the unprojected one — cubes can only
-        // widen.
-        bImplicant = options.project
-                         ? projectedWitnessLevel(cnf, solver.model(), varLevel, inScope)
-                         : implicantPrefixLevel(cnf, solver.model(), varLevel);
+      for (Var v = 0; v < cnf.numVars(); ++v) {
+        varLevel[static_cast<size_t>(v)] = solver.levelOf(v);
       }
+      // Projected mode works on partial witness models: assigned non-scope
+      // literals are existential witnesses counted at level 0, so the
+      // projected level never exceeds the unprojected one — cubes can only
+      // widen.
+      int bImplicant = options.project
+                           ? projectedWitnessLevel(cnf, solver.model(), varLevel, inScope)
+                           : implicantPrefixLevel(cnf, solver.model(), varLevel);
       int bEmit = std::min(std::max(bImplicant, solver.deepestFlippedLevel()), k);
 
       // The cube is ALL scope literals stamped at levels <= bEmit —

@@ -27,9 +27,9 @@
 namespace presat {
 
 // Enumerates the projection of the solution set of `cnf` onto `projection`
-// with zero blocking clauses. Honors maxCubes, conflictBudget, randomSeed,
-// and chronoShrink from `options` (parallel dispatch lives in
-// src/parallel/parallel_allsat.cpp, like the other CNF engines).
+// with zero blocking clauses. `projection` must not list a variable twice.
+// Parallel dispatch lives in src/parallel/parallel_allsat.cpp, like the other
+// CNF engines.
 AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                           const AllSatOptions& options);
 

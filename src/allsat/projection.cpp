@@ -64,10 +64,8 @@ void accumulateStats(AllSatStats& total, const AllSatStats& part) {
 }
 
 void configureSolver(Solver& solver, const AllSatOptions& options) {
-  solver.setConflictBudget(options.conflictBudget);
   solver.setGovernor(options.governor);
   solver.setProofLog(options.proofLog);
-  if (options.randomSeed != 0) solver.setRandomSeed(options.randomSeed);
 }
 
 void finishSolverResult(AllSatResult& result, const Solver& solver, const char* engine,

@@ -101,14 +101,6 @@ struct AllSatResult {
   Metrics metrics;
 };
 
-// Which unjustified gate the success-driven engine branches on next.
-// Deterministic either way (required for learning soundness); topologically
-// lowest (closest to the sources) is the default.
-enum class BranchOrder {
-  kLowestGateFirst,
-  kHighestGateFirst,
-};
-
 struct AllSatOptions {
   uint64_t maxCubes = 0;  // 0 = unlimited
   // CNF engines (blocking/chrono, serial and parallel): run the one-shot
@@ -119,14 +111,6 @@ struct AllSatOptions {
   // layer's shared TransitionEncoding, parallel shard dispatch) clear this to
   // avoid a redundant second pass.
   bool preprocess = true;
-  // CDCL engines (blocking AND chrono): per-SAT-call conflict budget
-  // (0 = none). When a call exhausts its budget, the engine returns the
-  // cubes found so far — still pairwise disjoint for unlifted blocking and
-  // chrono — with complete = false / outcome = kConflicts instead
-  // of aborting. For a budget on the WHOLE query (all calls, all shards,
-  // every engine including success-driven) use Budget::conflictLimit via
-  // `governor` below.
-  uint64_t conflictBudget = 0;
   // Success-driven engine: enable the learning cache (ablation knob).
   bool successLearning = true;
   // Success-driven engine: bound on learned-subproblem memo entries
@@ -138,12 +122,6 @@ struct AllSatOptions {
   // exact subproblem key. Catches 128-bit signature collisions; costs the
   // old O(cone log cone) key build per probe, so debug/test use only.
   bool memoCheckExact = false;
-  // Success-driven engine: frontier-gate selection policy.
-  BranchOrder branchOrder = BranchOrder::kLowestGateFirst;
-  // Chronological engine: widen each emitted cube with the prefix-closed
-  // implicant shrinking pass before flipping (ablation knob; off emits the
-  // full scope prefix of every model).
-  bool chronoShrink = true;
   // Projection as a first-class enumeration mode instead of a post-pass.
   // Chrono runs projected-native: enumerateNextModel() stops as soon as the
   // scope prefix plus the already-implied input/aux literals satisfy every
@@ -159,17 +137,13 @@ struct AllSatOptions {
   // before the merge, so shards exchange compressed covers. Union- and
   // disjointness-preserving; mintermCount is unaffected.
   bool compress = false;
-  // Blocking engines: CDCL decision seed (Solver::setRandomSeed). 0 keeps the
-  // solver's built-in default. Results are independent of the seed; it exists
-  // for reproducible diversification runs (benches, fuzzing).
-  uint64_t randomSeed = 0;
   // Cube-and-conquer parallel enumeration (src/parallel/). jobs == 0 keeps
   // the serial engines; jobs >= 1 partitions the projected space into
   // disjoint guiding cubes and solves them on a worker pool. The result is
   // bit-identical for every jobs >= 1 (see parallel/options.hpp).
   ParallelOptions parallel;
   // Resource governor enforcing a Budget (deadline / memory ceiling /
-  // global conflict cap / cancellation) over the whole query. Not owned;
+  // conflict cap / cancellation) over the whole query. Not owned;
   // null = ungoverned (the default — hot paths stay unchanged). Shared
   // across parallel shards: one trip stops every worker cooperatively.
   Governor* governor = nullptr;
@@ -187,8 +161,8 @@ struct AllSatOptions {
   std::vector<CompressMergeRecord>* compressTrace = nullptr;
 };
 
-// Prologue of the CNF engines (blocking, chrono): applies the options'
-// conflict budget, governor, proof log, and decision seed to `solver`.
+// Prologue of the CNF engines (blocking, chrono): attaches the options'
+// governor and proof log to `solver`.
 void configureSolver(Solver& solver, const AllSatOptions& options);
 
 // Epilogue of the CNF engines: copies the solver's counters into

@@ -61,33 +61,6 @@ BigUint SolutionGraph::countPaths() const {
   return total;
 }
 
-Dyadic SolutionGraph::pathMeasure() const {
-  std::vector<Dyadic> memo(nodes_.size());
-  std::vector<bool> done(nodes_.size(), false);
-  auto rec = [&](auto&& self, int index) -> Dyadic {
-    if (index == kSuccess) return Dyadic::one();
-    if (index == kFail) return Dyadic::zero();
-    size_t i = static_cast<size_t>(index);
-    if (done[i]) return memo[i];
-    Dyadic total;
-    for (const Branch& b : nodes_[i].branch) {
-      Dyadic part = self(self, b.child);
-      part.divPow2(static_cast<uint32_t>(b.newLits.size()));
-      total += part;
-    }
-    memo[i] = total;
-    done[i] = true;
-    return total;
-  };
-  Dyadic total = Dyadic::zero();
-  for (const Branch& r : roots_) {
-    Dyadic m = rec(rec, r.child);
-    m.divPow2(static_cast<uint32_t>(r.newLits.size()));
-    total += m;
-  }
-  return total;
-}
-
 // Appends the path cubes below `root` until `cubes` holds `limit` (0 = no
 // limit); false once the limit is reached.
 bool SolutionGraph::appendPathCubes(const Branch& root, uint64_t limit,

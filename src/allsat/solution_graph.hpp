@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "base/biguint.hpp"
-#include "base/dyadic.hpp"
 #include "base/types.hpp"
 
 namespace presat {
@@ -81,11 +80,6 @@ class SolutionGraph {
   // Number of root-to-SUCCESS paths. Paths, not distinct cubes: two paths may
   // carry the same cube (DAG-linear dynamic program, never enumerates).
   BigUint countPaths() const;
-
-  // Sum over paths of 2^-(#literals on path). Multiplied by 2^|projection|
-  // this is the multiplicity-weighted minterm measure — an upper bound on the
-  // true union count, exact when no two paths overlap.
-  Dyadic pathMeasure() const;
 
   // Explicit solution cubes, one per root-to-SUCCESS path (0 = no limit).
   std::vector<LitVec> enumerateCubes(uint64_t limit = 0) const;

@@ -64,6 +64,7 @@ class Engine {
       NodeId src = projectionSources[i];
       PRESAT_CHECK(!isCombinational(nl_.type(src)))
           << "projection entries must be source nodes";
+      PRESAT_CHECK(projIndex_[src] < 0) << "projection lists node " << src << " twice";
       projIndex_[src] = static_cast<int>(i);
     }
     // Unconditional: assign()/undoTo() maintain frontierSig_ even with
@@ -368,9 +369,7 @@ class Engine {
   // Picks the branch node and first value for the lowest frontier gate.
   void pickBranch(NodeId& branchNode, bool& firstValue) const {
     PRESAT_DCHECK(!frontier_.empty());
-    NodeId g = options_.branchOrder == BranchOrder::kLowestGateFirst
-                   ? frontier_.begin()->second
-                   : frontier_.rbegin()->second;
+    NodeId g = frontier_.begin()->second;
     const GateNode& gate = nl_.node(g);
     bool v = value_[g].isTrue();
     switch (gate.type) {

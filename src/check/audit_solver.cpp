@@ -263,11 +263,11 @@ AuditResult auditSolver(const Solver& s) {
       r.fail("solver.heap.order",
              "heapIndex of x" + std::to_string(v) + " is set but the var is not in the heap");
     }
-    // Lazy removal means assigned / non-decision vars may linger in the heap,
-    // but every unassigned decidable var must be present for pickBranchLit.
-    if (s.assigns_[v].isUndef() && s.decision_[v] && inHeap.count(static_cast<Var>(v)) == 0) {
+    // Lazy removal means assigned vars may linger in the heap, but every
+    // unassigned var must be present for pickBranchLit.
+    if (s.assigns_[v].isUndef() && inHeap.count(static_cast<Var>(v)) == 0) {
       r.fail("solver.heap.order",
-             "unassigned decision var x" + std::to_string(v) + " missing from the heap");
+             "unassigned var x" + std::to_string(v) + " missing from the heap");
     }
   }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "base/log.hpp"
 
@@ -80,8 +81,13 @@ DimacsFile parseDimacs(std::istream& in) {
         << file.cnf.numClauses();
   }
   if (file.projection) {
-    for (Var v : *file.projection)
+    std::vector<uint8_t> listed(static_cast<size_t>(file.cnf.numVars()), 0);
+    for (Var v : *file.projection) {
       PRESAT_CHECK(v < file.cnf.numVars()) << "projection var out of range";
+      PRESAT_CHECK(!listed[static_cast<size_t>(v)])
+          << "projection lists variable " << v + 1 << " twice";
+      listed[static_cast<size_t>(v)] = 1;
+    }
   }
   return file;
 }

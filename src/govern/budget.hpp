@@ -22,7 +22,7 @@ enum class Outcome : uint8_t {
   kComplete = 0,   // ran to exhaustion; result is exact
   kDeadline = 1,   // wall-clock deadline expired
   kMemory = 2,     // tracked-byte ceiling (or an injected allocation fault)
-  kConflicts = 3,  // conflict cap (global Budget cap or per-call conflictBudget)
+  kConflicts = 3,  // Budget::conflictLimit reached
   kCancelled = 4,  // CancelToken tripped (caller or a faulted worker shard)
   kCubeCap = 5,    // AllSatOptions::maxCubes truncated the enumeration
 };
@@ -57,10 +57,9 @@ struct Budget {
   double deadlineSeconds = 0.0;   // wall-clock, measured from Governor construction
   uint64_t memLimitBytes = 0;     // ceiling on governor-tracked bytes (clause
                                   // arena + solution graph + memo + BDD pool)
-  uint64_t conflictLimit = 0;     // global CDCL/search conflict cap across the
-                                  // whole query (all engines, all shards) —
-                                  // distinct from the per-SAT-call
-                                  // AllSatOptions::conflictBudget
+  uint64_t conflictLimit = 0;     // the one conflict cap, across the whole
+                                  // query (every engine, solver call and
+                                  // shard)
   CancelToken* cancel = nullptr;  // not owned; may outlive many Budgets
 
   bool unlimited() const {

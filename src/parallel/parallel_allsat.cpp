@@ -19,20 +19,10 @@ namespace presat {
 
 namespace {
 
-// Distinct per-shard solver seeds, derived from the user seed and the shard
-// INDEX (never the worker), so the stream a subproblem sees is schedule-
-// independent.
-uint64_t shardSeed(uint64_t baseSeed, size_t shard) {
-  uint64_t base = baseSeed != 0 ? baseSeed : 0x5eedc0deb1a5edull;
-  return base + 0x9e3779b97f4a7c15ull * (shard + 1);
-}
-
-// Per-shard options: serial inner engines (no recursive splitting), shard-
-// indexed solver seed.
-AllSatOptions shardOptions(const AllSatOptions& options, size_t shard) {
+// Per-shard options: serial inner engines (no recursive splitting).
+AllSatOptions shardOptions(const AllSatOptions& options) {
   AllSatOptions inner = options;
   inner.parallel = ParallelOptions{};
-  inner.randomSeed = shardSeed(options.randomSeed, shard);
   // Certificate plumbing is for the merged result, not the shards: a shard
   // proof would speak the guide-constrained formula, and concurrent shards
   // would race on a shared compression trace. Certificate emitters replay
@@ -120,7 +110,7 @@ SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& prob
           sub.objectives.emplace_back(problem.projectionSources[static_cast<size_t>(l.var())],
                                       !l.sign());
         }
-        SuccessDrivenResult r = successDrivenAllSat(sub, shardOptions(options, i));
+        SuccessDrivenResult r = successDrivenAllSat(sub, shardOptions(options));
         shards[i].guide = plan.cubes[i];
         shards[i].result = std::move(r.summary);
         shards[i].graph = std::move(r.graph);
@@ -227,7 +217,7 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
       // No guide-preserving wrapper needed: the guide units are level-0
       // assignments, and the chrono engine emits every scope literal stamped
       // at or below the emission level — the guide is in every cube.
-      r = chronoAllSat(sub, projection, shardOptions(options, i));
+      r = chronoAllSat(sub, projection, shardOptions(options));
     } else {
       // The shard lifter keeps the guide literals in every lifted cube: the
       // base lifter may drop them as unnecessary for the ORIGINAL formula,
@@ -250,7 +240,7 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
           return cube;
         };
       }
-      r = blockingAllSat(sub, projection, shardLifter, shardOptions(options, i));
+      r = blockingAllSat(sub, projection, shardLifter, shardOptions(options));
     }
     shards[i].guide = guide;
     shards[i].result = std::move(r);

@@ -1,36 +1,35 @@
 #include "preimage/bdd_preimage.hpp"
 
-#include "base/log.hpp"
-#include "base/timer.hpp"
+#include "base/check.hpp"
 #include "circuit/netlist.hpp"
 
 namespace presat {
 
-BddTransition::BddTransition(const TransitionSystem& system, Governor* governor)
-    : system_(system),
-      mgr_(system.numStateBits() + system.numInputs()) {
-  mgr_.setGovernor(governor);
+namespace {
+
+// Node -> BDD over state bit i at variable i and input j at `inputBase` + j,
+// built in topological order. Both transition builders share it, so they
+// issue the same manager operations in the same order.
+std::vector<BddRef> buildNodeBdds(BddManager& mgr, const TransitionSystem& system,
+                                  Var inputBase) {
   const Netlist& nl = system.netlist();
-  // Node -> BDD over (state, input) variables, built in topological order.
   std::vector<BddRef> nodeBdd(nl.numNodes(), BddManager::kFalse);
   std::vector<bool> isSource(nl.numNodes(), false);
   for (int i = 0; i < system.numStateBits(); ++i) {
-    nodeBdd[system.stateNode(i)] = mgr_.variable(static_cast<Var>(i));
+    nodeBdd[system.stateNode(i)] = mgr.variable(static_cast<Var>(i));
     isSource[system.stateNode(i)] = true;
   }
   for (int j = 0; j < system.numInputs(); ++j) {
-    Var v = static_cast<Var>(system.numStateBits() + j);
-    nodeBdd[system.inputNode(j)] = mgr_.variable(v);
+    nodeBdd[system.inputNode(j)] = mgr.variable(inputBase + j);
     isSource[system.inputNode(j)] = true;
-    inputVars_.push_back(v);
   }
   for (NodeId id : nl.topologicalOrder()) {
     const GateNode& g = nl.node(id);
-    if (g.type == GateType::kInput || g.type == GateType::kDff) {
-      PRESAT_CHECK(isSource[id]) << "unregistered source node";
-      continue;
-    }
     switch (g.type) {
+      case GateType::kInput:
+      case GateType::kDff:
+        PRESAT_CHECK(isSource[id]) << "unregistered source node";
+        break;
       case GateType::kConst0:
         nodeBdd[id] = BddManager::kFalse;
         break;
@@ -41,36 +40,69 @@ BddTransition::BddTransition(const TransitionSystem& system, Governor* governor)
         nodeBdd[id] = nodeBdd[g.fanins[0]];
         break;
       case GateType::kNot:
-        nodeBdd[id] = mgr_.bddNot(nodeBdd[g.fanins[0]]);
+        nodeBdd[id] = mgr.bddNot(nodeBdd[g.fanins[0]]);
         break;
       case GateType::kAnd:
       case GateType::kNand: {
         BddRef acc = BddManager::kTrue;
-        for (NodeId f : g.fanins) acc = mgr_.bddAnd(acc, nodeBdd[f]);
-        nodeBdd[id] = g.type == GateType::kNand ? mgr_.bddNot(acc) : acc;
+        for (NodeId f : g.fanins) acc = mgr.bddAnd(acc, nodeBdd[f]);
+        nodeBdd[id] = g.type == GateType::kNand ? mgr.bddNot(acc) : acc;
         break;
       }
       case GateType::kOr:
       case GateType::kNor: {
         BddRef acc = BddManager::kFalse;
-        for (NodeId f : g.fanins) acc = mgr_.bddOr(acc, nodeBdd[f]);
-        nodeBdd[id] = g.type == GateType::kNor ? mgr_.bddNot(acc) : acc;
+        for (NodeId f : g.fanins) acc = mgr.bddOr(acc, nodeBdd[f]);
+        nodeBdd[id] = g.type == GateType::kNor ? mgr.bddNot(acc) : acc;
         break;
       }
       case GateType::kXor:
       case GateType::kXnor: {
         BddRef acc = BddManager::kFalse;
-        for (NodeId f : g.fanins) acc = mgr_.bddXor(acc, nodeBdd[f]);
-        nodeBdd[id] = g.type == GateType::kXnor ? mgr_.bddNot(acc) : acc;
+        for (NodeId f : g.fanins) acc = mgr.bddXor(acc, nodeBdd[f]);
+        nodeBdd[id] = g.type == GateType::kXnor ? mgr.bddNot(acc) : acc;
         break;
       }
       case GateType::kMux:
-        nodeBdd[id] = mgr_.ite(nodeBdd[g.fanins[0]], nodeBdd[g.fanins[2]], nodeBdd[g.fanins[1]]);
+        nodeBdd[id] = mgr.ite(nodeBdd[g.fanins[0]], nodeBdd[g.fanins[2]], nodeBdd[g.fanins[1]]);
         break;
       default:
         PRESAT_CHECK(false) << "unhandled gate type";
     }
   }
+  return nodeBdd;
+}
+
+// Cubes of a BDD whose support must lie in the state variables 0..n-1.
+StateSet stateSetOf(BddManager& mgr, BddRef stateBdd, int numStateBits) {
+  StateSet set;
+  set.numStateBits = numStateBits;
+  set.cubes = mgr.enumerateCubes(stateBdd);
+  for (const LitVec& cube : set.cubes) {
+    for (Lit l : cube) {
+      PRESAT_CHECK(l.var() < numStateBits) << "state BDD has a non-state variable in its support";
+    }
+  }
+  return set;
+}
+
+// Model count of a state BDD: satCount ranges over every manager variable,
+// and the ones outside a state BDD's support each double it.
+BigUint countStatesOf(BddManager& mgr, BddRef stateBdd, int numStateBits) {
+  BigUint count = mgr.satCount(stateBdd);
+  count >>= static_cast<uint32_t>(mgr.numVars() - numStateBits);
+  return count;
+}
+
+}  // namespace
+
+BddTransition::BddTransition(const TransitionSystem& system, Governor* governor)
+    : system_(system),
+      mgr_(system.numStateBits() + system.numInputs()) {
+  mgr_.setGovernor(governor);
+  const Var inputBase = static_cast<Var>(system.numStateBits());
+  std::vector<BddRef> nodeBdd = buildNodeBdds(mgr_, system, inputBase);
+  for (int j = 0; j < system.numInputs(); ++j) inputVars_.push_back(inputBase + j);
   delta_.reserve(static_cast<size_t>(system.numStateBits()));
   for (int i = 0; i < system.numStateBits(); ++i) {
     delta_.push_back(nodeBdd[system.nextStateRoot(i)]);
@@ -94,23 +126,11 @@ StateSet BddTransition::preimage(const StateSet& target) {
 }
 
 StateSet BddTransition::toStateSet(BddRef stateBdd) {
-  StateSet set;
-  set.numStateBits = system_.numStateBits();
-  set.cubes = mgr_.enumerateCubes(stateBdd);
-  for (const LitVec& cube : set.cubes) {
-    for (Lit l : cube) {
-      PRESAT_CHECK(l.var() < set.numStateBits) << "BDD has input variables in its support";
-    }
-  }
-  return set;
+  return stateSetOf(mgr_, stateBdd, system_.numStateBits());
 }
 
 BigUint BddTransition::countStates(BddRef stateBdd) {
-  // satCount ranges over state and input variables; inputs are not in the
-  // support of a state BDD, so divide their factor back out.
-  BigUint count = mgr_.satCount(stateBdd);
-  count >>= static_cast<uint32_t>(system_.numInputs());
-  return count;
+  return countStatesOf(mgr_, stateBdd, system_.numStateBits());
 }
 
 BddRelationalTransition::BddRelationalTransition(const TransitionSystem& system,
@@ -119,57 +139,9 @@ BddRelationalTransition::BddRelationalTransition(const TransitionSystem& system,
       mgr_(2 * system.numStateBits() + system.numInputs()) {
   mgr_.setGovernor(governor);
   const int n = system.numStateBits();
-  const Netlist& nl = system.netlist();
-  std::vector<BddRef> nodeBdd(nl.numNodes(), BddManager::kFalse);
-  for (int i = 0; i < n; ++i) {
-    nodeBdd[system.stateNode(i)] = mgr_.variable(static_cast<Var>(i));
-  }
-  for (int j = 0; j < system.numInputs(); ++j) {
-    Var v = static_cast<Var>(2 * n + j);
-    nodeBdd[system.inputNode(j)] = mgr_.variable(v);
-    quantified_.push_back(v);
-  }
-  for (NodeId id : nl.topologicalOrder()) {
-    const GateNode& g = nl.node(id);
-    if (!isCombinational(g.type)) {
-      if (g.type == GateType::kConst1) nodeBdd[id] = BddManager::kTrue;
-      continue;
-    }
-    switch (g.type) {
-      case GateType::kBuf:
-        nodeBdd[id] = nodeBdd[g.fanins[0]];
-        break;
-      case GateType::kNot:
-        nodeBdd[id] = mgr_.bddNot(nodeBdd[g.fanins[0]]);
-        break;
-      case GateType::kAnd:
-      case GateType::kNand: {
-        BddRef acc = BddManager::kTrue;
-        for (NodeId f : g.fanins) acc = mgr_.bddAnd(acc, nodeBdd[f]);
-        nodeBdd[id] = g.type == GateType::kNand ? mgr_.bddNot(acc) : acc;
-        break;
-      }
-      case GateType::kOr:
-      case GateType::kNor: {
-        BddRef acc = BddManager::kFalse;
-        for (NodeId f : g.fanins) acc = mgr_.bddOr(acc, nodeBdd[f]);
-        nodeBdd[id] = g.type == GateType::kNor ? mgr_.bddNot(acc) : acc;
-        break;
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
-        BddRef acc = BddManager::kFalse;
-        for (NodeId f : g.fanins) acc = mgr_.bddXor(acc, nodeBdd[f]);
-        nodeBdd[id] = g.type == GateType::kXnor ? mgr_.bddNot(acc) : acc;
-        break;
-      }
-      case GateType::kMux:
-        nodeBdd[id] = mgr_.ite(nodeBdd[g.fanins[0]], nodeBdd[g.fanins[2]], nodeBdd[g.fanins[1]]);
-        break;
-      default:
-        PRESAT_CHECK(false) << "unhandled gate type";
-    }
-  }
+  const Var inputBase = static_cast<Var>(2 * n);
+  std::vector<BddRef> nodeBdd = buildNodeBdds(mgr_, system, inputBase);
+  for (int j = 0; j < system.numInputs(); ++j) quantified_.push_back(inputBase + j);
   relation_ = BddManager::kTrue;
   for (int i = 0; i < n; ++i) {
     Var prime = static_cast<Var>(n + i);
@@ -194,25 +166,11 @@ StateSet BddRelationalTransition::preimage(const StateSet& target) {
 }
 
 StateSet BddRelationalTransition::toStateSet(BddRef stateBdd) {
-  StateSet set;
-  set.numStateBits = system_.numStateBits();
-  set.cubes = mgr_.enumerateCubes(stateBdd);
-  for (const LitVec& cube : set.cubes) {
-    for (Lit l : cube) {
-      PRESAT_CHECK(l.var() < set.numStateBits) << "preimage BDD escaped the state variables";
-    }
-  }
-  return set;
+  return stateSetOf(mgr_, stateBdd, system_.numStateBits());
 }
 
-StateSet bddPreimage(const TransitionSystem& system, const StateSet& target, double* seconds,
-                     size_t* peakNodes) {
-  Timer timer;
-  BddTransition transition(system);
-  StateSet result = transition.preimage(target);
-  if (seconds) *seconds = timer.seconds();
-  if (peakNodes) *peakNodes = transition.manager().numNodes();
-  return result;
+BigUint BddRelationalTransition::countStates(BddRef stateBdd) {
+  return countStatesOf(mgr_, stateBdd, system_.numStateBits());
 }
 
 }  // namespace presat

@@ -57,6 +57,7 @@ class BddRelationalTransition {
   BddRef preimage(BddRef target);  // target over s variables
   StateSet preimage(const StateSet& target);
   StateSet toStateSet(BddRef stateBdd);
+  BigUint countStates(BddRef stateBdd);
 
  private:
   const TransitionSystem& system_;
@@ -65,9 +66,5 @@ class BddRelationalTransition {
   std::vector<Var> quantified_;       // s' ∪ x
   std::vector<BddRef> shiftToPrime_;  // substitution s_i -> s'_i
 };
-
-// Convenience one-shot wrapper.
-StateSet bddPreimage(const TransitionSystem& system, const StateSet& target,
-                     double* seconds = nullptr, size_t* peakNodes = nullptr);
 
 }  // namespace presat

@@ -100,9 +100,7 @@ ImageResult computeImage(const TransitionSystem& system, const StateSet& from,
       BddRef image = mgr.composeVector(primedImage, unprime);
       ImageResult result;
       result.states = transition.toStateSet(image);
-      BigUint count = mgr.satCount(image);
-      count >>= static_cast<uint32_t>(n + system.numInputs());
-      result.stateCount = std::move(count);
+      result.stateCount = transition.countStates(image);
       result.seconds = timer.seconds();
       return result;
     }

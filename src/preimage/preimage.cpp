@@ -351,17 +351,24 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
       finishPreimage(result, options.allsat.governor);
       return result;
     }
-    case PreimageMethod::kBdd: {
+    case PreimageMethod::kBdd:
+    case PreimageMethod::kBddRelational: {
       Timer timer;
       Governor* governor = options.allsat.governor;
       PreimageResult result;
       result.states.numStateBits = n;
-      try {
-        BddTransition transition(system, governor);
+      auto solve = [&](auto&& transition) {
         BddRef pre = transition.preimage(target.toBdd(transition.manager()));
         result.states = transition.toStateSet(pre);
         result.stateCount = transition.countStates(pre);
         result.bddNodes = transition.manager().numNodes();
+      };
+      try {
+        if (method == PreimageMethod::kBdd) {
+          solve(BddTransition(system, governor));
+        } else {
+          solve(BddRelationalTransition(system, governor));
+        }
       } catch (const GovernorStop& stop) {
         // Mid-apply there is no usable partial BDD; the empty set is the
         // sound under-approximation this engine degrades to.
@@ -370,35 +377,7 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
         result.outcome = stop.reason;
       }
       result.seconds = timer.seconds();
-      result.metrics.setLabel("engine", "bdd");
-      result.metrics.setCounter("bdd.nodes", result.bddNodes);
-      result.metrics.setCounter("pre.cubes", result.states.cubes.size());
-      result.metrics.setGauge("time.seconds", result.seconds);
-      finishPreimage(result, governor);
-      return result;
-    }
-    case PreimageMethod::kBddRelational: {
-      Timer timer;
-      Governor* governor = options.allsat.governor;
-      PreimageResult result;
-      result.states.numStateBits = n;
-      try {
-        BddRelationalTransition transition(system, governor);
-        BddRef pre = transition.preimage(target.toBdd(transition.manager()));
-        result.states = transition.toStateSet(pre);
-        // The relational manager spans s, s', x; a state BDD's satCount must
-        // shed the factor for the 2n+m - n variables outside its support.
-        BigUint count = transition.manager().satCount(pre);
-        count >>= static_cast<uint32_t>(system.numStateBits() + system.numInputs());
-        result.stateCount = std::move(count);
-        result.bddNodes = transition.manager().numNodes();
-      } catch (const GovernorStop& stop) {
-        result.states.cubes.clear();
-        result.stateCount = BigUint(0);
-        result.outcome = stop.reason;
-      }
-      result.seconds = timer.seconds();
-      result.metrics.setLabel("engine", "bdd-relational");
+      result.metrics.setLabel("engine", preimageMethodName(method));
       result.metrics.setCounter("bdd.nodes", result.bddNodes);
       result.metrics.setCounter("pre.cubes", result.states.cubes.size());
       result.metrics.setGauge("time.seconds", result.seconds);

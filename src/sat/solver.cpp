@@ -55,7 +55,6 @@ Var Solver::newVar() {
   polaritySeeded_.push_back(0);
   occPos_.push_back(0);
   occNeg_.push_back(0);
-  decision_.push_back(true);
   reason_.push_back(kNullClauseRef);
   level_.push_back(0);
   activity_.push_back(0.0);
@@ -65,11 +64,6 @@ Var Solver::newVar() {
   watches_.emplace_back();  // negative literal
   heapInsert(v);
   return v;
-}
-
-void Solver::setDecisionVar(Var v, bool decidable) {
-  decision_[static_cast<size_t>(v)] = decidable;
-  if (decidable && !heapContains(v)) heapInsert(v);
 }
 
 bool Solver::addClause(const LitVec& lits) {
@@ -449,32 +443,6 @@ bool Solver::litRedundant(Lit p, uint32_t abstractLevels) {
   return true;
 }
 
-void Solver::analyzeFinal(Lit p, LitVec& outCore) {
-  outCore.clear();
-  outCore.push_back(p);
-  if (decisionLevel() == 0) return;
-  seen_[static_cast<size_t>(p.var())] = 1;
-  for (int i = static_cast<int>(trail_.size()) - 1; i >= trailLim_[0]; --i) {
-    Var x = trail_[static_cast<size_t>(i)].var();
-    size_t xv = static_cast<size_t>(x);
-    if (!seen_[xv]) continue;
-    if (reason_[xv] == kNullClauseRef) {
-      PRESAT_DCHECK(level_[xv] > 0);
-      outCore.push_back(~trail_[static_cast<size_t>(i)]);
-    } else {
-      ClauseRef c = reason_[xv];
-      const Lit* lits = arena_.lits(c);
-      const uint32_t size = arena_.size(c);
-      for (uint32_t k = 1; k < size; ++k) {
-        if (level_[static_cast<size_t>(lits[k].var())] > 0)
-          seen_[static_cast<size_t>(lits[k].var())] = 1;
-      }
-    }
-    seen_[xv] = 0;
-  }
-  seen_[static_cast<size_t>(p.var())] = 0;
-}
-
 // ---------------------------------------------------------------------------
 // Activities & decision heap
 // ---------------------------------------------------------------------------
@@ -501,7 +469,7 @@ void Solver::claBumpActivity(ClauseRef c) {
 }
 
 void Solver::insertVarOrder(Var v) {
-  if (!heapContains(v) && decision_[static_cast<size_t>(v)]) heapInsert(v);
+  if (!heapContains(v)) heapInsert(v);
 }
 
 void Solver::heapPercolateUp(int pos) {
@@ -560,14 +528,6 @@ Var Solver::heapRemoveMax() {
   return top;
 }
 
-double Solver::randomReal() {
-  // xorshift64*
-  randState_ ^= randState_ >> 12;
-  randState_ ^= randState_ << 25;
-  randState_ ^= randState_ >> 27;
-  return static_cast<double>((randState_ * 2685821657736338717ull) >> 11) * 0x1.0p-53;
-}
-
 // ---------------------------------------------------------------------------
 // Search
 // ---------------------------------------------------------------------------
@@ -578,21 +538,15 @@ Lit Solver::pickBranchLit() {
     // Scope-first branching: decide every scope variable before any other so
     // decision levels 1..k form a clean scope prefix (the emission and flip
     // machinery depend on it). Highest activity wins, variable index breaks
-    // ties — deterministic for a fixed seed.
+    // ties — deterministic.
     for (Var v : scopeVars_) {
       size_t idx = static_cast<size_t>(v);
-      if (!assigns_[idx].isUndef() || !decision_[idx]) continue;
+      if (!assigns_[idx].isUndef()) continue;
       if (next == kNullVar || activity_[idx] > activity_[static_cast<size_t>(next)]) next = v;
     }
     if (next != kNullVar) return mkLit(next, !decisionPhase(next));
   }
-  if (randomFreq_ > 0 && !heap_.empty() && randomReal() < randomFreq_) {
-    Var cand = heap_[static_cast<size_t>(randState_ % heap_.size())];
-    if (assigns_[static_cast<size_t>(cand)].isUndef() && decision_[static_cast<size_t>(cand)])
-      next = cand;
-  }
-  while (next == kNullVar || !assigns_[static_cast<size_t>(next)].isUndef() ||
-         !decision_[static_cast<size_t>(next)]) {
+  while (next == kNullVar || !assigns_[static_cast<size_t>(next)].isUndef()) {
     if (heap_.empty()) return kUndefLit;
     next = heapRemoveMax();
   }
@@ -716,10 +670,6 @@ lbool Solver::search(int64_t conflictsBeforeRestart) {
       cancelUntil(0);
       return l_Undef;
     }
-    if (conflictBudget_ != 0 && stats_.conflicts >= budgetLimit_) {
-      cancelUntil(0);
-      return l_Undef;
-    }
     if (decisionLevel() == 0 && static_cast<int>(trail_.size()) > lastSimplifyTrail_) {
       removeSatisfiedAtLevelZero();
       lastSimplifyTrail_ = static_cast<int>(trail_.size());
@@ -738,7 +688,6 @@ lbool Solver::search(int64_t conflictsBeforeRestart) {
       if (v.isTrue()) {
         newDecisionLevel();  // dummy level so indices stay aligned
       } else if (v.isFalse()) {
-        analyzeFinal(~p, conflictCore_);
         return l_False;
       } else {
         next = p;
@@ -758,7 +707,6 @@ lbool Solver::search(int64_t conflictsBeforeRestart) {
 lbool Solver::solve(const LitVec& assumptions) {
   PRESAT_CHECK(!enumerating_) << "solve() during an enumeration session";
   model_.clear();
-  conflictCore_.clear();
   if (!ok_) return l_False;
   assumptions_ = assumptions;
   // Recomputed on every call: the limit tracks the current original-clause
@@ -769,7 +717,6 @@ lbool Solver::solve(const LitVec& assumptions) {
   // grow without bound.
   maxLearnts_ = std::max<double>(static_cast<double>(numOriginal_) / 3.0, 1000.0);
   nextReduceConflicts_ = stats_.conflicts + kReduceDBFirst;
-  budgetLimit_ = conflictBudget_ == 0 ? 0 : stats_.conflicts + conflictBudget_;
 
   lbool status = l_Undef;
   int restarts = 0;
@@ -778,15 +725,10 @@ lbool Solver::solve(const LitVec& assumptions) {
     status = search(static_cast<int64_t>(factor * kRestartBase));
     ++restarts;
     maxLearnts_ *= learntGrowth_;
-    if (status == l_Undef && budgetLimit_ != 0 && stats_.conflicts >= budgetLimit_) break;
     if (status == l_Undef && governor_ != nullptr && governor_->tripped()) break;
   }
 
-  if (status == l_True) {
-    model_ = assigns_;
-  } else if (status == l_False && conflictCore_.empty() && !ok_) {
-    // Root-level UNSAT independent of assumptions: empty core.
-  }
+  if (status == l_True) model_ = assigns_;
   cancelUntil(0);
   return status;
 }
@@ -802,13 +744,12 @@ void Solver::beginEnumeration(const std::vector<Var>& scope, bool projectedWitne
   enumExhausted_ = false;
   enumProjected_ = projectedWitness;
   model_.clear();
-  conflictCore_.clear();
   assumptions_.clear();
   inScope_.assign(static_cast<size_t>(numVars()), 0);
   scopeVars_.clear();
   for (Var v : scope) {
     PRESAT_CHECK(v >= 0 && v < numVars()) << "unknown variable in enumeration scope";
-    if (inScope_[static_cast<size_t>(v)]) continue;
+    PRESAT_CHECK(!inScope_[static_cast<size_t>(v)]) << "enumeration scope lists x" << v << " twice";
     inScope_[static_cast<size_t>(v)] = 1;
     scopeVars_.push_back(v);
   }
@@ -875,7 +816,6 @@ lbool Solver::enumerateNextModel() {
   PRESAT_CHECK(enumerating_) << "enumerateNextModel() outside an enumeration session";
   if (!ok_ || enumExhausted_) return l_False;
   model_.clear();
-  budgetLimit_ = conflictBudget_ == 0 ? 0 : stats_.conflicts + conflictBudget_;
   LitVec learnt;
 
   // No restarts here: a restart would cancel the flipped pseudo-decisions
@@ -937,7 +877,6 @@ lbool Solver::enumerateNextModel() {
       }
       varDecayActivity();
       claDecayActivity();
-      if (conflictBudget_ != 0 && stats_.conflicts >= budgetLimit_) return l_Undef;
       continue;
     }
 
@@ -971,12 +910,8 @@ lbool Solver::enumerateNextModel() {
 }
 
 bool Solver::projectedWitnessComplete() const {
-  // Mirrors pickBranchLit's scope loop: a scope variable excluded from
-  // decisions can legitimately stay unassigned, exactly as in total-model
-  // enumeration.
   for (Var v : scopeVars_) {
-    size_t idx = static_cast<size_t>(v);
-    if (assigns_[idx].isUndef() && decision_[idx]) return false;
+    if (assigns_[static_cast<size_t>(v)].isUndef()) return false;
   }
   // Only original clauses matter: learnts are implied, and clauses dropped
   // or shrunk at add time are satisfied by level-0 assignments that are part

@@ -66,14 +66,14 @@ class Solver {
 
   // --- solving ---------------------------------------------------------------
   // Returns l_True (SAT, model() valid), l_False (UNSAT under assumptions),
-  // or l_Undef if the conflict budget was exhausted.
+  // or l_Undef if the attached governor tripped.
   lbool solve() { return solve({}); }
   lbool solve(const LitVec& assumptions);
 
-  // Model of the last successful solve; indexed by variable. Variables
-  // excluded from decisions (setDecisionVar(v, false)) that the search never
-  // assigned stay l_Undef in model(); modelValue() refuses to read those
-  // instead of silently treating them as false.
+  // Model of the last successful solve; indexed by variable. Variables a
+  // projected-witness enumeration left unassigned stay l_Undef in model();
+  // modelValue() refuses to read those instead of silently treating them as
+  // false.
   const std::vector<lbool>& model() const { return model_; }
   bool modelValue(Var v) const {
     PRESAT_CHECK(v >= 0 && static_cast<size_t>(v) < model_.size())
@@ -84,10 +84,6 @@ class Solver {
     return value.isTrue();
   }
   bool modelValue(Lit l) const { return modelValue(l.var()) != l.sign(); }
-
-  // Subset of the assumptions responsible for UNSAT (valid after solve()
-  // returned l_False with assumptions); literals appear as passed in.
-  const LitVec& conflictCore() const { return conflictCore_; }
 
   // --- chronological enumeration ---------------------------------------------
   // All-solutions mode without blocking clauses (Spallitta/Sebastiani/Biere
@@ -122,7 +118,7 @@ class Solver {
   // input/aux variables.
   void beginEnumeration(const std::vector<Var>& scope, bool projectedWitness = false);
   // l_True: model() is valid and the trail is kept. l_False: space exhausted
-  // (or root UNSAT). l_Undef: conflict budget exhausted (partial result).
+  // (or root UNSAT). l_Undef: the governor tripped (partial result).
   lbool enumerateNextModel();
   // Flips the deepest unflipped decision at a level <= maxLevel. Returns
   // false when every level is already flipped — enumeration is complete.
@@ -140,25 +136,12 @@ class Solver {
   int deepestFlippedLevel() const;
 
   // --- knobs ------------------------------------------------------------------
-  // 0 disables the budget. The budget applies per solve() call.
-  void setConflictBudget(uint64_t maxConflicts) { conflictBudget_ = maxConflicts; }
   // Attaches a resource governor (may be null to detach): the search loops
   // poll it once per iteration and return l_Undef when it trips, conflicts
   // are reported toward Budget::conflictLimit, and the clause arena's bytes
   // are charged against the tracked-byte pool. The governor must outlive the
   // solver (or be detached first).
   void setGovernor(Governor* governor);
-  // Preferred phase when the variable is first decided (phase saving then
-  // takes over). Overrides the occurrence-count polarity prior.
-  void setPolarity(Var v, bool phase) {
-    polarity_[static_cast<size_t>(v)] = phase;
-    polaritySeeded_[static_cast<size_t>(v)] = 1;
-  }
-  // Excludes/includes a variable from decision making.
-  void setDecisionVar(Var v, bool decidable);
-  void setRandomSeed(uint64_t seed) { randState_ = seed | 1; }
-  // Fraction [0,1) of decisions taken randomly (diversification in benches).
-  void setRandomDecisionFreq(double f) { randomFreq_ = f; }
   // Attaches a DRAT-style proof log (may be null to detach; must outlive the
   // solver or be detached first). The log records learnt/deleted clauses,
   // the flip clauses closing each enumeration region, and the empty clause
@@ -200,7 +183,6 @@ class Solver {
   // -- conflict analysis
   void analyze(ClauseRef conflict, LitVec& outLearnt, int& outBtLevel);
   bool litRedundant(Lit l, uint32_t abstractLevels);
-  void analyzeFinal(Lit p, LitVec& outCore);
   // Literal block distance: number of distinct non-zero decision levels in
   // the clause under the current assignment.
   uint32_t computeLbd(const LitVec& lits);
@@ -210,8 +192,7 @@ class Solver {
   lbool search(int64_t conflictsBeforeRestart);
   void reduceDB();
   void removeSatisfiedAtLevelZero();
-  // Phase to decide `v` with: saved phase once the search (or setPolarity)
-  // stamped one, else the polarity seen more often in the original clauses.
+  // Phase to decide `v` with: saved phase once the search stamped one, else the polarity seen more often in the original clauses.
   bool decisionPhase(Var v) const {
     size_t idx = static_cast<size_t>(v);
     if (polaritySeeded_[idx]) return polarity_[idx];
@@ -253,8 +234,6 @@ class Solver {
   void heapInsert(Var v);
   Var heapRemoveMax();
 
-  double randomReal();
-
   // state
   bool ok_ = true;
   ClauseArena arena_;               // clause storage (original + learnt)
@@ -268,7 +247,6 @@ class Solver {
   std::vector<uint8_t> polaritySeeded_;        // per var; saved phase valid
   std::vector<uint32_t> occPos_;               // per var; positive occurrences
   std::vector<uint32_t> occNeg_;               // per var; negative occurrences
-  std::vector<bool> decision_;                 // decidable, per var
   std::vector<ClauseRef> reason_;              // per var; kNullClauseRef if none
   std::vector<int> level_;                     // per var
 
@@ -318,19 +296,13 @@ class Solver {
 
   // solve state
   LitVec assumptions_;
-  LitVec conflictCore_;
   std::vector<lbool> model_;
-  uint64_t conflictBudget_ = 0;
-  uint64_t budgetLimit_ = 0;
   double maxLearnts_ = 0;
   double learntGrowth_ = 1.1;
   // Conflict count at which the next cadence-triggered reduceDB fires
   // (re-armed by reduceDB itself; reset per solve()/enumeration call).
   uint64_t nextReduceConflicts_ = 0;
   int lastSimplifyTrail_ = -1;
-
-  uint64_t randState_ = 91648253;
-  double randomFreq_ = 0.0;
 
   // Resource governance (null = ungoverned; the hot paths stay branch-only).
   Governor* governor_ = nullptr;

@@ -15,7 +15,9 @@
 #include "gen/generators.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
+#include "govern/governor.hpp"
 #include "oracle/dpll.hpp"
+#include "parallel/parallel_allsat.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/transition_system.hpp"
 #include "test_util.hpp"
@@ -477,32 +479,16 @@ TEST(SuccessDriven, CubesAreSoundOnCounter) {
   EXPECT_EQ(cubesToMinterms(r.summary.cubes, p.projectionSources.size()), expected);
 }
 
-TEST(SuccessDriven, BranchOrdersAgreeOnTheUnion) {
-  Rng rng(211);
-  for (int iter = 0; iter < 15; ++iter) {
-    RandomCircuitParams params;
-    params.seed = rng.next();
-    params.numInputs = 2;
-    params.numDffs = 4;
-    params.numGates = static_cast<int>(rng.range(10, 30));
-    Netlist nl = makeRandomSequential(params);
-    NodeCube objectives{{nl.dffData(nl.dffs()[0]), rng.flip()}};
-    CircuitAllSatProblem p = problemFor(nl, objectives);
-    AllSatOptions low;
-    AllSatOptions high;
-    // Cross-check every hashed memo probe against the exact subproblem key
-    // while fuzzing: any 128-bit signature collision aborts the test.
-    low.memoCheckExact = true;
-    high.memoCheckExact = true;
-    high.branchOrder = BranchOrder::kHighestGateFirst;
-    SuccessDrivenResult a = successDrivenAllSat(p, low);
-    SuccessDrivenResult b = successDrivenAllSat(p, high);
-    expectGraphAuditOk(a.graph, p);
-    expectGraphAuditOk(b.graph, p);
-    EXPECT_EQ(a.summary.mintermCount, b.summary.mintermCount) << "iter " << iter;
-    BddManager mgr(static_cast<int>(p.projectionSources.size()));
-    EXPECT_EQ(cubesToBdd(mgr, a.summary.cubes), cubesToBdd(mgr, b.summary.cubes));
-  }
+// A repeated projection source would be counted once per position: the
+// engine refuses it, serial and in every parallel shard.
+TEST(SuccessDrivenDeath, RepeatedProjectionSourceIsRejected) {
+  Netlist nl = makeCounter(3);
+  CircuitAllSatProblem p = problemFor(nl, {{nl.dffData(nl.dffs()[0]), true}});
+  p.projectionSources.push_back(nl.dffs()[0]);
+  EXPECT_DEATH(successDrivenAllSat(p), "projection lists node [0-9]+ twice");
+  AllSatOptions parallel;
+  parallel.parallel.jobs = 2;
+  EXPECT_DEATH(parallelSuccessDrivenAllSat(p, parallel), "projection lists node [0-9]+ twice");
 }
 
 // Stopping exactly at maxCubes must still report complete: the engines now
@@ -535,15 +521,19 @@ TEST(SuccessDriven, ExactCapReportsComplete) {
   EXPECT_EQ(capped.summary.cubes.size(), 127u);
 }
 
-// A per-call conflict budget that trips mid-enumeration must yield a partial
-// result with complete = false — not an abort.
+// A conflict cap that trips mid-enumeration must yield a partial result with
+// complete = false — not an abort.
 TEST(MintermBlocking, ConflictBudgetReturnsPartialResult) {
   Cnf php = testutil::pigeonhole(7);  // far too hard for a 5-conflict budget
   std::vector<Var> projection{0, 1, 2};
+  Budget budget;
+  budget.conflictLimit = 5;
+  Governor governor(budget);
   AllSatOptions opts;
-  opts.conflictBudget = 5;
+  opts.governor = &governor;
   AllSatResult r = blockingAllSat(php, projection, {}, opts);
   EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.outcome, Outcome::kConflicts);
   EXPECT_TRUE(r.cubes.empty());
   EXPECT_EQ(r.stats.satCalls, 1u);
 }

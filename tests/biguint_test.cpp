@@ -1,11 +1,10 @@
-// Unit and property tests for BigUint and Dyadic.
+// Unit and property tests for BigUint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
 #include "base/biguint.hpp"
-#include "base/dyadic.hpp"
 #include "base/rng.hpp"
 
 namespace presat {
@@ -116,60 +115,6 @@ TEST(BigUintProperty, MatchesNativeArithmetic) {
     EXPECT_EQ(BigUint(x).compare(BigUint(y)), x < y ? -1 : (x > y ? 1 : 0));
     EXPECT_EQ(BigUint(x).toDecimal(), std::to_string(x));
   }
-}
-
-TEST(Dyadic, Basics) {
-  EXPECT_TRUE(Dyadic::zero().isZero());
-  EXPECT_EQ(Dyadic::one().toDouble(), 1.0);
-  EXPECT_EQ(Dyadic::half(1).toDouble(), 0.5);
-  EXPECT_EQ(Dyadic::half(3).toDouble(), 0.125);
-}
-
-TEST(Dyadic, NormalizationMakesEqualityStructural) {
-  Dyadic a(BigUint(4), 3);  // 4/8 == 1/2
-  EXPECT_EQ(a, Dyadic::half(1));
-  EXPECT_EQ(a.exponent(), 1u);
-  EXPECT_EQ(a.numerator(), BigUint(1));
-}
-
-TEST(Dyadic, Addition) {
-  Dyadic sum = Dyadic::half(1) + Dyadic::half(2) + Dyadic::half(2);
-  EXPECT_EQ(sum, Dyadic::one());
-  Dyadic q = Dyadic::half(2) + Dyadic::half(3);  // 1/4 + 1/8 = 3/8
-  EXPECT_EQ(q.numerator(), BigUint(3));
-  EXPECT_EQ(q.exponent(), 3u);
-}
-
-TEST(Dyadic, ScaleByPow2) {
-  Dyadic q(BigUint(3), 3);  // 3/8
-  EXPECT_EQ(q.scaleByPow2(5).toU64(), 12u);  // 3/8 * 32
-  EXPECT_EQ(Dyadic::zero().scaleByPow2(0), BigUint(0));
-}
-
-TEST(Dyadic, AdditionIsCommutativeAndAssociative) {
-  Rng rng(11);
-  for (int iter = 0; iter < 500; ++iter) {
-    Dyadic a(BigUint(rng.below(1000)), static_cast<uint32_t>(rng.below(20)));
-    Dyadic b(BigUint(rng.below(1000)), static_cast<uint32_t>(rng.below(20)));
-    Dyadic c(BigUint(rng.below(1000)), static_cast<uint32_t>(rng.below(20)));
-    EXPECT_EQ(a + b, b + a);
-    EXPECT_EQ((a + b) + c, a + (b + c));
-  }
-}
-
-TEST(Dyadic, DivPow2) {
-  Dyadic q = Dyadic::one();
-  q.divPow2(4);
-  EXPECT_EQ(q, Dyadic::half(4));
-  Dyadic z = Dyadic::zero();
-  z.divPow2(10);
-  EXPECT_TRUE(z.isZero());
-  EXPECT_EQ(z.exponent(), 0u);
-}
-
-TEST(Dyadic, ToStringFormat) {
-  EXPECT_EQ(Dyadic::half(2).toString(), "1/2^2");
-  EXPECT_EQ((Dyadic::half(3) + Dyadic::half(3)).toString(), "1/2^2");
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "check/audit_chrono.hpp"
 #include "circuit/from_cnf.hpp"
 #include "gen/generators.hpp"
+#include "govern/governor.hpp"
 #include "parallel/parallel_allsat.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/target.hpp"
@@ -84,12 +85,11 @@ TEST(Chrono, EmptyProjection) {
 }
 
 TEST(Chrono, MaxCubesCap) {
-  Cnf cnf(4);  // no constraints: 16 solutions
+  // 8 isolated solutions: shrinking cannot widen them, so the enumeration is
+  // minterm-grained and actually runs into the cap.
+  Cnf cnf = testutil::oddParity(4);
   AllSatOptions opts;
   opts.maxCubes = 5;
-  // With shrinking the whole space is one empty cube; disable it so the
-  // enumeration is minterm-grained and actually runs into the cap.
-  opts.chronoShrink = false;
   AllSatResult r = chronoAllSat(cnf, {0, 1, 2, 3}, opts);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.cubes.size(), 5u);
@@ -107,8 +107,11 @@ TEST(Chrono, ShrinkCollapsesUnconstrainedSpace) {
 
 TEST(Chrono, ConflictBudgetGivesPartialResult) {
   Cnf cnf = testutil::pigeonhole(7);  // UNSAT, resolution-hard
+  Budget budget;
+  budget.conflictLimit = 10;
+  Governor governor(budget);
   AllSatOptions opts;
-  opts.conflictBudget = 10;
+  opts.governor = &governor;
   AllSatResult r = chronoAllSat(cnf, {0, 1, 2, 3, 4, 5}, opts);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.outcome, Outcome::kConflicts);
@@ -117,17 +120,19 @@ TEST(Chrono, ConflictBudgetGivesPartialResult) {
   EXPECT_TRUE(r.cubes.empty());
   EXPECT_TRUE(r.mintermCount.isZero());
   // With a budget far above the refutation cost the same run completes.
-  opts.conflictBudget = 1u << 20;
+  budget.conflictLimit = 1u << 20;
+  Governor roomy(budget);
+  opts.governor = &roomy;
   AllSatResult full = chronoAllSat(cnf, {0, 1, 2, 3, 4, 5}, opts);
   EXPECT_TRUE(full.complete);
   EXPECT_EQ(full.outcome, Outcome::kComplete);
   EXPECT_TRUE(full.mintermCount.isZero());
 }
 
-// Satisfiable formulas under a starvation-level budget: whatever cube prefix
-// the engine managed to emit must be a sound under-approximation — pairwise
-// disjoint, a subset of the brute-force solution set, count a lower bound —
-// with the reason code distinguishing partial from complete.
+// Satisfiable formulas under a starvation-level conflict cap: whatever cube
+// prefix the engine managed to emit must be a sound under-approximation —
+// pairwise disjoint, a subset of the brute-force solution set, count a lower
+// bound — with the reason code distinguishing partial from complete.
 TEST(ChronoProperty, ConflictBudgetPartialsAreSoundUnderApproximations) {
   Rng rng(57);
   int sawPartial = 0;
@@ -138,9 +143,11 @@ TEST(ChronoProperty, ConflictBudgetPartialsAreSoundUnderApproximations) {
     for (Var v = 0; v < vars; ++v) projection.push_back(v);
     std::set<uint64_t> exact = bruteForceProjectedSolutions(cnf, projection);
 
+    Budget budget;
+    budget.conflictLimit = 1 + rng.range(0, 2);
+    Governor governor(budget);
     AllSatOptions opts;
-    opts.conflictBudget = 1 + rng.range(0, 2);
-    opts.chronoShrink = false;  // minterm-grained enumeration so the budget bites
+    opts.governor = &governor;
     AllSatResult r = chronoAllSat(cnf, projection, opts);
 
     std::set<uint64_t> got = cubesToMinterms(r.cubes, projection.size());
@@ -187,31 +194,6 @@ TEST(ChronoProperty, MatchesBruteForceAndOtherEngines) {
 
     AuditResult audit = auditChronoCubes(cnf, projection, r.cubes, r.complete);
     EXPECT_TRUE(audit.ok()) << "iter " << iter << "\n" << audit.toString();
-  }
-}
-
-// Ablation: with implicant shrinking disabled the engine emits narrower
-// (decision-prefix-only) cubes, but the enumerated set must be unchanged.
-TEST(ChronoProperty, ShrinkDisabledStillExact) {
-  Rng rng(91);
-  for (int iter = 0; iter < 60; ++iter) {
-    int vars = static_cast<int>(rng.range(2, 8));
-    Cnf cnf = testutil::randomCnf(rng, vars, static_cast<int>(rng.range(1, 14)));
-    std::vector<Var> projection;
-    for (Var v = 0; v < vars; ++v) projection.push_back(v);
-
-    AllSatOptions noShrink;
-    noShrink.chronoShrink = false;
-    AllSatResult plain = chronoAllSat(cnf, projection, noShrink);
-    AllSatResult shrunk = chronoAllSat(cnf, projection, {});
-    ASSERT_TRUE(plain.complete);
-    ASSERT_TRUE(shrunk.complete);
-    EXPECT_EQ(plain.mintermCount, shrunk.mintermCount) << "iter " << iter;
-    EXPECT_EQ(cubesToMinterms(plain.cubes, projection.size()),
-              cubesToMinterms(shrunk.cubes, projection.size()));
-    EXPECT_TRUE(cubesPairwiseDisjoint(plain.cubes));
-    // Shrinking can only widen cubes, never add enumeration steps.
-    EXPECT_LE(shrunk.cubes.size(), plain.cubes.size());
   }
 }
 
@@ -304,6 +286,34 @@ TEST(ChronoPreimage, MatchesOtherEnginesOnGeneratorSuite) {
     EXPECT_EQ(r1.stats.blockingClauses, 0u) << fixture.name;
     EXPECT_EQ(r1.stats.dbClausesPeak, r4.stats.dbClausesPeak) << fixture.name;
   }
+}
+
+// Each scope position is one cube position, so a repeated scope variable
+// would be counted once per position: chrono refuses it, serial and in every
+// parallel shard. Blocking keeps accepting repeats (image projects onto
+// repeated variables), where the repeated position simply mirrors the first.
+TEST(ChronoDeath, RepeatedScopeVariableIsRejected) {
+  Cnf cnf(3);
+  cnf.addBinary(mkLit(0), mkLit(1));
+  const std::vector<Var> scope{0, 1, 0, 2};
+  EXPECT_DEATH(chronoAllSat(cnf, scope, {}), "chrono scope lists x0 twice");
+  AllSatOptions parallel;
+  parallel.parallel.jobs = 2;
+  EXPECT_DEATH(parallelCnfAllSat(cnf, scope, ParallelCnfEngine::kChrono, {}, parallel),
+               "chrono scope lists x0 twice");
+}
+
+TEST(Chrono, BlockingStillAcceptsARepeatedScopeVariable) {
+  Cnf cnf(3);
+  cnf.addBinary(mkLit(0), mkLit(1));
+  AllSatResult repeated = blockingAllSat(cnf, {0, 1, 0, 2});
+  ASSERT_TRUE(repeated.complete);
+  EXPECT_EQ(repeated.mintermCount.toU64(), 6u);
+  for (const LitVec& cube : repeated.cubes) {
+    ASSERT_EQ(cube.size(), 4u);
+    EXPECT_EQ(cube[0].sign(), cube[2].sign());
+  }
+  EXPECT_EQ(repeated.mintermCount, chronoAllSat(cnf, {0, 1, 2}, {}).mintermCount);
 }
 
 // --- corruption death tests ---------------------------------------------------

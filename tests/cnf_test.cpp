@@ -238,5 +238,12 @@ TEST(DimacsDeath, RejectsClauseCountMismatch) {
   EXPECT_DEATH(parseDimacsString("p cnf 2 2\n1 2 0\n"), "clause count mismatch");
 }
 
+TEST(DimacsDeath, RejectsRepeatedProjectionVariable) {
+  // A repeated scope variable makes the chrono and success-driven counts
+  // wrong, so the parser refuses it.
+  EXPECT_DEATH(parseDimacsString("c proj 1 2 1\np cnf 2 1\n1 2 0\n"),
+               "projection lists variable 1 twice");
+}
+
 }  // namespace
 }  // namespace presat

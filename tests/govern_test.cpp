@@ -312,9 +312,9 @@ TEST(GovernedEngines, PreCancelledTokenStopsBeforeAnyCube) {
   }
 }
 
-// Budget::conflictLimit is the GLOBAL cap (distinct from the per-call
-// conflictBudget): starved runs across random CNFs must degrade to sound
-// under-approximations for every CDCL engine.
+// Budget::conflictLimit is the one conflict cap, over the whole query:
+// starved runs across random CNFs must degrade to sound under-approximations
+// for every CDCL engine.
 TEST(GovernedEngines, GlobalConflictLimitYieldsSoundPartials) {
   Rng rng(101);
   int sawPartial = 0;
@@ -331,7 +331,6 @@ TEST(GovernedEngines, GlobalConflictLimitYieldsSoundPartials) {
       Governor governor(budget);
       AllSatOptions opts;
       opts.governor = &governor;
-      opts.chronoShrink = false;
       ModelLifter lifter = [&cnf](const std::vector<lbool>& m) {
         return shrinkModelToImplicant(cnf, m);
       };
@@ -451,9 +450,9 @@ TEST(GovernedParallel, PreCancelledJobs4SkipsEveryShard) {
 // enumerates its own region of the partition) and a sound subset of the
 // brute-force solution set.
 TEST(GovernedParallel, MidRunCancelJobs4MergedShardsStayDisjointAndSound) {
-  const int vars = 14;
-  Cnf cnf(vars);
-  cnf.addBinary(mkLit(0), mkLit(1));
+  // 2^11 isolated solutions: minterm-grained, plenty of work to interrupt.
+  const int vars = 12;
+  Cnf cnf = testutil::oddParity(vars);
   std::vector<Var> projection;
   for (Var v = 0; v < vars; ++v) projection.push_back(v);
   std::set<uint64_t> exact = bruteForceProjectedSolutions(cnf, projection);
@@ -465,7 +464,6 @@ TEST(GovernedParallel, MidRunCancelJobs4MergedShardsStayDisjointAndSound) {
   AllSatOptions opts;
   opts.governor = &governor;
   opts.parallel.jobs = 4;
-  opts.chronoShrink = false;  // minterm-grained: plenty of work to interrupt
   std::thread watchdog([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     token.cancel();
@@ -588,8 +586,8 @@ TEST(FaultInjection, GovernPollSitesTripTheirReason) {
       {"govern.memory", Outcome::kMemory},
       {"govern.deadline", Outcome::kDeadline},
   };
-  Cnf cnf(6);
-  cnf.addBinary(mkLit(0), mkLit(1));
+  // 32 isolated solutions: enough enumeration steps to reach hit #3.
+  Cnf cnf = testutil::oddParity(6);
   std::vector<Var> projection = {0, 1, 2, 3, 4, 5};
   std::set<uint64_t> exact = bruteForceProjectedSolutions(cnf, projection);
 
@@ -598,7 +596,6 @@ TEST(FaultInjection, GovernPollSitesTripTheirReason) {
     Governor governor(Budget{});
     AllSatOptions opts;
     opts.governor = &governor;
-    opts.chronoShrink = false;  // enough enumeration steps to reach hit #3
     AllSatResult r = chronoAllSat(cnf, projection, opts);
     EXPECT_TRUE(faults::faultFired()) << c.site;
     EXPECT_FALSE(r.complete) << c.site;

@@ -274,22 +274,5 @@ TEST(ParallelOptionsStruct, SerialByDefault) {
   EXPECT_TRUE(options.enabled());
 }
 
-// Seeded runs must not change the answer, only the decision stream.
-TEST(ParallelPreimage, RandomSeedDoesNotChangeTheAnswer) {
-  Netlist nl = makeGrayCounter(4);
-  TransitionSystem ts(nl);
-  StateSet target = StateSet::fromCube(4, {mkLit(0), ~mkLit(2)});
-  PreimageOptions base;
-  PreimageOptions seeded;
-  seeded.allsat.randomSeed = 12345;
-  for (PreimageMethod method :
-       {PreimageMethod::kMintermBlocking, PreimageMethod::kCubeBlockingLifted}) {
-    PreimageResult a = computePreimage(ts, target, method, base);
-    PreimageResult b = computePreimage(ts, target, method, seeded);
-    EXPECT_TRUE(sameStates(a.states, b.states)) << preimageMethodName(method);
-    EXPECT_EQ(a.stateCount, b.stateCount) << preimageMethodName(method);
-  }
-}
-
 }  // namespace
 }  // namespace presat

@@ -263,18 +263,6 @@ TEST(Preimage, TrafficLightStateChange) {
   }
 }
 
-TEST(BddPreimageDirect, MatchesGenericEntryPoint) {
-  Netlist nl = makeGrayCounter(4);
-  TransitionSystem ts(nl);
-  StateSet target = StateSet::fromMinterm(4, 0b0110);
-  double seconds = 0;
-  size_t nodes = 0;
-  StateSet viaHelper = bddPreimage(ts, target, &seconds, &nodes);
-  PreimageResult viaGeneric = computePreimage(ts, target, PreimageMethod::kBdd);
-  EXPECT_TRUE(sameStates(viaHelper, viaGeneric.states));
-  EXPECT_GT(nodes, 0u);
-}
-
 TEST(BddTransition, DeltaFunctionsMatchSimulation) {
   Netlist nl = makeS27();
   TransitionSystem ts(nl);

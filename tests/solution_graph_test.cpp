@@ -24,7 +24,6 @@ TEST(SolutionGraph, EmptyFailGraph) {
   g.setRoot(SolutionGraph::kFail, {});
   EXPECT_EQ(g.countPaths(), BigUint(0));
   EXPECT_TRUE(g.enumerateCubes().empty());
-  EXPECT_TRUE(g.pathMeasure().isZero());
   BddManager mgr(2);
   EXPECT_EQ(g.toBdd(mgr), BddManager::kFalse);
 }
@@ -38,7 +37,6 @@ TEST(SolutionGraph, TrivialSuccess) {
   EXPECT_EQ(cubes[0], LitVec{mkLit(1)});
   BddManager mgr(3);
   EXPECT_EQ(mgr.satCount(g.toBdd(mgr)).toU64(), 4u);  // 1 fixed of 3 vars
-  EXPECT_EQ(g.pathMeasure(), Dyadic::half(1));
 }
 
 TEST(SolutionGraph, TwoBranchFullCover) {
@@ -46,7 +44,6 @@ TEST(SolutionGraph, TwoBranchFullCover) {
   EXPECT_EQ(g.countPaths(), BigUint(2));
   EXPECT_EQ(g.numLiveEdges(), 3u);  // root edge + 2 branches
   EXPECT_EQ(g.numStoredLiterals(), 2u);
-  EXPECT_EQ(g.pathMeasure(), Dyadic::one());
   BddManager mgr(1);
   EXPECT_EQ(g.toBdd(mgr), BddManager::kTrue);
   auto cubes = g.enumerateCubes();
@@ -77,11 +74,9 @@ TEST(SolutionGraph, SharedChildCountsTwice) {
   BddManager mgr(2);
   EXPECT_EQ(g.toBdd(mgr), mgr.variable(1));
   EXPECT_EQ(mgr.satCount(g.toBdd(mgr)).toU64(), 2u);
-  // Measure: 2 paths, each fixing 2 of 2 vars -> 2 * 1/4 = 1/2.
-  EXPECT_EQ(g.pathMeasure(), Dyadic::half(1));
 }
 
-TEST(SolutionGraph, OverlappingPathsMeasureExceedsUnion) {
+TEST(SolutionGraph, OverlappingPathsCountOnceInTheUnion) {
   SolutionGraph g;
   // Decision on a NON-projection quantity: both branches yield the SAME
   // projected cube {p0}.
@@ -94,8 +89,6 @@ TEST(SolutionGraph, OverlappingPathsMeasureExceedsUnion) {
   BddManager mgr(1);
   // Union is just p0: 1 minterm out of 2.
   EXPECT_EQ(mgr.satCount(g.toBdd(mgr)).toU64(), 1u);
-  // Measure counts multiplicity: 2 * 1/2 = 1 > true density 1/2.
-  EXPECT_EQ(g.pathMeasure(), Dyadic::one());
 }
 
 TEST(SolutionGraph, EnumerationLimit) {

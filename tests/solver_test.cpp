@@ -2,10 +2,14 @@
 // large-scale differential fuzzing against the reference DPLL solver.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "base/rng.hpp"
 #include "check/audit_solver.hpp"
 #include "cnf/cnf.hpp"
 #include "cnf/dimacs.hpp"
+#include "govern/governor.hpp"
 #include "oracle/dpll.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
@@ -113,22 +117,6 @@ TEST(Solver, AssumptionsBasic) {
   EXPECT_FALSE(s.modelValue(a));
 }
 
-TEST(Solver, ConflictCoreContainsCulprit) {
-  Solver s;
-  Var a = s.newVar();
-  Var b = s.newVar();
-  Var c = s.newVar();
-  s.addClause({~mkLit(a), ~mkLit(b)});
-  lbool r = s.solve({mkLit(c), mkLit(a), mkLit(b)});
-  ASSERT_TRUE(r.isFalse());
-  // The core is a subset of the assumptions sufficient for UNSAT; c is
-  // irrelevant, so the core must be within {a, b}.
-  for (Lit l : s.conflictCore()) {
-    EXPECT_TRUE(l.var() == a || l.var() == b) << toString(l);
-  }
-  EXPECT_FALSE(s.conflictCore().empty());
-}
-
 TEST(Solver, IncrementalAddAfterSolve) {
   Solver s;
   Var a = s.newVar();
@@ -155,34 +143,15 @@ TEST(Solver, ConflictBudgetReturnsUndef) {
   Solver s;
   Cnf php = testutil::pigeonhole(7);  // hard enough to exceed a tiny budget
   s.addCnf(php);
-  s.setConflictBudget(5);
+  Budget budget;
+  budget.conflictLimit = 5;
+  Governor governor(budget);
+  s.setGovernor(&governor);
   EXPECT_TRUE(s.solve().isUndef());
-  // Removing the budget solves it.
-  s.setConflictBudget(0);
+  EXPECT_EQ(governor.reason(), Outcome::kConflicts);
+  // Detaching the governor solves it.
+  s.setGovernor(nullptr);
   EXPECT_TRUE(s.solve().isFalse());
-}
-
-TEST(Solver, PolarityHintIsRespectedOnFreeVariables) {
-  Solver s;
-  Var v = s.newVar();
-  s.setPolarity(v, true);
-  ASSERT_TRUE(s.solve().isTrue());
-  EXPECT_TRUE(s.modelValue(v));
-  Solver s2;
-  Var w = s2.newVar();
-  s2.setPolarity(w, false);
-  ASSERT_TRUE(s2.solve().isTrue());
-  EXPECT_FALSE(s2.modelValue(w));
-}
-
-TEST(Solver, NonDecisionVarStaysUnassignedWhenIrrelevant) {
-  Solver s;
-  Var a = s.newVar();
-  Var b = s.newVar();
-  s.addClause({mkLit(a)});
-  s.setDecisionVar(b, false);
-  ASSERT_TRUE(s.solve().isTrue());
-  EXPECT_TRUE(s.model()[static_cast<size_t>(b)].isUndef());
 }
 
 // modelValue() must refuse to fabricate a value: reading before any model
@@ -197,10 +166,14 @@ TEST(SolverDeathTest, ModelValueOnUnassignedEntryAborts) {
   Solver s;
   Var a = s.newVar();
   Var b = s.newVar();
-  s.addClause({mkLit(a)});
-  s.setDecisionVar(b, false);
-  ASSERT_TRUE(s.solve().isTrue());
+  s.addClause({mkLit(a), mkLit(b)});
+  // Projected-witness enumeration stops once the scope {a} satisfies every
+  // clause, leaving b unassigned in the partial model.
+  s.beginEnumeration({a}, /*projectedWitness=*/true);
+  ASSERT_TRUE(s.enumerateNextModel().isTrue());
+  ASSERT_TRUE(s.model()[static_cast<size_t>(b)].isUndef());
   EXPECT_DEATH((void)s.modelValue(b), "unassigned model entry");
+  s.endEnumeration();
 }
 
 // The central correctness test: the CDCL solver and the reference DPLL agree
@@ -236,8 +209,9 @@ TEST_P(SolverFuzz, AgreesWithDpll) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverFuzz, ::testing::Range(0, 10));
 
 // Stress: hard instances near the 3-SAT phase transition exercise restarts,
-// clause deletion, and activity rescaling; results must be stable across
-// polarity/seed perturbations and models must check out.
+// clause deletion, and activity rescaling; results must be stable under a
+// renaming of the variables (which changes the whole search) and models must
+// check out.
 TEST(SolverStress, PhaseTransitionStability) {
   Rng rng(701);
   for (int inst = 0; inst < 8; ++inst) {
@@ -256,22 +230,32 @@ TEST(SolverStress, PhaseTransitionStability) {
     Solver first;
     first.addCnf(cnf);
     lbool a = first.solve();
-    Solver second;
-    second.setRandomSeed(0xdeadbeef + static_cast<uint64_t>(inst));
-    second.setRandomDecisionFreq(0.05);
-    for (Var v = 0; v < vars; ++v) {
-      second.newVar();
-      second.setPolarity(v, true);  // opposite default phase
+    // Variable v becomes perm[v] with its polarity flipped.
+    std::vector<Var> perm(static_cast<size_t>(vars));
+    for (Var v = 0; v < vars; ++v) perm[static_cast<size_t>(v)] = v;
+    for (size_t i = perm.size() - 1; i > 0; --i) std::swap(perm[i], perm[rng.below(i + 1)]);
+    Cnf renamed(vars);
+    for (const Clause& c : cnf.clauses()) {
+      Clause r;
+      for (Lit l : c) r.push_back(mkLit(perm[static_cast<size_t>(l.var())], !l.sign()));
+      renamed.addClause(r);
     }
-    second.addCnf(cnf);
+    Solver second;
+    second.addCnf(renamed);
     lbool b = second.solve();
     ASSERT_FALSE(a.isUndef());
     ASSERT_FALSE(b.isUndef());
     EXPECT_EQ(a.isTrue(), b.isTrue()) << "instance " << inst;
-    for (Solver* s : {&first, &second}) {
-      if (!s->solve().isTrue()) continue;
+    if (first.solve().isTrue()) {
       std::vector<bool> model(static_cast<size_t>(vars));
-      for (Var v = 0; v < vars; ++v) model[static_cast<size_t>(v)] = s->modelValue(v);
+      for (Var v = 0; v < vars; ++v) model[static_cast<size_t>(v)] = first.modelValue(v);
+      EXPECT_TRUE(cnf.evaluate(model));
+    }
+    if (second.solve().isTrue()) {
+      std::vector<bool> model(static_cast<size_t>(vars));
+      for (Var v = 0; v < vars; ++v) {
+        model[static_cast<size_t>(v)] = !second.modelValue(perm[static_cast<size_t>(v)]);
+      }
       EXPECT_TRUE(cnf.evaluate(model));
     }
   }

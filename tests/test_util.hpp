@@ -43,4 +43,18 @@ inline Cnf pigeonhole(int holes) {
   return cnf;
 }
 
+// x0 ^ ... ^ x(n-1) = 1 as the 2^(n-1) clauses that each forbid one
+// even-parity assignment. No two solutions are adjacent, so every implicant
+// is a full minterm: no cube-widening pass can merge anything.
+inline Cnf oddParity(int n) {
+  Cnf cnf(n);
+  for (uint64_t bits = 0; bits < (uint64_t{1} << n); ++bits) {
+    if (__builtin_popcountll(bits) % 2 != 0) continue;
+    Clause c;
+    for (Var v = 0; v < n; ++v) c.push_back(mkLit(v, ((bits >> v) & 1) != 0));
+    cnf.addClause(c);
+  }
+  return cnf;
+}
+
 }  // namespace presat::testutil

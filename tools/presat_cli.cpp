@@ -5,6 +5,7 @@
 //   presat_cli allsat  <file.cnf>  [--method minterm|cube|sd|chrono] [--max N]
 //                                  [--stats json]
 //   presat_cli preimage <file.bench>|--gen SPEC --target CUBE [--method NAME] [--stats json]
+//                                    [--cert FILE] [--drat FILE] [--drat-binary FILE]
 //   presat_cli image    <file.bench> --from CUBE [--method minterm|bdd]
 //   presat_cli reach    <file.bench>|--gen SPEC --target CUBE [--depth N] [--method NAME]
 //                                    [--stats json]
@@ -19,8 +20,6 @@
 //   --jobs N    cube-and-conquer parallel enumeration on N workers
 //               (src/parallel/; results are bit-identical for every N >= 1)
 //   --split K   split-cube depth (2^K subcubes; default auto)
-//   --seed S    CDCL decision seed (Solver::setRandomSeed; reproducible
-//               diversification, results unchanged)
 //   --project   projected enumeration: chrono stops at existential witnesses
 //               and emits cubes natively over the projection scope; the
 //               other engines dedup their projected covers (same state set,
@@ -41,7 +40,8 @@
 // CUBE is a string over the state bits, LSB (state bit 0) first, using
 // '0', '1', and 'x'/'-' for don't-care, e.g. --target 1x0x. Preimage METHOD
 // names are those printed by the tool (minterm-blocking, cube-blocking-lifted,
-// success-driven, chrono, bdd, bdd-relational).
+// success-driven, chrono, bdd, bdd-relational). Any other flag name is an
+// error (exit 2).
 //
 // `audit` is the enumeration cross-checker: it runs every engine on the same
 // instance, validates the per-engine invariants (disjoint minterms, sound
@@ -49,9 +49,11 @@
 // the solution set. Exit 0 = all invariants hold; exit 1 prints each violated
 // invariant by name. SPEC is one of counter:N, gray:N, lfsr:N, shift:N,
 // arbiter:N, accum:N, traffic, lock.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -105,13 +107,13 @@ namespace {
                "  presat_cli bmc      <file.bench> --init CUBE --target CUBE [--depth N]\n"
                "  presat_cli audit    <file.cnf> | --gen SPEC [--target CUBE]\n"
                "\nSAT enumeration commands also take --jobs N (parallel cube-and-conquer),\n"
-               "--split K (2^K subcubes), --seed S (CDCL decision seed), --project\n"
-               "(projected enumeration over the scope), and --compress (wildcard cube\n"
-               "compression of the enumerated cover).\n"
+               "--split K (2^K subcubes), --project (projected enumeration over the\n"
+               "scope), and --compress (wildcard cube compression of the enumerated cover).\n"
                "Budgets: --timeout-ms N, --mem-limit-mb N, --conflict-limit N; a run that\n"
                "stops on a budget prints the reason and exits 2 with a sound partial result.\n"
                "CUBE: one char per state bit (bit 0 first): 0, 1, x/- for don't-care.\n"
-               "SPEC: counter:N gray:N lfsr:N shift:N arbiter:N accum:N traffic lock\n");
+               "SPEC: counter:N gray:N lfsr:N shift:N arbiter:N accum:N traffic lock\n"
+               "Any flag not listed here is an error.\n");
   std::exit(2);
 }
 
@@ -135,13 +137,18 @@ struct Args {
   bool boolFlag(const std::string& name) const { return flags.count(name) != 0; }
 };
 
+// Every flag some command reads; parseArgs rejects any other name.
+constexpr const char* kKnownFlags[] = {
+    "bad", "cert", "compress", "conflict-limit", "depth", "drat", "drat-binary",
+    "from", "gen", "init", "jobs", "max", "mem-limit-mb", "method",
+    "project", "split", "stats", "target", "timeout-ms"};
+
 // Valueless switches: presence alone turns the mode on.
 bool isBooleanFlag(const std::string& name) { return name == "project" || name == "compress"; }
 
-// Shared --seed/--jobs/--split/--project/--compress handling for the SAT
+// Shared --jobs/--split/--project/--compress handling for the SAT
 // enumeration commands.
 void applyEngineFlags(const Args& args, AllSatOptions& options) {
-  options.randomSeed = args.u64Flag("seed", options.randomSeed);
   options.parallel.jobs = args.intFlag("jobs", options.parallel.jobs);
   options.parallel.splitDepth = args.intFlag("split", options.parallel.splitDepth);
   if (args.boolFlag("project")) options.project = true;
@@ -186,6 +193,10 @@ Args parseArgs(int argc, char** argv, int start) {
     std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
       std::string name = a.substr(2);
+      if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
+          std::end(kKnownFlags)) {
+        usage(("unknown flag " + a).c_str());
+      }
       if (isBooleanFlag(name)) {
         args.flags[name] = "1";
         continue;
