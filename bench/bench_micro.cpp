@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the substrates: CDCL solving, BDD
 // operations, bit-parallel simulation, Tseitin encoding, and the
-// success-driven engine on its best-case structure.
+// success-driven engine on its best-case structure and on random logic.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -9,6 +9,7 @@
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
 #include "base/rng.hpp"
+#include "bench_util.hpp"
 #include "bdd/bdd.hpp"
 #include "circuit/simulator.hpp"
 #include "circuit/tseitin.hpp"
@@ -174,6 +175,24 @@ void BM_SuccessDrivenParityTree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SuccessDrivenParityTree)->Arg(8)->Arg(16)->Arg(24);
+
+// The Table 1 rand16x240 row: random logic, where most decisions fail fast
+// and the memo hits rarely, so the time per decision is the engine's
+// bookkeeping (frontier, signature, memo probe). items_per_second reports
+// decisions per second.
+void BM_SuccessDrivenRandomLogic(benchmark::State& state) {
+  Netlist nl = benchutil::randomBench(6, 16, 240, 37);
+  StateSet target = benchutil::reachableCube(nl, 5, 103);
+  TransitionSystem ts(nl);
+  uint64_t decisions = 0;
+  for (auto _ : state) {
+    PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven);
+    decisions += r.stats.decisions;
+    benchmark::DoNotOptimize(r.stateCount);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(decisions));
+}
+BENCHMARK(BM_SuccessDrivenRandomLogic)->Unit(benchmark::kMillisecond);
 
 void BM_BmcSimpleVsIncremental(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;

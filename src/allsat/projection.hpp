@@ -48,7 +48,7 @@ struct AllSatStats {
   uint64_t memoMisses = 0;        // subproblems solved for the first time
   uint64_t memoEvictions = 0;     // entries dropped by the table bound
   uint64_t memoEntries = 0;
-  uint64_t memoBytes = 0;         // approximate resident size of the memo
+  uint64_t memoBytes = 0;         // bytes of the memo slot array
   uint64_t graphNodes = 0;        // solution graph size
   uint64_t graphEdges = 0;
   uint64_t flips = 0;             // chrono engine: pseudo-decision flips

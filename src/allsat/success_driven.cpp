@@ -1,6 +1,7 @@
 #include "allsat/success_driven.hpp"
 
-#include <set>
+#include <bit>
+#include <climits>
 #include <string>
 #include <unordered_map>
 
@@ -42,6 +43,152 @@ struct Sig128Hash {
   }
 };
 
+// The justification frontier: a bitset over topological positions, so the
+// lowest gate (the branch order) is a find-first-set, plus one summary bit
+// per 64-bit word so that the lookup and the walks skip empty words on large
+// netlists.
+class Frontier {
+ public:
+  explicit Frontier(const std::vector<NodeId>& topoOrder)
+      : nodeAt_(topoOrder),
+        pos_(topoOrder.size()),
+        words_((topoOrder.size() + 63) / 64, 0),
+        summary_((words_.size() + 63) / 64, 0) {
+    for (size_t i = 0; i < topoOrder.size(); ++i) pos_[topoOrder[i]] = static_cast<uint32_t>(i);
+  }
+
+  bool contains(NodeId n) const { return (words_[pos_[n] >> 6] & bit(pos_[n])) != 0; }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+
+  // `n` must not be in the frontier.
+  void insert(NodeId n) {
+    const uint32_t w = pos_[n] >> 6;
+    if (words_[w] == 0) summary_[w >> 6] |= bit(w);
+    words_[w] |= bit(pos_[n]);
+    ++size_;
+  }
+  // `n` must be in the frontier.
+  void erase(NodeId n) {
+    const uint32_t w = pos_[n] >> 6;
+    words_[w] &= ~bit(pos_[n]);
+    if (words_[w] == 0) summary_[w >> 6] &= ~bit(w);
+    --size_;
+  }
+
+  // The frontier gate lowest in topological order; the frontier must not be
+  // empty.
+  NodeId lowest() const {
+    size_t s = 0;
+    while (summary_[s] == 0) ++s;
+    const size_t w = s * 64 + std::countr_zero(summary_[s]);
+    return nodeAt_[w * 64 + std::countr_zero(words_[w])];
+  }
+
+  // Calls f(gate) for every frontier gate, in topological order.
+  template <typename F>
+  void forEach(F&& f) const {
+    for (size_t s = 0; s < summary_.size(); ++s) {
+      for (uint64_t sw = summary_[s]; sw != 0; sw &= sw - 1) {
+        const size_t w = s * 64 + std::countr_zero(sw);
+        for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+          f(nodeAt_[w * 64 + std::countr_zero(bits)]);
+        }
+      }
+    }
+  }
+
+ private:
+  static uint64_t bit(size_t i) { return uint64_t{1} << (i & 63); }
+
+  std::vector<NodeId> nodeAt_;  // topological position -> node
+  std::vector<uint32_t> pos_;   // node -> topological position
+  std::vector<uint64_t> words_;
+  std::vector<uint64_t> summary_;  // bit w: words_[w] != 0
+  size_t size_ = 0;
+};
+
+// Learned subproblems: signature -> solution-graph child, with the eviction
+// generation of the last touch. Open addressing with linear probing over
+// 24-byte slots; the table starts small and doubles at load 1/2. Signatures
+// are uniformly random, so the low bits of one lane are the home slot.
+class MemoTable {
+ public:
+  struct Slot {
+    Sig128 key;
+    int child = kEmpty;  // graph node index or a SolutionGraph terminal
+    uint32_t gen = 0;
+  };
+  static_assert(sizeof(Slot) == 24);
+
+  size_t size() const { return size_; }
+  uint64_t bytes() const { return slots_.size() * sizeof(Slot); }
+
+  Slot* find(const Sig128& key) {
+    if (slots_.empty()) return nullptr;
+    for (size_t i = home(key);; i = (i + 1) & mask()) {
+      if (slots_[i].child == kEmpty) return nullptr;
+      if (slots_[i].key == key) return &slots_[i];
+    }
+  }
+
+  // Inserts `key` unless it is present. Returns how many bytes the slot
+  // array grew by.
+  uint64_t insert(const Sig128& key, int child, uint32_t gen) {
+    const uint64_t before = bytes();
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    size_t i = home(key);
+    while (slots_[i].child != kEmpty && !(slots_[i].key == key)) i = (i + 1) & mask();
+    if (slots_[i].child == kEmpty) {
+      slots_[i] = Slot{key, child, gen};
+      ++size_;
+    }
+    return bytes() - before;
+  }
+
+  // Keeps at most `limit` of the entries last touched in generation `gen`,
+  // in slot order, and calls dropped(key) for every other entry. The slot
+  // array keeps its size.
+  template <typename Dropped>
+  void retain(uint32_t gen, size_t limit, Dropped&& dropped) {
+    std::vector<Slot> kept;
+    for (Slot& s : slots_) {
+      if (s.child == kEmpty) continue;
+      if (kept.size() < limit && s.gen == gen) {
+        kept.push_back(s);
+      } else {
+        dropped(s.key);
+      }
+      s = Slot{};
+    }
+    size_ = kept.size();
+    for (const Slot& s : kept) place(s);
+  }
+
+ private:
+  static constexpr int kEmpty = INT_MIN;
+  static constexpr size_t kInitialSlots = 64;
+
+  size_t mask() const { return slots_.size() - 1; }
+  size_t home(const Sig128& key) const { return static_cast<size_t>(key.lo) & mask(); }
+  // Puts an absent key in its first free slot.
+  void place(const Slot& s) {
+    size_t i = home(s.key);
+    while (slots_[i].child != kEmpty) i = (i + 1) & mask();
+    slots_[i] = s;
+  }
+  void grow() {
+    std::vector<Slot> old(slots_.empty() ? kInitialSlots : 2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.child != kEmpty) place(s);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
 // One backward-justification search with success-driven learning, shared by
 // every objective set of one call.
 class Engine {
@@ -53,13 +200,10 @@ class Engine {
         governor_(options.governor),
         fanouts_(nl_.fanouts()),
         value_(nl_.numNodes(), l_Undef),
-        inFrontier_(nl_.numNodes(), 0),
         projIndex_(nl_.numNodes(), -1),
         numProjection_(static_cast<int>(projectionSources.size())),
+        frontier_(nl_.topologicalOrder()),
         visitStamp_(nl_.numNodes(), 0) {
-    std::vector<NodeId> order = nl_.topologicalOrder();
-    topoPos_.resize(nl_.numNodes());
-    for (size_t i = 0; i < order.size(); ++i) topoPos_[order[i]] = static_cast<uint32_t>(i);
     for (size_t i = 0; i < projectionSources.size(); ++i) {
       NodeId src = projectionSources[i];
       PRESAT_CHECK(!isCombinational(nl_.type(src)))
@@ -90,7 +234,7 @@ class Engine {
     result.graph = std::move(graph_);
     const SolutionGraph& graph = result.graph;
     stats_.memoEntries = memo_.size();
-    stats_.memoBytes = memoBytes();
+    stats_.memoBytes = memo_.bytes();
     result.summary.stats = stats_;
     result.summary.stats.graphNodes = graph.numNodes();
     result.summary.stats.graphEdges = graph.numLiveEdges();
@@ -175,11 +319,6 @@ class Engine {
     NodeId node;
   };
 
-  struct MemoEntry {
-    int child;     // graph node index or a SolutionGraph terminal
-    uint32_t gen;  // eviction generation of the last touch
-  };
-
   // Solves one objective set as the next root of the shared graph and
   // returns the engine to the empty assignment for the next one.
   void solveRoot(const NodeCube& objectives) {
@@ -212,20 +351,18 @@ class Engine {
       curNewProj_->push_back(mkLit(static_cast<Var>(projIndex_[n]), !v));
     }
     if (isCombinational(nl_.type(n))) {
-      inFrontier_[n] = 1;
-      frontier_.insert({topoPos_[n], n});
+      frontier_.insert(n);
       frontierSig_.flip(zFrontier_[n]);
       pending_.push_back(n);
     }
     for (NodeId fo : fanouts_[n]) {
-      if (!value_[fo].isUndef() && inFrontier_[fo]) pending_.push_back(fo);
+      if (!value_[fo].isUndef() && frontier_.contains(fo)) pending_.push_back(fo);
     }
     return true;
   }
 
   void removeFromFrontier(NodeId g) {
-    inFrontier_[g] = 0;
-    frontier_.erase({topoPos_[g], g});
+    frontier_.erase(g);
     frontierSig_.flip(zFrontier_[g]);
     trail_.push_back({EventKind::kFrontierRemove, g});
   }
@@ -233,7 +370,7 @@ class Engine {
   // Examines one frontier gate: justifies it, forces fanins, detects a
   // conflict, or leaves it for branching. Returns false on conflict.
   bool examine(NodeId g) {
-    if (!inFrontier_[g]) return true;
+    if (!frontier_.contains(g)) return true;
     const GateNode& gate = nl_.node(g);
     bool v = value_[g].isTrue();
 
@@ -350,15 +487,13 @@ class Engine {
       Event e = trail_.back();
       trail_.pop_back();
       if (e.kind == EventKind::kAssign) {
-        if (inFrontier_[e.node]) {
-          inFrontier_[e.node] = 0;
-          frontier_.erase({topoPos_[e.node], e.node});
+        if (frontier_.contains(e.node)) {
+          frontier_.erase(e.node);
           frontierSig_.flip(zFrontier_[e.node]);
         }
         value_[e.node] = l_Undef;
       } else {
-        inFrontier_[e.node] = 1;
-        frontier_.insert({topoPos_[e.node], e.node});
+        frontier_.insert(e.node);
         frontierSig_.flip(zFrontier_[e.node]);
       }
     }
@@ -369,7 +504,7 @@ class Engine {
   // Picks the branch node and first value for the lowest frontier gate.
   void pickBranch(NodeId& branchNode, bool& firstValue) const {
     PRESAT_DCHECK(!frontier_.empty());
-    NodeId g = frontier_.begin()->second;
+    NodeId g = frontier_.lowest();
     const GateNode& gate = nl_.node(g);
     bool v = value_[g].isTrue();
     switch (gate.type) {
@@ -439,7 +574,7 @@ class Engine {
   // Whether the cut walk descends below `n`: through frontier gates and
   // unassigned gates, never below an assigned non-frontier node.
   bool onCutInterior(NodeId n) const {
-    return isCombinational(nl_.type(n)) && (value_[n].isUndef() || inFrontier_[n]);
+    return isCombinational(nl_.type(n)) && (value_[n].isUndef() || frontier_.contains(n));
   }
 
   void initZobrist() {
@@ -458,10 +593,7 @@ class Engine {
       stamp_ = 1;
     }
     Sig128 sig = frontierSig_;
-    for (const auto& [pos, g] : frontier_) {
-      (void)pos;
-      scratchStack_.push_back(g);
-    }
+    frontier_.forEach([this](NodeId g) { scratchStack_.push_back(g); });
     uint64_t cutNodes = 0;
     while (!scratchStack_.empty()) {
       NodeId n = scratchStack_.back();
@@ -485,10 +617,7 @@ class Engine {
   std::string exactKey() {
     scratchCone_.clear();
     scratchMark_.assign(nl_.numNodes(), false);
-    for (const auto& [pos, g] : frontier_) {
-      (void)pos;
-      scratchStack_.push_back(g);
-    }
+    frontier_.forEach([this](NodeId g) { scratchStack_.push_back(g); });
     while (!scratchStack_.empty()) {
       NodeId n = scratchStack_.back();
       scratchStack_.pop_back();
@@ -505,42 +634,21 @@ class Engine {
     for (NodeId n : scratchCone_) {
       lbool v = value_[n];
       if (v.isUndef()) continue;
-      uint32_t word = (n << 2) | (v.isTrue() ? 1u : 0u) | (inFrontier_[n] ? 2u : 0u);
+      uint32_t word = (n << 2) | (v.isTrue() ? 1u : 0u) | (frontier_.contains(n) ? 2u : 0u);
       key.append(reinterpret_cast<const char*>(&word), sizeof(word));
     }
     return key;
   }
 
-  // Entry payload plus the typical two-pointer unordered_map overhead
-  // (bucket slot + node link). An estimate, but a stable one: it scales
-  // linearly in entries, which is what the table bound limits.
-  static constexpr uint64_t kMemoEntryBytes =
-      sizeof(std::pair<const Sig128, MemoEntry>) + 2 * sizeof(void*);
-
-  uint64_t memoBytes() const { return memo_.size() * kMemoEntryBytes; }
-
   // Frees space in a full memo: drops every entry not touched since the
-  // previous sweep, falling back to dropping an arbitrary half when the
-  // working set itself fills the table (guarantees forward progress).
+  // previous sweep, and at most half of the entries survive even when the
+  // whole working set is hot (guarantees forward progress).
   void evictMemo() {
     size_t before = memo_.size();
-    for (auto it = memo_.begin(); it != memo_.end();) {
-      if (it->second.gen != memoGen_) {
-        if (options_.memoCheckExact) exactKeys_.erase(it->first);
-        it = memo_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (memo_.size() > before / 2) {
-      size_t target = before / 2;
-      for (auto it = memo_.begin(); it != memo_.end() && memo_.size() > target;) {
-        if (options_.memoCheckExact) exactKeys_.erase(it->first);
-        it = memo_.erase(it);
-      }
-    }
+    memo_.retain(memoGen_, before / 2, [this](const Sig128& key) {
+      if (options_.memoCheckExact) exactKeys_.erase(key);
+    });
     stats_.memoEvictions += before - memo_.size();
-    memoLedger_.release((before - memo_.size()) * kMemoEntryBytes);
     ++memoGen_;
   }
 
@@ -560,16 +668,15 @@ class Engine {
     Sig128 key;
     if (options_.successLearning) {
       key = hashedSignature();
-      auto it = memo_.find(key);
-      if (it != memo_.end()) {
+      if (MemoTable::Slot* hit = memo_.find(key)) {
         ++stats_.memoHits;
-        it->second.gen = memoGen_;
+        hit->gen = memoGen_;
         if (options_.memoCheckExact) {
           auto exact = exactKeys_.find(key);
           PRESAT_CHECK(exact != exactKeys_.end() && exact->second == exactKey())
               << "hashed memo collision: 128-bit signature matched a different subproblem";
         }
-        return it->second.child;
+        return hit->child;
       }
       ++stats_.memoMisses;
     }
@@ -616,8 +723,7 @@ class Engine {
     // result of this subproblem, so it must not enter the memo.
     if (options_.successLearning && !tripped_) {
       if (options_.maxMemoEntries != 0 && memo_.size() >= options_.maxMemoEntries) evictMemo();
-      memo_.emplace(key, MemoEntry{index, memoGen_});
-      memoLedger_.charge(kMemoEntryBytes);
+      memoLedger_.charge(memo_.insert(key, index, memoGen_));
       if (options_.memoCheckExact) exactKeys_.emplace(key, exactKey());
     }
     return index;
@@ -628,15 +734,13 @@ class Engine {
   Governor* governor_ = nullptr;
   bool tripped_ = false;          // latched locally: fail-fast unwind flag
   MemoryLedger graphLedger_;      // solution-graph bytes
-  MemoryLedger memoLedger_;       // memo-table bytes
+  MemoryLedger memoLedger_;       // memo slot-array bytes, charged as it grows
   std::vector<std::vector<NodeId>> fanouts_;
-  std::vector<uint32_t> topoPos_;
   std::vector<lbool> value_;
-  std::vector<char> inFrontier_;
   std::vector<int> projIndex_;
   int numProjection_;  // projected index space: [0, projectionSources.size())
 
-  std::set<std::pair<uint32_t, NodeId>> frontier_;  // ordered by topo position
+  Frontier frontier_;  // unjustified gates, ordered by topological position
   std::vector<NodeId> pending_;
   std::vector<Event> trail_;
   LitVec* curNewProj_ = nullptr;
@@ -648,7 +752,7 @@ class Engine {
   std::vector<Sig128> zFrontier_;
   Sig128 frontierSig_;  // XOR over zFrontier_ of the current frontier set
 
-  std::unordered_map<Sig128, MemoEntry, Sig128Hash> memo_;
+  MemoTable memo_;
   std::unordered_map<Sig128, std::string, Sig128Hash> exactKeys_;  // memoCheckExact only
   uint32_t memoGen_ = 0;
   uint64_t sigCutNodes_ = 0;

@@ -391,6 +391,59 @@ TEST(SuccessDrivenMultiRoot, PreimageMatchesPerCubeRuns) {
   }
 }
 
+// Every success-driven answer on a fixed corpus, folded into one FNV-1a
+// digest pinned to the value the engine produced when the test was written.
+// The memo-mode tests above cannot see a change of branch order (learning on
+// and off would move together); this digest can: any change to a cube list,
+// a state count or the shared graph's node count moves it. Re-pin it only
+// for a change that is meant to alter what the engine produces.
+TEST(SuccessDriven, CoversMatchPinnedDigest) {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  auto mix = [&digest](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (word >> (8 * i)) & 0xff;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  Rng rng(1601);
+  std::vector<std::pair<std::string, Netlist>> circuits = generatorCircuits();
+  for (int i = 0; i < 20; ++i) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = static_cast<int>(rng.range(1, 4));
+    params.numDffs = static_cast<int>(rng.range(4, 10));
+    params.numGates = static_cast<int>(rng.range(20, 250));
+    circuits.emplace_back("random" + std::to_string(i), makeRandomSequential(params));
+  }
+  for (const auto& [name, nl] : circuits) {
+    TransitionSystem ts(nl);
+    StateSet target;
+    target.numStateBits = ts.numStateBits();
+    int numCubes = static_cast<int>(rng.range(2, 4));
+    for (int c = 0; c < numCubes; ++c) {
+      LitVec cube;
+      for (int b = 0; b < target.numStateBits; ++b) {
+        if (rng.chance(1, 2)) cube.push_back(mkLit(static_cast<Var>(b), rng.flip()));
+      }
+      target.cubes.push_back(cube);
+    }
+    for (int jobs : {0, 4}) {
+      PreimageOptions options;
+      options.allsat.parallel.jobs = jobs;
+      PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+      ASSERT_TRUE(pre.complete) << name << " jobs " << jobs;
+      mix(pre.states.cubes.size());
+      for (const LitVec& cube : pre.states.cubes) {
+        mix(cube.size());
+        for (Lit l : cube) mix(static_cast<uint32_t>(l.code()));
+      }
+      for (char c : pre.stateCount.toDecimal()) mix(static_cast<uint8_t>(c));
+      mix(pre.graph.numNodes());
+    }
+  }
+  EXPECT_EQ(digest, 0x5496ff6be4c2c09eull) << std::hex << digest;
+}
+
 TEST(SuccessDriven, AgreesWithMintermEngineOnS27) {
   Netlist nl = makeS27();
   Rng rng(103);
@@ -539,22 +592,51 @@ TEST(MintermBlocking, ConflictBudgetReturnsPartialResult) {
 }
 
 // A tiny memo bound forces evictions; evicted subproblems are re-solved, so
-// the answer must not change. The exact-key cross-check stays on throughout.
+// the answer must not change: the cube list equals the unbounded one cube
+// for cube. The exact-key cross-check stays on throughout.
+void expectBoundedMemoExact(const CircuitAllSatProblem& p, const std::string& name) {
+  AllSatOptions unboundedOpts;
+  unboundedOpts.maxMemoEntries = 0;
+  SuccessDrivenResult unbounded = successDrivenAllSat(p, unboundedOpts);
+  for (size_t bound : {1u, 8u, 64u}) {
+    AllSatOptions opts;
+    opts.maxMemoEntries = bound;
+    opts.memoCheckExact = true;
+    SuccessDrivenResult bounded = successDrivenAllSat(p, opts);
+    const std::string what = name + " bound " + std::to_string(bound);
+    expectGraphAuditOk(bounded.graph, p);
+    EXPECT_EQ(bounded.summary.cubes, unbounded.summary.cubes) << what;
+    EXPECT_EQ(bounded.summary.mintermCount, unbounded.summary.mintermCount) << what;
+    EXPECT_LE(bounded.summary.stats.memoEntries, bound) << what;
+    if (unbounded.summary.stats.memoEntries > bound) {
+      EXPECT_GT(bounded.summary.stats.memoEvictions, 0u) << what;
+    }
+  }
+}
+
 TEST(SuccessDriven, BoundedMemoEvictsAndStaysExact) {
-  Netlist nl = makeParityTree(12);
-  CircuitAllSatProblem p = problemFor(nl, {{nl.outputs()[0], false}});
-  SuccessDrivenResult unbounded = successDrivenAllSat(p);
-  AllSatOptions opts;
-  opts.maxMemoEntries = 8;
-  opts.memoCheckExact = true;
-  SuccessDrivenResult bounded = successDrivenAllSat(p, opts);
-  expectGraphAuditOk(bounded.graph, p);
-  EXPECT_EQ(bounded.summary.mintermCount, unbounded.summary.mintermCount);
-  EXPECT_GT(bounded.summary.stats.memoEvictions, 0u);
-  EXPECT_LE(bounded.summary.stats.memoEntries, 8u);
-  // The bound costs hits (evicted entries are re-solved) but never exactness.
-  BddManager mgr(static_cast<int>(p.projectionSources.size()));
-  EXPECT_EQ(cubesToBdd(mgr, bounded.summary.cubes), cubesToBdd(mgr, unbounded.summary.cubes));
+  Netlist parity = makeParityTree(12);
+  expectBoundedMemoExact(problemFor(parity, {{parity.outputs()[0], false}}), "parity12");
+  // Five random circuits whose unbounded memo outgrows the largest bound, so
+  // every bound evicts.
+  Rng rng(557);
+  int tested = 0;
+  for (int draw = 0; draw < 100 && tested < 5; ++draw) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = 2;
+    params.numDffs = 10;
+    params.numGates = static_cast<int>(rng.range(100, 300));
+    Netlist nl = makeRandomSequential(params);
+    CircuitAllSatProblem p = problemFor(nl, {{nl.dffData(nl.dffs()[0]), rng.flip()},
+                                             {nl.dffData(nl.dffs()[1]), rng.flip()}});
+    AllSatOptions unbounded;
+    unbounded.maxMemoEntries = 0;
+    if (successDrivenAllSat(p, unbounded).summary.stats.memoEntries <= 64) continue;
+    expectBoundedMemoExact(p, "random draw " + std::to_string(draw));
+    ++tested;
+  }
+  EXPECT_EQ(tested, 5);
 }
 
 // Hashed memoization must agree with brute force across random circuits with

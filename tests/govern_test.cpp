@@ -25,6 +25,7 @@
 #include "check/audit_solver.hpp"
 #include "cnf/preprocess.hpp"
 #include "gen/generators.hpp"
+#include "gen/random_circuit.hpp"
 #include "govern/budget.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
@@ -510,6 +511,44 @@ TEST(GovernedParallel, SuccessDrivenPreCancelledDegradesSoundly) {
   EXPECT_EQ(r.outcome, Outcome::kCancelled);
   EXPECT_TRUE(statesSubsetOf(r.states, oracle.states));
   EXPECT_LE(r.stateCount, oracle.stateCount);
+}
+
+// The success-driven engine charges its solution graph and its memo slot
+// array (on each growth) to the governor, and hands every byte back when the
+// call returns — whether the run completes or trips.
+TEST(GovernedSuccessDriven, MemoryLedgerBalances) {
+  RandomCircuitParams params;
+  params.numInputs = 4;
+  params.numDffs = 12;
+  params.numGates = 200;
+  params.seed = 23;
+  Netlist nl = makeRandomSequential(params);
+  TransitionSystem ts(nl);
+  StateSet target = StateSet::fromCube(ts.numStateBits(), {mkLit(0), ~mkLit(1)});
+  PreimageResult oracle = computePreimage(ts, target, PreimageMethod::kBdd, {});
+  ASSERT_FALSE(oracle.stateCount.isZero());
+
+  Governor unlimited(Budget{});
+  PreimageOptions opts;
+  opts.allsat.governor = &unlimited;
+  PreimageResult full = computePreimage(ts, target, PreimageMethod::kSuccessDriven, opts);
+  ASSERT_TRUE(full.complete);
+  EXPECT_EQ(full.stateCount, oracle.stateCount);
+  EXPECT_GT(full.stats.memoBytes, 0u);
+  EXPECT_GE(unlimited.peakTrackedBytes(), full.stats.memoBytes);
+  EXPECT_EQ(unlimited.trackedBytes(), 0u);
+
+  // A ceiling below the memo table's first allocation (64 slots of 24 bytes).
+  Budget tight;
+  tight.memLimitBytes = 1024;
+  Governor capped(tight);
+  opts.allsat.governor = &capped;
+  PreimageResult partial = computePreimage(ts, target, PreimageMethod::kSuccessDriven, opts);
+  EXPECT_FALSE(partial.complete);
+  EXPECT_EQ(partial.outcome, Outcome::kMemory);
+  EXPECT_TRUE(statesSubsetOf(partial.states, oracle.states));
+  EXPECT_LE(partial.stateCount, oracle.stateCount);
+  EXPECT_EQ(capped.trackedBytes(), 0u);
 }
 
 // --- fixpoint loops -----------------------------------------------------------
