@@ -194,6 +194,25 @@ void BM_SuccessDrivenRandomLogic(benchmark::State& state) {
 }
 BENCHMARK(BM_SuccessDrivenRandomLogic)->Unit(benchmark::kMillisecond);
 
+// Lifted cube blocking on rand20x400 (the oneshot-cube circuit): one query
+// solves, simulates and lifts about a hundred models, so per-model lifting
+// cost (simulation, justification) shows here, unlike BM_Simulator64Patterns,
+// whose Simulator is built outside the timed loop. items_per_second reports
+// lifted models (blocking clauses) per second.
+void BM_CubeBlockingLiftedRandomLogic(benchmark::State& state) {
+  Netlist nl = benchutil::randomBench(8, 20, 400, 41);
+  StateSet target = benchutil::reachableCube(nl, 6, 104);
+  TransitionSystem ts(nl);
+  uint64_t models = 0;
+  for (auto _ : state) {
+    PreimageResult r = computePreimage(ts, target, PreimageMethod::kCubeBlockingLifted);
+    models += r.stats.blockingClauses;
+    benchmark::DoNotOptimize(r.stateCount);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(models));
+}
+BENCHMARK(BM_CubeBlockingLiftedRandomLogic)->Unit(benchmark::kMillisecond);
+
 void BM_BmcSimpleVsIncremental(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
   Netlist nl = makeCounter(8);

@@ -735,7 +735,7 @@ class Engine {
   bool tripped_ = false;          // latched locally: fail-fast unwind flag
   MemoryLedger graphLedger_;      // solution-graph bytes
   MemoryLedger memoLedger_;       // memo slot-array bytes, charged as it grows
-  std::vector<std::vector<NodeId>> fanouts_;
+  const FanoutLists& fanouts_;
   std::vector<lbool> value_;
   std::vector<int> projIndex_;
   int numProjection_;  // projected index space: [0, projectionSources.size())

@@ -167,6 +167,7 @@ AuditResult auditNetlist(const Netlist& nl, const NetlistAuditOptions& opt) {
 }
 
 void corruptNetlistForTest(Netlist& nl, NetlistCorruption kind) {
+  nl.dropViews();
   switch (kind) {
     case NetlistCorruption::kSelfLoop: {
       for (NodeId id = 0; id < nl.numNodes(); ++id) {

@@ -65,6 +65,7 @@ void checkArity(GateType type, size_t n) {
 }  // namespace
 
 NodeId Netlist::addNode(GateNode node) {
+  dropViews();
   NodeId id = static_cast<NodeId>(nodes_.size());
   if (!node.name.empty()) {
     auto [it, inserted] = byName_.emplace(node.name, id);
@@ -103,6 +104,7 @@ void Netlist::connectDffData(NodeId dff, NodeId data) {
   PRESAT_CHECK(dff < nodes_.size() && nodes_[dff].type == GateType::kDff);
   PRESAT_CHECK(data < nodes_.size());
   PRESAT_CHECK(nodes_[dff].fanins.empty()) << "DFF data already connected: " << nodes_[dff].name;
+  dropViews();
   nodes_[dff].fanins.push_back(data);
 }
 
@@ -131,28 +133,42 @@ NodeId Netlist::findByName(const std::string& name) const {
   return it == byName_.end() ? kNoNode : it->second;
 }
 
-std::vector<NodeId> Netlist::topologicalOrder() const {
+std::vector<NodeId> Netlist::buildTopologicalOrder() const {
   // Kahn's algorithm over combinational edges only (DFF data edges are
   // sequential and do not constrain the order of the DFF output node).
+  const FanoutLists outs = buildFanouts();
   std::vector<int> pending(nodes_.size(), 0);
-  std::vector<std::vector<NodeId>> outs(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!isCombinational(nodes_[id].type)) continue;
-    pending[id] = static_cast<int>(nodes_[id].fanins.size());
-    for (NodeId f : nodes_[id].fanins) outs[f].push_back(id);
-  }
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!isCombinational(nodes_[id].type)) order.push_back(id);
+    if (isCombinational(nodes_[id].type)) {
+      pending[id] = static_cast<int>(nodes_[id].fanins.size());
+    } else {
+      order.push_back(id);
+    }
   }
   for (size_t head = 0; head < order.size(); ++head) {
     for (NodeId out : outs[order[head]]) {
-      if (--pending[out] == 0) order.push_back(out);
+      if (isCombinational(nodes_[out].type) && --pending[out] == 0) order.push_back(out);
     }
   }
   PRESAT_CHECK(order.size() == nodes_.size()) << "combinational cycle detected";
   return order;
+}
+
+FanoutLists Netlist::buildFanouts() const {
+  FanoutLists outs;
+  outs.offsets.assign(nodes_.size() + 1, 0);
+  for (const GateNode& g : nodes_) {
+    for (NodeId f : g.fanins) ++outs.offsets[f + 1];
+  }
+  for (size_t i = 0; i < nodes_.size(); ++i) outs.offsets[i + 1] += outs.offsets[i];
+  outs.edges.resize(outs.offsets.back());
+  std::vector<uint32_t> fill(outs.offsets.begin(), outs.offsets.end() - 1);
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    for (NodeId f : nodes_[id].fanins) outs.edges[fill[f]++] = id;
+  }
+  return outs;
 }
 
 std::vector<int> Netlist::levels() const {
@@ -164,14 +180,6 @@ std::vector<int> Netlist::levels() const {
     level[id] = l;
   }
   return level;
-}
-
-std::vector<std::vector<NodeId>> Netlist::fanouts() const {
-  std::vector<std::vector<NodeId>> outs(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    for (NodeId f : nodes_[id].fanins) outs[f].push_back(id);
-  }
-  return outs;
 }
 
 std::vector<NodeId> Netlist::coneOf(const std::vector<NodeId>& roots) const {

@@ -5,12 +5,22 @@
 // outputs (present state) and whose DFF data pins define the next-state
 // functions. The ISCAS89 `.bench` dialect maps onto this directly.
 //
-// Node identifiers are dense indices into the node table; the graph is
-// immutable once built except for appending nodes, which keeps every consumer
-// (simulators, encoder, all-SAT engines) free of invalidation concerns.
+// Node identifiers are dense indices into the node table; the graph only
+// grows (nodes are appended, DFF data pins connected once).
+//
+// The topological order and the fanout lists are cached derived views: each
+// is built once per structure, on the first call to topologicalOrder() or
+// fanouts() respectively, and then shared by every reader (simulators,
+// encoder, all-SAT engines), also across threads. Every structural mutator
+// (addInput/addConst/addGate/addDff, connectDffData) drops them, so the
+// references those two calls return die on the next mutation, as node()
+// references do. A copy of a netlist builds its own views.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +62,17 @@ struct GateNode {
   GateType type;
   std::vector<NodeId> fanins;
   std::string name;
+};
+
+// Fanout lists of every node in one flat array: the fanouts of node n are
+// edges[offsets[n] .. offsets[n + 1]), in increasing node id.
+struct FanoutLists {
+  std::vector<uint32_t> offsets;
+  std::vector<NodeId> edges;
+
+  std::span<const NodeId> operator[](NodeId id) const {
+    return {edges.data() + offsets[id], edges.data() + offsets[id + 1]};
+  }
 };
 
 class Netlist {
@@ -102,13 +123,18 @@ class Netlist {
   NodeId findByName(const std::string& name) const;
 
   // --- analyses -----------------------------------------------------------------
-  // Topological order of the combinational core (sources first). DFF nodes
-  // appear as sources; their data fanins are sinks of the order.
-  std::vector<NodeId> topologicalOrder() const;
+  // Topological order of the combinational core (sources first, by Kahn's
+  // algorithm). DFF nodes appear as sources; their data fanins are sinks of
+  // the order. Cached; see the header comment.
+  const std::vector<NodeId>& topologicalOrder() const {
+    return order_.get([this] { return buildTopologicalOrder(); });
+  }
   // Logic level per node (sources are 0).
   std::vector<int> levels() const;
-  // Fanout lists per node.
-  std::vector<std::vector<NodeId>> fanouts() const;
+  // Fanout lists per node. Cached likewise.
+  const FanoutLists& fanouts() const {
+    return fanouts_.get([this] { return buildFanouts(); });
+  }
   // Transitive fanin cone of `roots` (includes roots and sources).
   std::vector<NodeId> coneOf(const std::vector<NodeId>& roots) const;
   // Source nodes (inputs + DFF outputs + constants) in the cone of `roots`.
@@ -124,6 +150,58 @@ class Netlist {
   friend AuditResult auditNetlist(const Netlist& netlist, const NetlistAuditOptions& options);
   friend void corruptNetlistForTest(Netlist& netlist, NetlistCorruption kind);
 
+  // One derived view, built on first read and immutable until the next
+  // mutation. The slot owns it: a copy starts empty and builds its own, and
+  // a move hands it over.
+  template <class T>
+  class ViewSlot {
+   public:
+    ViewSlot() = default;
+    ViewSlot(const ViewSlot&) {}
+    ViewSlot(ViewSlot&& other) noexcept : ptr_(other.ptr_.exchange(nullptr)) {}
+    ViewSlot& operator=(const ViewSlot&) {
+      reset();
+      return *this;
+    }
+    ViewSlot& operator=(ViewSlot&& other) noexcept {
+      if (this != &other) {
+        reset();
+        ptr_.store(other.ptr_.exchange(nullptr));
+      }
+      return *this;
+    }
+    ~ViewSlot() { reset(); }
+
+    // Racing first readers may each build a copy; exactly one is installed,
+    // and every reader returns that one.
+    template <class Build>
+    const T& get(Build build) const {
+      if (const T* current = ptr_.load(std::memory_order_acquire)) return *current;
+      auto fresh = std::make_unique<const T>(build());
+      const T* installed = nullptr;
+      if (ptr_.compare_exchange_strong(installed, fresh.get(), std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        return *fresh.release();
+      }
+      return *installed;
+    }
+    void reset() { std::unique_ptr<const T> dropped(ptr_.exchange(nullptr)); }
+
+   private:
+    // presat-analyze: lockfree(publish-once: a reader that finds it empty
+    // builds the view and compare-exchanges it in (release), a losing racer
+    // frees its copy and adopts the installed one, and every reader loads it
+    // with acquire. Only non-const mutators and the destructor reset it, and
+    // they never run beside readers)
+    mutable std::atomic<const T*> ptr_{nullptr};
+  };
+
+  std::vector<NodeId> buildTopologicalOrder() const;
+  FanoutLists buildFanouts() const;
+  void dropViews() {
+    order_.reset();
+    fanouts_.reset();
+  }
   NodeId addNode(GateNode node);
 
   std::vector<GateNode> nodes_;
@@ -131,6 +209,8 @@ class Netlist {
   std::vector<NodeId> dffs_;
   std::vector<NodeId> outputs_;
   std::unordered_map<std::string, NodeId> byName_;
+  ViewSlot<std::vector<NodeId>> order_;
+  ViewSlot<FanoutLists> fanouts_;
 };
 
 // Order-sensitive 64-bit structural fingerprint of a netlist: gate types,

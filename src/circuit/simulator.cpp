@@ -5,7 +5,7 @@
 namespace presat {
 
 Simulator::Simulator(const Netlist& netlist)
-    : netlist_(netlist), order_(netlist.topologicalOrder()), values_(netlist.numNodes(), 0) {}
+    : netlist_(netlist), values_(netlist.numNodes(), 0) {}
 
 void Simulator::setSource(NodeId id, uint64_t word) {
   PRESAT_DCHECK(!isCombinational(netlist_.type(id)));
@@ -13,7 +13,7 @@ void Simulator::setSource(NodeId id, uint64_t word) {
 }
 
 void Simulator::run() {
-  for (NodeId id : order_) {
+  for (NodeId id : netlist_.topologicalOrder()) {
     const GateNode& g = netlist_.node(id);
     switch (g.type) {
       case GateType::kConst0:

@@ -30,7 +30,6 @@ class Simulator {
 
  private:
   const Netlist& netlist_;
-  std::vector<NodeId> order_;
   std::vector<uint64_t> values_;
 };
 

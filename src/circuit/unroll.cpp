@@ -18,7 +18,7 @@ UnrolledCircuit unroll(const TransitionSystem& system, int frames) {
   }
   out.stateAt.push_back(out.initialState);
 
-  std::vector<NodeId> order = nl.topologicalOrder();
+  const std::vector<NodeId>& order = nl.topologicalOrder();
   for (int t = 0; t < frames; ++t) {
     std::string suffix = "@" + std::to_string(t);
     // Map from original node id to this frame's copy.

@@ -1,7 +1,11 @@
 // Netlist, .bench I/O, simulators, Tseitin encoding, CNF->circuit.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
 #include "base/rng.hpp"
+#include "check/audit_netlist.hpp"
 #include "circuit/bench_io.hpp"
 #include "circuit/from_cnf.hpp"
 #include "circuit/netlist.hpp"
@@ -74,11 +78,152 @@ TEST(Netlist, ConeAndSupport) {
 
 TEST(Netlist, FanoutsMatchFanins) {
   Netlist nl = makeS27();
-  auto outs = nl.fanouts();
+  const FanoutLists& outs = nl.fanouts();
   size_t edges = 0, redges = 0;
   for (NodeId id = 0; id < nl.numNodes(); ++id) edges += nl.fanins(id).size();
-  for (const auto& v : outs) redges += v.size();
+  for (NodeId id = 0; id < nl.numNodes(); ++id) redges += outs[id].size();
   EXPECT_EQ(edges, redges);
+}
+
+// Reference computations written independently of Netlist's cached views:
+// fanouts by one scan over the fanin lists, and the order by Kahn's
+// algorithm with the sources first in id order, then FIFO over the
+// combinational edges. The cached views must equal them element for
+// element, since success-driven branch order follows the topological order.
+std::vector<std::vector<NodeId>> referenceFanouts(const Netlist& nl) {
+  std::vector<std::vector<NodeId>> outs(nl.numNodes());
+  for (NodeId id = 0; id < nl.numNodes(); ++id) {
+    for (NodeId f : nl.fanins(id)) outs[f].push_back(id);
+  }
+  return outs;
+}
+
+std::vector<NodeId> referenceOrder(const Netlist& nl) {
+  std::vector<int> pending(nl.numNodes(), 0);
+  std::vector<std::vector<NodeId>> combOuts(nl.numNodes());
+  std::vector<NodeId> order;
+  for (NodeId id = 0; id < nl.numNodes(); ++id) {
+    if (!isCombinational(nl.type(id))) {
+      order.push_back(id);
+      continue;
+    }
+    pending[id] = static_cast<int>(nl.fanins(id).size());
+    for (NodeId f : nl.fanins(id)) combOuts[f].push_back(id);
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (NodeId out : combOuts[order[head]]) {
+      if (--pending[out] == 0) order.push_back(out);
+    }
+  }
+  return order;
+}
+
+void expectFreshViews(const Netlist& nl, const std::string& what) {
+  EXPECT_EQ(nl.topologicalOrder(), referenceOrder(nl)) << what;
+  std::vector<std::vector<NodeId>> fanouts;
+  for (NodeId id = 0; id < nl.numNodes(); ++id) {
+    fanouts.emplace_back(nl.fanouts()[id].begin(), nl.fanouts()[id].end());
+  }
+  EXPECT_EQ(nl.fanouts().offsets.size(), nl.numNodes() + 1) << what;
+  EXPECT_EQ(fanouts, referenceFanouts(nl)) << what;
+}
+
+std::vector<std::pair<std::string, Netlist>> viewTestNetlists() {
+  std::vector<std::pair<std::string, Netlist>> out;
+  out.emplace_back("s27", makeS27());
+  out.emplace_back("counter", makeCounter(5));
+  out.emplace_back("gray", makeGrayCounter(4));
+  out.emplace_back("lfsr", makeLfsr(6));
+  out.emplace_back("shift", makeShiftRegister(5));
+  out.emplace_back("arbiter", makeRoundRobinArbiter(4));
+  out.emplace_back("traffic", makeTrafficLight());
+  out.emplace_back("accum", makeAccumulator(4));
+  out.emplace_back("lock", makeCombinationLock({1, 2, 3}, 2));
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    RandomCircuitParams params;
+    params.numInputs = 2 + static_cast<int>(seed % 5);
+    params.numDffs = 3 + static_cast<int>(seed % 7);
+    params.numGates = 20 + static_cast<int>(seed * 9);
+    params.seed = seed;
+    out.emplace_back("random seed " + std::to_string(seed), makeRandomSequential(params));
+  }
+  return out;
+}
+
+TEST(Netlist, DerivedViewsMatchFreshComputation) {
+  for (auto& [name, original] : viewTestNetlists()) {
+    Netlist nl = original;
+    expectFreshViews(nl, name);
+
+    // Each mutation kind drops the views; the next read rebuilds them.
+    NodeId in = nl.addInput("probe_in");
+    expectFreshViews(nl, name + " after addInput");
+    NodeId gate = nl.addGate(GateType::kAnd, {in, nl.topologicalOrder().back()}, "probe_and");
+    expectFreshViews(nl, name + " after addGate");
+    NodeId dff = nl.addDff("probe_q");
+    expectFreshViews(nl, name + " after addDff");
+    nl.connectDffData(dff, gate);
+    expectFreshViews(nl, name + " after connectDffData");
+    nl.addGate(GateType::kNot, {dff}, "probe_not");
+    expectFreshViews(nl, name + " after a gate on the new DFF");
+
+    // A copy builds its own views, and mutating it leaves the original's
+    // alone.
+    Netlist copy = nl;
+    expectFreshViews(copy, name + " copy");
+    copy.addInput("probe_copy_in");
+    expectFreshViews(copy, name + " copy after addInput");
+    expectFreshViews(nl, name + " original after the copy grew");
+
+    Netlist moved = std::move(copy);
+    expectFreshViews(moved, name + " move-constructed");
+    Netlist assigned = original;
+    (void)assigned.topologicalOrder();
+    assigned = nl;
+    expectFreshViews(assigned, name + " copy-assigned");
+    assigned = std::move(moved);
+    expectFreshViews(assigned, name + " move-assigned");
+  }
+
+  // A cycle planted after the views were built is still rejected.
+  Netlist nl = makeCounter(4);
+  (void)nl.topologicalOrder();
+  nl.validate();
+  corruptNetlistForTest(nl, NetlistCorruption::kSelfLoop);
+  EXPECT_TRUE(auditNetlist(nl).has("netlist.acyclic"));
+  EXPECT_DEATH(nl.validate(), "combinational cycle");
+}
+
+// Racing first readers of a fresh netlist must all see the one installed
+// views object. The publication protocol has no lock, so the tsan CI lane,
+// which runs this test under ThreadSanitizer, is what guards it.
+TEST(Netlist, ConcurrentFirstReadersSeeOneView) {
+  constexpr int kThreads = 8;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    RandomCircuitParams params;
+    params.numInputs = 8;
+    params.numDffs = 20;
+    params.numGates = 400;
+    params.seed = seed;
+    const Netlist nl = makeRandomSequential(params);
+    std::vector<const std::vector<NodeId>*> orders(kThreads);
+    std::vector<const FanoutLists*> fanouts(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        orders[t] = &nl.topologicalOrder();
+        fanouts[t] = &nl.fanouts();
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(orders[t], orders[0]) << "seed " << seed << " thread " << t;
+      EXPECT_EQ(fanouts[t], fanouts[0]) << "seed " << seed << " thread " << t;
+    }
+    expectFreshViews(nl, "seed " + std::to_string(seed));
+  }
 }
 
 TEST(BenchIo, ParsesS27Structure) {
