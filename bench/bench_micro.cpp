@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the substrates: CDCL solving, BDD
-// operations, bit-parallel simulation, Tseitin encoding, and the
-// success-driven engine on its best-case structure and on random logic.
+// operations, bit-parallel simulation, .bench parsing, Tseitin encoding, and
+// the success-driven engine on its best-case structure and on random logic.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -11,6 +11,7 @@
 #include "base/rng.hpp"
 #include "bench_util.hpp"
 #include "bdd/bdd.hpp"
+#include "circuit/bench_io.hpp"
 #include "circuit/simulator.hpp"
 #include "circuit/tseitin.hpp"
 #include "gen/generators.hpp"
@@ -212,6 +213,19 @@ void BM_CubeBlockingLiftedRandomLogic(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(models));
 }
 BENCHMARK(BM_CubeBlockingLiftedRandomLogic)->Unit(benchmark::kMillisecond);
+
+// Parsing a rand14x200 circuit's .bench text (about 4.7 KB), the circuit the
+// serve workload sends: a serve request whose circuit is not pooled pays
+// this once. bytes_per_second reports .bench text parsed per second.
+void BM_ParseBenchRand14x200(benchmark::State& state) {
+  const std::string text = toBenchString(benchutil::randomBench(6, 14, 200, 43));
+  for (auto _ : state) {
+    Netlist nl = parseBenchString(text);
+    benchmark::DoNotOptimize(nl.numNodes());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_ParseBenchRand14x200)->Unit(benchmark::kMicrosecond);
 
 void BM_BmcSimpleVsIncremental(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;

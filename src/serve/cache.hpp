@@ -22,8 +22,9 @@
 //
 // ContextPool shares parsed circuits (netlist + transition system) across
 // requests: a hot circuit is parsed and encoded once, then served from the
-// pool by structural identity. Contexts are immutable after construction
-// and safely shared across concurrent engine runs.
+// pool to every request with the byte-identical source. Contexts are
+// immutable after construction and safely shared across concurrent engine
+// runs.
 #pragma once
 
 #include <functional>
@@ -165,7 +166,7 @@ class ContextPool {
   explicit ContextPool(size_t maxContexts);
 
   // Returns the pooled context for `sourceKey` ("gen:<spec>" or
-  // "bench:<hash>"), building it with `build` on first use. `build` returns
+  // "bench:<text>"), building it with `build` on first use. `build` returns
   // null on invalid input (reported upstream as bad_request); negative
   // results are not cached.
   CircuitContextPtr resolve(const std::string& sourceKey,

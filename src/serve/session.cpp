@@ -1,12 +1,7 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <set>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "circuit/bench_io.hpp"
@@ -18,19 +13,6 @@
 namespace presat::serve {
 
 namespace {
-
-std::string trimWs(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-
-std::string upperCopy(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
-}
 
 // Strictly-decimal integer in [lo, hi]; rejects the empty string, signs, and
 // trailing garbage (unlike atoi, which the CLI can afford).
@@ -97,177 +79,6 @@ bool buildGeneratorChecked(const std::string& spec, const SessionLimits& limits,
   return true;
 }
 
-// --- .bench pre-validation --------------------------------------------------
-
-namespace {
-
-// Mirror of bench_io's gate vocabulary; returns false for unknown names.
-bool benchGateArity(const std::string& rawName, size_t* lo, size_t* hi) {
-  std::string n = upperCopy(rawName);
-  *lo = 1;
-  *hi = SIZE_MAX;
-  if (n == "NOT" || n == "INV" || n == "BUF" || n == "BUFF" || n == "DFF") {
-    *lo = *hi = 1;
-  } else if (n == "MUX") {
-    *lo = *hi = 3;
-  } else if (n == "CONST0" || n == "CONST1") {
-    *lo = *hi = 0;
-  } else if (n != "AND" && n != "OR" && n != "NAND" && n != "NOR" && n != "XOR" && n != "XNOR") {
-    return false;
-  }
-  return true;
-}
-
-bool isDffName(const std::string& rawName) { return upperCopy(rawName) == "DFF"; }
-
-struct BenchDef {
-  std::vector<std::string> fanins;
-  bool isDff = false;
-  int line = 0;
-};
-
-}  // namespace
-
-bool validateBenchText(const std::string& text, const SessionLimits& limits, std::string* error) {
-  auto fail = [error](int lineNo, const std::string& msg) {
-    *error = ".bench line " + std::to_string(lineNo) + ": " + msg;
-    return false;
-  };
-  if (text.size() > static_cast<size_t>(limits.maxBenchBytes)) {
-    *error = ".bench text exceeds " + std::to_string(limits.maxBenchBytes) + " bytes";
-    return false;
-  }
-  std::istringstream in(text);
-  std::map<std::string, int> definedAt;  // signal -> defining line (INPUT or def)
-  std::map<std::string, BenchDef> defs;
-  std::vector<std::pair<std::string, int>> outputs;
-  std::set<std::string> inputs;
-  int dffCount = 0;
-  std::string line;
-  int lineNo = 0;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    if (lineNo > limits.maxBenchLines) {
-      *error = ".bench text exceeds " + std::to_string(limits.maxBenchLines) + " lines";
-      return false;
-    }
-    size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    line = trimWs(line);
-    if (line.empty()) continue;
-
-    size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      size_t open = line.find('(');
-      size_t close = line.rfind(')');
-      if (open == std::string::npos || close == std::string::npos || close <= open) {
-        return fail(lineNo, "expected INPUT(...)/OUTPUT(...): " + line);
-      }
-      std::string kind = upperCopy(trimWs(line.substr(0, open)));
-      std::string name = trimWs(line.substr(open + 1, close - open - 1));
-      if (name.empty()) return fail(lineNo, "empty signal name");
-      if (kind == "INPUT") {
-        if (!definedAt.emplace(name, lineNo).second) {
-          return fail(lineNo, "redefinition of '" + name + "'");
-        }
-        inputs.insert(name);
-      } else if (kind == "OUTPUT") {
-        outputs.emplace_back(name, lineNo);
-      } else {
-        return fail(lineNo, "unknown directive " + kind);
-      }
-      continue;
-    }
-
-    std::string lhs = trimWs(line.substr(0, eq));
-    std::string rhs = trimWs(line.substr(eq + 1));
-    if (lhs.empty()) return fail(lineNo, "missing signal name before '='");
-    size_t open = rhs.find('(');
-    size_t close = rhs.rfind(')');
-    if (open == std::string::npos || close == std::string::npos || close <= open) {
-      return fail(lineNo, "expected name = GATE(...): " + line);
-    }
-    std::string gateName = trimWs(rhs.substr(0, open));
-    size_t lo = 0;
-    size_t hi = 0;
-    if (!benchGateArity(gateName, &lo, &hi)) {
-      return fail(lineNo, "unknown gate type '" + gateName + "'");
-    }
-    BenchDef def;
-    def.isDff = isDffName(gateName);
-    def.line = lineNo;
-    std::string args = rhs.substr(open + 1, close - open - 1);
-    std::istringstream as(args);
-    std::string arg;
-    while (std::getline(as, arg, ',')) {
-      arg = trimWs(arg);
-      if (!arg.empty()) def.fanins.push_back(arg);
-    }
-    if (def.fanins.size() < lo || def.fanins.size() > hi) {
-      return fail(lineNo, gateName + " gate '" + lhs + "' has " +
-                              std::to_string(def.fanins.size()) + " fanins");
-    }
-    if (!definedAt.emplace(lhs, lineNo).second) {
-      return fail(lineNo, "redefinition of '" + lhs + "'");
-    }
-    if (def.isDff) ++dffCount;
-    defs.emplace(lhs, std::move(def));
-  }
-
-  if (dffCount == 0) {
-    *error = ".bench circuit has no DFFs (no state bits to compute a preimage over)";
-    return false;
-  }
-  if (dffCount > limits.maxStateBits) {
-    *error = ".bench circuit has " + std::to_string(dffCount) + " state bits (cap " +
-             std::to_string(limits.maxStateBits) + ")";
-    return false;
-  }
-
-  // Every referenced signal must resolve to an INPUT or a definition.
-  auto known = [&](const std::string& name) {
-    return inputs.count(name) != 0 || defs.count(name) != 0;
-  };
-  for (const auto& [name, def] : defs) {
-    for (const std::string& f : def.fanins) {
-      if (!known(f)) return fail(def.line, "undefined signal '" + f + "'");
-    }
-  }
-  for (const auto& [name, lineAt] : outputs) {
-    if (!known(name)) return fail(lineAt, "undefined output signal '" + name + "'");
-  }
-
-  // Combinational acyclicity (cycles are only legal through a DFF). Iterative
-  // 3-color DFS over combinational definitions; inputs and DFF outputs are
-  // terminals.
-  std::map<std::string, int> color;  // 0 unseen / 1 on stack / 2 done
-  for (const auto& [root, rootDef] : defs) {
-    if (rootDef.isDff || color[root] == 2) continue;
-    std::vector<std::pair<std::string, size_t>> stack;
-    stack.emplace_back(root, 0);
-    color[root] = 1;
-    while (!stack.empty()) {
-      auto& [name, next] = stack.back();
-      const BenchDef& def = defs.at(name);
-      if (next >= def.fanins.size()) {
-        color[name] = 2;
-        stack.pop_back();
-        continue;
-      }
-      const std::string& f = def.fanins[next++];
-      auto it = defs.find(f);
-      if (it == defs.end() || it->second.isDff) continue;  // terminal
-      int c = color[f];
-      if (c == 1) return fail(it->second.line, "combinational cycle through '" + f + "'");
-      if (c == 0) {
-        color[f] = 1;
-        stack.emplace_back(f, 0);
-      }
-    }
-  }
-  return true;
-}
-
 // --- cubes and methods ------------------------------------------------------
 
 bool parseTargetCube(const std::string& text, int numStateBits, LitVec* cube, std::string* error) {
@@ -313,17 +124,7 @@ bool parsePreimageMethod(const std::string& name, PreimageMethod* method) {
 // --- circuit contexts -------------------------------------------------------
 
 std::string circuitSourceKey(const ServeRequest& req) {
-  if (!req.gen.empty()) return "gen:" + req.gen;
-  // Content-address the bench text so byte-identical circuits pool together
-  // without keeping the full text as a map key.
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
-  for (char c : req.bench) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return std::string("bench:") + buf;
+  return req.gen.empty() ? "bench:" + req.bench : "gen:" + req.gen;
 }
 
 CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimits& limits,
@@ -332,8 +133,25 @@ CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimi
   if (!req.gen.empty()) {
     if (!buildGeneratorChecked(req.gen, limits, &ctx->netlist, error)) return nullptr;
   } else {
-    if (!validateBenchText(req.bench, limits, error)) return nullptr;
-    ctx->netlist = parseBenchString(req.bench);
+    const std::string& text = req.bench;
+    if (text.size() > static_cast<size_t>(limits.maxBenchBytes)) {
+      *error = ".bench text exceeds " + std::to_string(limits.maxBenchBytes) + " bytes";
+      return nullptr;
+    }
+    const auto lines = std::count(text.begin(), text.end(), '\n') +
+                       (text.empty() || text.back() == '\n' ? 0 : 1);
+    if (lines > limits.maxBenchLines) {
+      *error = ".bench text exceeds " + std::to_string(limits.maxBenchLines) + " lines";
+      return nullptr;
+    }
+    std::optional<Netlist> parsed = parseBench(text, error);
+    if (!parsed) return nullptr;
+    ctx->netlist = std::move(*parsed);
+    if (ctx->netlist.dffs().size() > static_cast<size_t>(limits.maxStateBits)) {
+      *error = ".bench circuit has " + std::to_string(ctx->netlist.dffs().size()) +
+               " state bits (cap " + std::to_string(limits.maxStateBits) + ")";
+      return nullptr;
+    }
   }
   if (ctx->netlist.dffs().empty()) {
     *error = "circuit has no DFFs (no state bits to compute a preimage over)";

@@ -2,12 +2,13 @@
 // parsed as JSON" and "here is the response body".
 //
 // The daemon's cardinal rule is that CLIENT INPUT MUST NOT ABORT THE
-// PROCESS. The library's parsers (bench_io, the generator constructors,
-// presat_cli's cube parser) enforce their contracts with PRESAT_CHECK —
-// correct for a CLI, fatal for a server. So this layer re-validates every
-// client-supplied artifact with non-aborting scanners that accept exactly
-// what the underlying builders accept (plus service-hygiene size caps), and
-// only then hands the input to the aborting builder.
+// PROCESS. The library's trusted-input entry points (parseBenchString, the
+// generator constructors, presat_cli's cube parser) enforce their contracts
+// with PRESAT_CHECK — correct for a CLI, fatal for a server. So this layer
+// takes every client-supplied artifact through a non-aborting path: .bench
+// text through bench_io's parseBench (the one parser, which reports instead
+// of aborting), generator specs and cubes through the checked builders
+// below, plus service-hygiene size caps.
 //
 // runPreimage() is the request state machine's EXECUTE step: resolve the
 // circuit context, consult the cross-query cache (leader/follower), build a
@@ -45,13 +46,6 @@ struct SessionLimits {
 bool buildGeneratorChecked(const std::string& spec, const SessionLimits& limits, Netlist* out,
                            std::string* error);
 
-// Full non-aborting pre-validation of `.bench` text: replicates every
-// PRESAT_CHECK the bench_io scanner/builder and Netlist::validate() enforce
-// (grammar, gate types, arity, redefinition, undefined signals,
-// combinational cycles) so the subsequent parseBenchString cannot abort.
-// Errors carry the 1-based .bench line number.
-bool validateBenchText(const std::string& text, const SessionLimits& limits, std::string* error);
-
 // Target cube text (LSB-first, '0'/'1'/'x'/'-', one char per state bit).
 bool parseTargetCube(const std::string& text, int numStateBits, LitVec* cube, std::string* error);
 
@@ -63,14 +57,18 @@ bool parsePreimageMethod(const std::string& name, PreimageMethod* method);
 
 // --- Circuit context construction ------------------------------------------
 
-// Validates then builds a shared context for the request's circuit source
-// (exactly one of req.gen / req.bench is set — the protocol layer enforced
-// that). Returns null with a bad_request message on invalid input.
+// Builds a shared context for the request's circuit source (exactly one of
+// req.gen / req.bench is set — the protocol layer enforced that). Bench text
+// is parsed exactly once, by parseBench; around it sit only the limits the
+// parser cannot know: the byte and line caps before parsing, the no-DFF and
+// state-bit caps after. Returns null with a bad_request message on invalid
+// input (parse errors read ".bench line N: ...").
 CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimits& limits,
                                       std::string* error);
 
-// Pool key for the request's circuit source ("gen:<spec>" or a content hash
-// of the bench text) — cheap to compute before any parsing happens.
+// Pool key for the request's circuit source: "gen:<spec>" or "bench:" plus
+// the exact bench text, so only byte-identical sources share a context.
+// Cheap to compute before any parsing happens.
 std::string circuitSourceKey(const ServeRequest& req);
 
 // --- Execution --------------------------------------------------------------

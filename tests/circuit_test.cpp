@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <sstream>
 #include <thread>
 
 #include "base/rng.hpp"
@@ -348,6 +349,155 @@ TEST(BenchIo, DffFeedbackIsNotACycle) {
   TransitionSystem sys(nl);
   EXPECT_EQ(sys.step({false}, {}), std::vector<bool>{true});
   EXPECT_EQ(sys.step({true}, {}), std::vector<bool>{false});
+}
+
+// A 200 000-gate combinational chain parses on a std::thread's default
+// stack: the resolver keeps its own DFS stack, where a recursive one
+// overflowed the call stack.
+TEST(BenchIo, DeepChainParsesWithoutRecursion) {
+  constexpr int kGates = 200000;
+  std::string text = "INPUT(a)\nOUTPUT(q)\nq = DFF(g0)\n";
+  for (int i = 0; i + 1 < kGates; ++i) {
+    text += "g" + std::to_string(i) + " = NOT(g" + std::to_string(i + 1) + ")\n";
+  }
+  text += "g" + std::to_string(kGates - 1) + " = AND(a, q)\n";
+  Netlist nl;
+  std::thread worker([&] { nl = parseBenchString(text); });
+  worker.join();
+  EXPECT_EQ(nl.numNodes(), static_cast<size_t>(kGates) + 2);
+  EXPECT_EQ(nl.numGates(), static_cast<size_t>(kGates));
+  // Fanins come first: the chain's far end is node 2, the DFF's data pin last.
+  EXPECT_EQ(nl.name(2), "g" + std::to_string(kGates - 1));
+  EXPECT_EQ(nl.dffData(nl.dffs()[0]), nl.numNodes() - 1);
+}
+
+// Mutants of two valid texts (s27 and a random circuit): bytes deleted,
+// duplicated, overwritten with grammar characters or flipped, whole lines
+// spliced in from elsewhere, and gate names swapped (which breaks arities).
+// The one parser must either return a netlist that passes the structural
+// audit or report a ".bench line N" error; it must never abort or crash on
+// any of them.
+TEST(BenchIo, HostileMutantsNeverAbort) {
+  RandomCircuitParams params;
+  params.numInputs = 4;
+  params.numDffs = 6;
+  params.numGates = 60;
+  params.seed = 17;
+  const std::string seeds[] = {iscasS27Text(), toBenchString(makeRandomSequential(params))};
+  const std::string alphabet = "(),=# \n\tabgGq01DFANDOTBUXMC";
+  const char* gates[] = {" AND", " NOT", " BUF", " MUX", " DFF", " CONST1", " xnor", " FROB"};
+  Rng rng(2027);
+  int parsed = 0;
+  int rejected = 0;
+  for (int m = 0; m < 2000; ++m) {
+    std::string text = seeds[m % 2];
+    auto lineStart = [&text](size_t at) {
+      const size_t newline = text.rfind('\n', at);
+      return newline == std::string::npos ? 0 : newline + 1;
+    };
+    for (int edits = static_cast<int>(rng.range(1, 3)); edits > 0 && !text.empty(); --edits) {
+      const size_t at = rng.below(text.size());
+      switch (rng.below(6)) {
+        case 0:
+          text.erase(at, 1);
+          break;
+        case 1:
+          text.insert(at, 1, text[at]);
+          break;
+        case 2:
+          text[at] = alphabet[rng.below(alphabet.size())];
+          break;
+        case 3:
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8)));
+          break;
+        case 4: {
+          // Splice: copy the line around one offset to the start of another.
+          const size_t from = rng.below(text.size());
+          const size_t begin = lineStart(from);
+          const std::string line = text.substr(begin, text.find('\n', from) - begin) + "\n";
+          text.insert(lineStart(at), line);
+          break;
+        }
+        case 5: {
+          // Swap the gate name of the first definition at or after `at`.
+          const size_t eq = text.find('=', lineStart(at));
+          const size_t open = text.find('(', eq);
+          if (open != std::string::npos) text.replace(eq + 1, open - eq - 1, gates[rng.below(8)]);
+          break;
+        }
+      }
+    }
+    std::string err;
+    std::optional<Netlist> nl = parseBench(text, &err);
+    if (nl) {
+      ++parsed;
+      AuditResult audit = auditNetlist(*nl);
+      EXPECT_TRUE(audit.ok()) << audit.toString() << "\n" << text;
+    } else {
+      ++rejected;
+      EXPECT_EQ(err.rfind(".bench line ", 0), 0u) << err << "\n" << text;
+    }
+  }
+  // Both outcomes occur, so the corpus exercises the accept and reject paths.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+// Node-for-node pin of the parser's output over the s27 text and the texts
+// of every generator and 30 random circuits, ten of them rand14x200-shaped
+// (the serve workload's circuit). One digest folds the structural hashes,
+// the other the node-name sequence. The serve cache keys on the structural
+// hash, so a parser change that reorders nodes would silently re-key it. The
+// digests were taken from the recursive parser this one replaced; re-pin
+// them only for a change that is meant to alter the netlist a .bench text
+// produces.
+TEST(BenchIo, ParsedNetlistMatchesPinnedDigest) {
+  std::vector<Netlist> circuits = {
+      makeCounter(6),         makeCounter(5, false),   makeGrayCounter(5),
+      makeLfsr(7),            makeShiftRegister(6),    makeRoundRobinArbiter(4),
+      makeTrafficLight(),     makeAccumulator(4),      makeCombinationLock({3, 1, 2}, 2),
+      makeS27()};
+  Rng rng(1801);
+  for (int i = 0; i < 30; ++i) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = i < 10 ? 6 : static_cast<int>(rng.range(1, 8));
+    params.numDffs = i < 10 ? 14 : static_cast<int>(rng.range(1, 16));
+    params.numGates = i < 10 ? 200 : static_cast<int>(rng.range(16, 300));
+    circuits.push_back(makeRandomSequential(params));
+  }
+  auto mix = [](uint64_t& digest, uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (word >> (8 * i)) & 0xff;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  uint64_t hashDigest = 0xcbf29ce484222325ull;
+  uint64_t nameDigest = 0xcbf29ce484222325ull;
+  std::vector<std::string> texts = {iscasS27Text()};
+  for (const Netlist& original : circuits) {
+    // Each writer text, and the same lines reversed: every definition then
+    // comes before its fanins', so the forward-reference order is pinned too.
+    std::string text = toBenchString(original);
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::string reversed;
+    for (auto it = lines.rbegin(); it != lines.rend(); ++it) reversed += *it + "\n";
+    texts.push_back(std::move(text));
+    texts.push_back(std::move(reversed));
+  }
+  for (const std::string& text : texts) {
+    Netlist parsed = parseBenchString(text);
+    mix(hashDigest, netlistStructuralHash(parsed));
+    mix(nameDigest, parsed.numNodes());
+    for (NodeId id = 0; id < parsed.numNodes(); ++id) {
+      for (char c : parsed.name(id)) mix(nameDigest, static_cast<uint8_t>(c));
+      mix(nameDigest, 0);
+    }
+  }
+  EXPECT_EQ(hashDigest, 0xeb7693acc67ca9e6ull) << std::hex << hashDigest;
+  EXPECT_EQ(nameDigest, 0xba01c4a5d705ffc6ull) << std::hex << nameDigest;
 }
 
 TEST(Simulator, GateSemantics) {

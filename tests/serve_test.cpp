@@ -158,28 +158,131 @@ TEST(ServeSession, GeneratorSpecValidation) {
   EXPECT_FALSE(buildGeneratorChecked("nonsense:4", limits, &nl, &err));
 }
 
+CircuitContextPtr buildBenchContext(const std::string& text, const SessionLimits& limits,
+                                    std::string* err) {
+  ServeRequest req;
+  req.bench = text;
+  return buildCircuitContext(req, limits, err);
+}
+
+// Bench text reaches the daemon only through buildCircuitContext: one
+// non-aborting parse plus the session caps. Every bad input must come back
+// as a null context and a message, never an abort.
 TEST(ServeSession, BenchValidationCatchesWhatTheParserWouldAbortOn) {
   SessionLimits limits;
   std::string err;
   const std::string good = "INPUT(a)\nq = DFF(d)\nd = AND(a, q)\nOUTPUT(q)\n";
-  EXPECT_TRUE(validateBenchText(good, limits, &err)) << err;
+  CircuitContextPtr ctx = buildBenchContext(good, limits, &err);
+  ASSERT_NE(ctx, nullptr) << err;
+  EXPECT_EQ(ctx->netlist.dffs().size(), 1u);
 
   // Each of these would PRESAT_CHECK-abort inside parseBenchString.
-  const char* bad[] = {
-      "INPUT(a)\nq = DFF(d)\nd = FROB(a)\n",          // unknown gate
-      "INPUT(a)\nq = DFF(a, a)\n",                    // DFF arity
-      "INPUT(a)\nINPUT(a)\nq = DFF(a)\n",             // redefinition
-      "INPUT(a)\nq = DFF(zzz)\n",                     // undefined signal
-      "q = DFF(a)\na = BUF(b)\nb = BUF(a)\n",         // combinational cycle
-      "INPUT(a)\nb = AND(a)\n",                       // no DFFs
-      "garbage line\n",                               // grammar
+  const std::pair<const char*, const char*> bad[] = {
+      {"INPUT(a)\nq = DFF(d)\nd = FROB(a)\n", ".bench line 3: unknown gate type"},
+      {"INPUT(a)\nq = DFF(a, a)\n", ".bench line 2: DFF gate 'q' has 2 fanins"},
+      {"INPUT(a)\nINPUT(a)\nq = DFF(a)\n", ".bench line 2: redefinition of 'a'"},
+      {"INPUT(a)\nq = DFF(zzz)\n", ".bench line 2: undefined signal 'zzz'"},
+      {"q = DFF(a)\na = BUF(b)\nb = BUF(a)\n", ".bench line 2: combinational cycle"},
+      {"INPUT(a)\nb = AND(a)\n", "no DFFs"},
+      {"garbage line\n", ".bench line 1: expected INPUT"},
   };
-  for (const char* text : bad) {
-    EXPECT_FALSE(validateBenchText(text, limits, &err)) << text;
+  for (const auto& [text, message] : bad) {
+    err.clear();
+    EXPECT_EQ(buildBenchContext(text, limits, &err), nullptr) << text;
+    EXPECT_NE(err.find(message), std::string::npos) << text << " -> " << err;
   }
-  // The validated-good text must actually parse without aborting.
-  Netlist nl = parseBenchString(good);
-  EXPECT_EQ(nl.dffs().size(), 1u);
+
+  // The session's own caps: bytes and lines before parsing, state bits after.
+  SessionLimits capped;
+  capped.maxBenchBytes = static_cast<int>(good.size());
+  EXPECT_NE(buildBenchContext(good, capped, &err), nullptr) << err;
+  EXPECT_EQ(buildBenchContext(good + " ", capped, &err), nullptr);
+  EXPECT_NE(err.find("exceeds " + std::to_string(good.size()) + " bytes"), std::string::npos)
+      << err;
+
+  capped = SessionLimits{};
+  capped.maxBenchLines = 4;
+  EXPECT_NE(buildBenchContext(good, capped, &err), nullptr) << err;
+  // An unterminated last line counts too.
+  EXPECT_EQ(buildBenchContext(good + "# fifth", capped, &err), nullptr);
+  EXPECT_NE(err.find("exceeds 4 lines"), std::string::npos) << err;
+
+  capped = SessionLimits{};
+  capped.maxStateBits = 1;
+  const std::string twoBits = good + "r = DFF(q)\n";
+  EXPECT_EQ(buildBenchContext(twoBits, capped, &err), nullptr);
+  EXPECT_NE(err.find("2 state bits (cap 1)"), std::string::npos) << err;
+  capped.maxStateBits = 2;
+  EXPECT_NE(buildBenchContext(twoBits, capped, &err), nullptr) << err;
+}
+
+// A combinational chain as deep as the line cap allows: q = DFF(g0),
+// g0 = BUF(g1), ..., with the last link g = AND(a, q), so q' = a & q and the
+// preimage of q' = 1 is the one state q = 1. A recursive parser overflowed
+// the stack here; the request runs on a std::thread, with that thread's
+// default stack, as it would on a serve worker.
+TEST(ServeSession, DeepBufferChainDoesNotCrash) {
+  constexpr int kGates = 19990;
+  std::string text = "INPUT(a)\nq = DFF(g0)\n";
+  for (int i = 0; i + 1 < kGates; ++i) {
+    text += "g" + std::to_string(i) + " = BUF(g" + std::to_string(i + 1) + ")\n";
+  }
+  text += "g" + std::to_string(kGates - 1) + " = AND(a, q)\n";
+  SessionLimits limits;
+  ASSERT_LE(text.size(), static_cast<size_t>(limits.maxBenchBytes));
+
+  std::string err;
+  ServeError error;
+  ExecResult result;
+  std::thread worker([&] {
+    ServeRequest req;
+    req.bench = text;
+    req.target = "1";
+    req.method = "chrono";
+    CircuitContextPtr ctx = buildCircuitContext(req, limits, &err);
+    if (ctx == nullptr) return;
+    ServeCache off(0, nullptr);
+    error = runPreimage(req, ctx, off, nullptr, limits, &result);
+  });
+  worker.join();
+  ASSERT_TRUE(err.empty()) << err;
+  ASSERT_TRUE(error.ok()) << error.message;
+  EXPECT_EQ(result.cover.outcome, Outcome::kComplete);
+  EXPECT_EQ(result.cover.count.toDecimal(), "1");
+}
+
+// The pool shares a context only between byte-identical sources; a text one
+// byte away from a pooled one gets its own context, however its hash falls.
+TEST(ServeSession, ContextPoolKeysByExactSource) {
+  ContextPool pool(8);
+  SessionLimits limits;
+  int builds = 0;
+  auto resolve = [&](const std::string& text) {
+    ServeRequest req;
+    req.bench = text;
+    return pool.resolve(circuitSourceKey(req), [&]() -> CircuitContextPtr {
+      ++builds;
+      std::string err;
+      return buildCircuitContext(req, limits, &err);
+    });
+  };
+  const std::string text = "INPUT(a)\nq = DFF(d)\nd = AND(a, q)\n";
+  std::string oneByteOff = text;
+  oneByteOff[oneByteOff.size() - 3] = 'a';  // d = AND(a, a)
+  CircuitContextPtr first = resolve(text);
+  CircuitContextPtr again = resolve(text);
+  CircuitContextPtr other = resolve(oneByteOff);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(first, again);
+  EXPECT_NE(first, other);
+  EXPECT_NE(first->structuralHash, other->structuralHash);
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(pool.entries(), 2u);
+  EXPECT_EQ(pool.reuses(), 1u);
+  ServeRequest req;
+  req.bench = text;
+  EXPECT_EQ(circuitSourceKey(req), "bench:" + text);
 }
 
 TEST(ServeSession, TargetCubeParsing) {
