@@ -1,9 +1,6 @@
 #include "check/audit_netlist.hpp"
 
-#include <algorithm>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -36,23 +33,9 @@ bool arityOk(GateType type, size_t n) {
   }
 }
 
-bool commutative(GateType type) {
-  switch (type) {
-    case GateType::kAnd:
-    case GateType::kNand:
-    case GateType::kOr:
-    case GateType::kNor:
-    case GateType::kXor:
-    case GateType::kXnor:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
-AuditResult auditNetlist(const Netlist& nl, const NetlistAuditOptions& opt) {
+AuditResult auditNetlist(const Netlist& nl) {
   AuditResult r;
   const NodeId n = static_cast<NodeId>(nl.numNodes());
 
@@ -124,45 +107,6 @@ AuditResult auditNetlist(const Netlist& nl, const NetlistAuditOptions& opt) {
     }
   }
 
-  if (!opt.expectStrashed) return r;
-
-  // -- strash canonicity ----------------------------------------------------
-  std::map<std::pair<GateType, std::vector<NodeId>>, NodeId> canonical;
-  for (NodeId id = 0; id < n; ++id) {
-    const GateNode& g = nl.node(id);
-    if (!isCombinational(g.type)) continue;
-    if (g.type == GateType::kBuf) {
-      r.fail("netlist.strash.buf", describe(nl, id) + " survived the sweep");
-    }
-    for (NodeId f : g.fanins) {
-      if (nl.type(f) == GateType::kConst0 || nl.type(f) == GateType::kConst1) {
-        r.fail("netlist.strash.const-fanin",
-               describe(nl, id) + " keeps constant fanin " + describe(nl, f));
-      }
-    }
-    std::vector<NodeId> key = g.fanins;
-    if (commutative(g.type)) std::sort(key.begin(), key.end());
-    auto [it, inserted] = canonical.emplace(std::make_pair(g.type, std::move(key)), id);
-    if (!inserted) {
-      r.fail("netlist.strash.duplicate",
-             describe(nl, id) + " duplicates " + describe(nl, it->second));
-    }
-  }
-  {
-    std::vector<NodeId> roots = nl.outputs();
-    for (NodeId dff : nl.dffs()) {
-      if (nl.fanins(dff).size() == 1) roots.push_back(nl.fanins(dff)[0]);
-    }
-    std::vector<bool> inCone(n, false);
-    for (NodeId id : nl.coneOf(roots)) inCone[id] = true;
-    for (NodeId id = 0; id < n; ++id) {
-      if (isCombinational(nl.type(id)) && !inCone[id]) {
-        r.fail("netlist.strash.dangling",
-               describe(nl, id) + " is outside the cone of the outputs and next-state functions");
-      }
-    }
-  }
-
   return r;
 }
 
@@ -200,15 +144,6 @@ void corruptNetlistForTest(Netlist& nl, NetlistCorruption kind) {
       PRESAT_CHECK(!nl.dffs().empty()) << "corruptNetlistForTest: no DFF";
       nl.nodes_[nl.dffs().front()].fanins.clear();
       return;
-    }
-    case NetlistCorruption::kDuplicateGate: {
-      for (NodeId id = 0; id < nl.numNodes(); ++id) {
-        if (isCombinational(nl.type(id))) {
-          nl.nodes_.push_back({nl.type(id), nl.fanins(id), ""});
-          return;
-        }
-      }
-      PRESAT_CHECK(false) << "corruptNetlistForTest: no combinational gate";
     }
     case NetlistCorruption::kNameMapSkew: {
       for (auto& [name, id] : nl.byName_) {

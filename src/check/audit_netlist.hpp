@@ -11,15 +11,6 @@
 //                         sequential and exempt)
 //   netlist.name.map      the name index maps each name to the node carrying
 //                         it, bijectively
-//
-// With expectStrashed (output of strashSweep):
-//
-//   netlist.strash.buf        no BUF gates survive the sweep
-//   netlist.strash.const-fanin no combinational gate keeps a constant fanin
-//   netlist.strash.duplicate  no two gates share (type, canonical fanins) —
-//                             fanins sorted for commutative types
-//   netlist.strash.dangling   every combinational gate is in the cone of the
-//                             outputs or a DFF data pin
 #pragma once
 
 #include "check/audit.hpp"
@@ -28,19 +19,13 @@ namespace presat {
 
 class Netlist;
 
-struct NetlistAuditOptions {
-  // Additionally require the canonicity invariants strashSweep guarantees.
-  bool expectStrashed = false;
-};
-
-AuditResult auditNetlist(const Netlist& netlist, const NetlistAuditOptions& options = {});
+AuditResult auditNetlist(const Netlist& netlist);
 
 // Test-only corruption hooks (see SolverCorruption for the pattern).
 enum class NetlistCorruption : int {
   kSelfLoop,        // point a gate fanin at the gate itself
   kArity,           // give a NOT gate a second fanin
   kDffData,         // disconnect a DFF's data pin
-  kDuplicateGate,   // append a structural duplicate of an existing gate
   kNameMapSkew,     // name index entry pointing at the wrong node
 };
 void corruptNetlistForTest(Netlist& netlist, NetlistCorruption kind);

@@ -30,7 +30,6 @@
 namespace presat {
 
 class AuditResult;
-struct NetlistAuditOptions;
 enum class NetlistCorruption : int;
 
 using NodeId = uint32_t;
@@ -147,7 +146,7 @@ class Netlist {
  private:
   // Deep structural validation (src/check/audit_netlist.cpp) also inspects
   // the name index; the corruption hook needs write access.
-  friend AuditResult auditNetlist(const Netlist& netlist, const NetlistAuditOptions& options);
+  friend AuditResult auditNetlist(const Netlist& netlist);
   friend void corruptNetlistForTest(Netlist& netlist, NetlistCorruption kind);
 
   // One derived view, built on first read and immutable until the next

@@ -8,13 +8,17 @@ namespace presat {
 namespace {
 
 // Node -> BDD over state bit i at variable i and input j at `inputBase` + j,
-// built in topological order. Both transition builders share it, so they
-// issue the same manager operations in the same order.
+// built in topological order over the next-state cones only (the cone
+// encodeCircuit limits the CNF engines to); logic outside them stays kFalse.
+// Both transition builders share it, so they issue the same manager
+// operations in the same order.
 std::vector<BddRef> buildNodeBdds(BddManager& mgr, const TransitionSystem& system,
                                   Var inputBase) {
   const Netlist& nl = system.netlist();
   std::vector<BddRef> nodeBdd(nl.numNodes(), BddManager::kFalse);
   std::vector<bool> isSource(nl.numNodes(), false);
+  std::vector<bool> inCone(nl.numNodes(), false);
+  for (NodeId id : nl.coneOf(system.nextStateRoots())) inCone[id] = true;
   for (int i = 0; i < system.numStateBits(); ++i) {
     nodeBdd[system.stateNode(i)] = mgr.variable(static_cast<Var>(i));
     isSource[system.stateNode(i)] = true;
@@ -24,6 +28,7 @@ std::vector<BddRef> buildNodeBdds(BddManager& mgr, const TransitionSystem& syste
     isSource[system.inputNode(j)] = true;
   }
   for (NodeId id : nl.topologicalOrder()) {
+    if (!inCone[id]) continue;
     const GateNode& g = nl.node(id);
     switch (g.type) {
       case GateType::kInput:
@@ -133,36 +138,16 @@ BigUint BddTransition::countStates(BddRef stateBdd) {
   return countStatesOf(mgr_, stateBdd, system_.numStateBits());
 }
 
-BddRelationalTransition::BddRelationalTransition(const TransitionSystem& system,
-                                                 Governor* governor)
+BddRelationalTransition::BddRelationalTransition(const TransitionSystem& system)
     : system_(system),
       mgr_(2 * system.numStateBits() + system.numInputs()) {
-  mgr_.setGovernor(governor);
   const int n = system.numStateBits();
-  const Var inputBase = static_cast<Var>(2 * n);
-  std::vector<BddRef> nodeBdd = buildNodeBdds(mgr_, system, inputBase);
-  for (int j = 0; j < system.numInputs(); ++j) quantified_.push_back(inputBase + j);
+  std::vector<BddRef> nodeBdd = buildNodeBdds(mgr_, system, static_cast<Var>(2 * n));
   relation_ = BddManager::kTrue;
   for (int i = 0; i < n; ++i) {
-    Var prime = static_cast<Var>(n + i);
-    quantified_.push_back(prime);
-    relation_ = mgr_.bddAnd(
-        relation_, mgr_.bddXnor(mgr_.variable(prime), nodeBdd[system.nextStateRoot(i)]));
+    relation_ = mgr_.bddAnd(relation_, mgr_.bddXnor(mgr_.variable(static_cast<Var>(n + i)),
+                                                    nodeBdd[system.nextStateRoot(i)]));
   }
-  shiftToPrime_.assign(static_cast<size_t>(mgr_.numVars()), BddManager::kNoSubstitution);
-  for (int i = 0; i < n; ++i) {
-    shiftToPrime_[static_cast<size_t>(i)] = mgr_.variable(static_cast<Var>(n + i));
-  }
-}
-
-BddRef BddRelationalTransition::preimage(BddRef target) {
-  BddRef primed = mgr_.composeVector(target, shiftToPrime_);
-  return mgr_.andExists(relation_, primed, quantified_);
-}
-
-StateSet BddRelationalTransition::preimage(const StateSet& target) {
-  PRESAT_CHECK(target.numStateBits == system_.numStateBits());
-  return toStateSet(preimage(target.toBdd(mgr_)));
 }
 
 StateSet BddRelationalTransition::toStateSet(BddRef stateBdd) {

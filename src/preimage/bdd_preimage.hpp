@@ -40,22 +40,16 @@ class BddTransition {
   std::vector<Var> inputVars_;
 };
 
-// Transition-relation variant: builds the monolithic relation
-// TR(s, s', x) = ∏ (s'_i ≡ δ_i(s, x)) once, then computes
-// Pre(T) = ∃s',x. TR ∧ T[s ← s'] with one relational product per query.
+// Transition relation TR(s, s', x) = ∏ (s'_i ≡ δ_i(s, x)), built once for
+// the symbolic image (preimage/image.hpp).
 // Variable order: s at 0..n-1, s' at n..2n-1, inputs at 2n..2n+m-1.
 class BddRelationalTransition {
  public:
-  // `governor` as in BddTransition (here it additionally governs the
-  // monolithic transition-relation build).
-  explicit BddRelationalTransition(const TransitionSystem& system,
-                                   Governor* governor = nullptr);
+  explicit BddRelationalTransition(const TransitionSystem& system);
 
   BddManager& manager() { return mgr_; }
   BddRef relation() const { return relation_; }
 
-  BddRef preimage(BddRef target);  // target over s variables
-  StateSet preimage(const StateSet& target);
   StateSet toStateSet(BddRef stateBdd);
   BigUint countStates(BddRef stateBdd);
 
@@ -63,8 +57,6 @@ class BddRelationalTransition {
   const TransitionSystem& system_;
   BddManager mgr_;
   BddRef relation_;
-  std::vector<Var> quantified_;       // s' ∪ x
-  std::vector<BddRef> shiftToPrime_;  // substitution s_i -> s'_i
 };
 
 }  // namespace presat

@@ -15,7 +15,6 @@
 #include "circuit/netlist.hpp"
 #include "circuit/simulator.hpp"
 #include "sat/proof.hpp"
-#include "circuit/strash.hpp"
 #include "circuit/tseitin.hpp"
 #include "govern/governor.hpp"
 #include "parallel/parallel_allsat.hpp"
@@ -30,7 +29,6 @@ const char* preimageMethodName(PreimageMethod method) {
     case PreimageMethod::kSuccessDriven: return "success-driven";
     case PreimageMethod::kChrono: return "chrono";
     case PreimageMethod::kBdd: return "bdd";
-    case PreimageMethod::kBddRelational: return "bdd-relational";
   }
   return "?";
 }
@@ -159,7 +157,7 @@ PreimageResult fromAllSat(AllSatResult&& r, int numStateBits) {
 }
 
 // Epilogue mirroring allsat's finishResult for the engines that assemble a
-// PreimageResult directly (success-driven loop, the two BDD baselines).
+// PreimageResult directly (success-driven loop, the BDD baseline).
 void finishPreimage(PreimageResult& result, const Governor* governor) {
   result.complete = (result.outcome == Outcome::kComplete);
   result.metrics.setLabel("outcome", outcomeName(result.outcome));
@@ -211,7 +209,6 @@ bool methodCoverDisjoint(PreimageMethod method) {
     case PreimageMethod::kMintermBlocking:
     case PreimageMethod::kChrono:
     case PreimageMethod::kBdd:
-    case PreimageMethod::kBddRelational:
       return true;
     case PreimageMethod::kCubeBlockingLifted:
     case PreimageMethod::kSuccessDriven:
@@ -246,19 +243,6 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
                                PreimageMethod method, const PreimageOptions& options) {
   const int n = system.numStateBits();
   PRESAT_CHECK(target.numStateBits == n) << "target state width mismatch";
-
-  if (options.presimplify) {
-    // The sweep preserves PI/DFF identity and order, so the swept system has
-    // the same state space and the same transition function.
-    SweepResult swept = strashSweep(system.netlist());
-    TransitionSystem simplified(swept.netlist);
-    PreimageOptions inner = options;
-    inner.presimplify = false;
-    // Any caller-shared encoding speaks the pre-sweep netlist; the recursive
-    // call builds a fresh one over the simplified system.
-    inner.encoding = nullptr;
-    return computePreimage(simplified, target, method, inner);
-  }
 
   // The CNF engines run on the shared (or locally built) preprocessed
   // encoding, so the per-engine preprocess pass would be a redundant second
@@ -351,24 +335,17 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
       finishPreimage(result, options.allsat.governor);
       return result;
     }
-    case PreimageMethod::kBdd:
-    case PreimageMethod::kBddRelational: {
+    case PreimageMethod::kBdd: {
       Timer timer;
       Governor* governor = options.allsat.governor;
       PreimageResult result;
       result.states.numStateBits = n;
-      auto solve = [&](auto&& transition) {
+      try {
+        BddTransition transition(system, governor);
         BddRef pre = transition.preimage(target.toBdd(transition.manager()));
         result.states = transition.toStateSet(pre);
         result.stateCount = transition.countStates(pre);
         result.bddNodes = transition.manager().numNodes();
-      };
-      try {
-        if (method == PreimageMethod::kBdd) {
-          solve(BddTransition(system, governor));
-        } else {
-          solve(BddRelationalTransition(system, governor));
-        }
       } catch (const GovernorStop& stop) {
         // Mid-apply there is no usable partial BDD; the empty set is the
         // sound under-approximation this engine degrades to.

@@ -1,7 +1,7 @@
 // One-step preimage computation — the paper's headline application.
 //
 // Pre(T) = { s | ∃x. δ(s, x) ∈ T }: all present states from which some input
-// drives the circuit into the target set in one clock. Six engines compute
+// drives the circuit into the target set in one clock. Five engines compute
 // the same set:
 //   kMintermBlocking    CDCL + one blocking clause per projected minterm
 //   kCubeBlockingLifted CDCL + justification-lifted cube blocking (the same
@@ -11,8 +11,6 @@
 //   kChrono             chronological-backtracking enumeration — disjoint
 //                       cubes, zero blocking clauses (flat clause DB)
 //   kBdd                symbolic baseline (compose + quantify)
-//   kBddRelational      symbolic baseline (monolithic transition relation +
-//                       relational product)
 #pragma once
 
 #include <optional>
@@ -33,7 +31,6 @@ enum class PreimageMethod {
   kSuccessDriven,
   kChrono,
   kBdd,
-  kBddRelational,
 };
 
 const char* preimageMethodName(PreimageMethod method);
@@ -45,7 +42,7 @@ bool preimageMethodUsesCnf(PreimageMethod method);
 inline constexpr PreimageMethod kAllPreimageMethods[] = {
     PreimageMethod::kMintermBlocking, PreimageMethod::kCubeBlockingLifted,
     PreimageMethod::kSuccessDriven,   PreimageMethod::kChrono,
-    PreimageMethod::kBdd,             PreimageMethod::kBddRelational,
+    PreimageMethod::kBdd,
 };
 
 // Target-independent, shareable encoding of a transition system for the CNF
@@ -69,10 +66,6 @@ TransitionEncoding buildTransitionEncoding(const TransitionSystem& system,
 
 struct PreimageOptions {
   AllSatOptions allsat;
-  // Run the structural-hashing / constant sweep (circuit/strash.hpp) on the
-  // netlist before encoding. State-bit order is preserved, so results are
-  // identical; the SAT engines then solve a smaller formula.
-  bool presimplify = false;
   // Shared per-circuit encoding, built with buildTransitionEncoding on the
   // SAME TransitionSystem this query runs on. Null (the default) builds one
   // locally per query. Not owned; must outlive the call. Ignored by the
@@ -92,7 +85,7 @@ struct PreimageResult {
   BigUint stateCount;   // exact count of the union (lower bound when partial)
   bool complete = true;
   // Structured stop reason (govern/budget.hpp); always consistent with
-  // `complete`. The BDD engines degrade to the EMPTY set on a trip — the
+  // `complete`. The BDD engine degrades to the EMPTY set on a trip — the
   // symbolic recursion has no usable partial answer — which is still a
   // sound under-approximation.
   Outcome outcome = Outcome::kComplete;

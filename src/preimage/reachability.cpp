@@ -65,7 +65,7 @@ ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet&
   // every depth's CNF query instantiates the same preprocessed base formula.
   std::optional<TransitionEncoding> sharedEncoding;
   PreimageOptions preOptions = options;
-  if (!options.presimplify && options.encoding == nullptr && preimageMethodUsesCnf(method)) {
+  if (options.encoding == nullptr && preimageMethodUsesCnf(method)) {
     sharedEncoding = buildTransitionEncoding(system, governor);
     preOptions.encoding = &*sharedEncoding;
   }

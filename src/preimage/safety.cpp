@@ -109,8 +109,7 @@ SafetyResult checkSafety(const TransitionSystem& system, const StateSet& initial
   // One circuit encoding + preprocessing pass for the whole backward sweep.
   std::optional<TransitionEncoding> sharedEncoding;
   SafetyOptions safeOptions = options;
-  if (!options.preimage.presimplify && options.preimage.encoding == nullptr &&
-      preimageMethodUsesCnf(options.method)) {
+  if (options.preimage.encoding == nullptr && preimageMethodUsesCnf(options.method)) {
     sharedEncoding = buildTransitionEncoding(system, governor);
     safeOptions.preimage.encoding = &*sharedEncoding;
   }

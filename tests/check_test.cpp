@@ -11,7 +11,6 @@
 #include "check/audit_netlist.hpp"
 #include "check/audit_solution_graph.hpp"
 #include "check/audit_solver.hpp"
-#include "circuit/strash.hpp"
 #include "gen/generators.hpp"
 #include "parallel/merge.hpp"
 #include "sat/solver.hpp"
@@ -112,12 +111,6 @@ TEST(AuditNetlist, CleanGeneratorsPass) {
   }
 }
 
-TEST(AuditNetlist, StrashedOutputMeetsCanonicityInvariants) {
-  Netlist swept = strashSweep(makeGrayCounter(4)).netlist;
-  AuditResult r = auditNetlist(swept, {.expectStrashed = true});
-  EXPECT_TRUE(r.ok()) << r.toString();
-}
-
 TEST(AuditNetlist, DetectsSelfLoop) {
   Netlist nl = makeCounter(4);
   corruptNetlistForTest(nl, NetlistCorruption::kSelfLoop);
@@ -134,13 +127,6 @@ TEST(AuditNetlist, DetectsDisconnectedDffData) {
   Netlist nl = makeCounter(4);
   corruptNetlistForTest(nl, NetlistCorruption::kDffData);
   EXPECT_TRUE(auditNetlist(nl).has("netlist.dff.data"));
-}
-
-TEST(AuditNetlist, DetectsStructuralDuplicateUnderStrash) {
-  Netlist nl = strashSweep(makeCounter(4)).netlist;
-  ASSERT_TRUE(auditNetlist(nl, {.expectStrashed = true}).ok());
-  corruptNetlistForTest(nl, NetlistCorruption::kDuplicateGate);
-  EXPECT_TRUE(auditNetlist(nl, {.expectStrashed = true}).has("netlist.strash.duplicate"));
 }
 
 TEST(AuditNetlist, DetectsNameMapSkew) {

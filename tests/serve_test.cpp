@@ -295,6 +295,24 @@ TEST(ServeSession, TargetCubeParsing) {
   EXPECT_FALSE(parseTargetCube("1x0z", 4, &cube, &err));  // bad char
 }
 
+// A method name the engine list does not carry — here the removed
+// transition-relation preimage — is a structured bad_request, not a crash.
+TEST(ServeSession, RejectsUnknownMethodName) {
+  ServeRequest req;
+  req.gen = "counter:4";
+  req.target = "1xxx";
+  req.method = "bdd-relational";
+  SessionLimits limits;
+  std::string err;
+  CircuitContextPtr ctx = buildCircuitContext(req, limits, &err);
+  ASSERT_NE(ctx, nullptr) << err;
+  ServeCache off(0, nullptr);
+  ExecResult result;
+  ServeError e = runPreimage(req, ctx, off, nullptr, limits, &result);
+  EXPECT_EQ(e.code, "bad_request");
+  EXPECT_EQ(e.message, "unknown method 'bdd-relational'");
+}
+
 // --- cache ------------------------------------------------------------------
 
 CachedCover coldRun(const std::string& gen, const std::string& target) {

@@ -40,8 +40,7 @@
 // CUBE is a string over the state bits, LSB (state bit 0) first, using
 // '0', '1', and 'x'/'-' for don't-care, e.g. --target 1x0x. Preimage METHOD
 // names are those printed by the tool (minterm-blocking, cube-blocking-lifted,
-// success-driven, chrono, bdd, bdd-relational). Any other flag name is an
-// error (exit 2).
+// success-driven, chrono, bdd). Any other flag name is an error (exit 2).
 //
 // `audit` is the enumeration cross-checker: it runs every engine on the same
 // instance, validates the per-engine invariants (disjoint minterms, sound
@@ -651,8 +650,8 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
   return finishAudit(audit, args.positional[0] + " (" + std::to_string(runs.size()) + " engines)");
 }
 
-// Circuit mode: all six preimage engines on a generated benchmark, with the
-// BDD baselines serving as the semantic oracle for the SAT-based ones.
+// Circuit mode: all five preimage engines on a generated benchmark, with the
+// BDD baseline serving as the semantic oracle for the SAT-based ones.
 int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   const std::string spec = args.flag("gen");
   Netlist nl = makeGeneratorCircuit(spec);
@@ -667,7 +666,7 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   StateSet target = parseCube(targetText, width);
 
   // --jobs routes every SAT engine through the cube-and-conquer path while
-  // the BDD baselines stay serial — the cross-check then doubles as a
+  // the BDD baseline stays serial — the cross-check then doubles as a
   // parallel-vs-oracle equivalence test.
   PreimageOptions options;
   applyEngineFlags(args, options.allsat);
@@ -698,7 +697,7 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   }
   {
     // Projected-native chrono with wildcard compression, cross-checked
-    // against the six baselines above: a compressed cover must describe
+    // against the five baselines above: a compressed cover must describe
     // exactly the same state set, and must itself stay pairwise disjoint.
     std::unique_ptr<Governor> governor = makeGovernor(args);
     PreimageOptions projOptions = options;

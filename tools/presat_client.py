@@ -194,7 +194,7 @@ SPEC_WIDTH_RE = re.compile(r"^(counter|gray|lfsr|shift|accum):(\d+)$")
 PROBE_WIDTH_RE = re.compile(r"circuit has (\d+) state bits")
 
 LIGHT_METHODS = ["success-driven", "minterm-blocking", "cube-blocking-lifted",
-                 "chrono", "bdd", "bdd-relational"]
+                 "chrono", "bdd"]
 
 # The heavy pairs anchor the cache-latency comparison: cold minterm
 # enumeration over ~2-4k states costs real engine time, a cache hit does not.
