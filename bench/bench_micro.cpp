@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrates: CDCL solving, BDD
-// operations, bit-parallel simulation, .bench parsing, Tseitin encoding, and
-// the success-driven engine on its best-case structure and on random logic.
+// operations, bit-parallel simulation, .bench parsing, Tseitin encoding, the
+// success-driven engine on its best-case structure and on random logic, and
+// the lifted-cube and chrono preimage paths on random logic.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -213,6 +214,32 @@ void BM_CubeBlockingLiftedRandomLogic(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(models));
 }
 BENCHMARK(BM_CubeBlockingLiftedRandomLogic)->Unit(benchmark::kMillisecond);
+
+// A presat_serve cache miss on a rand14x200 circuit, the serve-mixed
+// workload's shape: chrono with project+compress at jobs=1 (as the daemon
+// clamps it). The encoding is built outside the timed loop, so the loop
+// times the engine alone. Tracks the circuit widening's per-model cost next
+// to BM_CubeBlockingLiftedRandomLogic's lifting. items_per_second reports
+// chrono regions (flips) per second.
+void BM_ChronoProjectedRand14x200(benchmark::State& state) {
+  Netlist nl = benchutil::randomBench(6, 14, 200, 43);
+  StateSet target = benchutil::reachableCube(nl, 6, 105);
+  TransitionSystem ts(nl);
+  TransitionEncoding te = buildTransitionEncoding(ts);
+  PreimageOptions opts;
+  opts.encoding = &te;
+  opts.allsat.project = true;
+  opts.allsat.compress = true;
+  opts.allsat.parallel.jobs = 1;
+  uint64_t flips = 0;
+  for (auto _ : state) {
+    PreimageResult r = computePreimage(ts, target, PreimageMethod::kChrono, opts);
+    flips += r.stats.flips;
+    benchmark::DoNotOptimize(r.stateCount);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(flips));
+}
+BENCHMARK(BM_ChronoProjectedRand14x200)->Unit(benchmark::kMillisecond);
 
 // Parsing a rand14x200 circuit's .bench text (about 4.7 KB), the circuit the
 // serve workload sends: a serve request whose circuit is not pooled pays

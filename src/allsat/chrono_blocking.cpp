@@ -14,7 +14,7 @@
 namespace presat {
 
 AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
-                          const AllSatOptions& options) {
+                          const AllSatOptions& options, const CircuitWidener* widener) {
   // Each scope variable owns one cube position; a repeated one would be
   // counted once per position.
   std::vector<uint8_t> inScope(static_cast<size_t>(cnf.numVars()), 0);
@@ -24,6 +24,7 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     inScope[static_cast<size_t>(v)] = 1;
   }
   if (options.preprocess) {
+    PRESAT_CHECK(widener == nullptr) << "a chrono widener needs a preprocessed encoding";
     return runWithPreprocess(cnf, projection, /*lifter=*/{}, options,
                              [](const Cnf& c, const std::vector<Var>& p, const ModelLifter&,
                                 const AllSatOptions& o) { return chronoAllSat(c, p, o); });
@@ -36,8 +37,10 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   bool consistent = solver.addCnf(cnf);
 
   std::vector<int> varLevel(static_cast<size_t>(cnf.numVars()), 0);
+  std::vector<lbool> widenValues;  // the widener's node buffer, reused per model
   if (consistent) {
-    solver.beginEnumeration(projection, /*projectedWitness=*/options.project);
+    solver.beginEnumeration(projection, /*projectedWitness=*/options.project,
+                            widener != nullptr ? widener->deferredScope() : std::vector<Var>{});
     for (;;) {
       lbool status = solver.enumerateNextModel();
       ++result.stats.satCalls;
@@ -56,24 +59,35 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
         break;
       }
 
-      // Emission level: the implicant-shrinking pass finds the shallowest
-      // prefix that already satisfies every clause, but the cube may never
+      // Emission level: the shallowest sound prefix, but the cube may never
       // be wider than the deepest flipped level (disjointness with earlier
       // cubes) nor than the scope prefix (soundness: freeing a scope
       // variable decided below a kept non-scope level would discard the
       // sibling models of that non-scope decision).
-      int k = solver.scopePrefixLength();
-      for (Var v = 0; v < cnf.numVars(); ++v) {
-        varLevel[static_cast<size_t>(v)] = solver.levelOf(v);
+      const int k = solver.scopePrefixLength();
+      const int flipped = std::min(solver.deepestFlippedLevel(), k);
+      int bEmit = k;
+      if (widener != nullptr) {
+        // The netlist decides: the model's inputs (X where unassigned or
+        // eliminated) with the scope beyond the prefix at X must still
+        // force the target.
+        for (Var v : projection) varLevel[static_cast<size_t>(v)] = solver.levelOf(v);
+        bEmit = widener->emitLevel(solver.model(), varLevel, flipped, k, widenValues,
+                                   result.stats.widenSims);
+      } else {
+        // Raw CNF: the implicant scan finds the shallowest prefix that
+        // already satisfies every clause. Projected mode works on partial
+        // witness models: assigned non-scope literals are existential
+        // witnesses counted at level 0, so the projected level never
+        // exceeds the unprojected one — cubes can only widen.
+        for (Var v = 0; v < cnf.numVars(); ++v) {
+          varLevel[static_cast<size_t>(v)] = solver.levelOf(v);
+        }
+        int bImplicant = options.project
+                             ? projectedWitnessLevel(cnf, solver.model(), varLevel, inScope)
+                             : implicantPrefixLevel(cnf, solver.model(), varLevel);
+        bEmit = std::min(std::max(bImplicant, flipped), k);
       }
-      // Projected mode works on partial witness models: assigned non-scope
-      // literals are existential witnesses counted at level 0, so the
-      // projected level never exceeds the unprojected one — cubes can only
-      // widen.
-      int bImplicant = options.project
-                           ? projectedWitnessLevel(cnf, solver.model(), varLevel, inScope)
-                           : implicantPrefixLevel(cnf, solver.model(), varLevel);
-      int bEmit = std::min(std::max(bImplicant, solver.deepestFlippedLevel()), k);
 
       // The cube is ALL scope literals stamped at levels <= bEmit —
       // decisions and implied literals alike; dropping an implied one would

@@ -3,10 +3,12 @@
 // The classical baseline (allsat/blocking.hpp) stores every found solution
 // as a clause, so the clause database — and each propagation — grows with the
 // solution count. This engine never adds a blocking clause: after each model
-// it emits a disjoint cube (the scope-decision prefix, widened by the
-// prefix-closed implicant shrinking pass in allsat/lifting) and then flips
-// the deepest scope decision of the emitted prefix as a reason-less
-// pseudo-decision, continuing the search in the untouched half of the space.
+// it emits a disjoint cube (the shortest sound scope-decision prefix) and
+// then flips the deepest scope decision of the emitted prefix as a
+// reason-less pseudo-decision, continuing the search in the untouched half
+// of the space. Over a circuit encoding a CircuitWidener (allsat/lifting)
+// picks the prefix by ternary simulation of the netlist; over a raw CNF the
+// prefix-closed implicant scan of allsat/lifting does.
 // Conflict-driven backjumping is clamped at the deepest flipped level, so
 // already-emitted regions are never revisited. See "Disjoint Partial
 // Enumeration without Blocking Clauses" (Spallitta, Sebastiani, Biere) and
@@ -26,11 +28,17 @@
 
 namespace presat {
 
+class CircuitWidener;
+
 // Enumerates the projection of the solution set of `cnf` onto `projection`
 // with zero blocking clauses. `projection` must not list a variable twice.
-// Parallel dispatch lives in src/parallel/parallel_allsat.cpp, like the other
-// CNF engines.
+// `widener` (may be null) speaks `cnf`'s variables — the caller's encoding
+// must already be preprocessed, so options.preprocess must be off — and
+// then chooses every emitted prefix and the deferred scope tier. Parallel
+// dispatch lives in src/parallel/parallel_allsat.cpp, like the other CNF
+// engines.
 AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
-                          const AllSatOptions& options);
+                          const AllSatOptions& options,
+                          const CircuitWidener* widener = nullptr);
 
 }  // namespace presat

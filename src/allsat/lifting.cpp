@@ -1,6 +1,9 @@
 #include "allsat/lifting.hpp"
 
+#include <algorithm>
+
 #include "base/log.hpp"
+#include "circuit/ternary.hpp"
 
 namespace presat {
 
@@ -96,6 +99,80 @@ int projectedWitnessLevel(const Cnf& cnf, const std::vector<lbool>& model,
     if (clauseLevel > prefix) prefix = clauseLevel;
   }
   return prefix;
+}
+
+CircuitWidener::CircuitWidener(const Netlist& netlist, std::vector<NodeCube> objectives,
+                               const std::vector<Var>& sourceVar, const std::vector<Var>& scope)
+    : netlist_(netlist), objectives_(std::move(objectives)) {
+  std::vector<NodeId> roots;
+  for (const NodeCube& cube : objectives_) {
+    for (const NodeAssign& obj : cube) roots.push_back(obj.first);
+  }
+  std::vector<uint8_t> inCone(netlist.numNodes(), 0);
+  for (NodeId id : netlist.coneOf(roots)) inCone[id] = 1;
+
+  Var limit = 0;
+  for (Var v : scope) limit = std::max(limit, v + 1);
+  std::vector<uint8_t> inScope(static_cast<size_t>(limit), 0);
+  std::vector<uint8_t> read(static_cast<size_t>(limit), 0);
+  for (Var v : scope) inScope[static_cast<size_t>(v)] = 1;
+  for (NodeId id : netlist.topologicalOrder()) {
+    if (!inCone[id]) continue;
+    GateType type = netlist.type(id);
+    if (type != GateType::kInput && type != GateType::kDff) {
+      order_.push_back(id);
+      continue;
+    }
+    Var v = sourceVar[id];
+    if (v != kNullVar && v < limit && inScope[static_cast<size_t>(v)]) {
+      scopeSources_.emplace_back(id, v);
+      read[static_cast<size_t>(v)] = 1;
+    } else {
+      otherSources_.emplace_back(id, v);
+    }
+  }
+  for (Var v : scope) {
+    if (!read[static_cast<size_t>(v)]) deferred_.push_back(v);
+  }
+}
+
+int CircuitWidener::emitLevel(const std::vector<lbool>& model, const std::vector<int>& varLevel,
+                              int lo, int k, std::vector<lbool>& values, uint64_t& sims) const {
+  values.resize(netlist_.numNodes(), l_Undef);
+  for (const SourceVar& s : otherSources_) {
+    values[s.first] = s.second == kNullVar ? l_Undef : model[static_cast<size_t>(s.second)];
+  }
+  auto forcedAt = [&](int b) {
+    for (const SourceVar& s : scopeSources_) {
+      size_t v = static_cast<size_t>(s.second);
+      values[s.first] = varLevel[v] <= b ? model[v] : l_Undef;
+    }
+    ternarySimulate(netlist_, order_, values);
+    ++sims;
+    for (const NodeCube& cube : objectives_) {
+      bool holds = true;
+      for (const NodeAssign& obj : cube) {
+        if (values[obj.first] != lbool(obj.second)) {
+          holds = false;
+          break;
+        }
+      }
+      if (holds) return true;
+    }
+    return false;
+  };
+  // Ternary simulation is monotone in X, so forcing is monotone in b and a
+  // binary search finds the shallowest level. Level k is never simulated:
+  // it is the answer whether or not it forces.
+  while (lo < k) {
+    int mid = lo + (k - lo) / 2;
+    if (forcedAt(mid)) {
+      k = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return k;
 }
 
 JustificationLifter::JustificationLifter(const Netlist& netlist, NodeCube objectives)

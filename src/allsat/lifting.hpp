@@ -1,6 +1,6 @@
 // Model lifting: growing one satisfying assignment into a solution cube.
 //
-// Two sound strategies are provided:
+// Three sound strategies are provided:
 //  * shrinkModelToImplicant — CNF-level greedy witness selection. Valid when
 //    the projection scope is the full variable set (every clause keeps a
 //    witness literal, so any completion of the kept literals satisfies the
@@ -10,8 +10,12 @@
 //    justify them (one controlling fanin suffices for a controlled gate).
 //    The kept source cube forces the objectives under ANY completion, so its
 //    projection onto the state variables is a valid preimage cube.
+//  * CircuitWidener — chrono's circuit-side prefix widening: the shortest
+//    decision prefix under which ternary simulation of the netlist still
+//    forces the objectives.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -30,12 +34,13 @@ using NodeCube = std::vector<NodeAssign>;
 // satisfies the formula. `model` must satisfy `cnf`.
 LitVec shrinkModelToImplicant(const Cnf& cnf, const std::vector<lbool>& model);
 
-// Prefix-closed implicant shrinking for chronological enumeration: given a
-// full model and the decision level each variable was assigned at, returns
-// the smallest B such that the model restricted to levels <= B already
-// satisfies every clause (each clause has a true literal stamped <= B).
-// Any completion of that restriction is a model, so the trail prefix through
-// level B is an implicant. Returns 0 for an empty CNF.
+// Prefix-closed implicant shrinking for chronological enumeration over a raw
+// CNF (a circuit's preimage uses CircuitWidener instead): given a full model
+// and the decision level each variable was assigned at, returns the smallest
+// B such that the model restricted to levels <= B already satisfies every
+// clause (each clause has a true literal stamped <= B). Any completion of
+// that restriction is a model, so the trail prefix through level B is an
+// implicant. Returns 0 for an empty CNF.
 int implicantPrefixLevel(const Cnf& cnf, const std::vector<lbool>& model,
                          const std::vector<int>& varLevel);
 
@@ -51,6 +56,53 @@ int implicantPrefixLevel(const Cnf& cnf, const std::vector<lbool>& model,
 int projectedWitnessLevel(const Cnf& cnf, const std::vector<lbool>& model,
                           const std::vector<int>& varLevel,
                           const std::vector<uint8_t>& inScope);
+
+// Circuit-side cube widening for chronological enumeration of a circuit's
+// preimage (allsat/chrono_blocking.hpp). The CNF-level prefix scans above
+// pin Tseitin auxiliaries at their model values, and those values depend on
+// the very state bits a shorter prefix would drop, so they rarely widen a
+// cube. This oracle checks a prefix against the netlist instead: ternary
+// simulation over the objectives' fanin cone, with the scope sources stamped
+// beyond the prefix set to X and every other source at its model value.
+//
+// Built once per query and immutable afterwards, so parallel shards share
+// one instance; each enumeration run owns its value buffer.
+class CircuitWidener {
+ public:
+  // `objectives`: the target as a union of node cubes (some cube must hold).
+  // `sourceVar[id]`: CNF variable carrying source node `id` (an input or
+  // DFF output), or kNullVar when the encoding lacks it (not encoded, or
+  // eliminated by preprocessing) — such a source is X. `scope`: the
+  // enumeration scope; the sources it carries are the enumerated ones.
+  CircuitWidener(const Netlist& netlist, std::vector<NodeCube> objectives,
+                 const std::vector<Var>& sourceVar, const std::vector<Var>& scope);
+
+  // Scope variables outside every objective's cone. Chrono decides them
+  // after all other scope variables, so they sit at the deepest levels and
+  // the widening drops them.
+  const std::vector<Var>& deferredScope() const { return deferred_; }
+
+  // Shallowest level b in [lo, k] at which ternary simulation forces every
+  // literal of some objective cube, with the scope variables stamped at
+  // levels <= b at their `model` values, later ones X, and the other
+  // sources at their `model` values (l_Undef = X). Returns k when no level
+  // works: the full scope prefix of a model is sound on its own.
+  // `varLevel` must hold the level of every scope variable. `values` is the
+  // caller's node-indexed buffer, reused across calls; `sims` counts the
+  // simulations run.
+  int emitLevel(const std::vector<lbool>& model, const std::vector<int>& varLevel, int lo, int k,
+                std::vector<lbool>& values, uint64_t& sims) const;
+
+ private:
+  using SourceVar = std::pair<NodeId, Var>;
+
+  const Netlist& netlist_;
+  std::vector<NodeCube> objectives_;
+  std::vector<NodeId> order_;               // cone gates and constants, topological
+  std::vector<SourceVar> scopeSources_;     // enumerated sources in the cone
+  std::vector<SourceVar> otherSources_;     // the cone's other sources
+  std::vector<Var> deferred_;
+};
 
 class JustificationLifter {
  public:

@@ -34,6 +34,7 @@ void exportStatsToMetrics(const AllSatStats& stats, Metrics& m) {
   m.setCounter("graph.edges", stats.graphEdges);
   m.setCounter("chrono.flips", stats.flips);
   m.setCounter("chrono.shrink_lits", stats.shrinkLits);
+  m.setCounter("chrono.widen_sims", stats.widenSims);
   m.setCounter("sat.db_clauses", stats.dbClausesPeak);
   m.setGauge("time.seconds", stats.seconds);
 }
@@ -57,6 +58,7 @@ void accumulateStats(AllSatStats& total, const AllSatStats& part) {
   total.graphEdges += part.graphEdges;
   total.flips += part.flips;
   total.shrinkLits += part.shrinkLits;
+  total.widenSims += part.widenSims;
   // Parts run independent solvers; the meaningful global figure is the
   // worst single database, not the sum. Max over a fixed part set is
   // schedule-independent, preserving the determinism contract.

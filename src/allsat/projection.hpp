@@ -52,7 +52,8 @@ struct AllSatStats {
   uint64_t graphNodes = 0;        // solution graph size
   uint64_t graphEdges = 0;
   uint64_t flips = 0;             // chrono engine: pseudo-decision flips
-  uint64_t shrinkLits = 0;        // chrono engine: literals dropped by shrinking
+  uint64_t shrinkLits = 0;        // chrono engine: scope literals dropped by widening
+  uint64_t widenSims = 0;         // chrono engine: CircuitWidener's ternary simulations
   uint64_t dbClausesPeak = 0;     // peak stored clause count (orig + learnt)
   double seconds = 0.0;
 };
@@ -125,12 +126,12 @@ struct AllSatOptions {
   // Projection as a first-class enumeration mode instead of a post-pass.
   // Chrono runs projected-native: enumerateNextModel() stops as soon as the
   // scope prefix plus the already-implied input/aux literals satisfy every
-  // clause (an existential witness), and cube shrinking treats witness
-  // literals as free — so cubes widen, `pre.cubes` shrinks, and the
-  // input/aux space is never exhaustively decided. The blocking and
-  // success-driven engines project-then-dedup (canonical sort, duplicate and
-  // subsumed cube removal) so the cross-engine audit still compares equal
-  // state sets. The projected union is identical either way.
+  // clause (an existential witness), and the cube widening reads the
+  // unassigned input/aux variables as free — so cubes widen, `pre.cubes`
+  // shrinks, and the input/aux space is never exhaustively decided. The
+  // blocking and success-driven engines project-then-dedup (canonical sort,
+  // duplicate and subsumed cube removal) so the cross-engine audit still
+  // compares equal state sets. The projected union is identical either way.
   bool project = false;
   // Wildcard compression post-pass (Wild-style (x & A) | (~x & A) = A
   // merging) over the final cube set — and over each parallel shard's cover

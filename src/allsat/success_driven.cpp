@@ -374,9 +374,7 @@ class Engine {
     const GateNode& gate = nl_.node(g);
     bool v = value_[g].isTrue();
 
-    ins_.clear();
-    for (NodeId f : gate.fanins) ins_.push_back(value_[f]);
-    lbool forward = evalGateTernary(gate.type, ins_);
+    lbool forward = evalGateTernary(gate, value_);
     if (!forward.isUndef()) {
       if (forward.isTrue() != v) return false;  // conflict
       removeFromFrontier(g);
@@ -744,7 +742,6 @@ class Engine {
   std::vector<NodeId> pending_;
   std::vector<Event> trail_;
   LitVec* curNewProj_ = nullptr;
-  std::vector<lbool> ins_;
 
   // Zobrist tables: zAssign_[2n + v] keys "node n assigned value v",
   // zFrontier_[n] keys "node n is an unjustified frontier gate".

@@ -4,8 +4,9 @@
 
 namespace presat {
 
-lbool evalGateTernary(GateType type, const std::vector<lbool>& inputs) {
-  switch (type) {
+lbool evalGateTernary(const GateNode& gate, const std::vector<lbool>& values) {
+  const std::vector<NodeId>& ins = gate.fanins;
+  switch (gate.type) {
     case GateType::kConst0:
       return l_False;
     case GateType::kConst1:
@@ -15,45 +16,48 @@ lbool evalGateTernary(GateType type, const std::vector<lbool>& inputs) {
       PRESAT_CHECK(false) << "evalGateTernary called on a source node";
       return l_Undef;
     case GateType::kBuf:
-      return inputs[0];
+      return values[ins[0]];
     case GateType::kNot:
-      return inputs[0] ^ true;
+      return values[ins[0]] ^ true;
     case GateType::kAnd:
     case GateType::kNand: {
       bool anyUndef = false;
       bool anyFalse = false;
-      for (lbool v : inputs) {
+      for (NodeId f : ins) {
+        lbool v = values[f];
         if (v.isFalse()) anyFalse = true;
         if (v.isUndef()) anyUndef = true;
       }
       lbool r = anyFalse ? l_False : (anyUndef ? l_Undef : l_True);
-      return type == GateType::kNand ? (r ^ true) : r;
+      return gate.type == GateType::kNand ? (r ^ true) : r;
     }
     case GateType::kOr:
     case GateType::kNor: {
       bool anyUndef = false;
       bool anyTrue = false;
-      for (lbool v : inputs) {
+      for (NodeId f : ins) {
+        lbool v = values[f];
         if (v.isTrue()) anyTrue = true;
         if (v.isUndef()) anyUndef = true;
       }
       lbool r = anyTrue ? l_True : (anyUndef ? l_Undef : l_False);
-      return type == GateType::kNor ? (r ^ true) : r;
+      return gate.type == GateType::kNor ? (r ^ true) : r;
     }
     case GateType::kXor:
     case GateType::kXnor: {
       bool parity = false;
-      for (lbool v : inputs) {
+      for (NodeId f : ins) {
+        lbool v = values[f];
         if (v.isUndef()) return l_Undef;
         parity ^= v.isTrue();
       }
       lbool r = lbool(parity);
-      return type == GateType::kXnor ? (r ^ true) : r;
+      return gate.type == GateType::kXnor ? (r ^ true) : r;
     }
     case GateType::kMux: {
-      lbool s = inputs[0];
-      lbool a = inputs[1];  // selected when s = 0
-      lbool b = inputs[2];  // selected when s = 1
+      lbool s = values[ins[0]];
+      lbool a = values[ins[1]];  // selected when s = 0
+      lbool b = values[ins[2]];  // selected when s = 1
       if (s.isFalse()) return a;
       if (s.isTrue()) return b;
       // Select unknown: output known only if both data inputs agree.
@@ -64,27 +68,13 @@ lbool evalGateTernary(GateType type, const std::vector<lbool>& inputs) {
   return l_Undef;
 }
 
-std::vector<lbool> ternarySimulate(const Netlist& netlist,
-                                   const std::vector<lbool>& sourceValues) {
-  std::vector<lbool> value(netlist.numNodes(), l_Undef);
-  std::vector<lbool> ins;
-  for (NodeId id : netlist.topologicalOrder()) {
+void ternarySimulate(const Netlist& netlist, std::span<const NodeId> order,
+                     std::vector<lbool>& values) {
+  for (NodeId id : order) {
     const GateNode& g = netlist.node(id);
-    if (!isCombinational(g.type)) {
-      if (g.type == GateType::kConst0) {
-        value[id] = l_False;
-      } else if (g.type == GateType::kConst1) {
-        value[id] = l_True;
-      } else {
-        value[id] = sourceValues[id];
-      }
-      continue;
-    }
-    ins.clear();
-    for (NodeId f : g.fanins) ins.push_back(value[f]);
-    value[id] = evalGateTernary(g.type, ins);
+    if (g.type == GateType::kInput || g.type == GateType::kDff) continue;
+    values[id] = evalGateTernary(g, values);
   }
-  return value;
 }
 
 }  // namespace presat

@@ -179,9 +179,10 @@ SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& prob
 
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                                ParallelCnfEngine engine, const ModelLifter& lifter,
-                               const AllSatOptions& options) {
+                               const AllSatOptions& options, const CircuitWidener* widener) {
   PRESAT_CHECK(options.parallel.enabled()) << "parallel engine called with jobs == 0";
   if (options.preprocess) {
+    PRESAT_CHECK(widener == nullptr) << "a chrono widener needs a preprocessed encoding";
     // Preprocess ONCE, before the split: every shard then copies the reduced
     // formula, and because the split plan is a deterministic function of the
     // (internal) formula and splitDepth, jobs=1 vs jobs=N bit-identity holds
@@ -217,7 +218,7 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
       // No guide-preserving wrapper needed: the guide units are level-0
       // assignments, and the chrono engine emits every scope literal stamped
       // at or below the emission level — the guide is in every cube.
-      r = chronoAllSat(sub, projection, shardOptions(options));
+      r = chronoAllSat(sub, projection, shardOptions(options), widener);
     } else {
       // The shard lifter keeps the guide literals in every lifted cube: the
       // base lifter may drop them as unnecessary for the ORIGINAL formula,

@@ -25,6 +25,8 @@
 
 namespace presat {
 
+class CircuitWidener;
+
 // Parallel counterpart of successDrivenAllSat. The returned solution graph
 // is the shard graphs merged under a split-variable decision tree; summary
 // cubes are re-enumerated from the merged graph (same maxCubes semantics as
@@ -46,9 +48,12 @@ enum class ParallelCnfEngine {
 // copy of `cnf` with its guiding cube added as unit clauses. `lifter` (may
 // be empty; chrono ignores it) is built against the ORIGINAL formula; the shards
 // wrap it so every lifted cube keeps its guide literals and stays inside the
-// shard's region of the partition.
+// shard's region of the partition. `widener` (may be null; blocking ignores
+// it) is chrono's circuit-side argument, shared by every shard as is: guide
+// literals are level-0 assignments, which the widening always keeps.
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                                ParallelCnfEngine engine, const ModelLifter& lifter,
-                               const AllSatOptions& options);
+                               const AllSatOptions& options,
+                               const CircuitWidener* widener = nullptr);
 
 }  // namespace presat

@@ -139,6 +139,29 @@ ModelLifter makeJustificationLifter(const TransitionSystem& system, const StateS
   };
 }
 
+// Builds chrono's circuit-side widening oracle for one query: the target
+// cubes as next-state-root objectives over the netlist, and every encoded
+// source's internal CNF variable (kNullVar once preprocessing eliminated
+// it). The state variables are frozen, so they always map to `scope`.
+CircuitWidener makeChronoWidener(const TransitionSystem& system, const StateSet& target,
+                                 const TransitionEncoding& te, const std::vector<Var>& scope) {
+  const Netlist& nl = system.netlist();
+  std::vector<NodeCube> objectives;
+  objectives.reserve(target.cubes.size());
+  for (const LitVec& cube : target.cubes) {
+    NodeCube& objective = objectives.emplace_back();
+    for (Lit l : cube) objective.emplace_back(system.nextStateRoot(l.var()), !l.sign());
+  }
+  std::vector<Var> sourceVar(nl.numNodes(), kNullVar);
+  for (NodeId id : nl.inputs()) {
+    if (te.enc.isEncoded(id)) sourceVar[id] = te.base.internalVar(te.enc.varOf(id));
+  }
+  for (NodeId id : system.stateNodes()) {
+    sourceVar[id] = te.base.internalVar(te.enc.varOf(id));
+  }
+  return CircuitWidener(nl, std::move(objectives), sourceVar, scope);
+}
+
 PreimageResult fromAllSat(AllSatResult&& r, int numStateBits) {
   PreimageResult result;
   result.states.numStateBits = numStateBits;
@@ -292,13 +315,16 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
       if (method == PreimageMethod::kCubeBlockingLifted) {
         lifter = makeJustificationLifter(system, target, *te);
       }
+      std::optional<CircuitWidener> widener;
+      if (chrono) widener.emplace(makeChronoWidener(system, target, *te, problem.projection));
+      const CircuitWidener* widenerPtr = widener ? &*widener : nullptr;
       AllSatResult r;
       if (satOpts.parallel.enabled()) {
         r = parallelCnfAllSat(problem.cnf, problem.projection,
                               chrono ? ParallelCnfEngine::kChrono : ParallelCnfEngine::kBlocking,
-                              lifter, satOpts);
+                              lifter, satOpts, widenerPtr);
       } else if (chrono) {
-        r = chronoAllSat(problem.cnf, problem.projection, satOpts);
+        r = chronoAllSat(problem.cnf, problem.projection, satOpts, widenerPtr);
       } else {
         r = blockingAllSat(problem.cnf, problem.projection, lifter, satOpts);
       }

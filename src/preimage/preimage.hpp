@@ -50,9 +50,8 @@ inline constexpr PreimageMethod kAllPreimageMethods[] = {
 // numbering) plus the one-shot preprocessed base formula (cnf/preprocess.hpp)
 // with the state and next-state-root variables frozen. Per-query target
 // clauses are added on a copy of `base.cnf` (translated through
-// base.internalLit), so frontier loops (reachability/safety) and the
-// presat_serve context pool pay for encoding + preprocessing once per
-// circuit instead of once per query.
+// base.internalLit), so frontier loops (reachability/safety) pay for
+// encoding + preprocessing once per circuit instead of once per query.
 struct TransitionEncoding {
   CircuitEncoding enc;          // roots = next-state roots + state nodes
   PreprocessedCnf base;         // preprocessed enc.cnf, internal numbering

@@ -537,9 +537,12 @@ Lit Solver::pickBranchLit() {
   if (enumerating_) {
     // Scope-first branching: decide every scope variable before any other so
     // decision levels 1..k form a clean scope prefix (the emission and flip
-    // machinery depend on it). Highest activity wins, variable index breaks
-    // ties — deterministic.
-    for (Var v : scopeVars_) {
+    // machinery depend on it). Deferred scope variables come only once the
+    // rest of the scope is assigned. Highest activity wins within a tier,
+    // scope order breaks ties — deterministic.
+    for (size_t i = 0; i < scopeVars_.size(); ++i) {
+      if (i == scopeTierEnd_ && next != kNullVar) break;
+      Var v = scopeVars_[i];
       size_t idx = static_cast<size_t>(v);
       if (!assigns_[idx].isUndef()) continue;
       if (next == kNullVar || activity_[idx] > activity_[static_cast<size_t>(next)]) next = v;
@@ -737,7 +740,8 @@ lbool Solver::solve(const LitVec& assumptions) {
 // Chronological enumeration
 // ---------------------------------------------------------------------------
 
-void Solver::beginEnumeration(const std::vector<Var>& scope, bool projectedWitness) {
+void Solver::beginEnumeration(const std::vector<Var>& scope, bool projectedWitness,
+                              const std::vector<Var>& deferred) {
   PRESAT_CHECK(!enumerating_) << "beginEnumeration() during an active session";
   PRESAT_CHECK(decisionLevel() == 0) << "beginEnumeration() above level 0";
   enumerating_ = true;
@@ -753,6 +757,15 @@ void Solver::beginEnumeration(const std::vector<Var>& scope, bool projectedWitne
     inScope_[static_cast<size_t>(v)] = 1;
     scopeVars_.push_back(v);
   }
+  std::vector<uint8_t> late(static_cast<size_t>(numVars()), 0);
+  for (Var v : deferred) {
+    PRESAT_CHECK(v >= 0 && v < numVars() && inScope_[static_cast<size_t>(v)])
+        << "deferred variable x" << v << " is not in the enumeration scope";
+    late[static_cast<size_t>(v)] = 1;
+  }
+  auto tierEnd = std::stable_partition(scopeVars_.begin(), scopeVars_.end(),
+                                       [&late](Var v) { return !late[static_cast<size_t>(v)]; });
+  scopeTierEnd_ = static_cast<size_t>(tierEnd - scopeVars_.begin());
   // Same learnt-DB cap policy as solve(): the whole point of this mode is
   // that the clause database stays bounded across the enumeration.
   maxLearnts_ = std::max<double>(static_cast<double>(numOriginal_) / 3.0, 1000.0);
@@ -887,7 +900,7 @@ lbool Solver::enumerateNextModel() {
       // completion of the unassigned input/aux variables is a total model.
       // The assigned non-scope literals are the existential witness; keep
       // them in model_ (unassigned variables stay l_Undef) so the caller's
-      // projected shrinking pass can reuse them.
+      // cube widening can reuse them.
       model_ = assigns_;
       return l_True;
     }
@@ -945,6 +958,7 @@ void Solver::endEnumeration() {
   enumUnitReasons_.clear();
   inScope_.clear();
   scopeVars_.clear();
+  scopeTierEnd_ = 0;
   model_.clear();
   maybeGarbageCollect();
 }

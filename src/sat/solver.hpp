@@ -116,7 +116,13 @@ class Solver {
   // scope prefix extends to a total model — so the caller may emit the scope
   // prefix as a projected cube without ever deciding the remaining
   // input/aux variables.
-  void beginEnumeration(const std::vector<Var>& scope, bool projectedWitness = false);
+  //
+  // `deferred` (a subset of `scope`) is decided after every other scope
+  // variable; within each tier the activity order applies. A caller that
+  // knows some scope variables cannot matter to the cube it will emit puts
+  // them last, so they land at the deepest prefix levels and drop out.
+  void beginEnumeration(const std::vector<Var>& scope, bool projectedWitness = false,
+                        const std::vector<Var>& deferred = {});
   // l_True: model() is valid and the trail is kept. l_False: space exhausted
   // (or root UNSAT). l_Undef: the governor tripped (partial result).
   lbool enumerateNextModel();
@@ -263,7 +269,10 @@ class Solver {
   bool enumExhausted_ = false;
   bool enumProjected_ = false;  // projected-witness early stop enabled
   std::vector<uint8_t> inScope_;   // per var; session scope membership
-  std::vector<Var> scopeVars_;     // session scope, caller order
+  // Session scope: the non-deferred variables first, then the deferred
+  // ones from index scopeTierEnd_ on, each tier in caller order.
+  std::vector<Var> scopeVars_;
+  size_t scopeTierEnd_ = 0;
   // Parallel to trailLim_: 1 iff that level's decision is a flipped
   // pseudo-decision. Maintained unconditionally (trivially all-0 outside
   // enumeration sessions).

@@ -21,10 +21,9 @@
 // sheds requests.
 //
 // ContextPool shares parsed circuits (netlist + transition system) across
-// requests: a hot circuit is parsed and encoded once, then served from the
-// pool to every request with the byte-identical source. Contexts are
-// immutable after construction and safely shared across concurrent engine
-// runs.
+// requests: a hot circuit is parsed once, then served from the pool to every
+// request with the byte-identical source. Contexts are immutable after
+// construction and safely shared across concurrent engine runs.
 #pragma once
 
 #include <functional>
@@ -42,7 +41,6 @@
 #include "circuit/netlist.hpp"
 #include "govern/budget.hpp"
 #include "govern/governor.hpp"
-#include "preimage/preimage.hpp"
 #include "preimage/transition_system.hpp"
 
 namespace presat::serve {
@@ -146,14 +144,10 @@ class ServeCache {
 struct CircuitContext {
   Netlist netlist;
   uint64_t structuralHash = 0;
+  // Deliberately no CNF encoding: a cache hit never reads one, and a hit
+  // whose circuit is not pooled builds a fresh context, so each engine run
+  // encodes its own instead.
   std::optional<TransitionSystem> system;
-  // Shared per-circuit Tseitin encoding + preprocessed base formula
-  // (preimage/preimage.hpp): built once when the context enters the pool, so
-  // every pooled request skips encoding AND preprocessing. Immutable after
-  // construction, like the rest of the context. References `system`'s
-  // netlist internals — fields of the same immutable context, so the
-  // lifetime is tied correctly by construction.
-  std::optional<TransitionEncoding> encoding;
 };
 
 using CircuitContextPtr = std::shared_ptr<const CircuitContext>;

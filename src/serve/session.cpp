@@ -161,9 +161,6 @@ CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimi
   // The TransitionSystem holds a pointer into ctx->netlist; the shared_ptr
   // keeps both alive together and the struct is never moved after this.
   ctx->system.emplace(ctx->netlist);
-  // Encode + preprocess once per pooled circuit: every request against this
-  // context (any CNF engine, any target) reuses the reduced base formula.
-  ctx->encoding.emplace(buildTransitionEncoding(*ctx->system));
   return ctx;
 }
 
@@ -195,7 +192,6 @@ CachedCover runEngine(const ServeRequest& req, const CircuitContext& ctx, Preima
   options.allsat.compress = req.compress;
   options.allsat.parallel.jobs = std::clamp(req.jobs, 1, limits.maxJobs);
   options.allsat.governor = &governor;
-  options.encoding = ctx.encoding ? &*ctx.encoding : nullptr;
   options.emitCertificate = req.cert;
 
   const int width = ctx.system->numStateBits();

@@ -25,6 +25,7 @@
 #include "preimage/preimage.hpp"
 #include "preimage/transition_system.hpp"
 #include "sat/proof.hpp"
+#include "../bench/bench_util.hpp"
 
 namespace presat {
 namespace {
@@ -126,6 +127,25 @@ TEST(CertAccept, ProjectedAndCompressedCovers) {
     EXPECT_NE(r.certificate.find("project=1 compress=1"), std::string::npos);
     CheckRun run = runChecker(r.certificate);
     EXPECT_EQ(run.exitCode, 0) << preimageMethodName(method) << "\n" << run.output;
+  }
+
+  // A random circuit whose chrono cover the circuit widening actually
+  // widens: the serial run's native proof and the jobs=4 post-hoc replay
+  // must both verify.
+  Netlist rand = benchutil::randomBench(5, 12, 150, 23);
+  StateSet target = benchutil::reachableCube(rand, 4, 102);
+  for (int jobs : {0, 4}) {
+    PreimageOptions options;
+    options.allsat.project = true;
+    options.allsat.compress = true;
+    options.allsat.parallel.jobs = jobs;
+    PreimageResult r =
+        certifiedPreimage(rand, target.cubes.at(0), PreimageMethod::kChrono, options);
+    ASSERT_TRUE(r.complete) << "jobs=" << jobs;
+    EXPECT_GT(r.stats.shrinkLits, 0u) << "jobs=" << jobs;
+    EXPECT_LT(r.states.cubes.size(), r.stateCount.toU64()) << "jobs=" << jobs;
+    CheckRun run = runChecker(r.certificate);
+    EXPECT_EQ(run.exitCode, 0) << "jobs=" << jobs << "\n" << run.output;
   }
 }
 

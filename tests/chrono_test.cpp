@@ -4,6 +4,7 @@
 // the clause database flat no matter how many solutions it enumerates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "preimage/transition_system.hpp"
 #include "oracle/dpll.hpp"
 #include "test_util.hpp"
+#include "../bench/bench_util.hpp"
 
 namespace presat {
 namespace {
@@ -235,24 +237,35 @@ std::vector<std::string> canonicalCubes(const std::vector<LitVec>& cubes, int wi
 
 // Generator-suite preimage equivalence: kChrono agrees with the success-driven
 // and BDD engines on every circuit, serially and in parallel, and --jobs N is
-// bit-identical for every N >= 1.
+// bit-identical for every N >= 1. The random circuits are where the circuit
+// widening drops the most scope literals.
 TEST(ChronoPreimage, MatchesOtherEnginesOnGeneratorSuite) {
   struct Fixture {
-    const char* name;
+    std::string name;
     Netlist nl;
+    StateSet target;
   };
   std::vector<Fixture> suite;
-  suite.push_back({"counter:4", makeCounter(4)});
-  suite.push_back({"gray:3", makeGrayCounter(3)});
-  suite.push_back({"lfsr:4", makeLfsr(4)});
-  suite.push_back({"arbiter:3", makeRoundRobinArbiter(3)});
-  suite.push_back({"traffic", makeTrafficLight()});
-  suite.push_back({"lock", makeCombinationLock({1, 2, 3}, 2)});
+  auto addGenerator = [&suite](const char* name, Netlist nl) {
+    StateSet target = StateSet::fromCube(static_cast<int>(nl.dffs().size()), {mkLit(0)});
+    suite.push_back({name, std::move(nl), std::move(target)});
+  };
+  addGenerator("counter:4", makeCounter(4));
+  addGenerator("gray:3", makeGrayCounter(3));
+  addGenerator("lfsr:4", makeLfsr(4));
+  addGenerator("arbiter:3", makeRoundRobinArbiter(3));
+  addGenerator("traffic", makeTrafficLight());
+  addGenerator("lock", makeCombinationLock({1, 2, 3}, 2));
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Netlist nl = benchutil::randomBench(5, 12, 150, seed);
+    StateSet target = benchutil::reachableCube(nl, 4, 500 + seed);
+    suite.push_back({"rand12x150:" + std::to_string(seed), std::move(nl), std::move(target)});
+  }
 
   for (const Fixture& fixture : suite) {
     TransitionSystem ts(fixture.nl);
     const int n = ts.numStateBits();
-    StateSet target = StateSet::fromCube(n, {mkLit(0)});
+    const StateSet& target = fixture.target;
 
     PreimageResult sd = computePreimage(ts, target, PreimageMethod::kSuccessDriven, {});
     PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd, {});
@@ -285,6 +298,39 @@ TEST(ChronoPreimage, MatchesOtherEnginesOnGeneratorSuite) {
     // merged peak is the max across shards, each of which is flat.
     EXPECT_EQ(r1.stats.blockingClauses, 0u) << fixture.name;
     EXPECT_EQ(r1.stats.dbClausesPeak, r4.stats.dbClausesPeak) << fixture.name;
+  }
+}
+
+// Circuit widening is what makes chrono's covers cube-sized on random logic:
+// the CNF-level prefix scan it replaced emitted one cube per state on these
+// Table 1 rows (rand16x240: 60 288 states; lfsr12: 512).
+TEST(ChronoPreimage, WideningShrinksRandomCovers) {
+  struct Bound {
+    const char* name;
+    size_t plainCubes;
+    size_t projectedCubes;
+  };
+  const Bound bounds[] = {{"rand16x240", 2000, 160}, {"lfsr12", 16, 16}};
+  const std::vector<benchutil::BenchCase> suite = benchutil::standardSuite();
+  for (const Bound& bound : bounds) {
+    auto it = std::find_if(suite.begin(), suite.end(), [&bound](const benchutil::BenchCase& c) {
+      return c.name == bound.name;
+    });
+    ASSERT_NE(it, suite.end()) << bound.name;
+    TransitionSystem ts(it->netlist);
+    PreimageResult bdd = computePreimage(ts, it->target, PreimageMethod::kBdd);
+    PreimageResult plain = computePreimage(ts, it->target, PreimageMethod::kChrono);
+    PreimageOptions projOpts;
+    projOpts.allsat.project = true;
+    projOpts.allsat.compress = true;
+    PreimageResult proj = computePreimage(ts, it->target, PreimageMethod::kChrono, projOpts);
+
+    EXPECT_EQ(plain.stateCount, bdd.stateCount) << bound.name;
+    EXPECT_EQ(proj.stateCount, bdd.stateCount) << bound.name;
+    EXPECT_LE(plain.states.cubes.size(), bound.plainCubes) << bound.name;
+    EXPECT_LE(proj.states.cubes.size(), bound.projectedCubes) << bound.name;
+    EXPECT_GT(plain.stats.widenSims, 0u) << bound.name;
+    EXPECT_EQ(plain.metrics.counter("chrono.widen_sims"), plain.stats.widenSims) << bound.name;
   }
 }
 

@@ -555,7 +555,8 @@ TEST(Ternary, AgreesWithBinaryOnFullAssignments) {
       tern[id] = lbool(v);
     }
     auto binary = Simulator::evaluateOnce(nl, sources);
-    auto ternary = ternarySimulate(nl, tern);
+    std::vector<lbool> ternary = tern;
+    ternarySimulate(nl, nl.topologicalOrder(), ternary);
     for (NodeId id = 0; id < nl.numNodes(); ++id) {
       ASSERT_FALSE(ternary[id].isUndef()) << "node " << id;
       EXPECT_EQ(ternary[id].isTrue(), binary[id]) << "node " << id;
@@ -580,7 +581,8 @@ TEST(Ternary, PartialAssignmentsNeverContradictCompletions) {
     for (NodeId s : sources) {
       if (rng.chance(1, 2)) partial[s] = lbool(rng.flip());
     }
-    auto tern = ternarySimulate(nl, partial);
+    std::vector<lbool> tern = partial;
+    ternarySimulate(nl, nl.topologicalOrder(), tern);
     // Every completion must agree with the determined ternary values.
     size_t free = 0;
     for (NodeId s : sources) free += partial[s].isUndef() ? 1 : 0;

@@ -1,5 +1,6 @@
 // Model lifting tests: the CNF implicant shrinker and the circuit
-// justification lifter, both checked for the cube-validity contract.
+// justification lifter, both checked for the cube-validity contract, and
+// chrono's circuit widening.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -63,6 +64,44 @@ TEST(ShrinkModelProperty, EveryCompletionSatisfies) {
       EXPECT_TRUE(cnf.evaluate(assignment)) << "iter " << iter;
     }
   }
+}
+
+// Chrono's circuit widening on next(s0) = s1 & a: the target s0' = 1 reads
+// s1 and a only, so s0 and s2 form the deferred tier, and the emitted prefix
+// stops at the level that fixes s1. An input the encoding lacks is X, which
+// leaves the target unforced at every level: the answer is the full prefix.
+TEST(CircuitWidener, ShortestForcingPrefixAndDeferredTier) {
+  Netlist nl;
+  NodeId a = nl.addInput("a");
+  NodeId s0 = nl.addDff("s0");
+  NodeId s1 = nl.addDff("s1");
+  NodeId s2 = nl.addDff("s2");
+  NodeId next0 = nl.mkAnd(s1, a, "n0");
+  nl.connectDffData(s0, next0);
+  nl.connectDffData(s1, nl.mkXor(s2, a, "n1"));
+  nl.connectDffData(s2, s2);
+  const std::vector<Var> scope{0, 1, 2};
+  std::vector<Var> sourceVar(nl.numNodes(), kNullVar);
+  sourceVar[s0] = 0;
+  sourceVar[s1] = 1;
+  sourceVar[s2] = 2;
+  sourceVar[a] = 3;
+  // Model s0=0 (level 2), s1=1 (level 1), s2=1 (level 3), a=1.
+  const std::vector<lbool> model{l_False, l_True, l_True, l_True};
+  const std::vector<int> varLevel{2, 1, 3, 0};
+  std::vector<lbool> values;
+  uint64_t sims = 0;
+
+  CircuitWidener widener(nl, {{{next0, true}}}, sourceVar, scope);
+  EXPECT_EQ(widener.deferredScope(), (std::vector<Var>{0, 2}));
+  EXPECT_EQ(widener.emitLevel(model, varLevel, 0, 3, values, sims), 1);
+  EXPECT_EQ(sims, 2u);  // levels 1 and 0; level 3 is never simulated
+  // The deepest flip bounds the answer from below.
+  EXPECT_EQ(widener.emitLevel(model, varLevel, 2, 3, values, sims), 2);
+
+  sourceVar[a] = kNullVar;
+  CircuitWidener blind(nl, {{{next0, true}}}, sourceVar, scope);
+  EXPECT_EQ(blind.emitLevel(model, varLevel, 0, 3, values, sims), 3);
 }
 
 TEST(JustificationLifter, ControllingInputSuffices) {

@@ -19,6 +19,7 @@
 #include "preimage/transition_system.hpp"
 #include "oracle/dpll.hpp"
 #include "test_util.hpp"
+#include "../bench/bench_util.hpp"
 
 namespace presat {
 namespace {
@@ -275,21 +276,33 @@ std::vector<std::string> canonicalCubes(const std::vector<LitVec>& cubes, int wi
 // plain chrono enumeration, and are bit-identical at jobs=1 vs jobs=8.
 TEST(ProjectedChronoPreimage, MatchesBddOracleOnGeneratorSuite) {
   struct Fixture {
-    const char* name;
+    std::string name;
     Netlist nl;
+    StateSet target;
   };
   std::vector<Fixture> suite;
-  suite.push_back({"counter:4", makeCounter(4)});
-  suite.push_back({"gray:3", makeGrayCounter(3)});
-  suite.push_back({"lfsr:4", makeLfsr(4)});
-  suite.push_back({"arbiter:3", makeRoundRobinArbiter(3)});
-  suite.push_back({"traffic", makeTrafficLight()});
-  suite.push_back({"lock", makeCombinationLock({1, 2, 3}, 2)});
+  auto addGenerator = [&suite](const char* name, Netlist nl) {
+    StateSet target = StateSet::fromCube(static_cast<int>(nl.dffs().size()), {mkLit(0)});
+    suite.push_back({name, std::move(nl), std::move(target)});
+  };
+  addGenerator("counter:4", makeCounter(4));
+  addGenerator("gray:3", makeGrayCounter(3));
+  addGenerator("lfsr:4", makeLfsr(4));
+  addGenerator("arbiter:3", makeRoundRobinArbiter(3));
+  addGenerator("traffic", makeTrafficLight());
+  addGenerator("lock", makeCombinationLock({1, 2, 3}, 2));
+  // Random logic, where the circuit widening and its deferred scope tier
+  // change the cover most.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Netlist nl = benchutil::randomBench(5, 12, 150, seed);
+    StateSet target = benchutil::reachableCube(nl, 4, 500 + seed);
+    suite.push_back({"rand12x150:" + std::to_string(seed), std::move(nl), std::move(target)});
+  }
 
   for (const Fixture& fixture : suite) {
     TransitionSystem ts(fixture.nl);
     const int n = ts.numStateBits();
-    StateSet target = StateSet::fromCube(n, {mkLit(0)});
+    const StateSet& target = fixture.target;
 
     PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd, {});
     PreimageResult plain = computePreimage(ts, target, PreimageMethod::kChrono, {});

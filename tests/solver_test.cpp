@@ -2,6 +2,7 @@
 // large-scale differential fuzzing against the reference DPLL solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -174,6 +175,33 @@ TEST(SolverDeathTest, ModelValueOnUnassignedEntryAborts) {
   ASSERT_TRUE(s.model()[static_cast<size_t>(b)].isUndef());
   EXPECT_DEATH((void)s.modelValue(b), "unassigned model entry");
   s.endEnumeration();
+}
+
+// Deferred scope variables are decided only once the rest of the scope is
+// assigned, so every model, flipped regions included, stamps them at the
+// deepest prefix levels.
+TEST(Solver, DeferredScopeIsDecidedLast) {
+  Solver s;
+  for (int i = 0; i < 4; ++i) s.newVar();
+  s.beginEnumeration({0, 1, 2, 3}, /*projectedWitness=*/false, /*deferred=*/{0, 2});
+  int models = 0;
+  while (s.enumerateNextModel().isTrue()) {
+    ++models;
+    ASSERT_EQ(s.scopePrefixLength(), 4);
+    EXPECT_LT(std::max(s.levelOf(1), s.levelOf(3)), std::min(s.levelOf(0), s.levelOf(2)))
+        << "model " << models;
+    if (!s.flipToNextRegion(s.currentDecisionLevel())) break;
+  }
+  s.endEnumeration();
+  EXPECT_EQ(models, 16);
+}
+
+TEST(SolverDeathTest, DeferredVariableOutsideScopeAborts) {
+  Solver s;
+  s.newVar();
+  s.newVar();
+  EXPECT_DEATH(s.beginEnumeration({0}, /*projectedWitness=*/false, /*deferred=*/{1}),
+               "deferred variable x1 is not in the enumeration scope");
 }
 
 // The central correctness test: the CDCL solver and the reference DPLL agree
