@@ -46,7 +46,7 @@ CompressStats compressCubes(std::vector<LitVec>& cubes, Governor* governor = nul
                             std::vector<CompressMergeRecord>* trace = nullptr);
 
 // Canonical cleanup for possibly-overlapping covers (the project-then-dedup
-// mode of the blocking and success-driven engines): sorts literals, drops
+// mode of the blocking engines): sorts literals, drops
 // exact duplicates, and — on covers small enough for the quadratic scan —
 // drops cubes subsumed by a wider cube. Union-preserving.
 CompressStats dedupCubes(std::vector<LitVec>& cubes);

@@ -85,9 +85,10 @@ struct AllSatResult {
   // disjointness guarantees continue to hold.
   Outcome outcome = Outcome::kComplete;
   // Cubes in the projected index space whose UNION is the projected solution
-  // set. Minterm-level engines produce pairwise-disjoint cubes; lifted-cube
-  // and success-driven engines may produce overlapping cubes (the union is
-  // still exact), which is why mintermCount is computed via BDD there.
+  // set. Every engine but lifted cube blocking produces pairwise-disjoint
+  // cubes (success-driven reads its cover off a BDD); lifted cubes may
+  // overlap (the union is still exact), which is why mintermCount is
+  // computed via BDD there.
   std::vector<LitVec> cubes;
   // Exact number of projected minterms in the union of `cubes`.
   BigUint mintermCount;
@@ -129,9 +130,10 @@ struct AllSatOptions {
   // clause (an existential witness), and the cube widening reads the
   // unassigned input/aux variables as free — so cubes widen, `pre.cubes`
   // shrinks, and the input/aux space is never exhaustively decided. The
-  // blocking and success-driven engines project-then-dedup (canonical sort,
-  // duplicate and subsumed cube removal) so the cross-engine audit still
-  // compares equal state sets. The projected union is identical either way.
+  // blocking engines project-then-dedup (canonical sort, duplicate and
+  // subsumed cube removal) so the cross-engine audit still compares equal
+  // state sets; the success-driven cover is already projected and disjoint.
+  // The projected union is identical either way.
   bool project = false;
   // Wildcard compression post-pass (Wild-style (x & A) | (~x & A) = A
   // merging) over the final cube set — and over each parallel shard's cover

@@ -43,31 +43,12 @@ size_t SolutionGraph::numStoredLiterals() const {
   return n;
 }
 
-BigUint SolutionGraph::countPaths() const {
-  std::vector<BigUint> memo(nodes_.size());
-  std::vector<bool> done(nodes_.size(), false);
-  auto rec = [&](auto&& self, int index) -> BigUint {
-    if (index == kSuccess) return BigUint(1);
-    if (index == kFail) return BigUint(0);
-    size_t i = static_cast<size_t>(index);
-    if (done[i]) return memo[i];
-    BigUint total = self(self, nodes_[i].branch[0].child) + self(self, nodes_[i].branch[1].child);
-    memo[i] = total;
-    done[i] = true;
-    return total;
-  };
-  BigUint total(0);
-  for (const Branch& r : roots_) total += rec(rec, r.child);
-  return total;
-}
-
-// Appends the path cubes below `root` until `cubes` holds `limit` (0 = no
-// limit); false once the limit is reached.
-bool SolutionGraph::appendPathCubes(const Branch& root, uint64_t limit,
-                                    std::vector<LitVec>& cubes) const {
-  if (root.child == kFail) return true;
-  if (limit != 0 && cubes.size() >= limit) return false;
+std::vector<LitVec> SolutionGraph::enumerateRootCubes(size_t r, uint64_t limit) const {
+  std::vector<LitVec> cubes;
+  const Branch& root = roots_[r];
+  if (root.child == kFail) return cubes;
   LitVec path = root.newLits;
+  // Returns false once the limit is reached.
   auto rec = [&](auto&& self, int index) -> bool {
     if (index == kFail) return true;
     if (index == kSuccess) {
@@ -84,20 +65,7 @@ bool SolutionGraph::appendPathCubes(const Branch& root, uint64_t limit,
     }
     return true;
   };
-  return rec(rec, root.child);
-}
-
-std::vector<LitVec> SolutionGraph::enumerateCubes(uint64_t limit) const {
-  std::vector<LitVec> cubes;
-  for (const Branch& r : roots_) {
-    if (!appendPathCubes(r, limit, cubes)) break;
-  }
-  return cubes;
-}
-
-std::vector<LitVec> SolutionGraph::enumerateRootCubes(size_t r, uint64_t limit) const {
-  std::vector<LitVec> cubes;
-  appendPathCubes(roots_[r], limit, cubes);
+  rec(rec, root.child);
   return cubes;
 }
 

@@ -14,15 +14,17 @@
 // A graph may have several roots, one per objective set solved by the same
 // engine (the cubes of a multi-cube preimage target): the node array and
 // every shared subgraph are stored once, and each root is an entry branch
-// into it. Whole-graph queries (paths, cubes, BDD) cover the union of all
-// roots, in root order.
+// into it. Whole-graph queries (BDD, sizes) cover the union of all roots.
+//
+// Path cubes overlap: two paths may share minterms or carry the same cube.
+// So the success-driven engine's cover is the graph's BDD paths, which are
+// disjoint; the path cubes serve only the audit.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "base/biguint.hpp"
 #include "base/types.hpp"
 
 namespace presat {
@@ -77,17 +79,14 @@ class SolutionGraph {
   // compared against blocking-clause literals).
   size_t numStoredLiterals() const;
 
-  // Number of root-to-SUCCESS paths. Paths, not distinct cubes: two paths may
-  // carry the same cube (DAG-linear dynamic program, never enumerates).
-  BigUint countPaths() const;
-
-  // Explicit solution cubes, one per root-to-SUCCESS path (0 = no limit).
-  std::vector<LitVec> enumerateCubes(uint64_t limit = 0) const;
-  // The same for the paths from root `r` alone.
+  // The path cubes of root `r`, one per root-to-SUCCESS path (0 = no
+  // limit). Paths may overlap and repeat a cube: the audit's window on the
+  // search, not the engine's cover.
   std::vector<LitVec> enumerateRootCubes(size_t r, uint64_t limit = 0) const;
 
   // Union of all path cubes as a BDD over the projected index space — the
-  // exact semantics of the graph, used for counting and cross-engine checks.
+  // exact semantics of the graph. The engine reads its cover and count off
+  // it; the audit and cross-engine checks compare against it.
   uint32_t toBdd(BddManager& mgr) const;
   // One BDD per root, from one pass that shares every subgraph's BDD.
   std::vector<uint32_t> rootBdds(BddManager& mgr) const;
@@ -95,8 +94,6 @@ class SolutionGraph {
   std::string toDot() const;
 
  private:
-  bool appendPathCubes(const Branch& root, uint64_t limit, std::vector<LitVec>& cubes) const;
-
   std::vector<Branch> roots_;
   std::vector<Node> nodes_;
 };

@@ -224,8 +224,8 @@ class Engine {
     memoLedger_.attach(governor_);
   }
 
-  // Solves every problem as the next root of the shared graph, then
-  // enumerates, post-processes and counts the covers.
+  // Solves every problem as the next root of the shared graph, then reads
+  // the cover and the count off the graph's BDD.
   SuccessDrivenResult run(std::span<const CircuitAllSatProblem> problems) {
     Timer timer;
     for (const CircuitAllSatProblem& p : problems) solveRoot(p.objectives);
@@ -238,53 +238,26 @@ class Engine {
     result.summary.stats = stats_;
     result.summary.stats.graphNodes = graph.numNodes();
     result.summary.stats.graphEdges = graph.numLiveEdges();
-    // Each root keeps the cap and the projection post-pass of a
-    // single-objective run; the compression tallies add up across roots.
-    std::vector<std::vector<LitVec>> covers(graph.numRoots());
-    bool capped = false;
-    for (size_t r = 0; r < graph.numRoots(); ++r) {
-      AllSatResult part;
-      // One path beyond the cap decides completeness without the full
-      // path-count dynamic program over the graph.
-      if (options_.maxCubes == 0) {
-        part.cubes = graph.enumerateRootCubes(r, 0);
-      } else {
-        uint64_t probe =
-            options_.maxCubes == UINT64_MAX ? options_.maxCubes : options_.maxCubes + 1;
-        part.cubes = graph.enumerateRootCubes(r, probe);
-        if (part.cubes.size() > options_.maxCubes) {
-          capped = true;
-          part.cubes.pop_back();
-        }
-      }
-      // Serialized solution-graph cubes can repeat and overlap across
-      // branches; the projected/compressed epilogue cleans them up without
-      // touching the graph-side BDD count below.
-      applyProjectionPostpass(part, options_, /*disjointCubes=*/false);
-      metrics_.merge(part.metrics);
-      covers[r] = std::move(part.cubes);
-    }
-    if (capped) result.summary.outcome = Outcome::kCubeCap;
-    // A governor trip dominates the cap: the pruned branches are the reason
-    // the graph (and hence the cube set / count) is only a lower bound.
-    if (tripped_ && governor_ != nullptr) result.summary.outcome = governor_->reason();
-    // One BDD pass over the graph serves the count and the audit below.
-    BddManager mgr(numProjection_);
-    const std::vector<BddRef> rootBdds = graph.rootBdds(mgr);
-    BddRef all = BddManager::kFalse;
-    for (BddRef root : rootBdds) all = mgr.bddOr(all, root);
-    result.summary.mintermCount = mgr.satCount(all);
-    result.summary.stats.seconds = timer.seconds();
     metrics_.setLabel("engine", "success-driven");
-    exportStatsToMetrics(result.summary.stats, metrics_);
     metrics_.setCounter("sig.cone_nodes", sigCutNodes_);
     metrics_.setCounter("sig.bytes", sigCutNodes_ * sizeof(Sig128));
     if (frontierSizes_.count() != 0) metrics_.histogram("frontier.size").merge(frontierSizes_);
     result.summary.metrics = std::move(metrics_);
+    // One BDD pass over the graph serves the cover, the count and the audit.
+    BddManager mgr(numProjection_);
+    const std::vector<BddRef> rootBdds = graph.rootBdds(mgr);
+    BddRef all = BddManager::kFalse;
+    for (BddRef root : rootBdds) all = mgr.bddOr(all, root);
+    const bool capped = readSuccessDrivenCover(mgr, all, options_, result.summary);
+    // A governor trip dominates the cap: the pruned branches are the reason
+    // the graph (and hence the cover / count) is only a lower bound.
+    if (tripped_ && governor_ != nullptr) result.summary.outcome = governor_->reason();
+    result.summary.stats.seconds = timer.seconds();
+    exportStatsToMetrics(result.summary.stats, result.summary.metrics);
     finishResult(result.summary, governor_);
 
-    // cheap = structural DAG invariants plus each root's reported cover
-    // against its BDD; full additionally replays every sampled cube through
+    // cheap = structural DAG invariants plus the reported cover against the
+    // graph's BDD; full additionally replays every sampled path cube through
     // a SAT check against the root's original circuit problem.
     PRESAT_AUDIT_CHEAP({
       SolutionGraphAuditOptions auditOptions;
@@ -295,20 +268,13 @@ class Engine {
       } else {
         auditOptions.numProjectionVars = numProjection_;
       }
-      // A capped cover is a prefix, not the root's set; the audit then
+      // A capped cover is a prefix, not the graph's set; the audit then
       // enumerates the graph itself.
-      if (!capped) auditOptions.rootCovers = covers;
+      if (!capped) auditOptions.cover = &result.summary.cubes;
       auditOptions.bddManager = &mgr;
       auditOptions.rootBdds = rootBdds;
       PRESAT_CHECK_AUDIT(auditSolutionGraph(graph, auditOptions));
     });
-
-    size_t total = 0;
-    for (const std::vector<LitVec>& cover : covers) total += cover.size();
-    result.summary.cubes.reserve(total);
-    for (std::vector<LitVec>& cover : covers) {
-      for (LitVec& cube : cover) result.summary.cubes.push_back(std::move(cube));
-    }
     return result;
   }
 
@@ -771,6 +737,23 @@ class Engine {
 };
 
 }  // namespace
+
+bool readSuccessDrivenCover(BddManager& mgr, BddRef set, const AllSatOptions& options,
+                            AllSatResult& summary) {
+  summary.mintermCount = mgr.satCount(set);
+  // One path beyond the cap decides completeness.
+  const uint64_t probe = options.maxCubes == 0 || options.maxCubes == UINT64_MAX
+                             ? options.maxCubes
+                             : options.maxCubes + 1;
+  summary.cubes = mgr.enumerateCubes(set, probe);
+  const bool capped = options.maxCubes != 0 && summary.cubes.size() > options.maxCubes;
+  if (capped) {
+    summary.cubes.pop_back();
+    summary.outcome = combineOutcomes(summary.outcome, Outcome::kCubeCap);
+  }
+  applyProjectionPostpass(summary, options, /*disjointCubes=*/true);
+  return capped;
+}
 
 SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
                                         const AllSatOptions& options) {

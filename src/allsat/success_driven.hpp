@@ -24,8 +24,14 @@
 //    projection (a multi-cube preimage target): each becomes one root of a
 //    shared graph, and the memo carries over between them — its key never
 //    mentions the objectives, so a hit on another root's entry is exact.
+//  * The graph is the engine's store, not its cover. The graph's
+//    root-to-SUCCESS paths may overlap, so the cover is read off the graph's
+//    reduced ordered BDD instead: its paths are pairwise disjoint and depend
+//    only on the solution set, so the cover equals the BDD engine's and does
+//    not depend on the branch order or the worker count.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,6 +41,8 @@
 #include "circuit/netlist.hpp"
 
 namespace presat {
+
+class BddManager;
 
 struct CircuitAllSatProblem {
   const Netlist* netlist = nullptr;
@@ -46,10 +54,10 @@ struct CircuitAllSatProblem {
 };
 
 struct SuccessDrivenResult {
-  // cubes are each root's root-to-SUCCESS path cubes, in root order; every
-  // root's enumeration is capped by AllSatOptions::maxCubes and projected /
-  // compressed on its own (the graph itself is always complete).
-  // mintermCount counts the union over all roots.
+  // The cover is one cover of the union of all roots: the paths of the
+  // graph's BDD (readSuccessDrivenCover), so it is disjoint and canonical,
+  // and maxCubes caps it as a whole. mintermCount counts that union. The
+  // per-root answers live in the graph.
   AllSatResult summary;
   // Root i answers problem i.
   SolutionGraph graph;
@@ -60,9 +68,18 @@ SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
 
 // One engine for several problems that share a netlist and projection
 // sources and differ only in their objectives. Tables, memo and graph are
-// shared; root i of the graph answers problems[i]. The cover is the
-// concatenation of the covers successDrivenAllSat gives each problem alone.
+// shared; root i of the graph answers problems[i]. The cover is the one
+// cover of the union of every problem's solutions.
 SuccessDrivenResult successDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
                                         const AllSatOptions& options = {});
+
+// The success-driven cover of `set`, a solution graph's BDD in `mgr` over
+// the projected index space: its paths (BddManager::enumerateCubes), the
+// same cover the BDD preimage engine reads off the same set, then the
+// optional compress pass. Sets summary.cubes and summary.mintermCount;
+// past options.maxCubes the cover stops at the cap, the outcome combines
+// with Outcome::kCubeCap, and the call returns true.
+bool readSuccessDrivenCover(BddManager& mgr, uint32_t set, const AllSatOptions& options,
+                            AllSatResult& summary);
 
 }  // namespace presat

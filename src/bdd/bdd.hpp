@@ -102,8 +102,11 @@ class BddManager {
   BigUint satCount(BddRef f);
   // Support variables, ascending.
   std::vector<Var> support(BddRef f);
-  // All cubes (paths to kTrue): literals over decision variables on the path.
-  std::vector<LitVec> enumerateCubes(BddRef f);
+  // Cubes (paths to kTrue), low branch first: literals over the decision
+  // variables on the path. The paths of a reduced ordered BDD are pairwise
+  // disjoint, and the list depends only on the function and the variable
+  // order. Stops after `limit` cubes (0 = all).
+  std::vector<LitVec> enumerateCubes(BddRef f, uint64_t limit = 0);
   // Count of BDD nodes reachable from f (including terminals).
   size_t dagSize(BddRef f);
 

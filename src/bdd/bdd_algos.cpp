@@ -202,21 +202,23 @@ std::vector<Var> BddManager::support(BddRef f) {
   return result;
 }
 
-std::vector<LitVec> BddManager::enumerateCubes(BddRef f) {
+std::vector<LitVec> BddManager::enumerateCubes(BddRef f, uint64_t limit) {
   std::vector<LitVec> cubes;
   LitVec path;
-  auto rec = [&](auto&& self, BddRef g) -> void {
-    if (g == kFalse) return;
+  // Returns false once the limit is reached.
+  auto rec = [&](auto&& self, BddRef g) -> bool {
+    if (g == kFalse) return true;
     if (g == kTrue) {
       cubes.push_back(path);
-      return;
+      return limit == 0 || cubes.size() < limit;
     }
     const Node& n = node(g);
     path.push_back(mkLit(n.var, /*negated=*/true));
-    self(self, n.lo);
+    const bool more = self(self, n.lo);
     path.back() = mkLit(n.var, /*negated=*/false);
-    self(self, n.hi);
+    const bool keepGoing = more && self(self, n.hi);
     path.pop_back();
+    return keepGoing;
   };
   rec(rec, f);
   return cubes;

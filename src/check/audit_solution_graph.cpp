@@ -154,8 +154,6 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
   const auto validChild = [n](int c) { return c == kSuccess || c == kFail || (c >= 0 && c < n); };
   PRESAT_CHECK(opt.problems.empty() || opt.problems.size() == numRoots)
       << "audit needs one problem per root";
-  PRESAT_CHECK(opt.rootCovers.empty() || opt.rootCovers.size() == numRoots)
-      << "audit needs one cover per root";
   PRESAT_CHECK(opt.rootBdds.empty() || opt.bddManager != nullptr)
       << "audit root BDDs need their manager";
   PRESAT_CHECK(opt.bddManager == nullptr || opt.rootBdds.size() == numRoots)
@@ -315,46 +313,44 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
   // structural violation above makes those crash-prone, so stop here.
   if (!r.ok()) return r;
 
-  // -- each root's cover vs its own BDD semantics --------------------------
+  // -- the reported cover (else each root's paths) vs the graph's BDD ------
   if (opt.maxEnumeratedCubes > 0 && projWidth >= 0) {
-    // Roots whose cover exceeds the cap are skipped; when all are, the
-    // graph's BDD is never built.
-    std::vector<std::vector<LitVec>> enumerated(opt.rootCovers.empty() ? numRoots : 0);
-    std::vector<const std::vector<LitVec>*> covers(numRoots, nullptr);
-    bool anyCover = false;
-    for (size_t root = 0; root < numRoots; ++root) {
-      const std::vector<LitVec>* cover = nullptr;
-      if (opt.rootCovers.empty()) {
-        enumerated[root] = g.enumerateRootCubes(root, opt.maxEnumeratedCubes + 1);
-        cover = &enumerated[root];
-      } else {
-        cover = &opt.rootCovers[root];
-      }
-      if (cover->size() > opt.maxEnumeratedCubes) continue;
-      covers[root] = cover;
-      anyCover = true;
-    }
-    if (anyCover) {
-      // The caller's manager and root BDDs when supplied, else our own.
-      std::optional<BddManager> own;
-      std::vector<BddRef> built;
-      BddManager* mgr = opt.bddManager;
-      std::span<const BddRef> fromGraph = opt.rootBdds;
+    // The caller's manager and root BDDs when supplied, else our own, built
+    // on first use: when every cover exceeds the cap, never.
+    std::optional<BddManager> own;
+    std::vector<BddRef> built;
+    BddManager* mgr = opt.bddManager;
+    std::span<const BddRef> fromGraph = opt.rootBdds;
+    // Checks `cover` against root `root`'s BDD, or against the union of all
+    // roots when `root` is empty.
+    const auto checkCover = [&](const std::string& name, const std::vector<LitVec>& cover,
+                                std::optional<size_t> root) {
+      if (cover.size() > opt.maxEnumeratedCubes) return;
       if (mgr == nullptr) {
         mgr = &own.emplace(projWidth);
         built = g.rootBdds(*mgr);
         fromGraph = built;
       }
+      BddRef expected = BddManager::kFalse;
+      if (root) {
+        expected = fromGraph[*root];
+      } else {
+        for (BddRef bdd : fromGraph) expected = mgr->bddOr(expected, bdd);
+      }
+      const BddRef fromCubes = cubesToBdd(*mgr, cover);
+      if (!BddManager::equal(expected, fromCubes)) {
+        r.fail("graph.count.cubes-vs-bdd",
+               name + ": union of " + std::to_string(cover.size()) + " cubes (" +
+                   mgr->satCount(fromCubes).toDecimal() +
+                   " minterms) disagrees with the graph BDD (" +
+                   mgr->satCount(expected).toDecimal() + " minterms)");
+      }
+    };
+    if (opt.cover != nullptr) {
+      checkCover("cover", *opt.cover, std::nullopt);
+    } else {
       for (size_t root = 0; root < numRoots; ++root) {
-        if (covers[root] == nullptr) continue;
-        const BddRef fromCubes = cubesToBdd(*mgr, *covers[root]);
-        if (!BddManager::equal(fromGraph[root], fromCubes)) {
-          r.fail("graph.count.cubes-vs-bdd",
-                 rootName(root) + ": union of " + std::to_string(covers[root]->size()) +
-                     " cubes (" + mgr->satCount(fromCubes).toDecimal() +
-                     " minterms) disagrees with the graph BDD (" +
-                     mgr->satCount(fromGraph[root]).toDecimal() + " minterms)");
-        }
+        checkCover(rootName(root), g.enumerateRootCubes(root, opt.maxEnumeratedCubes + 1), root);
       }
     }
   }

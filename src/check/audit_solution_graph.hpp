@@ -1,12 +1,13 @@
 // Deep structural + semantic validation of a SolutionGraph.
 //
 // The node-array checks run once; the root checks (child range, root
-// literal hygiene, path repeats from the root, cubes vs BDD, cube soundness)
-// run once per root of a multi-root graph, with the root's index in the
-// detail. The per-root passes read tables built once over the node array
-// (and one BDD pass shared by all roots, or none when the caller hands in
-// the root BDDs it already built), so auditing an R-root graph costs one
-// node-array pass plus R root passes, not R whole-graph audits.
+// literal hygiene, path repeats from the root, cube soundness, and cubes vs
+// BDD when the caller reports no cover) run once per root of a multi-root
+// graph, with the root's index in the detail. The per-root passes read
+// tables built once over the node array (and one BDD pass shared by all
+// roots, or none when the caller hands in the root BDDs it already built),
+// so auditing an R-root graph costs one node-array pass plus R root passes,
+// not R whole-graph audits.
 //
 // Structural invariants (always checked):
 //
@@ -25,10 +26,11 @@
 //
 // Semantic invariants (need the projection width / original problem):
 //
-//   graph.count.cubes-vs-bdd  per root, the union of its cover — the
-//                       caller's reported cover when given, else its
-//                       enumerated path cubes — equals the root's own BDD
-//                       semantics (skipped when the cover exceeds the cap)
+//   graph.count.cubes-vs-bdd  the caller's reported cover, when given,
+//                       has the union of every root's BDD as its union;
+//                       without one, each root's enumerated path cubes
+//                       have that root's BDD as their union (skipped when
+//                       a cover exceeds the cap)
 //   graph.cube.unsat    every sampled path cube is sound for the original
 //                       circuit problem: the cube's source assignments (plus
 //                       random completions of the unassigned projection
@@ -59,19 +61,19 @@ struct SolutionGraphAuditOptions {
   // Projection width when `problems` is empty (-1 = infer an upper bound
   // from the literals, which still enables graph.count.cubes-vs-bdd).
   int numProjectionVars = -1;
-  // The cover the caller reported for each root (one entry per root): any
-  // union-preserving rewrite of the root's full path set, as well-formed
-  // cubes over the projected index space. Empty: the BDD cross-check
-  // enumerates each root's paths itself.
-  std::span<const std::vector<LitVec>> rootCovers;
+  // The cover the caller reported for the whole graph: any cube list whose
+  // union is the union of every root's path set, as well-formed cubes over
+  // the projected index space. Null: the BDD cross-check enumerates each
+  // root's paths itself.
+  const std::vector<LitVec>* cover = nullptr;
   // Each root's BDD (one entry per root) in `bddManager` over the projected
   // index space, for a caller that already built them: the cross-check then
   // reuses them instead of converting the graph again. Both or neither;
   // when absent the audit builds its own manager and root BDDs.
   BddManager* bddManager = nullptr;
   std::span<const uint32_t> rootBdds;
-  // Cap on cubes per root for the BDD cross-check (0 disables it; the check
-  // is skipped, not failed, when a root's cover exceeds the cap).
+  // Cap on cubes per cover for the BDD cross-check (0 disables it; the
+  // check is skipped, not failed, when a cover exceeds the cap).
   uint64_t maxEnumeratedCubes = 4096;
   // Cap on per-cube SAT soundness checks per root (0 disables
   // graph.cube.unsat).

@@ -90,88 +90,94 @@ size_t degradeSkippedShards(std::vector<ShardOutcome>& shards, const SplitPlan& 
 
 SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& problem,
                                                 const AllSatOptions& options) {
-  PRESAT_CHECK(problem.netlist != nullptr);
+  return parallelSuccessDrivenAllSat(std::span(&problem, 1), options);
+}
+
+SuccessDrivenResult parallelSuccessDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
+                                                const AllSatOptions& options) {
+  PRESAT_CHECK(!problems.empty());
   PRESAT_CHECK(options.parallel.enabled()) << "parallel engine called with jobs == 0";
+  const CircuitAllSatProblem& first = problems.front();
+  for (const CircuitAllSatProblem& p : problems) {
+    PRESAT_CHECK(p.netlist != nullptr);
+    PRESAT_CHECK(p.netlist == first.netlist && p.projectionSources == first.projectionSources)
+        << "one engine needs one netlist and one projection";
+  }
+  const int numProjectionVars = static_cast<int>(first.projectionSources.size());
   Timer timer;
-
-  SplitPlan plan = planCircuitSplit(problem, options.parallel.splitDepth);
-  std::vector<ShardOutcome> shards(plan.cubes.size());
   Governor* governor = options.governor;
-
   WorkerPool pool(options.parallel.jobs);
-  pool.run(
-      plan.cubes.size(),
-      [&](size_t i, int /*worker*/) {
-        if (!beginShard(governor)) return;
-        shards[i].ran = true;
-        // Workers read the shared netlist and write only their own shard slot.
-        CircuitAllSatProblem sub = problem;
-        for (Lit l : plan.cubes[i]) {
-          sub.objectives.emplace_back(problem.projectionSources[static_cast<size_t>(l.var())],
-                                      !l.sign());
-        }
-        SuccessDrivenResult r = successDrivenAllSat(sub, shardOptions(options));
-        shards[i].guide = plan.cubes[i];
-        shards[i].result = std::move(r.summary);
-        shards[i].graph = std::move(r.graph);
-        shards[i].hasGraph = true;
-      },
-      governorStop(governor));
-  size_t shardsSkipped = degradeSkippedShards(shards, plan, governor, /*needGraph=*/true);
-
-  PRESAT_AUDIT_FULL(PRESAT_CHECK_AUDIT(
-      auditShardPartition(shards, static_cast<int>(problem.projectionSources.size()))));
 
   SuccessDrivenResult result;
-  result.graph = mergeSolutionGraphs(shards, plan.splitVars);
-  result.summary.guides = plan.cubes;
-
+  size_t numShards = 0;
+  size_t shardsSkipped = 0;
   double cpuSeconds = 0.0;
-  for (ShardOutcome& shard : shards) cpuSeconds += shard.result.stats.seconds;
-  AllSatResult merged = mergeShardSummaries(shards);
-  result.summary.mintermCount = std::move(merged.mintermCount);
-  result.summary.stats = merged.stats;
+  for (const CircuitAllSatProblem& problem : problems) {
+    SplitPlan plan = planCircuitSplit(problem, options.parallel.splitDepth);
+    std::vector<ShardOutcome> shards(plan.cubes.size());
+    pool.run(
+        plan.cubes.size(),
+        [&](size_t i, int /*worker*/) {
+          if (!beginShard(governor)) return;
+          shards[i].ran = true;
+          // Workers read the shared netlist and write only their own shard slot.
+          CircuitAllSatProblem sub = problem;
+          for (Lit l : plan.cubes[i]) {
+            sub.objectives.emplace_back(problem.projectionSources[static_cast<size_t>(l.var())],
+                                        !l.sign());
+          }
+          SuccessDrivenResult r = successDrivenAllSat(sub, shardOptions(options));
+          // The cap is decided on the whole cover below. A shard's own
+          // capped cover only serves the partition audit.
+          if (r.summary.outcome == Outcome::kCubeCap) r.summary.outcome = Outcome::kComplete;
+          shards[i].guide = plan.cubes[i];
+          shards[i].result = std::move(r.summary);
+          shards[i].graph = std::move(r.graph);
+          shards[i].hasGraph = true;
+        },
+        governorStop(governor));
+    shardsSkipped += degradeSkippedShards(shards, plan, governor, /*needGraph=*/true);
+
+    PRESAT_AUDIT_FULL(PRESAT_CHECK_AUDIT(auditShardPartition(shards, numProjectionVars)));
+
+    // Root i of the result is problem i's shard graphs merged under the
+    // split tree.
+    result.graph.append(mergeSolutionGraphs(shards, plan.splitVars));
+    numShards += shards.size();
+    for (ShardOutcome& shard : shards) cpuSeconds += shard.result.stats.seconds;
+    AllSatResult merged = mergeShardSummaries(shards);
+    result.summary.outcome = combineOutcomes(result.summary.outcome, merged.outcome);
+    accumulateStats(result.summary.stats, merged.stats);
+    result.summary.metrics.merge(merged.metrics);
+    // The guides partition the space only for one problem: another
+    // problem's split covers the same space again.
+    if (problems.size() == 1) result.summary.guides = std::move(plan.cubes);
+  }
   result.summary.stats.graphNodes = result.graph.numNodes();
   result.summary.stats.graphEdges = result.graph.numLiveEdges();
-  result.summary.metrics = std::move(merged.metrics);
-  result.summary.outcome = merged.outcome;
 
-  // Same enumeration-cap semantics as the serial engine: one probe path past
-  // the cap decides the flag. Under a tripped governor the merged graph is a
+  // The serial engine's cover, cap and count, read off the merged graph's
+  // BDD: the same set gives the same BDD, so the result is the serial one
+  // whatever the split. Under a tripped governor the merged graph is a
   // pruned (sound) under-approximation, and the trip reason outranks the cap
   // in combineOutcomes.
-  bool capped = false;
-  if (options.maxCubes == 0) {
-    result.summary.cubes = result.graph.enumerateCubes(0);
-  } else {
-    uint64_t probe = options.maxCubes == UINT64_MAX ? options.maxCubes : options.maxCubes + 1;
-    result.summary.cubes = result.graph.enumerateCubes(probe);
-    if (result.summary.cubes.size() > options.maxCubes) {
-      capped = true;
-      result.summary.cubes.pop_back();
-      result.summary.outcome = combineOutcomes(result.summary.outcome, Outcome::kCubeCap);
-    }
-  }
-
-  // Cross-shard epilogue: the merged decision tree can serialize duplicate
-  // or overlapping cubes across shard branches; project-then-dedup and
-  // wildcard compression clean the flat cover without touching the graph.
-  applyProjectionPostpass(result.summary, options, /*disjointCubes=*/false);
+  BddManager mgr(numProjectionVars);
+  const BddRef all = result.graph.toBdd(mgr);
+  const bool capped = readSuccessDrivenCover(mgr, all, options, result.summary);
 
   result.summary.stats.seconds = timer.seconds();
   result.summary.metrics.setLabel("engine", "success-driven");
   exportStatsToMetrics(result.summary.stats, result.summary.metrics);
-  exportParallelMetrics(pool, shards.size(), shardsSkipped, cpuSeconds,
-                        result.summary.metrics);
+  exportParallelMetrics(pool, numShards, shardsSkipped, cpuSeconds, result.summary.metrics);
   finishResult(result.summary, governor);
 
   PRESAT_AUDIT_CHEAP({
     SolutionGraphAuditOptions auditOptions;
     auditOptions.maxCubeSatChecks = 0;
-    auditOptions.numProjectionVars = static_cast<int>(problem.projectionSources.size());
+    auditOptions.numProjectionVars = numProjectionVars;
     // The cross-shard check runs on the cover the caller receives; a capped
     // cover is a prefix, so the audit then enumerates the merged graph.
-    if (!capped) auditOptions.rootCovers = std::span(&result.summary.cubes, 1);
+    if (!capped) auditOptions.cover = &result.summary.cubes;
     PRESAT_CHECK_AUDIT(auditSolutionGraph(result.graph, auditOptions));
   });
   return result;

@@ -16,6 +16,7 @@
 // metrics vary with the worker count.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "allsat/blocking.hpp"
@@ -27,11 +28,14 @@ namespace presat {
 
 class CircuitWidener;
 
-// Parallel counterpart of successDrivenAllSat. The returned solution graph
-// is the shard graphs merged under a split-variable decision tree; summary
-// cubes are re-enumerated from the merged graph (same maxCubes semantics as
-// the serial engine).
+// Parallel counterpart of successDrivenAllSat. Root i of the returned
+// solution graph is problems[i]'s shard graphs merged under a split-variable
+// decision tree. The cover, its maxCubes cap and the count are read off the
+// merged graph's BDD exactly as the serial engine reads them, so they equal
+// the serial result for every jobs >= 1.
 SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& problem,
+                                                const AllSatOptions& options);
+SuccessDrivenResult parallelSuccessDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
                                                 const AllSatOptions& options);
 
 // Which serial CNF engine solves each subcube.

@@ -1,16 +1,11 @@
 #include "preimage/preimage.hpp"
 
-#include <algorithm>
-#include <iterator>
-
 #include "allsat/blocking.hpp"
 #include "allsat/chrono_blocking.hpp"
-#include "allsat/compress.hpp"
 #include "allsat/lifting.hpp"
 #include "allsat/success_driven.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
-#include "bdd/bdd.hpp"
 #include "cert/certificate.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/simulator.hpp"
@@ -187,11 +182,8 @@ void finishPreimage(PreimageResult& result, const Governor* governor) {
   if (governor != nullptr) governor->exportMetrics(result.metrics);
 }
 
-// The success-driven engine over every target cube. Serially one engine
-// answers all of them, one root each; in parallel every cube gets its own
-// cube-and-conquer run. One cube's run is the answer as it stands (its count
-// sums disjoint guides, so it is exact); several cubes' merged graphs become
-// the roots, counted together from one BDD pass.
+// The success-driven engine over every target cube, one root each: one
+// serial engine, or one cube-and-conquer run whose pool serves every cube.
 SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const StateSet& target,
                                           const AllSatOptions& options) {
   std::vector<CircuitAllSatProblem> problems(target.cubes.size());
@@ -204,40 +196,16 @@ SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const 
   }
   if (problems.empty()) return {};
   if (!options.parallel.enabled()) return successDrivenAllSat(problems, options);
-  if (problems.size() == 1) return parallelSuccessDrivenAllSat(problems.front(), options);
-
-  SuccessDrivenResult result;
-  for (const CircuitAllSatProblem& problem : problems) {
-    SuccessDrivenResult sub = parallelSuccessDrivenAllSat(problem, options);
-    result.summary.cubes.insert(result.summary.cubes.end(),
-                                std::make_move_iterator(sub.summary.cubes.begin()),
-                                std::make_move_iterator(sub.summary.cubes.end()));
-    result.summary.outcome = combineOutcomes(result.summary.outcome, sub.summary.outcome);
-    accumulateStats(result.summary.stats, sub.summary.stats);
-    result.summary.metrics.merge(sub.summary.metrics);
-    result.graph.append(sub.graph);
-  }
-  BddManager mgr(system.numStateBits());
-  result.summary.mintermCount = mgr.satCount(result.graph.toBdd(mgr));
-  return result;
+  return parallelSuccessDrivenAllSat(problems, options);
 }
 
 // Disjointness guarantee backing the certificate's disjoint flag: minterm
-// and chrono covers are disjoint by construction, BDD covers are distinct
-// root-to-true paths, and wildcard compression preserves all of that.
-// Lifted-cube and success-driven covers may overlap (their union is still
-// exact).
+// and chrono covers are disjoint by construction, BDD and success-driven
+// covers are distinct root-to-true paths of one BDD, and wildcard
+// compression preserves all of that. Lifted-cube covers may overlap (their
+// union is still exact).
 bool methodCoverDisjoint(PreimageMethod method) {
-  switch (method) {
-    case PreimageMethod::kMintermBlocking:
-    case PreimageMethod::kChrono:
-    case PreimageMethod::kBdd:
-      return true;
-    case PreimageMethod::kCubeBlockingLifted:
-    case PreimageMethod::kSuccessDriven:
-      return false;
-  }
-  return false;
+  return method != PreimageMethod::kCubeBlockingLifted;
 }
 
 }  // namespace
@@ -342,17 +310,6 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
       result.stats.satCalls += target.cubes.size();  // one justification search per target cube
       result.metrics = std::move(sd.summary.metrics);
       result.graph = std::move(sd.graph);
-      // Cross-target epilogue: each root's cover is already projected/
-      // compressed on its own, but the concatenation across target cubes
-      // can repeat or overlap cubes between roots. The union — and the
-      // graph-side count — is unchanged.
-      if (satOpts.project) dedupCubes(result.states.cubes);
-      if (satOpts.compress) {
-        compressCubes(result.states.cubes, satOpts.governor, satOpts.compressTrace);
-      }
-      if (satOpts.project) {
-        result.metrics.setCounter("proj.cubes", result.states.cubes.size());
-      }
       result.seconds = timer.seconds();
       result.stats.seconds = result.seconds;
       result.metrics.setLabel("engine", "success-driven");

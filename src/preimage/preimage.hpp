@@ -90,7 +90,7 @@ struct PreimageResult {
   Outcome outcome = Outcome::kComplete;
   AllSatStats stats;    // zero-initialized for the BDD engine
   // Observability export of `stats` (plus engine-specific histograms; the
-  // parallel success-driven path merges them across its per-cube runs).
+  // parallel engines merge them across their shards).
   Metrics metrics;
   double seconds = 0.0;
   size_t bddNodes = 0;  // BDD engine only: manager size after the query

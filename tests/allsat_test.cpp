@@ -261,25 +261,44 @@ TEST_P(SuccessDrivenFuzz, MatchesBruteForce) {
       EXPECT_EQ(cubesToMinterms(r.summary.cubes, p.projectionSources.size()), expected)
           << "seed-group " << GetParam() << " iter " << iter << " learning " << learning;
       EXPECT_EQ(r.summary.mintermCount.toU64(), expected.size());
-      // Graph-derived counts must agree with the cube list.
-      EXPECT_EQ(r.graph.countPaths().toU64(), r.summary.cubes.size());
+      // The cover is the graph's BDD, read path by path.
+      EXPECT_EQ(r.summary.cubes,
+                testutil::graphBddCover(r.graph, static_cast<int>(p.projectionSources.size())));
       expectGraphAuditOk(r.graph, p);
     }
   }
 }
 
+// Every root's path cubes, root after root: the graph's own answer, which
+// follows the branch order (the cover, read off a BDD, does not).
+std::vector<LitVec> graphPathCubes(const SolutionGraph& graph) {
+  std::vector<LitVec> cubes;
+  for (size_t r = 0; r < graph.numRoots(); ++r) {
+    std::vector<LitVec> root = graph.enumerateRootCubes(r);
+    cubes.insert(cubes.end(), root.begin(), root.end());
+  }
+  return cubes;
+}
+
 // The memo key is the justification cut, not the whole fanin cone. It may
 // only make more subproblems count as solved, never change what the search
 // produces: learning on, learning off and the exact-key oracle must give the
-// same cube list, cube for cube and in the same order.
+// same graph paths, path for path and in the same order, and the same cover.
+// The exact-key oracle must also build the same graph, node for node.
 void expectBitIdenticalCovers(const CircuitAllSatProblem& p, const std::string& what) {
   SuccessDrivenResult on = successDrivenAllSat(p);
-  AllSatOptions off;
-  off.successLearning = false;
-  AllSatOptions exact;
-  exact.memoCheckExact = true;
-  EXPECT_EQ(successDrivenAllSat(p, off).summary.cubes, on.summary.cubes) << what;
-  EXPECT_EQ(successDrivenAllSat(p, exact).summary.cubes, on.summary.cubes) << what;
+  AllSatOptions offOptions;
+  offOptions.successLearning = false;
+  AllSatOptions exactOptions;
+  exactOptions.memoCheckExact = true;
+  const SuccessDrivenResult off = successDrivenAllSat(p, offOptions);
+  const SuccessDrivenResult exact = successDrivenAllSat(p, exactOptions);
+  const std::vector<LitVec> paths = graphPathCubes(on.graph);
+  EXPECT_EQ(graphPathCubes(off.graph), paths) << what;
+  EXPECT_EQ(graphPathCubes(exact.graph), paths) << what;
+  EXPECT_EQ(exact.graph.numNodes(), on.graph.numNodes()) << what;
+  EXPECT_EQ(off.summary.cubes, on.summary.cubes) << what;
+  EXPECT_EQ(exact.summary.cubes, on.summary.cubes) << what;
 }
 
 TEST_P(SuccessDrivenFuzz, CoversBitIdenticalAcrossMemoModes) {
@@ -332,9 +351,9 @@ TEST(SuccessDriven, GeneratorCoversBitIdenticalAcrossMemoModes) {
 }
 
 // A multi-cube preimage target runs one engine: one root per target cube,
-// one memo across them. Its cover must be the concatenation of the per-cube
-// covers, its count the BDD engine's, and every memo hit — cross-root ones
-// included — must match the exact cut key.
+// one memo across them. Its cover must be the BDD of the union of the
+// per-cube answers, read path by path; its count the BDD engine's; and every
+// memo hit — cross-root ones included — must match the exact cut key.
 TEST(SuccessDrivenMultiRoot, PreimageMatchesPerCubeRuns) {
   Rng rng(733);
   std::vector<std::pair<std::string, Netlist>> circuits = generatorCircuits();
@@ -362,22 +381,23 @@ TEST(SuccessDrivenMultiRoot, PreimageMatchesPerCubeRuns) {
     target.cubes.push_back(target.cubes.front());  // a repeated cube is one root-level hit
 
     std::vector<CircuitAllSatProblem> problems;
-    std::vector<LitVec> concatenated;
+    BddManager mgr(bits);
+    BddRef perCube = BddManager::kFalse;
     for (const LitVec& cube : target.cubes) {
       NodeCube objectives;
       for (Lit l : cube) objectives.emplace_back(ts.nextStateRoot(l.var()), !l.sign());
       problems.push_back(problemFor(nl, objectives));
       problems.back().projectionSources = ts.stateNodes();
       SuccessDrivenResult alone = successDrivenAllSat(problems.back());
-      concatenated.insert(concatenated.end(), alone.summary.cubes.begin(),
-                          alone.summary.cubes.end());
+      perCube = mgr.bddOr(perCube, cubesToBdd(mgr, alone.summary.cubes));
     }
 
     PreimageOptions options;
     options.allsat.memoCheckExact = true;
     PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
     ASSERT_TRUE(pre.complete) << name;
-    EXPECT_EQ(pre.states.cubes, concatenated) << name;
+    EXPECT_EQ(pre.states.cubes, mgr.enumerateCubes(perCube)) << name;
+    EXPECT_EQ(pre.states.cubes, testutil::graphBddCover(pre.graph, bits)) << name;
     EXPECT_EQ(pre.stateCount, computePreimage(ts, target, PreimageMethod::kBdd).stateCount)
         << name;
     ASSERT_EQ(pre.graph.numRoots(), target.cubes.size()) << name;
@@ -391,20 +411,42 @@ TEST(SuccessDrivenMultiRoot, PreimageMatchesPerCubeRuns) {
   }
 }
 
-// Every success-driven answer on a fixed corpus, folded into one FNV-1a
-// digest pinned to the value the engine produced when the test was written.
-// The memo-mode tests above cannot see a change of branch order (learning on
-// and off would move together); this digest can: any change to a cube list,
-// a state count or the shared graph's node count moves it. Re-pin it only
-// for a change that is meant to alter what the engine produces.
-TEST(SuccessDriven, CoversMatchPinnedDigest) {
-  uint64_t digest = 0xcbf29ce484222325ull;
-  auto mix = [&digest](uint64_t word) {
+// FNV-1a digest of a stream of 64-bit words.
+class Fnv1a {
+ public:
+  void mix(uint64_t word) {
     for (int i = 0; i < 8; ++i) {
-      digest ^= (word >> (8 * i)) & 0xff;
-      digest *= 0x100000001b3ull;
+      value_ ^= (word >> (8 * i)) & 0xff;
+      value_ *= 0x100000001b3ull;
     }
-  };
+  }
+  void mix(const std::vector<LitVec>& cubes) {
+    mix(cubes.size());
+    for (const LitVec& cube : cubes) {
+      mix(cube.size());
+      for (Lit l : cube) mix(static_cast<uint32_t>(l.code()));
+    }
+  }
+  uint64_t value() const { return value_; }
+
+ private:
+  uint64_t value_ = 0xcbf29ce484222325ull;
+};
+
+// Every success-driven answer on a fixed corpus, folded into two digests
+// pinned to the values the engine produced when the test was written.
+//  * The graph digest folds every root's path cubes and the graph's node
+//    count: the search's own output. The memo-mode tests above cannot see a
+//    change of branch order (learning on and off would move together); this
+//    digest can. Its value was computed before the cover was read off the
+//    BDD, and reading the cover left it unchanged.
+//  * The cover digest folds the cover and the state count. It was re-pinned
+//    when the cover became the graph's BDD paths: it no longer depends on
+//    the branch order, only on the solution set.
+// Re-pin either only for a change that is meant to alter what it folds.
+TEST(SuccessDriven, CoversMatchPinnedDigest) {
+  Fnv1a graphDigest;
+  Fnv1a coverDigest;
   Rng rng(1601);
   std::vector<std::pair<std::string, Netlist>> circuits = generatorCircuits();
   for (int i = 0; i < 20; ++i) {
@@ -432,16 +474,16 @@ TEST(SuccessDriven, CoversMatchPinnedDigest) {
       options.allsat.parallel.jobs = jobs;
       PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
       ASSERT_TRUE(pre.complete) << name << " jobs " << jobs;
-      mix(pre.states.cubes.size());
-      for (const LitVec& cube : pre.states.cubes) {
-        mix(cube.size());
-        for (Lit l : cube) mix(static_cast<uint32_t>(l.code()));
+      for (size_t r = 0; r < pre.graph.numRoots(); ++r) {
+        graphDigest.mix(pre.graph.enumerateRootCubes(r));
       }
-      for (char c : pre.stateCount.toDecimal()) mix(static_cast<uint8_t>(c));
-      mix(pre.graph.numNodes());
+      graphDigest.mix(pre.graph.numNodes());
+      coverDigest.mix(pre.states.cubes);
+      for (char c : pre.stateCount.toDecimal()) coverDigest.mix(static_cast<uint8_t>(c));
     }
   }
-  EXPECT_EQ(digest, 0x5496ff6be4c2c09eull) << std::hex << digest;
+  EXPECT_EQ(graphDigest.value(), 0x0cc1d9a2aad397a2ull) << std::hex << graphDigest.value();
+  EXPECT_EQ(coverDigest.value(), 0x62220c5e3f5ee165ull) << std::hex << coverDigest.value();
 }
 
 TEST(SuccessDriven, AgreesWithMintermEngineOnS27) {
@@ -502,7 +544,8 @@ TEST(SuccessDriven, LearningProducesMemoHitsOnXorTrees) {
   EXPECT_LT(withLearning.summary.stats.decisions, without.summary.stats.decisions);
   EXPECT_LT(withLearning.summary.stats.graphNodes, without.summary.stats.graphNodes);
   // Both represent the same 128 solution paths.
-  EXPECT_EQ(withLearning.graph.countPaths(), without.graph.countPaths());
+  EXPECT_EQ(withLearning.graph.enumerateRootCubes(0).size(), 128u);
+  EXPECT_EQ(without.graph.enumerateRootCubes(0).size(), 128u);
 }
 
 TEST(SuccessDriven, LinearCarryChainNeedsNoLearning) {

@@ -2,6 +2,7 @@
 // composition, counting, enumeration — differentially against truth tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 
@@ -160,6 +161,34 @@ TEST(Bdd, EnumerateCubesCoversExactlyTheOnSet) {
       }
     }
   }
+}
+
+// A limit returns the first `limit` cubes of the full list, in order, and
+// never more cubes than the BDD has paths.
+TEST(Bdd, EnumerateCubesStopsAtTheLimit) {
+  Rng rng(47);
+  const int vars = 6;
+  BddManager mgr(vars);
+  for (int iter = 0; iter < 20; ++iter) {
+    BddRef f = BddManager::kFalse;
+    for (int t = 0; t < 4; ++t) {
+      LitVec cube;
+      for (Var v = 0; v < vars; ++v) {
+        if (rng.chance(1, 2)) cube.push_back(mkLit(v, rng.flip()));
+      }
+      f = mgr.bddOr(f, mgr.cube(cube));
+    }
+    const std::vector<LitVec> all = mgr.enumerateCubes(f);
+    EXPECT_EQ(mgr.enumerateCubes(f, 0), all);
+    for (uint64_t limit = 1; limit <= all.size() + 1; ++limit) {
+      const std::vector<LitVec> some = mgr.enumerateCubes(f, limit);
+      const size_t expected = std::min<size_t>(limit, all.size());
+      ASSERT_EQ(some.size(), expected) << "iter " << iter << " limit " << limit;
+      EXPECT_TRUE(std::equal(some.begin(), some.end(), all.begin()));
+    }
+  }
+  EXPECT_TRUE(mgr.enumerateCubes(BddManager::kFalse, 1).empty());
+  EXPECT_EQ(mgr.enumerateCubes(BddManager::kTrue, 1), std::vector<LitVec>{LitVec{}});
 }
 
 TEST(Bdd, ComposeVectorSubstitutes) {

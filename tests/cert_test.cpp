@@ -14,11 +14,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/rng.hpp"
 #include "cert/certificate.hpp"
 #include "circuit/netlist.hpp"
 #include "gen/generators.hpp"
+#include "gen/iscas.hpp"
+#include "gen/random_circuit.hpp"
 #include "govern/budget.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
@@ -146,6 +150,68 @@ TEST(CertAccept, ProjectedAndCompressedCovers) {
     EXPECT_LT(r.states.cubes.size(), r.stateCount.toU64()) << "jobs=" << jobs;
     CheckRun run = runChecker(r.certificate);
     EXPECT_EQ(run.exitCode, 0) << "jobs=" << jobs << "\n" << run.output;
+  }
+}
+
+// The success-driven cover is read off the graph's BDD, so on every target
+// — one cube, several cubes, a repeated cube — it is the BDD engine's cover
+// cube for cube, it is the same at jobs 0, 1 and 4, and its certificate
+// claims (and passes) disjointness.
+TEST(CertAccept, SuccessDrivenCoverIsTheBddCoverAtEveryJobCount) {
+  std::vector<std::pair<std::string, Netlist>> circuits;
+  circuits.emplace_back("counter6", makeCounter(6));
+  circuits.emplace_back("gray5", makeGrayCounter(5));
+  circuits.emplace_back("lfsr7", makeLfsr(7));
+  circuits.emplace_back("shift6", makeShiftRegister(6));
+  circuits.emplace_back("arbiter4", makeRoundRobinArbiter(4));
+  circuits.emplace_back("traffic", makeTrafficLight());
+  circuits.emplace_back("accum4", makeAccumulator(4));
+  circuits.emplace_back("lock", makeCombinationLock({3, 1, 2}, 2));
+  circuits.emplace_back("s27", makeS27());
+  Rng rng(2111);
+  for (int i = 0; i < 20; ++i) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = static_cast<int>(rng.range(1, 4));
+    params.numDffs = static_cast<int>(rng.range(3, 9));
+    params.numGates = static_cast<int>(rng.range(20, 160));
+    circuits.emplace_back("random" + std::to_string(i), makeRandomSequential(params));
+  }
+  for (const auto& [name, nl] : circuits) {
+    TransitionSystem ts(nl);
+    const int bits = ts.numStateBits();
+    auto randomCube = [&rng, bits] {
+      LitVec cube;
+      for (int b = 0; b < bits; ++b) {
+        if (rng.chance(1, 2)) cube.push_back(mkLit(static_cast<Var>(b), rng.flip()));
+      }
+      return cube;
+    };
+    StateSet single = StateSet::fromCube(bits, randomCube());
+    StateSet multi = StateSet::fromCube(bits, randomCube());
+    multi.cubes.push_back(randomCube());
+    multi.cubes.push_back(randomCube());
+    StateSet repeated = multi;
+    repeated.cubes.push_back(repeated.cubes.front());
+    for (const auto& [kind, target] : {std::pair{"single", single}, std::pair{"multi", multi},
+                                       std::pair{"repeated", repeated}}) {
+      const std::string what = name + " " + kind;
+      const PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd);
+      for (int jobs : {0, 1, 4}) {
+        PreimageOptions options;
+        options.emitCertificate = true;
+        options.allsat.parallel.jobs = jobs;
+        const PreimageResult sd =
+            computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+        ASSERT_TRUE(sd.complete) << what << " jobs=" << jobs;
+        EXPECT_EQ(sd.states.cubes, bdd.states.cubes) << what << " jobs=" << jobs;
+        EXPECT_EQ(sd.stateCount, bdd.stateCount) << what << " jobs=" << jobs;
+        EXPECT_NE(sd.certificate.find(" disjoint=1 "), std::string::npos)
+            << what << " jobs=" << jobs;
+        const CheckRun run = runChecker(sd.certificate);
+        EXPECT_EQ(run.exitCode, 0) << what << " jobs=" << jobs << "\n" << run.output;
+      }
+    }
   }
 }
 

@@ -318,13 +318,12 @@ TEST(AuditSolutionGraphDeathTest, NonFirstRootRepeatsVarBelowIt) {
 
 TEST(AuditSolutionGraphDeathTest, NonFirstRootCoverDisagreesWithBdd) {
   SolutionGraph g = twoRootGraph();
-  // Root 1's reported cover adds the cube x1 to the ~x0 half the graph
-  // gives it: one minterm (x0 & x1) too many.
-  std::vector<std::vector<LitVec>> covers = {g.enumerateRootCubes(0),
-                                             {{~mkLit(0)}, {mkLit(1)}}};
+  // The reported cover is root 0's paths alone: it misses root 1's ~x0 half
+  // of the union.
+  const std::vector<LitVec> cover = g.enumerateRootCubes(0);
   SolutionGraphAuditOptions options;
   options.numProjectionVars = 2;
-  options.rootCovers = covers;
+  options.cover = &cover;
   EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g, options)),
                "graph\\.count\\.cubes-vs-bdd");
 }
@@ -333,11 +332,10 @@ TEST(AuditSolutionGraphDeathTest, NonFirstRootCoverDisagreesWithBdd) {
 // built in its own manager: same verdict, same diagnostic.
 TEST(AuditSolutionGraph, SuppliedRootBddsGiveTheSameDiagnostic) {
   SolutionGraph g = twoRootGraph();
-  std::vector<std::vector<LitVec>> covers = {g.enumerateRootCubes(0),
-                                             {{~mkLit(0)}, {mkLit(1)}}};
+  const std::vector<LitVec> cover = g.enumerateRootCubes(0);
   SolutionGraphAuditOptions options;
   options.numProjectionVars = 2;
-  options.rootCovers = covers;
+  options.cover = &cover;
   const AuditResult own = auditSolutionGraph(g, options);
 
   BddManager mgr(2);
@@ -351,13 +349,12 @@ TEST(AuditSolutionGraph, SuppliedRootBddsGiveTheSameDiagnostic) {
 
 TEST(AuditSolutionGraphDeathTest, NonFirstRootCoverDisagreesWithSuppliedBdds) {
   SolutionGraph g = twoRootGraph();
-  std::vector<std::vector<LitVec>> covers = {g.enumerateRootCubes(0),
-                                             {{~mkLit(0)}, {mkLit(1)}}};
+  const std::vector<LitVec> cover = g.enumerateRootCubes(0);
   BddManager mgr(2);
   const std::vector<BddRef> rootBdds = g.rootBdds(mgr);
   SolutionGraphAuditOptions options;
   options.numProjectionVars = 2;
-  options.rootCovers = covers;
+  options.cover = &cover;
   options.bddManager = &mgr;
   options.rootBdds = rootBdds;
   EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g, options)),

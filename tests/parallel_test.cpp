@@ -20,6 +20,7 @@
 #include "preimage/preimage.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
+#include "test_util.hpp"
 
 namespace presat {
 namespace {
@@ -207,7 +208,8 @@ TEST(ParallelSuccessDriven, MergedGraphMatchesSerialSemantics) {
   BddManager mgr(4);
   EXPECT_TRUE(BddManager::equal(par.graph.toBdd(mgr), ser.graph.toBdd(mgr)));
   EXPECT_EQ(par.summary.mintermCount, ser.summary.mintermCount);
-  EXPECT_EQ(par.summary.cubes.size(), par.graph.countPaths().toU64());
+  EXPECT_EQ(par.summary.cubes, testutil::graphBddCover(par.graph, 4));
+  EXPECT_EQ(par.summary.cubes, ser.summary.cubes);
 
   // The parallel engine reports its pool alongside the engine stats.
   EXPECT_EQ(par.summary.metrics.label("engine"), "success-driven");
@@ -243,11 +245,42 @@ TEST(ParallelSuccessDriven, ProjectCompressCoverPassesAuditAndCountsExactly) {
       SolutionGraphAuditOptions audit;
       audit.numProjectionVars = n;
       audit.maxCubeSatChecks = 0;
-      const std::vector<LitVec>& cover = r.states.cubes;
-      audit.rootCovers = {&cover, 1};
+      audit.cover = &r.states.cubes;
       AuditResult a = auditSolutionGraph(r.graph, audit);
       EXPECT_TRUE(a.ok()) << "seed " << seed << ": " << a.toString();
     }
+  }
+}
+
+// maxCubes caps the one cover of the union, at every job count. Each half
+// of this target (next bit 0 of a 5-bit Gray counter is 1, or 0) has a
+// preimage of several cubes, and so has some shard of each, but the union
+// is every state: one empty cube, which fits a cap of 1.
+TEST(ParallelSuccessDriven, MaxCubesCapsTheUnionCover) {
+  Netlist nl = makeGrayCounter(5);
+  TransitionSystem ts(nl);
+  StateSet target = StateSet::fromCube(5, {mkLit(0)});
+  target.cubes.push_back({~mkLit(0)});
+  for (int jobs : {0, 1, 2}) {
+    PreimageOptions options;
+    options.allsat.maxCubes = 1;
+    options.allsat.parallel.jobs = jobs;
+    options.allsat.parallel.splitDepth = 1;
+    PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+    EXPECT_EQ(r.outcome, Outcome::kComplete) << "jobs=" << jobs;
+    EXPECT_EQ(r.states.cubes, std::vector<LitVec>{LitVec{}}) << "jobs=" << jobs;
+    EXPECT_EQ(r.stateCount, BigUint(32)) << "jobs=" << jobs;
+
+    options.allsat.maxCubes = 0;
+    StateSet half = StateSet::fromCube(5, {mkLit(0)});
+    PreimageResult full = computePreimage(ts, half, PreimageMethod::kSuccessDriven, options);
+    options.allsat.maxCubes = 1;
+    PreimageResult capped = computePreimage(ts, half, PreimageMethod::kSuccessDriven, options);
+    ASSERT_GT(full.states.cubes.size(), 1u) << "jobs=" << jobs;
+    EXPECT_EQ(capped.outcome, Outcome::kCubeCap) << "jobs=" << jobs;
+    EXPECT_EQ(capped.states.cubes,
+              std::vector<LitVec>(full.states.cubes.begin(), full.states.cubes.begin() + 1))
+        << "jobs=" << jobs;
   }
 }
 

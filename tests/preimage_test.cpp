@@ -15,6 +15,7 @@
 #include "preimage/preimage.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
+#include "test_util.hpp"
 
 namespace presat {
 namespace {
@@ -371,7 +372,7 @@ TEST(Preimage, SuccessDrivenReportsGraphs) {
   PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven);
   ASSERT_EQ(r.graph.numRoots(), 1u);
   EXPECT_GT(r.stats.graphNodes, 0u);
-  EXPECT_EQ(r.graph.countPaths().toU64(), r.states.cubes.size());
+  EXPECT_EQ(r.states.cubes, testutil::graphBddCover(r.graph, 6));
 
   // A multi-cube target: one root per cube, in target order, over one node
   // array.
@@ -381,7 +382,7 @@ TEST(Preimage, SuccessDrivenReportsGraphs) {
   PreimageResult m = computePreimage(ts, multi, PreimageMethod::kSuccessDriven);
   ASSERT_EQ(m.graph.numRoots(), 3u);
   EXPECT_EQ(m.stats.graphNodes, m.graph.numNodes());
-  EXPECT_EQ(m.graph.countPaths().toU64(), m.states.cubes.size());
+  EXPECT_EQ(m.states.cubes, testutil::graphBddCover(m.graph, 6));
   BddManager mgr(6);
   EXPECT_EQ(mgr.satCount(m.graph.toBdd(mgr)), m.stateCount);
 
@@ -390,7 +391,8 @@ TEST(Preimage, SuccessDrivenReportsGraphs) {
   jobs.allsat.parallel.jobs = 2;
   PreimageResult p = computePreimage(ts, multi, PreimageMethod::kSuccessDriven, jobs);
   ASSERT_EQ(p.graph.numRoots(), 3u);
-  EXPECT_EQ(p.graph.countPaths().toU64(), p.states.cubes.size());
+  EXPECT_EQ(p.states.cubes, testutil::graphBddCover(p.graph, 6));
+  EXPECT_EQ(p.states.cubes, m.states.cubes);
   EXPECT_EQ(p.stateCount, m.stateCount);
 }
 

@@ -1,4 +1,4 @@
-// SolutionGraph tests: counting, measure, enumeration, BDD conversion, and
+// SolutionGraph tests: measure, path enumeration, BDD conversion, and
 // sharing behaviour on hand-built DAGs.
 #include <gtest/gtest.h>
 
@@ -19,11 +19,17 @@ SolutionGraph bothBranchesSucceed() {
   return g;
 }
 
+// Root-to-SUCCESS paths over every root (paths, not distinct cubes).
+size_t numPaths(const SolutionGraph& g) {
+  size_t n = 0;
+  for (size_t r = 0; r < g.numRoots(); ++r) n += g.enumerateRootCubes(r).size();
+  return n;
+}
+
 TEST(SolutionGraph, EmptyFailGraph) {
   SolutionGraph g;
   g.setRoot(SolutionGraph::kFail, {});
-  EXPECT_EQ(g.countPaths(), BigUint(0));
-  EXPECT_TRUE(g.enumerateCubes().empty());
+  EXPECT_TRUE(g.enumerateRootCubes(0).empty());
   BddManager mgr(2);
   EXPECT_EQ(g.toBdd(mgr), BddManager::kFalse);
 }
@@ -31,8 +37,7 @@ TEST(SolutionGraph, EmptyFailGraph) {
 TEST(SolutionGraph, TrivialSuccess) {
   SolutionGraph g;
   g.setRoot(SolutionGraph::kSuccess, {mkLit(1)});
-  EXPECT_EQ(g.countPaths(), BigUint(1));
-  auto cubes = g.enumerateCubes();
+  auto cubes = g.enumerateRootCubes(0);
   ASSERT_EQ(cubes.size(), 1u);
   EXPECT_EQ(cubes[0], LitVec{mkLit(1)});
   BddManager mgr(3);
@@ -41,12 +46,11 @@ TEST(SolutionGraph, TrivialSuccess) {
 
 TEST(SolutionGraph, TwoBranchFullCover) {
   SolutionGraph g = bothBranchesSucceed();
-  EXPECT_EQ(g.countPaths(), BigUint(2));
   EXPECT_EQ(g.numLiveEdges(), 3u);  // root edge + 2 branches
   EXPECT_EQ(g.numStoredLiterals(), 2u);
   BddManager mgr(1);
   EXPECT_EQ(g.toBdd(mgr), BddManager::kTrue);
-  auto cubes = g.enumerateCubes();
+  auto cubes = g.enumerateRootCubes(0);
   ASSERT_EQ(cubes.size(), 2u);
 }
 
@@ -66,9 +70,8 @@ TEST(SolutionGraph, SharedChildCountsTwice) {
   parent.branch[1] = {c, {~mkLit(0)}};
   g.setRoot(g.addNode(parent), {});
 
-  EXPECT_EQ(g.countPaths(), BigUint(2));
   EXPECT_EQ(g.numNodes(), 2u);  // sharing: child stored once
-  auto cubes = g.enumerateCubes();
+  auto cubes = g.enumerateRootCubes(0);
   ASSERT_EQ(cubes.size(), 2u);
   // Union = (x0 & x1) | (~x0 & x1) = x1.
   BddManager mgr(2);
@@ -85,7 +88,7 @@ TEST(SolutionGraph, OverlappingPathsCountOnceInTheUnion) {
   n.branch[0] = {SolutionGraph::kSuccess, {mkLit(0)}};
   n.branch[1] = {SolutionGraph::kSuccess, {mkLit(0)}};
   g.setRoot(g.addNode(n), {});
-  EXPECT_EQ(g.countPaths(), BigUint(2));
+  EXPECT_EQ(g.enumerateRootCubes(0), (std::vector<LitVec>{{mkLit(0)}, {mkLit(0)}}));
   BddManager mgr(1);
   // Union is just p0: 1 minterm out of 2.
   EXPECT_EQ(mgr.satCount(g.toBdd(mgr)).toU64(), 1u);
@@ -93,7 +96,7 @@ TEST(SolutionGraph, OverlappingPathsCountOnceInTheUnion) {
 
 TEST(SolutionGraph, EnumerationLimit) {
   SolutionGraph g = bothBranchesSucceed();
-  auto cubes = g.enumerateCubes(1);
+  auto cubes = g.enumerateRootCubes(0, 1);
   EXPECT_EQ(cubes.size(), 1u);
 }
 
@@ -104,23 +107,22 @@ TEST(SolutionGraph, RootLitsPrefixAllCubes) {
   n.branch[0] = {SolutionGraph::kSuccess, {mkLit(2)}};
   n.branch[1] = {SolutionGraph::kSuccess, {~mkLit(2)}};
   g.setRoot(g.addNode(n), {mkLit(0), ~mkLit(1)});
-  for (const LitVec& cube : g.enumerateCubes()) {
+  for (const LitVec& cube : g.enumerateRootCubes(0)) {
     ASSERT_GE(cube.size(), 3u);
     EXPECT_EQ(cube[0], mkLit(0));
     EXPECT_EQ(cube[1], ~mkLit(1));
   }
 }
 
-// Two roots over one node array: whole-graph queries cover both roots in
-// root order, per-root queries only their own; append re-indexes children.
+// Two roots over one node array: the whole-graph BDD covers both roots,
+// per-root queries only their own; append re-indexes children.
 TEST(SolutionGraph, MultiRootQueriesAndAppend) {
   SolutionGraph g = bothBranchesSucceed();  // root 0: x0 | ~x0
   g.addRoot(SolutionGraph::kSuccess, {mkLit(1)});
   ASSERT_EQ(g.numRoots(), 2u);
-  EXPECT_EQ(g.countPaths(), BigUint(3));
-  EXPECT_EQ(g.enumerateCubes(), (std::vector<LitVec>{{mkLit(0)}, {~mkLit(0)}, {mkLit(1)}}));
+  EXPECT_EQ(g.enumerateRootCubes(0), (std::vector<LitVec>{{mkLit(0)}, {~mkLit(0)}}));
   EXPECT_EQ(g.enumerateRootCubes(1), (std::vector<LitVec>{{mkLit(1)}}));
-  EXPECT_EQ(g.enumerateCubes(2).size(), 2u);
+  EXPECT_EQ(g.enumerateRootCubes(0, 1).size(), 1u);
   BddManager mgr(2);
   std::vector<BddRef> roots = g.rootBdds(mgr);
   ASSERT_EQ(roots.size(), 2u);
@@ -133,11 +135,11 @@ TEST(SolutionGraph, MultiRootQueriesAndAppend) {
   ASSERT_EQ(merged.numRoots(), 3u);
   EXPECT_EQ(merged.numNodes(), 2u);
   EXPECT_EQ(merged.root(1).child, 1);  // g's node 0, moved past merged's own
-  EXPECT_EQ(merged.countPaths(), BigUint(5));
+  EXPECT_EQ(numPaths(merged), 5u);
 
   merged.setRoot(SolutionGraph::kFail, {});  // back to one root
   EXPECT_EQ(merged.numRoots(), 1u);
-  EXPECT_EQ(merged.countPaths(), BigUint(0));
+  EXPECT_EQ(numPaths(merged), 0u);
 }
 
 TEST(SolutionGraph, DotExportMentionsNodes) {

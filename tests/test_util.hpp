@@ -1,7 +1,12 @@
-// Shared helpers for the test suite: random formula / circuit generation.
+// Shared helpers for the test suite: random formula / circuit generation,
+// and the cover a success-driven solution graph must yield.
 #pragma once
 
+#include <vector>
+
+#include "allsat/solution_graph.hpp"
 #include "base/rng.hpp"
+#include "bdd/bdd.hpp"
 #include "cnf/cnf.hpp"
 
 namespace presat::testutil {
@@ -55,6 +60,13 @@ inline Cnf oddParity(int n) {
     cnf.addClause(c);
   }
   return cnf;
+}
+
+// The cover a success-driven run must return for `graph`: the paths of the
+// BDD of the union of its roots over `numProjectionVars` variables.
+inline std::vector<LitVec> graphBddCover(const SolutionGraph& graph, int numProjectionVars) {
+  BddManager mgr(numProjectionVars);
+  return mgr.enumerateCubes(graph.toBdd(mgr));
 }
 
 }  // namespace presat::testutil
