@@ -5,6 +5,7 @@
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "check/audit_solver.hpp"
+#include "parallel/parallel_allsat.hpp"
 #include "sat/solver.hpp"
 
 namespace presat {
@@ -15,6 +16,17 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     return runWithPreprocess(cnf, projection, lifter, options,
                              [](const Cnf& c, const std::vector<Var>& p, const ModelLifter& l,
                                 const AllSatOptions& o) { return blockingAllSat(c, p, l, o); });
+  }
+  // Minterm blocking splits: each shard's clause database holds only its own
+  // shard's blocking clauses. Lifted blocking stays serial at every `jobs`
+  // (DESIGN.md "Parallel enumeration" has the measurement).
+  if (options.parallel.enabled() && !lifter) {
+    AllSatResult result = parallelCnfAllSat(
+        cnf, projection, options, [&projection](const Cnf& sub, const AllSatOptions& o) {
+          return blockingAllSat(sub, projection, {}, o);
+        });
+    result.metrics.setLabel("engine", "minterm-blocking");
+    return result;
   }
   Timer timer;
   AllSatResult result;

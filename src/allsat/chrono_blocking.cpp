@@ -9,6 +9,7 @@
 #include "base/timer.hpp"
 #include "check/audit_chrono.hpp"
 #include "check/audit_solver.hpp"
+#include "parallel/parallel_allsat.hpp"
 #include "sat/solver.hpp"
 
 namespace presat {
@@ -28,6 +29,16 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     return runWithPreprocess(cnf, projection, /*lifter=*/{}, options,
                              [](const Cnf& c, const std::vector<Var>& p, const ModelLifter&,
                                 const AllSatOptions& o) { return chronoAllSat(c, p, o); });
+  }
+  if (options.parallel.enabled()) {
+    // The guide units are level-0 assignments, so every emitted prefix keeps
+    // them, and the widener is shared by every shard as is.
+    AllSatResult result = parallelCnfAllSat(
+        cnf, projection, options, [&projection, widener](const Cnf& sub, const AllSatOptions& o) {
+          return chronoAllSat(sub, projection, o, widener);
+        });
+    result.metrics.setLabel("engine", "chrono");
+    return result;
   }
   Timer timer;
   AllSatResult result;

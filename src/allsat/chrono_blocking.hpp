@@ -34,9 +34,9 @@ class CircuitWidener;
 // with zero blocking clauses. `projection` must not list a variable twice.
 // `widener` (may be null) speaks `cnf`'s variables — the caller's encoding
 // must already be preprocessed, so options.preprocess must be off — and
-// then chooses every emitted prefix and the deferred scope tier. Parallel
-// dispatch lives in src/parallel/parallel_allsat.cpp, like the other CNF
-// engines.
+// then chooses every emitted prefix and the deferred scope tier. With
+// options.parallel.jobs >= 1 the engine splits after preprocessing
+// (parallel/parallel_allsat.hpp).
 AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                           const AllSatOptions& options,
                           const CircuitWidener* widener = nullptr);

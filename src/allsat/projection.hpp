@@ -141,9 +141,10 @@ struct AllSatOptions {
   // disjointness-preserving; mintermCount is unaffected.
   bool compress = false;
   // Cube-and-conquer parallel enumeration (src/parallel/). jobs == 0 keeps
-  // the serial engines; jobs >= 1 partitions the projected space into
-  // disjoint guiding cubes and solves them on a worker pool. The result is
-  // bit-identical for every jobs >= 1 (see parallel/options.hpp).
+  // the serial engines; with jobs >= 1 the engines that split partition the
+  // projected space into disjoint guiding cubes and solve them on a worker
+  // pool, and lifted cube blocking stays serial. The result is bit-identical
+  // for every jobs >= 1 (see parallel/options.hpp).
   ParallelOptions parallel;
   // Resource governor enforcing a Budget (deadline / memory ceiling /
   // conflict cap / cancellation) over the whole query. Not owned;
@@ -152,10 +153,10 @@ struct AllSatOptions {
   Governor* governor = nullptr;
   // DRAT-style proof log for the CNF engines' solver runs (sat/proof.hpp).
   // Not owned; null = off (the default — solver hot paths stay branch-only).
-  // Serial engines only: the parallel dispatcher and the preprocessing
-  // adapter clear it for their inner runs (a shard/remapped proof would
-  // speak the wrong clause set), and certificate emitters replay those runs
-  // post-hoc instead (cert/certificate.hpp).
+  // Unsplit runs only: the split path and the preprocessing adapter clear
+  // it for their inner runs (a shard/remapped proof would speak the wrong
+  // clause set), and certificate emitters replay those runs post-hoc
+  // instead (cert/certificate.hpp).
   ProofLog* proofLog = nullptr;
   // When non-null, compressCubes appends one CompressMergeRecord per wildcard
   // merge it applies (the certificate's `w` witness lines). Not owned; serial

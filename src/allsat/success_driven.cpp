@@ -15,6 +15,7 @@
 #include "circuit/ternary.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
+#include "parallel/parallel_allsat.hpp"
 
 namespace presat {
 
@@ -769,6 +770,7 @@ SuccessDrivenResult successDrivenAllSat(std::span<const CircuitAllSatProblem> pr
     PRESAT_CHECK(p.netlist == first.netlist && p.projectionSources == first.projectionSources)
         << "one engine needs one netlist and one projection";
   }
+  if (options.parallel.enabled()) return parallelSuccessDrivenAllSat(problems, options);
   Engine engine(*first.netlist, first.projectionSources, options);
   return engine.run(problems);
 }

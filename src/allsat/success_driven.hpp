@@ -63,6 +63,9 @@ struct SuccessDrivenResult {
   SolutionGraph graph;
 };
 
+// With options.parallel.jobs >= 1 the engine splits each problem into
+// guiding cubes (parallel/parallel_allsat.hpp); the cover, count and graph
+// semantics are those of the serial run.
 SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
                                         const AllSatOptions& options = {});
 

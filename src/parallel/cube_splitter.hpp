@@ -37,8 +37,9 @@ struct SplitPlan {
   std::vector<LitVec> cubes;
 };
 
-// Resolves ParallelOptions::splitDepth: auto (-1) becomes
+// Resolves a requested split depth: auto (-1) becomes
 // ParallelOptions::kDefaultSplitDepth, then clamps to the projection width.
+// The engines always split at the default depth.
 int resolveSplitDepth(int requested, size_t numProjectionVars);
 
 // Circuit split with justification-cone lookahead scoring.

@@ -9,19 +9,18 @@
 namespace presat {
 
 struct ParallelOptions {
-  // 0 = serial engines, untouched. >= 1 routes enumeration through the
-  // cube-and-conquer layer with this many worker threads. The RESULT is
-  // independent of the value (see splitDepth); only wall-clock changes.
+  // 0 = serial engines, untouched. >= 1 lets the engines that split
+  // (success-driven, chrono, minterm blocking) partition the projected space
+  // into 2^kDefaultSplitDepth guiding cubes and solve them on this many
+  // worker threads. The split does NOT scale with `jobs`, so the RESULT is
+  // the same for every jobs >= 1; only wall-clock changes.
   int jobs = 0;
-  // The search space is partitioned into 2^splitDepth disjoint guiding cubes.
-  // -1 = auto (kDefaultSplitDepth, clamped to the projection width). The
-  // depth deliberately does NOT scale with `jobs`: the subproblem set, and
-  // therefore the merged result, is identical for jobs=1 and jobs=8.
-  int splitDepth = -1;
 
-  // Auto split depth: 16 subcubes — enough slack for 8-way work stealing
-  // without fragmenting small instances.
+  // 16 subcubes — enough slack for 8-way work stealing without fragmenting
+  // small instances. Clamped to the projection width.
   static constexpr int kDefaultSplitDepth = 4;
+  // Largest worker count a front end (presat_cli, presat_serve) passes on.
+  static constexpr int kMaxJobs = 64;
 
   bool enabled() const { return jobs > 0; }
 };

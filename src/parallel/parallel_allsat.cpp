@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "allsat/chrono_blocking.hpp"
 #include "allsat/compress.hpp"
-#include "allsat/preprocess_adapter.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "bdd/bdd.hpp"
@@ -88,21 +86,10 @@ size_t degradeSkippedShards(std::vector<ShardOutcome>& shards, const SplitPlan& 
 
 }  // namespace
 
-SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& problem,
-                                                const AllSatOptions& options) {
-  return parallelSuccessDrivenAllSat(std::span(&problem, 1), options);
-}
-
 SuccessDrivenResult parallelSuccessDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
                                                 const AllSatOptions& options) {
-  PRESAT_CHECK(!problems.empty());
   PRESAT_CHECK(options.parallel.enabled()) << "parallel engine called with jobs == 0";
   const CircuitAllSatProblem& first = problems.front();
-  for (const CircuitAllSatProblem& p : problems) {
-    PRESAT_CHECK(p.netlist != nullptr);
-    PRESAT_CHECK(p.netlist == first.netlist && p.projectionSources == first.projectionSources)
-        << "one engine needs one netlist and one projection";
-  }
   const int numProjectionVars = static_cast<int>(first.projectionSources.size());
   Timer timer;
   Governor* governor = options.governor;
@@ -113,7 +100,7 @@ SuccessDrivenResult parallelSuccessDrivenAllSat(std::span<const CircuitAllSatPro
   size_t shardsSkipped = 0;
   double cpuSeconds = 0.0;
   for (const CircuitAllSatProblem& problem : problems) {
-    SplitPlan plan = planCircuitSplit(problem, options.parallel.splitDepth);
+    SplitPlan plan = planCircuitSplit(problem, ParallelOptions::kDefaultSplitDepth);
     std::vector<ShardOutcome> shards(plan.cubes.size());
     pool.run(
         plan.cubes.size(),
@@ -184,23 +171,12 @@ SuccessDrivenResult parallelSuccessDrivenAllSat(std::span<const CircuitAllSatPro
 }
 
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
-                               ParallelCnfEngine engine, const ModelLifter& lifter,
-                               const AllSatOptions& options, const CircuitWidener* widener) {
+                               const AllSatOptions& options, const CnfShardSolver& solveShard) {
   PRESAT_CHECK(options.parallel.enabled()) << "parallel engine called with jobs == 0";
-  if (options.preprocess) {
-    PRESAT_CHECK(widener == nullptr) << "a chrono widener needs a preprocessed encoding";
-    // Preprocess ONCE, before the split: every shard then copies the reduced
-    // formula, and because the split plan is a deterministic function of the
-    // (internal) formula and splitDepth, jobs=1 vs jobs=N bit-identity holds
-    // on the internal space exactly as it did on the original one.
-    return runWithPreprocess(
-        cnf, projection, lifter, options,
-        [engine](const Cnf& c, const std::vector<Var>& p, const ModelLifter& l,
-                 const AllSatOptions& o) { return parallelCnfAllSat(c, p, engine, l, o); });
-  }
+  PRESAT_CHECK(!options.preprocess) << "the engine preprocesses once, before the split";
   Timer timer;
 
-  SplitPlan plan = planCnfSplit(cnf, projection, options.parallel.splitDepth);
+  SplitPlan plan = planCnfSplit(cnf, projection, ParallelOptions::kDefaultSplitDepth);
   std::vector<ShardOutcome> shards(plan.cubes.size());
   Governor* governor = options.governor;
 
@@ -208,49 +184,13 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
   auto shardTask = [&](size_t i, int /*worker*/) {
     if (!beginShard(governor)) return;
     shards[i].ran = true;
-    const LitVec& guide = plan.cubes[i];
-    // Guide literals in the original variable space.
-    LitVec guideOrig;
-    guideOrig.reserve(guide.size());
-    for (Lit l : guide) {
-      guideOrig.push_back(mkLit(projection[static_cast<size_t>(l.var())], l.sign()));
-    }
-
+    // The guide literals, in the formula's variable space, as unit clauses.
     Cnf sub = cnf;
-    for (Lit l : guideOrig) sub.addUnit(l);
-
-    AllSatResult r;
-    if (engine == ParallelCnfEngine::kChrono) {
-      // No guide-preserving wrapper needed: the guide units are level-0
-      // assignments, and the chrono engine emits every scope literal stamped
-      // at or below the emission level — the guide is in every cube.
-      r = chronoAllSat(sub, projection, shardOptions(options), widener);
-    } else {
-      // The shard lifter keeps the guide literals in every lifted cube: the
-      // base lifter may drop them as unnecessary for the ORIGINAL formula,
-      // but dropping one would let the cube escape this shard's region and
-      // double-count against its neighbor.
-      ModelLifter shardLifter;
-      if (lifter) {
-        shardLifter = [&lifter, &guideOrig](const std::vector<lbool>& model) {
-          LitVec cube = lifter(model);
-          for (Lit g : guideOrig) {
-            bool present = false;
-            for (Lit l : cube) {
-              if (l.var() == g.var()) {
-                present = true;
-                break;
-              }
-            }
-            if (!present) cube.push_back(g);
-          }
-          return cube;
-        };
-      }
-      r = blockingAllSat(sub, projection, shardLifter, shardOptions(options));
+    for (Lit l : plan.cubes[i]) {
+      sub.addUnit(mkLit(projection[static_cast<size_t>(l.var())], l.sign()));
     }
-    shards[i].guide = guide;
-    shards[i].result = std::move(r);
+    shards[i].guide = plan.cubes[i];
+    shards[i].result = solveShard(sub, shardOptions(options));
   };
   pool.run(plan.cubes.size(), shardTask, governorStop(governor));
   size_t shardsSkipped = degradeSkippedShards(shards, plan, governor, /*needGraph=*/false);
@@ -270,12 +210,12 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
 
   // maxCubes is a GLOBAL cap but each shard enforced it locally, so the
   // concatenation can exceed it. Trim to the cap (shard order keeps this
-  // deterministic) and recount: the kept prefix may overlap under lifting.
+  // deterministic) and recount the kept prefix, which is disjoint.
   if (options.maxCubes != 0 && result.cubes.size() > options.maxCubes) {
     result.cubes.resize(options.maxCubes);
     result.outcome = combineOutcomes(result.outcome, Outcome::kCubeCap);
     result.mintermCount =
-        countCubeUnionMinterms(result.cubes, static_cast<int>(projection.size()));
+        countDisjointCubeMinterms(result.cubes, static_cast<int>(projection.size()));
   }
 
   // Cross-shard epilogue: each shard already projected/compressed its own
@@ -284,15 +224,9 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
   // shard guide. It runs after the shard-partition audit on purpose — a
   // cross-shard merge may erase guide literals, which is sound (the union
   // is unchanged) but would no longer satisfy the per-shard guide shape.
-  const bool lifted = engine == ParallelCnfEngine::kBlocking && lifter;
-  applyProjectionPostpass(result, options, /*disjointCubes=*/!lifted);
+  applyProjectionPostpass(result, options, /*disjointCubes=*/true);
 
   result.stats.seconds = timer.seconds();
-  const char* engineLabel = "chrono";
-  if (engine == ParallelCnfEngine::kBlocking) {
-    engineLabel = lifted ? "cube-blocking" : "minterm-blocking";
-  }
-  result.metrics.setLabel("engine", engineLabel);
   exportStatsToMetrics(result.stats, result.metrics);
   exportParallelMetrics(pool, shards.size(), shardsSkipped, cpuSeconds, result.metrics);
   finishResult(result, governor);

@@ -1,4 +1,4 @@
-// Cube-and-conquer front-end over the enumeration engines.
+// Cube-and-conquer split path of the enumeration engines.
 //
 // The search space is partitioned into disjoint guiding cubes
 // (parallel/cube_splitter.hpp), each subproblem is solved by an independent
@@ -9,55 +9,45 @@
 // slot indexed by shard — disjointness is what removes the blocking-clause
 // interference that makes naive parallel all-SAT unsound.
 //
-// Determinism contract: the split plan depends only on the problem and
-// ParallelOptions::splitDepth — never on `jobs` — and the merge is keyed by
-// shard index, so any jobs >= 1 produces a bit-identical AllSatResult
-// (cubes, counts, graph). Only wall-clock time and the parallel.* pool
-// metrics vary with the worker count.
+// Only the engines call this layer: successDrivenAllSat, chronoAllSat and
+// minterm blocking pick it themselves when options.parallel.jobs >= 1.
+// Lifted cube blocking never splits (DESIGN.md "Parallel enumeration").
+//
+// Determinism contract: the split plan depends only on the problem — never
+// on `jobs` — and the merge is keyed by shard index, so any jobs >= 1
+// produces a bit-identical AllSatResult (cubes, counts, graph). Only
+// wall-clock time and the parallel.* pool metrics vary with the worker count.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
-#include "allsat/blocking.hpp"
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
 #include "cnf/cnf.hpp"
 
 namespace presat {
 
-class CircuitWidener;
-
-// Parallel counterpart of successDrivenAllSat. Root i of the returned
-// solution graph is problems[i]'s shard graphs merged under a split-variable
-// decision tree. The cover, its maxCubes cap and the count are read off the
-// merged graph's BDD exactly as the serial engine reads them, so they equal
-// the serial result for every jobs >= 1.
-SuccessDrivenResult parallelSuccessDrivenAllSat(const CircuitAllSatProblem& problem,
-                                                const AllSatOptions& options);
+// Split path of successDrivenAllSat. Root i of the returned solution graph
+// is problems[i]'s shard graphs merged under a split-variable decision tree.
+// The cover, its maxCubes cap and the count are read off the merged graph's
+// BDD exactly as the serial engine reads them, so they equal the serial
+// result for every jobs >= 1.
 SuccessDrivenResult parallelSuccessDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
                                                 const AllSatOptions& options);
 
-// Which serial CNF engine solves each subcube.
-enum class ParallelCnfEngine {
-  kBlocking,  // blockingAllSat; lifts with `lifter` when it is non-empty
-  // Chronological backtracking (allsat/chrono_blocking.hpp). The guide
-  // literals are unit clauses, i.e. level-0 assignments, so every emitted
-  // prefix cube contains them automatically — the engine cannot escape its
-  // shard and needs no guide-preserving lifter wrapper.
-  kChrono,
-};
+// One shard of a CNF engine: enumerate `sub` (the caller's formula plus the
+// shard's guide literals as unit clauses) over the caller's projection with
+// the serial per-shard `options`. Its cover must be disjoint and every cube
+// must keep the guide literals — true of minterm blocking and of chrono,
+// whose guide units are level-0 assignments that every emitted prefix
+// contains.
+using CnfShardSolver = std::function<AllSatResult(const Cnf& sub, const AllSatOptions& options)>;
 
-// Parallel counterpart of blockingAllSat / chronoAllSat. Each shard solves a
-// copy of `cnf` with its guiding cube added as unit clauses. `lifter` (may
-// be empty; chrono ignores it) is built against the ORIGINAL formula; the shards
-// wrap it so every lifted cube keeps its guide literals and stays inside the
-// shard's region of the partition. `widener` (may be null; blocking ignores
-// it) is chrono's circuit-side argument, shared by every shard as is: guide
-// literals are level-0 assignments, which the widening always keeps.
+// Split path of the CNF engines, on an already preprocessed formula. The
+// engine label is the caller's to set.
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
-                               ParallelCnfEngine engine, const ModelLifter& lifter,
-                               const AllSatOptions& options,
-                               const CircuitWidener* widener = nullptr);
+                               const AllSatOptions& options, const CnfShardSolver& solveShard);
 
 }  // namespace presat

@@ -1,5 +1,6 @@
 #include "parallel/worker_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>  // presat-analyze: raw-thread(the one permitted spawn site; see WorkerPool::run)
 #include <vector>
@@ -158,7 +159,9 @@ WorkerPool::WorkerPool(int numThreads) : numThreads_(numThreads < 1 ? 1 : numThr
 void WorkerPool::run(size_t numTasks, const std::function<void(size_t task, int worker)>& fn,
                      const std::function<bool()>& stop) {
   PRESAT_CHECK(fn != nullptr);
-  size_t workers = static_cast<size_t>(numThreads_);
+  // No more workers than tasks: an extra worker would only spin up to find
+  // nothing to steal.
+  size_t workers = std::max<size_t>(1, std::min(static_cast<size_t>(numThreads_), numTasks));
   std::vector<WorkerShard> shards(workers);
   // Round-robin deal: contiguous task indices land on different workers, so
   // the adjacent (similar-size) subcubes of one region spread out.

@@ -152,7 +152,8 @@ class WorkerPool {
   int numThreads() const { return numThreads_; }
 
   // Runs fn(task, worker) for every task in [0, numTasks), blocking until all
-  // complete. A task that throws aborts via the PRESAT_CHECK path — engines
+  // complete, on min(numThreads(), numTasks) workers, so `worker` is below
+  // both. A task that throws aborts via the PRESAT_CHECK path — engines
   // report failure through their result slots, not exceptions.
   //
   // `stop` (optional) is the cooperative-cancellation hook: each worker

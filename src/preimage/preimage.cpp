@@ -12,7 +12,6 @@
 #include "sat/proof.hpp"
 #include "circuit/tseitin.hpp"
 #include "govern/governor.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "preimage/bdd_preimage.hpp"
 
 namespace presat {
@@ -182,8 +181,7 @@ void finishPreimage(PreimageResult& result, const Governor* governor) {
   if (governor != nullptr) governor->exportMetrics(result.metrics);
 }
 
-// The success-driven engine over every target cube, one root each: one
-// serial engine, or one cube-and-conquer run whose pool serves every cube.
+// The success-driven engine over every target cube, one root each.
 SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const StateSet& target,
                                           const AllSatOptions& options) {
   std::vector<CircuitAllSatProblem> problems(target.cubes.size());
@@ -195,8 +193,7 @@ SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const 
     }
   }
   if (problems.empty()) return {};
-  if (!options.parallel.enabled()) return successDrivenAllSat(problems, options);
-  return parallelSuccessDrivenAllSat(problems, options);
+  return successDrivenAllSat(problems, options);
 }
 
 // Disjointness guarantee backing the certificate's disjoint flag: minterm
@@ -249,11 +246,12 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     satOpts.preprocess = false;
   }
 
-  // Certificate plumbing: serial CNF runs log their proof natively (the
-  // parallel dispatcher clears the log per shard and the cover is replayed
-  // post-hoc instead); compression traces its merge witnesses on every
-  // serial path. The non-CNF engines still need the encoding — the
-  // certificate embeds the CNF their cover is checked against.
+  // Certificate plumbing: every CNF run logs its proof natively, and the
+  // log is used only when the run came back unsplit (no guides): the split
+  // path clears it per shard, and the cover is replayed post-hoc instead.
+  // Compression traces its merge witnesses. The non-CNF engines still need
+  // the encoding — the certificate embeds the CNF their cover is checked
+  // against.
   ProofLog nativeLog;
   std::vector<CompressMergeRecord> mergeTrace;
   if (options.emitCertificate) {
@@ -261,9 +259,7 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
       localEncoding = buildTransitionEncoding(system, options.allsat.governor);
       te = &*localEncoding;
     }
-    if (preimageMethodUsesCnf(method) && !satOpts.parallel.enabled()) {
-      satOpts.proofLog = &nativeLog;
-    }
+    if (preimageMethodUsesCnf(method)) satOpts.proofLog = &nativeLog;
     satOpts.compressTrace = &mergeTrace;
   }
 
@@ -278,22 +274,15 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     case PreimageMethod::kCubeBlockingLifted:
     case PreimageMethod::kChrono: {
       SatProblem problem = buildSatProblem(*te, system, target);
-      const bool chrono = method == PreimageMethod::kChrono;
-      ModelLifter lifter;
-      if (method == PreimageMethod::kCubeBlockingLifted) {
-        lifter = makeJustificationLifter(system, target, *te);
-      }
-      std::optional<CircuitWidener> widener;
-      if (chrono) widener.emplace(makeChronoWidener(system, target, *te, problem.projection));
-      const CircuitWidener* widenerPtr = widener ? &*widener : nullptr;
       AllSatResult r;
-      if (satOpts.parallel.enabled()) {
-        r = parallelCnfAllSat(problem.cnf, problem.projection,
-                              chrono ? ParallelCnfEngine::kChrono : ParallelCnfEngine::kBlocking,
-                              lifter, satOpts, widenerPtr);
-      } else if (chrono) {
-        r = chronoAllSat(problem.cnf, problem.projection, satOpts, widenerPtr);
+      if (method == PreimageMethod::kChrono) {
+        CircuitWidener widener = makeChronoWidener(system, target, *te, problem.projection);
+        r = chronoAllSat(problem.cnf, problem.projection, satOpts, &widener);
       } else {
+        ModelLifter lifter;
+        if (method == PreimageMethod::kCubeBlockingLifted) {
+          lifter = makeJustificationLifter(system, target, *te);
+        }
         r = blockingAllSat(problem.cnf, problem.projection, lifter, satOpts);
       }
       return withPreprocessMetrics(fromAllSat(std::move(r), n));
@@ -362,7 +351,7 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     spec.cubes = &result.states.cubes;
     if (!result.guides.empty()) spec.guides = &result.guides;
     if (!mergeTrace.empty()) spec.merges = &mergeTrace;
-    if (satOpts.proofLog != nullptr) spec.nativeProof = satOpts.proofLog;
+    if (satOpts.proofLog != nullptr && result.guides.empty()) spec.nativeProof = &nativeLog;
     spec.outcome = result.outcome;
     spec.disjoint = methodCoverDisjoint(method);
     spec.engine = preimageMethodName(method);

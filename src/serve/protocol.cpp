@@ -1,8 +1,11 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+
+#include "parallel/options.hpp"
 
 namespace presat::serve {
 
@@ -406,7 +409,9 @@ bool parseRequest(const std::string& line, int lineNo, ServeRequest& out, ServeE
     else if (k == "cert") good = takeBool(v, k, out.cert, error, lineNo);
     else if (k == "jobs") {
       good = takeU64(v, k, u, error, lineNo);
-      if (good) out.jobs = static_cast<int>(u > 64 ? 64 : u);
+      if (good) {
+        out.jobs = static_cast<int>(std::min<uint64_t>(u, ParallelOptions::kMaxJobs));
+      }
     } else if (k == "max_cubes") good = takeU64(v, k, out.maxCubes, error, lineNo);
     else if (k == "timeout_ms") good = takeU64(v, k, out.timeoutMs, error, lineNo);
     else if (k == "mem_limit_mb") good = takeU64(v, k, out.memLimitMb, error, lineNo);

@@ -15,7 +15,7 @@ namespace presat::serve {
 namespace {
 
 // Strictly-decimal integer in [lo, hi]; rejects the empty string, signs, and
-// trailing garbage (unlike atoi, which the CLI can afford).
+// trailing garbage.
 bool parseBoundedInt(const std::string& s, int lo, int hi, int* out) {
   if (s.empty() || s.size() > 9) return false;
   long v = 0;
@@ -59,7 +59,10 @@ bool buildGeneratorChecked(const std::string& spec, const SessionLimits& limits,
   // by the service cap so one request can't ask for a 2^60-state circuit.
   int lo = 1;
   int hi = limits.maxGenBits;
-  if (name == "lfsr") lo = 2;
+  if (name == "lfsr") {
+    lo = 2;
+    hi = std::min(hi, 64);
+  }
   if (name == "arbiter") {
     lo = 2;
     hi = std::min(hi, 8);

@@ -41,8 +41,9 @@ struct SessionLimits {
 
 // --- Non-aborting validation -----------------------------------------------
 
-// Generator spec ("counter:8", "traffic", ...), mirroring presat_cli's SPEC
-// grammar with size caps. On success builds the netlist into *out.
+// Generator spec ("counter:8", "traffic", ...): the one SPEC grammar, which
+// presat_cli's --gen uses too. Widths stay inside the generators' own caps
+// and limits.maxGenBits. On success builds the netlist into *out.
 bool buildGeneratorChecked(const std::string& spec, const SessionLimits& limits, Netlist* out,
                            std::string* error);
 

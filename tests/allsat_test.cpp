@@ -17,7 +17,6 @@
 #include "gen/random_circuit.hpp"
 #include "govern/governor.hpp"
 #include "oracle/dpll.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/transition_system.hpp"
 #include "test_util.hpp"
@@ -584,7 +583,7 @@ TEST(SuccessDrivenDeath, RepeatedProjectionSourceIsRejected) {
   EXPECT_DEATH(successDrivenAllSat(p), "projection lists node [0-9]+ twice");
   AllSatOptions parallel;
   parallel.parallel.jobs = 2;
-  EXPECT_DEATH(parallelSuccessDrivenAllSat(p, parallel), "projection lists node [0-9]+ twice");
+  EXPECT_DEATH(successDrivenAllSat(p, parallel), "projection lists node [0-9]+ twice");
 }
 
 // Stopping exactly at maxCubes must still report complete: the engines now

@@ -13,7 +13,6 @@
 #include "base/rng.hpp"
 #include "check/audit_solver.hpp"
 #include "cnf/preprocess.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "sat/clause_arena.hpp"
 #include "oracle/dpll.hpp"
 #include "sat/solver.hpp"
@@ -361,7 +360,6 @@ TEST(Preprocess, MetricsAreExported) {
 
 TEST(ParallelDeterminism, Jobs1VsJobs8BitIdentity) {
   Rng rng(777);
-  const ParallelCnfEngine engines[] = {ParallelCnfEngine::kBlocking, ParallelCnfEngine::kChrono};
   for (int iter = 0; iter < 12; ++iter) {
     int vars = static_cast<int>(rng.range(4, 11));
     Cnf cnf = testutil::randomCnf(rng, vars, static_cast<int>(rng.range(3, 24)));
@@ -372,20 +370,20 @@ TEST(ParallelDeterminism, Jobs1VsJobs8BitIdentity) {
     if (projection.empty()) projection.push_back(0);
     std::set<uint64_t> expected = bruteForceProjectedSolutions(cnf, projection);
 
-    for (ParallelCnfEngine engine : engines) {
-      AllSatOptions o1;
-      o1.parallel.jobs = 1;
-      AllSatOptions o8 = o1;
-      o8.parallel.jobs = 8;
-      AllSatResult r1 = parallelCnfAllSat(cnf, projection, engine, /*lifter=*/{}, o1);
-      AllSatResult r8 = parallelCnfAllSat(cnf, projection, engine, /*lifter=*/{}, o8);
+    for (bool chrono : {false, true}) {
+      auto run = [&](int jobs) {
+        AllSatOptions o;
+        o.parallel.jobs = jobs;
+        return chrono ? chronoAllSat(cnf, projection, o) : blockingAllSat(cnf, projection, {}, o);
+      };
+      AllSatResult r1 = run(1);
+      AllSatResult r8 = run(8);
       ASSERT_TRUE(r1.complete);
       ASSERT_TRUE(r8.complete);
-      EXPECT_EQ(r1.cubes, r8.cubes) << "engine " << static_cast<int>(engine)
-                                    << ", iter " << iter;
+      EXPECT_EQ(r1.cubes, r8.cubes) << "chrono " << chrono << ", iter " << iter;
       EXPECT_EQ(r1.mintermCount, r8.mintermCount);
       EXPECT_EQ(cubesToMinterms(r1.cubes, projection.size()), expected)
-          << "engine " << static_cast<int>(engine) << ", iter " << iter;
+          << "chrono " << chrono << ", iter " << iter;
     }
   }
 }

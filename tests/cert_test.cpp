@@ -113,6 +113,11 @@ TEST(CertAccept, ParallelJobsOneAndEight) {
       CheckRun run = runChecker(r.certificate);
       EXPECT_EQ(run.exitCode, 0)
           << preimageMethodName(method) << " jobs=" << jobs << "\n" << run.output;
+      if (method == PreimageMethod::kCubeBlockingLifted) {
+        // Lifted cube blocking never splits, so it keeps its native proof.
+        EXPECT_TRUE(r.guides.empty()) << "jobs=" << jobs;
+        EXPECT_GT(r.metrics.counter("cert.proof_steps"), 0u) << "jobs=" << jobs;
+      }
     }
   }
 }

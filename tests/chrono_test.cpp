@@ -18,7 +18,6 @@
 #include "circuit/from_cnf.hpp"
 #include "gen/generators.hpp"
 #include "govern/governor.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
@@ -335,8 +334,8 @@ TEST(ChronoPreimage, WideningShrinksRandomCovers) {
 }
 
 // Each scope position is one cube position, so a repeated scope variable
-// would be counted once per position: chrono refuses it, serial and in every
-// parallel shard. Blocking keeps accepting repeats (image projects onto
+// would be counted once per position: chrono refuses it at every `jobs`.
+// Blocking keeps accepting repeats (image projects onto
 // repeated variables), where the repeated position simply mirrors the first.
 TEST(ChronoDeath, RepeatedScopeVariableIsRejected) {
   Cnf cnf(3);
@@ -345,8 +344,7 @@ TEST(ChronoDeath, RepeatedScopeVariableIsRejected) {
   EXPECT_DEATH(chronoAllSat(cnf, scope, {}), "chrono scope lists x0 twice");
   AllSatOptions parallel;
   parallel.parallel.jobs = 2;
-  EXPECT_DEATH(parallelCnfAllSat(cnf, scope, ParallelCnfEngine::kChrono, {}, parallel),
-               "chrono scope lists x0 twice");
+  EXPECT_DEATH(chronoAllSat(cnf, scope, parallel), "chrono scope lists x0 twice");
 }
 
 TEST(Chrono, BlockingStillAcceptsARepeatedScopeVariable) {

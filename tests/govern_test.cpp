@@ -29,7 +29,6 @@
 #include "govern/budget.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/reachability.hpp"
 #include "preimage/safety.hpp"
@@ -436,8 +435,7 @@ TEST(GovernedParallel, PreCancelledJobs4SkipsEveryShard) {
   AllSatOptions opts;
   opts.governor = &governor;
   opts.parallel.jobs = 4;
-  AllSatResult r =
-      parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kChrono, {}, opts);
+  AllSatResult r = chronoAllSat(cnf, projection, opts);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.outcome, Outcome::kCancelled);
   EXPECT_TRUE(r.cubes.empty());
@@ -469,8 +467,7 @@ TEST(GovernedParallel, MidRunCancelJobs4MergedShardsStayDisjointAndSound) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     token.cancel();
   });
-  AllSatResult r =
-      parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kChrono, {}, opts);
+  AllSatResult r = chronoAllSat(cnf, projection, opts);
   watchdog.join();
 
   // Where the cancel landed is timing-dependent; the contract is not.
@@ -816,8 +813,7 @@ TEST(FaultInjection, WorkerShardFaultCancelsPoolButKeepsFinishedShards) {
   AllSatOptions opts;
   opts.governor = &governor;
   opts.parallel.jobs = 4;
-  AllSatResult r =
-      parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kChrono, {}, opts);
+  AllSatResult r = chronoAllSat(cnf, projection, opts);
   EXPECT_TRUE(faults::faultFired());
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.outcome, Outcome::kCancelled);

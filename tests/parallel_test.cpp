@@ -4,10 +4,12 @@
 // for every worker count and semantically equal to the serial engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <vector>
 
+#include "allsat/blocking.hpp"
 #include "allsat/success_driven.hpp"
 #include "bdd/bdd.hpp"
 #include "check/audit_solution_graph.hpp"
@@ -15,7 +17,6 @@
 #include "gen/random_circuit.hpp"
 #include "parallel/cube_splitter.hpp"
 #include "parallel/merge.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "parallel/worker_pool.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/target.hpp"
@@ -38,6 +39,24 @@ TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
   });
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(pool.stats().tasksRun, hits.size());
+}
+
+// A pool wider than its batch starts one worker per task at most, so no
+// task ever reports a worker index at or past the task count. Every worker
+// records one queue-depth sample per task it runs plus one for the pop that
+// finds the batch empty, so the sample count is tasks + workers started.
+TEST(WorkerPool, NeverStartsMoreWorkersThanTasks) {
+  WorkerPool pool(8);
+  std::atomic<int> maxWorker{-1};
+  pool.run(3, [&maxWorker](size_t, int worker) {
+    int seen = maxWorker.load(std::memory_order_relaxed);
+    while (worker > seen && !maxWorker.compare_exchange_weak(seen, worker)) {
+    }
+  });
+  EXPECT_GE(maxWorker.load(), 0);
+  EXPECT_LT(maxWorker.load(), 3);
+  EXPECT_EQ(pool.stats().tasksRun, 3u);
+  EXPECT_EQ(pool.stats().queueDepth.count(), 3u + 3u);
 }
 
 TEST(WorkerPool, ClampsThreadCountAndRunsInline) {
@@ -145,6 +164,8 @@ std::vector<std::string> canonicalCubes(const std::vector<LitVec>& cubes, int wi
 
 // The determinism contract: --jobs N is bit-identical for every N >= 1, and
 // semantically equal to the serial engine, across the generator suite.
+// Lifted cube blocking never splits, so its cover is the serial one at every
+// `jobs`, cube for cube.
 TEST(ParallelPreimage, ResultIndependentOfWorkerCount) {
   struct Fixture {
     const char* name;
@@ -158,9 +179,9 @@ TEST(ParallelPreimage, ResultIndependentOfWorkerCount) {
   suite.push_back({"traffic", makeTrafficLight()});
   suite.push_back({"lock", makeCombinationLock({1, 2, 3}, 2)});
 
-  const PreimageMethod methods[] = {PreimageMethod::kSuccessDriven,
-                                    PreimageMethod::kMintermBlocking,
-                                    PreimageMethod::kCubeBlockingLifted};
+  const PreimageMethod methods[] = {
+      PreimageMethod::kSuccessDriven, PreimageMethod::kMintermBlocking,
+      PreimageMethod::kCubeBlockingLifted, PreimageMethod::kChrono};
   for (const Fixture& fixture : suite) {
     TransitionSystem ts(fixture.nl);
     const int n = ts.numStateBits();
@@ -188,6 +209,12 @@ TEST(ParallelPreimage, ResultIndependentOfWorkerCount) {
           << fixture.name << " " << preimageMethodName(method);
       EXPECT_EQ(r1.stateCount, rs.stateCount)
           << fixture.name << " " << preimageMethodName(method);
+
+      if (method == PreimageMethod::kCubeBlockingLifted) {
+        EXPECT_EQ(r1.states.cubes, rs.states.cubes) << fixture.name;
+        EXPECT_EQ(r8.states.cubes, rs.states.cubes) << fixture.name;
+        EXPECT_TRUE(r1.guides.empty()) << fixture.name;
+      }
     }
   }
 }
@@ -202,7 +229,7 @@ TEST(ParallelSuccessDriven, MergedGraphMatchesSerialSemantics) {
 
   AllSatOptions options;
   options.parallel.jobs = 3;
-  SuccessDrivenResult par = parallelSuccessDrivenAllSat(problem, options);
+  SuccessDrivenResult par = successDrivenAllSat(problem, options);
   SuccessDrivenResult ser = successDrivenAllSat(problem, {});
 
   BddManager mgr(4);
@@ -253,26 +280,42 @@ TEST(ParallelSuccessDriven, ProjectCompressCoverPassesAuditAndCountsExactly) {
 }
 
 // maxCubes caps the one cover of the union, at every job count. Each half
-// of this target (next bit 0 of a 5-bit Gray counter is 1, or 0) has a
-// preimage of several cubes, and so has some shard of each, but the union
-// is every state: one empty cube, which fits a cap of 1.
+// of this target (next bit 0 of an 8-bit Gray counter is 1, or 0) has a
+// preimage of several cubes, and so has some shard of each at the default
+// split, but the union is every state: one empty cube, which fits a cap of 1.
 TEST(ParallelSuccessDriven, MaxCubesCapsTheUnionCover) {
-  Netlist nl = makeGrayCounter(5);
+  const int n = 8;
+  Netlist nl = makeGrayCounter(n);
   TransitionSystem ts(nl);
-  StateSet target = StateSet::fromCube(5, {mkLit(0)});
+  StateSet target = StateSet::fromCube(n, {mkLit(0)});
   target.cubes.push_back({~mkLit(0)});
+  for (const LitVec& halfCube : target.cubes) {
+    CircuitAllSatProblem problem;
+    problem.netlist = &nl;
+    problem.projectionSources = ts.stateNodes();
+    problem.objectives = {{ts.nextStateRoot(0), !halfCube[0].sign()}};
+    PreimageResult pre =
+        computePreimage(ts, StateSet::fromCube(n, halfCube), PreimageMethod::kBdd, {});
+    BddManager mgr(n);
+    const BddRef set = cubesToBdd(mgr, pre.states.cubes);
+    size_t widestShard = 0;
+    for (const LitVec& guide : planCircuitSplit(problem, -1).cubes) {
+      const BddRef shard = mgr.bddAnd(set, cubesToBdd(mgr, {guide}));
+      widestShard = std::max(widestShard, mgr.enumerateCubes(shard).size());
+    }
+    ASSERT_GT(widestShard, 1u) << "the cap must bind some shard of each half";
+  }
   for (int jobs : {0, 1, 2}) {
     PreimageOptions options;
     options.allsat.maxCubes = 1;
     options.allsat.parallel.jobs = jobs;
-    options.allsat.parallel.splitDepth = 1;
     PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
     EXPECT_EQ(r.outcome, Outcome::kComplete) << "jobs=" << jobs;
     EXPECT_EQ(r.states.cubes, std::vector<LitVec>{LitVec{}}) << "jobs=" << jobs;
-    EXPECT_EQ(r.stateCount, BigUint(32)) << "jobs=" << jobs;
+    EXPECT_EQ(r.stateCount, BigUint(1u << n)) << "jobs=" << jobs;
 
     options.allsat.maxCubes = 0;
-    StateSet half = StateSet::fromCube(5, {mkLit(0)});
+    StateSet half = StateSet::fromCube(n, {mkLit(0)});
     PreimageResult full = computePreimage(ts, half, PreimageMethod::kSuccessDriven, options);
     options.allsat.maxCubes = 1;
     PreimageResult capped = computePreimage(ts, half, PreimageMethod::kSuccessDriven, options);
@@ -293,8 +336,7 @@ TEST(ParallelCnf, GlobalMaxCubesCapHolds) {
   AllSatOptions options;
   options.maxCubes = 3;
   options.parallel.jobs = 2;
-  AllSatResult r = parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kBlocking, {},
-                                     options);
+  AllSatResult r = blockingAllSat(cnf, projection, {}, options);
   EXPECT_LE(r.cubes.size(), 3u);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.mintermCount, countCubeUnionMinterms(r.cubes, 3));

@@ -17,9 +17,9 @@
 //
 // The SAT-based enumeration commands (allsat, preimage, reach, safety, audit)
 // also accept:
-//   --jobs N    cube-and-conquer parallel enumeration on N workers
-//               (src/parallel/; results are bit-identical for every N >= 1)
-//   --split K   split-cube depth (2^K subcubes; default auto)
+//   --jobs N    cube-and-conquer parallel enumeration on N workers, capped
+//               at 64 (src/parallel/; results are bit-identical for every
+//               N >= 1; lifted cube blocking runs serially at every N)
 //   --project   projected enumeration: chrono stops at existential witnesses
 //               and emits cubes natively over the projection scope; the
 //               other engines dedup their projected covers (same state set,
@@ -47,8 +47,11 @@
 // cubes, well-formed solution graphs), and checks that all engines agree on
 // the solution set. Exit 0 = all invariants hold; exit 1 prints each violated
 // invariant by name. SPEC is one of counter:N, gray:N, lfsr:N, shift:N,
-// arbiter:N, accum:N, traffic, lock.
+// arbiter:N, accum:N, traffic, lock (the grammar presat_serve's `gen` field
+// takes); a malformed SPEC or numeric flag value is a usage error (exit 2).
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,15 +75,14 @@
 #include "circuit/bench_io.hpp"
 #include "circuit/from_cnf.hpp"
 #include "cnf/dimacs.hpp"
-#include "gen/generators.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "preimage/bmc.hpp"
 #include "preimage/image.hpp"
 #include "preimage/reachability.hpp"
 #include "preimage/safety.hpp"
 #include "sat/solver.hpp"
+#include "serve/session.hpp"
 #include "serve/version.hpp"
 
 using namespace presat;
@@ -105,9 +107,9 @@ namespace {
                "  presat_cli version\n"
                "  presat_cli bmc      <file.bench> --init CUBE --target CUBE [--depth N]\n"
                "  presat_cli audit    <file.cnf> | --gen SPEC [--target CUBE]\n"
-               "\nSAT enumeration commands also take --jobs N (parallel cube-and-conquer),\n"
-               "--split K (2^K subcubes), --project (projected enumeration over the\n"
-               "scope), and --compress (wildcard cube compression of the enumerated cover).\n"
+               "\nSAT enumeration commands also take --jobs N (parallel cube-and-conquer,\n"
+               "at most 64 workers), --project (projected enumeration over the scope),\n"
+               "and --compress (wildcard cube compression of the enumerated cover).\n"
                "Budgets: --timeout-ms N, --mem-limit-mb N, --conflict-limit N; a run that\n"
                "stops on a budget prints the reason and exits 2 with a sound partial result.\n"
                "CUBE: one char per state bit (bit 0 first): 0, 1, x/- for don't-care.\n"
@@ -125,31 +127,43 @@ struct Args {
     auto it = flags.find(name);
     return it == flags.end() ? fallback : it->second;
   }
+  // Numeric flags are plain decimal digits: a sign, a suffix or an
+  // out-of-range value is a usage error, never a silent 0.
+  uint64_t u64Flag(const std::string& name, uint64_t fallback, uint64_t max = UINT64_MAX) const;
   int intFlag(const std::string& name, int fallback) const {
-    auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  uint64_t u64Flag(const std::string& name, uint64_t fallback) const {
-    auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+    return static_cast<int>(u64Flag(name, static_cast<uint64_t>(fallback), INT_MAX));
   }
   bool boolFlag(const std::string& name) const { return flags.count(name) != 0; }
 };
+
+uint64_t Args::u64Flag(const std::string& name, uint64_t fallback, uint64_t max) const {
+  auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  uint64_t value = 0;
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size() || value > max) {
+    usage(("--" + name + " needs a decimal number in [0, " + std::to_string(max) + "], got '" +
+           text + "'")
+              .c_str());
+  }
+  return value;
+}
 
 // Every flag some command reads; parseArgs rejects any other name.
 constexpr const char* kKnownFlags[] = {
     "bad", "cert", "compress", "conflict-limit", "depth", "drat", "drat-binary",
     "from", "gen", "init", "jobs", "max", "mem-limit-mb", "method",
-    "project", "split", "stats", "target", "timeout-ms"};
+    "project", "stats", "target", "timeout-ms"};
 
 // Valueless switches: presence alone turns the mode on.
 bool isBooleanFlag(const std::string& name) { return name == "project" || name == "compress"; }
 
-// Shared --jobs/--split/--project/--compress handling for the SAT
-// enumeration commands.
+// Shared --jobs/--project/--compress handling for the SAT enumeration
+// commands. --jobs is capped like presat_serve's `jobs` field.
 void applyEngineFlags(const Args& args, AllSatOptions& options) {
-  options.parallel.jobs = args.intFlag("jobs", options.parallel.jobs);
-  options.parallel.splitDepth = args.intFlag("split", options.parallel.splitDepth);
+  options.parallel.jobs = std::min(args.intFlag("jobs", options.parallel.jobs),
+                                   ParallelOptions::kMaxJobs);
   if (args.boolFlag("project")) options.project = true;
   if (args.boolFlag("compress")) options.compress = true;
 }
@@ -248,28 +262,21 @@ std::string stateToString(const std::vector<bool>& state) {
   return s;
 }
 
-Netlist makeGeneratorCircuit(const std::string& spec) {
-  std::string name = spec;
-  int n = 0;
-  if (size_t colon = spec.find(':'); colon != std::string::npos) {
-    name = spec.substr(0, colon);
-    n = std::atoi(spec.c_str() + colon + 1);
-  }
-  if (name == "counter") return makeCounter(n);
-  if (name == "gray") return makeGrayCounter(n);
-  if (name == "lfsr") return makeLfsr(n);
-  if (name == "shift") return makeShiftRegister(n);
-  if (name == "arbiter") return makeRoundRobinArbiter(n);
-  if (name == "accum") return makeAccumulator(n);
-  if (name == "traffic") return makeTrafficLight();
-  if (name == "lock") return makeCombinationLock({1, 2, 3}, 2);
-  usage(("unknown generator spec: " + spec).c_str());
+// A --gen SPEC circuit, through presat_serve's validator with only the
+// generators' own width caps: a malformed spec is a usage error.
+Netlist buildGenerator(const std::string& spec) {
+  serve::SessionLimits limits;
+  limits.maxGenBits = INT_MAX;
+  Netlist nl;
+  std::string error;
+  if (!serve::buildGeneratorChecked(spec, limits, &nl, &error)) usage(error.c_str());
+  return nl;
 }
 
 // The sequential commands take either a .bench file or a --gen SPEC circuit
 // (the latter keeps CI loops free of fixture files).
 Netlist loadNetlist(const Args& args) {
-  if (!args.flag("gen").empty()) return makeGeneratorCircuit(args.flag("gen"));
+  if (!args.flag("gen").empty()) return buildGenerator(args.flag("gen"));
   if (args.positional.empty()) usage("missing input file (or --gen SPEC)");
   return parseBenchFile(args.positional[0]);
 }
@@ -297,7 +304,7 @@ int cmdAllsat(const Args& args) {
     for (Var v = 0; v < file.cnf.numVars(); ++v) projection.push_back(v);
   }
   AllSatOptions options;
-  options.maxCubes = static_cast<uint64_t>(args.intFlag("max", 0));
+  options.maxCubes = args.u64Flag("max", 0);
   applyEngineFlags(args, options);
   std::unique_ptr<Governor> governor = makeGovernor(args);
   options.governor = governor.get();
@@ -314,24 +321,16 @@ int cmdAllsat(const Args& args) {
       }
       lifter = [&cnf](const std::vector<lbool>& m) { return shrinkModelToImplicant(cnf, m); };
     }
-    result = options.parallel.enabled()
-                 ? parallelCnfAllSat(cnf, projection, ParallelCnfEngine::kBlocking, lifter,
-                                     options)
-                 : blockingAllSat(cnf, projection, lifter, options);
+    result = blockingAllSat(cnf, projection, lifter, options);
   } else if (method == "chrono") {
-    result = options.parallel.enabled()
-                 ? parallelCnfAllSat(file.cnf, projection, ParallelCnfEngine::kChrono, {},
-                                     options)
-                 : chronoAllSat(file.cnf, projection, options);
+    result = chronoAllSat(file.cnf, projection, options);
   } else if (method == "sd") {
     CnfCircuit circuit = cnfToCircuit(file.cnf);
     CircuitAllSatProblem problem;
     problem.netlist = &circuit.netlist;
     problem.objectives = {{circuit.root, true}};
     for (Var v : projection) problem.projectionSources.push_back(circuit.varNode[static_cast<size_t>(v)]);
-    SuccessDrivenResult sd = options.parallel.enabled()
-                                 ? parallelSuccessDrivenAllSat(problem, options)
-                                 : successDrivenAllSat(problem, options);
+    SuccessDrivenResult sd = successDrivenAllSat(problem, options);
     result = std::move(sd.summary);
     std::printf("solution graph: %llu nodes, %llu edges, %llu memo hits\n",
                 static_cast<unsigned long long>(result.stats.graphNodes),
@@ -582,11 +581,7 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     // the shard merge is cross-checked against the serial engines here too.
     AllSatOptions chronoOptions;
     applyEngineFlags(args, chronoOptions);
-    AllSatResult r =
-        chronoOptions.parallel.enabled()
-            ? parallelCnfAllSat(file.cnf, projection, ParallelCnfEngine::kChrono, {},
-                                chronoOptions)
-            : chronoAllSat(file.cnf, projection, chronoOptions);
+    AllSatResult r = chronoAllSat(file.cnf, projection, chronoOptions);
     // Proves chrono.disjoint and chrono.cover against the BDD oracle.
     audit.merge(auditChronoCubes(file.cnf, projection, r.cubes, r.complete));
     runs.push_back({"chrono", std::move(r.cubes), std::move(r.mintermCount), r.complete});
@@ -600,11 +595,7 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     applyEngineFlags(args, projOptions);
     projOptions.project = true;
     projOptions.compress = true;
-    AllSatResult r =
-        projOptions.parallel.enabled()
-            ? parallelCnfAllSat(file.cnf, projection, ParallelCnfEngine::kChrono, {},
-                                projOptions)
-            : chronoAllSat(file.cnf, projection, projOptions);
+    AllSatResult r = chronoAllSat(file.cnf, projection, projOptions);
     ChronoAuditOptions projAudit;
     projAudit.diagPrefix = "proj";
     audit.merge(auditChronoCubes(file.cnf, projection, r.cubes, r.complete, projAudit));
@@ -654,7 +645,7 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
 // BDD baseline serving as the semantic oracle for the SAT-based ones.
 int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   const std::string spec = args.flag("gen");
-  Netlist nl = makeGeneratorCircuit(spec);
+  Netlist nl = buildGenerator(spec);
   audit.merge(auditNetlist(nl));
   TransitionSystem system(nl);
   const int width = system.numStateBits();
