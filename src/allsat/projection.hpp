@@ -92,10 +92,11 @@ struct AllSatResult {
   std::vector<LitVec> cubes;
   // Exact number of projected minterms in the union of `cubes`.
   BigUint mintermCount;
-  // Parallel runs only: the disjoint guiding cubes (projected index space)
-  // the space was split into. Shard covers live inside their guide cube, so
-  // the guides are the certificate's cross-shard disjointness argument.
-  // Empty for serial runs.
+  // Split runs only (minterm blocking and chrono at jobs >= 1): the
+  // disjoint guiding cubes (projected index space) the space was split
+  // into. Shard covers live inside their guide cube, so the guides are the
+  // certificate's cross-shard disjointness argument. Empty for serial runs,
+  // which lifted cube blocking and success-driven are at every `jobs`.
   std::vector<LitVec> guides;
   AllSatStats stats;
   // Uniform observability export (counters/gauges/histograms) — see

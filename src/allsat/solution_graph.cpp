@@ -7,16 +7,6 @@
 
 namespace presat {
 
-void SolutionGraph::append(const SolutionGraph& other) {
-  const int base = static_cast<int>(nodes_.size());
-  auto translate = [base](int child) { return child >= 0 ? child + base : child; };
-  for (Node node : other.nodes_) {
-    for (Branch& b : node.branch) b.child = translate(b.child);
-    nodes_.push_back(std::move(node));
-  }
-  for (const Branch& r : other.roots_) addRoot(translate(r.child), r.newLits);
-}
-
 size_t SolutionGraph::numLiveEdges() const {
   size_t n = 0;
   for (const Branch& r : roots_) {

@@ -67,10 +67,6 @@ class SolutionGraph {
   size_t numRoots() const { return roots_.size(); }
   const Branch& root(size_t i) const { return roots_[i]; }
 
-  // Appends `other` as further roots: its nodes are copied after this
-  // graph's and its children re-indexed.
-  void append(const SolutionGraph& other);
-
   size_t numNodes() const { return nodes_.size(); }
   const Node& node(int index) const { return nodes_[static_cast<size_t>(index)]; }
   // Branches that do not lead to kFail.

@@ -15,7 +15,6 @@
 #include "circuit/ternary.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
-#include "parallel/parallel_allsat.hpp"
 
 namespace presat {
 
@@ -189,6 +188,29 @@ class MemoTable {
   std::vector<Slot> slots_;
   size_t size_ = 0;
 };
+
+// The success-driven cover of `set`, the solution graph's BDD in `mgr` over
+// the projected index space: its paths (BddManager::enumerateCubes), the
+// same cover the BDD preimage engine reads off the same set, then the
+// optional compress pass. Sets summary.cubes and summary.mintermCount; past
+// options.maxCubes the cover stops at the cap, the outcome combines with
+// Outcome::kCubeCap, and the call returns true.
+bool readSuccessDrivenCover(BddManager& mgr, BddRef set, const AllSatOptions& options,
+                            AllSatResult& summary) {
+  summary.mintermCount = mgr.satCount(set);
+  // One path beyond the cap decides completeness.
+  const uint64_t probe = options.maxCubes == 0 || options.maxCubes == UINT64_MAX
+                             ? options.maxCubes
+                             : options.maxCubes + 1;
+  summary.cubes = mgr.enumerateCubes(set, probe);
+  const bool capped = options.maxCubes != 0 && summary.cubes.size() > options.maxCubes;
+  if (capped) {
+    summary.cubes.pop_back();
+    summary.outcome = combineOutcomes(summary.outcome, Outcome::kCubeCap);
+  }
+  applyProjectionPostpass(summary, options, /*disjointCubes=*/true);
+  return capped;
+}
 
 // One backward-justification search with success-driven learning, shared by
 // every objective set of one call.
@@ -739,23 +761,6 @@ class Engine {
 
 }  // namespace
 
-bool readSuccessDrivenCover(BddManager& mgr, BddRef set, const AllSatOptions& options,
-                            AllSatResult& summary) {
-  summary.mintermCount = mgr.satCount(set);
-  // One path beyond the cap decides completeness.
-  const uint64_t probe = options.maxCubes == 0 || options.maxCubes == UINT64_MAX
-                             ? options.maxCubes
-                             : options.maxCubes + 1;
-  summary.cubes = mgr.enumerateCubes(set, probe);
-  const bool capped = options.maxCubes != 0 && summary.cubes.size() > options.maxCubes;
-  if (capped) {
-    summary.cubes.pop_back();
-    summary.outcome = combineOutcomes(summary.outcome, Outcome::kCubeCap);
-  }
-  applyProjectionPostpass(summary, options, /*disjointCubes=*/true);
-  return capped;
-}
-
 SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
                                         const AllSatOptions& options) {
   return successDrivenAllSat(std::span(&problem, 1), options);
@@ -770,7 +775,6 @@ SuccessDrivenResult successDrivenAllSat(std::span<const CircuitAllSatProblem> pr
     PRESAT_CHECK(p.netlist == first.netlist && p.projectionSources == first.projectionSources)
         << "one engine needs one netlist and one projection";
   }
-  if (options.parallel.enabled()) return parallelSuccessDrivenAllSat(problems, options);
   Engine engine(*first.netlist, first.projectionSources, options);
   return engine.run(problems);
 }

@@ -28,10 +28,13 @@
 //    root-to-SUCCESS paths may overlap, so the cover is read off the graph's
 //    reduced ordered BDD instead: its paths are pairwise disjoint and depend
 //    only on the solution set, so the cover equals the BDD engine's and does
-//    not depend on the branch order or the worker count.
+//    not depend on the branch order.
+//  * The engine never splits: it keeps no clause database that grows with
+//    every solution, so a cube-and-conquer split (src/parallel/) has nothing
+//    to divide, and it runs serially at every options.parallel.jobs. Its
+//    cover, count, graph and metrics are the same for every `jobs`.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -41,8 +44,6 @@
 #include "circuit/netlist.hpp"
 
 namespace presat {
-
-class BddManager;
 
 struct CircuitAllSatProblem {
   const Netlist* netlist = nullptr;
@@ -55,17 +56,14 @@ struct CircuitAllSatProblem {
 
 struct SuccessDrivenResult {
   // The cover is one cover of the union of all roots: the paths of the
-  // graph's BDD (readSuccessDrivenCover), so it is disjoint and canonical,
-  // and maxCubes caps it as a whole. mintermCount counts that union. The
-  // per-root answers live in the graph.
+  // graph's BDD, so it is disjoint and canonical, and maxCubes caps it as a
+  // whole. mintermCount counts that union. The per-root answers live in the
+  // graph.
   AllSatResult summary;
   // Root i answers problem i.
   SolutionGraph graph;
 };
 
-// With options.parallel.jobs >= 1 the engine splits each problem into
-// guiding cubes (parallel/parallel_allsat.hpp); the cover, count and graph
-// semantics are those of the serial run.
 SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
                                         const AllSatOptions& options = {});
 
@@ -75,14 +73,5 @@ SuccessDrivenResult successDrivenAllSat(const CircuitAllSatProblem& problem,
 // cover of the union of every problem's solutions.
 SuccessDrivenResult successDrivenAllSat(std::span<const CircuitAllSatProblem> problems,
                                         const AllSatOptions& options = {});
-
-// The success-driven cover of `set`, a solution graph's BDD in `mgr` over
-// the projected index space: its paths (BddManager::enumerateCubes), the
-// same cover the BDD preimage engine reads off the same set, then the
-// optional compress pass. Sets summary.cubes and summary.mintermCount;
-// past options.maxCubes the cover stops at the cap, the outcome combines
-// with Outcome::kCubeCap, and the call returns true.
-bool readSuccessDrivenCover(BddManager& mgr, uint32_t set, const AllSatOptions& options,
-                            AllSatResult& summary);
 
 }  // namespace presat

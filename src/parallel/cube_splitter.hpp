@@ -39,10 +39,15 @@ struct SplitPlan {
 
 // Resolves a requested split depth: auto (-1) becomes
 // ParallelOptions::kDefaultSplitDepth, then clamps to the projection width.
-// The engines always split at the default depth.
+// The engines always split at the default depth. Outside the planners and
+// the tests, its only caller is the benchmark harness's `parallel.split`
+// probe (perfbench/harness.cpp).
 int resolveSplitDepth(int requested, size_t numProjectionVars);
 
-// Circuit split with justification-cone lookahead scoring.
+// Circuit split with justification-cone lookahead scoring. No engine calls
+// it. Outside the tests, its only caller is the benchmark harness's
+// `parallel.split` probe (perfbench/harness.cpp); it can go when that probe
+// does.
 SplitPlan planCircuitSplit(const CircuitAllSatProblem& problem, int splitDepth);
 
 // CNF split with occurrence-count scoring.

@@ -26,54 +26,6 @@ AllSatResult mergeShardSummaries(std::vector<ShardOutcome>& shards) {
   return merged;
 }
 
-SolutionGraph mergeSolutionGraphs(const std::vector<ShardOutcome>& shards,
-                                  const std::vector<Var>& splitVars) {
-  PRESAT_CHECK(shards.size() == (static_cast<size_t>(1) << splitVars.size()))
-      << "shard count does not match the split plan";
-  SolutionGraph merged;
-
-  // Import every shard's graph up front (shard order): shard i's root
-  // becomes root i, its children re-indexed into the merged node array.
-  for (const ShardOutcome& shard : shards) {
-    PRESAT_CHECK(shard.hasGraph && shard.graph.numRoots() == 1)
-        << "graph merge on a shard without a single-root solution graph";
-    merged.append(shard.graph);
-  }
-
-  // Recursive tree over the shard-index range: depth d (root = 0) splits on
-  // bit |splitVars|-1-d, so a depth-first visit reaches the leaves in shard
-  // order; branch[0] is polarity 0. Subtrees whose shards all failed
-  // collapse to kFail instead of materializing dead decision nodes (the
-  // graph.dead-node invariant the auditor enforces).
-  auto build = [&](auto&& self, size_t lo, size_t hi) -> SolutionGraph::Branch {
-    if (hi - lo == 1) {
-      const SolutionGraph::Branch& root = merged.root(lo);
-      SolutionGraph::Branch leaf;
-      leaf.child = root.child;
-      if (leaf.child != SolutionGraph::kFail) leaf.newLits = root.newLits;
-      return leaf;
-    }
-    size_t mid = lo + (hi - lo) / 2;
-    // A range of 2^(bit+1) shards splits on splitVars[bit]: the root of the
-    // full 2^k range branches on the highest split variable, index k-1.
-    size_t bit = 0;
-    while ((static_cast<size_t>(1) << (bit + 1)) < hi - lo) ++bit;
-    SolutionGraph::Node node;
-    node.decisionId = static_cast<uint32_t>(splitVars[bit]);
-    node.branch[0] = self(self, lo, mid);
-    node.branch[1] = self(self, mid, hi);
-    if (node.branch[0].child == SolutionGraph::kFail &&
-        node.branch[1].child == SolutionGraph::kFail) {
-      return SolutionGraph::Branch{};  // child = kFail
-    }
-    return SolutionGraph::Branch{merged.addNode(node), {}};
-  };
-
-  SolutionGraph::Branch top = build(build, 0, shards.size());
-  merged.setRoot(top.child, std::move(top.newLits));  // replaces the shard roots
-  return merged;
-}
-
 AuditResult auditShardPartition(const std::vector<ShardOutcome>& shards,
                                 int numProjectionVars) {
   AuditResult audit;

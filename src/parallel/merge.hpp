@@ -1,16 +1,11 @@
 // Deterministic merge of per-subcube enumeration results.
 //
-// Each shard solved the original problem restricted to one guiding cube of
+// Each shard solved the original formula restricted to one guiding cube of
 // the split plan (parallel/cube_splitter.hpp). Because the guiding cubes are
 // pairwise disjoint and jointly exhaustive, merging is pure bookkeeping with
-// no blocking-clause interference between shards:
-//
-//  * cube lists concatenate in shard-index order (the union stays exact, and
-//    shard counts ADD because no two shards share a minterm);
-//  * solution graphs attach under a fresh binary decision tree over the split
-//    variables — the tree routes each guiding cube's region to its shard's
-//    subgraph, so the merged graph has the same path-cube semantics as the
-//    concatenation.
+// no blocking-clause interference between shards: cube lists concatenate in
+// shard-index order (the union stays exact), and shard counts ADD because
+// no two shards share a minterm.
 //
 // Everything here is keyed by shard INDEX, never by completion order, so the
 // merged result is bit-identical for any worker count or schedule. The
@@ -23,7 +18,6 @@
 #include <vector>
 
 #include "allsat/projection.hpp"
-#include "allsat/solution_graph.hpp"
 #include "check/audit.hpp"
 
 namespace presat {
@@ -38,8 +32,6 @@ namespace presat {
 struct ShardOutcome {
   LitVec guide;        // guiding cube, projected index space
   AllSatResult result; // sub-enumeration over the same projection scope
-  SolutionGraph graph; // success-driven shards only
-  bool hasGraph = false;
   // False until the shard's task body actually executed. A tripped governor
   // drains the worker pool, so late shards never run; the parallel driver
   // rewrites those slots as empty partial results (guide set, zero cubes,
@@ -54,14 +46,6 @@ struct ShardOutcome {
 // shard under-enumerates its own region, so the concatenation stays a sound
 // under-approximation and the summed count a lower bound.
 AllSatResult mergeShardSummaries(std::vector<ShardOutcome>& shards);
-
-// Merges the shard solution graphs under a decision tree over `splitVars`
-// (the split plan's variables; shards.size() == 2^|splitVars|). Shard i's
-// subgraph is attached at the leaf whose path assigns splitVars[j] = bit j
-// of i, and subtrees whose shards all failed collapse to the FAIL terminal,
-// mirroring the serial engine's dead-branch collapse.
-SolutionGraph mergeSolutionGraphs(const std::vector<ShardOutcome>& shards,
-                                  const std::vector<Var>& splitVars);
 
 // BDD cross-check of the disjoint-partition contract:
 //   parallel.guide.disjoint  guiding cubes are pairwise disjoint

@@ -10,10 +10,11 @@ namespace presat {
 
 struct ParallelOptions {
   // 0 = serial engines, untouched. >= 1 lets the engines that split
-  // (success-driven, chrono, minterm blocking) partition the projected space
-  // into 2^kDefaultSplitDepth guiding cubes and solve them on this many
-  // worker threads. The split does NOT scale with `jobs`, so the RESULT is
-  // the same for every jobs >= 1; only wall-clock changes.
+  // (chrono, minterm blocking) partition the projected space into
+  // 2^kDefaultSplitDepth guiding cubes and solve them on this many worker
+  // threads. The split does NOT scale with `jobs`, so the RESULT is the same
+  // for every jobs >= 1; only wall-clock changes. Lifted cube blocking and
+  // success-driven run serially at every `jobs`.
   int jobs = 0;
 
   // 16 subcubes — enough slack for 8-way work stealing without fragmenting

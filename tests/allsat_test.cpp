@@ -437,8 +437,11 @@ class Fnv1a {
 //  * The graph digest folds every root's path cubes and the graph's node
 //    count: the search's own output. The memo-mode tests above cannot see a
 //    change of branch order (learning on and off would move together); this
-//    digest can. Its value was computed before the cover was read off the
-//    BDD, and reading the cover left it unchanged.
+//    digest can. Reading the cover off the BDD left it unchanged. It was
+//    re-pinned when the engine stopped splitting at jobs >= 1: the jobs=4
+//    pass used to fold the graph merged from 16 shard searches, and now
+//    folds the serial graph again, so the value is that of folding each
+//    serial graph twice.
 //  * The cover digest folds the cover and the state count. It was re-pinned
 //    when the cover became the graph's BDD paths: it no longer depends on
 //    the branch order, only on the solution set.
@@ -481,7 +484,7 @@ TEST(SuccessDriven, CoversMatchPinnedDigest) {
       for (char c : pre.stateCount.toDecimal()) coverDigest.mix(static_cast<uint8_t>(c));
     }
   }
-  EXPECT_EQ(graphDigest.value(), 0x0cc1d9a2aad397a2ull) << std::hex << graphDigest.value();
+  EXPECT_EQ(graphDigest.value(), 0x6b00681c5772b959ull) << std::hex << graphDigest.value();
   EXPECT_EQ(coverDigest.value(), 0x62220c5e3f5ee165ull) << std::hex << coverDigest.value();
 }
 
@@ -575,7 +578,7 @@ TEST(SuccessDriven, CubesAreSoundOnCounter) {
 }
 
 // A repeated projection source would be counted once per position: the
-// engine refuses it, serial and in every parallel shard.
+// engine refuses it at every `jobs`.
 TEST(SuccessDrivenDeath, RepeatedProjectionSourceIsRejected) {
   Netlist nl = makeCounter(3);
   CircuitAllSatProblem p = problemFor(nl, {{nl.dffData(nl.dffs()[0]), true}});

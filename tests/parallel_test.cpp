@@ -11,17 +11,16 @@
 
 #include "allsat/blocking.hpp"
 #include "allsat/success_driven.hpp"
-#include "bdd/bdd.hpp"
 #include "check/audit_solution_graph.hpp"
 #include "gen/generators.hpp"
 #include "gen/random_circuit.hpp"
 #include "parallel/cube_splitter.hpp"
-#include "parallel/merge.hpp"
 #include "parallel/worker_pool.hpp"
 #include "preimage/preimage.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
 #include "test_util.hpp"
+#include "../bench/bench_util.hpp"
 
 namespace presat {
 namespace {
@@ -219,35 +218,54 @@ TEST(ParallelPreimage, ResultIndependentOfWorkerCount) {
   }
 }
 
-TEST(ParallelSuccessDriven, MergedGraphMatchesSerialSemantics) {
-  Netlist nl = makeLfsr(4);
-  TransitionSystem ts(nl);
-  CircuitAllSatProblem problem;
-  problem.netlist = &nl;
-  problem.projectionSources = ts.stateNodes();
-  problem.objectives = {{ts.nextStateRoot(0), true}};
-
-  AllSatOptions options;
-  options.parallel.jobs = 3;
-  SuccessDrivenResult par = successDrivenAllSat(problem, options);
-  SuccessDrivenResult ser = successDrivenAllSat(problem, {});
-
-  BddManager mgr(4);
-  EXPECT_TRUE(BddManager::equal(par.graph.toBdd(mgr), ser.graph.toBdd(mgr)));
-  EXPECT_EQ(par.summary.mintermCount, ser.summary.mintermCount);
-  EXPECT_EQ(par.summary.cubes, testutil::graphBddCover(par.graph, 4));
-  EXPECT_EQ(par.summary.cubes, ser.summary.cubes);
-
-  // The parallel engine reports its pool alongside the engine stats.
-  EXPECT_EQ(par.summary.metrics.label("engine"), "success-driven");
-  EXPECT_EQ(par.summary.metrics.counter("parallel.shards"),
-            par.summary.metrics.counter("parallel.tasks"));
-  EXPECT_GT(par.summary.metrics.counter("parallel.shards"), 1u);
+// The success-driven engine never splits: at every `jobs` it runs the serial
+// engine, so the cover, the count and the graph (its size and every root's
+// path cubes) are the jobs=0 ones, and no parallel.* metric appears. The
+// graph is where a split would show: a split search on the Table 1
+// rand16x240 row builds 7 148 nodes against the serial 4 596.
+TEST(ParallelSuccessDriven, EveryJobCountRunsTheSerialEngine) {
+  std::vector<benchutil::BenchCase> cases;
+  for (benchutil::BenchCase& c : benchutil::standardSuite()) {
+    if (c.name == "rand16x240") cases.push_back(std::move(c));
+  }
+  ASSERT_EQ(cases.size(), 1u);
+  auto addGenerator = [&cases](const char* name, Netlist nl) {
+    const int n = static_cast<int>(nl.dffs().size());
+    cases.push_back({name, std::move(nl), StateSet::fromCube(n, {mkLit(0)})});
+  };
+  addGenerator("counter:4", makeCounter(4));
+  addGenerator("gray:3", makeGrayCounter(3));
+  addGenerator("lfsr:4", makeLfsr(4));
+  addGenerator("arbiter:3", makeRoundRobinArbiter(3));
+  addGenerator("traffic", makeTrafficLight());
+  addGenerator("lock", makeCombinationLock({1, 2, 3}, 2));
+  for (const benchutil::BenchCase& c : cases) {
+    TransitionSystem ts(c.netlist);
+    PreimageResult serial = computePreimage(ts, c.target, PreimageMethod::kSuccessDriven, {});
+    for (int jobs : {1, 4}) {
+      PreimageOptions options;
+      options.allsat.parallel.jobs = jobs;
+      PreimageResult r = computePreimage(ts, c.target, PreimageMethod::kSuccessDriven, options);
+      EXPECT_EQ(r.states.cubes, serial.states.cubes) << c.name << " jobs=" << jobs;
+      EXPECT_EQ(r.stateCount, serial.stateCount) << c.name << " jobs=" << jobs;
+      EXPECT_EQ(r.graph.numNodes(), serial.graph.numNodes()) << c.name << " jobs=" << jobs;
+      ASSERT_EQ(r.graph.numRoots(), serial.graph.numRoots()) << c.name << " jobs=" << jobs;
+      for (size_t root = 0; root < r.graph.numRoots(); ++root) {
+        EXPECT_EQ(r.graph.enumerateRootCubes(root), serial.graph.enumerateRootCubes(root))
+            << c.name << " jobs=" << jobs << " root " << root;
+      }
+      EXPECT_TRUE(r.guides.empty()) << c.name << " jobs=" << jobs;
+      EXPECT_EQ(r.metrics.toJson().find("\"parallel."), std::string::npos)
+          << c.name << " jobs=" << jobs;
+      EXPECT_EQ(r.metrics.counter("memo.hits"), serial.metrics.counter("memo.hits"))
+          << c.name << " jobs=" << jobs;
+    }
+  }
 }
 
 // jobs=4 with project + compress: the cover the caller receives (projected,
-// compressed, across shard guides) passes the cheap solution-graph audit
-// against the merged graph, and the count is exact.
+// compressed) passes the cheap solution-graph audit against the engine's
+// graph, and the count is exact.
 TEST(ParallelSuccessDriven, ProjectCompressCoverPassesAuditAndCountsExactly) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     RandomCircuitParams params;
@@ -281,30 +299,14 @@ TEST(ParallelSuccessDriven, ProjectCompressCoverPassesAuditAndCountsExactly) {
 
 // maxCubes caps the one cover of the union, at every job count. Each half
 // of this target (next bit 0 of an 8-bit Gray counter is 1, or 0) has a
-// preimage of several cubes, and so has some shard of each at the default
-// split, but the union is every state: one empty cube, which fits a cap of 1.
+// preimage of several cubes, but the union is every state: one empty cube,
+// which fits a cap of 1.
 TEST(ParallelSuccessDriven, MaxCubesCapsTheUnionCover) {
   const int n = 8;
   Netlist nl = makeGrayCounter(n);
   TransitionSystem ts(nl);
   StateSet target = StateSet::fromCube(n, {mkLit(0)});
   target.cubes.push_back({~mkLit(0)});
-  for (const LitVec& halfCube : target.cubes) {
-    CircuitAllSatProblem problem;
-    problem.netlist = &nl;
-    problem.projectionSources = ts.stateNodes();
-    problem.objectives = {{ts.nextStateRoot(0), !halfCube[0].sign()}};
-    PreimageResult pre =
-        computePreimage(ts, StateSet::fromCube(n, halfCube), PreimageMethod::kBdd, {});
-    BddManager mgr(n);
-    const BddRef set = cubesToBdd(mgr, pre.states.cubes);
-    size_t widestShard = 0;
-    for (const LitVec& guide : planCircuitSplit(problem, -1).cubes) {
-      const BddRef shard = mgr.bddAnd(set, cubesToBdd(mgr, {guide}));
-      widestShard = std::max(widestShard, mgr.enumerateCubes(shard).size());
-    }
-    ASSERT_GT(widestShard, 1u) << "the cap must bind some shard of each half";
-  }
   for (int jobs : {0, 1, 2}) {
     PreimageOptions options;
     options.allsat.maxCubes = 1;

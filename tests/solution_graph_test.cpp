@@ -115,8 +115,8 @@ TEST(SolutionGraph, RootLitsPrefixAllCubes) {
 }
 
 // Two roots over one node array: the whole-graph BDD covers both roots,
-// per-root queries only their own; append re-indexes children.
-TEST(SolutionGraph, MultiRootQueriesAndAppend) {
+// per-root queries only their own; setRoot goes back to one root.
+TEST(SolutionGraph, MultiRootQueries) {
   SolutionGraph g = bothBranchesSucceed();  // root 0: x0 | ~x0
   g.addRoot(SolutionGraph::kSuccess, {mkLit(1)});
   ASSERT_EQ(g.numRoots(), 2u);
@@ -129,17 +129,11 @@ TEST(SolutionGraph, MultiRootQueriesAndAppend) {
   EXPECT_EQ(roots[0], BddManager::kTrue);
   EXPECT_EQ(roots[1], mgr.variable(1));
   EXPECT_EQ(g.toBdd(mgr), BddManager::kTrue);
+  EXPECT_EQ(numPaths(g), 3u);
 
-  SolutionGraph merged = bothBranchesSucceed();
-  merged.append(g);
-  ASSERT_EQ(merged.numRoots(), 3u);
-  EXPECT_EQ(merged.numNodes(), 2u);
-  EXPECT_EQ(merged.root(1).child, 1);  // g's node 0, moved past merged's own
-  EXPECT_EQ(numPaths(merged), 5u);
-
-  merged.setRoot(SolutionGraph::kFail, {});  // back to one root
-  EXPECT_EQ(merged.numRoots(), 1u);
-  EXPECT_EQ(numPaths(merged), 0u);
+  g.setRoot(SolutionGraph::kFail, {});  // back to one root
+  EXPECT_EQ(g.numRoots(), 1u);
+  EXPECT_EQ(numPaths(g), 0u);
 }
 
 TEST(SolutionGraph, DotExportMentionsNodes) {

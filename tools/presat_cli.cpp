@@ -40,7 +40,9 @@
 // CUBE is a string over the state bits, LSB (state bit 0) first, using
 // '0', '1', and 'x'/'-' for don't-care, e.g. --target 1x0x. Preimage METHOD
 // names are those printed by the tool (minterm-blocking, cube-blocking-lifted,
-// success-driven, chrono, bdd). Any other flag name is an error (exit 2).
+// success-driven, chrono, bdd). Each command takes only the flags listed for
+// it; any other flag, one another command reads included, is an error
+// (exit 2).
 //
 // `audit` is the enumeration cross-checker: it runs every engine on the same
 // instance, validates the per-engine invariants (disjoint minterms, sound
@@ -59,6 +61,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -114,7 +117,7 @@ namespace {
                "stops on a budget prints the reason and exits 2 with a sound partial result.\n"
                "CUBE: one char per state bit (bit 0 first): 0, 1, x/- for don't-care.\n"
                "SPEC: counter:N gray:N lfsr:N shift:N arbiter:N accum:N traffic lock\n"
-               "Any flag not listed here is an error.\n");
+               "A flag not listed for the command is an error.\n");
   std::exit(2);
 }
 
@@ -150,11 +153,27 @@ uint64_t Args::u64Flag(const std::string& name, uint64_t fallback, uint64_t max)
   return value;
 }
 
-// Every flag some command reads; parseArgs rejects any other name.
-constexpr const char* kKnownFlags[] = {
-    "bad", "cert", "compress", "conflict-limit", "depth", "drat", "drat-binary",
-    "from", "gen", "init", "jobs", "max", "mem-limit-mb", "method",
-    "project", "stats", "target", "timeout-ms"};
+// One command: the flags it reads and its handler. parseArgs rejects any
+// other flag, so a flag the command would ignore is a usage error, not a
+// silent no-op.
+struct Command {
+  std::string_view name;
+  // The engine knobs (applyEngineFlags) and budgets (makeGovernor) of the
+  // SAT enumeration commands.
+  bool engine;
+  std::vector<std::string_view> own;
+  int (*run)(const Args& args);
+};
+constexpr std::string_view kEngineFlags[] = {"jobs",       "project",      "compress",
+                                             "timeout-ms", "mem-limit-mb", "conflict-limit"};
+
+bool takesFlag(const Command& command, std::string_view name) {
+  if (command.engine &&
+      std::find(std::begin(kEngineFlags), std::end(kEngineFlags), name) != std::end(kEngineFlags)) {
+    return true;
+  }
+  return std::find(command.own.begin(), command.own.end(), name) != command.own.end();
+}
 
 // Valueless switches: presence alone turns the mode on.
 bool isBooleanFlag(const std::string& name) { return name == "project" || name == "compress"; }
@@ -200,15 +219,14 @@ void writeFileOrDie(const std::string& path, const std::string& content) {
   std::fclose(f);
 }
 
-Args parseArgs(int argc, char** argv, int start) {
+Args parseArgs(int argc, char** argv, int start, const Command& command) {
   Args args;
   for (int i = start; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
       std::string name = a.substr(2);
-      if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
-          std::end(kKnownFlags)) {
-        usage(("unknown flag " + a).c_str());
+      if (!takesFlag(command, name)) {
+        usage(("unknown flag " + a + " for " + std::string(command.name)).c_str());
       }
       if (isBooleanFlag(name)) {
         args.flags[name] = "1";
@@ -716,6 +734,18 @@ int cmdAudit(const Args& args) {
   return cmdAuditCnf(audit, args);
 }
 
+const Command kCommands[] = {
+    {"info", false, {}, cmdInfo},
+    {"allsat", true, {"max", "method", "stats"}, cmdAllsat},
+    {"preimage", true, {"gen", "target", "method", "stats", "cert", "drat", "drat-binary"},
+     cmdPreimage},
+    {"image", false, {"from", "method"}, cmdImage},
+    {"reach", true, {"gen", "target", "method", "depth", "stats"}, cmdReach},
+    {"safety", true, {"gen", "init", "bad", "method", "depth", "stats"}, cmdSafety},
+    {"bmc", false, {"init", "target", "depth"}, cmdBmc},
+    {"audit", true, {"gen", "target"}, cmdAudit},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -728,19 +758,15 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (argc < 3) usage();
-  std::string command = argv[1];
-  Args args = parseArgs(argc, argv, 2);
-  if (command == "audit") return cmdAudit(args);
-  const bool genOk = command == "preimage" || command == "reach" || command == "safety";
-  if (args.positional.empty() && !(genOk && !args.flag("gen").empty())) {
+  const std::string_view name = argv[1];
+  const Command* command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                        [name](const Command& c) { return c.name == name; });
+  if (command == std::end(kCommands)) usage(("unknown command: " + std::string(name)).c_str());
+  Args args = parseArgs(argc, argv, 2, *command);
+  // audit names its own missing input; --gen (only the commands that read
+  // it get past parseArgs with it) stands in for the file.
+  if (name != "audit" && args.positional.empty() && args.flag("gen").empty()) {
     usage("missing input file");
   }
-  if (command == "info") return cmdInfo(args);
-  if (command == "allsat") return cmdAllsat(args);
-  if (command == "preimage") return cmdPreimage(args);
-  if (command == "image") return cmdImage(args);
-  if (command == "reach") return cmdReach(args);
-  if (command == "safety") return cmdSafety(args);
-  if (command == "bmc") return cmdBmc(args);
-  usage(("unknown command: " + command).c_str());
+  return command->run(args);
 }
