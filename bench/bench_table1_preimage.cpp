@@ -67,9 +67,10 @@ int main(int argc, char** argv) {
     PreimageResult chronoPar8 = computePreimage(system, c.target, PreimageMethod::kChrono, par8);
 
     // Certificate-emitting chrono run: same query as `chrono` above but with
-    // proof logging + presat-cert-v1 assembly on. Its series quantifies the
-    // emission overhead; the plain chrono series above doubles as the
-    // proof-logging-off control the 25% regression gate pins down.
+    // presat-cert-v1 assembly (witnesses and the replayed proof) on. Its
+    // series quantifies the emission overhead; the plain chrono series above
+    // doubles as the certificate-off control the 25% regression gate pins
+    // down.
     PreimageOptions certOpts;
     certOpts.emitCertificate = true;
     PreimageResult chronoCert =

@@ -1,7 +1,6 @@
 #include "allsat/blocking.hpp"
 
 #include "allsat/compress.hpp"
-#include "allsat/preprocess_adapter.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "check/audit_solver.hpp"
@@ -12,11 +11,6 @@ namespace presat {
 
 AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                             const ModelLifter& lifter, const AllSatOptions& options) {
-  if (options.preprocess) {
-    return runWithPreprocess(cnf, projection, lifter, options,
-                             [](const Cnf& c, const std::vector<Var>& p, const ModelLifter& l,
-                                const AllSatOptions& o) { return blockingAllSat(c, p, l, o); });
-  }
   // Minterm blocking splits: each shard's clause database holds only its own
   // shard's blocking clauses. Lifted blocking stays serial at every `jobs`
   // (DESIGN.md "Parallel enumeration" has the measurement).
@@ -39,7 +33,7 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
 
   Governor* governor = options.governor;
   Solver solver;
-  configureSolver(solver, options);
+  solver.setGovernor(governor);
   bool consistent = solver.addCnf(cnf);
   bool maybeOverlapping = false;
 

@@ -17,7 +17,7 @@
 
 namespace presat {
 
-// Maps a full model of the CNF to a solution cube over the ORIGINAL formula
+// Maps a full model of the CNF to a solution cube over the same formula's
 // variables. Contract: every literal's variable is in the projection scope,
 // the literal agrees with the model, and every projected assignment covered
 // by the returned cube is extendable to a model (that is what makes blocking
@@ -25,12 +25,14 @@ namespace presat {
 // minterm).
 using ModelLifter = std::function<LitVec(const std::vector<lbool>& model)>;
 
-// Enumerates all assignments to `projection` extendable to a model of `cnf`.
-// The engine label is "minterm-blocking" without a lifter (the cover is then
-// pairwise disjoint) and "cube-blocking" with one (cubes may overlap; the
-// count goes through a BDD). With options.parallel.jobs >= 1 minterm
-// blocking splits after preprocessing (parallel/parallel_allsat.hpp); cube
-// blocking stays serial, so its cover is the same at every `jobs`.
+// Enumerates all assignments to `projection` extendable to a model of `cnf`,
+// exactly as given: callers that want the formula preprocessed run
+// preprocessCnf (cnf/preprocess.hpp) once themselves. The engine label is
+// "minterm-blocking" without a lifter (the cover is then pairwise disjoint)
+// and "cube-blocking" with one (cubes may overlap; the count goes through a
+// BDD). With options.parallel.jobs >= 1 minterm blocking splits
+// (parallel/parallel_allsat.hpp); cube blocking stays serial, so its cover is
+// the same at every `jobs`.
 AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                             const ModelLifter& lifter = {}, const AllSatOptions& options = {});
 

@@ -4,7 +4,6 @@
 
 #include "allsat/compress.hpp"
 #include "allsat/lifting.hpp"
-#include "allsat/preprocess_adapter.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "check/audit_chrono.hpp"
@@ -24,12 +23,6 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     PRESAT_CHECK(!inScope[static_cast<size_t>(v)]) << "chrono scope lists x" << v << " twice";
     inScope[static_cast<size_t>(v)] = 1;
   }
-  if (options.preprocess) {
-    PRESAT_CHECK(widener == nullptr) << "a chrono widener needs a preprocessed encoding";
-    return runWithPreprocess(cnf, projection, /*lifter=*/{}, options,
-                             [](const Cnf& c, const std::vector<Var>& p, const ModelLifter&,
-                                const AllSatOptions& o) { return chronoAllSat(c, p, o); });
-  }
   if (options.parallel.enabled()) {
     // The guide units are level-0 assignments, so every emitted prefix keeps
     // them, and the widener is shared by every shard as is.
@@ -44,7 +37,7 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   AllSatResult result;
   Governor* governor = options.governor;
   Solver solver;
-  configureSolver(solver, options);
+  solver.setGovernor(governor);
   bool consistent = solver.addCnf(cnf);
 
   std::vector<int> varLevel(static_cast<size_t>(cnf.numVars()), 0);

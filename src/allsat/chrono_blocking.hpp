@@ -30,12 +30,11 @@ namespace presat {
 
 class CircuitWidener;
 
-// Enumerates the projection of the solution set of `cnf` onto `projection`
-// with zero blocking clauses. `projection` must not list a variable twice.
-// `widener` (may be null) speaks `cnf`'s variables — the caller's encoding
-// must already be preprocessed, so options.preprocess must be off — and
-// then chooses every emitted prefix and the deferred scope tier. With
-// options.parallel.jobs >= 1 the engine splits after preprocessing
+// Enumerates the projection of the solution set of `cnf`, exactly as given,
+// onto `projection` with zero blocking clauses. `projection` must not list a
+// variable twice. `widener` (may be null) speaks `cnf`'s variables and then
+// chooses every emitted prefix and the deferred scope tier. With
+// options.parallel.jobs >= 1 the engine splits
 // (parallel/parallel_allsat.hpp).
 AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                           const AllSatOptions& options,

@@ -65,11 +65,6 @@ void accumulateStats(AllSatStats& total, const AllSatStats& part) {
   total.dbClausesPeak = std::max(total.dbClausesPeak, part.dbClausesPeak);
 }
 
-void configureSolver(Solver& solver, const AllSatOptions& options) {
-  solver.setGovernor(options.governor);
-  solver.setProofLog(options.proofLog);
-}
-
 void finishSolverResult(AllSatResult& result, const Solver& solver, const char* engine,
                         double seconds, const Governor* governor) {
   const SolverStats& s = solver.stats();

@@ -22,7 +22,6 @@ namespace presat {
 
 class BddManager;
 class Governor;
-class ProofLog;
 class Solver;
 
 // One wildcard merge applied by compressCubes: parents (A & x) and (A & ~x)
@@ -106,14 +105,6 @@ struct AllSatResult {
 
 struct AllSatOptions {
   uint64_t maxCubes = 0;  // 0 = unlimited
-  // CNF engines (blocking/chrono, serial and parallel): run the one-shot
-  // preprocessing pass (cnf/preprocess.hpp — pure-literal + subsumption
-  // elimination + dense remapping, projection vars frozen) before
-  // enumeration, translating models/cubes back so results keep the projected
-  // index space unchanged. Callers that preprocess upstream (the preimage
-  // layer's shared TransitionEncoding, parallel shard dispatch) clear this to
-  // avoid a redundant second pass.
-  bool preprocess = true;
   // Success-driven engine: enable the learning cache (ablation knob).
   bool successLearning = true;
   // Success-driven engine: bound on learned-subproblem memo entries
@@ -152,23 +143,12 @@ struct AllSatOptions {
   // null = ungoverned (the default — hot paths stay unchanged). Shared
   // across parallel shards: one trip stops every worker cooperatively.
   Governor* governor = nullptr;
-  // DRAT-style proof log for the CNF engines' solver runs (sat/proof.hpp).
-  // Not owned; null = off (the default — solver hot paths stay branch-only).
-  // Unsplit runs only: the split path and the preprocessing adapter clear
-  // it for their inner runs (a shard/remapped proof would speak the wrong
-  // clause set), and certificate emitters replay those runs post-hoc
-  // instead (cert/certificate.hpp).
-  ProofLog* proofLog = nullptr;
   // When non-null, compressCubes appends one CompressMergeRecord per wildcard
   // merge it applies (the certificate's `w` witness lines). Not owned; serial
   // paths only — parallel shard compression never traces (shards would race
   // on the shared vector).
   std::vector<CompressMergeRecord>* compressTrace = nullptr;
 };
-
-// Prologue of the CNF engines (blocking, chrono): attaches the options'
-// governor and proof log to `solver`.
-void configureSolver(Solver& solver, const AllSatOptions& options);
 
 // Epilogue of the CNF engines: copies the solver's counters into
 // result.stats, stamps the wall time and the engine label, exports the stats

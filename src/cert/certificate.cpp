@@ -110,10 +110,10 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
   for (const LitVec& cube : cubes) appendLitLine(cert, 'c', cube);
 
   // --- per-cube witnesses ---------------------------------------------------
-  // One assumption solve per cube on a fresh ungoverned solver: the soundness
-  // invariant (every cube contains only genuine solutions, degraded runs
-  // included) guarantees SAT. The full model is the justification trail the
-  // checker replays without search.
+  // One assumption solve per cube on a fresh ungoverned solver: every
+  // engine's cubes hold solutions, degraded runs included, so each solve is
+  // SAT. The full model is the justification trail the checker replays
+  // without search.
   {
     Solver witness;
     bool loadable = witness.addCnf(cnf);
@@ -151,17 +151,14 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
   }
 
   // --- completeness proof ---------------------------------------------------
-  // Native when the engine logged one (serial CNF runs); otherwise, for
-  // complete covers, a post-hoc replay: F plus the blocking clause of every
-  // cube must be UNSAT, and the replay solver's own proof log — learnt
-  // clauses down to the closing empty clause — certifies it. Partial covers
-  // carry the native log if any (its additions are still valid RUP steps)
-  // but no UNSAT termination.
-  ProofLog replay;
-  const ProofLog* proof = spec.nativeProof;
-  if (complete && (proof == nullptr || !proof->endsWithEmptyClause())) {
+  // Complete covers only, replayed on a fresh ungoverned solver: F plus the
+  // blocking clause of every cube must be UNSAT, and the solver's own proof
+  // log — learnt clauses down to the closing empty clause — certifies it.
+  // Partial covers carry no proof.
+  if (complete) {
+    ProofLog proof;
     Solver closer;
-    closer.setProofLog(&replay);
+    closer.setProofLog(&proof);
     bool consistent = closer.addCnf(cnf);
     for (const LitVec& cube : cubes) {
       if (!consistent) break;
@@ -174,13 +171,11 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
       PRESAT_CHECK(status.isFalse())
           << "certificate replay: cover claimed complete but a solution escapes it";
     }
-    proof = &replay;
-  }
-  if (proof != nullptr) {
-    proof->appendCertLines(cert);
-    out.dratText = proof->toTextDrat();
-    out.dratBinary = proof->toBinaryDrat();
-    if (complete && !proof->endsWithEmptyClause()) {
+    proof.appendCertLines(cert);
+    out.dratText = proof.toTextDrat();
+    out.dratBinary = proof.toBinaryDrat();
+    out.proofSteps = proof.numSteps();
+    if (!proof.endsWithEmptyClause()) {
       // Defensive terminator; buildable only if the RUP chain above reaches
       // a conflict, which the checker independently confirms.
       cert.append("a 0\n");

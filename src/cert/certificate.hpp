@@ -3,15 +3,17 @@
 // A certificate packages everything an external checker needs to verify a
 // preimage cover without trusting this library: the CNF the query solved
 // (`f` lines), the cover (`c` cubes over the projected scope), one model
-// witness per cube (`j` lines — proof each cube contains only genuine
-// solutions), the parallel split's guide cubes (`g` lines — the cross-shard
+// witness per cube (`j` lines — a model of F that extends the cube, so the
+// cube holds at least one solution; it says nothing about the cube's other
+// minterms), the parallel split's guide cubes (`g` lines — the cross-shard
 // disjointness argument), the wildcard-compression merge witnesses (`w`
 // lines — one (x & A) | (~x & A) = A record per merge), and a DRAT-style
 // completeness proof (`a`/`e` lines) whose final empty clause shows that
 // F AND the blocking clauses of every cube is UNSAT — i.e. no solution
 // escapes the cover. Partial (governor-degraded) covers carry no
-// completeness proof; the checker then verifies soundness only and that the
-// claimed outcome is an honest degradation reason.
+// completeness proof; the checker then verifies the witnesses and
+// disjointness only, and that the claimed outcome is an honest degradation
+// reason.
 //
 // Line grammar (integers are signed DIMACS, 1-based; '0' terminates lists):
 //   p presat-cert 1
@@ -45,8 +47,6 @@
 
 namespace presat {
 
-class ProofLog;
-
 struct CertificateSpec {
   const Cnf* cnf = nullptr;                    // formula the cover speaks about
   const std::vector<Var>* scope = nullptr;     // CNF var of projected index i
@@ -54,11 +54,6 @@ struct CertificateSpec {
   // Optional sections (null/empty = omitted).
   const std::vector<LitVec>* guides = nullptr;
   const std::vector<CompressMergeRecord>* merges = nullptr;
-  // Proof of the run that produced the cover, when one was logged natively
-  // (serial CNF engines). When null and the cover is complete, the builder
-  // replays the cover post-hoc: a fresh ungoverned solver proves
-  // F AND blocking(cubes) UNSAT and that replay's log becomes the proof.
-  const ProofLog* nativeProof = nullptr;
   Outcome outcome = Outcome::kComplete;
   bool disjoint = true;  // engine guarantees pairwise-disjoint cubes
   const char* engine = "";
@@ -72,12 +67,15 @@ struct CertificateResult {
   std::string cert;        // presat-cert-v1 text
   std::string dratText;    // text DRAT of the proof embedded in the cert
   std::string dratBinary;  // binary DRAT of the same proof
+  size_t proofSteps = 0;   // steps of that proof (0 for a partial cover)
 };
 
-// Builds the certificate. Witness models are completed with a fresh
-// ungoverned solver (one assumption solve per cube) — every engine's cubes
-// contain only genuine solutions, including governor-degraded partials, so
-// the solves are SAT by the soundness invariant (check-failure otherwise).
+// Builds the certificate. Each witness is one assumption solve per cube on a
+// fresh ungoverned solver; a cube without any solution is a check-failure.
+// A cube that also covers non-solutions still gets a witness, so the
+// witnesses do not show that the cover lies inside the solution set. A
+// complete cover's proof is a replay: a second fresh ungoverned solver
+// proves F AND blocking(cubes) UNSAT, and its log is the proof.
 CertificateResult buildCertificate(const CertificateSpec& spec);
 
 // FNV-1a over the clause integer stream (each clause's DIMACS literals

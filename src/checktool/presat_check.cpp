@@ -10,8 +10,10 @@
 // grammar, not shared source.
 //
 // What is verified (see DESIGN.md "Certificates"):
-//   soundness     every cube's witness is a model of the CNF and agrees with
-//                 the cube's literals through the scope map
+//   witnesses     every cube's witness is a model of the CNF and agrees with
+//                 the cube's literals through the scope map — so each cube
+//                 holds at least one solution; the cube's other minterms are
+//                 NOT checked, and a cube wider than the solution set passes
 //   disjointness  when the header claims disjoint=1, cubes are pairwise
 //                 disjoint (some variable appears with opposite signs)
 //   completeness  when the header claims outcome=complete, the embedded
@@ -19,9 +21,9 @@
 //                 propagation from: the CNF, the blocking clause of every
 //                 cube, and the previously accepted proof additions
 //   honesty       a partial cover must name a recognized degradation reason;
-//                 it is then verified as a sound under-approximation
+//                 it is then checked by its witnesses and disjointness only
 //
-// Exit codes: 0 = complete cover verified; 2 = partial cover verified sound;
+// Exit codes: 0 = complete cover verified; 2 = partial cover whose witnesses verify;
 // 1 = verification failure (diagnostic `presat_check: FAIL cert.<area>.<detail>`
 // on stderr) or usage error.
 

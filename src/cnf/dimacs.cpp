@@ -74,6 +74,8 @@ DimacsFile parseDimacs(std::istream& in) {
       PRESAT_CHECK(false) << "unparsable DIMACS line: '" << line << "'";
     }
   }
+  // An empty, comment-only or truncated input is not a 0-variable formula.
+  PRESAT_CHECK(declaredVars >= 0) << "missing 'p cnf' header";
   PRESAT_CHECK(current.empty()) << "unterminated clause at end of DIMACS input";
   if (declaredClauses >= 0) {
     PRESAT_CHECK(static_cast<long>(file.cnf.numClauses()) == declaredClauses)

@@ -76,6 +76,16 @@ struct PreprocessedCnf {
     return mkLit(v, orig.sign());
   }
 
+  // Translates a projection scope elementwise; every variable must be mapped
+  // (frozen). Index i keeps naming the same variable, so cubes over the
+  // projected index space need no translation.
+  std::vector<Var> internalVars(const std::vector<Var>& orig) const {
+    std::vector<Var> out;
+    out.reserve(orig.size());
+    for (Var v : orig) out.push_back(internalLit(mkLit(v)).var());
+    return out;
+  }
+
   // Lifts an internal model (or partial model) back to the original space:
   // mapped variables copy their internal value verbatim (l_Undef stays
   // l_Undef — projected witnesses survive the round trip), eliminated pure

@@ -19,11 +19,8 @@ namespace {
 AllSatOptions shardOptions(const AllSatOptions& options) {
   AllSatOptions inner = options;
   inner.parallel = ParallelOptions{};
-  // Certificate plumbing is for the merged result, not the shards: a shard
-  // proof would speak the guide-constrained formula, and concurrent shards
-  // would race on a shared compression trace. Certificate emitters replay
-  // the merged cover post-hoc instead (cert/certificate.hpp).
-  inner.proofLog = nullptr;
+  // Concurrent shards would race on a shared compression trace; the merged
+  // cover's post-pass traces instead.
   inner.compressTrace = nullptr;
   return inner;
 }
@@ -63,7 +60,6 @@ size_t degradeSkippedShards(std::vector<ShardOutcome>& shards, const SplitPlan& 
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                                const AllSatOptions& options, const CnfShardSolver& solveShard) {
   PRESAT_CHECK(options.parallel.enabled()) << "parallel engine called with jobs == 0";
-  PRESAT_CHECK(!options.preprocess) << "the engine preprocesses once, before the split";
   Timer timer;
 
   SplitPlan plan = planCnfSplit(cnf, projection, ParallelOptions::kDefaultSplitDepth);

@@ -36,8 +36,7 @@ namespace presat {
 // contains.
 using CnfShardSolver = std::function<AllSatResult(const Cnf& sub, const AllSatOptions& options)>;
 
-// Split path of the CNF engines, on an already preprocessed formula. The
-// engine label is the caller's to set.
+// Split path of the CNF engines. The engine label is the caller's to set.
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                                const AllSatOptions& options, const CnfShardSolver& solveShard);
 

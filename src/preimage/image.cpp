@@ -54,9 +54,7 @@ ImageResult imageViaAllSat(const TransitionEncoding& te, const TransitionSystem&
   }
 
   // The shared encoding is already preprocessed.
-  AllSatOptions opts = options;
-  opts.preprocess = false;
-  AllSatResult r = blockingAllSat(cnf, projection, /*lifter=*/{}, opts);
+  AllSatResult r = blockingAllSat(cnf, projection, /*lifter=*/{}, options);
   ImageResult result;
   result.states.numStateBits = system.numStateBits();
   result.states.cubes = std::move(r.cubes);

@@ -9,7 +9,6 @@
 #include "cert/certificate.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/simulator.hpp"
-#include "sat/proof.hpp"
 #include "circuit/tseitin.hpp"
 #include "govern/governor.hpp"
 #include "preimage/bdd_preimage.hpp"
@@ -233,34 +232,16 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
   PRESAT_CHECK(target.numStateBits == n) << "target state width mismatch";
 
   // The CNF engines run on the shared (or locally built) preprocessed
-  // encoding, so the per-engine preprocess pass would be a redundant second
-  // round over an already-reduced formula — clear it.
+  // encoding. So does the certificate of every engine: it embeds the CNF the
+  // cover is checked against, and compression traces its merge witnesses.
   std::optional<TransitionEncoding> localEncoding;
   const TransitionEncoding* te = options.encoding;
   AllSatOptions satOpts = options.allsat;
-  if (preimageMethodUsesCnf(method)) {
-    if (te == nullptr) {
-      localEncoding = buildTransitionEncoding(system, options.allsat.governor);
-      te = &*localEncoding;
-    }
-    satOpts.preprocess = false;
-  }
-
-  // Certificate plumbing: every CNF run logs its proof natively, and the
-  // log is used only when the run came back unsplit (no guides): the split
-  // path clears it per shard, and the cover is replayed post-hoc instead.
-  // Compression traces its merge witnesses. The non-CNF engines still need
-  // the encoding — the certificate embeds the CNF their cover is checked
-  // against.
-  ProofLog nativeLog;
   std::vector<CompressMergeRecord> mergeTrace;
-  if (options.emitCertificate) {
-    if (te == nullptr) {
-      localEncoding = buildTransitionEncoding(system, options.allsat.governor);
-      te = &*localEncoding;
-    }
-    if (preimageMethodUsesCnf(method)) satOpts.proofLog = &nativeLog;
-    satOpts.compressTrace = &mergeTrace;
+  if (options.emitCertificate) satOpts.compressTrace = &mergeTrace;
+  if (te == nullptr && (preimageMethodUsesCnf(method) || options.emitCertificate)) {
+    localEncoding = buildTransitionEncoding(system, options.allsat.governor);
+    te = &*localEncoding;
   }
 
   auto withPreprocessMetrics = [&te](PreimageResult&& r) {
@@ -351,7 +332,6 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     spec.cubes = &result.states.cubes;
     if (!result.guides.empty()) spec.guides = &result.guides;
     if (!mergeTrace.empty()) spec.merges = &mergeTrace;
-    if (satOpts.proofLog != nullptr && result.guides.empty()) spec.nativeProof = &nativeLog;
     spec.outcome = result.outcome;
     spec.disjoint = methodCoverDisjoint(method);
     spec.engine = preimageMethodName(method);
@@ -364,7 +344,7 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     result.dratText = std::move(cert.dratText);
     result.dratBinary = std::move(cert.dratBinary);
     result.metrics.setCounter("cert.bytes", result.certificate.size());
-    result.metrics.setCounter("cert.proof_steps", nativeLog.numSteps());
+    result.metrics.setCounter("cert.proof_steps", cert.proofSteps);
   }
   return result;
 }

@@ -72,9 +72,9 @@ struct PreimageOptions {
   const TransitionEncoding* encoding = nullptr;
   // Emit a presat-cert-v1 certificate (cert/certificate.hpp) into
   // PreimageResult::certificate, verifiable by the standalone presat_check
-  // tool. Serial CNF engines log their proof natively during the run; every
-  // other path (parallel, success-driven, BDD, partial covers) is replayed
-  // post-hoc. Off by default — the zero-cost path adds no work anywhere.
+  // tool. Its completeness proof is replayed after the run, for every engine
+  // and every `jobs`. Off by default — the zero-cost path adds no work
+  // anywhere.
   bool emitCertificate = false;
 };
 

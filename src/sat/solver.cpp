@@ -744,6 +744,7 @@ void Solver::beginEnumeration(const std::vector<Var>& scope, bool projectedWitne
                               const std::vector<Var>& deferred) {
   PRESAT_CHECK(!enumerating_) << "beginEnumeration() during an active session";
   PRESAT_CHECK(decisionLevel() == 0) << "beginEnumeration() above level 0";
+  PRESAT_CHECK(proofLog_ == nullptr) << "beginEnumeration() with a proof log attached";
   enumerating_ = true;
   enumExhausted_ = false;
   enumProjected_ = projectedWitness;
@@ -795,28 +796,9 @@ bool Solver::flipToNextRegion(int maxLevel) {
   while (f >= 1 && levelFlipped_[static_cast<size_t>(f - 1)]) --f;
   if (f < 1) {
     enumExhausted_ = true;
-    // Every level is flipped: the chained flip clauses below, together with
-    // the blocking clauses of the emitted cubes (premises in the certificate
-    // model), propagate to a conflict — the closing empty clause is RUP.
-    if (proofLog_ != nullptr) proofLog_->addEmpty();
     return false;
   }
   Lit d = trail_[static_cast<size_t>(trailLim_[static_cast<size_t>(f - 1)])];
-  if (proofLog_ != nullptr) {
-    // Log the reason-less flip as the clause NOT(d_1 & ... & d_f) over the
-    // decisions currently at levels 1..f (read before cancelUntil drops
-    // them). It is RUP against the emitted cubes' blocking clauses: earlier
-    // flip clauses unit-derive each already-flipped decision, propagation
-    // rederives the implied literals, and the deepest region's cube premise
-    // closes the conflict. This stands in for the blocking clause the
-    // chronological engine never materializes.
-    LitVec flip;
-    flip.reserve(static_cast<size_t>(f));
-    for (int lvl = 1; lvl <= f; ++lvl) {
-      flip.push_back(~trail_[static_cast<size_t>(trailLim_[static_cast<size_t>(lvl - 1)])]);
-    }
-    proofLog_->addClause(flip);
-  }
   cancelUntil(f - 1);
   newDecisionLevel();
   levelFlipped_.back() = 1;
@@ -844,7 +826,6 @@ lbool Solver::enumerateNextModel() {
       if (decisionLevel() == 0) {
         ok_ = false;
         enumExhausted_ = true;
-        if (proofLog_ != nullptr) proofLog_->addEmpty();
         return l_False;
       }
       int flipBarrier = deepestFlippedLevel();
@@ -866,11 +847,6 @@ lbool Solver::enumerateNextModel() {
       int target = std::max(btLevel, flipBarrier);
       cancelUntil(target);
       if (learnt.size() == 1) {
-        // Unit learnts are logged whether they land on the level-0 trail or
-        // behind the barrier with a synthetic reason: either way the literal
-        // is a consequence of the formula plus the emitted cubes' blocking
-        // clauses, i.e. a RAT/RUP addition in the certificate model.
-        if (proofLog_ != nullptr) proofLog_->addUnit(learnt[0]);
         if (target == 0) {
           uncheckedEnqueue(learnt[0], kNullClauseRef);
         } else {

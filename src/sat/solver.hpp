@@ -148,11 +148,12 @@ class Solver {
   // are charged against the tracked-byte pool. The governor must outlive the
   // solver (or be detached first).
   void setGovernor(Governor* governor);
-  // Attaches a DRAT-style proof log (may be null to detach; must outlive the
-  // solver or be detached first). The log records learnt/deleted clauses,
-  // the flip clauses closing each enumeration region, and the empty clause
-  // on UNSAT, so an external checker can replay the run's terminations. A
-  // null log keeps every search hot path branch-only.
+  // Attaches a DRAT-style proof log to solve() (may be null to detach; must
+  // outlive the solver or be detached first). The log records learnt and
+  // deleted clauses and the empty clause on UNSAT, so an external checker
+  // can replay the refutation. An enumeration session takes no log:
+  // beginEnumeration() CHECKs that none is attached. A null log keeps every
+  // search hot path branch-only.
   void setProofLog(ProofLog* log) { proofLog_ = log; }
 
   const SolverStats& stats() const { return stats_; }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "allsat/blocking.hpp"
 #include "allsat/lifting.hpp"
@@ -11,6 +12,7 @@
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
 #include "check/audit_solution_graph.hpp"
+#include "cnf/preprocess.hpp"
 #include "circuit/simulator.hpp"
 #include "gen/generators.hpp"
 #include "gen/iscas.hpp"
@@ -114,10 +116,11 @@ TEST(MintermBlocking, EmptyProjection) {
 TEST(MintermBlocking, RepeatedProjectionVariable) {
   Cnf cnf(2);
   cnf.addBinary(mkLit(0), mkLit(1));
-  for (bool preprocess : {false, true}) {
-    AllSatOptions opts;
-    opts.preprocess = preprocess;
-    AllSatResult r = blockingAllSat(cnf, {0, 0, 1}, {}, opts);
+  const std::vector<Var> projection = {0, 0, 1};
+  PreprocessedCnf pre = preprocessCnf(cnf, projection);
+  for (const auto& [formula, scope] :
+       {std::pair{cnf, projection}, std::pair{pre.cnf, pre.internalVars(projection)}}) {
+    AllSatResult r = blockingAllSat(formula, scope);
     ASSERT_TRUE(r.complete);
     EXPECT_EQ(r.mintermCount.toU64(), 3u);
     EXPECT_EQ(cubesToMinterms(r.cubes, 3), (std::set<uint64_t>{0b100, 0b011, 0b111}));

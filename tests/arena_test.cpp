@@ -316,25 +316,25 @@ TEST(Preprocess, ThenSolveMatchesBruteForce) {
     }
     std::set<uint64_t> expected = bruteForceProjectedSolutions(cnf, projection);
 
-    // options.preprocess defaults to true: both serial CNF engines run
-    // through the adapter (internal solve + cube translation).
-    AllSatResult minterm = blockingAllSat(cnf, projection);
+    // Both serial CNF engines on the preprocessed formula, over the scope
+    // translated index by index: their cubes need no translation back.
+    PreprocessedCnf pre = preprocessCnf(cnf, projection);
+    const std::vector<Var> internal = pre.internalVars(projection);
+    AllSatResult minterm = blockingAllSat(pre.cnf, internal);
     ASSERT_TRUE(minterm.complete);
     EXPECT_EQ(cubesToMinterms(minterm.cubes, projection.size()), expected)
         << "minterm, iter " << iter;
     EXPECT_EQ(minterm.mintermCount.toU64(), expected.size());
     EXPECT_TRUE(cubesPairwiseDisjoint(minterm.cubes));
 
-    AllSatResult chrono = chronoAllSat(cnf, projection, AllSatOptions{});
+    AllSatResult chrono = chronoAllSat(pre.cnf, internal, AllSatOptions{});
     ASSERT_TRUE(chrono.complete);
     EXPECT_EQ(cubesToMinterms(chrono.cubes, projection.size()), expected)
         << "chrono, iter " << iter;
 
-    // Preprocessing must be observable-equal to the raw engine, cube for
-    // cube: the adapter's translation keeps the projected index space.
-    AllSatOptions raw;
-    raw.preprocess = false;
-    AllSatResult mintermRaw = blockingAllSat(cnf, projection, {}, raw);
+    // Preprocessing must be observable-equal to the raw engine: the
+    // projected index space is the same in both formulas.
+    AllSatResult mintermRaw = blockingAllSat(cnf, projection);
     EXPECT_EQ(mintermRaw.mintermCount, minterm.mintermCount);
     EXPECT_EQ(cubesToMinterms(mintermRaw.cubes, projection.size()),
               cubesToMinterms(minterm.cubes, projection.size()));
@@ -345,8 +345,11 @@ TEST(Preprocess, MetricsAreExported) {
   Cnf cnf(3);
   cnf.addBinary(mkLit(0), mkLit(1));
   cnf.addBinary(mkLit(0), ~mkLit(2));
-  AllSatResult r = blockingAllSat(cnf, {0});
+  PreprocessedCnf pre = preprocessCnf(cnf, {0});
+  AllSatResult r = blockingAllSat(pre.cnf, pre.internalVars({0}));
   ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.mintermCount.toU64(), 2u);
+  exportPreprocessMetrics(pre.stats, r.metrics);
   EXPECT_EQ(r.metrics.counter("preprocess.vars_before"), 3u);
   EXPECT_GE(r.metrics.counter("preprocess.pure_literals"), 1u);
   EXPECT_LE(r.metrics.counter("preprocess.vars_after"),
@@ -354,9 +357,10 @@ TEST(Preprocess, MetricsAreExported) {
 }
 
 // ---------------------------------------------------------------------------
-// jobs=1 vs jobs=8 bit-identity with preprocessing on: the shared pass runs
-// once before the split, so the shard plan — and therefore the merged cover,
-// cube for cube, literal for literal — is identical for every worker count.
+// jobs=1 vs jobs=8 bit-identity on a preprocessed formula: the pass runs
+// once before the engine splits, so the shard plan — and therefore the
+// merged cover, cube for cube, literal for literal — is identical for every
+// worker count.
 
 TEST(ParallelDeterminism, Jobs1VsJobs8BitIdentity) {
   Rng rng(777);
@@ -369,12 +373,15 @@ TEST(ParallelDeterminism, Jobs1VsJobs8BitIdentity) {
     }
     if (projection.empty()) projection.push_back(0);
     std::set<uint64_t> expected = bruteForceProjectedSolutions(cnf, projection);
+    PreprocessedCnf pre = preprocessCnf(cnf, projection);
+    const std::vector<Var> internal = pre.internalVars(projection);
 
     for (bool chrono : {false, true}) {
       auto run = [&](int jobs) {
         AllSatOptions o;
         o.parallel.jobs = jobs;
-        return chrono ? chronoAllSat(cnf, projection, o) : blockingAllSat(cnf, projection, {}, o);
+        return chrono ? chronoAllSat(pre.cnf, internal, o)
+                      : blockingAllSat(pre.cnf, internal, {}, o);
       };
       AllSatResult r1 = run(1);
       AllSatResult r8 = run(8);

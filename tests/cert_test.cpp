@@ -113,10 +113,12 @@ TEST(CertAccept, ParallelJobsOneAndEight) {
       CheckRun run = runChecker(r.certificate);
       EXPECT_EQ(run.exitCode, 0)
           << preimageMethodName(method) << " jobs=" << jobs << "\n" << run.output;
+      // Every complete cover embeds the replayed proof.
+      EXPECT_GT(r.metrics.counter("cert.proof_steps"), 0u)
+          << preimageMethodName(method) << " jobs=" << jobs;
       if (method == PreimageMethod::kCubeBlockingLifted) {
-        // Lifted cube blocking never splits, so it keeps its native proof.
+        // Lifted cube blocking never splits.
         EXPECT_TRUE(r.guides.empty()) << "jobs=" << jobs;
-        EXPECT_GT(r.metrics.counter("cert.proof_steps"), 0u) << "jobs=" << jobs;
       }
     }
   }
@@ -139,8 +141,8 @@ TEST(CertAccept, ProjectedAndCompressedCovers) {
   }
 
   // A random circuit whose chrono cover the circuit widening actually
-  // widens: the serial run's native proof and the jobs=4 post-hoc replay
-  // must both verify.
+  // widens: the replayed proofs of the serial and the jobs=4 cover must
+  // both verify.
   Netlist rand = benchutil::randomBench(5, 12, 150, 23);
   StateSet target = benchutil::reachableCube(rand, 4, 102);
   for (int jobs : {0, 4}) {

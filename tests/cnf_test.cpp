@@ -214,6 +214,13 @@ TEST(DimacsDeath, RejectsOversizedLiteral) {
                "exceeds declared variable count");
 }
 
+TEST(DimacsDeath, RejectsMissingHeader) {
+  // Empty or comment-only input (a truncated file, /dev/null) is not a
+  // 0-variable formula with one solution.
+  EXPECT_DEATH(parseDimacsString(""), "missing 'p cnf' header");
+  EXPECT_DEATH(parseDimacsString("c only a comment\nc proj 1 2\n"), "missing 'p cnf' header");
+}
+
 TEST(DimacsDeath, RejectsClauseBeforeHeader) {
   EXPECT_DEATH(parseDimacsString("1 2 0\np cnf 2 1\n1 2 0\n"), "clause before 'p cnf' header");
 }

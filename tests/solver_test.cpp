@@ -12,6 +12,7 @@
 #include "cnf/dimacs.hpp"
 #include "govern/governor.hpp"
 #include "oracle/dpll.hpp"
+#include "sat/proof.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 
@@ -202,6 +203,17 @@ TEST(SolverDeathTest, DeferredVariableOutsideScopeAborts) {
   s.newVar();
   EXPECT_DEATH(s.beginEnumeration({0}, /*projectedWitness=*/false, /*deferred=*/{1}),
                "deferred variable x1 is not in the enumeration scope");
+}
+
+// An enumeration session has no proof hooks: the certificate proves a cover
+// complete by replaying it through solve(), so a log attached to a session
+// is a caller bug.
+TEST(SolverDeath, EnumerationWithProofLogAborts) {
+  Solver s;
+  s.newVar();
+  ProofLog log;
+  s.setProofLog(&log);
+  EXPECT_DEATH(s.beginEnumeration({0}), "beginEnumeration\\(\\) with a proof log attached");
 }
 
 // The central correctness test: the CDCL solver and the reference DPLL agree

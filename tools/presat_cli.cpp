@@ -44,6 +44,10 @@
 // it; any other flag, one another command reads included, is an error
 // (exit 2).
 //
+// `allsat` and `audit` preprocess a .cnf input once (cnf/preprocess.hpp,
+// projection scope frozen) before its CNF engines run, as the circuit
+// commands do per circuit; success-driven reads the input formula itself.
+//
 // `audit` is the enumeration cross-checker: it runs every engine on the same
 // instance, validates the per-engine invariants (disjoint minterms, sound
 // cubes, well-formed solution graphs), and checks that all engines agree on
@@ -51,6 +55,8 @@
 // invariant by name. SPEC is one of counter:N, gray:N, lfsr:N, shift:N,
 // arbiter:N, accum:N, traffic, lock (the grammar presat_serve's `gen` field
 // takes); a malformed SPEC or numeric flag value is a usage error (exit 2).
+// On a .cnf file `audit` runs ungoverned and takes neither --target nor a
+// budget flag.
 #include <algorithm>
 #include <charconv>
 #include <climits>
@@ -78,6 +84,7 @@
 #include "circuit/bench_io.hpp"
 #include "circuit/from_cnf.hpp"
 #include "cnf/dimacs.hpp"
+#include "cnf/preprocess.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
 #include "preimage/bmc.hpp"
@@ -313,14 +320,27 @@ int cmdInfo(const Args& args) {
   return 0;
 }
 
-int cmdAllsat(const Args& args) {
-  DimacsFile file = parseDimacsFile(args.positional[0]);
+// A DIMACS input's formula and projection scope: its `c proj` line, or
+// every variable.
+struct DimacsInput {
+  Cnf cnf;
   std::vector<Var> projection;
+};
+
+DimacsInput readDimacsInput(const std::string& path) {
+  DimacsFile file = parseDimacsFile(path);
+  DimacsInput input{std::move(file.cnf), {}};
   if (file.projection) {
-    projection = *file.projection;
+    input.projection = std::move(*file.projection);
   } else {
-    for (Var v = 0; v < file.cnf.numVars(); ++v) projection.push_back(v);
+    for (Var v = 0; v < input.cnf.numVars(); ++v) input.projection.push_back(v);
   }
+  return input;
+}
+
+int cmdAllsat(const Args& args) {
+  const DimacsInput input = readDimacsInput(args.positional[0]);
+  const std::vector<Var>& projection = input.projection;
   AllSatOptions options;
   options.maxCubes = args.u64Flag("max", 0);
   applyEngineFlags(args, options);
@@ -329,21 +349,29 @@ int cmdAllsat(const Args& args) {
   std::string method = args.flag("method", "sd");
 
   AllSatResult result;
-  if (method == "minterm" || method == "cube") {
-    // One blocking engine; "cube" hands it the implicant lifter.
-    const Cnf& cnf = file.cnf;
-    ModelLifter lifter;
-    if (method == "cube") {
-      if (projection.size() != static_cast<size_t>(cnf.numVars())) {
-        usage("--method cube needs a full projection (implicant lifting)");
-      }
-      lifter = [&cnf](const std::vector<lbool>& m) { return shrinkModelToImplicant(cnf, m); };
+  if (method == "minterm" || method == "cube" || method == "chrono") {
+    if (method == "cube" && projection.size() != static_cast<size_t>(input.cnf.numVars())) {
+      usage("--method cube needs a full projection (implicant lifting)");
     }
-    result = blockingAllSat(cnf, projection, lifter, options);
-  } else if (method == "chrono") {
-    result = chronoAllSat(file.cnf, projection, options);
+    // The CNF engines enumerate the input preprocessed once with its scope
+    // frozen, as buildTransitionEncoding does for a circuit. The scope maps
+    // index by index, so their cubes need no translation back.
+    const PreprocessedCnf pre = preprocessCnf(input.cnf, projection, governor.get());
+    const std::vector<Var> scope = pre.internalVars(projection);
+    const Cnf& cnf = pre.cnf;
+    if (method == "chrono") {
+      result = chronoAllSat(cnf, scope, options);
+    } else {
+      // One blocking engine; "cube" hands it the implicant lifter.
+      ModelLifter lifter;
+      if (method == "cube") {
+        lifter = [&cnf](const std::vector<lbool>& m) { return shrinkModelToImplicant(cnf, m); };
+      }
+      result = blockingAllSat(cnf, scope, lifter, options);
+    }
+    exportPreprocessMetrics(pre.stats, result.metrics);
   } else if (method == "sd") {
-    CnfCircuit circuit = cnfToCircuit(file.cnf);
+    CnfCircuit circuit = cnfToCircuit(input.cnf);
     CircuitAllSatProblem problem;
     problem.netlist = &circuit.netlist;
     problem.objectives = {{circuit.root, true}};
@@ -563,21 +591,21 @@ int finishAudit(const AuditResult& audit, const std::string& what) {
   return 0;
 }
 
-// CNF mode: the four CNF-capable engines, plus per-cube SAT soundness.
+// CNF mode: the four CNF-capable engines, plus per-cube SAT soundness. The
+// CNF engines enumerate the input preprocessed once, as in cmdAllsat; every
+// check reads the input formula.
 int cmdAuditCnf(AuditResult& audit, const Args& args) {
-  DimacsFile file = parseDimacsFile(args.positional[0]);
-  std::vector<Var> projection;
-  if (file.projection) {
-    projection = *file.projection;
-  } else {
-    for (Var v = 0; v < file.cnf.numVars(); ++v) projection.push_back(v);
-  }
-  const bool fullProjection = projection.size() == static_cast<size_t>(file.cnf.numVars());
+  const DimacsInput input = readDimacsInput(args.positional[0]);
+  const Cnf& original = input.cnf;
+  const std::vector<Var>& projection = input.projection;
+  const PreprocessedCnf pre = preprocessCnf(original, projection);
+  const std::vector<Var> scope = pre.internalVars(projection);
+  const bool fullProjection = projection.size() == static_cast<size_t>(original.numVars());
   const int width = static_cast<int>(projection.size());
 
   std::vector<EngineRun> runs;
   {
-    AllSatResult r = blockingAllSat(file.cnf, projection);
+    AllSatResult r = blockingAllSat(pre.cnf, scope);
     if (!cubesPairwiseDisjoint(r.cubes)) {
       audit.fail("audit.minterm.disjoint",
                  "minterm-blocking produced overlapping cubes on " + args.positional[0]);
@@ -587,11 +615,11 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
   if (fullProjection) {
     // Implicant lifting needs the full scope; without it this run would be
     // the minterm run above again.
-    const Cnf& cnf = file.cnf;
+    const Cnf& cnf = pre.cnf;
     ModelLifter lifter = [&cnf](const std::vector<lbool>& m) {
       return shrinkModelToImplicant(cnf, m);
     };
-    AllSatResult r = blockingAllSat(cnf, projection, lifter);
+    AllSatResult r = blockingAllSat(cnf, scope, lifter);
     runs.push_back({"cube-blocking", std::move(r.cubes), std::move(r.mintermCount), r.complete});
   }
   {
@@ -599,9 +627,9 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     // the shard merge is cross-checked against the serial engines here too.
     AllSatOptions chronoOptions;
     applyEngineFlags(args, chronoOptions);
-    AllSatResult r = chronoAllSat(file.cnf, projection, chronoOptions);
+    AllSatResult r = chronoAllSat(pre.cnf, scope, chronoOptions);
     // Proves chrono.disjoint and chrono.cover against the BDD oracle.
-    audit.merge(auditChronoCubes(file.cnf, projection, r.cubes, r.complete));
+    audit.merge(auditChronoCubes(original, projection, r.cubes, r.complete));
     runs.push_back({"chrono", std::move(r.cubes), std::move(r.mintermCount), r.complete});
   }
   {
@@ -613,15 +641,15 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     applyEngineFlags(args, projOptions);
     projOptions.project = true;
     projOptions.compress = true;
-    AllSatResult r = chronoAllSat(file.cnf, projection, projOptions);
+    AllSatResult r = chronoAllSat(pre.cnf, scope, projOptions);
     ChronoAuditOptions projAudit;
     projAudit.diagPrefix = "proj";
-    audit.merge(auditChronoCubes(file.cnf, projection, r.cubes, r.complete, projAudit));
+    audit.merge(auditChronoCubes(original, projection, r.cubes, r.complete, projAudit));
     runs.push_back(
         {"chrono-projected", std::move(r.cubes), std::move(r.mintermCount), r.complete});
   }
   {
-    CnfCircuit circuit = cnfToCircuit(file.cnf);
+    CnfCircuit circuit = cnfToCircuit(original);
     audit.merge(auditNetlist(circuit.netlist));
     CircuitAllSatProblem problem;
     problem.netlist = &circuit.netlist;
@@ -642,7 +670,7 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
   constexpr size_t kMaxCubeChecks = 256;
   for (const EngineRun& run : runs) {
     Solver solver;
-    solver.addCnf(file.cnf);
+    solver.addCnf(original);
     for (size_t i = 0; i < run.cubes.size() && i < kMaxCubeChecks; ++i) {
       LitVec assumptions;
       for (Lit l : run.cubes[i]) {
@@ -731,6 +759,12 @@ int cmdAudit(const Args& args) {
   AuditResult audit;
   if (!args.flag("gen").empty()) return cmdAuditCircuit(audit, args);
   if (args.positional.empty()) usage("audit needs a .cnf file or --gen SPEC");
+  // CNF mode has no target and runs ungoverned.
+  for (const char* name : {"target", "timeout-ms", "mem-limit-mb", "conflict-limit"}) {
+    if (args.flags.count(name) != 0) {
+      usage(("unknown flag --" + std::string(name) + " for audit <file.cnf>").c_str());
+    }
+  }
   return cmdAuditCnf(audit, args);
 }
 
