@@ -654,7 +654,8 @@ int main(int argc, char** argv) {
                  "  --circuit-hash: also require the header's circuit structural hash\n"
                  "                  to equal this caller-known value (staleness check)\n"
                  "  exit 0: complete cover verified\n"
-                 "  exit 2: partial cover verified as a sound under-approximation\n"
+                 "  exit 2: partial cover: witnesses and disjointness verified, and the\n"
+                 "          outcome is a recognized degradation reason (no completeness proof)\n"
                  "  exit 1: verification failure or usage error\n");
     return 1;
   }
@@ -706,7 +707,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::printf(
-      "presat_check: OK partial cover verified sound (outcome=%s, %zu cubes, engine %s)\n",
+      "presat_check: OK partial cover: witnesses and disjointness verified, honest outcome=%s "
+      "(%zu cubes, engine %s)\n",
       cert.outcome.c_str(), cert.cubes.size(), cert.engine.c_str());
   return 2;
 }

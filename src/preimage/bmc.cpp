@@ -2,30 +2,10 @@
 
 #include "base/log.hpp"
 #include "base/timer.hpp"
-#include "circuit/tseitin.hpp"
-#include "circuit/unroll.hpp"
+#include "preimage/preimage.hpp"
 #include "sat/solver.hpp"
 
 namespace presat {
-
-namespace {
-
-// Adds "state nodes `nodes` lie in `set`" via one selector per cube.
-void constrainStateSet(Cnf& cnf, const CircuitEncoding& enc, const std::vector<NodeId>& nodes,
-                       const StateSet& set) {
-  PRESAT_CHECK(!set.cubes.empty()) << "empty state set makes the query trivially UNSAT";
-  Clause atLeastOne;
-  for (const LitVec& cube : set.cubes) {
-    Lit sel = mkLit(cnf.newVar());
-    atLeastOne.push_back(sel);
-    for (Lit l : cube) {
-      cnf.addBinary(~sel, enc.litOf(nodes[static_cast<size_t>(l.var())], !l.sign()));
-    }
-  }
-  cnf.addClause(std::move(atLeastOne));
-}
-
-}  // namespace
 
 BmcResult boundedReach(const TransitionSystem& system, const StateSet& init,
                        const StateSet& target, int maxDepth) {
@@ -38,93 +18,66 @@ BmcResult boundedReach(const TransitionSystem& system, const StateSet& init,
     return result;
   }
 
-  for (int k = 0; k <= maxDepth; ++k) {
-    UnrolledCircuit unrolled = unroll(system, k);
-    CircuitEncoding enc = encodeCircuit(unrolled.netlist);
-    constrainStateSet(enc.cnf, enc, unrolled.stateAt.front(), init);
-    constrainStateSet(enc.cnf, enc, unrolled.stateAt.back(), target);
-
-    Solver solver;
-    ++result.satCalls;
-    if (!solver.addCnf(enc.cnf) || !solver.solve().isTrue()) continue;
-
-    result.reachable = true;
-    result.depth = k;
-    for (int t = 0; t <= k; ++t) {
-      std::vector<bool> state(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        state[static_cast<size_t>(i)] =
-            solver.modelValue(enc.varOf(unrolled.stateAt[static_cast<size_t>(t)][static_cast<size_t>(i)]));
-      }
-      result.traceStates.push_back(std::move(state));
-    }
-    for (int t = 0; t < k; ++t) {
-      std::vector<bool> inputs(static_cast<size_t>(system.numInputs()));
-      for (int j = 0; j < system.numInputs(); ++j) {
-        inputs[static_cast<size_t>(j)] = solver.modelValue(
-            enc.varOf(unrolled.frameInputs[static_cast<size_t>(t)][static_cast<size_t>(j)]));
-      }
-      result.traceInputs.push_back(std::move(inputs));
-    }
-    break;
-  }
-  result.seconds = timer.seconds();
-  return result;
-}
-
-BmcResult boundedReachIncremental(const TransitionSystem& system, const StateSet& init,
-                                  const StateSet& target, int maxDepth) {
-  Timer timer;
-  const int n = system.numStateBits();
-  PRESAT_CHECK(init.numStateBits == n && target.numStateBits == n);
-  BmcResult result;
-  if (init.cubes.empty() || target.cubes.empty()) {
-    result.seconds = timer.seconds();
-    return result;
-  }
-
-  UnrolledCircuit unrolled = unroll(system, maxDepth);
-  CircuitEncoding enc = encodeCircuit(unrolled.netlist);
-  constrainStateSet(enc.cnf, enc, unrolled.stateAt.front(), init);
+  const CircuitEncoding enc = encodeTransition(system);
+  const int frameVars = enc.cnf.numVars();
+  // stateBit[v]: the state bit whose present-state variable is v, or -1.
+  std::vector<int> stateBit(static_cast<size_t>(frameVars), -1);
+  for (int i = 0; i < n; ++i) stateBit[static_cast<size_t>(enc.varOf(system.stateNode(i)))] = i;
 
   Solver solver;
-  bool consistent = solver.addCnf(enc.cnf);
+  // frames[t][v]: solver variable of encoding variable v in frame t.
+  std::vector<std::vector<Var>> frames;
+  auto frameLit = [&](int t, NodeId node) {
+    return mkLit(frames[static_cast<size_t>(t)][static_cast<size_t>(enc.varOf(node))]);
+  };
 
-  for (int k = 0; consistent && k <= maxDepth; ++k) {
-    // Activation literal for "target holds at frame k".
-    Var activation = solver.newVar();
-    LitVec selectors;
-    for (const LitVec& cube : target.cubes) {
-      Var sel = solver.newVar();
-      for (Lit l : cube) {
-        NodeId node = unrolled.stateAt[static_cast<size_t>(k)][static_cast<size_t>(l.var())];
-        consistent = consistent && solver.addClause({~mkLit(sel), enc.litOf(node, !l.sign())});
-      }
-      selectors.push_back(mkLit(sel));
+  for (int k = 0; k <= maxDepth; ++k) {
+    // Frame k: a copy of the encoding over fresh variables, except that its
+    // state variables are frame k-1's next-state-root variables (the tie is
+    // a substitution, not equivalence clauses), so they carry the state at
+    // time k.
+    Cnf frame(solver.numVars());
+    std::vector<Var>& vars = frames.emplace_back(static_cast<size_t>(frameVars));
+    for (Var v = 0; v < frameVars; ++v) {
+      const int bit = stateBit[static_cast<size_t>(v)];
+      vars[static_cast<size_t>(v)] = k > 0 && bit >= 0
+                                         ? frameLit(k - 1, system.nextStateRoot(bit)).var()
+                                         : frame.newVar();
     }
-    LitVec gate = selectors;
-    gate.push_back(~mkLit(activation));
-    consistent = consistent && solver.addClause(gate);
-    if (!consistent) break;
+    for (const Clause& clause : enc.cnf.clauses()) {
+      Clause copy;
+      copy.reserve(clause.size());
+      for (Lit l : clause) copy.push_back(mkLit(vars[static_cast<size_t>(l.var())], l.sign()));
+      frame.addClause(std::move(copy));
+    }
+    LitVec state;
+    for (NodeId s : system.stateNodes()) state.push_back(frameLit(k, s));
+    if (k == 0) addStateSetClauses(frame, init, state);
+    const Lit activation = mkLit(frame.newVar());
+    addStateSetClauses(frame, target, state, activation);
+    if (!solver.addCnf(frame)) break;
 
     ++result.satCalls;
-    if (!solver.solve({mkLit(activation)}).isTrue()) continue;
+    if (!solver.solve({activation}).isTrue()) {
+      solver.addClause({~activation});  // retire this depth's target
+      continue;
+    }
 
     result.reachable = true;
     result.depth = k;
     for (int t = 0; t <= k; ++t) {
-      std::vector<bool> state(static_cast<size_t>(n));
+      std::vector<bool> states(static_cast<size_t>(n));
       for (int i = 0; i < n; ++i) {
-        state[static_cast<size_t>(i)] = solver.modelValue(
-            enc.varOf(unrolled.stateAt[static_cast<size_t>(t)][static_cast<size_t>(i)]));
+        states[static_cast<size_t>(i)] = solver.modelValue(frameLit(t, system.stateNode(i)));
       }
-      result.traceStates.push_back(std::move(state));
+      result.traceStates.push_back(std::move(states));
     }
     for (int t = 0; t < k; ++t) {
-      std::vector<bool> inputs(static_cast<size_t>(system.numInputs()));
+      // Inputs outside every next-state cone are unconstrained; default 0.
+      std::vector<bool> inputs(static_cast<size_t>(system.numInputs()), false);
       for (int j = 0; j < system.numInputs(); ++j) {
-        inputs[static_cast<size_t>(j)] = solver.modelValue(
-            enc.varOf(unrolled.frameInputs[static_cast<size_t>(t)][static_cast<size_t>(j)]));
+        NodeId in = system.inputNode(j);
+        inputs[static_cast<size_t>(j)] = enc.isEncoded(in) && solver.modelValue(frameLit(t, in));
       }
       result.traceInputs.push_back(std::move(inputs));
     }

@@ -2,10 +2,14 @@
 // the backward preimage engines.
 //
 // boundedReach answers "can `target` be reached from `init` within maxDepth
-// transitions?" with one SAT query per depth over the unrolled circuit, and
-// extracts the witness trace from the satisfying model. Tests cross-check it
-// against backward reachability and the safety checker: the three must agree
-// on reachability and on the minimal depth.
+// transitions?" with one incremental solver: depth k adds one frame (a copy
+// of encodeTransition(system) over fresh variables whose state variables are
+// the previous frame's next-state-root variables) and one activation-guarded
+// query for the target at frame k, so learnt clauses carry over between
+// depths and the work grows with the depth reached, not with the bound. The
+// witness trace is read off the satisfying model. Tests cross-check it
+// against backward reachability and the safety checker: they must agree on
+// reachability and on the minimal depth.
 #pragma once
 
 #include <vector>
@@ -28,12 +32,5 @@ struct BmcResult {
 
 BmcResult boundedReach(const TransitionSystem& system, const StateSet& init,
                        const StateSet& target, int maxDepth);
-
-// Incremental variant: unrolls maxDepth frames once into a single solver and
-// issues one assumption-guarded query per depth, so learnt clauses carry over
-// between depths (the standard BMC engineering trick). Same results as
-// boundedReach; cheaper on deep bounds.
-BmcResult boundedReachIncremental(const TransitionSystem& system, const StateSet& init,
-                                  const StateSet& target, int maxDepth);
 
 }  // namespace presat

@@ -30,22 +30,10 @@ namespace {
 ImageResult imageViaAllSat(const TransitionEncoding& te, const TransitionSystem& system,
                            const StateSet& from, const AllSatOptions& options) {
   Cnf cnf = te.base.cnf;
-  if (from.cubes.empty()) {
-    cnf.addClause({});
-  } else {
-    // Present state constrained to `from`: selector per cube, (sel_i ->
-    // cube_i) plus (sel_1 | ... | sel_k).
-    Clause atLeastOne;
-    for (const LitVec& cube : from.cubes) {
-      Lit sel = mkLit(cnf.newVar());
-      atLeastOne.push_back(sel);
-      for (Lit l : cube) {
-        Lit state = te.enc.litOf(system.stateNode(l.var()), !l.sign());
-        cnf.addBinary(~sel, te.base.internalLit(state));
-      }
-    }
-    cnf.addClause(std::move(atLeastOne));
-  }
+  LitVec states;
+  states.reserve(static_cast<size_t>(system.numStateBits()));
+  for (NodeId s : system.stateNodes()) states.push_back(te.base.internalLit(te.enc.litOf(s)));
+  addStateSetClauses(cnf, from, states);
 
   std::vector<Var> projection;
   projection.reserve(static_cast<size_t>(system.numStateBits()));

@@ -49,26 +49,10 @@ SatProblem buildSatProblem(const TransitionEncoding& te, const TransitionSystem&
 
   SatProblem problem;
   problem.cnf = te.base.cnf;
-  Cnf& cnf = problem.cnf;
-
-  auto rootLit = [&](Lit l) {
-    return te.base.internalLit(te.enc.litOf(system.nextStateRoot(l.var()), !l.sign()));
-  };
-  if (target.cubes.empty()) {
-    cnf.addClause({});  // empty target: the query is vacuously UNSAT
-  } else if (target.cubes.size() == 1) {
-    for (Lit l : target.cubes[0]) cnf.addUnit(rootLit(l));
-  } else {
-    // Union target: selector variable per cube, (sel_i -> cube_i) plus
-    // (sel_1 | ... | sel_k).
-    Clause atLeastOne;
-    for (const LitVec& cube : target.cubes) {
-      Lit sel = mkLit(cnf.newVar());
-      atLeastOne.push_back(sel);
-      for (Lit l : cube) cnf.addBinary(~sel, rootLit(l));
-    }
-    cnf.addClause(std::move(atLeastOne));
-  }
+  LitVec roots;
+  roots.reserve(static_cast<size_t>(system.numStateBits()));
+  for (NodeId r : system.nextStateRoots()) roots.push_back(te.base.internalLit(te.enc.litOf(r)));
+  addStateSetClauses(problem.cnf, target, roots);
 
   problem.projection.reserve(te.projection.size());
   for (Var v : te.projection) problem.projection.push_back(te.base.internalVar(v));
@@ -206,14 +190,17 @@ bool methodCoverDisjoint(PreimageMethod method) {
 
 }  // namespace
 
-TransitionEncoding buildTransitionEncoding(const TransitionSystem& system, Governor* governor) {
-  TransitionEncoding te;
-
+CircuitEncoding encodeTransition(const TransitionSystem& system) {
   std::vector<NodeId> roots = system.nextStateRoots();
   // State sources must be encoded even when unused by any next-state cone,
   // so the projection scope is always the full state space.
   for (NodeId s : system.stateNodes()) roots.push_back(s);
-  te.enc = encodeCircuit(system.netlist(), roots);
+  return encodeCircuit(system.netlist(), roots);
+}
+
+TransitionEncoding buildTransitionEncoding(const TransitionSystem& system, Governor* governor) {
+  TransitionEncoding te;
+  te.enc = encodeTransition(system);
 
   te.projection.reserve(static_cast<size_t>(system.numStateBits()));
   for (NodeId s : system.stateNodes()) te.projection.push_back(te.enc.varOf(s));

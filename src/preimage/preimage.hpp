@@ -45,6 +45,11 @@ inline constexpr PreimageMethod kAllPreimageMethods[] = {
     PreimageMethod::kBdd,
 };
 
+// Tseitin encoding of the next-state cones plus every state source (so each
+// state bit has a variable even when no cone reads it), original numbering:
+// the base of a TransitionEncoding, one BMC frame, and a trace step's query.
+CircuitEncoding encodeTransition(const TransitionSystem& system);
+
 // Target-independent, shareable encoding of a transition system for the CNF
 // preimage engines: the Tseitin encoding of the next-state cones (original
 // numbering) plus the one-shot preprocessed base formula (cnf/preprocess.hpp)

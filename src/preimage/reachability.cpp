@@ -5,19 +5,16 @@
 
 #include "base/log.hpp"
 #include "base/timer.hpp"
-#include "bdd/bdd.hpp"
 #include "govern/governor.hpp"
 
 namespace presat {
 
 namespace {
 
-// Serializes the per-depth records and totals into `result.metrics` under
-// the stable names validated by tools/check_json.py stats.
-void exportReachMetrics(ReachabilityResult& result, PreimageMethod method,
-                        const Governor* governor) {
-  Metrics& m = result.metrics;
-  for (const ReachabilityStep& step : result.steps) {
+// Serializes the per-depth records under the stable names validated by
+// tools/check_json.py stats.
+void exportStepMetrics(const std::vector<ReachabilityStep>& steps, Metrics& m) {
+  for (const ReachabilityStep& step : steps) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "step.%04d.", step.depth);
     std::string prefix(buf);
@@ -32,55 +29,42 @@ void exportReachMetrics(ReachabilityResult& result, PreimageMethod method,
     m.setGauge(prefix + "seconds", step.seconds);
     m.setGauge(prefix + "algebra_seconds", step.algebraSeconds);
   }
-  m.setCounter("reach.steps", result.steps.size());
-  m.setCounter("reach.fixpoint", result.fixpoint ? 1 : 0);
-  m.setGauge("time.seconds", result.totalSeconds);
-  m.setGauge("time.preimage_seconds", result.preimageSeconds);
-  m.setGauge("time.algebra_seconds", result.algebraSeconds);
-  m.setLabel("engine", preimageMethodName(method));
-  m.setLabel("outcome", outcomeName(result.outcome));
-  if (governor != nullptr) governor->exportMetrics(m);
 }
 
 }  // namespace
 
-ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet& target,
-                                 int maxDepth, PreimageMethod method,
-                                 const PreimageOptions& options) {
-  Timer total;
-  const int n = system.numStateBits();
+BackwardSweep::BackwardSweep(const TransitionSystem& system, PreimageMethod method,
+                             const PreimageOptions& options)
+    : system_(system), method_(method), options_(options), mgr_(system.numStateBits()) {
+  Governor* governor = options.allsat.governor;
+  // One circuit encoding + preprocessing pass for the whole frontier loop:
+  // every depth's CNF query instantiates the same preprocessed base formula.
+  if (options.encoding == nullptr && preimageMethodUsesCnf(method)) {
+    encoding_ = buildTransitionEncoding(system, governor);
+    options_.encoding = &*encoding_;
+  }
+  mgr_.setGovernor(governor);
+}
+
+ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
+                                      const Visitor& visit) {
+  const int n = system_.numStateBits();
   PRESAT_CHECK(target.numStateBits == n);
 
   ReachabilityResult result;
-
-  // Persistent manager for the set algebra between steps. Every BDD
-  // operation runs inside an `algebra` span so totalSeconds decomposes into
-  // preimage time + set-algebra time (+ negligible loop overhead). The
-  // governor (if any) also governs this manager: set-algebra node growth
-  // counts against the memory budget, and a trip unwinds via GovernorStop to
-  // the catch below with `reached` still holding its last consistent value.
-  Governor* governor = options.allsat.governor;
-
-  // One circuit encoding + preprocessing pass for the whole frontier loop:
-  // every depth's CNF query instantiates the same preprocessed base formula.
-  std::optional<TransitionEncoding> sharedEncoding;
-  PreimageOptions preOptions = options;
-  if (options.encoding == nullptr && preimageMethodUsesCnf(method)) {
-    sharedEncoding = buildTransitionEncoding(system, governor);
-    preOptions.encoding = &*sharedEncoding;
-  }
-
+  // Every BDD operation of the sweep runs inside an `algebra` span, so the
+  // caller's total decomposes into preimage time + set-algebra time (+ the
+  // visitor and negligible loop overhead).
   Timer algebra;
-  BddManager mgr(n);
-  mgr.setGovernor(governor);
   BddRef reached = BddManager::kFalse;
   BddRef frontier = BddManager::kFalse;
   try {
-    reached = target.toBdd(mgr);
+    reached = target.toBdd(mgr_);
     frontier = reached;
     result.algebraSeconds += algebra.seconds();
+    bool stop = visit && visit(0, reached);
 
-    for (int depth = 1; depth <= maxDepth; ++depth) {
+    for (int depth = 1; !stop && depth <= maxDepth; ++depth) {
       if (frontier == BddManager::kFalse) {
         result.fixpoint = true;
         break;
@@ -88,20 +72,20 @@ ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet&
       algebra.reset();
       StateSet frontierSet;
       frontierSet.numStateBits = n;
-      frontierSet.cubes = mgr.enumerateCubes(frontier);
+      frontierSet.cubes = mgr_.enumerateCubes(frontier);
       double stepAlgebra = algebra.seconds();
 
-      PreimageResult pre = computePreimage(system, frontierSet, method, preOptions);
+      PreimageResult pre = computePreimage(system_, frontierSet, method_, options_);
 
       algebra.reset();
-      BddRef preBdd = pre.states.toBdd(mgr);
-      BddRef fresh = mgr.bddAnd(preBdd, mgr.bddNot(reached));
-      reached = mgr.bddOr(reached, preBdd);
+      BddRef preBdd = pre.states.toBdd(mgr_);
+      BddRef fresh = mgr_.bddAnd(preBdd, mgr_.bddNot(reached));
+      reached = mgr_.bddOr(reached, preBdd);
 
       ReachabilityStep step;
       step.depth = depth;
-      step.newStates = mgr.satCount(fresh);
-      step.totalStates = mgr.satCount(reached);
+      step.newStates = mgr_.satCount(fresh);
+      step.totalStates = mgr_.satCount(reached);
       step.seconds = pre.seconds;
       step.stats = pre.stats;
       step.frontierCubes = frontierSet.cubes.size();
@@ -112,12 +96,14 @@ ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet&
       result.preimageSeconds += pre.seconds;
       result.algebraSeconds += stepAlgebra;
       frontier = fresh;
+      stop = visit && visit(depth, reached);
 
       if (pre.outcome != Outcome::kComplete) {
         // Partial step: its cubes are genuine preimage states, so folding
-        // them in above was sound, but the frontier is truncated — iterating
-        // on it would never converge to the true fixpoint. Stop here with
-        // the step's reason and report `reached` as a lower bound.
+        // them in above was sound (and the visitor saw them), but the
+        // frontier is truncated — iterating on it would never converge to
+        // the true fixpoint. Stop here with the step's reason and report
+        // `reached` as a lower bound.
         result.outcome = pre.outcome;
         break;
       }
@@ -138,11 +124,29 @@ ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet&
 
   algebra.reset();
   result.reached.numStateBits = n;
-  result.reached.cubes = mgr.enumerateCubes(reached);
+  result.reached.cubes = mgr_.enumerateCubes(reached);
   result.algebraSeconds += algebra.seconds();
+  exportStepMetrics(result.steps, result.metrics);
+  return result;
+}
 
+ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet& target,
+                                 int maxDepth, PreimageMethod method,
+                                 const PreimageOptions& options) {
+  Timer total;
+  BackwardSweep sweep(system, method, options);
+  ReachabilityResult result = sweep.run(target, maxDepth);
   result.totalSeconds = total.seconds();
-  exportReachMetrics(result, method, governor);
+
+  Metrics& m = result.metrics;
+  m.setCounter("reach.steps", result.steps.size());
+  m.setCounter("reach.fixpoint", result.fixpoint ? 1 : 0);
+  m.setGauge("time.seconds", result.totalSeconds);
+  m.setGauge("time.preimage_seconds", result.preimageSeconds);
+  m.setGauge("time.algebra_seconds", result.algebraSeconds);
+  m.setLabel("engine", preimageMethodName(method));
+  m.setLabel("outcome", outcomeName(result.outcome));
+  if (options.allsat.governor != nullptr) options.allsat.governor->exportMetrics(m);
   return result;
 }
 

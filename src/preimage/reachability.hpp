@@ -5,11 +5,15 @@
 // are queried — the standard frontier optimization). Set algebra between
 // steps runs on a persistent state-space BDD regardless of which preimage
 // engine is used, so all engines are compared on identical iteration
-// structure.
+// structure. backwardReach and checkSafety (preimage/safety.hpp) run the one
+// sweep, BackwardSweep below.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <vector>
 
+#include "bdd/bdd.hpp"
 #include "preimage/preimage.hpp"
 
 namespace presat {
@@ -51,5 +55,36 @@ struct ReachabilityResult {
 ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet& target,
                                  int maxDepth, PreimageMethod method,
                                  const PreimageOptions& options = {});
+
+// The backward sweep behind backwardReach and checkSafety. It owns the
+// shared transition encoding (CNF engines only), the set-algebra manager,
+// and the reached/frontier pair. The governor (if any) also governs the
+// manager: node growth counts against the memory budget, and a trip unwinds
+// to run()'s guard with `reached` still holding its last consistent value.
+class BackwardSweep {
+ public:
+  // Sees the seed (depth 0) and, after each step, the cumulative set R_depth;
+  // returning true stops the sweep. It runs inside run()'s GovernorStop
+  // guard, so it may run BDD operations on manager().
+  using Visitor = std::function<bool(int depth, BddRef reached)>;
+
+  BackwardSweep(const TransitionSystem& system, PreimageMethod method,
+                const PreimageOptions& options);
+
+  // Steps from `target` until the frontier empties, maxDepth steps, a partial
+  // step, a governor trip, or `visit` says stop. The result carries the step
+  // records, the reached set and the per-step metrics ("step.0001.*"); the
+  // caller adds its own totals and labels.
+  ReachabilityResult run(const StateSet& target, int maxDepth, const Visitor& visit = {});
+
+  BddManager& manager() { return mgr_; }
+
+ private:
+  const TransitionSystem& system_;
+  PreimageMethod method_;
+  PreimageOptions options_;
+  std::optional<TransitionEncoding> encoding_;
+  BddManager mgr_;
+};
 
 }  // namespace presat

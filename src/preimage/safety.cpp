@@ -1,12 +1,8 @@
 #include "preimage/safety.hpp"
 
-#include <cstdio>
-#include <string>
-
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "bdd/bdd.hpp"
-#include "circuit/tseitin.hpp"
 #include "govern/governor.hpp"
 #include "sat/solver.hpp"
 
@@ -21,33 +17,21 @@ const char* safetyStatusName(SafetyStatus status) {
   return "?";
 }
 
-bool findTransitionInto(const TransitionSystem& system, const std::vector<bool>& state,
-                        const StateSet& target, std::vector<bool>* inputsOut,
-                        std::vector<bool>* nextStateOut) {
-  const Netlist& nl = system.netlist();
+bool findTransitionInto(const TransitionSystem& system, const CircuitEncoding& enc,
+                        const std::vector<bool>& state, const StateSet& target,
+                        std::vector<bool>* inputsOut, std::vector<bool>* nextStateOut) {
   PRESAT_CHECK(state.size() == static_cast<size_t>(system.numStateBits()));
   PRESAT_CHECK(target.numStateBits == system.numStateBits());
 
-  std::vector<NodeId> roots = system.nextStateRoots();
-  for (NodeId s : system.stateNodes()) roots.push_back(s);
-  CircuitEncoding enc = encodeCircuit(nl, roots);
-  Cnf& cnf = enc.cnf;
-
-  // Pin the present state.
+  Cnf cnf = enc.cnf;
+  // Pin the present state; require the next state to land in the target.
   for (int i = 0; i < system.numStateBits(); ++i) {
     cnf.addUnit(enc.litOf(system.stateNode(i), state[static_cast<size_t>(i)]));
   }
-  // Require the next state to land in the target union.
-  if (target.cubes.empty()) return false;
-  Clause atLeastOne;
-  for (const LitVec& cube : target.cubes) {
-    Lit sel = mkLit(cnf.newVar());
-    atLeastOne.push_back(sel);
-    for (Lit l : cube) {
-      cnf.addBinary(~sel, enc.litOf(system.nextStateRoot(l.var()), !l.sign()));
-    }
-  }
-  cnf.addClause(std::move(atLeastOne));
+  LitVec roots;
+  roots.reserve(static_cast<size_t>(system.numStateBits()));
+  for (NodeId r : system.nextStateRoots()) roots.push_back(enc.litOf(r));
+  addStateSetClauses(cnf, target, roots);
 
   Solver solver;
   if (!solver.addCnf(cnf)) return false;
@@ -65,7 +49,7 @@ bool findTransitionInto(const TransitionSystem& system, const std::vector<bool>&
   if (nextStateOut) {
     nextStateOut->assign(static_cast<size_t>(system.numStateBits()), false);
     for (int i = 0; i < system.numStateBits(); ++i) {
-      (*nextStateOut)[static_cast<size_t>(i)] = solver.modelValue(enc.varOf(system.nextStateRoot(i)));
+      (*nextStateOut)[static_cast<size_t>(i)] = solver.modelValue(roots[static_cast<size_t>(i)]);
     }
   }
   return true;
@@ -101,104 +85,45 @@ SafetyResult checkSafety(const TransitionSystem& system, const StateSet& initial
   PRESAT_CHECK(initial.numStateBits == n && bad.numStateBits == n);
 
   SafetyResult result;
-  // The governor (if any) also governs the set-algebra manager; a trip
-  // unwinds via GovernorStop to the catch below, and the verdict degrades to
-  // kUnknown with the backward sets accumulated so far.
-  Governor* governor = options.preimage.allsat.governor;
-
-  // One circuit encoding + preprocessing pass for the whole backward sweep.
-  std::optional<TransitionEncoding> sharedEncoding;
-  SafetyOptions safeOptions = options;
-  if (options.preimage.encoding == nullptr && preimageMethodUsesCnf(options.method)) {
-    sharedEncoding = buildTransitionEncoding(system, governor);
-    safeOptions.preimage.encoding = &*sharedEncoding;
-  }
-
-  BddManager mgr(n);
-  mgr.setGovernor(governor);
+  // A governor trip inside the sweep (or the hit test it visits) stops it
+  // with the reason; the verdict then degrades to kUnknown unless a hit was
+  // already found.
+  BackwardSweep sweep(system, options.method, options.preimage);
+  BddManager& mgr = sweep.manager();
   BddRef initBdd = BddManager::kFalse;
-  BddRef reached = BddManager::kFalse;
-  BddRef frontier = BddManager::kFalse;
-
-  // Layered backward sets: cumulative[d] = states reaching bad in <= d steps.
-  std::vector<StateSet> cumulative;
-  auto snapshot = [&](BddRef set) {
-    StateSet s;
-    s.numStateBits = n;
-    s.cubes = mgr.enumerateCubes(set);
-    return s;
-  };
-
+  // Layered backward sets: layers[d] = states reaching bad in <= d steps.
+  // The manager never collects garbage, so the refs stay valid.
+  std::vector<BddRef> layers;
   int hitDepth = -1;
-  int depth = 0;
-  try {
-    initBdd = initial.toBdd(mgr);
-    reached = bad.toBdd(mgr);
-    frontier = reached;
-    cumulative.push_back(snapshot(reached));
-    if (mgr.bddAnd(initBdd, reached) != BddManager::kFalse) hitDepth = 0;
-
-    while (hitDepth < 0 && depth < options.maxDepth) {
-      if (frontier == BddManager::kFalse) {
-        result.status = SafetyStatus::kSafe;
-        result.depth = depth;
-        break;
-      }
-      ++depth;
-      StateSet frontierSet = snapshot(frontier);
-      PreimageResult pre =
-          computePreimage(system, frontierSet, options.method, safeOptions.preimage);
-      BddRef preBdd = pre.states.toBdd(mgr);
-      frontier = mgr.bddAnd(preBdd, mgr.bddNot(reached));
-      reached = mgr.bddOr(reached, preBdd);
-      cumulative.push_back(snapshot(reached));
-      if (mgr.bddAnd(initBdd, reached) != BddManager::kFalse) hitDepth = depth;
-
-      // Per-depth record, same schema as backwardReach's reach metrics.
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "step.%04d.", depth);
-      std::string prefix(buf);
-      BigUint fresh = mgr.satCount(frontier);
-      if (fresh.fitsU64()) {
-        result.metrics.setCounter(prefix + "new_states", fresh.toU64());
-      } else {
-        result.metrics.setGauge(prefix + "new_states", fresh.toDouble());
-      }
-      result.metrics.setCounter(prefix + "frontier_cubes", frontierSet.cubes.size());
-      result.metrics.setGauge(prefix + "seconds", pre.seconds);
-
-      if (pre.outcome != Outcome::kComplete) {
-        // Partial preimage: the fold above stays sound (every partial cube
-        // genuinely reaches bad), and an UNSAFE hit detected through it
-        // stands. Without a hit the truncated frontier cannot support a
-        // SAFE claim, so stop and leave the verdict kUnknown.
-        result.outcome = pre.outcome;
-        break;
-      }
-    }
-  } catch (const GovernorStop& stop) {
-    // Set algebra tripped: reached/frontier/cumulative keep the last fully
-    // computed values; the snapshot below is node-walk only and safe.
-    result.outcome = stop.reason;
-  }
-
-  result.backwardReached = snapshot(reached);
+  ReachabilityResult swept =
+      sweep.run(bad, options.maxDepth, [&](int depth, BddRef reached) {
+        if (depth == 0) initBdd = initial.toBdd(mgr);
+        layers.push_back(reached);
+        if (mgr.bddAnd(initBdd, reached) != BddManager::kFalse) hitDepth = depth;
+        return hitDepth >= 0;
+      });
+  const int depth = static_cast<int>(swept.steps.size());
+  result.outcome = swept.outcome;
+  result.backwardReached = std::move(swept.reached);
+  result.metrics = std::move(swept.metrics);
 
   if (hitDepth >= 0) {
     try {
       result.status = SafetyStatus::kUnsafe;
-      result.depth = hitDepth;
       // Trace extraction: start at an initial state inside the depth-d cone,
       // then step into strictly shallower layers until the bad set is
-      // reached.
-      std::vector<bool> current = pickState(
-          mgr, mgr.bddAnd(initBdd, cumulative[static_cast<size_t>(hitDepth)].toBdd(mgr)), n);
+      // reached. Only here are layers enumerated into cubes.
+      const CircuitEncoding enc = encodeTransition(system);
+      std::vector<bool> current =
+          pickState(mgr, mgr.bddAnd(initBdd, layers[static_cast<size_t>(hitDepth)]), n);
       result.traceStates.push_back(current);
       for (int layer = hitDepth; layer > 0; --layer) {
         if (bad.contains(current)) break;  // reached bad early
+        StateSet shallower;
+        shallower.numStateBits = n;
+        shallower.cubes = mgr.enumerateCubes(layers[static_cast<size_t>(layer - 1)]);
         std::vector<bool> inputs, next;
-        bool found = findTransitionInto(system, current,
-                                        cumulative[static_cast<size_t>(layer - 1)], &inputs, &next);
+        bool found = findTransitionInto(system, enc, current, shallower, &inputs, &next);
         PRESAT_CHECK(found) << "layered backward sets must admit a forward step";
         result.traceInputs.push_back(std::move(inputs));
         current = std::move(next);
@@ -218,8 +143,9 @@ SafetyResult checkSafety(const TransitionSystem& system, const StateSet& initial
       result.traceInputs.clear();
       result.depth = depth;
     }
-  } else if (result.status != SafetyStatus::kSafe) {
-    result.status = SafetyStatus::kUnknown;
+  } else {
+    // A fixpoint is only ever claimed from complete steps.
+    result.status = swept.fixpoint ? SafetyStatus::kSafe : SafetyStatus::kUnknown;
     result.depth = depth;
   }
   result.seconds = timer.seconds();
@@ -229,6 +155,7 @@ SafetyResult checkSafety(const TransitionSystem& system, const StateSet& initial
   result.metrics.setLabel("engine", preimageMethodName(options.method));
   result.metrics.setLabel("status", safetyStatusName(result.status));
   result.metrics.setLabel("outcome", outcomeName(result.outcome));
+  Governor* governor = options.preimage.allsat.governor;
   if (governor != nullptr) governor->exportMetrics(result.metrics);
   return result;
 }

@@ -7,7 +7,9 @@
 // initial state enters the backward cone at depth d, the design is UNSAFE
 // and a concrete length-d counterexample trace (states + inputs) is
 // extracted by replaying the layered backward sets forward with single SAT
-// queries.
+// queries. The backward iteration is backwardReach's own sweep
+// (BackwardSweep); only the initial-set hit test, the layers, the trace and
+// the verdict are the checker's.
 #pragma once
 
 #include <vector>
@@ -49,9 +51,9 @@ struct SafetyResult {
   // Backward-reachable set accumulated up to the verdict.
   StateSet backwardReached;
   double seconds = 0.0;
-  // Per-depth step records ("step.0001.new_states", "step.0001.seconds", ...)
-  // plus the verdict ("safety.depth", labels engine/status) for
-  // presat_cli safety --stats json.
+  // backwardReach's per-depth step records ("step.0001.new_states",
+  // "step.0001.algebra_seconds", ...) plus the verdict ("safety.depth",
+  // labels engine/status) for presat_cli safety --stats json.
   Metrics metrics;
 };
 
@@ -59,10 +61,11 @@ SafetyResult checkSafety(const TransitionSystem& system, const StateSet& initial
                          const StateSet& bad, const SafetyOptions& options = {});
 
 // Single-transition witness query: is there an input taking `state` into
-// `target` in one step? Returns the input vector if so. Exposed for reuse by
-// the BMC cross-checks and the trace extractor.
-bool findTransitionInto(const TransitionSystem& system, const std::vector<bool>& state,
-                        const StateSet& target, std::vector<bool>* inputsOut,
-                        std::vector<bool>* nextStateOut);
+// `target` in one step? Returns the input vector if so. `enc` is
+// encodeTransition(system), built once by the caller and shared by every
+// query (the trace extractor asks one per counterexample step).
+bool findTransitionInto(const TransitionSystem& system, const CircuitEncoding& enc,
+                        const std::vector<bool>& state, const StateSet& target,
+                        std::vector<bool>* inputsOut, std::vector<bool>* nextStateOut);
 
 }  // namespace presat

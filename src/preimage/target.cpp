@@ -3,6 +3,7 @@
 #include "allsat/projection.hpp"
 #include "base/log.hpp"
 #include "bdd/bdd.hpp"
+#include "cnf/cnf.hpp"
 
 namespace presat {
 
@@ -72,6 +73,29 @@ bool sameStates(const StateSet& a, const StateSet& b) {
   PRESAT_CHECK(a.numStateBits == b.numStateBits);
   BddManager mgr(a.numStateBits);
   return a.toBdd(mgr) == b.toBdd(mgr);
+}
+
+void addStateSetClauses(Cnf& cnf, const StateSet& set, const LitVec& bitLits, Lit guard) {
+  PRESAT_CHECK(bitLits.size() == static_cast<size_t>(set.numStateBits));
+  auto bitLit = [&bitLits](Lit l) {
+    Lit bit = bitLits[static_cast<size_t>(l.var())];
+    return l.sign() ? ~bit : bit;
+  };
+  auto guarded = [guard](Clause clause) {
+    if (guard != kUndefLit) clause.push_back(~guard);
+    return clause;
+  };
+  if (set.cubes.size() == 1) {
+    for (Lit l : set.cubes[0]) cnf.addClause(guarded({bitLit(l)}));
+    return;
+  }
+  Clause atLeastOne;
+  for (const LitVec& cube : set.cubes) {
+    Lit sel = mkLit(cnf.newVar());
+    atLeastOne.push_back(sel);
+    for (Lit l : cube) cnf.addBinary(~sel, bitLit(l));
+  }
+  cnf.addClause(guarded(std::move(atLeastOne)));
 }
 
 }  // namespace presat

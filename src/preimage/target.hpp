@@ -14,6 +14,7 @@
 namespace presat {
 
 class BddManager;
+class Cnf;
 
 struct StateSet {
   int numStateBits = 0;
@@ -39,5 +40,14 @@ struct StateSet {
 
 // Semantic equality of two state sets (via BDDs).
 bool sameStates(const StateSet& a, const StateSet& b);
+
+// Adds "the state lies in `set`" to `cnf`, where bitLits[i] holds exactly
+// when state bit i is 1. A single cube adds one unit clause per literal; a
+// union adds a fresh selector per cube, (sel -> cube) plus the clause over
+// all selectors; the empty set adds the empty clause. A defined `guard`
+// makes the constraint conditional: ~guard joins every clause that is not a
+// selector implication.
+void addStateSetClauses(Cnf& cnf, const StateSet& set, const LitVec& bitLits,
+                        Lit guard = kUndefLit);
 
 }  // namespace presat

@@ -86,7 +86,7 @@ bool buildGeneratorChecked(const std::string& spec, const SessionLimits& limits,
 
 bool parseTargetCube(const std::string& text, int numStateBits, LitVec* cube, std::string* error) {
   if (text.size() != static_cast<size_t>(numStateBits)) {
-    *error = "target cube has " + std::to_string(text.size()) + " characters, circuit has " +
+    *error = "cube has " + std::to_string(text.size()) + " characters, circuit has " +
              std::to_string(numStateBits) + " state bits";
     return false;
   }
@@ -98,7 +98,7 @@ bool parseTargetCube(const std::string& text, int numStateBits, LitVec* cube, st
     } else if (c == '0') {
       cube->push_back(mkLit(i, true));
     } else if (c != 'x' && c != 'X' && c != '-') {
-      *error = std::string("bad target cube character '") + c + "' at state bit " +
+      *error = std::string("bad cube character '") + c + "' at state bit " +
                std::to_string(i) + " (expected 0, 1, or x)";
       return false;
     }

@@ -47,7 +47,8 @@ struct SessionLimits {
 bool buildGeneratorChecked(const std::string& spec, const SessionLimits& limits, Netlist* out,
                            std::string* error);
 
-// Target cube text (LSB-first, '0'/'1'/'x'/'-', one char per state bit).
+// Cube text (LSB-first, '0'/'1'/'x'/'-', one char per state bit): a request's
+// target, and every CUBE argument of presat_cli.
 bool parseTargetCube(const std::string& text, int numStateBits, LitVec* cube, std::string* error);
 
 // Inverse of parseTargetCube for response serialization ('x' for unbound).

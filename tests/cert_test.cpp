@@ -249,7 +249,8 @@ TEST(CertPartial, ConflictLimitedPartialVerifiesSound) {
   EXPECT_NE(r.certificate.find("h outcome conflicts"), std::string::npos);
   CheckRun run = runChecker(r.certificate);
   EXPECT_EQ(run.exitCode, 2) << run.output;
-  EXPECT_NE(run.output.find("partial cover verified sound"), std::string::npos)
+  EXPECT_NE(run.output.find("partial cover: witnesses and disjointness verified"),
+            std::string::npos)
       << run.output;
 }
 

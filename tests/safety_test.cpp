@@ -1,21 +1,19 @@
-// Safety checking, BMC, and time-frame unrolling: three independent
-// reachability engines that must agree with each other and with explicit
-// state-graph search.
+// Safety checking and BMC: backward fixpoint and forward time-frame
+// expansion, two independent reachability engines that must agree with each
+// other and with explicit state-graph search.
 #include <gtest/gtest.h>
 
 #include <queue>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "base/rng.hpp"
-#include "circuit/simulator.hpp"
-#include "circuit/tseitin.hpp"
-#include "circuit/unroll.hpp"
 #include "gen/generators.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
 #include "preimage/bmc.hpp"
 #include "preimage/safety.hpp"
-#include "sat/solver.hpp"
 
 namespace presat {
 namespace {
@@ -72,71 +70,22 @@ void expectValidTrace(const TransitionSystem& ts, const StateSet& init, const St
   }
 }
 
-// --- unroll ------------------------------------------------------------------
-
-TEST(Unroll, ZeroFramesIsJustInitialState) {
-  Netlist nl = makeCounter(3);
-  TransitionSystem ts(nl);
-  UnrolledCircuit u = unroll(ts, 0);
-  EXPECT_EQ(u.stateAt.size(), 1u);
-  EXPECT_EQ(u.initialState.size(), 3u);
-  EXPECT_TRUE(u.frameInputs.empty());
-  EXPECT_EQ(u.netlist.numGates(), 0u);
-}
-
-TEST(Unroll, MatchesIteratedSimulation) {
-  Rng rng(121);
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    RandomCircuitParams params;
-    params.seed = seed;
-    params.numInputs = 3;
-    params.numDffs = 4;
-    params.numGates = 30;
-    Netlist nl = makeRandomSequential(params);
-    TransitionSystem ts(nl);
-    const int frames = 5;
-    UnrolledCircuit u = unroll(ts, frames);
-    EXPECT_EQ(u.stateAt.size(), static_cast<size_t>(frames) + 1);
-
-    for (int trial = 0; trial < 10; ++trial) {
-      // Random initial state and per-frame inputs.
-      std::vector<bool> state(4);
-      for (auto&& b : state) b = rng.flip();
-      std::vector<std::vector<bool>> frameIn(frames, std::vector<bool>(3));
-      for (auto& f : frameIn) {
-        for (auto&& b : f) b = rng.flip();
-      }
-      // Reference: iterate the sequential circuit.
-      std::vector<bool> expected = state;
-      for (int t = 0; t < frames; ++t) expected = ts.step(expected, frameIn[static_cast<size_t>(t)]);
-      // Unrolled: single combinational evaluation.
-      std::vector<bool> sources(u.netlist.numNodes(), false);
-      for (int i = 0; i < 4; ++i) sources[u.initialState[static_cast<size_t>(i)]] = state[static_cast<size_t>(i)];
-      for (int t = 0; t < frames; ++t) {
-        for (int j = 0; j < 3; ++j) {
-          sources[u.frameInputs[static_cast<size_t>(t)][static_cast<size_t>(j)]] =
-              frameIn[static_cast<size_t>(t)][static_cast<size_t>(j)];
-        }
-      }
-      auto values = Simulator::evaluateOnce(u.netlist, sources);
-      for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(values[u.stateAt.back()[static_cast<size_t>(i)]], expected[static_cast<size_t>(i)])
-            << "seed " << seed << " trial " << trial << " bit " << i;
-      }
-    }
-  }
-}
-
 // --- BMC ----------------------------------------------------------------------
 
 TEST(Bmc, CounterMinimalDepth) {
   Netlist nl = makeCounter(4);
   TransitionSystem ts(nl);
-  BmcResult r = boundedReach(ts, StateSet::fromMinterm(4, 3), StateSet::fromMinterm(4, 7), 10);
-  ASSERT_TRUE(r.reachable);
-  EXPECT_EQ(r.depth, 4);  // 3 -> 4 -> 5 -> 6 -> 7
-  expectValidTrace(ts, StateSet::fromMinterm(4, 3), StateSet::fromMinterm(4, 7), r.traceStates,
-                   r.traceInputs);
+  // 3 -> 4 -> 5 -> 6 -> 7 and 2 -> 3 -> 4 -> 5 -> 6, each under a bound
+  // with frames to spare.
+  for (auto [from, to, bound] : {std::tuple{3u, 7u, 10}, std::tuple{2u, 6u, 8}}) {
+    StateSet init = StateSet::fromMinterm(4, from);
+    StateSet target = StateSet::fromMinterm(4, to);
+    BmcResult r = boundedReach(ts, init, target, bound);
+    ASSERT_TRUE(r.reachable) << from << " -> " << to;
+    EXPECT_EQ(r.depth, 4);
+    EXPECT_EQ(r.satCalls, 5u);
+    expectValidTrace(ts, init, target, r.traceStates, r.traceInputs);
+  }
 }
 
 TEST(Bmc, TargetEqualsInitIsDepthZero) {
@@ -146,6 +95,20 @@ TEST(Bmc, TargetEqualsInitIsDepthZero) {
   ASSERT_TRUE(r.reachable);
   EXPECT_EQ(r.depth, 0);
   EXPECT_EQ(r.traceStates.size(), 1u);
+}
+
+TEST(Bmc, DepthZeroHitIgnoresTheBound) {
+  // Frames are added one depth at a time, so a hit at depth 0 costs one
+  // frame and one SAT call however deep the bound reaches.
+  Netlist nl = makeCounter(2);
+  TransitionSystem ts(nl);
+  StateSet init = StateSet::fromMinterm(2, 0);
+  StateSet target = StateSet::fromCube(2, {~mkLit(0)});
+  BmcResult r = boundedReach(ts, init, target, 100000);
+  ASSERT_TRUE(r.reachable);
+  EXPECT_EQ(r.depth, 0);
+  EXPECT_EQ(r.satCalls, 1u);
+  expectValidTrace(ts, init, target, r.traceStates, r.traceInputs);
 }
 
 TEST(Bmc, UnreachableWithinBound) {
@@ -185,11 +148,9 @@ TEST_P(BmcFuzz, DepthMatchesExplicitBfs) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BmcFuzz, ::testing::Range(0, 6));
-
-TEST(BmcIncremental, MatchesSimpleVariant) {
-  Rng rng(401);
-  for (int iter = 0; iter < 12; ++iter) {
+TEST_P(BmcFuzz, ThreeBitCircuitsMatchExplicitBfs) {
+  Rng rng(401 + static_cast<uint64_t>(GetParam()));
+  for (int iter = 0; iter < 2; ++iter) {
     RandomCircuitParams params;
     params.seed = rng.next();
     params.numInputs = 2;
@@ -199,27 +160,21 @@ TEST(BmcIncremental, MatchesSimpleVariant) {
     TransitionSystem ts(nl);
     StateSet init = StateSet::fromMinterm(3, rng.below(8));
     StateSet target = StateSet::fromMinterm(3, rng.below(8));
+    int expected = bfsDistance(ts, init, target);
     const int bound = 6;
-    BmcResult simple = boundedReach(ts, init, target, bound);
-    BmcResult incremental = boundedReachIncremental(ts, init, target, bound);
-    ASSERT_EQ(incremental.reachable, simple.reachable) << "iter " << iter;
-    if (simple.reachable) {
-      EXPECT_EQ(incremental.depth, simple.depth);
-      expectValidTrace(ts, init, target, incremental.traceStates, incremental.traceInputs);
+    BmcResult r = boundedReach(ts, init, target, bound);
+    ASSERT_EQ(r.reachable, expected >= 0 && expected <= bound)
+        << "group " << GetParam() << " iter " << iter;
+    if (r.reachable) {
+      EXPECT_EQ(r.depth, expected);
+      expectValidTrace(ts, init, target, r.traceStates, r.traceInputs);
+    } else {
+      EXPECT_EQ(r.satCalls, static_cast<uint64_t>(bound) + 1);
     }
   }
 }
 
-TEST(BmcIncremental, CounterTrace) {
-  Netlist nl = makeCounter(4);
-  TransitionSystem ts(nl);
-  BmcResult r =
-      boundedReachIncremental(ts, StateSet::fromMinterm(4, 2), StateSet::fromMinterm(4, 6), 8);
-  ASSERT_TRUE(r.reachable);
-  EXPECT_EQ(r.depth, 4);
-  expectValidTrace(ts, StateSet::fromMinterm(4, 2), StateSet::fromMinterm(4, 6), r.traceStates,
-                   r.traceInputs);
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, BmcFuzz, ::testing::Range(0, 6));
 
 // --- safety -------------------------------------------------------------------
 
@@ -304,15 +259,62 @@ INSTANTIATE_TEST_SUITE_P(Methods, SafetyMethodSweep,
                            return name;
                          });
 
+// On BmcFuzz's random circuits every engine's verdict and depth must match
+// explicit forward search from the initial state, and every UNSAFE trace
+// must replay.
+class SafetyFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SafetyFuzz, VerdictMatchesExplicitBfsEveryEngine) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 307 + 17);
+  for (int iter = 0; iter < 6; ++iter) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = 2;
+    params.numDffs = static_cast<int>(rng.range(2, 4));
+    params.numGates = static_cast<int>(rng.range(10, 30));
+    Netlist nl = makeRandomSequential(params);
+    TransitionSystem ts(nl);
+    int n = ts.numStateBits();
+    StateSet init = StateSet::fromMinterm(n, rng.below(1ull << n));
+    StateSet bad = StateSet::fromMinterm(n, rng.below(1ull << n));
+    int expected = bfsDistance(ts, init, bad);
+    for (PreimageMethod method : kAllPreimageMethods) {
+      SafetyOptions options;
+      options.method = method;
+      SafetyResult r = checkSafety(ts, init, bad, options);
+      SCOPED_TRACE(std::string(preimageMethodName(method)) + " group " +
+                   std::to_string(GetParam()) + " iter " + std::to_string(iter));
+      if (expected >= 0) {
+        ASSERT_EQ(r.status, SafetyStatus::kUnsafe);
+        EXPECT_EQ(r.depth, expected);
+        expectValidTrace(ts, init, bad, r.traceStates, r.traceInputs);
+      } else {
+        EXPECT_EQ(r.status, SafetyStatus::kSafe);
+        EXPECT_TRUE(r.traceStates.empty());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SafetyFuzz, ::testing::Range(0, 6));
+
 TEST(Safety, FindTransitionIntoWitness) {
   Netlist nl = makeCounter(4);
   TransitionSystem ts(nl);
+  const CircuitEncoding enc = encodeTransition(ts);
   std::vector<bool> inputs, next;
-  ASSERT_TRUE(findTransitionInto(ts, {true, false, false, false}, StateSet::fromMinterm(4, 2),
-                                 &inputs, &next));
+  ASSERT_TRUE(findTransitionInto(ts, enc, {true, false, false, false},
+                                 StateSet::fromMinterm(4, 2), &inputs, &next));
   EXPECT_EQ(inputs, std::vector<bool>{true});
   EXPECT_EQ(toBits(next), 2u);
-  EXPECT_FALSE(findTransitionInto(ts, {false, false, false, false}, StateSet::fromMinterm(4, 9),
+  EXPECT_FALSE(findTransitionInto(ts, enc, {false, false, false, false},
+                                  StateSet::fromMinterm(4, 9), &inputs, &next));
+  // A union target and the empty set go through the same encoding.
+  StateSet twoOrNine = StateSet::fromMinterm(4, 2);
+  twoOrNine.cubes.push_back(StateSet::fromMinterm(4, 9).cubes[0]);
+  ASSERT_TRUE(findTransitionInto(ts, enc, {true, false, false, false}, twoOrNine, &inputs, &next));
+  EXPECT_EQ(toBits(next), 2u);
+  EXPECT_FALSE(findTransitionInto(ts, enc, {true, false, false, false}, StateSet::none(4),
                                   &inputs, &next));
 }
 

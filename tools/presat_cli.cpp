@@ -248,23 +248,12 @@ Args parseArgs(int argc, char** argv, int start, const Command& command) {
   return args;
 }
 
-StateSet parseCube(const std::string& text, int numStateBits) {
-  if (static_cast<int>(text.size()) != numStateBits) {
-    usage(("cube '" + text + "' must have one character per state bit (" +
-           std::to_string(numStateBits) + ")")
-              .c_str());
-  }
+// A CUBE argument, through presat_serve's parser: a malformed cube is a
+// usage error.
+StateSet parseCubeArg(const std::string& text, int numStateBits) {
   LitVec cube;
-  for (int i = 0; i < numStateBits; ++i) {
-    char c = text[static_cast<size_t>(i)];
-    if (c == '1') {
-      cube.push_back(mkLit(static_cast<Var>(i), false));
-    } else if (c == '0') {
-      cube.push_back(mkLit(static_cast<Var>(i), true));
-    } else if (c != 'x' && c != 'X' && c != '-') {
-      usage(("bad cube character '" + std::string(1, c) + "'").c_str());
-    }
-  }
+  std::string error;
+  if (!serve::parseTargetCube(text, numStateBits, &cube, &error)) usage(error.c_str());
   return StateSet::fromCube(numStateBits, std::move(cube));
 }
 
@@ -275,16 +264,20 @@ PreimageMethod parsePreimageMethod(const std::string& name) {
   usage(("unknown preimage method: " + name).c_str());
 }
 
-std::string cubeToString(const LitVec& cube, int width) {
-  std::string s(static_cast<size_t>(width), 'x');
-  for (Lit l : cube) s[static_cast<size_t>(l.var())] = l.sign() ? '0' : '1';
-  return s;
-}
-
 std::string stateToString(const std::vector<bool>& state) {
   std::string s;
   for (bool b : state) s += b ? '1' : '0';
   return s;
+}
+
+// One line per trace state, with the inputs that drive it to the next.
+void printTrace(const std::vector<std::vector<bool>>& states,
+                const std::vector<std::vector<bool>>& inputs) {
+  for (size_t t = 0; t < states.size(); ++t) {
+    std::printf("  %s", stateToString(states[t]).c_str());
+    if (t < inputs.size()) std::printf("  in=%s", stateToString(inputs[t]).c_str());
+    std::printf("\n");
+  }
 }
 
 // A --gen SPEC circuit, through presat_serve's validator with only the
@@ -389,7 +382,7 @@ int cmdAllsat(const Args& args) {
               result.cubes.size(), result.complete ? "" : " [truncated]",
               result.stats.seconds * 1e3);
   for (const LitVec& cube : result.cubes) {
-    std::printf("  %s\n", cubeToString(cube, static_cast<int>(projection.size())).c_str());
+    std::printf("  %s\n", serve::cubeToText(cube, static_cast<int>(projection.size())).c_str());
   }
   if (args.flag("stats") == "json") {
     std::printf("%s\n", result.metrics.toJson().c_str());
@@ -400,7 +393,7 @@ int cmdAllsat(const Args& args) {
 int cmdPreimage(const Args& args) {
   Netlist nl = loadNetlist(args);
   TransitionSystem system(nl);
-  StateSet target = parseCube(args.flag("target"), system.numStateBits());
+  StateSet target = parseCubeArg(args.flag("target"), system.numStateBits());
   PreimageMethod method = parsePreimageMethod(args.flag("method", "success-driven"));
   PreimageOptions options;
   applyEngineFlags(args, options.allsat);
@@ -418,7 +411,7 @@ int cmdPreimage(const Args& args) {
               r.stateCount.toDecimal().c_str(), r.states.cubes.size(), preimageMethodName(method),
               r.seconds * 1e3);
   for (const LitVec& cube : r.states.cubes) {
-    std::printf("  %s\n", cubeToString(cube, system.numStateBits()).c_str());
+    std::printf("  %s\n", serve::cubeToText(cube, system.numStateBits()).c_str());
   }
   if (args.flag("stats") == "json") {
     std::printf("%s\n", r.metrics.toJson().c_str());
@@ -429,14 +422,14 @@ int cmdPreimage(const Args& args) {
 int cmdImage(const Args& args) {
   Netlist nl = parseBenchFile(args.positional[0]);
   TransitionSystem system(nl);
-  StateSet from = parseCube(args.flag("from"), system.numStateBits());
+  StateSet from = parseCubeArg(args.flag("from"), system.numStateBits());
   std::string name = args.flag("method", "bdd");
   ImageMethod method = name == "minterm" ? ImageMethod::kMintermBlocking : ImageMethod::kBdd;
   ImageResult r = computeImage(system, from, method);
   std::printf("image: %s states in %zu cubes (%s, %.3f ms)\n", r.stateCount.toDecimal().c_str(),
               r.states.cubes.size(), imageMethodName(method), r.seconds * 1e3);
   for (const LitVec& cube : r.states.cubes) {
-    std::printf("  %s\n", cubeToString(cube, system.numStateBits()).c_str());
+    std::printf("  %s\n", serve::cubeToText(cube, system.numStateBits()).c_str());
   }
   return 0;
 }
@@ -444,7 +437,7 @@ int cmdImage(const Args& args) {
 int cmdReach(const Args& args) {
   Netlist nl = loadNetlist(args);
   TransitionSystem system(nl);
-  StateSet target = parseCube(args.flag("target"), system.numStateBits());
+  StateSet target = parseCubeArg(args.flag("target"), system.numStateBits());
   PreimageMethod method = parsePreimageMethod(args.flag("method", "success-driven"));
   int depth = args.intFlag("depth", 1000);
   PreimageOptions options;
@@ -470,8 +463,8 @@ int cmdReach(const Args& args) {
 int cmdSafety(const Args& args) {
   Netlist nl = loadNetlist(args);
   TransitionSystem system(nl);
-  StateSet init = parseCube(args.flag("init"), system.numStateBits());
-  StateSet bad = parseCube(args.flag("bad"), system.numStateBits());
+  StateSet init = parseCubeArg(args.flag("init"), system.numStateBits());
+  StateSet bad = parseCubeArg(args.flag("bad"), system.numStateBits());
   SafetyOptions options;
   options.method = parsePreimageMethod(args.flag("method", "success-driven"));
   options.maxDepth = args.intFlag("depth", options.maxDepth);
@@ -486,11 +479,7 @@ int cmdSafety(const Args& args) {
   }
   if (r.status == SafetyStatus::kUnsafe) {
     std::printf("counterexample (state / input):\n");
-    for (size_t t = 0; t < r.traceStates.size(); ++t) {
-      std::printf("  %s", stateToString(r.traceStates[t]).c_str());
-      if (t < r.traceInputs.size()) std::printf("  in=%s", stateToString(r.traceInputs[t]).c_str());
-      std::printf("\n");
-    }
+    printTrace(r.traceStates, r.traceInputs);
   }
   if (args.flag("stats") == "json") {
     std::printf("%s\n", r.metrics.toJson().c_str());
@@ -506,21 +495,17 @@ int cmdSafety(const Args& args) {
 int cmdBmc(const Args& args) {
   Netlist nl = parseBenchFile(args.positional[0]);
   TransitionSystem system(nl);
-  StateSet init = parseCube(args.flag("init"), system.numStateBits());
-  StateSet target = parseCube(args.flag("target"), system.numStateBits());
+  StateSet init = parseCubeArg(args.flag("init"), system.numStateBits());
+  StateSet target = parseCubeArg(args.flag("target"), system.numStateBits());
   int depth = args.intFlag("depth", 20);
-  BmcResult r = boundedReachIncremental(system, init, target, depth);
+  BmcResult r = boundedReach(system, init, target, depth);
   if (!r.reachable) {
     std::printf("unreachable within %d steps (%llu SAT calls, %.3f ms)\n", depth,
                 static_cast<unsigned long long>(r.satCalls), r.seconds * 1e3);
     return 1;
   }
   std::printf("reachable at depth %d (%.3f ms); trace:\n", r.depth, r.seconds * 1e3);
-  for (size_t t = 0; t < r.traceStates.size(); ++t) {
-    std::printf("  %s", stateToString(r.traceStates[t]).c_str());
-    if (t < r.traceInputs.size()) std::printf("  in=%s", stateToString(r.traceInputs[t]).c_str());
-    std::printf("\n");
-  }
+  printTrace(r.traceStates, r.traceInputs);
   return 0;
 }
 
@@ -677,7 +662,8 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
         assumptions.push_back(mkLit(projection[static_cast<size_t>(l.var())], l.sign()));
       }
       if (!solver.solve(assumptions).isTrue()) {
-        audit.fail("audit.cube.sat", run.name + " cube " + cubeToString(run.cubes[i], width) +
+        audit.fail("audit.cube.sat", run.name + " cube " +
+                                         serve::cubeToText(run.cubes[i], width) +
                                          " is unsatisfiable in the original CNF");
       }
     }
@@ -700,7 +686,7 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   if (targetText.empty()) {
     targetText = "1" + std::string(static_cast<size_t>(width > 0 ? width - 1 : 0), 'x');
   }
-  StateSet target = parseCube(targetText, width);
+  StateSet target = parseCubeArg(targetText, width);
 
   // --jobs routes every SAT engine through the cube-and-conquer path while
   // the BDD baseline stays serial — the cross-check then doubles as a
