@@ -1,7 +1,5 @@
 #include "allsat/solution_graph.hpp"
 
-#include <sstream>
-
 #include "base/log.hpp"
 #include "bdd/bdd.hpp"
 
@@ -87,42 +85,6 @@ uint32_t SolutionGraph::toBdd(BddManager& mgr) const {
   BddRef u = BddManager::kFalse;
   for (BddRef r : rootBdds(mgr)) u = mgr.bddOr(u, r);
   return u;
-}
-
-std::string SolutionGraph::toDot() const {
-  std::ostringstream out;
-  out << "digraph solutions {\n";
-  out << "  success [label=\"SUCCESS\", shape=box];\n";
-  auto target = [&](int child) -> std::string {
-    if (child == kSuccess) return "success";
-    PRESAT_DCHECK(child >= 0);
-    return "n" + std::to_string(child);
-  };
-  auto litsLabel = [](const LitVec& lits) {
-    std::string s;
-    for (Lit l : lits) {
-      if (!s.empty()) s += " ";
-      s += (l.sign() ? "~p" : "p") + std::to_string(l.var());
-    }
-    return s;
-  };
-  for (size_t r = 0; r < roots_.size(); ++r) {
-    if (roots_[r].child == kFail) continue;
-    out << "  root" << r << " [shape=point];\n";
-    out << "  root" << r << " -> " << target(roots_[r].child) << " [label=\""
-        << litsLabel(roots_[r].newLits) << "\"];\n";
-  }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    out << "  n" << i << " [label=\"d" << nodes_[i].decisionId << "\"];\n";
-    for (int b = 0; b < 2; ++b) {
-      const Branch& br = nodes_[i].branch[b];
-      if (br.child == kFail) continue;
-      out << "  n" << i << " -> " << target(br.child) << " [label=\"" << litsLabel(br.newLits)
-          << "\"" << (b == 0 ? ", style=dashed" : "") << "];\n";
-    }
-  }
-  out << "}\n";
-  return out.str();
 }
 
 }  // namespace presat

@@ -87,8 +87,6 @@ class SolutionGraph {
   // One BDD per root, from one pass that shares every subgraph's BDD.
   std::vector<uint32_t> rootBdds(BddManager& mgr) const;
 
-  std::string toDot() const;
-
  private:
   std::vector<Branch> roots_;
   std::vector<Node> nodes_;

@@ -18,29 +18,6 @@ int bucketIndex(uint64_t v) {
   return std::min(w, Histogram::kBuckets - 1);
 }
 
-std::string escapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string formatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -66,7 +43,7 @@ class JsonOut {
   void key(const std::string& name) {
     comma();
     newline(depth_);
-    out_ << '"' << escapeJson(name) << "\":";
+    out_ << '"' << jsonEscape(name) << "\":";
     if (indent_ > 0) out_ << ' ';
   }
   void value(const std::string& raw) { out_ << raw; }
@@ -94,6 +71,29 @@ class JsonOut {
 };
 
 }  // namespace
+
+std::string jsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
 
 void Histogram::record(uint64_t value) {
   ++buckets_[bucketIndex(value)];
@@ -144,7 +144,7 @@ std::string Metrics::toJson(int indent) const {
     out.open('{');
     for (const auto& [name, v] : labels_) {
       out.key(name);
-      out.value("\"" + escapeJson(v) + "\"");
+      out.value("\"" + jsonEscape(v) + "\"");
     }
     out.close('}');
   }

@@ -41,6 +41,11 @@
 
 namespace presat {
 
+// JSON string escaping (control chars, quote, backslash; UTF-8 passes
+// through untouched). The metrics export and presat_serve's responses share
+// it.
+std::string jsonEscape(const std::string& s);
+
 // Power-of-two bucketed histogram for size distributions (frontier sizes,
 // cone sizes, clause lengths). Bucket i counts values whose bit width is i,
 // i.e. bucket 0 = {0}, bucket 1 = {1}, bucket 2 = {2,3}, bucket 3 = {4..7},

@@ -39,8 +39,6 @@ class Rng {
   // True with probability num/den.
   bool chance(uint64_t num, uint64_t den) { return below(den) < num; }
 
-  double uniform01() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
-
  private:
   uint64_t state_;
 };

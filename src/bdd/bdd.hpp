@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "base/biguint.hpp"
@@ -73,7 +72,6 @@ class BddManager {
   BddRef bddXor(BddRef f, BddRef g) { return ite(f, bddNot(g), g); }
   BddRef bddXnor(BddRef f, BddRef g) { return ite(f, g, bddNot(g)); }
   BddRef bddNot(BddRef f) { return ite(f, kFalse, kTrue); }
-  BddRef bddImplies(BddRef f, BddRef g) { return ite(f, g, kTrue); }
 
   // --- structure ------------------------------------------------------------------
   bool isConstant(BddRef f) const { return f <= kTrue; }
@@ -107,14 +105,10 @@ class BddManager {
   // disjoint, and the list depends only on the function and the variable
   // order. Stops after `limit` cubes (0 = all).
   std::vector<LitVec> enumerateCubes(BddRef f, uint64_t limit = 0);
-  // Count of BDD nodes reachable from f (including terminals).
-  size_t dagSize(BddRef f);
 
   // Structural equality is just reference equality thanks to hash-consing;
   // exposed for readability at call sites.
   static bool equal(BddRef a, BddRef b) { return a == b; }
-
-  std::string toDot(BddRef f, const std::string& name = "bdd");
 
  private:
   struct Node {

@@ -1,6 +1,5 @@
 // Quantification, composition, counting, and enumeration algorithms.
 #include <algorithm>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -222,42 +221,6 @@ std::vector<LitVec> BddManager::enumerateCubes(BddRef f, uint64_t limit) {
   };
   rec(rec, f);
   return cubes;
-}
-
-size_t BddManager::dagSize(BddRef f) {
-  std::unordered_set<BddRef> visited;
-  std::vector<BddRef> stack{f};
-  while (!stack.empty()) {
-    BddRef g = stack.back();
-    stack.pop_back();
-    if (!visited.insert(g).second) continue;
-    if (isConstant(g)) continue;
-    stack.push_back(node(g).lo);
-    stack.push_back(node(g).hi);
-  }
-  return visited.size();
-}
-
-std::string BddManager::toDot(BddRef f, const std::string& name) {
-  std::ostringstream out;
-  out << "digraph \"" << name << "\" {\n";
-  out << "  node0 [label=\"0\", shape=box];\n";
-  out << "  node1 [label=\"1\", shape=box];\n";
-  std::unordered_set<BddRef> visited{kFalse, kTrue};
-  std::vector<BddRef> stack{f};
-  while (!stack.empty()) {
-    BddRef g = stack.back();
-    stack.pop_back();
-    if (!visited.insert(g).second) continue;
-    const Node& n = node(g);
-    out << "  node" << g << " [label=\"x" << n.var << "\"];\n";
-    out << "  node" << g << " -> node" << n.lo << " [style=dashed];\n";
-    out << "  node" << g << " -> node" << n.hi << ";\n";
-    stack.push_back(n.lo);
-    stack.push_back(n.hi);
-  }
-  out << "}\n";
-  return out.str();
 }
 
 }  // namespace presat

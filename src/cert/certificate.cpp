@@ -11,31 +11,10 @@ namespace presat {
 
 namespace {
 
-int32_t toDimacs(Lit l) {
-  int32_t v = static_cast<int32_t>(l.var()) + 1;
-  return l.sign() ? -v : v;
-}
-
-void appendInt(std::string& out, int64_t v) {
-  char buf[24];
-  int n = std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out.append(buf, static_cast<size_t>(n));
-}
-
 void appendHex64(std::string& out, uint64_t v) {
   char buf[20];
   int n = std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
   out.append(buf, static_cast<size_t>(n));
-}
-
-void appendLitLine(std::string& out, char tag, const LitVec& lits) {
-  out.push_back(tag);
-  out.push_back(' ');
-  for (Lit l : lits) {
-    appendInt(out, toDimacs(l));
-    out.push_back(' ');
-  }
-  out.append("0\n");
 }
 
 // Cube (projected index space) -> literals over the CNF variables in `scope`.
@@ -59,7 +38,7 @@ uint64_t certCnfHash(const Cnf& cnf) {
     h *= 1099511628211ull;  // FNV-1a prime
   };
   for (const Clause& clause : cnf.clauses()) {
-    for (Lit l : clause) mix(toDimacs(l));
+    for (Lit l : clause) mix(l.toDimacs());
     mix(0);
   }
   return h;
@@ -83,20 +62,17 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
   appendHex64(cert, spec.circuitHash);
   cert.push_back('\n');
   cert.append("h vars ");
-  appendInt(cert, cnf.numVars());
+  cert.append(std::to_string(cnf.numVars()));
   cert.push_back('\n');
   cert.append("h scope ");
-  appendInt(cert, static_cast<int64_t>(scope.size()));
-  for (Var v : scope) {
-    cert.push_back(' ');
-    appendInt(cert, static_cast<int64_t>(v) + 1);
-  }
+  cert.append(std::to_string(scope.size()));
+  for (Var v : scope) cert.append(" ").append(std::to_string(v + 1));
   cert.push_back('\n');
   cert.append("h flags project=").append(spec.project ? "1" : "0");
   cert.append(" compress=").append(spec.compress ? "1" : "0");
   cert.append(" disjoint=").append(spec.disjoint ? "1" : "0");
   cert.append(" jobs=");
-  appendInt(cert, spec.jobs);
+  cert.append(std::to_string(spec.jobs));
   cert.push_back('\n');
   cert.append("h outcome ").append(outcomeName(spec.outcome)).append("\n");
   cert.append("h cnfhash ");
@@ -138,15 +114,12 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
     for (const LitVec& guide : *spec.guides) appendLitLine(cert, 'g', guide);
   }
   if (spec.merges != nullptr) {
+    // "w <var> <lits> 0": the eliminated variable written as its positive
+    // literal, then the merged cube.
     for (const CompressMergeRecord& m : *spec.merges) {
-      cert.append("w ");
-      appendInt(cert, static_cast<int64_t>(m.mergeVar) + 1);
-      cert.push_back(' ');
-      for (Lit l : m.merged) {
-        appendInt(cert, toDimacs(l));
-        cert.push_back(' ');
-      }
-      cert.append("0\n");
+      LitVec line{mkLit(m.mergeVar)};
+      line.insert(line.end(), m.merged.begin(), m.merged.end());
+      appendLitLine(cert, 'w', line);
     }
   }
 
@@ -156,7 +129,7 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
   // log — learnt clauses down to the closing empty clause — certifies it.
   // Partial covers carry no proof.
   if (complete) {
-    ProofLog proof;
+    ProofLog proof(cert);
     Solver closer;
     closer.setProofLog(&proof);
     bool consistent = closer.addCnf(cnf);
@@ -171,17 +144,11 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
       PRESAT_CHECK(status.isFalse())
           << "certificate replay: cover claimed complete but a solution escapes it";
     }
-    proof.appendCertLines(cert);
-    out.dratText = proof.toTextDrat();
-    out.dratBinary = proof.toBinaryDrat();
     out.proofSteps = proof.numSteps();
     if (!proof.endsWithEmptyClause()) {
       // Defensive terminator; buildable only if the RUP chain above reaches
       // a conflict, which the checker independently confirms.
       cert.append("a 0\n");
-      out.dratText.append("0\n");
-      out.dratBinary.push_back('a');
-      out.dratBinary.push_back('\0');
     }
   }
 

@@ -7,7 +7,7 @@
 // cube holds at least one solution; it says nothing about the cube's other
 // minterms), the parallel split's guide cubes (`g` lines — the cross-shard
 // disjointness argument), the wildcard-compression merge witnesses (`w`
-// lines — one (x & A) | (~x & A) = A record per merge), and a DRAT-style
+// lines — one (x & A) | (~x & A) = A record per merge), and a clausal
 // completeness proof (`a`/`e` lines) whose final empty clause shows that
 // F AND the blocking clauses of every cube is UNSAT — i.e. no solution
 // escapes the cover. Partial (governor-degraded) covers carry no
@@ -64,10 +64,8 @@ struct CertificateSpec {
 };
 
 struct CertificateResult {
-  std::string cert;        // presat-cert-v1 text
-  std::string dratText;    // text DRAT of the proof embedded in the cert
-  std::string dratBinary;  // binary DRAT of the same proof
-  size_t proofSteps = 0;   // steps of that proof (0 for a partial cover)
+  std::string cert;       // presat-cert-v1 text
+  size_t proofSteps = 0;  // `a`/`e` lines of its proof (0 for a partial cover)
 };
 
 // Builds the certificate. Each witness is one assumption solve per cube on a

@@ -200,14 +200,6 @@ std::vector<NodeId> Netlist::coneOf(const std::vector<NodeId>& roots) const {
   return cone;
 }
 
-std::vector<NodeId> Netlist::supportOf(const std::vector<NodeId>& roots) const {
-  std::vector<NodeId> support;
-  for (NodeId id : coneOf(roots)) {
-    if (!isCombinational(nodes_[id].type)) support.push_back(id);
-  }
-  return support;
-}
-
 namespace {
 
 // splitmix64 finalizer: cheap, well-distributed mixing for the running hash.

@@ -136,8 +136,6 @@ class Netlist {
   }
   // Transitive fanin cone of `roots` (includes roots and sources).
   std::vector<NodeId> coneOf(const std::vector<NodeId>& roots) const;
-  // Source nodes (inputs + DFF outputs + constants) in the cone of `roots`.
-  std::vector<NodeId> supportOf(const std::vector<NodeId>& roots) const;
 
   // Validates structural invariants (acyclicity, connected DFF data pins,
   // fanin arities). PRESAT_CHECK-fails with a diagnostic on violation.

@@ -26,10 +26,6 @@ class Cnf {
 
   // Creates a fresh variable and returns it.
   Var newVar() { return numVars_++; }
-  // Grows the variable count to cover `v`.
-  void ensureVar(Var v) {
-    if (v >= numVars_) numVars_ = v + 1;
-  }
 
   // Adds a clause; literals must reference existing variables.
   void addClause(Clause clause);

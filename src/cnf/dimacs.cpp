@@ -105,23 +105,4 @@ DimacsFile parseDimacsFile(const std::string& path) {
   return parseDimacs(in);
 }
 
-void writeDimacs(std::ostream& out, const Cnf& cnf, const std::vector<Var>* projection) {
-  if (projection) {
-    out << "c proj";
-    for (Var v : *projection) out << " " << (v + 1);
-    out << "\n";
-  }
-  out << "p cnf " << cnf.numVars() << " " << cnf.numClauses() << "\n";
-  for (const Clause& c : cnf.clauses()) {
-    for (Lit l : c) out << l.toDimacs() << " ";
-    out << "0\n";
-  }
-}
-
-std::string toDimacsString(const Cnf& cnf, const std::vector<Var>* projection) {
-  std::ostringstream out;
-  writeDimacs(out, cnf, projection);
-  return out.str();
-}
-
 }  // namespace presat

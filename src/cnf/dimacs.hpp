@@ -1,4 +1,4 @@
-// DIMACS CNF reader/writer, plus a projection-scope extension.
+// DIMACS CNF reader, plus a projection-scope extension.
 //
 // The reader accepts the standard `p cnf <vars> <clauses>` format with
 // comment lines. A `c proj v1 v2 ...` comment line (1-based DIMACS variable
@@ -26,10 +26,5 @@ struct DimacsFile {
 DimacsFile parseDimacs(std::istream& in);
 DimacsFile parseDimacsString(const std::string& text);
 DimacsFile parseDimacsFile(const std::string& path);
-
-void writeDimacs(std::ostream& out, const Cnf& cnf,
-                 const std::vector<Var>* projection = nullptr);
-std::string toDimacsString(const Cnf& cnf,
-                           const std::vector<Var>* projection = nullptr);
 
 }  // namespace presat

@@ -65,7 +65,6 @@ class Governor {
   void countConflicts(uint64_t n) { conflicts_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t conflicts() const { return conflicts_.load(std::memory_order_relaxed); }
 
-  double elapsedSeconds() const { return timer_.seconds(); }
   const Budget& budget() const { return budget_; }
 
   // Emits the govern.* block: tracked/peak bytes, conflicts, poll count,

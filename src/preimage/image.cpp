@@ -1,7 +1,5 @@
 #include "preimage/image.hpp"
 
-#include <optional>
-
 #include "allsat/blocking.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
@@ -21,14 +19,14 @@ const char* imageMethodName(ImageMethod method) {
 
 namespace {
 
-// Projected all-SAT over the shared encoding. State sources and next-state
-// roots are both frozen by buildTransitionEncoding, so the `from` constraint
-// and the projection translate into the preprocessed space literal by
-// literal. Two state bits driven by the same node share a variable; the
+// Projected all-SAT over the circuit's transition encoding. State sources
+// and next-state roots are both frozen by buildTransitionEncoding, so the
+// `from` constraint and the projection translate into the preprocessed space
+// literal by literal. Two state bits driven by the same node share a variable; the
 // projected index space still has one position per bit, whose values are
 // then always equal — counting and blocking remain exact.
-ImageResult imageViaAllSat(const TransitionEncoding& te, const TransitionSystem& system,
-                           const StateSet& from, const AllSatOptions& options) {
+ImageResult imageViaAllSat(const TransitionSystem& system, const StateSet& from) {
+  TransitionEncoding te = buildTransitionEncoding(system);
   Cnf cnf = te.base.cnf;
   LitVec states;
   states.reserve(static_cast<size_t>(system.numStateBits()));
@@ -41,27 +39,24 @@ ImageResult imageViaAllSat(const TransitionEncoding& te, const TransitionSystem&
     projection.push_back(te.base.internalVar(te.enc.varOf(system.nextStateRoot(i))));
   }
 
-  // The shared encoding is already preprocessed.
-  AllSatResult r = blockingAllSat(cnf, projection, /*lifter=*/{}, options);
+  // The encoding is already preprocessed.
+  AllSatResult r = blockingAllSat(cnf, projection);
   ImageResult result;
   result.states.numStateBits = system.numStateBits();
   result.states.cubes = std::move(r.cubes);
   result.stateCount = std::move(r.mintermCount);
-  result.complete = r.complete;
-  result.stats = r.stats;
   return result;
 }
 
 }  // namespace
 
 ImageResult computeImage(const TransitionSystem& system, const StateSet& from,
-                         ImageMethod method, const AllSatOptions& options) {
+                         ImageMethod method) {
   PRESAT_CHECK(from.numStateBits == system.numStateBits());
   switch (method) {
     case ImageMethod::kMintermBlocking: {
       Timer timer;
-      ImageResult result =
-          imageViaAllSat(buildTransitionEncoding(system, options.governor), system, from, options);
+      ImageResult result = imageViaAllSat(system, from);
       result.seconds = timer.seconds();
       return result;
     }
@@ -93,44 +88,6 @@ ImageResult computeImage(const TransitionSystem& system, const StateSet& from,
   }
   PRESAT_CHECK(false) << "unknown image method";
   return {};
-}
-
-ForwardReachResult forwardReach(const TransitionSystem& system, const StateSet& init,
-                                int maxDepth, ImageMethod method, const AllSatOptions& options) {
-  Timer timer;
-  const int n = system.numStateBits();
-  PRESAT_CHECK(init.numStateBits == n);
-  BddManager mgr(n);
-  BddRef reached = init.toBdd(mgr);
-  BddRef frontier = reached;
-
-  std::optional<TransitionEncoding> te;
-  if (method == ImageMethod::kMintermBlocking) {
-    te = buildTransitionEncoding(system, options.governor);
-  }
-
-  ForwardReachResult result;
-  for (int depth = 1; depth <= maxDepth; ++depth) {
-    if (frontier == BddManager::kFalse) {
-      result.fixpoint = true;
-      break;
-    }
-    StateSet frontierSet;
-    frontierSet.numStateBits = n;
-    frontierSet.cubes = mgr.enumerateCubes(frontier);
-    ImageResult img = te ? imageViaAllSat(*te, system, frontierSet, options)
-                         : computeImage(system, frontierSet, method, options);
-    PRESAT_CHECK(img.complete) << "forward reachability needs complete images";
-    BddRef imgBdd = img.states.toBdd(mgr);
-    frontier = mgr.bddAnd(imgBdd, mgr.bddNot(reached));
-    reached = mgr.bddOr(reached, imgBdd);
-    result.depth = depth;
-  }
-  if (frontier == BddManager::kFalse) result.fixpoint = true;
-  result.reached.numStateBits = n;
-  result.reached.cubes = mgr.enumerateCubes(reached);
-  result.seconds = timer.seconds();
-  return result;
 }
 
 }  // namespace presat

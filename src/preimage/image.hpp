@@ -3,12 +3,9 @@
 // Img(F) = { s' | ∃s ∈ F, ∃x. δ(s, x) = s' }: all states reachable from F in
 // one transition. Computed either by projected all-SAT (projection scope =
 // the next-state function outputs instead of the present-state sources) or
-// symbolically. Together with preimage this completes the reachability
-// toolbox: forward reachability from reset states, backward reachability
-// from bad states, and their intersection for debugging.
+// symbolically.
 #pragma once
 
-#include "allsat/projection.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
 
@@ -32,25 +29,11 @@ inline constexpr ImageMethod kAllImageMethods[] = {
 struct ImageResult {
   StateSet states;
   BigUint stateCount;
-  bool complete = true;
-  AllSatStats stats;
   double seconds = 0.0;
 };
 
+// Runs ungoverned and uncapped: the image is always complete.
 ImageResult computeImage(const TransitionSystem& system, const StateSet& from,
-                         ImageMethod method, const AllSatOptions& options = {});
-
-// Forward reachability to fixpoint or depth bound (frontier-based). The
-// all-SAT method encodes the circuit once and reuses it at every depth.
-struct ForwardReachResult {
-  StateSet reached;
-  bool fixpoint = false;
-  int depth = 0;
-  double seconds = 0.0;
-};
-
-ForwardReachResult forwardReach(const TransitionSystem& system, const StateSet& init,
-                                int maxDepth, ImageMethod method,
-                                const AllSatOptions& options = {});
+                         ImageMethod method);
 
 }  // namespace presat

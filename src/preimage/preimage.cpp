@@ -328,8 +328,6 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     spec.compress = satOpts.compress;
     CertificateResult cert = buildCertificate(spec);
     result.certificate = std::move(cert.cert);
-    result.dratText = std::move(cert.dratText);
-    result.dratBinary = std::move(cert.dratBinary);
     result.metrics.setCounter("cert.bytes", result.certificate.size());
     result.metrics.setCounter("cert.proof_steps", cert.proofSteps);
   }

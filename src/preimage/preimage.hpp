@@ -105,11 +105,8 @@ struct PreimageResult {
   // Parallel runs: the disjoint guide cubes of the shard split (projected
   // index space) — the certificate's cross-shard disjointness argument.
   std::vector<LitVec> guides;
-  // Only with PreimageOptions::emitCertificate: the presat-cert-v1 text and
-  // the DRAT serializations of the proof it embeds.
+  // Only with PreimageOptions::emitCertificate: the presat-cert-v1 text.
   std::string certificate;
-  std::string dratText;
-  std::string dratBinary;
 };
 
 PreimageResult computePreimage(const TransitionSystem& system, const StateSet& target,

@@ -28,7 +28,6 @@ class TransitionSystem {
   NodeId inputNode(int i) const { return inputNodes_[static_cast<size_t>(i)]; }
 
   const std::vector<NodeId>& stateNodes() const { return stateNodes_; }
-  const std::vector<NodeId>& inputNodes() const { return inputNodes_; }
   const std::vector<NodeId>& nextStateRoots() const { return nextRoots_; }
 
   // Simulates one transition: given present state and input bit vectors

@@ -1,99 +1,31 @@
 #include "sat/proof.hpp"
 
-#include "base/log.hpp"
+#include <charconv>
 
 namespace presat {
 
-namespace {
-
-int32_t toDimacs(Lit l) {
-  int32_t v = static_cast<int32_t>(l.var()) + 1;
-  return l.sign() ? -v : v;
-}
-
-void appendInt(std::string& out, int64_t v) {
-  char buf[24];
-  int n = std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out.append(buf, static_cast<size_t>(n));
-}
-
-// Binary DRAT literal encoding: DIMACS l maps to unsigned 2*|l| + (l < 0),
-// emitted as a little-endian 7-bit variable-length integer.
-void appendVarint(std::string& out, int32_t dimacs) {
-  uint32_t u = dimacs > 0 ? 2u * static_cast<uint32_t>(dimacs)
-                          : 2u * static_cast<uint32_t>(-dimacs) + 1u;
-  while (u >= 0x80u) {
-    out.push_back(static_cast<char>((u & 0x7fu) | 0x80u));
-    u >>= 7;
-  }
-  out.push_back(static_cast<char>(u));
-}
-
-}  // namespace
-
-void ProofLog::record(bool deletion, const Lit* lits, size_t n) {
-  PRESAT_CHECK(n <= static_cast<size_t>(INT32_MAX)) << "proof step too wide";
-  int32_t count = static_cast<int32_t>(n);
-  data_.push_back(deletion ? ~count : count);
-  for (size_t i = 0; i < n; ++i) data_.push_back(toDimacs(lits[i]));
-  ++steps_;
-  endsWithEmpty_ = !deletion && n == 0;
-}
-
-void ProofLog::addClause(const Lit* lits, size_t n) { record(false, lits, n); }
-
-void ProofLog::deleteClause(const Lit* lits, size_t n) { record(true, lits, n); }
-
-void ProofLog::clear() {
-  data_.clear();
-  steps_ = 0;
-  endsWithEmpty_ = false;
-}
-
-std::string ProofLog::toTextDrat() const {
-  std::string out;
-  out.reserve(data_.size() * 4);
-  for (size_t i = 0; i < data_.size();) {
-    int32_t tag = data_[i++];
-    bool deletion = tag < 0;
-    int32_t n = deletion ? ~tag : tag;
-    if (deletion) out.append("d ");
-    for (int32_t k = 0; k < n; ++k) {
-      appendInt(out, data_[i++]);
-      out.push_back(' ');
-    }
-    out.append("0\n");
-  }
-  return out;
-}
-
-std::string ProofLog::toBinaryDrat() const {
-  std::string out;
-  out.reserve(data_.size() * 2);
-  for (size_t i = 0; i < data_.size();) {
-    int32_t tag = data_[i++];
-    bool deletion = tag < 0;
-    int32_t n = deletion ? ~tag : tag;
-    out.push_back(deletion ? 'd' : 'a');
-    for (int32_t k = 0; k < n; ++k) appendVarint(out, data_[i++]);
-    out.push_back('\0');
-  }
-  return out;
-}
-
-void ProofLog::appendCertLines(std::string& out) const {
-  for (size_t i = 0; i < data_.size();) {
-    int32_t tag = data_[i++];
-    bool deletion = tag < 0;
-    int32_t n = deletion ? ~tag : tag;
-    out.push_back(deletion ? 'e' : 'a');
+void appendLitLine(std::string& out, char tag, const Lit* lits, size_t n) {
+  out.push_back(tag);
+  out.push_back(' ');
+  for (size_t i = 0; i < n; ++i) {
+    char buf[16];
+    char* end = std::to_chars(buf, buf + sizeof(buf), lits[i].toDimacs()).ptr;
+    out.append(buf, end);
     out.push_back(' ');
-    for (int32_t k = 0; k < n; ++k) {
-      appendInt(out, data_[i++]);
-      out.push_back(' ');
-    }
-    out.append("0\n");
   }
+  out.append("0\n");
+}
+
+void ProofLog::addClause(const Lit* lits, size_t n) {
+  appendLitLine(out_, 'a', lits, n);
+  ++steps_;
+  endsWithEmpty_ = n == 0;
+}
+
+void ProofLog::deleteClause(const Lit* lits, size_t n) {
+  appendLitLine(out_, 'e', lits, n);
+  ++steps_;
+  endsWithEmpty_ = false;
 }
 
 }  // namespace presat

@@ -1,62 +1,51 @@
-// DRAT-style proof logging for the CDCL solver and the enumeration engines.
+// Proof logging for the CDCL solver, written as presat-cert-v1 proof lines.
 //
-// A ProofLog records the clause additions and deletions a solver run derives:
-// learnt clauses, unit learnts, the reason-less flip clauses that close each
-// chronological-enumeration region (logged as RAT additions — they are RUP
-// once the blocking clauses of the emitted cubes are premises), and the empty
-// clause ending an UNSAT run. The log is an in-memory event buffer with three
-// serializations: text DRAT, binary DRAT, and the `a`/`e` proof section of a
-// presat-cert-v1 certificate (src/cert/certificate.hpp).
+// A ProofLog appends to a caller-owned string the clause additions and
+// deletions a solve() derives — learnt clauses, unit learnts, and the empty
+// clause ending an UNSAT run — as the `a <lits> 0` / `e <lits> 0` lines of
+// a certificate's proof section (src/cert/certificate.hpp). Its one user is
+// the certificate's replay solver, which proves F AND blocking(cubes) UNSAT.
 //
 // The log observes the search; it never influences it. A null ProofLog* on
-// the Solver keeps every hot path branch-only, which is what the bench lane's
-// proof-logging-off regression gate pins down.
+// the Solver keeps every hot path branch-only.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "base/types.hpp"
 
 namespace presat {
 
+// Appends "<tag> <l_1> ... <l_n> 0\n", literals as signed DIMACS integers:
+// the form of every literal-list line in a presat-cert-v1 certificate.
+void appendLitLine(std::string& out, char tag, const Lit* lits, size_t n);
+inline void appendLitLine(std::string& out, char tag, const LitVec& lits) {
+  appendLitLine(out, tag, lits.data(), lits.size());
+}
+
 class ProofLog {
  public:
-  // Clause addition (DRAT "a"): the clause must be redundant (RUP/RAT) with
-  // respect to the working formula the eventual checker maintains.
+  // Appends to `out`, which must outlive the log.
+  explicit ProofLog(std::string& out) : out_(out) {}
+
+  // Clause addition (`a`): the clause must be RUP with respect to the
+  // working formula the eventual checker maintains.
   void addClause(const Lit* lits, size_t n);
   void addClause(const LitVec& lits) { addClause(lits.data(), lits.size()); }
   void addUnit(Lit l) { addClause(&l, 1); }
   void addEmpty() { addClause(nullptr, 0); }
 
-  // Clause deletion (DRAT "d").
+  // Clause deletion (`e`).
   void deleteClause(const Lit* lits, size_t n);
-  void deleteClause(const LitVec& lits) { deleteClause(lits.data(), lits.size()); }
 
   size_t numSteps() const { return steps_; }
-  bool empty() const { return steps_ == 0; }
-  // True when the last recorded step is an empty-clause addition (the UNSAT
+  // True when the last step written is an empty-clause addition (the UNSAT
   // terminator a complete-cover certificate requires).
   bool endsWithEmptyClause() const { return endsWithEmpty_; }
-  void clear();
-
-  // Text DRAT: one step per line, "d " prefix for deletions, literals as
-  // signed DIMACS integers, "0" terminator.
-  std::string toTextDrat() const;
-  // Binary DRAT: 'a'/'d' step bytes, literals as 7-bit variable-length
-  // unsigned integers of the MiniSat mapping (2*var + sign), 0 terminator.
-  std::string toBinaryDrat() const;
-  // presat-cert-v1 proof section: "a <lits> 0" / "e <lits> 0" lines.
-  void appendCertLines(std::string& out) const;
 
  private:
-  // Flattened event stream: per step, a tag (+n for an addition of n
-  // literals, encoded as n; deletions store ~n) followed by the DIMACS
-  // literals. Variable v (0-based) maps to v+1; negative = sign bit set.
-  void record(bool deletion, const Lit* lits, size_t n);
-
-  std::vector<int32_t> data_;
+  std::string& out_;
   size_t steps_ = 0;
   bool endsWithEmpty_ = false;
 };

@@ -148,7 +148,7 @@ class Solver {
   // are charged against the tracked-byte pool. The governor must outlive the
   // solver (or be detached first).
   void setGovernor(Governor* governor);
-  // Attaches a DRAT-style proof log to solve() (may be null to detach; must
+  // Attaches a proof log (sat/proof.hpp) to solve() (may be null to detach; must
   // outlive the solver or be detached first). The log records learnt and
   // deleted clauses and the empty clause on UNSAT, so an external checker
   // can replay the refutation. An enumeration session takes no log:
@@ -158,7 +158,6 @@ class Solver {
 
   const SolverStats& stats() const { return stats_; }
   size_t numLearnts() const { return numLearnts_; }
-  size_t numOriginalClauses() const { return numOriginal_; }
 
   // Current assignment value during/after search (level-0 forced values
   // persist between solves).
@@ -318,7 +317,7 @@ class Solver {
   Governor* governor_ = nullptr;
   MemoryLedger arenaLedger_;  // clause-arena bytes charged to the governor
 
-  // DRAT-style proof logging (null = off; the hot paths stay branch-only).
+  // Proof logging (null = off; the hot paths stay branch-only).
   ProofLog* proofLog_ = nullptr;
 
   SolverStats stats_;

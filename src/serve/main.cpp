@@ -18,7 +18,10 @@
 // as the batch tools and asserts every response is complete or a sound
 // partial.
 #include <cerrno>
+#include <charconv>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,15 +76,23 @@ class StdioTransport : public LineTransport {
   }
 };
 
-uint64_t parseU64Flag(const char* flagName, const char* value) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "presat_serve: bad value for %s: '%s'\n", flagName, value);
+// Digits only, at most `max`: a sign, blank, trailing text or a value out
+// of range exits 2 rather than wrapping or truncating.
+uint64_t parseU64Flag(const char* flagName, const char* value, uint64_t max) {
+  const char* last = value + std::strlen(value);
+  uint64_t v = 0;
+  auto [end, ec] = std::from_chars(value, last, v);
+  if (end == value || ec != std::errc() || end != last || v > max) {
+    std::fprintf(stderr, "presat_serve: %s needs a decimal number in [0, %llu], got '%s'\n",
+                 flagName, static_cast<unsigned long long>(max), value);
     std::exit(2);
   }
-  return static_cast<uint64_t>(v);
+  return v;
 }
+
+// Megabyte counts are shifted into bytes, so their range stops where the
+// shift would overflow.
+constexpr uint64_t kMaxMb = UINT64_MAX >> 20;
 
 int runServe(int argc, char** argv) {
   ServerConfig config;
@@ -96,21 +107,21 @@ int runServe(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(arg, "--workers") == 0) {
-      config.workers = static_cast<int>(parseU64Flag(arg, next()));
+      config.workers = static_cast<int>(parseU64Flag(arg, next(), INT_MAX));
     } else if (std::strcmp(arg, "--queue-depth") == 0) {
-      config.queueDepth = static_cast<size_t>(parseU64Flag(arg, next()));
+      config.queueDepth = static_cast<size_t>(parseU64Flag(arg, next(), SIZE_MAX));
     } else if (std::strcmp(arg, "--cache-mb") == 0) {
-      cacheMb = parseU64Flag(arg, next());
+      cacheMb = parseU64Flag(arg, next(), kMaxMb);
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       cacheMb = 0;
     } else if (std::strcmp(arg, "--mem-limit-mb") == 0) {
-      config.memLimitBytes = parseU64Flag(arg, next()) << 20;
+      config.memLimitBytes = parseU64Flag(arg, next(), kMaxMb) << 20;
     } else if (std::strcmp(arg, "--max-jobs") == 0) {
-      config.limits.maxJobs = static_cast<int>(parseU64Flag(arg, next()));
+      config.limits.maxJobs = static_cast<int>(parseU64Flag(arg, next(), INT_MAX));
     } else if (std::strcmp(arg, "--default-timeout-ms") == 0) {
-      config.limits.defaultTimeoutMs = parseU64Flag(arg, next());
+      config.limits.defaultTimeoutMs = parseU64Flag(arg, next(), UINT64_MAX);
     } else if (std::strcmp(arg, "--max-contexts") == 0) {
-      config.maxContexts = static_cast<size_t>(parseU64Flag(arg, next()));
+      config.maxContexts = static_cast<size_t>(parseU64Flag(arg, next(), SIZE_MAX));
     } else if (std::strcmp(arg, "--no-banner") == 0) {
       config.banner = false;
     } else {

@@ -277,29 +277,6 @@ bool parseJson(const std::string& line, JsonValue& out, std::string& error) {
   return JsonParser(line, error).parse(out);
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 void JsonObjectWriter::key(const std::string& k) {
   if (!body_.empty()) body_ += ",";
   body_ += "\"" + jsonEscape(k) + "\":";
@@ -339,18 +316,6 @@ void JsonObjectWriter::field(const std::string& k, double value) {
 void JsonObjectWriter::field(const std::string& k, bool value) {
   key(k);
   body_ += value ? "true" : "false";
-}
-
-const char* serveOpName(ServeOp op) {
-  switch (op) {
-    case ServeOp::kPreimage: return "preimage";
-    case ServeOp::kPing: return "ping";
-    case ServeOp::kVersion: return "version";
-    case ServeOp::kStats: return "stats";
-    case ServeOp::kCancel: return "cancel";
-    case ServeOp::kShutdown: return "shutdown";
-  }
-  return "?";
 }
 
 bool parseRequest(const std::string& line, int lineNo, ServeRequest& out, ServeError& error) {

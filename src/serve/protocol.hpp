@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/metrics.hpp"
+
 namespace presat::serve {
 
 // --- hardening limits -------------------------------------------------------
@@ -58,9 +60,9 @@ struct JsonValue {
 // happens here.
 bool parseJson(const std::string& line, JsonValue& out, std::string& error);
 
-// JSON string escaping for the writer side (control chars, quote,
-// backslash; UTF-8 passes through untouched).
-std::string jsonEscape(const std::string& s);
+// The writer side escapes strings with the metrics export's jsonEscape
+// (base/metrics.hpp); callers may name it serve::jsonEscape.
+using presat::jsonEscape;
 
 // Incremental one-line JSON object writer. Values are appended in call
 // order; the result is a compact single-line document (the NDJSON framing
@@ -103,8 +105,6 @@ enum class ServeOp {
   kCancel,    // cancel an in-flight request by id
   kShutdown,  // drain and exit
 };
-
-const char* serveOpName(ServeOp op);
 
 // One parsed request. Engine fields mirror the presat_cli flags; budget
 // fields are per-request and combine with the server's caps (the smaller

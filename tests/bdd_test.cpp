@@ -313,15 +313,6 @@ TEST(BddKernel, StressGrowthKeepsResultsAndRefsCanonical) {
   EXPECT_TRUE(audit.ok()) << audit.toString();
 }
 
-TEST(Bdd, DagSizeAndDot) {
-  BddManager mgr(3);
-  BddRef f = mgr.bddXor(mgr.variable(0), mgr.bddXor(mgr.variable(1), mgr.variable(2)));
-  EXPECT_EQ(mgr.dagSize(f), 3u + 2u + 2u);  // xor chain: 3 levels of 1,2,2 + terminals... structural
-  std::string dot = mgr.toDot(f, "parity");
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("x0"), std::string::npos);
-}
-
 // Property: andExists(f, g, V) == exists(f & g, V), on random functions.
 TEST(BddProperty, AndExistsMatchesComposition) {
   Rng rng(59);

@@ -91,10 +91,11 @@ TEST(CertAccept, AllEnginesSerial) {
     EXPECT_EQ(run.exitCode, 0) << preimageMethodName(method) << "\n" << run.output;
     EXPECT_NE(run.output.find("complete cover verified"), std::string::npos)
         << preimageMethodName(method) << "\n" << run.output;
-    // A complete cover's embedded proof ends with the empty clause, and the
-    // DRAT serializations of that proof ride along with the result.
-    EXPECT_NE(r.dratText.find("0\n"), std::string::npos) << preimageMethodName(method);
-    EXPECT_FALSE(r.dratBinary.empty()) << preimageMethodName(method);
+    // A complete cover's embedded proof ends with the empty clause.
+    const std::string tail = "\na 0\nh end\n";
+    ASSERT_GE(r.certificate.size(), tail.size()) << preimageMethodName(method);
+    EXPECT_EQ(r.certificate.substr(r.certificate.size() - tail.size()), tail)
+        << preimageMethodName(method);
   }
 }
 
@@ -262,8 +263,6 @@ TEST(CertZeroCost, NoCertificateUnlessAsked) {
   StateSet target = StateSet::fromMinterm(4, 6);
   PreimageResult r = computePreimage(ts, target, PreimageMethod::kChrono);
   EXPECT_TRUE(r.certificate.empty());
-  EXPECT_TRUE(r.dratText.empty());
-  EXPECT_TRUE(r.dratBinary.empty());
 }
 
 // --- rejection: corrupted certificates --------------------------------------
@@ -420,31 +419,31 @@ TEST(CertReject, NonRupProofRejected) {
 
 // --- the proof log itself ---------------------------------------------------
 
-TEST(ProofLogTest, SerializationsAgree) {
-  ProofLog log;
-  log.addClause(LitVec{mkLit(0), ~mkLit(1)});
-  log.deleteClause(LitVec{mkLit(0), ~mkLit(1)});
+TEST(ProofLogTest, WritesCertificateLines) {
+  std::string lines = "h end\n";
+  ProofLog log(lines);
+  const LitVec clause{mkLit(0), ~mkLit(1)};
+  log.addClause(clause);
+  log.deleteClause(clause.data(), clause.size());
+  log.addUnit(~mkLit(11));
   log.addEmpty();
-  EXPECT_EQ(log.numSteps(), 3u);
+  EXPECT_EQ(log.numSteps(), 4u);
   EXPECT_TRUE(log.endsWithEmptyClause());
-  EXPECT_EQ(log.toTextDrat(), "1 -2 0\nd 1 -2 0\n0\n");
-  // Binary DRAT: 'a'/'d' tag, literals as varints of 2*|l| + (l<0), NUL
-  // terminator. 1 -> 2, -2 -> 5.
-  const char expected[] = {'a', 2, 5, 0, 'd', 2, 5, 0, 'a', 0};
-  EXPECT_EQ(log.toBinaryDrat(), std::string(expected, sizeof(expected)));
-  std::string lines;
-  log.appendCertLines(lines);
-  EXPECT_EQ(lines, "a 1 -2 0\ne 1 -2 0\na 0\n");
-  log.clear();
-  EXPECT_TRUE(log.empty());
-  EXPECT_FALSE(log.endsWithEmptyClause());
+  // Appends after what the string already holds.
+  EXPECT_EQ(lines, "h end\na 1 -2 0\ne 1 -2 0\na -12 0\na 0\n");
 }
 
 TEST(ProofLogTest, EndsWithEmptyTracksLastStep) {
-  ProofLog log;
+  std::string lines;
+  ProofLog log(lines);
+  EXPECT_FALSE(log.endsWithEmptyClause());
   log.addEmpty();
   EXPECT_TRUE(log.endsWithEmptyClause());
   log.addUnit(mkLit(0));
+  EXPECT_FALSE(log.endsWithEmptyClause());
+  log.addEmpty();
+  const Lit unit = mkLit(0);
+  log.deleteClause(&unit, 1);
   EXPECT_FALSE(log.endsWithEmptyClause());
 }
 

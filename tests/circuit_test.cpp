@@ -68,11 +68,9 @@ TEST(Netlist, LevelsAreMonotone) {
   }
 }
 
-TEST(Netlist, ConeAndSupport) {
+TEST(Netlist, ConeOf) {
   Netlist nl = buildSmallCombinational();
-  NodeId ab = nl.findByName("ab");
-  std::vector<NodeId> support = nl.supportOf({ab});
-  EXPECT_EQ(support.size(), 2u);  // a, b
+  EXPECT_EQ(nl.coneOf({nl.findByName("ab")}).size(), 3u);  // a, b, ab
   std::vector<NodeId> cone = nl.coneOf({nl.findByName("abc")});
   EXPECT_EQ(cone.size(), 5u);
 }

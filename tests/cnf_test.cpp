@@ -1,8 +1,8 @@
-// Tests for literal encoding, CNF containers, DIMACS I/O, and the
+// Tests for literal encoding, CNF containers, the DIMACS reader, and the
 // preprocessing simplifier.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "base/rng.hpp"
 #include "base/types.hpp"
@@ -95,35 +95,42 @@ TEST(Dimacs, ClauseSpanningLines) {
   EXPECT_EQ(f.cnf.clause(0).size(), 4u);
 }
 
-TEST(Dimacs, WriteParseRoundTrip) {
+TEST(Dimacs, ParsesRandomClausesExactly) {
   Rng rng(3);
   for (int iter = 0; iter < 50; ++iter) {
     Cnf cnf(static_cast<int>(rng.range(1, 10)));
     int clauses = static_cast<int>(rng.range(0, 15));
+    std::string body;
     for (int i = 0; i < clauses; ++i) {
       Clause c;
       int len = static_cast<int>(rng.range(1, 4));
       for (int j = 0; j < len; ++j) {
         c.push_back(mkLit(static_cast<Var>(rng.below(static_cast<uint64_t>(cnf.numVars()))),
                           rng.flip()));
+        body += std::to_string(c.back().toDimacs()) + " ";
       }
+      body += "0\n";
       cnf.addClause(c);
     }
-    DimacsFile back = parseDimacsString(toDimacsString(cnf));
+    DimacsFile back = parseDimacsString("p cnf " + std::to_string(cnf.numVars()) + " " +
+                                        std::to_string(clauses) + "\n" + body);
     EXPECT_EQ(back.cnf.numVars(), cnf.numVars());
     ASSERT_EQ(back.cnf.numClauses(), cnf.numClauses());
     for (size_t i = 0; i < cnf.numClauses(); ++i) EXPECT_EQ(back.cnf.clause(i), cnf.clause(i));
   }
 }
 
-TEST(Dimacs, ProjectionRoundTrip) {
-  Cnf cnf(5);
-  cnf.addTernary(mkLit(0), mkLit(2), ~mkLit(4));
-  std::vector<Var> projection{0, 3, 4};
-  DimacsFile back = parseDimacsString(toDimacsString(cnf, &projection));
+TEST(Dimacs, ProjectionAmongComments) {
+  DimacsFile back = parseDimacsString(
+      "c first comment\n"
+      "c proj 1 4 5\n"
+      "p cnf 5 1\n"
+      "c trailing comment\n"
+      "1 3 -5 0\n");
   ASSERT_TRUE(back.projection.has_value());
-  EXPECT_EQ(*back.projection, projection);
-  EXPECT_EQ(back.cnf.numClauses(), 1u);
+  EXPECT_EQ(*back.projection, (std::vector<Var>{0, 3, 4}));
+  ASSERT_EQ(back.cnf.numClauses(), 1u);
+  EXPECT_EQ(back.cnf.clause(0), (Clause{mkLit(0), mkLit(2), ~mkLit(4)}));
 }
 
 TEST(Types, ToStringFormats) {

@@ -1,4 +1,4 @@
-// Forward image / forward reachability tests, differentially against
+// Forward image tests, differentially against
 // explicit transition enumeration and against the preimage engines (Galois
 // connection: s' ∈ Img(F) iff Pre({s'}) ∩ F ≠ ∅).
 #include <gtest/gtest.h>
@@ -120,7 +120,6 @@ TEST_P(ImageFuzz, AllMethodsMatchBruteForce) {
     std::set<uint64_t> expected = bruteForceImage(ts, from);
     for (ImageMethod method : kAllImageMethods) {
       ImageResult r = computeImage(ts, from, method);
-      ASSERT_TRUE(r.complete);
       ASSERT_EQ(toMinterms(r.states), expected)
           << imageMethodName(method) << " group " << GetParam() << " iter " << iter;
       EXPECT_EQ(r.stateCount.toU64(), expected.size());
@@ -149,52 +148,6 @@ TEST(Image, GaloisConnectionWithPreimage) {
       EXPECT_EQ(inImage, preMeetsFrom) << "trial " << trial << " state " << t;
     }
   }
-}
-
-TEST(ForwardReach, CounterFromZeroWithEnable) {
-  Netlist nl = makeCounter(3);
-  TransitionSystem ts(nl);
-  ForwardReachResult r = forwardReach(ts, StateSet::fromMinterm(3, 0), 20, ImageMethod::kBdd);
-  EXPECT_TRUE(r.fixpoint);
-  EXPECT_EQ(toMinterms(r.reached).size(), 8u);  // counter cycles through all
-}
-
-TEST(ForwardReach, LockedCombinationLockReachesOpen) {
-  Netlist nl = makeCombinationLock({1, 2, 3}, 2);
-  TransitionSystem ts(nl);
-  int n = ts.numStateBits();
-  ForwardReachResult r =
-      forwardReach(ts, StateSet::fromMinterm(n, 0), 10, ImageMethod::kMintermBlocking);
-  EXPECT_TRUE(r.fixpoint);
-  std::vector<bool> open(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) open[static_cast<size_t>(i)] = (3 >> i) & 1;
-  EXPECT_TRUE(r.reached.contains(open));
-}
-
-TEST(ForwardReach, MatchesExplicitBfsOnS27) {
-  Netlist nl = makeS27();
-  TransitionSystem ts(nl);
-  ForwardReachResult fwd =
-      forwardReach(ts, StateSet::fromMinterm(3, 0), 20, ImageMethod::kMintermBlocking);
-  EXPECT_TRUE(fwd.fixpoint);
-
-  // Explicit BFS over the concrete state graph.
-  std::set<uint64_t> explicitReach{0};
-  std::set<uint64_t> frontier{0};
-  while (!frontier.empty()) {
-    std::set<uint64_t> next;
-    for (uint64_t s : frontier) {
-      std::vector<bool> state{(s & 1) != 0, (s & 2) != 0, (s & 4) != 0};
-      for (uint64_t x = 0; x < 16; ++x) {
-        std::vector<bool> inputs{(x & 1) != 0, (x & 2) != 0, (x & 4) != 0, (x & 8) != 0};
-        std::vector<bool> nxt = ts.step(state, inputs);
-        uint64_t t = (nxt[0] ? 1u : 0u) | (nxt[1] ? 2u : 0u) | (nxt[2] ? 4u : 0u);
-        if (explicitReach.insert(t).second) next.insert(t);
-      }
-    }
-    frontier = std::move(next);
-  }
-  EXPECT_EQ(toMinterms(fwd.reached), explicitReach);
 }
 
 }  // namespace

@@ -136,12 +136,5 @@ TEST(SolutionGraph, MultiRootQueries) {
   EXPECT_EQ(numPaths(g), 0u);
 }
 
-TEST(SolutionGraph, DotExportMentionsNodes) {
-  SolutionGraph g = bothBranchesSucceed();
-  std::string dot = g.toDot();
-  EXPECT_NE(dot.find("SUCCESS"), std::string::npos);
-  EXPECT_NE(dot.find("n0"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace presat

@@ -9,7 +9,6 @@
 #include "base/rng.hpp"
 #include "check/audit_solver.hpp"
 #include "cnf/cnf.hpp"
-#include "cnf/dimacs.hpp"
 #include "govern/governor.hpp"
 #include "oracle/dpll.hpp"
 #include "sat/proof.hpp"
@@ -211,7 +210,8 @@ TEST(SolverDeathTest, DeferredVariableOutsideScopeAborts) {
 TEST(SolverDeath, EnumerationWithProofLogAborts) {
   Solver s;
   s.newVar();
-  ProofLog log;
+  std::string lines;
+  ProofLog log(lines);
   s.setProofLog(&log);
   EXPECT_DEATH(s.beginEnumeration({0}), "beginEnumeration\\(\\) with a proof log attached");
 }
@@ -236,8 +236,7 @@ TEST_P(SolverFuzz, AgreesWithDpll) {
       AuditResult audit = auditSolver(s);
       ASSERT_TRUE(audit.ok()) << audit.toString();
     }
-    ASSERT_EQ(actual, expected) << "seed-group " << GetParam() << " iter " << iter << "\n"
-                                << toDimacsString(cnf);
+    ASSERT_EQ(actual, expected) << "seed-group " << GetParam() << " iter " << iter;
     if (actual) {
       std::vector<bool> model(static_cast<size_t>(vars));
       for (Var v = 0; v < vars; ++v) model[static_cast<size_t>(v)] = s.modelValue(v);

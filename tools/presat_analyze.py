@@ -36,8 +36,9 @@ Rules (stable ids):
                           label) across the whole repo
   metrics-duplicate-key   the same key+kind registered twice inside one
                           function silently clobbers itself
-  metrics-registry-drift  tools/metrics_registry.json no longer matches the
-                          registration sites in the source (re-run with
+  metrics-registry-drift  tools/metrics_registry.json (each literal key's
+                          kind and registering files, no line numbers) no
+                          longer matches the source (re-run with
                           --update-registry)
 
 Waivers: `// presat-analyze: <rule-keyword>(<why>)` on the declaration line
@@ -622,18 +623,21 @@ def files_from_compile_commands(cc_path: Path) -> list[Path] | None:
 
 
 def build_registry(sites: list[MetricSite], dynamic_sites: int) -> dict:
+    """Kind and registering files per literal key. Line numbers stay out, so
+    moving a site within its file leaves the registry unchanged; a new,
+    renamed or removed key, a changed kind, or a site moving to another file
+    changes it."""
     keys: dict[str, dict] = {}
     for s in sites:
         if s.key is None:
             continue
-        entry = keys.setdefault(s.key, {"kind": s.kind, "sites": []})
-        loc = f"{s.file}:{s.line}"
-        if loc not in entry["sites"]:
-            entry["sites"].append(loc)
+        entry = keys.setdefault(s.key, {"kind": s.kind, "files": []})
+        if s.file not in entry["files"]:
+            entry["files"].append(s.file)
     for entry in keys.values():
-        entry["sites"].sort()
+        entry["files"].sort()
     return {
-        "schema": "presat-metrics-registry-v1",
+        "schema": "presat-metrics-registry-v2",
         "dynamic_sites": dynamic_sites,
         "keys": {k: keys[k] for k in sorted(keys)},
     }

@@ -5,7 +5,7 @@
 //   presat_cli allsat  <file.cnf>  [--method minterm|cube|sd|chrono] [--max N]
 //                                  [--stats json]
 //   presat_cli preimage <file.bench>|--gen SPEC --target CUBE [--method NAME] [--stats json]
-//                                    [--cert FILE] [--drat FILE] [--drat-binary FILE]
+//                                    [--cert FILE]
 //   presat_cli image    <file.bench> --from CUBE [--method minterm|bdd]
 //   presat_cli reach    <file.bench>|--gen SPEC --target CUBE [--depth N] [--method NAME]
 //                                    [--stats json]
@@ -107,8 +107,7 @@ namespace {
                "  presat_cli allsat   <file.cnf>   [--method minterm|cube|sd|chrono] [--max N]\n"
                "                                   [--stats json]\n"
                "  presat_cli preimage <file.bench>|--gen SPEC --target CUBE [--method NAME]\n"
-               "                                   [--stats json] [--cert FILE] [--drat FILE]\n"
-               "                                   [--drat-binary FILE]\n"
+               "                                   [--stats json] [--cert FILE]\n"
                "  presat_cli image    <file.bench> --from CUBE [--method minterm|bdd]\n"
                "  presat_cli reach    <file.bench>|--gen SPEC --target CUBE [--depth N]\n"
                "                                   [--method NAME] [--stats json]\n"
@@ -400,13 +399,9 @@ int cmdPreimage(const Args& args) {
   std::unique_ptr<Governor> governor = makeGovernor(args);
   options.allsat.governor = governor.get();
   std::string certPath = args.flag("cert");
-  std::string dratPath = args.flag("drat");
-  std::string dratBinaryPath = args.flag("drat-binary");
-  options.emitCertificate = !certPath.empty() || !dratPath.empty() || !dratBinaryPath.empty();
+  options.emitCertificate = !certPath.empty();
   PreimageResult r = computePreimage(system, target, method, options);
   if (!certPath.empty()) writeFileOrDie(certPath, r.certificate);
-  if (!dratPath.empty()) writeFileOrDie(dratPath, r.dratText);
-  if (!dratBinaryPath.empty()) writeFileOrDie(dratBinaryPath, r.dratBinary);
   std::printf("preimage: %s states in %zu cubes (%s, %.3f ms)\n",
               r.stateCount.toDecimal().c_str(), r.states.cubes.size(), preimageMethodName(method),
               r.seconds * 1e3);
@@ -757,7 +752,7 @@ int cmdAudit(const Args& args) {
 const Command kCommands[] = {
     {"info", false, {}, cmdInfo},
     {"allsat", true, {"max", "method", "stats"}, cmdAllsat},
-    {"preimage", true, {"gen", "target", "method", "stats", "cert", "drat", "drat-binary"},
+    {"preimage", true, {"gen", "target", "method", "stats", "cert"},
      cmdPreimage},
     {"image", false, {"from", "method"}, cmdImage},
     {"reach", true, {"gen", "target", "method", "depth", "stats"}, cmdReach},
