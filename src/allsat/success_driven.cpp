@@ -1,5 +1,6 @@
 #include "allsat/success_driven.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <climits>
 #include <string>
@@ -237,6 +238,7 @@ class Engine {
     // Unconditional: assign()/undoTo() maintain frontierSig_ even with
     // learning off, so the ablation path stays identical modulo the memo.
     initZobrist();
+    initControllability();
     // Constants carry their value from the start and never need
     // justification.
     for (NodeId id = 0; id < nl_.numNodes(); ++id) {
@@ -264,6 +266,7 @@ class Engine {
     metrics_.setLabel("engine", "success-driven");
     metrics_.setCounter("sig.cone_nodes", sigCutNodes_);
     metrics_.setCounter("sig.bytes", sigCutNodes_ * sizeof(Sig128));
+    metrics_.setCounter("sd.subsumed", subsumed_);
     if (frontierSizes_.count() != 0) metrics_.histogram("frontier.size").merge(frontierSizes_);
     result.summary.metrics = std::move(metrics_);
     // One BDD pass over the graph serves the cover, the count and the audit.
@@ -488,7 +491,93 @@ class Engine {
 
   // --- decisions ------------------------------------------------------------------
 
-  // Picks the branch node and first value for the lowest frontier gate.
+  // SCOAP controllability (Goldstein 1979), the cost estimate PODEM and FAN
+  // backtrace through: cc_[2n + v] is roughly how many source assignments it
+  // takes to justify value v on node n. A state source weighs 100 and an
+  // input 1, so justification runs through the inputs, which the projection
+  // drops, instead of pinning state bits. Saturates at kUncontrollable.
+  static constexpr uint32_t kUncontrollable = UINT32_MAX;
+  static constexpr uint32_t kInputCost = 1;
+  static constexpr uint32_t kStateCost = 100;
+
+  static uint32_t saturatingAdd(uint32_t a, uint32_t b) {
+    return a > kUncontrollable - b ? kUncontrollable : a + b;
+  }
+  uint32_t controllability(NodeId n, bool v) const { return cc_[n * 2 + (v ? 1 : 0)]; }
+
+  void initControllability() {
+    cc_.assign(nl_.numNodes() * 2, 0);
+    for (NodeId n : nl_.topologicalOrder()) {
+      const GateNode& gate = nl_.node(n);
+      uint32_t cost[2] = {0, 0};
+      switch (gate.type) {
+        case GateType::kConst0:
+          cost[1] = kUncontrollable;
+          break;
+        case GateType::kConst1:
+          cost[0] = kUncontrollable;
+          break;
+        case GateType::kInput:
+          cost[0] = cost[1] = kInputCost;
+          break;
+        case GateType::kDff:
+          cost[0] = cost[1] = kStateCost;
+          break;
+        case GateType::kBuf:
+        case GateType::kNot: {
+          const bool inverted = gate.type == GateType::kNot;
+          cost[0] = controllability(gate.fanins[0], inverted);
+          cost[1] = controllability(gate.fanins[0], !inverted);
+          break;
+        }
+        case GateType::kAnd:
+        case GateType::kNand:
+        case GateType::kOr:
+        case GateType::kNor: {
+          // The controlled output needs the cheapest controlling fanin; the
+          // other output needs every fanin non-controlling.
+          const bool ctrlIn = (gate.type == GateType::kOr || gate.type == GateType::kNor);
+          const bool inverted = (gate.type == GateType::kNand || gate.type == GateType::kNor);
+          uint32_t cheapest = kUncontrollable;
+          uint32_t all = 0;
+          for (NodeId f : gate.fanins) {
+            cheapest = std::min(cheapest, controllability(f, ctrlIn));
+            all = saturatingAdd(all, controllability(f, !ctrlIn));
+          }
+          cost[ctrlIn != inverted] = saturatingAdd(cheapest, 1);
+          cost[ctrlIn == inverted] = saturatingAdd(all, 1);
+          break;
+        }
+        case GateType::kXor:
+        case GateType::kXnor: {
+          uint32_t sum = 1;
+          for (NodeId f : gate.fanins) {
+            sum = saturatingAdd(sum, std::min(controllability(f, false), controllability(f, true)));
+          }
+          cost[0] = cost[1] = sum;
+          break;
+        }
+        case GateType::kMux: {
+          const NodeId sel = gate.fanins[0];
+          for (int v = 0; v < 2; ++v) {
+            const uint32_t via0 =
+                saturatingAdd(controllability(sel, false), controllability(gate.fanins[1], v));
+            const uint32_t via1 =
+                saturatingAdd(controllability(sel, true), controllability(gate.fanins[2], v));
+            cost[v] = saturatingAdd(std::min(via0, via1), 1);
+          }
+          break;
+        }
+      }
+      cc_[n * 2] = cost[0];
+      cc_[n * 2 + 1] = cost[1];
+    }
+  }
+
+  // Picks the branch node and first value for the lowest frontier gate. A
+  // controlled AND-family gate is justified through the undecided fanin
+  // cheapest to control (the first in fanin order on a tie); XOR/XNOR branch
+  // on their first undecided fanin, a MUX on its select.
   void pickBranch(NodeId& branchNode, bool& firstValue) const {
     PRESAT_DCHECK(!frontier_.empty());
     NodeId g = frontier_.lowest();
@@ -500,12 +589,17 @@ class Engine {
       case GateType::kOr:
       case GateType::kNor: {
         bool ctrlIn = (gate.type == GateType::kOr || gate.type == GateType::kNor);
+        NodeId best = kNoNode;
         for (NodeId f : gate.fanins) {
-          if (value_[f].isUndef()) {
-            branchNode = f;
-            firstValue = ctrlIn;
-            return;
+          if (value_[f].isUndef() &&
+              (best == kNoNode || controllability(f, ctrlIn) < controllability(best, ctrlIn))) {
+            best = f;
           }
+        }
+        if (best != kNoNode) {
+          branchNode = best;
+          firstValue = ctrlIn;
+          return;
         }
         break;
       }
@@ -641,6 +735,13 @@ class Engine {
 
   // --- search -------------------------------------------------------------------------
 
+  // Whether the subgraph `child` covers every completion of the projection
+  // sources its paths leave open.
+  bool coversEverything(int child) const {
+    if (child == SolutionGraph::kSuccess) return true;
+    return child >= 0 && full_[static_cast<size_t>(child)] != 0;
+  }
+
   int solveState() {
     // Cooperative degradation: once the governor trips, the remaining search
     // fails fast — every un-explored branch records kFail, which prunes the
@@ -676,6 +777,7 @@ class Engine {
 
     SolutionGraph::Node node;
     node.decisionId = branchNode;
+    int subsumedBy = SolutionGraph::kFail;
     for (int b = 0; b < 2; ++b) {
       bool val = (b == 0) ? firstValue : !firstValue;
       size_t mark = trail_.size();
@@ -690,13 +792,23 @@ class Engine {
         if (governor_ != nullptr) governor_->countConflicts(1);
       }
       undoTo(mark);
+      // Projected subsumption: a branch that fixes no projection source and
+      // leads to a subgraph covering every completion covers this whole
+      // node, so the other branch is never searched.
+      if (newProj.empty() && coversEverything(child)) {
+        subsumedBy = child;
+        break;
+      }
       node.branch[b].child = child;
       node.branch[b].newLits = std::move(newProj);
     }
 
     int index;
-    if (node.branch[0].child == SolutionGraph::kFail &&
-        node.branch[1].child == SolutionGraph::kFail) {
+    if (subsumedBy != SolutionGraph::kFail) {
+      ++subsumed_;
+      index = subsumedBy;
+    } else if (node.branch[0].child == SolutionGraph::kFail &&
+               node.branch[1].child == SolutionGraph::kFail) {
       index = SolutionGraph::kFail;
     } else {
       graphLedger_.charge(
@@ -704,6 +816,12 @@ class Engine {
           (node.branch[0].newLits.capacity() + node.branch[1].newLits.capacity()) *
               sizeof(Lit));
       index = graph_.addNode(node);
+      // Covers every completion: a split on one projection source whose
+      // branches add only that source's literal and both cover everything.
+      full_.push_back(projIndex_[branchNode] >= 0 && node.branch[0].newLits.size() == 1 &&
+                      node.branch[1].newLits.size() == 1 &&
+                      coversEverything(node.branch[0].child) &&
+                      coversEverything(node.branch[1].child));
     }
     // A node finished under a trip may have had its second branch pruned to
     // kFail — correct as a partial answer, but never reusable as the exact
@@ -726,6 +844,7 @@ class Engine {
   std::vector<lbool> value_;
   std::vector<int> projIndex_;
   int numProjection_;  // projected index space: [0, projectionSources.size())
+  std::vector<uint32_t> cc_;  // controllability: cc_[2n + v]
 
   Frontier frontier_;  // unjustified gates, ordered by topological position
   std::vector<NodeId> pending_;
@@ -744,6 +863,8 @@ class Engine {
   uint64_t sigCutNodes_ = 0;
 
   SolutionGraph graph_;
+  std::vector<uint8_t> full_;  // per graph node: coversEverything()
+  uint64_t subsumed_ = 0;      // search nodes answered by subsumption
   AllSatStats stats_;
   Metrics metrics_;
   Histogram frontierSizes_;  // merged into metrics_ once, in run()

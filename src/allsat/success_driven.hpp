@@ -24,6 +24,14 @@
 //    projection (a multi-cube preimage target): each becomes one root of a
 //    shared graph, and the memo carries over between them — its key never
 //    mentions the objectives, so a hit on another root's entry is exact.
+//  * Branch order: a controlled AND-family gate is justified through the
+//    undecided fanin with the lowest SCOAP controllability for the
+//    controlling value (inputs cost 1, state bits 100), so the search
+//    justifies through inputs, which the projection drops, before it pins
+//    state bits. A branch that fixes no projection source and leads to a
+//    subgraph covering every completion answers the whole search node
+//    (projected subsumption): no node is built, and the other branch is
+//    not searched.
 //  * The graph is the engine's store, not its cover. The graph's
 //    root-to-SUCCESS paths may overlap, so the cover is read off the graph's
 //    reduced ordered BDD instead: its paths are pairwise disjoint and depend

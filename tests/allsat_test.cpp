@@ -444,7 +444,11 @@ class Fnv1a {
 //    re-pinned when the engine stopped splitting at jobs >= 1: the jobs=4
 //    pass used to fold the graph merged from 16 shard searches, and now
 //    folds the serial graph again, so the value is that of folding each
-//    serial graph twice.
+//    serial graph twice. It was re-pinned again when the search began to
+//    justify an AND-family gate through its cheapest fanin (SCOAP order)
+//    and to return a branch's child for the whole node when that child
+//    covers every completion: both change the graph the search builds, not
+//    the solution set, and the cover digest did not move.
 //  * The cover digest folds the cover and the state count. It was re-pinned
 //    when the cover became the graph's BDD paths: it no longer depends on
 //    the branch order, only on the solution set.
@@ -487,8 +491,34 @@ TEST(SuccessDriven, CoversMatchPinnedDigest) {
       for (char c : pre.stateCount.toDecimal()) coverDigest.mix(static_cast<uint8_t>(c));
     }
   }
-  EXPECT_EQ(graphDigest.value(), 0x6b00681c5772b959ull) << std::hex << graphDigest.value();
+  EXPECT_EQ(graphDigest.value(), 0x773709cbb192caf9ull) << std::hex << graphDigest.value();
   EXPECT_EQ(coverDigest.value(), 0x62220c5e3f5ee165ull) << std::hex << coverDigest.value();
+}
+
+// next(s0) = OR(s0, i0) = 1 holds in every state: i0 = 1 justifies it. The
+// input is cheaper to control than the state bit, so the search decides i0
+// first; that branch fixes no state bit and succeeds, so it answers the whole
+// search node. Branching on s0 first (fanin order) would build one node.
+TEST(SuccessDriven, JustifiesThroughInputAndSubsumes) {
+  Netlist nl;
+  NodeId s0 = nl.addDff("s0");
+  NodeId i0 = nl.addInput("i0");
+  NodeId next = nl.mkOr(s0, i0, "next");
+  nl.connectDffData(s0, next);
+  nl.validate();
+  CircuitAllSatProblem p = problemFor(nl, {{next, true}});
+  SuccessDrivenResult r = successDrivenAllSat(p);
+  ASSERT_TRUE(r.summary.complete);
+  EXPECT_EQ(r.summary.stats.decisions, 1u);
+  EXPECT_EQ(r.summary.stats.graphNodes, 0u);
+  EXPECT_EQ(r.summary.cubes, std::vector<LitVec>{LitVec{}});
+  EXPECT_EQ(r.summary.metrics.counter("sd.subsumed"), 1u);
+
+  TransitionSystem ts(nl);
+  const StateSet target = StateSet::fromCube(1, {mkLit(0)});
+  EXPECT_EQ(computePreimage(ts, target, PreimageMethod::kSuccessDriven).stateCount,
+            computePreimage(ts, target, PreimageMethod::kBdd).stateCount);
+  EXPECT_EQ(r.summary.mintermCount.toU64(), 2u);
 }
 
 TEST(SuccessDriven, AgreesWithMintermEngineOnS27) {

@@ -199,7 +199,9 @@ void applyEngineFlags(const Args& args, AllSatOptions& options) {
 std::unique_ptr<Governor> makeGovernor(const Args& args) {
   Budget budget;
   budget.deadlineSeconds = static_cast<double>(args.u64Flag("timeout-ms", 0)) / 1000.0;
-  budget.memLimitBytes = args.u64Flag("mem-limit-mb", 0) * 1024 * 1024;
+  // Megabytes are shifted into bytes, so the range stops where the shift
+  // would overflow (2^44 - 1), as in presat_serve.
+  budget.memLimitBytes = args.u64Flag("mem-limit-mb", 0, UINT64_MAX >> 20) << 20;
   budget.conflictLimit = args.u64Flag("conflict-limit", 0);
   if (budget.unlimited()) return nullptr;
   return std::make_unique<Governor>(budget);
