@@ -14,8 +14,7 @@
 // cube-and-conquer path (src/parallel/) at 1 and 8 workers; their ratio is
 // the achieved parallel speedup (1.0 on a single-core host — the work is
 // identical by the determinism contract, only the scheduling differs). The
-// success-driven engine runs serially at every `jobs`, so its runs at 1 and
-// 8 workers only check that its cover stays the serial one.
+// success-driven engine never splits, so it has no par runs.
 //
 // Usage: bench_table1_preimage [out.jsonl]
 //   out.jsonl  append one metrics line per engine run (trajectory format)
@@ -57,12 +56,8 @@ int main(int argc, char** argv) {
 
     PreimageOptions par1;
     par1.allsat.parallel.jobs = 1;
-    PreimageResult sdPar1 =
-        computePreimage(system, c.target, PreimageMethod::kSuccessDriven, par1);
     PreimageOptions par8;
     par8.allsat.parallel.jobs = 8;
-    PreimageResult sdPar8 =
-        computePreimage(system, c.target, PreimageMethod::kSuccessDriven, par8);
     PreimageResult chronoPar1 = computePreimage(system, c.target, PreimageMethod::kChrono, par1);
     PreimageResult chronoPar8 = computePreimage(system, c.target, PreimageMethod::kChrono, par8);
 
@@ -98,7 +93,6 @@ int main(int argc, char** argv) {
     // the serial one — but par1 vs par8 must be bit-identical.
     if (cube.stateCount != sd.stateCount || sd.stateCount != bdd.stateCount ||
         (minterm.complete && minterm.stateCount != sd.stateCount) ||
-        sdPar1.states.cubes != sd.states.cubes || sdPar8.states.cubes != sd.states.cubes ||
         chrono.stateCount != sd.stateCount ||
         chronoPar1.stateCount != sd.stateCount ||
         chronoPar1.states.cubes != chronoPar8.states.cubes ||
@@ -143,8 +137,6 @@ int main(int argc, char** argv) {
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/sd", sd.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono", chrono.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-cert", chronoCert.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/sd-par1", sdPar1.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/sd-par8", sdPar8.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-par1", chronoPar1.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-par8", chronoPar8.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-proj", proj.metrics);

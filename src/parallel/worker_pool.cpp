@@ -1,129 +1,127 @@
 #include "parallel/worker_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <deque>
 #include <thread>  // presat-analyze: raw-thread(the one permitted spawn site; see WorkerPool::run)
+#include <utility>
 #include <vector>
 
 #include "base/log.hpp"
+#include "base/sync.hpp"
+#include "base/thread_annotations.hpp"
+#include "base/timer.hpp"
 
 namespace presat {
 
-namespace {
-
-// One worker's task queue plus its privately-accumulated stats. The queue is
-// shared (owner pops front, thieves steal back) behind StealQueue's lock; the
-// stats are only ever written by the owning worker thread and only read after
-// the join barrier in run().
-struct WorkerShard {
-  StealQueue queue;
-  // presat-analyze: lockfree(owner-worker private during run(); the caller
-  // aggregates only after the join barrier)
-  WorkerPoolStats stats;
-};
-
-// Pops the next task for `self`: own queue first, then steals from a victim.
-// Returns false when every queue is empty — the batch is closed, so
-// empty-everywhere means done.
-bool nextTask(std::vector<WorkerShard>& shards, size_t self, size_t& taskOut, bool& stolenOut) {
-  WorkerShard& own = shards[self];
-  size_t depth = 0;
-  bool got = own.queue.popOwn(taskOut, depth);
-  own.stats.queueDepth.record(depth);
-  if (got) {
-    stolenOut = false;
-    return true;
-  }
-  // Steal scan: probe victims in a self-offset order so idle workers do not
-  // all hammer shard 0.
-  for (size_t i = 1; i < shards.size(); ++i) {
-    if (shards[(self + i) % shards.size()].queue.steal(taskOut)) {
-      stolenOut = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-// The shared state behind ServicePool: a FIFO of closures plus the parked
+// The shared state behind ServicePool: the two class queues plus the parked
 // worker threads. Everything mutable sits behind one Mutex; workers sleep on
 // `wake` and the quiesce() caller sleeps on `idle`.
 struct ServicePoolImpl {
+  struct Job {
+    std::function<void()> fn;
+    Timer waited;  // queue residency, submit -> dequeue
+  };
+
+  const int numThreads;        // presat-analyze: lockfree(immutable after construction)
+  const size_t maxQueueDepth;  // presat-analyze: lockfree(immutable after construction)
   Mutex mu;
-  std::deque<std::function<void()>> queue GUARDED_BY(mu);
+  std::deque<Job> interactive GUARDED_BY(mu);
+  std::deque<Job> batch GUARDED_BY(mu);
+  // Round-robin pointer: the class served by the LAST dequeue; the next
+  // dequeue prefers the other class when it has work.
+  bool lastServedInteractive GUARDED_BY(mu) = false;
   bool stopping GUARDED_BY(mu) = false;
-  uint64_t submitted GUARDED_BY(mu) = 0;
+  uint64_t admitted GUARDED_BY(mu) = 0;
+  uint64_t rejectedOverload GUARDED_BY(mu) = 0;
   uint64_t completed GUARDED_BY(mu) = 0;
   uint64_t abandoned GUARDED_BY(mu) = 0;
-  int busy GUARDED_BY(mu) = 0;  // workers currently running a closure
+  int busy GUARDED_BY(mu) = 0;           // workers currently running a job
+  Histogram queueDepth GUARDED_BY(mu);   // depth observed at each submit
+  Histogram queueWaitUs GUARDED_BY(mu);  // per-job queue residency, microseconds
   CondVar wake;  // presat-analyze: lockfree(condition variable, internally synchronized)
   CondVar idle;  // presat-analyze: lockfree(condition variable, internally synchronized)
   // presat-analyze: lockfree(owned and joined by the pool's owner thread only;
   // workers never touch the vector)
   std::vector<std::thread> threads;
 
+  ServicePoolImpl(int n, size_t maxDepth)
+      : numThreads(n < 1 ? 1 : n), maxQueueDepth(maxDepth < 1 ? 1 : maxDepth) {}
+
+  size_t queued() const REQUIRES(mu) { return interactive.size() + batch.size(); }
+
+  // Alternates classes: prefers the one NOT served last time, falling back
+  // to whichever has work. The caller has checked that some queue does.
+  Job takeNext() REQUIRES(mu) {
+    bool takeInteractive = lastServedInteractive ? batch.empty() : !interactive.empty();
+    std::deque<Job>& pick = takeInteractive ? interactive : batch;
+    lastServedInteractive = takeInteractive;
+    Job job = std::move(pick.front());
+    pick.pop_front();
+    queueWaitUs.record(static_cast<uint64_t>(job.waited.seconds() * 1e6));
+    return job;
+  }
+
   void workerMain() {
     for (;;) {
-      std::function<void()> fn;
+      Job job;
       {
         MutexLock lock(mu);
-        while (queue.empty() && !stopping) wake.wait(mu);
-        if (queue.empty()) return;  // stopping and drained
-        fn = std::move(queue.front());
-        queue.pop_front();
+        while (queued() == 0 && !stopping) wake.wait(mu);
+        if (queued() == 0) return;  // stopping and drained
+        job = takeNext();
         ++busy;
       }
-      fn();
+      job.fn();
       {
         MutexLock lock(mu);
         ++completed;
         --busy;
-        if (queue.empty() && busy == 0) idle.notifyAll();
+        if (queued() == 0 && busy == 0) idle.notifyAll();
       }
     }
   }
 };
 
-ServicePool::ServicePool() = default;
-
-ServicePool::~ServicePool() { stop(); }
-
-void ServicePool::start(int numThreads) {
-  PRESAT_CHECK(impl_ == nullptr) << "ServicePool::start called twice";
-  numThreads_ = numThreads < 1 ? 1 : numThreads;
-  impl_ = std::make_unique<ServicePoolImpl>();
-  impl_->threads.reserve(static_cast<size_t>(numThreads_));
-  // The repo's other permitted spawn site (presat_analyze rule raw-thread):
-  // every worker parks between closures and is joined in stop(), which the
-  // destructor guarantees — no thread outlives the pool object.
-  for (int w = 0; w < numThreads_; ++w) {
+ServicePool::ServicePool(int numThreads, size_t maxQueueDepth)
+    : impl_(std::make_unique<ServicePoolImpl>(numThreads, maxQueueDepth)) {
+  impl_->threads.reserve(static_cast<size_t>(impl_->numThreads));
+  // The pool's long-lived spawn site (presat_analyze rule raw-thread): every
+  // worker parks between jobs and is joined in stop(), which the destructor
+  // guarantees — no thread outlives the pool object.
+  for (int w = 0; w < impl_->numThreads; ++w) {
     impl_->threads.emplace_back([this] { impl_->workerMain(); });
   }
 }
 
-bool ServicePool::submit(std::function<void()> fn) {
-  PRESAT_CHECK(fn != nullptr);
-  if (impl_ == nullptr) return false;
+ServicePool::~ServicePool() { stop(); }
+
+bool ServicePool::submit(bool interactive, std::function<void()> job) {
+  PRESAT_CHECK(job != nullptr);
   {
     MutexLock lock(impl_->mu);
-    if (impl_->stopping) return false;
-    impl_->queue.push_back(std::move(fn));
-    ++impl_->submitted;
+    size_t depth = impl_->queued();
+    impl_->queueDepth.record(depth);
+    if (impl_->stopping || depth >= impl_->maxQueueDepth) {
+      ++impl_->rejectedOverload;
+      return false;
+    }
+    (interactive ? impl_->interactive : impl_->batch).push_back({std::move(job), Timer()});
+    ++impl_->admitted;
   }
   impl_->wake.notifyOne();
   return true;
 }
 
 void ServicePool::stop() {
-  if (impl_ == nullptr) return;
   {
     MutexLock lock(impl_->mu);
     if (impl_->stopping && impl_->threads.empty()) return;
     impl_->stopping = true;
-    impl_->abandoned += impl_->queue.size();
-    impl_->queue.clear();
+    impl_->abandoned += impl_->queued();
+    impl_->interactive.clear();
+    impl_->batch.clear();
   }
   impl_->wake.notifyAll();
   for (std::thread& t : impl_->threads) t.join();
@@ -131,27 +129,24 @@ void ServicePool::stop() {
 }
 
 void ServicePool::quiesce() {
-  if (impl_ == nullptr) return;
   MutexLock lock(impl_->mu);
-  while (!(impl_->queue.empty() && impl_->busy == 0)) impl_->idle.wait(impl_->mu);
+  while (!(impl_->queued() == 0 && impl_->busy == 0)) impl_->idle.wait(impl_->mu);
 }
 
-uint64_t ServicePool::submitted() const {
-  if (impl_ == nullptr) return 0;
+size_t ServicePool::queued() const {
   MutexLock lock(impl_->mu);
-  return impl_->submitted;
+  return impl_->queued();
 }
 
-uint64_t ServicePool::completed() const {
-  if (impl_ == nullptr) return 0;
+void ServicePool::exportMetrics(Metrics& m) const {
   MutexLock lock(impl_->mu);
-  return impl_->completed;
-}
-
-uint64_t ServicePool::abandoned() const {
-  if (impl_ == nullptr) return 0;
-  MutexLock lock(impl_->mu);
-  return impl_->abandoned;
+  m.setCounter("serve.admitted", impl_->admitted);
+  m.setCounter("serve.rejects.overload", impl_->rejectedOverload);
+  m.histogram("serve.queue_depth").merge(impl_->queueDepth);
+  m.histogram("serve.queue_us").merge(impl_->queueWaitUs);
+  m.setCounter("serve.workers", static_cast<uint64_t>(impl_->numThreads));
+  m.setCounter("serve.pool.completed", impl_->completed);
+  m.setCounter("serve.pool.abandoned", impl_->abandoned);
 }
 
 WorkerPool::WorkerPool(int numThreads) : numThreads_(numThreads < 1 ? 1 : numThreads) {}
@@ -160,28 +155,25 @@ void WorkerPool::run(size_t numTasks, const std::function<void(size_t task, int 
                      const std::function<bool()>& stop) {
   PRESAT_CHECK(fn != nullptr);
   // No more workers than tasks: an extra worker would only spin up to find
-  // nothing to steal.
+  // the cursor already past the end.
   size_t workers = std::max<size_t>(1, std::min(static_cast<size_t>(numThreads_), numTasks));
-  std::vector<WorkerShard> shards(workers);
-  // Round-robin deal: contiguous task indices land on different workers, so
-  // the adjacent (similar-size) subcubes of one region spread out.
-  for (size_t t = 0; t < numTasks; ++t) {
-    shards[t % workers].queue.push(t);
-  }
+  // The one queue: the next unclaimed task index. A worker that claims an
+  // index always runs it, so after the join every index below the cursor
+  // ran exactly once and every index at or past it was never started.
+  std::atomic<size_t> next{0};
+  // Each worker records only into its own slot; merged after the join.
+  std::vector<Histogram> taskMicros(workers);
 
-  auto workerMain = [&shards, &fn, &stop](size_t self) {
-    WorkerPoolStats& stats = shards[self].stats;
-    size_t task = 0;
-    bool stolen = false;
-    while (!(stop != nullptr && stop()) && nextTask(shards, self, task, stolen)) {
+  auto workerMain = [&](size_t self) {
+    while (!(stop != nullptr && stop())) {
+      size_t task = next.fetch_add(1, std::memory_order_relaxed);
+      if (task >= numTasks) return;
       auto start = std::chrono::steady_clock::now();
       fn(task, static_cast<int>(self));
       auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();
-      stats.taskMicros.record(static_cast<uint64_t>(micros));
-      stats.tasksRun += 1;
-      if (stolen) stats.steals += 1;
+      taskMicros[self].record(static_cast<uint64_t>(micros));
     }
   };
 
@@ -190,8 +182,8 @@ void WorkerPool::run(size_t numTasks, const std::function<void(size_t task, int 
     // and engine PRESAT_CHECK failures surface with the caller's stack.
     workerMain(0);
   } else {
-    // The repo's single thread-spawn site (presat_analyze rule raw-thread):
-    // every worker is joined below, so no thread outlives the batch.
+    // The batch spawn site (presat_analyze rule raw-thread): every worker is
+    // joined below, so no thread outlives the batch.
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (size_t w = 0; w < workers; ++w) {
@@ -200,27 +192,21 @@ void WorkerPool::run(size_t numTasks, const std::function<void(size_t task, int 
     for (std::thread& t : threads) t.join();
   }
 
-  // Once a stop predicate has tripped, abandoned queue entries are the
-  // expected graceful-degradation outcome; without one the batch-closed
-  // contract still holds exactly.
-  bool stopped = stop != nullptr && stop();
-  for (WorkerShard& shard : shards) {
-    size_t abandoned = shard.queue.drain();
-    PRESAT_CHECK(stopped || abandoned == 0) << "worker pool left tasks behind";
-    stats_.tasksSkipped += abandoned;
-    stats_.tasksRun += shard.stats.tasksRun;
-    stats_.steals += shard.stats.steals;
-    stats_.queueDepth.merge(shard.stats.queueDepth);
-    stats_.taskMicros.merge(shard.stats.taskMicros);
-  }
+  // Once a stop predicate has tripped, unclaimed tasks are the expected
+  // graceful-degradation outcome; without one the batch-closed contract
+  // still holds exactly.
+  size_t claimed = std::min(next.load(), numTasks);
+  PRESAT_CHECK((stop != nullptr && stop()) || claimed == numTasks)
+      << "worker pool left tasks behind";
+  stats_.tasksRun += claimed;
+  stats_.tasksSkipped += numTasks - claimed;
+  for (const Histogram& h : taskMicros) stats_.taskMicros.merge(h);
 }
 
 void WorkerPool::exportMetrics(Metrics& m) const {
   m.setCounter("parallel.jobs", static_cast<uint64_t>(numThreads_));
   m.setCounter("parallel.tasks", stats_.tasksRun);
-  m.setCounter("parallel.steals", stats_.steals);
   m.setCounter("parallel.tasks_skipped", stats_.tasksSkipped);
-  m.histogram("parallel.queue_depth").merge(stats_.queueDepth);
   m.histogram("parallel.task_us").merge(stats_.taskMicros);
 }
 

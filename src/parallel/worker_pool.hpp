@@ -1,145 +1,96 @@
-// Work-stealing worker pool for cube-and-conquer enumeration.
+// Worker pools: the closed-batch pool behind cube-and-conquer enumeration and
+// the long-lived pool behind the serve daemon. Each has exactly one queue.
 //
-// Deliberately simple concurrency: one mutex-guarded deque per worker
-// (sharded, so workers do not contend on a single lock), tasks dealt
-// round-robin up front, owners pop from the front of their own deque, and an
-// idle worker steals from the BACK of a victim deque. Blocking
-// synchronization only — no lock-free structures to audit — which keeps the
-// pool trivially ThreadSanitizer-clean; a chase-lev deque is a drop-in
-// upgrade behind this interface if profiles ever show lock contention.
+// WorkerPool hands out task indices from one shared cursor over
+// [0, numTasks): a worker claims the next index, runs it, and claims again
+// until the cursor passes the end, so a worker that drew cheap shards simply
+// claims more. A split yields at most 2^kDefaultSplitDepth tasks, so the
+// shared cursor is never contended enough to measure. ServicePool keeps one
+// mutex-guarded queue of jobs in two fairness classes.
 //
-// The locking protocol is machine-checked two ways: StealQueue's deque is
-// GUARDED_BY its capability-annotated Mutex (base/sync.hpp), so clang's
-// -Wthread-safety analysis proves every access path holds the lock, and
-// tools/presat_analyze.py enforces that no other std::thread / raw deque
-// sharing grows outside this file.
+// Blocking synchronization only — one annotated Mutex per pool, plus the
+// batch pool's atomic cursor — which keeps both pools trivially
+// ThreadSanitizer-clean. The locking protocol is machine-checked two ways:
+// the queue state is GUARDED_BY a capability-annotated Mutex (base/sync.hpp),
+// so clang's -Wthread-safety analysis proves every access path holds the
+// lock, and tools/presat_analyze.py enforces that no std::thread is
+// constructed outside worker_pool.cpp.
 //
-// The pool runs *closed* batches: run() blocks until every task finished and
-// the workers joined, so a task body may reference stack-local state of the
-// caller. Tasks receive (taskIndex, workerIndex) and must not touch shared
-// mutable state — the enumeration layer gives each task an independent
-// Solver/engine instance and a private result slot, which is what makes the
-// merged result independent of scheduling.
+// The batch pool runs *closed* batches: run() blocks until every task
+// finished and the workers joined, so a task body may reference stack-local
+// state of the caller. Tasks receive (taskIndex, workerIndex) and must not
+// touch shared mutable state — the enumeration layer gives each task an
+// independent Solver/engine instance and a private result slot, indexed by
+// task, which is what makes the merged result independent of scheduling.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
 #include "base/metrics.hpp"
-#include "base/sync.hpp"
-#include "base/thread_annotations.hpp"
 
 namespace presat {
 
-// One worker's share of the task pool. Owner pops the front (LIFO-ish
-// locality over the round-robin deal), thieves pop the back (the task with
-// the most work queued behind it). All access goes through these methods —
-// the deque itself is lock-protected and never escapes.
-class StealQueue {
- public:
-  // Enqueues a task at the back (the deal phase; also safe mid-run).
-  void push(size_t task) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    tasks_.push_back(task);
-  }
-
-  // Owner-side pop from the front. Always reports the depth observed at the
-  // attempt (including the popped task) in `depthOut`, so the caller can feed
-  // the queue-depth histogram even on a miss.
-  bool popOwn(size_t& taskOut, size_t& depthOut) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    depthOut = tasks_.size();
-    if (tasks_.empty()) return false;
-    taskOut = tasks_.front();
-    tasks_.pop_front();
-    return true;
-  }
-
-  // Thief-side pop from the back.
-  bool steal(size_t& taskOut) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (tasks_.empty()) return false;
-    taskOut = tasks_.back();
-    tasks_.pop_back();
-    return true;
-  }
-
-  // Empties the queue, returning how many tasks were abandoned. Used after
-  // the join barrier: nonzero is legal only once a stop predicate tripped
-  // (graceful degradation) — the caller asserts the batch-closed contract.
-  size_t drain() EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    size_t n = tasks_.size();
-    tasks_.clear();
-    return n;
-  }
-
- private:
-  Mutex mutex_;
-  std::deque<size_t> tasks_ GUARDED_BY(mutex_);
-};
-
 struct WorkerPoolStats {
   uint64_t tasksRun = 0;
-  uint64_t steals = 0;        // tasks obtained from another worker's deque
-  uint64_t tasksSkipped = 0;  // tasks drained un-run because stop() tripped
-  Histogram queueDepth;       // own-deque depth observed at each pop attempt
+  uint64_t tasksSkipped = 0;  // tasks left unclaimed because stop() tripped
   Histogram taskMicros;       // per-task wall time, microseconds
 };
 
 // Long-lived companion to WorkerPool for service workloads (src/serve/):
 // where WorkerPool runs one closed batch and joins, ServicePool keeps its
-// workers parked on a condition variable between submissions, so a daemon can
-// dispatch request closures onto pre-warmed threads for the lifetime of the
-// process. Same concurrency discipline as the batch pool — one annotated
-// Mutex, no lock-free structures — and the same single-spawn-site rule: its
-// threads are constructed in worker_pool.cpp only.
+// workers parked on a condition variable between submissions, so a daemon
+// can dispatch request jobs onto pre-warmed threads for the lifetime of the
+// process. Its threads are constructed in worker_pool.cpp, like the batch
+// pool's.
 //
-// Lifecycle: start(n) spawns the workers; submit() hands over a closure
-// (rejected once stopping); stop() wakes everyone, lets already-DEQUEUED
-// closures finish, abandons still-queued ones (counted, like the batch
-// pool's tasksSkipped), and joins. The destructor stops implicitly.
-// Queueing discipline is deliberately FIFO-dumb: admission control and
-// fairness live in the serve scheduler, which decides what a submitted
-// closure *does* at dequeue time.
+// Admission and fairness live here too. A submitted job joins one of two
+// class queues — interactive (small budgets, a human or a latency-sensitive
+// caller is waiting) and batch (soak queries, unbounded budgets) — and
+// workers take from them ROUND-ROBIN BETWEEN CLASSES, so a burst of
+// hour-long soak requests can delay a small interactive query by at most one
+// dequeue turn, never starve it. Within a class, FIFO. Admission is bounded:
+// once the queued depth reaches the cap, submit() refuses and the server
+// answers with a structured "overloaded" error (backpressure the client can
+// see and retry on), rather than buffering unboundedly and falling over
+// later.
+//
+// Lifecycle: the constructor spawns the workers; stop() wakes everyone, lets
+// already-dequeued jobs finish, abandons still-queued ones (counted, like the
+// batch pool's tasksSkipped), and joins. The destructor stops implicitly.
 class ServicePool {
  public:
-  ServicePool();  // out-of-line: ServicePoolImpl is incomplete here
+  // Spawns `numThreads` (< 1 clamped to 1) parked workers; at most
+  // `maxQueueDepth` (< 1 clamped to 1) jobs wait at once.
+  ServicePool(int numThreads, size_t maxQueueDepth);
   ~ServicePool();
 
   ServicePool(const ServicePool&) = delete;
   ServicePool& operator=(const ServicePool&) = delete;
 
-  // Spawns `numThreads` (< 1 clamped to 1) parked workers. Call once.
-  void start(int numThreads);
+  // Queues `job` in the given class. Returns false — dropping the job
+  // without running it — when the queue is at capacity or stop() has begun;
+  // both count as serve.rejects.overload.
+  bool submit(bool interactive, std::function<void()> job);
 
-  // Enqueues a closure for some worker to run. Returns false (dropping the
-  // closure) once stop() has begun or before start() — callers translate
-  // that into their own shutdown/overload handling.
-  bool submit(std::function<void()> fn);
-
-  // Drains and joins: queued-but-unstarted closures are abandoned (see
-  // abandoned()), in-flight ones run to completion. Idempotent.
+  // Drains and joins: queued-but-unstarted jobs are abandoned (counted in
+  // serve.pool.abandoned), in-flight ones run to completion. Idempotent.
   void stop();
 
-  // Blocks until every submitted closure has either run or been abandoned
-  // and no worker is mid-closure. Used by the server's clean-shutdown path
-  // (stop accepting, then quiesce, then stop()).
+  // Blocks until every submitted job has either run or been abandoned and no
+  // worker is mid-job. Used by the server's clean-shutdown path (stop
+  // accepting, then quiesce, then stop()).
   void quiesce();
 
-  int numThreads() const { return numThreads_; }
-  uint64_t submitted() const;
-  uint64_t completed() const;
-  uint64_t abandoned() const;
+  size_t queued() const;
+
+  // The serve.* admission, queue and pool metrics.
+  void exportMetrics(Metrics& m) const;
 
  private:
-  friend struct ServicePoolImpl;
-
-  int numThreads_ = 0;
-  // Opaque owner of the worker threads + queue; worker_pool.cpp defines it.
+  // Opaque owner of the worker threads + queues; worker_pool.cpp defines it.
   // (unique_ptr keeps std::thread out of this header entirely.)
   std::unique_ptr<struct ServicePoolImpl> impl_;
 };
@@ -157,9 +108,9 @@ class WorkerPool {
   // report failure through their result slots, not exceptions.
   //
   // `stop` (optional) is the cooperative-cancellation hook: each worker
-  // re-evaluates it before popping another task and, once it returns true,
-  // drains — in-flight tasks finish normally, queued tasks are abandoned and
-  // counted in tasksSkipped. run() still joins every worker before
+  // re-evaluates it before claiming another task and, once it returns true,
+  // drains — in-flight tasks finish normally, unclaimed tasks are abandoned
+  // and counted in tasksSkipped. run() still joins every worker before
   // returning, so the caller sees a quiescent pool either way. The batch-
   // closed invariant (no tasks left behind) is only enforced when no stop
   // predicate tripped.

@@ -24,11 +24,9 @@ void Server::resetDrainForTest() { g_drainRequested.store(false, std::memory_ord
 Server::Server(const ServerConfig& config)
     : config_(config),
       governor_(Budget{}),
-      scheduler_(pool_, config.queueDepth),
+      pool_(config.workers, config.queueDepth),
       cache_(config.cacheBytes, &governor_),
-      contexts_(config.maxContexts) {
-  pool_.start(config_.workers);
-}
+      contexts_(config.maxContexts) {}
 
 Server::~Server() { pool_.stop(); }
 
@@ -127,7 +125,7 @@ void Server::handlePreimage(const ServeRequest& req, int lineNo) {
       req.budgetClass == "interactive" ||
       (req.budgetClass.empty() && req.timeoutMs != 0 && req.timeoutMs <= 2000);
   Timer started;
-  bool admitted = scheduler_.admit(
+  bool admitted = pool_.submit(
       interactive, [this, req, cancel, started] { executeRequest(req, cancel, started); });
   if (!admitted) {
     {
@@ -276,13 +274,10 @@ void Server::exportMetrics(Metrics& m) const {
     m.inc("serve.cancelled", cancels_);
     m.histogram("serve.request_us").merge(requestUs_);
   }
-  scheduler_.exportMetrics(m);
+  pool_.exportMetrics(m);
   cache_.exportMetrics(m);
   m.setCounter("serve.contexts", contexts_.entries());
   m.setCounter("serve.context.reuses", contexts_.reuses());
-  m.setCounter("serve.workers", static_cast<uint64_t>(pool_.numThreads()));
-  m.setCounter("serve.pool.completed", pool_.completed());
-  m.setCounter("serve.pool.abandoned", pool_.abandoned());
 }
 
 }  // namespace presat::serve

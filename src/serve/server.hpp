@@ -1,13 +1,13 @@
 // presat_serve daemon core: the request lifecycle state machine
 // (parse -> admit -> execute -> respond) over a line transport.
 //
-// One Server owns the long-lived machinery — pre-warmed ServicePool workers,
-// the fairness Scheduler, the cross-query ServeCache, the ContextPool of
-// parsed circuits, and a byte-tracking Governor the cache ledger charges —
-// and serve() runs a connection: emit the build-info banner, then read
-// NDJSON request lines until EOF or a shutdown op, answering out of order as
-// workers finish (responses carry the request id, so a multiplexing client
-// can run many requests down one pipe).
+// One Server owns the long-lived machinery — pre-warmed ServicePool workers
+// behind its bounded fairness queue, the cross-query ServeCache, the
+// ContextPool of parsed circuits, and a byte-tracking Governor the cache
+// ledger charges — and serve() runs a connection: emit the build-info
+// banner, then read NDJSON request lines until EOF or a shutdown op,
+// answering out of order as workers finish (responses carry the request id,
+// so a multiplexing client can run many requests down one pipe).
 //
 // Lifecycle of a preimage request:
 //   parse    protocol.cpp's hardened parser; grammar/limit violations answer
@@ -40,7 +40,6 @@
 #include "parallel/worker_pool.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 
 namespace presat::serve {
@@ -122,7 +121,6 @@ class Server {
   // presat-analyze: lockfree(atomic byte counter; internally synchronized)
   Governor governor_;
   ServicePool pool_;       // presat-analyze: lockfree(internally synchronized)
-  Scheduler scheduler_;    // presat-analyze: lockfree(internally synchronized)
   ServeCache cache_;       // presat-analyze: lockfree(internally synchronized)
   ContextPool contexts_;   // presat-analyze: lockfree(internally synchronized)
 

@@ -41,9 +41,7 @@ TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
 }
 
 // A pool wider than its batch starts one worker per task at most, so no
-// task ever reports a worker index at or past the task count. Every worker
-// records one queue-depth sample per task it runs plus one for the pop that
-// finds the batch empty, so the sample count is tasks + workers started.
+// task ever reports a worker index at or past the task count.
 TEST(WorkerPool, NeverStartsMoreWorkersThanTasks) {
   WorkerPool pool(8);
   std::atomic<int> maxWorker{-1};
@@ -55,7 +53,6 @@ TEST(WorkerPool, NeverStartsMoreWorkersThanTasks) {
   EXPECT_GE(maxWorker.load(), 0);
   EXPECT_LT(maxWorker.load(), 3);
   EXPECT_EQ(pool.stats().tasksRun, 3u);
-  EXPECT_EQ(pool.stats().queueDepth.count(), 3u + 3u);
 }
 
 TEST(WorkerPool, ClampsThreadCountAndRunsInline) {
@@ -65,36 +62,41 @@ TEST(WorkerPool, ClampsThreadCountAndRunsInline) {
   // workers == 1 runs on the calling thread, so unsynchronized state is fine.
   pool.run(10, [&sum](size_t task, int) { sum += static_cast<int>(task); });
   EXPECT_EQ(sum, 45);
-  EXPECT_EQ(pool.stats().steals, 0u);
 }
 
-TEST(StealQueue, OwnerPopsFrontThiefStealsBack) {
-  StealQueue q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  size_t task = 0, depth = 0;
-  ASSERT_TRUE(q.popOwn(task, depth));
-  EXPECT_EQ(task, 1u);  // owner drains FIFO from the front
-  EXPECT_EQ(depth, 3u); // depth includes the popped task
-  ASSERT_TRUE(q.steal(task));
-  EXPECT_EQ(task, 3u);  // thief takes the back (largest remaining chunk)
-  ASSERT_TRUE(q.popOwn(task, depth));
-  EXPECT_EQ(task, 2u);
-  EXPECT_EQ(depth, 1u);
-  EXPECT_FALSE(q.popOwn(task, depth));
-  EXPECT_EQ(depth, 0u); // depth is reported even on a miss
-  EXPECT_FALSE(q.steal(task));
-}
-
-TEST(StealQueue, DrainReportsAbandonedTasks) {
-  StealQueue q;
-  q.push(7);
-  q.push(8);
-  EXPECT_EQ(q.drain(), 2u);
-  EXPECT_EQ(q.drain(), 0u);
-  size_t task = 0, depth = 0;
-  EXPECT_FALSE(q.popOwn(task, depth));
+// A stop predicate that trips after k tasks have finished: no task runs
+// twice, every task is either run or counted skipped, and the tasks that
+// ran are exactly the claimed prefix of the index range. At one thread the
+// predicate is read before every claim, so exactly k run; wider pools may
+// have up to one claimed task per worker in flight when it trips.
+TEST(WorkerPool, StopAccountsForEveryTask) {
+  constexpr size_t kTasks = 40;
+  constexpr int kStopAfter = 5;
+  for (int threads : {1, 4}) {
+    WorkerPool pool(threads);
+    std::vector<std::atomic<int>> hits(kTasks);
+    std::atomic<int> finished{0};
+    pool.run(
+        kTasks,
+        [&](size_t task, int) {
+          hits[task].fetch_add(1, std::memory_order_relaxed);
+          finished.fetch_add(1, std::memory_order_relaxed);
+        },
+        [&finished] { return finished.load(std::memory_order_relaxed) >= kStopAfter; });
+    const WorkerPoolStats& s = pool.stats();
+    EXPECT_EQ(s.tasksRun + s.tasksSkipped, kTasks) << threads << " threads";
+    EXPECT_EQ(s.tasksRun, static_cast<uint64_t>(finished.load())) << threads << " threads";
+    EXPECT_GE(s.tasksRun, static_cast<uint64_t>(kStopAfter)) << threads << " threads";
+    EXPECT_LE(s.tasksRun, static_cast<uint64_t>(kStopAfter + threads - 1))
+        << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(s.tasksRun, static_cast<uint64_t>(kStopAfter));
+    }
+    for (size_t t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(hits[t].load(), t < s.tasksRun ? 1 : 0) << "task " << t << ", " << threads
+                                                        << " threads";
+    }
+  }
 }
 
 TEST(WorkerPool, ExportsMetrics) {

@@ -19,7 +19,6 @@
 #include "preimage/preimage.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/version.hpp"
@@ -426,8 +425,7 @@ TEST(ServeCacheTest, ConcurrentSameKeyRequestsDedupToOneComputation) {
   ASSERT_EQ(cache.acquire(key, scratch), CacheLookup::kMiss);  // main = leader
 
   constexpr int kFollowers = 4;
-  ServicePool pool;
-  pool.start(kFollowers);
+  ServicePool pool(kFollowers, kFollowers);
   std::atomic<int> dedups{0};
   std::atomic<int> started{0};
   CachedCover expect;
@@ -435,7 +433,7 @@ TEST(ServeCacheTest, ConcurrentSameKeyRequestsDedupToOneComputation) {
   expect.count = BigUint(2);
   expect.cubes = {LitVec{mkLit(0, false)}, LitVec{mkLit(1, true)}};
   for (int i = 0; i < kFollowers; ++i) {
-    pool.submit([&] {
+    pool.submit(false, [&] {
       started.fetch_add(1);
       CachedCover got;
       CacheLookup lk = cache.acquire(key, got);
@@ -452,12 +450,10 @@ TEST(ServeCacheTest, ConcurrentSameKeyRequestsDedupToOneComputation) {
   EXPECT_EQ(dedups.load(), kFollowers);
 }
 
-// --- scheduler fairness -----------------------------------------------------
+// --- service pool fairness and admission -----------------------------------
 
-TEST(SchedulerTest, InteractiveIsNotStarvedByBatchBacklog) {
-  ServicePool pool;
-  pool.start(1);  // single lane: ordering is fully observable
-  Scheduler sched(pool, 64);
+TEST(ServicePoolTest, InteractiveIsNotStarvedByBatchBacklog) {
+  ServicePool pool(1, 64);  // single lane: ordering is fully observable
 
   std::atomic<bool> gate{false};
   std::vector<std::string> order;
@@ -467,13 +463,13 @@ TEST(SchedulerTest, InteractiveIsNotStarvedByBatchBacklog) {
     order.push_back(tag);
   };
   // Blocker occupies the worker while we stack the queue behind it.
-  ASSERT_TRUE(sched.admit(false, [&] {
+  ASSERT_TRUE(pool.submit(false, [&] {
     while (!gate.load()) std::this_thread::yield();
   }));
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(sched.admit(false, [&] { record("batch"); }));
+    ASSERT_TRUE(pool.submit(false, [&] { record("batch"); }));
   }
-  ASSERT_TRUE(sched.admit(true, [&] { record("interactive"); }));
+  ASSERT_TRUE(pool.submit(true, [&] { record("interactive"); }));
   gate.store(true);
   pool.quiesce();
   pool.stop();
@@ -487,30 +483,59 @@ TEST(SchedulerTest, InteractiveIsNotStarvedByBatchBacklog) {
                               order.begin());
 }
 
-TEST(SchedulerTest, BoundedQueueRejectsWhenFull) {
-  ServicePool pool;
-  pool.start(1);
-  Scheduler sched(pool, 2);
+TEST(ServicePoolTest, BoundedQueueRejectsWhenFull) {
+  ServicePool pool(1, 2);
   std::atomic<bool> gate{false};
   std::atomic<bool> running{false};
-  ASSERT_TRUE(sched.admit(false, [&] {
+  ASSERT_TRUE(pool.submit(false, [&] {
     running.store(true);
     while (!gate.load()) std::this_thread::yield();
   }));
   // Wait until the single worker has DEQUEUED the blocker, so the queue is
   // empty and capacity is exactly 2 for what follows.
   while (!running.load()) std::this_thread::yield();
-  EXPECT_TRUE(sched.admit(false, [] {}));
-  EXPECT_TRUE(sched.admit(false, [] {}));
-  EXPECT_FALSE(sched.admit(false, [] {}));  // full: structured backpressure
-  EXPECT_EQ(sched.queued(), 2u);
+  EXPECT_TRUE(pool.submit(false, [] {}));
+  EXPECT_TRUE(pool.submit(false, [] {}));
+  EXPECT_FALSE(pool.submit(false, [] {}));  // full: structured backpressure
+  EXPECT_EQ(pool.queued(), 2u);
   gate.store(true);
   pool.quiesce();
   pool.stop();
   Metrics m;
-  sched.exportMetrics(m);
+  pool.exportMetrics(m);
   EXPECT_EQ(m.counter("serve.rejects.overload"), 1u);
   EXPECT_EQ(m.counter("serve.admitted"), 3u);
+  EXPECT_EQ(m.counter("serve.pool.completed"), 3u);
+}
+
+// Jobs still queued when stop() begins are abandoned and counted, and once
+// stopping, submit() refuses without ever running the job.
+TEST(ServicePoolTest, StopAbandonsQueuedJobsAndRefusesNewOnes) {
+  ServicePool pool(1, 64);
+  std::atomic<bool> gate{false};
+  std::atomic<bool> running{false};
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.submit(false, [&] {
+    running.store(true);
+    while (!gate.load()) std::this_thread::yield();
+  }));
+  while (!running.load()) std::this_thread::yield();
+  ASSERT_TRUE(pool.submit(false, [&] { ran.fetch_add(1); }));
+  ASSERT_TRUE(pool.submit(true, [&] { ran.fetch_add(1); }));
+  // stop() abandons the two queued jobs at once, then joins the blocker.
+  std::thread stopper([&] { pool.stop(); });
+  while (pool.queued() != 0) std::this_thread::yield();
+  EXPECT_FALSE(pool.submit(true, [&] { ran.fetch_add(1); }));
+  gate.store(true);
+  stopper.join();
+  EXPECT_FALSE(pool.submit(false, [&] { ran.fetch_add(1); }));
+  EXPECT_EQ(ran.load(), 0);
+  Metrics m;
+  pool.exportMetrics(m);
+  EXPECT_EQ(m.counter("serve.pool.abandoned"), 2u);
+  EXPECT_EQ(m.counter("serve.pool.completed"), 1u);
+  EXPECT_EQ(m.counter("serve.admitted"), 3u);
+  EXPECT_EQ(m.counter("serve.rejects.overload"), 2u);
 }
 
 // --- server end to end ------------------------------------------------------
