@@ -7,6 +7,28 @@
 
 namespace presat {
 
+namespace {
+
+// The fanin cone of every objective node in topological order, split into
+// its gates and constants (`order`) and its sources (inputs, DFF outputs).
+void splitCone(const Netlist& netlist, const std::vector<NodeCube>& objectives,
+               std::vector<NodeId>& order, std::vector<NodeId>& sources) {
+  std::vector<NodeId> roots;
+  for (const NodeCube& cube : objectives) {
+    for (const NodeAssign& obj : cube) roots.push_back(obj.first);
+  }
+  std::vector<uint8_t> inCone(netlist.numNodes(), 0);
+  for (NodeId id : netlist.coneOf(roots)) inCone[id] = 1;
+  for (NodeId id : netlist.topologicalOrder()) {
+    if (!inCone[id]) continue;
+    GateType type = netlist.type(id);
+    bool source = type == GateType::kInput || type == GateType::kDff;
+    (source ? sources : order).push_back(id);
+  }
+}
+
+}  // namespace
+
 LitVec shrinkModelToImplicant(const Cnf& cnf, const std::vector<lbool>& model) {
   // Frequency of each variable as a potential witness: variables that satisfy
   // many clauses make better keepers, leaving more variables free.
@@ -104,25 +126,15 @@ int projectedWitnessLevel(const Cnf& cnf, const std::vector<lbool>& model,
 CircuitWidener::CircuitWidener(const Netlist& netlist, std::vector<NodeCube> objectives,
                                const std::vector<Var>& sourceVar, const std::vector<Var>& scope)
     : netlist_(netlist), objectives_(std::move(objectives)) {
-  std::vector<NodeId> roots;
-  for (const NodeCube& cube : objectives_) {
-    for (const NodeAssign& obj : cube) roots.push_back(obj.first);
-  }
-  std::vector<uint8_t> inCone(netlist.numNodes(), 0);
-  for (NodeId id : netlist.coneOf(roots)) inCone[id] = 1;
+  std::vector<NodeId> sources;
+  splitCone(netlist, objectives_, order_, sources);
 
   Var limit = 0;
   for (Var v : scope) limit = std::max(limit, v + 1);
   std::vector<uint8_t> inScope(static_cast<size_t>(limit), 0);
   std::vector<uint8_t> read(static_cast<size_t>(limit), 0);
   for (Var v : scope) inScope[static_cast<size_t>(v)] = 1;
-  for (NodeId id : netlist.topologicalOrder()) {
-    if (!inCone[id]) continue;
-    GateType type = netlist.type(id);
-    if (type != GateType::kInput && type != GateType::kDff) {
-      order_.push_back(id);
-      continue;
-    }
+  for (NodeId id : sources) {
     Var v = sourceVar[id];
     if (v != kNullVar && v < limit && inScope[static_cast<size_t>(v)]) {
       scopeSources_.emplace_back(id, v);
@@ -175,50 +187,95 @@ int CircuitWidener::emitLevel(const std::vector<lbool>& model, const std::vector
   return k;
 }
 
-JustificationLifter::JustificationLifter(const Netlist& netlist, NodeCube objectives)
-    : netlist_(netlist), objectives_(std::move(objectives)) {
-  for (const NodeAssign& obj : objectives_) {
-    PRESAT_CHECK(obj.first < netlist_.numNodes());
+JustificationLifter::JustificationLifter(const Netlist& netlist, std::vector<NodeCube> objectives,
+                                         std::vector<Source> sources)
+    : netlist_(netlist),
+      objectives_(std::move(objectives)),
+      sources_(std::move(sources)),
+      values_(netlist.numNodes(), l_Undef),
+      stamp_(netlist.numNodes(), 0) {
+  PRESAT_CHECK(sources_.size() == netlist_.numNodes()) << "one source binding per node";
+  for (const NodeCube& cube : objectives_) {
+    for (const NodeAssign& obj : cube) PRESAT_CHECK(obj.first < netlist_.numNodes());
+  }
+  splitCone(netlist_, objectives_, order_, coneSources_);
+  for (NodeId id : coneSources_) {
+    PRESAT_CHECK(!sources_[id].emit || sources_[id].var != kNullVar)
+        << "emitted source " << netlist_.name(id) << " has no model variable";
   }
 }
 
-NodeCube JustificationLifter::liftedSources(const std::vector<bool>& nodeValues) const {
-  std::vector<bool> marked(netlist_.numNodes(), false);
-  NodeCube sources;
+LitVec JustificationLifter::lift(const std::vector<lbool>& model) {
+  for (NodeId id : coneSources_) {
+    const Source& s = sources_[id];
+    size_t v = static_cast<size_t>(s.var);
+    values_[id] = lbool(s.var == kNullVar ? s.value : v < model.size() && model[v].isTrue());
+  }
+  ternarySimulate(netlist_, order_, values_);
 
-  auto mark = [&](auto&& self, NodeId id) -> void {
-    if (marked[id]) return;
-    marked[id] = true;
-    const GateNode& g = netlist_.node(id);
-    bool out = nodeValues[id];
-    switch (g.type) {
-      case GateType::kInput:
-      case GateType::kDff:
-        sources.emplace_back(id, out);
-        return;
-      case GateType::kConst0:
-      case GateType::kConst1:
-        return;
-      case GateType::kBuf:
-      case GateType::kNot:
-        self(self, g.fanins[0]);
-        return;
-      case GateType::kAnd:
-      case GateType::kNand:
-      case GateType::kOr:
-      case GateType::kNor: {
-        // Controlling input value: 0 for AND/NAND, 1 for OR/NOR. When a
-        // controlling input is present the output is ctrlIn xor inverted
-        // (AND -> 0, NAND -> 1, OR -> 1, NOR -> 0).
-        bool ctrlIn = (g.type == GateType::kOr || g.type == GateType::kNor);
-        bool inverted = (g.type == GateType::kNand || g.type == GateType::kNor);
-        bool controlledOut = ctrlIn != inverted;
-        if (out == controlledOut) {
+  // Justify exactly one target cube: the first the model realizes.
+  const NodeCube* objective = nullptr;
+  for (const NodeCube& cube : objectives_) {
+    bool holds = std::all_of(cube.begin(), cube.end(), [this](const NodeAssign& obj) {
+      return values_[obj.first] == lbool(obj.second);
+    });
+    if (holds) {
+      objective = &cube;
+      break;
+    }
+  }
+  PRESAT_CHECK(objective != nullptr) << "model does not reach the target set";
+
+  if (++epoch_ == 0) {  // wrapped: no stamp may survive from an older lift
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  // Depth-first, each node handled when first popped; a node's fanins are
+  // pushed in reverse so they pop in fanin order.
+  LitVec cube;
+  auto pushFanins = [this](const GateNode& g) {
+    stack_.insert(stack_.end(), g.fanins.rbegin(), g.fanins.rend());
+  };
+  for (const NodeAssign& obj : *objective) {
+    stack_.push_back(obj.first);
+    while (!stack_.empty()) {
+      NodeId id = stack_.back();
+      stack_.pop_back();
+      if (stamp_[id] == epoch_) continue;
+      stamp_[id] = epoch_;
+      const GateNode& g = netlist_.node(id);
+      bool out = values_[id].isTrue();
+      switch (g.type) {
+        case GateType::kInput:
+        case GateType::kDff:
+          if (sources_[id].emit) cube.push_back(mkLit(sources_[id].var, !out));
+          break;
+        case GateType::kConst0:
+        case GateType::kConst1:
+          break;
+        case GateType::kBuf:
+        case GateType::kNot:
+          stack_.push_back(g.fanins[0]);
+          break;
+        case GateType::kAnd:
+        case GateType::kNand:
+        case GateType::kOr:
+        case GateType::kNor: {
+          // Controlling input value: 0 for AND/NAND, 1 for OR/NOR. When a
+          // controlling input is present the output is ctrlIn xor inverted
+          // (AND -> 0, NAND -> 1, OR -> 1, NOR -> 0).
+          bool ctrlIn = (g.type == GateType::kOr || g.type == GateType::kNor);
+          bool inverted = (g.type == GateType::kNand || g.type == GateType::kNor);
+          bool controlledOut = ctrlIn != inverted;
+          if (out != controlledOut) {
+            pushFanins(g);
+            break;
+          }
           // One controlling fanin suffices; prefer one already marked.
           NodeId pick = kNoNode;
           for (NodeId f : g.fanins) {
-            if (nodeValues[f] == ctrlIn) {
-              if (marked[f]) {
+            if (values_[f].isTrue() == ctrlIn) {
+              if (stamp_[f] == epoch_) {
                 pick = f;
                 break;
               }
@@ -226,30 +283,22 @@ NodeCube JustificationLifter::liftedSources(const std::vector<bool>& nodeValues)
             }
           }
           PRESAT_CHECK(pick != kNoNode) << "inconsistent node values in lifting";
-          self(self, pick);
-        } else {
-          for (NodeId f : g.fanins) self(self, f);
+          stack_.push_back(pick);
+          break;
         }
-        return;
-      }
-      case GateType::kXor:
-      case GateType::kXnor:
-        for (NodeId f : g.fanins) self(self, f);
-        return;
-      case GateType::kMux: {
-        self(self, g.fanins[0]);  // select always matters
-        self(self, nodeValues[g.fanins[0]] ? g.fanins[2] : g.fanins[1]);
-        return;
+        case GateType::kXor:
+        case GateType::kXnor:
+          pushFanins(g);
+          break;
+        case GateType::kMux:
+          // The select always matters, then the data input it chooses.
+          stack_.push_back(values_[g.fanins[0]].isTrue() ? g.fanins[2] : g.fanins[1]);
+          stack_.push_back(g.fanins[0]);
+          break;
       }
     }
-  };
-
-  for (const NodeAssign& obj : objectives_) {
-    PRESAT_CHECK(nodeValues[obj.first] == obj.second)
-        << "objective not met by the model being lifted";
-    mark(mark, obj.first);
   }
-  return sources;
+  return cube;
 }
 
 }  // namespace presat

@@ -104,20 +104,44 @@ class CircuitWidener {
   std::vector<Var> deferred_;
 };
 
+// Built once per query: the objectives' fanin cone in topological order,
+// each cone source's binding to the model, the node value buffer and the
+// epoch-stamped marks. Each lift() simulates only that cone and reuses the
+// buffers, so one enumeration owns one lifter.
 class JustificationLifter {
  public:
-  // `objectives` are required (node, value) pairs, typically the target
-  // next-state bits of a preimage query.
-  JustificationLifter(const Netlist& netlist, NodeCube objectives);
+  // How a source node (input or DFF output) reads its value off a model:
+  // the model variable `var` (l_Undef and variables past the model read as
+  // 0), or the constant `value` when `var` is kNullVar. An `emit` source
+  // joins the lifted cube when the walk reaches it; it needs a variable.
+  struct Source {
+    Var var = kNullVar;
+    bool value = false;
+    bool emit = false;
+  };
 
-  // `nodeValues` is a full consistent evaluation of the netlist (e.g. from
-  // Simulator) under which every objective holds. Returns the source
-  // assignments (inputs and DFF outputs) needed to justify all objectives.
-  NodeCube liftedSources(const std::vector<bool>& nodeValues) const;
+  // `objectives`: the target as a union of node cubes. `sources[id]` binds
+  // source node `id`; the entries of other nodes are ignored.
+  JustificationLifter(const Netlist& netlist, std::vector<NodeCube> objectives,
+                      std::vector<Source> sources);
+
+  // Returns the emitted sources the justification of the first realized
+  // objective cube reaches, as literals over their model variables, in the
+  // order the walk reaches them. Prefers a controlling fanin that is already
+  // marked, else the first one; a MUX's select goes before its chosen data
+  // input.
+  LitVec lift(const std::vector<lbool>& model);
 
  private:
   const Netlist& netlist_;
-  NodeCube objectives_;
+  std::vector<NodeCube> objectives_;
+  std::vector<Source> sources_;
+  std::vector<NodeId> order_;        // cone gates and constants, topological
+  std::vector<NodeId> coneSources_;  // the cone's inputs and DFF outputs
+  std::vector<lbool> values_;        // node-indexed; cone entries rewritten per lift
+  std::vector<uint32_t> stamp_;      // node marked in this lift iff stamp_ == epoch_
+  uint32_t epoch_ = 0;
+  std::vector<NodeId> stack_;
 };
 
 }  // namespace presat

@@ -193,9 +193,18 @@ bool cubesPairwiseDisjointNaive(const std::vector<LitVec>& cubes) {
 }
 
 uint32_t cubesToBdd(BddManager& mgr, const std::vector<LitVec>& cubes) {
-  BddRef acc = BddManager::kFalse;
-  for (const LitVec& cube : cubes) acc = mgr.bddOr(acc, mgr.cube(cube));
-  return acc;
+  // Pairwise rounds keep both operands of each OR about the same size; a
+  // left fold ORs every cube into the whole union built so far.
+  std::vector<BddRef> level;
+  level.reserve(cubes.size());
+  for (const LitVec& cube : cubes) level.push_back(mgr.cube(cube));
+  while (level.size() > 1) {
+    size_t out = 0;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) level[out++] = mgr.bddOr(level[i], level[i + 1]);
+    if (level.size() % 2 == 1) level[out++] = level.back();
+    level.resize(out);
+  }
+  return level.empty() ? BddManager::kFalse : level[0];
 }
 
 BigUint countCubeUnionMinterms(const std::vector<LitVec>& cubes, int numProjectionVars) {

@@ -173,8 +173,9 @@ bool cubesPairwiseDisjoint(const std::vector<LitVec>& cubes);
 // the fuzz test asserting verdict equality with cubesPairwiseDisjoint.
 bool cubesPairwiseDisjointNaive(const std::vector<LitVec>& cubes);
 
-// OR of all cubes as a BDD over variables 0..numProjectionVars-1 of `mgr`.
-// The canonical way to compare two engines' answers for semantic equality.
+// OR of all cubes as a BDD over variables 0..numProjectionVars-1 of `mgr`,
+// built as a balanced tree of pairwise ORs. The canonical way to compare two
+// engines' answers for semantic equality.
 uint32_t cubesToBdd(BddManager& mgr, const std::vector<LitVec>& cubes);
 
 // Exact minterm count of the UNION of (possibly overlapping) cubes, computed

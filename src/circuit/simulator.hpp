@@ -2,7 +2,7 @@
 //
 // Each node carries a 64-bit word: bit k is the node's value under pattern k.
 // Used by tests (differential checks against the CNF encoding and the BDD
-// package) and by the model-lifting heuristics.
+// package) and by TransitionSystem::step.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,6 @@
 #include "base/timer.hpp"
 #include "cert/certificate.hpp"
 #include "circuit/netlist.hpp"
-#include "circuit/simulator.hpp"
 #include "circuit/tseitin.hpp"
 #include "govern/governor.hpp"
 #include "preimage/bdd_preimage.hpp"
@@ -42,7 +41,7 @@ struct SatProblem {
 // base formula and adds the target-membership constraint T(δ(s, x)),
 // translated into the internal space (next-state-root variables are frozen,
 // so every target literal maps; selector variables are fresh internal vars
-// with no original counterpart — originalModel simply ignores them).
+// with no original counterpart — no lifter source is bound to them).
 SatProblem buildSatProblem(const TransitionEncoding& te, const TransitionSystem& system,
                            const StateSet& target) {
   PRESAT_CHECK(target.numStateBits == system.numStateBits());
@@ -59,61 +58,15 @@ SatProblem buildSatProblem(const TransitionEncoding& te, const TransitionSystem&
   return problem;
 }
 
-// Builds the circuit-justification model lifter for the lifted-cube engine.
-// The justification machinery speaks the ORIGINAL encoding; internal models
-// are lifted through base.originalModel first (eliminated pure variables get
-// their forced polarity, so the reconstruction is a genuine model of the
-// original formula) and the resulting state cube is translated back (state
-// variables are frozen, so internalLit always succeeds).
-ModelLifter makeJustificationLifter(const TransitionSystem& system, const StateSet& target,
-                                    const TransitionEncoding& te) {
-  const Netlist& nl = system.netlist();
-  return [&system, &target, &te, &nl](const std::vector<lbool>& internalModel) -> LitVec {
-    const std::vector<lbool> model = te.base.originalModel(internalModel);
-    // Reconstruct source values from the model (sources outside the encoded
-    // cone are irrelevant to the objectives; default them to 0).
-    std::vector<bool> sources(nl.numNodes(), false);
-    for (NodeId id = 0; id < nl.numNodes(); ++id) {
-      if (isCombinational(nl.type(id)) || !te.enc.isEncoded(id)) continue;
-      Var v = te.enc.nodeVar[id];
-      sources[id] = model[static_cast<size_t>(v)].isTrue();
-    }
-    std::vector<bool> values = Simulator::evaluateOnce(nl, sources);
-
-    // Find a target cube this model realizes and justify exactly that cube.
-    const LitVec* satisfiedCube = nullptr;
-    for (const LitVec& cube : target.cubes) {
-      bool ok = true;
-      for (Lit l : cube) {
-        if (values[system.nextStateRoot(l.var())] == l.sign()) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        satisfiedCube = &cube;
-        break;
-      }
-    }
-    PRESAT_CHECK(satisfiedCube != nullptr) << "model does not reach the target set";
-
-    NodeCube objectives;
-    for (Lit l : *satisfiedCube) {
-      objectives.emplace_back(system.nextStateRoot(l.var()), !l.sign());
-    }
-    JustificationLifter lifter(nl, std::move(objectives));
-    NodeCube sources2 = lifter.liftedSources(values);
-
-    // Keep only state sources (the projection scope).
-    std::vector<bool> isState(nl.numNodes(), false);
-    for (NodeId s : system.stateNodes()) isState[s] = true;
-    LitVec cube;
-    for (const NodeAssign& a : sources2) {
-      if (!isState[a.first]) continue;
-      cube.push_back(te.base.internalLit(mkLit(te.enc.varOf(a.first), !a.second)));
-    }
-    return cube;
-  };
+// The target cubes as next-state-root objectives over the netlist.
+std::vector<NodeCube> targetObjectives(const TransitionSystem& system, const StateSet& target) {
+  std::vector<NodeCube> objectives;
+  objectives.reserve(target.cubes.size());
+  for (const LitVec& cube : target.cubes) {
+    NodeCube& objective = objectives.emplace_back();
+    for (Lit l : cube) objective.emplace_back(system.nextStateRoot(l.var()), !l.sign());
+  }
+  return objectives;
 }
 
 // Builds chrono's circuit-side widening oracle for one query: the target
@@ -123,12 +76,6 @@ ModelLifter makeJustificationLifter(const TransitionSystem& system, const StateS
 CircuitWidener makeChronoWidener(const TransitionSystem& system, const StateSet& target,
                                  const TransitionEncoding& te, const std::vector<Var>& scope) {
   const Netlist& nl = system.netlist();
-  std::vector<NodeCube> objectives;
-  objectives.reserve(target.cubes.size());
-  for (const LitVec& cube : target.cubes) {
-    NodeCube& objective = objectives.emplace_back();
-    for (Lit l : cube) objective.emplace_back(system.nextStateRoot(l.var()), !l.sign());
-  }
   std::vector<Var> sourceVar(nl.numNodes(), kNullVar);
   for (NodeId id : nl.inputs()) {
     if (te.enc.isEncoded(id)) sourceVar[id] = te.base.internalVar(te.enc.varOf(id));
@@ -136,7 +83,7 @@ CircuitWidener makeChronoWidener(const TransitionSystem& system, const StateSet&
   for (NodeId id : system.stateNodes()) {
     sourceVar[id] = te.base.internalVar(te.enc.varOf(id));
   }
-  return CircuitWidener(nl, std::move(objectives), sourceVar, scope);
+  return CircuitWidener(nl, targetObjectives(system, target), sourceVar, scope);
 }
 
 PreimageResult fromAllSat(AllSatResult&& r, int numStateBits) {
@@ -211,6 +158,33 @@ TransitionEncoding buildTransitionEncoding(const TransitionSystem& system, Gover
   for (NodeId root : system.nextStateRoots()) frozen.push_back(te.enc.varOf(root));
   te.base = preprocessCnf(te.enc.cnf, frozen, governor);
   return te;
+}
+
+// The lifter reads the internal model directly: each encoded source is bound
+// to its internal variable, or, once preprocessing eliminated it, to the
+// value base.originalModel would give it (a pure variable's forced polarity,
+// else 0); unencoded sources lie outside every next-state cone and read 0.
+// The state sources are frozen, so they keep their variables and the lifted
+// cube is already internal.
+ModelLifter makeJustificationLifter(const TransitionSystem& system, const StateSet& target,
+                                    const TransitionEncoding& te) {
+  const Netlist& nl = system.netlist();
+  const PreprocessedCnf& base = te.base;
+  std::vector<int8_t> forced(base.toInternal.size(), -1);
+  for (Lit l : base.forcedLits) forced[static_cast<size_t>(l.var())] = l.sign() ? 0 : 1;
+  std::vector<JustificationLifter::Source> sources(nl.numNodes());
+  for (NodeId id = 0; id < nl.numNodes(); ++id) {
+    if (isCombinational(nl.type(id)) || !te.enc.isEncoded(id)) continue;
+    size_t v = static_cast<size_t>(te.enc.varOf(id));
+    if (forced[v] >= 0) {
+      sources[id].value = forced[v] == 1;
+    } else {
+      sources[id].var = base.toInternal[v];
+    }
+  }
+  for (NodeId s : system.stateNodes()) sources[s].emit = true;
+  return [lifter = JustificationLifter(nl, targetObjectives(system, target), std::move(sources))](
+             const std::vector<lbool>& internalModel) mutable { return lifter.lift(internalModel); };
 }
 
 PreimageResult computePreimage(const TransitionSystem& system, const StateSet& target,

@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "allsat/blocking.hpp"
 #include "allsat/projection.hpp"
 #include "allsat/solution_graph.hpp"
 #include "circuit/tseitin.hpp"
@@ -67,6 +68,15 @@ struct TransitionEncoding {
 // null). Deterministic in `system`.
 TransitionEncoding buildTransitionEncoding(const TransitionSystem& system,
                                            Governor* governor = nullptr);
+
+// The lifted-cube engine's model lifter for one query on `te`: maps a model
+// of the query formula (te.base.cnf plus the target clauses over the
+// internal next-state-root literals) to a state cube over internal
+// variables, by justifying the first target cube the model realizes
+// (allsat/lifting.hpp, JustificationLifter). Built once per query; the
+// callable reuses its buffers, so one enumeration calls it at a time.
+ModelLifter makeJustificationLifter(const TransitionSystem& system, const StateSet& target,
+                                    const TransitionEncoding& te);
 
 struct PreimageOptions {
   AllSatOptions allsat;

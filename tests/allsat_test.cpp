@@ -83,6 +83,42 @@ TEST(ProjectionHelpers, DisjointCountAndCoverage) {
   EXPECT_EQ(countCubeUnionMinterms(overlapping, 2).toU64(), 3u);
 }
 
+// cubesToBdd ORs pairwise in a balanced tree. That is the same function as
+// a left fold of bddOr, so in one manager it is the same ref, and the union
+// count is the fold's. Random overlapping cubes on 24 variables: empty
+// lists, one cube, duplicates, an empty (universal) cube, up to 300 cubes.
+TEST(ProjectionHelpers, BalancedCubeUnionMatchesLeftFold) {
+  constexpr int kVars = 24;
+  Rng rng(2029);
+  auto randomCube = [&rng] {
+    LitVec cube;
+    for (Var v = 0; v < kVars; ++v) {
+      if (rng.chance(1, 6)) cube.push_back(mkLit(v, rng.flip()));
+    }
+    return cube;
+  };
+  std::vector<std::vector<LitVec>> lists = {{}, {randomCube()}, {{}, randomCube()}};
+  for (int size : {2, 3, 5, 64, 255, 300}) {
+    std::vector<LitVec>& cubes = lists.emplace_back();
+    for (int i = 0; i < size; ++i) cubes.push_back(randomCube());
+  }
+  for (int iter = 0; iter < 20; ++iter) {
+    std::vector<LitVec>& cubes = lists.emplace_back();
+    int size = static_cast<int>(rng.range(1, 300));
+    for (int i = 0; i < size; ++i) {
+      cubes.push_back(i > 0 && rng.chance(1, 5) ? cubes[rng.below(cubes.size())] : randomCube());
+    }
+  }
+  for (size_t i = 0; i < lists.size(); ++i) {
+    const std::vector<LitVec>& cubes = lists[i];
+    BddManager mgr(kVars);
+    BddRef fold = BddManager::kFalse;
+    for (const LitVec& cube : cubes) fold = mgr.bddOr(fold, mgr.cube(cube));
+    EXPECT_EQ(cubesToBdd(mgr, cubes), fold) << "list " << i << " of " << cubes.size() << " cubes";
+    EXPECT_EQ(countCubeUnionMinterms(cubes, kVars), mgr.satCount(fold)) << "list " << i;
+  }
+}
+
 TEST(MintermBlocking, SimpleFormula) {
   Cnf cnf(3);
   cnf.addBinary(mkLit(0), mkLit(1));  // x0 | x1

@@ -1,6 +1,7 @@
 // Model lifting tests: the CNF implicant shrinker and the circuit
-// justification lifter, both checked for the cube-validity contract, and
-// chrono's circuit widening.
+// justification lifter, both checked for the cube-validity contract, the
+// preimage lifter checked literal for literal against a whole-netlist
+// reference lift, and chrono's circuit widening.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,7 @@
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
 #include "oracle/dpll.hpp"
+#include "preimage/preimage.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 
@@ -104,18 +106,37 @@ TEST(CircuitWidener, ShortestForcingPrefixAndDeferredTier) {
   EXPECT_EQ(blind.emitLevel(model, varLevel, 0, 3, values, sims), 3);
 }
 
+// Binds every source to the model variable numbered like its node, all
+// emitted, so a lift's literals name source nodes directly.
+std::vector<JustificationLifter::Source> identityBinding(const Netlist& nl) {
+  std::vector<JustificationLifter::Source> binding(nl.numNodes());
+  for (NodeId id = 0; id < nl.numNodes(); ++id) {
+    if (!isCombinational(nl.type(id))) binding[id] = {static_cast<Var>(id), false, true};
+  }
+  return binding;
+}
+
+// Lifts the node-indexed source assignment `full` through an identity-bound
+// lifter and returns the kept sources as (node, value) pairs.
+NodeCube liftNodes(JustificationLifter& lifter, const std::vector<bool>& full) {
+  std::vector<lbool> model(full.size());
+  for (size_t i = 0; i < full.size(); ++i) model[i] = lbool(static_cast<bool>(full[i]));
+  NodeCube cube;
+  for (Lit l : lifter.lift(model)) cube.emplace_back(static_cast<NodeId>(l.var()), !l.sign());
+  return cube;
+}
+
 TEST(JustificationLifter, ControllingInputSuffices) {
   Netlist nl;
   NodeId a = nl.addInput("a");
   NodeId b = nl.addInput("b");
   NodeId g = nl.mkAnd(a, b, "g");
   nl.markOutput(g, "g");
-  JustificationLifter lifter(nl, {{g, false}});
+  JustificationLifter lifter(nl, {{{g, false}}}, identityBinding(nl));
   // a=0, b=1: only a is needed to justify g=0.
   std::vector<bool> sources(nl.numNodes(), false);
   sources[b] = true;
-  auto values = Simulator::evaluateOnce(nl, sources);
-  NodeCube cube = lifter.liftedSources(values);
+  NodeCube cube = liftNodes(lifter, sources);
   ASSERT_EQ(cube.size(), 1u);
   EXPECT_EQ(cube[0].first, a);
   EXPECT_FALSE(cube[0].second);
@@ -127,10 +148,9 @@ TEST(JustificationLifter, NonControlledNeedsAllInputs) {
   NodeId b = nl.addInput("b");
   NodeId g = nl.mkAnd(a, b, "g");
   nl.markOutput(g, "g");
-  JustificationLifter lifter(nl, {{g, true}});
+  JustificationLifter lifter(nl, {{{g, true}}}, identityBinding(nl));
   std::vector<bool> sources(nl.numNodes(), true);
-  auto values = Simulator::evaluateOnce(nl, sources);
-  NodeCube cube = lifter.liftedSources(values);
+  NodeCube cube = liftNodes(lifter, sources);
   EXPECT_EQ(cube.size(), 2u);
 }
 
@@ -141,12 +161,11 @@ TEST(JustificationLifter, MuxTracksSelectedBranchOnly) {
   NodeId b = nl.addInput("b");
   NodeId m = nl.mkMux(s, a, b, "m");
   nl.markOutput(m, "m");
-  JustificationLifter lifter(nl, {{m, true}});
+  JustificationLifter lifter(nl, {{{m, true}}}, identityBinding(nl));
   std::vector<bool> sources(nl.numNodes(), false);
   sources[a] = true;
   sources[b] = true;  // s = 0 selects a
-  auto values = Simulator::evaluateOnce(nl, sources);
-  NodeCube cube = lifter.liftedSources(values);
+  NodeCube cube = liftNodes(lifter, sources);
   // Needs s and a but not b.
   EXPECT_EQ(cube.size(), 2u);
   for (const NodeAssign& na : cube) EXPECT_NE(na.first, b);
@@ -177,8 +196,8 @@ TEST(JustificationLifterProperty, LiftedCubeForcesObjectives) {
         NodeId root = nl.dffData(nl.dffs()[k]);
         objectives.emplace_back(root, values[root]);
       }
-      JustificationLifter lifter(nl, objectives);
-      NodeCube cube = lifter.liftedSources(values);
+      JustificationLifter lifter(nl, {objectives}, identityBinding(nl));
+      NodeCube cube = liftNodes(lifter, full);
 
       std::vector<bool> pinned(nl.numNodes(), false);
       for (const NodeAssign& na : cube) pinned[na.first] = true;
@@ -236,8 +255,8 @@ TEST(JustificationLifterProperty, XorMuxHeavyNetlistsStayForcing) {
       for (NodeId s : sources) full[s] = rng.flip();
       auto values = Simulator::evaluateOnce(nl, full);
       NodeCube objectives = {{root, values[root]}};
-      JustificationLifter lifter(nl, objectives);
-      NodeCube cube = lifter.liftedSources(values);
+      JustificationLifter lifter(nl, {objectives}, identityBinding(nl));
+      NodeCube cube = liftNodes(lifter, full);
 
       // Every kept literal matches the simulated assignment.
       for (const NodeAssign& na : cube) EXPECT_EQ(full[na.first], na.second);
@@ -286,8 +305,8 @@ TEST(JustificationLifterProperty, XorPercentGeneratorStaysForcing) {
         NodeId root = nl.dffData(nl.dffs()[k]);
         objectives.emplace_back(root, values[root]);
       }
-      JustificationLifter lifter(nl, objectives);
-      NodeCube cube = lifter.liftedSources(values);
+      JustificationLifter lifter(nl, {objectives}, identityBinding(nl));
+      NodeCube cube = liftNodes(lifter, full);
 
       std::vector<bool> pinned(nl.numNodes(), false);
       for (const NodeAssign& na : cube) pinned[na.first] = true;
@@ -326,11 +345,238 @@ TEST(JustificationLifter, WorksOnS27) {
     for (NodeId dff : nl.dffs()) {
       objectives.emplace_back(nl.dffData(dff), values[nl.dffData(dff)]);
     }
-    JustificationLifter lifter(nl, objectives);
-    NodeCube cube = lifter.liftedSources(values);
+    JustificationLifter lifter(nl, {objectives}, identityBinding(nl));
+    NodeCube cube = liftNodes(lifter, full);
     EXPECT_LE(cube.size(), sources.size());
     for (const NodeAssign& na : cube) EXPECT_EQ(full[na.first], na.second);
   }
+}
+
+// The per-model lifting path of the lifted-cube engine before its lifter
+// was built once per query, kept as the parity oracle: lift the internal
+// model to the original space, simulate the whole netlist, justify the first
+// realized target cube by recursive critical tracing, keep the state sources
+// and translate them back to internal literals.
+LitVec referenceLift(const TransitionSystem& system, const StateSet& target,
+                     const TransitionEncoding& te, const std::vector<lbool>& internalModel) {
+  const Netlist& nl = system.netlist();
+  const std::vector<lbool> model = te.base.originalModel(internalModel);
+  std::vector<bool> sources(nl.numNodes(), false);
+  for (NodeId id = 0; id < nl.numNodes(); ++id) {
+    if (isCombinational(nl.type(id)) || !te.enc.isEncoded(id)) continue;
+    sources[id] = model[static_cast<size_t>(te.enc.varOf(id))].isTrue();
+  }
+  const std::vector<bool> values = Simulator::evaluateOnce(nl, sources);
+
+  const LitVec* satisfied = nullptr;
+  for (const LitVec& cube : target.cubes) {
+    bool ok = true;
+    for (Lit l : cube) ok = ok && values[system.nextStateRoot(l.var())] != l.sign();
+    if (ok) {
+      satisfied = &cube;
+      break;
+    }
+  }
+  if (satisfied == nullptr) {
+    ADD_FAILURE() << "model does not reach the target set";
+    return {};
+  }
+
+  std::vector<bool> marked(nl.numNodes(), false);
+  NodeCube kept;
+  auto mark = [&](auto&& self, NodeId id) -> void {
+    if (marked[id]) return;
+    marked[id] = true;
+    const GateNode& g = nl.node(id);
+    bool out = values[id];
+    switch (g.type) {
+      case GateType::kInput:
+      case GateType::kDff:
+        kept.emplace_back(id, out);
+        return;
+      case GateType::kConst0:
+      case GateType::kConst1:
+        return;
+      case GateType::kBuf:
+      case GateType::kNot:
+        self(self, g.fanins[0]);
+        return;
+      case GateType::kAnd:
+      case GateType::kNand:
+      case GateType::kOr:
+      case GateType::kNor: {
+        bool ctrlIn = (g.type == GateType::kOr || g.type == GateType::kNor);
+        bool inverted = (g.type == GateType::kNand || g.type == GateType::kNor);
+        if (out == (ctrlIn != inverted)) {
+          NodeId pick = kNoNode;
+          for (NodeId f : g.fanins) {
+            if (values[f] == ctrlIn) {
+              if (marked[f]) {
+                pick = f;
+                break;
+              }
+              if (pick == kNoNode) pick = f;
+            }
+          }
+          self(self, pick);
+        } else {
+          for (NodeId f : g.fanins) self(self, f);
+        }
+        return;
+      }
+      case GateType::kXor:
+      case GateType::kXnor:
+        for (NodeId f : g.fanins) self(self, f);
+        return;
+      case GateType::kMux:
+        self(self, g.fanins[0]);
+        self(self, values[g.fanins[0]] ? g.fanins[2] : g.fanins[1]);
+        return;
+    }
+  };
+  for (Lit l : *satisfied) mark(mark, system.nextStateRoot(l.var()));
+
+  std::vector<bool> isState(nl.numNodes(), false);
+  for (NodeId st : system.stateNodes()) isState[st] = true;
+  LitVec cube;
+  for (const NodeAssign& a : kept) {
+    if (isState[a.first]) cube.push_back(te.base.internalLit(mkLit(te.enc.varOf(a.first), !a.second)));
+  }
+  return cube;
+}
+
+// A sequential netlist of XOR, MUX and AND gates over random earlier nodes,
+// each DFF fed by a random gate: no controlling value for most gates, and
+// MUX selects that steer the walk.
+Netlist xorMuxSequential(Rng& rng) {
+  Netlist nl;
+  std::vector<NodeId> pool;
+  int numInputs = static_cast<int>(rng.range(2, 4));
+  int numDffs = static_cast<int>(rng.range(3, 6));
+  for (int i = 0; i < numInputs; ++i) pool.push_back(nl.addInput("i" + std::to_string(i)));
+  std::vector<NodeId> dffs;
+  for (int i = 0; i < numDffs; ++i) dffs.push_back(nl.addDff("s" + std::to_string(i)));
+  pool.insert(pool.end(), dffs.begin(), dffs.end());
+  size_t firstGate = pool.size();
+  auto pick = [&] { return pool[rng.below(pool.size())]; };
+  int numGates = static_cast<int>(rng.range(10, 30));
+  for (int g = 0; g < numGates; ++g) {
+    uint64_t roll = rng.range(0, 2);
+    if (roll == 0) {
+      pool.push_back(nl.mkXor(pick(), pick()));
+    } else if (roll == 1) {
+      pool.push_back(nl.mkMux(pick(), pick(), pick()));
+    } else {
+      pool.push_back(nl.mkAnd(pick(), pick()));
+    }
+  }
+  for (NodeId d : dffs) {
+    nl.connectDffData(d, pool[firstGate + rng.below(pool.size() - firstGate)]);
+  }
+  return nl;
+}
+
+// 1-3 target cubes, each fixing 1-4 bits of a next state that one random
+// transition reaches, so the query has models.
+StateSet reachableTarget(Rng& rng, const TransitionSystem& system) {
+  const int n = system.numStateBits();
+  StateSet target;
+  target.numStateBits = n;
+  int numCubes = static_cast<int>(rng.range(1, 3));
+  for (int c = 0; c < numCubes; ++c) {
+    std::vector<bool> state(static_cast<size_t>(n));
+    std::vector<bool> inputs(static_cast<size_t>(system.numInputs()));
+    for (auto&& b : state) b = rng.flip();
+    for (auto&& b : inputs) b = rng.flip();
+    std::vector<bool> next = system.step(state, inputs);
+    LitVec cube;
+    int fixed = static_cast<int>(rng.range(1, std::min(n, 4)));
+    int bit = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+    for (int k = 0; k < fixed; ++k, bit = (bit + 1) % n) {
+      cube.push_back(mkLit(static_cast<Var>(bit), !next[static_cast<size_t>(bit)]));
+    }
+    target.cubes.push_back(std::move(cube));
+  }
+  return target;
+}
+
+// Whether preprocessing eliminated an input as pure inside the target's
+// cone, so the lifter must read its forced polarity instead of the model.
+bool forcedInputInCone(const TransitionSystem& system, const StateSet& target,
+                       const TransitionEncoding& te) {
+  const Netlist& nl = system.netlist();
+  std::vector<NodeId> roots;
+  for (const LitVec& cube : target.cubes) {
+    for (Lit l : cube) roots.push_back(system.nextStateRoot(l.var()));
+  }
+  std::vector<uint8_t> inCone(nl.numNodes(), 0);
+  for (NodeId id : nl.coneOf(roots)) inCone[id] = 1;
+  for (Lit l : te.base.forcedLits) {
+    for (NodeId id : nl.inputs()) {
+      if (inCone[id] && te.enc.isEncoded(id) && te.enc.varOf(id) == l.var()) return true;
+    }
+  }
+  return false;
+}
+
+// Enumerates the query the way lifted cube blocking does (CDCL on the
+// preprocessed formula plus target clauses, each lifted cube blocked) and
+// checks every model's lift against referenceLift. Returns the models seen.
+int checkLifterParity(const Netlist& nl, Rng& rng, const std::string& label, bool* forced) {
+  TransitionSystem system(nl);
+  TransitionEncoding te = buildTransitionEncoding(system);
+  StateSet target = reachableTarget(rng, system);
+  *forced = *forced || forcedInputInCone(system, target, te);
+
+  Cnf cnf = te.base.cnf;
+  LitVec roots;
+  for (NodeId r : system.nextStateRoots()) roots.push_back(te.base.internalLit(te.enc.litOf(r)));
+  addStateSetClauses(cnf, target, roots);
+  ModelLifter lifter = makeJustificationLifter(system, target, te);
+
+  Solver solver;
+  if (!solver.addCnf(cnf)) {
+    ADD_FAILURE() << label << ": reachable target is unsatisfiable";
+    return 0;
+  }
+  int models = 0;
+  for (; models < 64 && solver.solve().isTrue(); ++models) {
+    LitVec got = lifter(solver.model());
+    LitVec want = referenceLift(system, target, te, solver.model());
+    EXPECT_EQ(toString(got), toString(want)) << label << " model " << models;
+    if (got != want || got.empty()) return models + 1;
+    LitVec block;
+    for (Lit l : got) block.push_back(~l);
+    if (!solver.addClause(block)) return models + 1;
+  }
+  EXPECT_GT(models, 0) << label;
+  return models;
+}
+
+// The query-scoped lifter returns the reference lift's cube literal for
+// literal, in order, on every model of random circuits (AND/OR-heavy and
+// XOR-heavy generator shapes, plus XOR/MUX netlists) under 1-3-cube
+// targets, including queries whose cone holds a pure-eliminated input.
+TEST(JustificationLifterParity, MatchesWholeNetlistReferenceLift) {
+  Rng rng(1201);
+  bool forced = false;
+  int models = 0;
+  for (uint64_t seed = 1; seed <= 900; ++seed) {
+    RandomCircuitParams params;
+    params.seed = seed;
+    params.numInputs = 3 + static_cast<int>(seed % 4);
+    params.numDffs = 3 + static_cast<int>(seed % 5);
+    params.numGates = 10 + static_cast<int>(seed % 40);
+    params.xorPercent = static_cast<int>(seed % 3) * 30;
+    models += checkLifterParity(makeRandomSequential(params), rng,
+                                "random seed " + std::to_string(seed), &forced);
+  }
+  for (int net = 0; net < 80; ++net) {
+    models += checkLifterParity(xorMuxSequential(rng), rng, "xor/mux net " + std::to_string(net),
+                                &forced);
+  }
+  EXPECT_TRUE(forced) << "no query had a pure-eliminated input in its cone";
+  EXPECT_GT(models, 1000);
 }
 
 }  // namespace

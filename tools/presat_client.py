@@ -63,10 +63,12 @@ class ServeClient:
         self._seq = itertools.count()
         self.banner = None
         self.bad_lines = []     # responses that were not valid JSON
+        # Created before the reader starts, so a banner it reads at once is
+        # never lost.
+        self._banner_event = threading.Event()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
         if banner:
-            self._banner_event = threading.Event()
             if not self._banner_event.wait(timeout=10):
                 raise RuntimeError("presat_serve emitted no banner within 10s")
 
@@ -82,8 +84,7 @@ class ServeClient:
                 continue
             if msg.get("status") == "hello" and "id" not in msg:
                 self.banner = msg
-                if hasattr(self, "_banner_event"):
-                    self._banner_event.set()
+                self._banner_event.set()
                 continue
             rid = msg.get("id", "")
             with self._route_lock:
