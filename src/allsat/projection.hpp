@@ -113,8 +113,10 @@ struct AllSatOptions {
   // subproblems are simply re-solved, so results stay exact.
   size_t maxMemoEntries = 1u << 20;
   // Success-driven engine: cross-check every hashed memo probe against the
-  // exact subproblem key. Catches 128-bit signature collisions; costs the
-  // old O(cone log cone) key build per probe, so debug/test use only.
+  // exact subproblem key, and the incrementally maintained signature against
+  // one recomputed from scratch. Catches 128-bit signature collisions and
+  // signature drift; costs an O(cone log cone) key build per probe, so
+  // debug/test use only.
   bool memoCheckExact = false;
   // Projection as a first-class enumeration mode instead of a post-pass.
   // Chrono runs projected-native: enumerateNextModel() stops as soon as the

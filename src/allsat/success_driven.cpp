@@ -227,7 +227,7 @@ class Engine {
         projIndex_(nl_.numNodes(), -1),
         numProjection_(static_cast<int>(projectionSources.size())),
         frontier_(nl_.topologicalOrder()),
-        visitStamp_(nl_.numNodes(), 0) {
+        live_(nl_.numNodes(), 0) {
     for (size_t i = 0; i < projectionSources.size(); ++i) {
       NodeId src = projectionSources[i];
       PRESAT_CHECK(!isCombinational(nl_.type(src)))
@@ -235,8 +235,8 @@ class Engine {
       PRESAT_CHECK(projIndex_[src] < 0) << "projection lists node " << src << " twice";
       projIndex_[src] = static_cast<int>(i);
     }
-    // Unconditional: assign()/undoTo() maintain frontierSig_ even with
-    // learning off, so the ablation path stays identical modulo the memo.
+    // Unconditional: assign()/undoTo() maintain key_ even with learning
+    // off, so the ablation path stays identical modulo the memo.
     initZobrist();
     initControllability();
     // Constants carry their value from the start and never need
@@ -253,6 +253,14 @@ class Engine {
   // the cover and the count off the graph's BDD.
   SuccessDrivenResult run(std::span<const CircuitAllSatProblem> problems) {
     Timer timer;
+    std::vector<NodeId> roots;
+    for (const CircuitAllSatProblem& p : problems) {
+      for (const NodeAssign& obj : p.objectives) {
+        PRESAT_CHECK(obj.first < nl_.numNodes()) << "objective node out of range";
+        roots.push_back(obj.first);
+      }
+    }
+    initLiveness(nl_.coneOf(roots));
     for (const CircuitAllSatProblem& p : problems) solveRoot(p.objectives);
 
     SuccessDrivenResult result;
@@ -264,8 +272,6 @@ class Engine {
     result.summary.stats.graphNodes = graph.numNodes();
     result.summary.stats.graphEdges = graph.numLiveEdges();
     metrics_.setLabel("engine", "success-driven");
-    metrics_.setCounter("sig.cone_nodes", sigCutNodes_);
-    metrics_.setCounter("sig.bytes", sigCutNodes_ * sizeof(Sig128));
     metrics_.setCounter("sd.subsumed", subsumed_);
     if (frontierSizes_.count() != 0) metrics_.histogram("frontier.size").merge(frontierSizes_);
     result.summary.metrics = std::move(metrics_);
@@ -318,7 +324,6 @@ class Engine {
     curNewProj_ = &rootLits;
     bool consistent = true;
     for (const NodeAssign& obj : objectives) {
-      PRESAT_CHECK(obj.first < nl_.numNodes()) << "objective node out of range";
       if (!assign(obj.first, obj.second)) {
         consistent = false;
         break;
@@ -338,13 +343,13 @@ class Engine {
     lbool cur = value_[n];
     if (!cur.isUndef()) return cur.isTrue() == v;
     value_[n] = lbool(v);
+    if (live_[n] > 0) key_.flip(assignKey(n));
     trail_.push_back({EventKind::kAssign, n});
     if (projIndex_[n] >= 0) {
       curNewProj_->push_back(mkLit(static_cast<Var>(projIndex_[n]), !v));
     }
     if (isCombinational(nl_.type(n))) {
-      frontier_.insert(n);
-      frontierSig_.flip(zFrontier_[n]);
+      enterFrontier(n);
       pending_.push_back(n);
     }
     for (NodeId fo : fanouts_[n]) {
@@ -353,9 +358,10 @@ class Engine {
     return true;
   }
 
+  // A justified gate leaves the frontier and stops holding its fanins live.
   void removeFromFrontier(NodeId g) {
-    frontier_.erase(g);
-    frontierSig_.flip(zFrontier_[g]);
+    leaveFrontier(g);
+    for (NodeId f : nl_.fanins(g)) dropLive(f);
     trail_.push_back({EventKind::kFrontierRemove, g});
   }
 
@@ -477,14 +483,13 @@ class Engine {
       Event e = trail_.back();
       trail_.pop_back();
       if (e.kind == EventKind::kAssign) {
-        if (frontier_.contains(e.node)) {
-          frontier_.erase(e.node);
-          frontierSig_.flip(zFrontier_[e.node]);
-        }
+        // An unassigned gate holds its fanins live as the frontier gate did.
+        if (frontier_.contains(e.node)) leaveFrontier(e.node);
+        if (live_[e.node] > 0) key_.flip(assignKey(e.node));
         value_[e.node] = l_Undef;
       } else {
-        frontier_.insert(e.node);
-        frontierSig_.flip(zFrontier_[e.node]);
+        enterFrontier(e.node);
+        for (NodeId f : nl_.fanins(e.node)) addLive(f);
       }
     }
   }
@@ -631,32 +636,31 @@ class Engine {
   // The subproblem at a search node is determined by the justification
   // frontier plus the values on its justification cut: the nodes reached
   // from the frontier by descending through frontier gates and unassigned
-  // nodes, stopping at assigned non-frontier nodes (whose values are still
-  // part of the key). That is exactly what a subsearch can read: examine()
-  // reads the fanins of frontier gates, and assign() only ever assigns an
-  // unassigned fanin, which then joins the frontier and exposes its own
-  // fanins. An assigned node outside the frontier is justified or a source,
+  // nodes, stopping at assigned non-frontier nodes (whose values it still
+  // reads). That is exactly what a subsearch can read: examine() reads the
+  // fanins of frontier gates, and assign() only ever assigns an unassigned
+  // fanin, which then joins the frontier and exposes its own fanins. An assigned node outside the frontier is justified or a source,
   // so nothing below it is read again. Two states that agree on the cut
-  // therefore run the same subsearch, whatever lies beyond it — the key is
-  // exact, and coarser than the whole fanin cone.
+  // therefore run the same subsearch, whatever lies beyond it.
   //
-  // The memo key is a 128-bit Zobrist signature of that state:
+  // The memo key is a 128-bit Zobrist signature of a slightly finer state:
+  // the frontier plus the values of the LIVE assigned nodes. A node is live
+  // while it is a frontier gate, or while one of its fanouts in the
+  // objectives' fanin cone is unassigned or a frontier gate (live_ counts
+  // those reasons). Every assigned node the cut walk reads is live — a
+  // frontier gate, or a fanin of a cone gate the walk descended through —
+  // so equal keys give equal cuts by induction over the walk: the key is
+  // exact. Unlike the cut, liveness changes only next to the gate being
+  // assigned or justified:
   //
-  //  * the frontier-membership component is maintained INCREMENTALLY — every
-  //    frontier insert/erase in assign()/removeFromFrontier()/undoTo() XORs
-  //    the gate's precomputed key into frontierSig_, so it costs O(1) per
-  //    event and nothing at signature time;
-  //  * the cut-assignment component is accumulated by an XOR walk over the
-  //    cut. It cannot be maintained purely incrementally: when a gate is
-  //    justified, nodes may silently leave the cut, so the walk re-derives
-  //    it. The walk is allocation-free and sort-free (XOR commutes): a flat
-  //    O(cut) scan per search node.
-
-  // Whether the cut walk descends below `n`: through frontier gates and
-  // unassigned gates, never below an assigned non-frontier node.
-  bool onCutInterior(NodeId n) const {
-    return isCombinational(nl_.type(n)) && (value_[n].isUndef() || frontier_.contains(n));
-  }
+  //  * a gate entering or leaving the frontier flips its zFrontier_ key and
+  //    one unit of its own liveness;
+  //  * a gate justified (removeFromFrontier) drops one unit from each
+  //    fanin, and undoing that adds it back;
+  //  * an assigned node's zAssign_ key is in key_ exactly while live_ > 0.
+  //
+  // So key_ costs O(1) per assignment and O(fanin) per justification, and a
+  // probe reads it as it stands.
 
   void initZobrist() {
     // Deterministic keys: the engine must behave identically across runs.
@@ -667,34 +671,72 @@ class Engine {
     for (size_t i = 0; i < zFrontier_.size(); ++i) zFrontier_[i] = {rng.next(), rng.next()};
   }
 
-  // Hashed signature of (frontier, cut assignment) at the current state.
-  Sig128 hashedSignature() {
-    if (++stamp_ == 0) {  // stamp wrapped: reset the epoch array once
-      std::fill(visitStamp_.begin(), visitStamp_.end(), 0u);
-      stamp_ = 1;
-    }
-    Sig128 sig = frontierSig_;
-    frontier_.forEach([this](NodeId g) { scratchStack_.push_back(g); });
-    uint64_t cutNodes = 0;
-    while (!scratchStack_.empty()) {
-      NodeId n = scratchStack_.back();
-      scratchStack_.pop_back();
-      if (visitStamp_[n] == stamp_) continue;
-      visitStamp_[n] = stamp_;
-      ++cutNodes;
-      lbool v = value_[n];
-      if (!v.isUndef()) sig.flip(zAssign_[n * 2 + (v.isTrue() ? 1 : 0)]);
-      if (onCutInterior(n)) {
-        for (NodeId f : nl_.fanins(n)) scratchStack_.push_back(f);
+  // Counts, with no gate assigned, every cone gate's fanins as live. The
+  // constants are assigned before the trail exists, so their keys enter
+  // key_ here.
+  void initLiveness(std::vector<NodeId> cone) {
+    cone_ = std::move(cone);
+    for (NodeId g : cone_) {
+      if (isCombinational(nl_.type(g))) {
+        for (NodeId f : nl_.fanins(g)) ++live_[f];
       }
     }
-    sigCutNodes_ += cutNodes;
+    for (NodeId n : cone_) {
+      if (!value_[n].isUndef() && live_[n] > 0) key_.flip(assignKey(n));
+    }
+  }
+
+  const Sig128& assignKey(NodeId n) const {
+    return zAssign_[n * 2 + (value_[n].isTrue() ? 1 : 0)];
+  }
+  void addLive(NodeId n) {
+    if (live_[n]++ == 0 && !value_[n].isUndef()) key_.flip(assignKey(n));
+  }
+  void dropLive(NodeId n) {
+    if (--live_[n] == 0 && !value_[n].isUndef()) key_.flip(assignKey(n));
+  }
+  void enterFrontier(NodeId g) {
+    frontier_.insert(g);
+    key_.flip(zFrontier_[g]);
+    addLive(g);
+  }
+  void leaveFrontier(NodeId g) {
+    frontier_.erase(g);
+    key_.flip(zFrontier_[g]);
+    dropLive(g);
+  }
+
+  // key_ recomputed from scratch, liveness included: the drift oracle
+  // behind AllSatOptions::memoCheckExact.
+  Sig128 recomputedKey() const {
+    std::vector<bool> live(nl_.numNodes(), false);
+    Sig128 sig;
+    for (NodeId g : cone_) {
+      if (!isCombinational(nl_.type(g))) continue;
+      if (frontier_.contains(g)) {
+        sig.flip(zFrontier_[g]);
+        live[g] = true;
+      }
+      if (value_[g].isUndef() || frontier_.contains(g)) {
+        for (NodeId f : nl_.fanins(g)) live[f] = true;
+      }
+    }
+    for (NodeId n : cone_) {
+      if (live[n] && !value_[n].isUndef()) sig.flip(assignKey(n));
+    }
     return sig;
   }
 
-  // The exact key — frontier + cut assignment serialized into a canonical
-  // byte string over the same cut walk. The collision oracle behind
-  // AllSatOptions::memoCheckExact.
+  // Whether the cut walk descends below `n`: through frontier gates and
+  // unassigned gates, never below an assigned non-frontier node.
+  bool onCutInterior(NodeId n) const {
+    return isCombinational(nl_.type(n)) && (value_[n].isUndef() || frontier_.contains(n));
+  }
+
+  // The cut key — frontier + cut assignment serialized into a canonical
+  // byte string by walking the cut. key_ is finer, so two states with equal
+  // key_ have equal cut keys unless the 128-bit hash collided: the collision
+  // oracle behind AllSatOptions::memoCheckExact.
   std::string exactKey() {
     scratchCone_.clear();
     scratchMark_.assign(nl_.numNodes(), false);
@@ -753,9 +795,12 @@ class Engine {
     }
     if (tripped_) return SolutionGraph::kFail;
     if (frontier_.empty()) return SolutionGraph::kSuccess;
-    Sig128 key;
+    const Sig128 key = key_;
     if (options_.successLearning) {
-      key = hashedSignature();
+      if (options_.memoCheckExact) {
+        PRESAT_CHECK(key == recomputedKey())
+            << "memo key drifted: the maintained signature differs from a recomputed one";
+      }
       if (MemoTable::Slot* hit = memo_.find(key)) {
         ++stats_.memoHits;
         hit->gen = memoGen_;
@@ -855,12 +900,13 @@ class Engine {
   // zFrontier_[n] keys "node n is an unjustified frontier gate".
   std::vector<Sig128> zAssign_;
   std::vector<Sig128> zFrontier_;
-  Sig128 frontierSig_;  // XOR over zFrontier_ of the current frontier set
+  std::vector<NodeId> cone_;     // fanin cone of every root's objectives
+  std::vector<uint32_t> live_;   // per node: reasons it is live (see above)
+  Sig128 key_;  // zFrontier_ of the frontier ^ zAssign_ of the live assigned nodes
 
   MemoTable memo_;
   std::unordered_map<Sig128, std::string, Sig128Hash> exactKeys_;  // memoCheckExact only
   uint32_t memoGen_ = 0;
-  uint64_t sigCutNodes_ = 0;
 
   SolutionGraph graph_;
   std::vector<uint8_t> full_;  // per graph node: coversEverything()
@@ -869,13 +915,8 @@ class Engine {
   Metrics metrics_;
   Histogram frontierSizes_;  // merged into metrics_ once, in run()
 
-  // signature scratch: epoch-stamped visit marks (no O(numNodes) clear per
-  // signature) and a reusable DFS stack.
-  std::vector<uint32_t> visitStamp_;
-  uint32_t stamp_ = 0;
-  std::vector<NodeId> scratchStack_;
-
   // exactKey() scratch (memoCheckExact only)
+  std::vector<NodeId> scratchStack_;
   std::vector<NodeId> scratchCone_;
   std::vector<bool> scratchMark_;
 };

@@ -13,13 +13,17 @@
 //    sources assigned so far form a solution cube; every completion of the
 //    unassigned sources works. This yields cube-level solutions for free.
 //  * Success-driven learning: each subproblem is identified by its
-//    justification frontier plus the values on its justification cut — the
-//    nodes reachable from the frontier through frontier gates and
-//    unassigned nodes. Assignment is backward-only and a justified gate is
-//    never re-examined, so the subsearch reads nothing beyond that cut: the
-//    key is exact. Solved subproblems are memoized and their solution
-//    sub-DAGs shared, so equivalent subproblems are never re-solved and the
-//    result is a compact SolutionGraph instead of an exponential cube list.
+//    justification frontier plus the values of its live nodes — the
+//    assigned nodes that are frontier gates or feed an unjustified gate of
+//    the objectives' cone. That covers the justification cut (the nodes
+//    reachable from the frontier through frontier gates and unassigned
+//    nodes); assignment is backward-only and a justified gate is never
+//    re-examined, so the subsearch reads nothing beyond that cut: the key
+//    is exact. It is kept up to date as nodes are assigned and justified,
+//    so a probe costs no walk. Solved subproblems are memoized and their
+//    solution sub-DAGs shared, so equivalent subproblems are never re-solved
+//    and the result is a compact SolutionGraph instead of an exponential
+//    cube list.
 //  * One engine can answer several objective sets over the same netlist and
 //    projection (a multi-cube preimage target): each becomes one root of a
 //    shared graph, and the memo carries over between them — its key never

@@ -31,20 +31,6 @@ bool subsumes(const Clause& small, const Clause& big) {
 
 }  // namespace
 
-std::vector<lbool> PreprocessedCnf::originalModel(const std::vector<lbool>& internalModel) const {
-  std::vector<lbool> out(toInternal.size(), l_False);
-  for (size_t v = 0; v < toInternal.size(); ++v) {
-    Var iv = toInternal[v];
-    // Verbatim copy, l_Undef included: projected witnesses (partial internal
-    // models) must stay partial in the original space.
-    if (iv != kNullVar && static_cast<size_t>(iv) < internalModel.size()) {
-      out[v] = internalModel[static_cast<size_t>(iv)];
-    }
-  }
-  for (Lit l : forcedLits) out[static_cast<size_t>(l.var())] = lbool(!l.sign());
-  return out;
-}
-
 PreprocessedCnf preprocessCnf(const Cnf& cnf, const std::vector<Var>& frozen,
                               Governor* governor) {
   PreprocessedCnf out;

@@ -85,13 +85,6 @@ struct PreprocessedCnf {
     for (Var v : orig) out.push_back(internalLit(mkLit(v)).var());
     return out;
   }
-
-  // Lifts an internal model (or partial model) back to the original space:
-  // mapped variables copy their internal value verbatim (l_Undef stays
-  // l_Undef — projected witnesses survive the round trip), eliminated pure
-  // variables take their forced polarity, and variables that never occurred
-  // anywhere default to l_False.
-  std::vector<lbool> originalModel(const std::vector<lbool>& internalModel) const;
 };
 
 // Preprocesses `cnf`, never eliminating a variable in `frozen`. `governor`

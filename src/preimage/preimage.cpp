@@ -161,9 +161,9 @@ TransitionEncoding buildTransitionEncoding(const TransitionSystem& system, Gover
 }
 
 // The lifter reads the internal model directly: each encoded source is bound
-// to its internal variable, or, once preprocessing eliminated it, to the
-// value base.originalModel would give it (a pure variable's forced polarity,
-// else 0); unencoded sources lie outside every next-state cone and read 0.
+// to its internal variable, or, once preprocessing eliminated it, to its
+// forced pure polarity, else 0; unencoded sources lie outside every
+// next-state cone and read 0.
 // The state sources are frozen, so they keep their variables and the lifted
 // cube is already internal.
 ModelLifter makeJustificationLifter(const TransitionSystem& system, const StateSet& target,

@@ -484,7 +484,12 @@ class Fnv1a {
 //    justify an AND-family gate through its cheapest fanin (SCOAP order)
 //    and to return a branch's child for the whole node when that child
 //    covers every completion: both change the graph the search builds, not
-//    the solution set, and the cover digest did not move.
+//    the solution set, and the cover digest did not move. It was re-pinned
+//    once more when the memo key became the frontier plus the values of the
+//    live nodes (kept up to date per assignment) instead of the values on
+//    the justification cut: that key is finer, so a few memo hits became
+//    re-solved subproblems and the graph grew; the cover digest did not
+//    move.
 //  * The cover digest folds the cover and the state count. It was re-pinned
 //    when the cover became the graph's BDD paths: it no longer depends on
 //    the branch order, only on the solution set.
@@ -527,7 +532,7 @@ TEST(SuccessDriven, CoversMatchPinnedDigest) {
       for (char c : pre.stateCount.toDecimal()) coverDigest.mix(static_cast<uint8_t>(c));
     }
   }
-  EXPECT_EQ(graphDigest.value(), 0x773709cbb192caf9ull) << std::hex << graphDigest.value();
+  EXPECT_EQ(graphDigest.value(), 0x22598198eea6ebddull) << std::hex << graphDigest.value();
   EXPECT_EQ(coverDigest.value(), 0x62220c5e3f5ee165ull) << std::hex << coverDigest.value();
 }
 
@@ -599,6 +604,13 @@ Netlist makeParityTree(int stateBits) {
 }
 
 TEST(SuccessDriven, LearningProducesMemoHitsOnXorTrees) {
+  // Fig. 3a's parity rows: with learning, parity8/12/16 take 19/37/65
+  // decisions; without it, one fewer than the 2^(n-1) solutions.
+  for (const auto& [bits, decisions] : {std::pair{12, 37u}, std::pair{16, 65u}}) {
+    Netlist tree = makeParityTree(bits);
+    CircuitAllSatProblem parity = problemFor(tree, {{tree.outputs()[0], false}});
+    EXPECT_EQ(successDrivenAllSat(parity).summary.stats.decisions, decisions) << bits;
+  }
   Netlist nl = makeParityTree(8);
   NodeId root = nl.outputs()[0];
   CircuitAllSatProblem p = problemFor(nl, {{root, false}});
@@ -607,6 +619,7 @@ TEST(SuccessDriven, LearningProducesMemoHitsOnXorTrees) {
   off.successLearning = false;
   SuccessDrivenResult without = successDrivenAllSat(p, off);
   EXPECT_GT(withLearning.summary.stats.memoHits, 0u);
+  EXPECT_EQ(withLearning.summary.stats.decisions, 19u);
   // Even-parity assignments of 8 bits: exactly half the space.
   EXPECT_EQ(withLearning.summary.mintermCount.toU64(), 128u);
   EXPECT_EQ(without.summary.mintermCount.toU64(), 128u);

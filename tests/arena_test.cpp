@@ -253,8 +253,8 @@ TEST(Preprocess, PureLiteralElimination) {
   EXPECT_EQ(pre.cnf.numClauses(), 0u);
   // originalModel must extend any internal model into a genuine model of the
   // ORIGINAL formula: forced pure polarities satisfy every removed clause.
-  std::vector<lbool> original = pre.originalModel(
-      std::vector<lbool>(static_cast<size_t>(pre.cnf.numVars()), lbool(false)));
+  std::vector<lbool> original = testutil::originalModel(
+      pre, std::vector<lbool>(static_cast<size_t>(pre.cnf.numVars()), lbool(false)));
   ASSERT_EQ(original.size(), 3u);
   for (const Clause& c : cnf.clauses()) {
     bool sat = false;

@@ -360,7 +360,7 @@ TEST(JustificationLifter, WorksOnS27) {
 LitVec referenceLift(const TransitionSystem& system, const StateSet& target,
                      const TransitionEncoding& te, const std::vector<lbool>& internalModel) {
   const Netlist& nl = system.netlist();
-  const std::vector<lbool> model = te.base.originalModel(internalModel);
+  const std::vector<lbool> model = testutil::originalModel(te.base, internalModel);
   std::vector<bool> sources(nl.numNodes(), false);
   for (NodeId id = 0; id < nl.numNodes(); ++id) {
     if (isCombinational(nl.type(id)) || !te.enc.isEncoded(id)) continue;

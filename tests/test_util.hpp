@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: random formula / circuit generation,
-// and the cover a success-driven solution graph must yield.
+// the original-space model of a preprocessed formula, and the cover a
+// success-driven solution graph must yield.
 #pragma once
 
 #include <vector>
@@ -8,6 +9,7 @@
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
 #include "cnf/cnf.hpp"
+#include "cnf/preprocess.hpp"
 
 namespace presat::testutil {
 
@@ -60,6 +62,23 @@ inline Cnf oddParity(int n) {
     cnf.addClause(c);
   }
   return cnf;
+}
+
+// Lifts an internal model (or partial model) of `pre.cnf` back to the
+// original space: mapped variables copy their internal value verbatim
+// (l_Undef stays l_Undef), eliminated pure variables take their forced
+// polarity, and variables that never occurred anywhere default to l_False.
+inline std::vector<lbool> originalModel(const PreprocessedCnf& pre,
+                                        const std::vector<lbool>& internalModel) {
+  std::vector<lbool> out(pre.toInternal.size(), l_False);
+  for (size_t v = 0; v < pre.toInternal.size(); ++v) {
+    Var iv = pre.toInternal[v];
+    if (iv != kNullVar && static_cast<size_t>(iv) < internalModel.size()) {
+      out[v] = internalModel[static_cast<size_t>(iv)];
+    }
+  }
+  for (Lit l : pre.forcedLits) out[static_cast<size_t>(l.var())] = lbool(!l.sign());
+  return out;
 }
 
 // The cover a success-driven run must return for `graph`: the paths of the
