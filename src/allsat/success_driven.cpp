@@ -109,10 +109,16 @@ class Frontier {
   size_t size_ = 0;
 };
 
+// Memo entries a success-driven query is sized for up front, per node of
+// the objectives' fanin cone. Random circuits store a median of ~7 per cone
+// node and backward-reach steps ~1; growth covers the rest.
+constexpr size_t kMemoEntriesPerConeNode = 4;
+
 // Learned subproblems: signature -> solution-graph child, with the eviction
 // generation of the last touch. Open addressing with linear probing over
-// 24-byte slots; the table starts small and doubles at load 1/2. Signatures
-// are uniformly random, so the low bits of one lane are the home slot.
+// 24-byte slots; the first slot array is allocated at the first insert, at
+// the size expect() asked for, and doubles at load 1/2. Signatures are
+// uniformly random, so the low bits of one lane are the home slot.
 class MemoTable {
  public:
   struct Slot {
@@ -124,6 +130,12 @@ class MemoTable {
 
   size_t size() const { return size_; }
   uint64_t bytes() const { return slots_.size() * sizeof(Slot); }
+
+  // Sizes the first slot array, allocated at the first insert, for
+  // `entries` entries at load 1/2; later growth doubles it as before.
+  void expect(size_t entries) {
+    firstSlots_ = std::bit_ceil(std::max(kInitialSlots, 2 * entries));
+  }
 
   Slot* find(const Sig128& key) {
     if (slots_.empty()) return nullptr;
@@ -179,7 +191,7 @@ class MemoTable {
     slots_[i] = s;
   }
   void grow() {
-    std::vector<Slot> old(slots_.empty() ? kInitialSlots : 2 * slots_.size());
+    std::vector<Slot> old(slots_.empty() ? firstSlots_ : 2 * slots_.size());
     old.swap(slots_);
     for (const Slot& s : old) {
       if (s.child != kEmpty) place(s);
@@ -188,6 +200,7 @@ class MemoTable {
 
   std::vector<Slot> slots_;
   size_t size_ = 0;
+  size_t firstSlots_ = kInitialSlots;
 };
 
 // The success-driven cover of `set`, the solution graph's BDD in `mgr` over
@@ -226,8 +239,7 @@ class Engine {
         value_(nl_.numNodes(), l_Undef),
         projIndex_(nl_.numNodes(), -1),
         numProjection_(static_cast<int>(projectionSources.size())),
-        frontier_(nl_.topologicalOrder()),
-        live_(nl_.numNodes(), 0) {
+        frontier_(nl_.topologicalOrder()) {
     for (size_t i = 0; i < projectionSources.size(); ++i) {
       NodeId src = projectionSources[i];
       PRESAT_CHECK(!isCombinational(nl_.type(src)))
@@ -235,9 +247,13 @@ class Engine {
       PRESAT_CHECK(projIndex_[src] < 0) << "projection lists node " << src << " twice";
       projIndex_[src] = static_cast<int>(i);
     }
-    // Unconditional: assign()/undoTo() maintain key_ even with learning
-    // off, so the ablation path stays identical modulo the memo.
-    initZobrist();
+    // Only the memo reads key_: with learning off no Zobrist table or
+    // liveness count exists, and assign()/undoTo() skip the key bookkeeping.
+    // The search itself (decisions, graph, covers) does not read the key.
+    if (options_.successLearning) {
+      initZobrist();
+      live_.assign(nl_.numNodes(), 0);
+    }
     initControllability();
     // Constants carry their value from the start and never need
     // justification.
@@ -260,7 +276,14 @@ class Engine {
         roots.push_back(obj.first);
       }
     }
-    initLiveness(nl_.coneOf(roots));
+    if (options_.successLearning) {
+      initLiveness(nl_.coneOf(roots));
+      // Start the memo near its final size rather than doubling up to it,
+      // and never past what maxMemoEntries allows.
+      size_t expected = kMemoEntriesPerConeNode * cone_.size();
+      if (options_.maxMemoEntries != 0) expected = std::min(expected, options_.maxMemoEntries);
+      memo_.expect(expected);
+    }
     for (const CircuitAllSatProblem& p : problems) solveRoot(p.objectives);
 
     SuccessDrivenResult result;
@@ -343,7 +366,7 @@ class Engine {
     lbool cur = value_[n];
     if (!cur.isUndef()) return cur.isTrue() == v;
     value_[n] = lbool(v);
-    if (live_[n] > 0) key_.flip(assignKey(n));
+    if (options_.successLearning && live_[n] > 0) key_.flip(assignKey(n));
     trail_.push_back({EventKind::kAssign, n});
     if (projIndex_[n] >= 0) {
       curNewProj_->push_back(mkLit(static_cast<Var>(projIndex_[n]), !v));
@@ -361,7 +384,9 @@ class Engine {
   // A justified gate leaves the frontier and stops holding its fanins live.
   void removeFromFrontier(NodeId g) {
     leaveFrontier(g);
-    for (NodeId f : nl_.fanins(g)) dropLive(f);
+    if (options_.successLearning) {
+      for (NodeId f : nl_.fanins(g)) dropLive(f);
+    }
     trail_.push_back({EventKind::kFrontierRemove, g});
   }
 
@@ -485,11 +510,13 @@ class Engine {
       if (e.kind == EventKind::kAssign) {
         // An unassigned gate holds its fanins live as the frontier gate did.
         if (frontier_.contains(e.node)) leaveFrontier(e.node);
-        if (live_[e.node] > 0) key_.flip(assignKey(e.node));
+        if (options_.successLearning && live_[e.node] > 0) key_.flip(assignKey(e.node));
         value_[e.node] = l_Undef;
       } else {
         enterFrontier(e.node);
-        for (NodeId f : nl_.fanins(e.node)) addLive(f);
+        if (options_.successLearning) {
+          for (NodeId f : nl_.fanins(e.node)) addLive(f);
+        }
       }
     }
   }
@@ -697,11 +724,13 @@ class Engine {
   }
   void enterFrontier(NodeId g) {
     frontier_.insert(g);
+    if (!options_.successLearning) return;
     key_.flip(zFrontier_[g]);
     addLive(g);
   }
   void leaveFrontier(NodeId g) {
     frontier_.erase(g);
+    if (!options_.successLearning) return;
     key_.flip(zFrontier_[g]);
     dropLive(g);
   }

@@ -105,6 +105,15 @@ class BddManager {
   // disjoint, and the list depends only on the function and the variable
   // order. Stops after `limit` cubes (0 = all).
   std::vector<LitVec> enumerateCubes(BddRef f, uint64_t limit = 0);
+  // Irredundant sum of products f with lower <= f <= upper (Minato–Morreale):
+  // every cube lies inside `upper` and is prime there (dropping any literal
+  // leaves `upper`), and no cube can be dropped without uncovering part of
+  // `lower`. `upper` acts as the don't-care bound, so the cover is usually
+  // far smaller than lower's paths. Literals ascend by variable, and the list
+  // depends only on (lower, upper) and the variable order. Requires
+  // lower <= upper; isop(false, u) has no cubes, isop(l, true) is the one
+  // empty cube.
+  std::vector<LitVec> isop(BddRef lower, BddRef upper);
 
   // Structural equality is just reference equality thanks to hash-consing;
   // exposed for readability at call sites.

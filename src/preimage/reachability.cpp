@@ -70,9 +70,13 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
         break;
       }
       algebra.reset();
+      // F_k (see the header): the ISOP of [frontier, reached] unless the
+      // frontier's exact paths are no more numerous.
       StateSet frontierSet;
       frontierSet.numStateBits = n;
-      frontierSet.cubes = mgr_.enumerateCubes(frontier);
+      frontierSet.cubes = mgr_.isop(frontier, reached);
+      std::vector<LitVec> paths = mgr_.enumerateCubes(frontier, frontierSet.cubes.size() + 1);
+      if (paths.size() <= frontierSet.cubes.size()) frontierSet.cubes = std::move(paths);
       double stepAlgebra = algebra.seconds();
 
       PreimageResult pre = computePreimage(system_, frontierSet, method_, options_);

@@ -1,12 +1,21 @@
 // Multi-step backward reachability by iterated preimage.
 //
-// Computes R_0 = T, R_{k+1} = R_k ∪ Pre(frontier_k) until a fixpoint or a
-// depth bound, where frontier_k = R_k \ R_{k-1} (only newly discovered states
-// are queried — the standard frontier optimization). Set algebra between
-// steps runs on a persistent state-space BDD regardless of which preimage
-// engine is used, so all engines are compared on identical iteration
-// structure. backwardReach and checkSafety (preimage/safety.hpp) run the one
-// sweep, BackwardSweep below.
+// Computes R_0 = T, R_{k+1} = R_k ∪ Pre(F_k) until a fixpoint or a depth
+// bound, where fresh_k = R_k \ R_{k-1} (fresh_0 = T) are the newly
+// discovered states and F_k is any set with fresh_k <= F_k <= R_k. Every such
+// F_k gives the same R_{k+1}: Pre(R_{k-1}) <= R_k by induction, so
+// Pre(F_k) <= Pre(fresh_k) ∪ Pre(R_{k-1}) <= Pre(fresh_k) ∪ R_k. The sweep
+// queries each step with F_k = BddManager::isop(fresh_k, R_k), an
+// irredundant cover that uses R_k as its don't-care bound, which usually has
+// far fewer cubes than fresh_k's BDD paths (each cube is one more target
+// cube for the preimage engine). Where the paths are no more numerous, it
+// queries the paths: they are exact, while the ISOP's wider cubes also
+// reach into R_k, whose predecessors the engine would enumerate again. Step
+// counts, new/total state counts, the reached set and the fixpoint do not
+// depend on the choice. Set algebra between steps runs on a persistent
+// state-space BDD regardless of which preimage engine is used, so all
+// engines are compared on identical iteration structure. backwardReach and
+// checkSafety (preimage/safety.hpp) run the one sweep, BackwardSweep below.
 #pragma once
 
 #include <functional>
@@ -23,12 +32,12 @@ struct ReachabilityStep {
   BigUint newStates;       // states discovered at this depth
   BigUint totalStates;     // cumulative
   double seconds = 0.0;    // preimage time for this step
-  // BDD set-algebra time for this step (frontier enumeration, union/
+  // BDD set-algebra time for this step (the frontier's cover, union/
   // difference, state counting) — the inter-step cost the preimage engines
   // don't see.
   double algebraSeconds = 0.0;
   AllSatStats stats;       // engine stats for this step
-  size_t frontierCubes = 0;
+  size_t frontierCubes = 0;  // cubes of the queried set F_k (see above)
 };
 
 struct ReachabilityResult {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <string>
 
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
@@ -311,6 +312,96 @@ TEST(BddKernel, StressGrowthKeepsResultsAndRefsCanonical) {
 
   AuditResult audit = auditBdd(mgr);
   EXPECT_TRUE(audit.ok()) << audit.toString();
+}
+
+// A BDD from a truth table over variables [var, vars): bit `index` of the
+// table is the value under the assignment whose variable i is bit i of index.
+BddRef fromTruthTable(BddManager& mgr, const std::vector<bool>& table, int vars, Var var = 0,
+                      size_t index = 0) {
+  if (var == vars) return mgr.constant(table[index]);
+  const BddRef lo = fromTruthTable(mgr, table, vars, var + 1, index);
+  const BddRef hi = fromTruthTable(mgr, table, vars, var + 1, index | (size_t{1} << var));
+  return mgr.ite(mgr.variable(var), hi, lo);
+}
+
+BddRef orOfCubes(BddManager& mgr, const std::vector<LitVec>& cubes, size_t skip = SIZE_MAX) {
+  BddRef f = BddManager::kFalse;
+  for (size_t i = 0; i < cubes.size(); ++i) {
+    if (i != skip) f = mgr.bddOr(f, mgr.cube(cubes[i]));
+  }
+  return f;
+}
+
+bool implies(BddManager& mgr, BddRef f, BddRef g) {
+  return mgr.ite(g, BddManager::kFalse, f) == BddManager::kFalse;
+}
+
+// Property: isop(L, U) is a prime, irredundant cover between L and U, with
+// ascending literals, the same on every call and in every manager.
+TEST(Bdd, IsopIsPrimeIrredundantCoverOfTheInterval) {
+  Rng rng(61);
+  for (int iter = 0; iter < 60; ++iter) {
+    const int vars = static_cast<int>(rng.range(1, 10));
+    const size_t rows = size_t{1} << vars;
+    std::vector<bool> upperTable(rows);
+    std::vector<bool> lowerTable(rows);
+    const bool exact = iter % 4 == 0;
+    for (size_t i = 0; i < rows; ++i) {
+      upperTable[i] = rng.chance(7, 10);
+      lowerTable[i] = upperTable[i] && (exact || rng.chance(2, 5));
+    }
+    BddManager mgr(vars);
+    const BddRef upper = fromTruthTable(mgr, upperTable, vars);
+    const BddRef lower = fromTruthTable(mgr, lowerTable, vars);
+    const std::vector<LitVec> cubes = mgr.isop(lower, upper);
+    const std::string where = "iter " + std::to_string(iter);
+
+    for (const LitVec& cube : cubes) {
+      for (size_t j = 1; j < cube.size(); ++j) {
+        EXPECT_LT(cube[j - 1].var(), cube[j].var()) << where;
+      }
+    }
+    const BddRef cover = orOfCubes(mgr, cubes);
+    EXPECT_TRUE(implies(mgr, lower, cover)) << where;
+    EXPECT_TRUE(implies(mgr, cover, upper)) << where;
+    if (exact) EXPECT_EQ(cover, lower) << where;
+    // Irredundant: every cube covers some state of `lower` no other does.
+    for (size_t i = 0; i < cubes.size(); ++i) {
+      EXPECT_FALSE(implies(mgr, lower, orOfCubes(mgr, cubes, i))) << where << " cube " << i;
+    }
+    // Prime: dropping any literal leaves `upper`.
+    for (size_t i = 0; i < cubes.size(); ++i) {
+      for (size_t j = 0; j < cubes[i].size(); ++j) {
+        LitVec wider = cubes[i];
+        wider.erase(wider.begin() + static_cast<std::ptrdiff_t>(j));
+        EXPECT_FALSE(implies(mgr, mgr.cube(wider), upper)) << where << " cube " << i;
+      }
+    }
+    EXPECT_EQ(mgr.isop(lower, upper), cubes) << where;
+    BddManager fresh(vars);
+    EXPECT_EQ(fresh.isop(fromTruthTable(fresh, lowerTable, vars),
+                         fromTruthTable(fresh, upperTable, vars)),
+              cubes)
+        << where;
+  }
+}
+
+TEST(Bdd, IsopConstantsAndCubes) {
+  BddManager mgr(4);
+  const BddRef x = mgr.cube({mkLit(0), ~mkLit(2)});
+  EXPECT_TRUE(mgr.isop(BddManager::kFalse, BddManager::kFalse).empty());
+  EXPECT_TRUE(mgr.isop(BddManager::kFalse, x).empty());
+  EXPECT_TRUE(mgr.isop(BddManager::kFalse, BddManager::kTrue).empty());
+  const std::vector<LitVec> one{LitVec{}};
+  EXPECT_EQ(mgr.isop(BddManager::kTrue, BddManager::kTrue), one);
+  EXPECT_EQ(mgr.isop(x, BddManager::kTrue), one);
+  EXPECT_EQ(mgr.isop(x, x), (std::vector<LitVec>{{mkLit(0), ~mkLit(2)}}));
+  // The upper bound widens the cube: x0 ∧ ~x2 inside x0 is just x0.
+  EXPECT_EQ(mgr.isop(x, mgr.variable(0)), (std::vector<LitVec>{{mkLit(0)}}));
+  // Two BDD paths of x0 ∨ x1 (~x0 x1, x0) become two primes.
+  const BddRef orFn = mgr.bddOr(mgr.variable(0), mgr.variable(1));
+  EXPECT_EQ(mgr.enumerateCubes(orFn), (std::vector<LitVec>{{~mkLit(0), mkLit(1)}, {mkLit(0)}}));
+  EXPECT_EQ(mgr.isop(orFn, orFn), (std::vector<LitVec>{{mkLit(0)}, {mkLit(1)}}));
 }
 
 // Property: andExists(f, g, V) == exists(f & g, V), on random functions.

@@ -4,6 +4,8 @@
 
 #include <queue>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "base/rng.hpp"
 #include "gen/generators.hpp"
@@ -14,9 +16,11 @@
 namespace presat {
 namespace {
 
-// Explicit BFS over the reversed state graph.
+// Explicit BFS over the reversed state graph. With `layers`, also records
+// how many states each depth discovers, including the empty layer that ends
+// the search before maxDepth.
 std::set<uint64_t> bfsBackward(const TransitionSystem& ts, const std::set<uint64_t>& target,
-                               int maxDepth) {
+                               int maxDepth, std::vector<size_t>* layers = nullptr) {
   int n = ts.numStateBits();
   int m = ts.numInputs();
   EXPECT_LE(n + m, 18);
@@ -46,6 +50,7 @@ std::set<uint64_t> bfsBackward(const TransitionSystem& ts, const std::set<uint64
       }
     }
     reached.insert(next.begin(), next.end());
+    if (layers != nullptr) layers->push_back(next.size());
     frontier = std::move(next);
   }
   return reached;
@@ -116,15 +121,20 @@ TEST_P(ReachabilityFuzz, MatchesExplicitBfs) {
     uint64_t targetState = rng.below(1ull << ts.numStateBits());
     StateSet target = StateSet::fromMinterm(ts.numStateBits(), targetState);
     int depth = static_cast<int>(rng.range(1, 4));
-    std::set<uint64_t> expected = bfsBackward(ts, {targetState}, depth);
+    std::vector<size_t> layers;
+    std::set<uint64_t> expected = bfsBackward(ts, {targetState}, depth, &layers);
 
-    for (PreimageMethod method :
-         {PreimageMethod::kSuccessDriven, PreimageMethod::kCubeBlockingLifted,
-          PreimageMethod::kBdd}) {
+    for (PreimageMethod method : kAllPreimageMethods) {
+      const std::string where = std::string(preimageMethodName(method)) + " group " +
+                                std::to_string(GetParam()) + " iter " +
+                                std::to_string(iter) + " depth " + std::to_string(depth);
       ReachabilityResult r = backwardReach(ts, target, depth, method);
-      EXPECT_EQ(toMinterms(r.reached), expected)
-          << preimageMethodName(method) << " group " << GetParam() << " iter " << iter
-          << " depth " << depth;
+      EXPECT_EQ(toMinterms(r.reached), expected) << where;
+      // One step per BFS layer, each discovering exactly that layer.
+      ASSERT_EQ(r.steps.size(), layers.size()) << where;
+      for (size_t i = 0; i < layers.size(); ++i) {
+        EXPECT_EQ(r.steps[i].newStates.toU64(), layers[i]) << where << " step " << i + 1;
+      }
     }
   }
 }
@@ -152,6 +162,42 @@ TEST(Reachability, StepsRecordMonotoneTotals) {
   for (const ReachabilityStep& step : r.steps) {
     EXPECT_GE(step.totalStates, prev);
     prev = step.totalStates;
+  }
+}
+
+TEST(Reachability, FrontierIsTheIntervalIsop) {
+  // A step queries isop(fresh, reached) wherever it has fewer cubes than
+  // fresh's BDD paths. On this LFSR the 13 steps to the fixpoint query 34
+  // cubes in all; the BDD paths of the same frontiers are 59 cubes. The
+  // figure is the same for every engine: the sweep's set algebra alone
+  // picks the cubes.
+  Netlist nl = makeLfsr(8);
+  TransitionSystem ts(nl);
+  StateSet target = StateSet::fromCube(8, {mkLit(0), ~mkLit(3)});
+  for (PreimageMethod method : kAllPreimageMethods) {
+    ReachabilityResult r = backwardReach(ts, target, 300, method);
+    EXPECT_TRUE(r.fixpoint) << preimageMethodName(method);
+    EXPECT_EQ(r.steps.size(), 13u) << preimageMethodName(method);
+    size_t cubes = 0;
+    for (const ReachabilityStep& step : r.steps) cubes += step.frontierCubes;
+    EXPECT_EQ(cubes, 34u) << preimageMethodName(method);
+  }
+}
+
+TEST(Reachability, SingleStateFrontiersAreQueriedExactly) {
+  // Swept back from 0, every frontier of a counter is one state. Its ISOP
+  // over [fresh, reached] is one cube too, but a wider one that also covers
+  // reached states, so the sweep queries the state itself: minterm blocking
+  // then finds exactly its two predecessors (itself with the enable low,
+  // and the state before it).
+  Netlist nl = makeCounter(4);
+  TransitionSystem ts(nl);
+  ReachabilityResult r =
+      backwardReach(ts, StateSet::fromMinterm(4, 0), 6, PreimageMethod::kMintermBlocking);
+  ASSERT_EQ(r.steps.size(), 6u);
+  for (const ReachabilityStep& step : r.steps) {
+    EXPECT_EQ(step.frontierCubes, 1u) << "depth " << step.depth;
+    EXPECT_EQ(step.stats.blockingClauses, 2u) << "depth " << step.depth;
   }
 }
 
