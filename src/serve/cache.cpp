@@ -60,7 +60,21 @@ uint64_t ServeCache::entryBytes(const CacheKey& key, const CachedCover& payload)
   return b;
 }
 
-CacheLookup ServeCache::acquire(const CacheKey& key, CachedCover& payload) {
+namespace {
+
+// A hit's copy of the cached payload. The certificate (tens of KB on the
+// serve shape) is copied only for a request that asked for one.
+void copyPayload(const CachedCover& from, bool withCert, CachedCover& to) {
+  to.cubes = from.cubes;
+  to.count = from.count;
+  to.outcome = from.outcome;
+  to.width = from.width;
+  if (withCert) to.cert = from.cert;
+}
+
+}  // namespace
+
+CacheLookup ServeCache::acquire(const CacheKey& key, CachedCover& payload, bool withCert) {
   MutexLock lock(mu_);
   if (!enabled()) {
     ++misses_;
@@ -75,14 +89,14 @@ CacheLookup ServeCache::acquire(const CacheKey& key, CachedCover& payload) {
   Entry& e = *it->second;
   if (e.ready) {
     e.lastTouch = ++clock_;
-    payload = e.payload;
+    copyPayload(e.payload, withCert, payload);
     ++hits_;
     return CacheLookup::kHit;
   }
   // In-flight: become a follower of the leader computing this key.
   ++e.followers;
   while (!e.ready && !e.abandoned) ready_.wait(mu_);
-  payload = e.payload;
+  copyPayload(e.payload, withCert, payload);
   --e.followers;
   if (e.abandoned && e.followers == 0) table_.erase(key);
   ++dedups_;
@@ -213,48 +227,114 @@ void ServeCache::exportMetrics(Metrics& m) const {
   m.setCounter("serve.cache.bytes", bytes_);
 }
 
-ContextPool::ContextPool(size_t maxContexts) : maxContexts_(maxContexts < 1 ? 1 : maxContexts) {}
+size_t ContextPool::KeyHash::operator()(CircuitSource source) const {
+  const size_t h = std::hash<std::string_view>()(source.text);
+  return source.generator ? ~h : h;
+}
 
-CircuitContextPtr ContextPool::resolve(const std::string& sourceKey,
+ContextPool::ContextPool(size_t maxContexts, uint64_t maxIdentityBytes, Governor* governor)
+    : maxContexts_(maxContexts < 1 ? 1 : maxContexts), maxIdentityBytes_(maxIdentityBytes) {
+  MutexLock lock(mu_);
+  ledger_.attach(governor);
+}
+
+ContextPool::~ContextPool() {
+  MutexLock lock(mu_);
+  ledger_.attach(nullptr);
+}
+
+std::optional<CircuitIdentity> ContextPool::identify(CircuitSource source) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(source);
+  if (it == entries_.end()) return std::nullopt;
+  it->second.lastTouch = ++clock_;
+  return it->second.identity;
+}
+
+CircuitContextPtr ContextPool::resolve(CircuitSource source,
                                        const std::function<CircuitContextPtr()>& build) {
   {
     MutexLock lock(mu_);
-    auto it = pool_.find(sourceKey);
-    if (it != pool_.end()) {
+    auto it = entries_.find(source);
+    if (it != entries_.end() && it->second.context != nullptr) {
       it->second.lastTouch = ++clock_;
       ++reuses_;
       return it->second.context;
     }
+    ++builds_;
   }
-  // Build outside the lock: parsing/encoding a big circuit must not stall
-  // resolution of unrelated circuits. A racing builder for the same key is
-  // harmless — contexts are immutable and the second insert is dropped.
+  // Build outside the lock: parsing a big circuit must not stall resolution
+  // of unrelated circuits. A racing builder for the same source is harmless
+  // — contexts are immutable and the second one is dropped.
   CircuitContextPtr ctx = build();
   if (ctx == nullptr) return nullptr;
   MutexLock lock(mu_);
-  auto [it, inserted] = pool_.emplace(sourceKey, Slot{ctx, ++clock_});
-  if (!inserted) {
-    it->second.lastTouch = clock_;
-    return it->second.context;
+  auto it = entries_.find(source);
+  if (it == entries_.end()) {
+    Entry entry;
+    entry.identity = ctx->identity();
+    entry.bytes = 96 + source.text.size();  // entry + table-slot overhead
+    bytes_ += entry.bytes;
+    ledger_.charge(entry.bytes);
+    it = entries_.emplace(Key{source.generator, std::string(source.text)}, entry).first;
   }
-  if (pool_.size() > maxContexts_) {
-    auto lru = pool_.begin();
-    for (auto scan = pool_.begin(); scan != pool_.end(); ++scan) {
-      if (scan->second.lastTouch < lru->second.lastTouch) lru = scan;
+  it->second.lastTouch = ++clock_;
+  if (it->second.context != nullptr) return it->second.context;
+  it->second.context = ctx;
+  if (++contexts_ > maxContexts_) {
+    // The context leaves its slot; the identity stays for the next hit.
+    Entry* lru = nullptr;
+    for (auto& [key, entry] : entries_) {
+      if (entry.context != nullptr && (lru == nullptr || entry.lastTouch < lru->lastTouch)) {
+        lru = &entry;
+      }
     }
-    if (lru != it) pool_.erase(lru);
+    lru->context = nullptr;
+    --contexts_;
   }
+  // Self-shed with slack, so a full tier sorts once per eighth of its bytes
+  // rather than once per new source.
+  if (bytes_ > maxIdentityBytes_) shedLocked(maxIdentityBytes_ - maxIdentityBytes_ / 8);
   return ctx;
+}
+
+size_t ContextPool::shed(uint64_t targetBytes) {
+  MutexLock lock(mu_);
+  return shedLocked(targetBytes);
+}
+
+size_t ContextPool::shedLocked(uint64_t targetBytes) {
+  if (bytes_ <= targetBytes) return 0;
+  std::vector<decltype(entries_)::iterator> idle;
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->second.context == nullptr) idle.push_back(it);
+  }
+  std::sort(idle.begin(), idle.end(),
+            [](auto a, auto b) { return a->second.lastTouch < b->second.lastTouch; });
+  size_t evicted = 0;
+  for (auto it : idle) {
+    if (bytes_ <= targetBytes) break;
+    bytes_ -= it->second.bytes;
+    ledger_.release(it->second.bytes);
+    entries_.erase(it);
+    ++evicted;
+  }
+  return evicted;
 }
 
 size_t ContextPool::entries() const {
   MutexLock lock(mu_);
-  return pool_.size();
+  return contexts_;
 }
 
 uint64_t ContextPool::reuses() const {
   MutexLock lock(mu_);
   return reuses_;
+}
+
+uint64_t ContextPool::builds() const {
+  MutexLock lock(mu_);
+  return builds_;
 }
 
 }  // namespace presat::serve

@@ -20,9 +20,12 @@
 // callable from admission control, so memory pressure sheds cache before it
 // sheds requests.
 //
-// ContextPool shares parsed circuits (netlist + transition system) across
-// requests: a hot circuit is parsed once, then served from the pool to every
-// request with the byte-identical source. Contexts are immutable after
+// ContextPool remembers circuits by their exact source in two tiers under
+// one lock and one LRU clock. Every source that built a context keeps its
+// identity (structural hash, state-bit count), which is all a cache hit
+// needs, so a hit on a remembered source parses nothing. A few of those
+// sources also keep the parsed context itself (netlist + transition system)
+// for the requests that run an engine. Contexts are immutable after
 // construction and safely shared across concurrent engine runs.
 #pragma once
 
@@ -30,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -89,7 +93,9 @@ class ServeCache {
   ServeCache(const ServeCache&) = delete;
   ServeCache& operator=(const ServeCache&) = delete;
 
-  CacheLookup acquire(const CacheKey& key, CachedCover& payload);
+  // Fills `payload` on a hit or dedup; its `cert` only when `withCert`, so a
+  // request that asks for no certificate copies none.
+  CacheLookup acquire(const CacheKey& key, CachedCover& payload, bool withCert = true);
 
   // Leader epilogue: store the finished payload, wake followers. Retains the
   // entry only when payload.outcome == kComplete and caching is enabled.
@@ -138,47 +144,107 @@ class ServeCache {
   CondVar ready_;  // presat-analyze: lockfree(condition variable, internally synchronized)
 };
 
+// What a cache hit needs to know about a circuit: the hash the result
+// cache keys by, and the width its target cube is checked against.
+struct CircuitIdentity {
+  uint64_t structuralHash = 0;
+  int numStateBits = 0;
+};
+
 // One parsed circuit shared by every request that names it. Immutable after
 // construction; `system` views `netlist`, so the struct is neither movable
 // nor copyable once built (always held by shared_ptr).
 struct CircuitContext {
   Netlist netlist;
   uint64_t structuralHash = 0;
-  // Deliberately no CNF encoding: a cache hit never reads one, and a hit
-  // whose circuit is not pooled builds a fresh context, so each engine run
-  // encodes its own instead.
+  // Deliberately no CNF encoding: each engine run encodes its own, a small
+  // share of a miss, so pooling one would only add memory.
   std::optional<TransitionSystem> system;
+
+  CircuitIdentity identity() const { return {structuralHash, system->numStateBits()}; }
 };
 
 using CircuitContextPtr = std::shared_ptr<const CircuitContext>;
 
+// A request's circuit source as the pool keys it: a generator spec or the
+// exact .bench text, compared byte for byte and viewed in place, so looking
+// a source up copies none of its text.
+struct CircuitSource {
+  bool generator = false;
+  std::string_view text;
+
+  bool operator==(const CircuitSource&) const = default;
+};
+
 class ContextPool {
  public:
-  // Bounded by context count (circuits are few and hot; byte-precision here
-  // buys nothing). LRU eviction; pinned shared_ptrs keep evicted contexts
-  // alive until their last request finishes.
-  explicit ContextPool(size_t maxContexts);
+  // At most `maxContexts` sources hold a parsed context (LRU; pinned
+  // shared_ptrs keep an evicted context alive until its last request
+  // finishes). Evicting a context keeps its source's identity; identities
+  // are bounded by `maxIdentityBytes` (source text plus overhead, charged
+  // to `governor`, which may be null) and the least recently used one that
+  // holds no context goes first.
+  ContextPool(size_t maxContexts, uint64_t maxIdentityBytes, Governor* governor);
+  ~ContextPool();
 
-  // Returns the pooled context for `sourceKey` ("gen:<spec>" or
-  // "bench:<text>"), building it with `build` on first use. `build` returns
-  // null on invalid input (reported upstream as bad_request); negative
-  // results are not cached.
-  CircuitContextPtr resolve(const std::string& sourceKey,
+  ContextPool(const ContextPool&) = delete;
+  ContextPool& operator=(const ContextPool&) = delete;
+
+  // The identity of a source that built a context here, without parsing
+  // it; nullopt when it never did or its identity was evicted.
+  std::optional<CircuitIdentity> identify(CircuitSource source);
+
+  // Returns the pooled context for `source`, building it with `build` when
+  // no slot holds it. `build` returns null on invalid input (reported
+  // upstream as bad_request); a source that failed to build is never
+  // remembered, so every repeat fails the same way.
+  CircuitContextPtr resolve(CircuitSource source,
                             const std::function<CircuitContextPtr()>& build);
 
-  size_t entries() const;
-  uint64_t reuses() const;
+  // Evicts the least recently used identities that hold no context until
+  // the identity bytes are at most `targetBytes`. Returns the number
+  // evicted.
+  size_t shed(uint64_t targetBytes);
+
+  size_t entries() const;   // contexts held
+  uint64_t reuses() const;  // resolve() answered from a slot
+  uint64_t builds() const;  // resolve() called `build` (sources parsed)
 
  private:
-  const size_t maxContexts_;  // presat-analyze: lockfree(immutable after construction)
-  mutable Mutex mu_;
-  struct Slot {
-    CircuitContextPtr context;
-    uint64_t lastTouch = 0;
+  // The owned form of a CircuitSource; the transparent hash and equality
+  // let the map be searched by a view.
+  struct Key {
+    bool generator = false;
+    std::string text;
+    operator CircuitSource() const { return {generator, text}; }
   };
-  std::unordered_map<std::string, Slot> pool_ GUARDED_BY(mu_);
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(CircuitSource source) const;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(CircuitSource a, CircuitSource b) const { return a == b; }
+  };
+  struct Entry {
+    CircuitIdentity identity;
+    CircuitContextPtr context;  // null once evicted from the slots
+    uint64_t lastTouch = 0;
+    uint64_t bytes = 0;
+  };
+
+  size_t shedLocked(uint64_t targetBytes) REQUIRES(mu_);
+
+  const size_t maxContexts_;        // presat-analyze: lockfree(immutable after construction)
+  const uint64_t maxIdentityBytes_; // presat-analyze: lockfree(immutable after construction)
+  mutable Mutex mu_;
+  std::unordered_map<Key, Entry, KeyHash, KeyEq> entries_ GUARDED_BY(mu_);
+  MemoryLedger ledger_ GUARDED_BY(mu_);
+  uint64_t bytes_ GUARDED_BY(mu_) = 0;
+  size_t contexts_ GUARDED_BY(mu_) = 0;
   uint64_t clock_ GUARDED_BY(mu_) = 0;
   uint64_t reuses_ GUARDED_BY(mu_) = 0;
+  uint64_t builds_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace presat::serve

@@ -26,7 +26,10 @@ Server::Server(const ServerConfig& config)
       governor_(Budget{}),
       pool_(config.workers, config.queueDepth),
       cache_(config.cacheBytes, &governor_),
-      contexts_(config.maxContexts) {}
+      // Identities only ever lead to cached covers, so they get an eighth
+      // of the cache's budget: with the cache off, none outlives its
+      // context.
+      contexts_(config.maxContexts, config.cacheBytes / 8, &governor_) {}
 
 Server::~Server() { pool_.stop(); }
 
@@ -46,42 +49,33 @@ void Server::sendError(const std::string& id, const ServeError& error) {
 bool Server::admitMemory() {
   if (config_.memLimitBytes == 0) return true;
   if (governor_.trackedBytes() <= config_.memLimitBytes) return true;
-  // Shed cache before shedding requests: the cache is the server's only
-  // elastic consumer of the tracked-byte pool.
+  // Shed before shedding requests: cached covers and remembered circuit
+  // identities are the server's only elastic consumers of the tracked-byte
+  // pool, and both can be recomputed.
   cache_.shed(config_.memLimitBytes / 2);
+  contexts_.shed(config_.memLimitBytes / 4);
   return governor_.trackedBytes() <= config_.memLimitBytes;
 }
 
 void Server::executeRequest(const ServeRequest& req, const std::shared_ptr<CancelToken>& cancel,
                             Timer started) {
-  auto eraseInflight = [this, &req] {
-    MutexLock lock(mu_);
-    inflight_.erase(req.id);
+  // A remembered source answers a cache hit from its identity alone; the
+  // context is resolved only when runPreimage asks for it.
+  const CircuitSource source = circuitSource(req);
+  CircuitRef circuit;
+  circuit.identity = contexts_.identify(source);
+  circuit.context = [&](std::string* error) {
+    return contexts_.resolve(source,
+                             [&] { return buildCircuitContext(req, config_.limits, error); });
   };
-  std::string contextError;
-  CircuitContextPtr context = contexts_.resolve(circuitSourceKey(req), [&]() -> CircuitContextPtr {
-    std::string err;
-    CircuitContextPtr c = buildCircuitContext(req, config_.limits, &err);
-    if (c == nullptr) contextError = err;
-    return c;
-  });
-  if (context == nullptr) {
-    {
-      MutexLock lock(mu_);
-      ++errorsBadRequest_;
-    }
-    eraseInflight();
-    sendError(req.id, {"bad_request", contextError, 0});
-    return;
-  }
   ExecResult result;
-  ServeError error = runPreimage(req, context, cache_, cancel.get(), config_.limits, &result);
+  ServeError error = runPreimage(req, circuit, cache_, cancel.get(), config_.limits, &result);
   if (!error.ok()) {
     {
       MutexLock lock(mu_);
       ++errorsBadRequest_;
+      inflight_.erase(req.id);
     }
-    eraseInflight();
     sendError(req.id, error);
     return;
   }
@@ -278,6 +272,7 @@ void Server::exportMetrics(Metrics& m) const {
   cache_.exportMetrics(m);
   m.setCounter("serve.contexts", contexts_.entries());
   m.setCounter("serve.context.reuses", contexts_.reuses());
+  m.setCounter("serve.context.builds", contexts_.builds());
 }
 
 }  // namespace presat::serve

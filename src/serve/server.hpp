@@ -3,11 +3,12 @@
 //
 // One Server owns the long-lived machinery — pre-warmed ServicePool workers
 // behind its bounded fairness queue, the cross-query ServeCache, the
-// ContextPool of parsed circuits, and a byte-tracking Governor the cache
-// ledger charges — and serve() runs a connection: emit the build-info
-// banner, then read NDJSON request lines until EOF or a shutdown op,
-// answering out of order as workers finish (responses carry the request id,
-// so a multiplexing client can run many requests down one pipe).
+// ContextPool of parsed circuits and their identities, and a byte-tracking
+// Governor both of their ledgers charge — and serve() runs a connection:
+// emit the build-info banner, then read NDJSON request lines until EOF or a
+// shutdown op, answering out of order as workers finish (responses carry
+// the request id, so a multiplexing client can run many requests down one
+// pipe).
 //
 // Lifecycle of a preimage request:
 //   parse    protocol.cpp's hardened parser; grammar/limit violations answer
@@ -16,9 +17,11 @@
 //   admit    duplicate-id check, memory-pressure check (sheds cache BEFORE
 //            rejecting — see admitMemory()), then the bounded fairness
 //            queue; a full queue answers "overloaded" (backpressure).
-//   execute  on a pooled worker: resolve the circuit context, consult the
-//            cache (leader/follower), run the engine under a per-request
-//            Governor wired to the request's CancelToken.
+//   execute  on a pooled worker: look up the circuit's identity, consult
+//            the cache (leader/follower); only when an engine must run (or
+//            the source is new) resolve the circuit context, and run the
+//            engine under a per-request Governor wired to the request's
+//            CancelToken.
 //   respond  serialized response line under the write lock.
 //
 // Disconnect (EOF) cancels every in-flight request via its CancelToken —
@@ -106,8 +109,8 @@ class Server {
   void handlePreimage(const ServeRequest& req, int lineNo);
   void handleCancel(const ServeRequest& req);
   void handleStats(const ServeRequest& req);
-  // Memory-pressure admission gate: under pressure, sheds cache first and
-  // only rejects when that wasn't enough.
+  // Memory-pressure admission gate: under pressure, sheds the cache and the
+  // idle circuit identities first and only rejects when that wasn't enough.
   bool admitMemory();
   void executeRequest(const ServeRequest& req, const std::shared_ptr<CancelToken>& cancel,
                       Timer started);
@@ -116,8 +119,9 @@ class Server {
 
   const ServerConfig config_;  // presat-analyze: lockfree(immutable after construction)
   // Byte-tracking only: constructed with an unlimited Budget so it never
-  // latches a trip; the cache ledger charges it and admitMemory() compares
-  // trackedBytes() against config_.memLimitBytes itself.
+  // latches a trip; the cache and context-pool ledgers charge it and
+  // admitMemory() compares trackedBytes() against config_.memLimitBytes
+  // itself.
   // presat-analyze: lockfree(atomic byte counter; internally synchronized)
   Governor governor_;
   ServicePool pool_;       // presat-analyze: lockfree(internally synchronized)

@@ -4,6 +4,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/check.hpp"
 #include "circuit/bench_io.hpp"
 #include "circuit/netlist.hpp"
 #include "gen/generators.hpp"
@@ -126,8 +127,8 @@ bool parsePreimageMethod(const std::string& name, PreimageMethod* method) {
 
 // --- circuit contexts -------------------------------------------------------
 
-std::string circuitSourceKey(const ServeRequest& req) {
-  return req.gen.empty() ? "bench:" + req.bench : "gen:" + req.gen;
+CircuitSource circuitSource(const ServeRequest& req) {
+  return req.gen.empty() ? CircuitSource{false, req.bench} : CircuitSource{true, req.gen};
 }
 
 CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimits& limits,
@@ -213,37 +214,56 @@ CachedCover runEngine(const ServeRequest& req, const CircuitContext& ctx, Preima
 
 }  // namespace
 
-ServeError runPreimage(const ServeRequest& req, const CircuitContextPtr& context,
-                       ServeCache& cache, CancelToken* cancel, const SessionLimits& limits,
-                       ExecResult* out) {
+ServeError runPreimage(const ServeRequest& req, const CircuitRef& circuit, ServeCache& cache,
+                       CancelToken* cancel, const SessionLimits& limits, ExecResult* out) {
+  CircuitContextPtr context;
+  CircuitIdentity identity;
+  if (circuit.identity) {
+    identity = *circuit.identity;
+  } else {
+    std::string error;
+    context = circuit.context(&error);
+    if (context == nullptr) return {"bad_request", error, 0};
+    identity = context->identity();
+  }
   PreimageMethod method = PreimageMethod::kSuccessDriven;
   if (!parsePreimageMethod(req.method, &method)) {
     return {"bad_request", "unknown method '" + req.method + "'", 0};
   }
-  const int width = context->system->numStateBits();
+  const int width = identity.numStateBits;
   LitVec targetCube;
   std::string cubeError;
   if (!parseTargetCube(req.target, width, &targetCube, &cubeError)) {
     return {"bad_request", cubeError, 0};
   }
+  auto run = [&] {
+    if (context == nullptr) {
+      // The identity came from this source building under these limits,
+      // and building is deterministic, so it builds again.
+      std::string error;
+      context = circuit.context(&error);
+      PRESAT_CHECK(context != nullptr) << "serve: a remembered source failed to build: " << error;
+    }
+    out->cover = runEngine(req, *context, method, targetCube, cancel, limits, &out->seconds);
+  };
 
   const bool useCache = req.cache && cache.enabled();
   CacheKey key;
-  key.circuitHash = context->structuralHash;
+  key.circuitHash = identity.structuralHash;
   key.target = cubeToText(targetCube, width);  // canonical: '-'/'X' fold to 'x'
   key.method = preimageMethodName(method);
   key.project = req.project;
   key.compress = req.compress;
 
   if (useCache) {
-    CacheLookup lookup = cache.acquire(key, out->cover);
+    CacheLookup lookup = cache.acquire(key, out->cover, req.cert);
     if (lookup == CacheLookup::kHit || lookup == CacheLookup::kDedup) {
       // Cert-upgrade path: the cached cover came from a request that did not
       // ask for certification, but this one does. Recompute with the emitter
       // on and upgrade the entry so the NEXT cert-requesting hit replays the
       // stored certificate instead of paying the engine again.
       if (req.cert && out->cover.cert.empty()) {
-        out->cover = runEngine(req, *context, method, targetCube, cancel, limits, &out->seconds);
+        run();
         if (coverPayloadBytes(out->cover) <= limits.maxCacheablePayload) {
           cache.refresh(key, out->cover);
         }
@@ -254,7 +274,7 @@ ServeError runPreimage(const ServeRequest& req, const CircuitContextPtr& context
     // Leader: run the engine, then publish (or abandon) no matter what —
     // followers are parked on this key.
     out->cacheDisposition = "miss";
-    out->cover = runEngine(req, *context, method, targetCube, cancel, limits, &out->seconds);
+    run();
     if (coverPayloadBytes(out->cover) > limits.maxCacheablePayload) {
       cache.abandon(key, out->cover);  // too big to retain; followers still served
     } else {
@@ -264,7 +284,7 @@ ServeError runPreimage(const ServeRequest& req, const CircuitContextPtr& context
   }
 
   out->cacheDisposition = "off";
-  out->cover = runEngine(req, *context, method, targetCube, cancel, limits, &out->seconds);
+  run();
   return {};
 }
 

@@ -10,13 +10,16 @@
 // of aborting), generator specs and cubes through the checked builders
 // below, plus service-hygiene size caps.
 //
-// runPreimage() is the request state machine's EXECUTE step: resolve the
-// circuit context, consult the cross-query cache (leader/follower), build a
-// per-request Governor from the request budgets plus the request's cancel
-// token, run the engine, publish/abandon the cache entry, and hand back a
-// CachedCover plus its cache disposition.
+// runPreimage() is the request state machine's EXECUTE step: take the
+// circuit's identity (or build its context when the identity is unknown),
+// consult the cross-query cache (leader/follower), and only when an engine
+// must run fetch the context, build a per-request Governor from the request
+// budgets plus the request's cancel token, run the engine, publish/abandon
+// the cache entry, and hand back a CachedCover plus its cache disposition.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 
 #include "govern/budget.hpp"
@@ -68,10 +71,10 @@ bool parsePreimageMethod(const std::string& name, PreimageMethod* method);
 CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimits& limits,
                                       std::string* error);
 
-// Pool key for the request's circuit source: "gen:<spec>" or "bench:" plus
-// the exact bench text, so only byte-identical sources share a context.
-// Cheap to compute before any parsing happens.
-std::string circuitSourceKey(const ServeRequest& req);
+// The request's circuit source as ContextPool keys it: the generator spec or
+// the exact bench text, viewed in `req` (which must outlive the result), so
+// only byte-identical sources share a context or an identity.
+CircuitSource circuitSource(const ServeRequest& req);
 
 // --- Execution --------------------------------------------------------------
 
@@ -81,13 +84,23 @@ struct ExecResult {
   double seconds = 0.0;                  // engine wall time (0 for cache hits)
 };
 
-// Runs one preimage request end to end against a resolved circuit context.
-// `cancel` is the request's cancellation token (client disconnect / explicit
-// cancel op); it is wired into the per-request Budget so the engines observe
-// it at their next governor poll. Returns ok() or a bad_request error.
-ServeError runPreimage(const ServeRequest& req, const CircuitContextPtr& context,
-                       ServeCache& cache, CancelToken* cancel, const SessionLimits& limits,
-                       ExecResult* out);
+// The request's circuit as runPreimage sees it. `identity` is set when the
+// context pool remembers the exact source; `context` yields the parsed
+// circuit, or null with a bad_request message. runPreimage calls `context`
+// only when the identity is unknown or an engine must run (a miss, the
+// cert upgrade, `cache: false`), so a hit on a remembered source parses
+// nothing.
+struct CircuitRef {
+  std::optional<CircuitIdentity> identity;
+  std::function<CircuitContextPtr(std::string* error)> context;
+};
+
+// Runs one preimage request end to end. `cancel` is the request's
+// cancellation token (client disconnect / explicit cancel op); it is wired
+// into the per-request Budget so the engines observe it at their next
+// governor poll. Returns ok() or a bad_request error.
+ServeError runPreimage(const ServeRequest& req, const CircuitRef& circuit, ServeCache& cache,
+                       CancelToken* cancel, const SessionLimits& limits, ExecResult* out);
 
 // Serializes a finished request: {"id":...,"status":"ok","outcome":...,
 // "complete":...,"width":...,"count":...,"cubes":[...],"cache":...,

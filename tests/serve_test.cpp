@@ -2,9 +2,14 @@
 // cache semantics (bit-identical hits, generational eviction soundness,
 // same-key dedup), scheduler fairness, and the server end to end over an
 // in-memory transport.
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -215,6 +220,12 @@ TEST(ServeSession, BenchValidationCatchesWhatTheParserWouldAbortOn) {
   EXPECT_NE(buildBenchContext(twoBits, capped, &err), nullptr) << err;
 }
 
+// A request's circuit as a server sees a source it does not remember yet:
+// no identity, and the context on demand (here already built).
+CircuitRef unknownSource(const CircuitContextPtr& context) {
+  return {std::nullopt, [context](std::string*) { return context; }};
+}
+
 // A combinational chain as deep as the line cap allows: q = DFF(g0),
 // g0 = BUF(g1), ..., with the last link g = AND(a, q), so q' = a & q and the
 // preimage of q' = 1 is the one state q = 1. A recursive parser overflowed
@@ -241,7 +252,7 @@ TEST(ServeSession, DeepBufferChainDoesNotCrash) {
     CircuitContextPtr ctx = buildCircuitContext(req, limits, &err);
     if (ctx == nullptr) return;
     ServeCache off(0, nullptr);
-    error = runPreimage(req, ctx, off, nullptr, limits, &result);
+    error = runPreimage(req, unknownSource(ctx), off, nullptr, limits, &result);
   });
   worker.join();
   ASSERT_TRUE(err.empty()) << err;
@@ -253,13 +264,13 @@ TEST(ServeSession, DeepBufferChainDoesNotCrash) {
 // The pool shares a context only between byte-identical sources; a text one
 // byte away from a pooled one gets its own context, however its hash falls.
 TEST(ServeSession, ContextPoolKeysByExactSource) {
-  ContextPool pool(8);
+  ContextPool pool(8, 0, nullptr);
   SessionLimits limits;
   int builds = 0;
   auto resolve = [&](const std::string& text) {
     ServeRequest req;
     req.bench = text;
-    return pool.resolve(circuitSourceKey(req), [&]() -> CircuitContextPtr {
+    return pool.resolve(circuitSource(req), [&]() -> CircuitContextPtr {
       ++builds;
       std::string err;
       return buildCircuitContext(req, limits, &err);
@@ -279,9 +290,86 @@ TEST(ServeSession, ContextPoolKeysByExactSource) {
   EXPECT_EQ(builds, 2);
   EXPECT_EQ(pool.entries(), 2u);
   EXPECT_EQ(pool.reuses(), 1u);
+  EXPECT_EQ(pool.builds(), 2u);
+  // The key views the request's own text; a generator spec equal to a
+  // bench text byte for byte is still another source.
   ServeRequest req;
   req.bench = text;
-  EXPECT_EQ(circuitSourceKey(req), "bench:" + text);
+  EXPECT_EQ(circuitSource(req).text.data(), req.bench.data());
+  EXPECT_FALSE(circuitSource(req).generator);
+  ServeRequest gen;
+  gen.gen = text;
+  EXPECT_TRUE(circuitSource(gen).generator);
+  EXPECT_FALSE(circuitSource(gen) == circuitSource(req));
+}
+
+// Evicting a context keeps its source's identity; identities are charged to
+// the governor, shed least recently used first, and never evicted while they
+// hold a context. A source that fails to build is not remembered.
+TEST(ServeSession, ContextPoolKeepsIdentitiesPastEviction) {
+  Governor governor{Budget{}};
+  ContextPool pool(1, 1 << 20, &governor);
+  SessionLimits limits;
+  ServeRequest a;
+  a.gen = "counter:5";
+  ServeRequest b;
+  b.gen = "lfsr:6";
+  ServeRequest bad;
+  bad.bench = "INPUT(a)\nq = DFF(zzz)\n";
+  auto resolve = [&](const ServeRequest& req) {
+    std::string err;
+    return pool.resolve(circuitSource(req),
+                        [&] { return buildCircuitContext(req, limits, &err); });
+  };
+  CircuitContextPtr ctxA = resolve(a);
+  CircuitContextPtr ctxB = resolve(b);  // takes A's only slot
+  ASSERT_NE(ctxA, nullptr);
+  ASSERT_NE(ctxB, nullptr);
+  EXPECT_EQ(pool.entries(), 1u);
+  std::optional<CircuitIdentity> idA = pool.identify(circuitSource(a));
+  ASSERT_TRUE(idA.has_value());
+  EXPECT_EQ(idA->structuralHash, ctxA->structuralHash);
+  EXPECT_EQ(idA->numStateBits, 5);
+  EXPECT_EQ(pool.identify(circuitSource(b))->numStateBits, 6);
+  const uint64_t charged = governor.trackedBytes();
+  EXPECT_GT(charged, a.gen.size() + b.gen.size());
+
+  EXPECT_EQ(resolve(bad), nullptr);
+  EXPECT_EQ(resolve(bad), nullptr);
+  EXPECT_FALSE(pool.identify(circuitSource(bad)).has_value());
+  EXPECT_EQ(governor.trackedBytes(), charged);
+  EXPECT_EQ(pool.builds(), 4u);
+
+  // Only A's idle identity can go; B still holds the slot.
+  EXPECT_EQ(pool.shed(0), 1u);
+  EXPECT_FALSE(pool.identify(circuitSource(a)).has_value());
+  EXPECT_TRUE(pool.identify(circuitSource(b)).has_value());
+  EXPECT_LT(governor.trackedBytes(), charged);
+  EXPECT_GT(governor.trackedBytes(), 0u);
+}
+
+// The identity tier's bytes stay within its bound as new sources arrive.
+TEST(ServeSession, ContextPoolBoundsIdentityBytes) {
+  Governor governor{Budget{}};
+  constexpr uint64_t kMaxBytes = 2048;
+  ContextPool pool(1, kMaxBytes, &governor);
+  SessionLimits limits;
+  for (int n = 1; n <= 30; ++n) {
+    ServeRequest req;
+    req.gen = "counter:" + std::to_string(n);
+    std::string err;
+    ASSERT_NE(pool.resolve(circuitSource(req),
+                           [&] { return buildCircuitContext(req, limits, &err); }),
+              nullptr)
+        << err;
+    EXPECT_LE(governor.trackedBytes(), kMaxBytes);
+  }
+  ServeRequest newest;
+  newest.gen = "counter:30";
+  ServeRequest oldest;
+  oldest.gen = "counter:1";
+  EXPECT_TRUE(pool.identify(circuitSource(newest)).has_value());
+  EXPECT_FALSE(pool.identify(circuitSource(oldest)).has_value());
 }
 
 TEST(ServeSession, TargetCubeParsing) {
@@ -307,7 +395,7 @@ TEST(ServeSession, RejectsUnknownMethodName) {
   ASSERT_NE(ctx, nullptr) << err;
   ServeCache off(0, nullptr);
   ExecResult result;
-  ServeError e = runPreimage(req, ctx, off, nullptr, limits, &result);
+  ServeError e = runPreimage(req, unknownSource(ctx), off, nullptr, limits, &result);
   EXPECT_EQ(e.code, "bad_request");
   EXPECT_EQ(e.message, "unknown method 'bdd-relational'");
 }
@@ -324,7 +412,7 @@ CachedCover coldRun(const std::string& gen, const std::string& target) {
   EXPECT_NE(ctx, nullptr) << err;
   ServeCache off(0, nullptr);
   ExecResult result;
-  ServeError e = runPreimage(req, ctx, off, nullptr, limits, &result);
+  ServeError e = runPreimage(req, unknownSource(ctx), off, nullptr, limits, &result);
   EXPECT_TRUE(e.ok()) << e.message;
   return result.cover;
 }
@@ -347,6 +435,30 @@ TEST(ServeCacheTest, HitReturnsBitIdenticalCover) {
   EXPECT_EQ(hit.count.toDecimal(), cold.count.toDecimal());
   EXPECT_EQ(hit.width, cold.width);
   EXPECT_EQ(governor.trackedBytes(), cache.bytes());
+}
+
+// A hit copies the certificate only for a request that asks for it.
+TEST(ServeCacheTest, HitCopiesCertificateOnlyWhenAsked) {
+  ServeCache cache(1 << 20, nullptr);
+  CacheKey key{3, "1x", "chrono", true, true};
+  CachedCover cover;
+  cover.width = 2;
+  cover.count = BigUint(2);
+  cover.cubes = {LitVec{mkLit(0, false)}};
+  cover.cert = "p presat-cert 1\n";
+  CachedCover scratch;
+  ASSERT_EQ(cache.acquire(key, scratch), CacheLookup::kMiss);
+  cache.publish(key, cover);
+
+  CachedCover plain;
+  ASSERT_EQ(cache.acquire(key, plain, false), CacheLookup::kHit);
+  EXPECT_EQ(plain.cubes, cover.cubes);
+  EXPECT_EQ(plain.count.toDecimal(), "2");
+  EXPECT_EQ(plain.width, 2);
+  EXPECT_TRUE(plain.cert.empty());
+  CachedCover certified;
+  ASSERT_EQ(cache.acquire(key, certified, true), CacheLookup::kHit);
+  EXPECT_EQ(certified.cert, cover.cert);
 }
 
 TEST(ServeCacheTest, PartialResultsAreNotRetained) {
@@ -814,6 +926,158 @@ TEST(ServeServerTest, CertRequestReturnsVerifiableFieldAndCachesIt) {
   // The upgrade recomputed once; the second cert request replayed from cache.
   EXPECT_EQ(c1.find("cert")->text, c2.find("cert")->text);
   EXPECT_EQ(c2.find("cache")->text, "hit");
+}
+
+
+// --- identity hits: answering from the result cache without a context -----
+
+// A preimage request line over inline .bench text.
+std::string benchRequest(const std::string& id, const std::string& text,
+                         const std::string& extra = "") {
+  return R"({"id":")" + id + R"(","op":"preimage","bench":")" + jsonEscape(text) +
+         R"(","target":"1x0xx")" + extra + "}";
+}
+
+// The response line of `id`, with the id and the trailing timing cut off:
+// everything a client reads as the answer.
+std::string answerOf(const std::vector<std::string>& lines, const std::string& id) {
+  const std::string head = R"({"id":")" + id + R"(",)";
+  for (const std::string& line : lines) {
+    if (line.rfind(head, 0) != 0) continue;
+    const size_t seconds = line.find(R"(,"seconds":)");
+    EXPECT_NE(seconds, std::string::npos) << line;
+    return line.substr(head.size(), seconds - head.size());
+  }
+  ADD_FAILURE() << "no response with id " << id;
+  return {};
+}
+
+std::string withDisposition(std::string answer, const std::string& from, const std::string& to) {
+  const std::string field = R"("cache":")" + from + '"';
+  const size_t at = answer.find(field);
+  EXPECT_NE(at, std::string::npos) << answer;
+  if (at != std::string::npos) answer.replace(at, field.size(), R"("cache":")" + to + '"');
+  return answer;
+}
+
+uint64_t contextBuilds(const Server& server) {
+  Metrics m;
+  server.exportMetrics(m);
+  return m.counter("serve.context.builds");
+}
+
+// One slot, two sources, A B A B: the repeats hit the cache from their
+// remembered identities without building a context, and answer what the
+// first requests answered, byte for byte.
+TEST(ServeServerTest, IdentityHitsBuildNoContext) {
+  ServerConfig config;
+  config.workers = 1;
+  config.maxContexts = 1;
+  Server server(config);
+  const std::string benchA = toBenchString(makeCounter(5));
+  const std::string benchB = toBenchString(makeLfsr(5));
+  StringTransport transport({benchRequest("a1", benchA), benchRequest("b1", benchB),
+                             benchRequest("a2", benchA), benchRequest("b2", benchB),
+                             R"({"id":"q","op":"shutdown"})"});
+  EXPECT_EQ(server.serve(transport), 0);
+  for (const auto& [first, repeat] : {std::pair{"a1", "a2"}, std::pair{"b1", "b2"}}) {
+    EXPECT_EQ(answerOf(transport.out, repeat),
+              withDisposition(answerOf(transport.out, first), "miss", "hit"));
+  }
+  Metrics m;
+  server.exportMetrics(m);
+  EXPECT_EQ(m.counter("serve.context.builds"), 2u);
+  EXPECT_EQ(m.counter("serve.context.reuses"), 0u);
+  EXPECT_EQ(m.counter("serve.cache.hits"), 2u);
+}
+
+// A source that failed to build is never remembered: each repeat is parsed
+// and rejected again, with the same message.
+TEST(ServeServerTest, MalformedBenchIsRejectedOnEveryRepeat) {
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  const std::string bad = "INPUT(a)\nq = DFF(zzz)\n";
+  StringTransport transport({benchRequest("x1", bad), benchRequest("x2", bad),
+                             benchRequest("x3", bad), R"({"id":"q","op":"shutdown"})"});
+  EXPECT_EQ(server.serve(transport), 0);
+  std::vector<std::string> messages;
+  for (const char* id : {"x1", "x2", "x3"}) {
+    JsonValue r = findResponse(transport.out, id);
+    ASSERT_NE(r.find("error"), nullptr) << id;
+    EXPECT_EQ(r.find("error")->find("code")->text, "bad_request");
+    messages.push_back(r.find("error")->find("message")->text);
+  }
+  EXPECT_EQ(messages[0], ".bench line 2: undefined signal 'zzz'");
+  EXPECT_EQ(messages[1], messages[0]);
+  EXPECT_EQ(messages[2], messages[0]);
+  EXPECT_EQ(contextBuilds(server), 3u);
+  EXPECT_EQ(server.contexts().entries(), 0u);
+}
+
+// A text one byte away from a remembered one (an appended comment) is
+// another source: it builds its own context, and its structural hash, which
+// is the known circuit's, still finds the cached cover.
+TEST(ServeServerTest, NearIdenticalSourceBuildsButSharesTheCachedCover) {
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  const std::string text = toBenchString(makeCounter(5));
+  StringTransport transport({benchRequest("orig", text),
+                             benchRequest("commented", text + "# annotated\n"),
+                             R"({"id":"q","op":"shutdown"})"});
+  EXPECT_EQ(server.serve(transport), 0);
+  EXPECT_EQ(answerOf(transport.out, "commented"),
+            withDisposition(answerOf(transport.out, "orig"), "miss", "hit"));
+  EXPECT_EQ(contextBuilds(server), 2u);
+}
+
+// Runs the standalone checker on `cert`; returns its exit status (0 = the
+// certificate checks out).
+int checkCertificate(const std::string& cert) {
+  const std::string path = ::testing::TempDir() + "presat_serve_test.cert";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return -1;
+  std::fwrite(cert.data(), 1, cert.size(), f);
+  std::fclose(f);
+  const std::string cmd = std::string(PRESAT_CHECK_BIN) + " " + path + " >/dev/null 2>&1";
+  const int raw = std::system(cmd.c_str());
+  std::remove(path.c_str());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+// A cert-requesting repeat of a circuit that has left the pool, first
+// answered without a certificate, hits the certless entry: it builds the
+// context once to run the certifying engine, and the next cert request
+// replays the stored certificate without building.
+TEST(ServeServerTest, CertUpgradeAfterEvictionBuildsTheContextOnce) {
+  ServerConfig config;
+  config.workers = 1;
+  config.maxContexts = 1;
+  Server server(config);
+  const std::string benchA = toBenchString(makeCounter(5));
+  const std::string benchB = toBenchString(makeLfsr(5));
+  StringTransport transport({benchRequest("a", benchA), benchRequest("b", benchB),
+                             benchRequest("c1", benchA, R"(,"cert":true)"),
+                             benchRequest("c2", benchA, R"(,"cert":true)"),
+                             R"({"id":"q","op":"shutdown"})"});
+  EXPECT_EQ(server.serve(transport), 0);
+  EXPECT_EQ(findResponse(transport.out, "a").find("cert"), nullptr);
+  JsonValue c1 = findResponse(transport.out, "c1");
+  JsonValue c2 = findResponse(transport.out, "c2");
+  EXPECT_EQ(c1.find("cache")->text, "hit");
+  EXPECT_EQ(c2.find("cache")->text, "hit");
+  ASSERT_NE(c1.find("cert"), nullptr);
+  ASSERT_NE(c2.find("cert"), nullptr);
+  EXPECT_EQ(c1.find("cert")->text, c2.find("cert")->text);
+  EXPECT_EQ(checkCertificate(c1.find("cert")->text), 0);
+  // a and b built theirs; c1's upgrade built A's again; c2 replayed the
+  // stored certificate without resolving a context at all.
+  Metrics m;
+  server.exportMetrics(m);
+  EXPECT_EQ(m.counter("serve.context.builds"), 3u);
+  EXPECT_EQ(m.counter("serve.context.reuses"), 0u);
 }
 
 }  // namespace
