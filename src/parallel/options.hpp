@@ -17,8 +17,9 @@ struct ParallelOptions {
   // success-driven run serially at every `jobs`.
   int jobs = 0;
 
-  // 16 subcubes — enough slack for 8-way work stealing without fragmenting
-  // small instances. Clamped to the projection width.
+  // 16 subcubes — enough slack for 8 workers claiming shards from the shared
+  // task cursor without fragmenting small instances. Clamped to the
+  // projection width.
   static constexpr int kDefaultSplitDepth = 4;
   // Largest worker count a front end (presat_cli, presat_serve) passes on.
   static constexpr int kMaxJobs = 64;

@@ -2,12 +2,12 @@
 //
 // The search space is partitioned into disjoint guiding cubes
 // (parallel/cube_splitter.hpp), each subproblem is solved by an independent
-// serial engine instance on a work-stealing pool (parallel/worker_pool.hpp),
-// and the per-shard answers are reassembled deterministically
-// (parallel/merge.hpp). Workers share NOTHING mutable: each owns its Solver
-// and its CNF copy, and writes a private result slot indexed by shard —
-// disjointness is what removes the blocking-clause interference that makes
-// naive parallel all-SAT unsound.
+// serial engine instance on a worker pool whose workers claim shards from
+// one shared task cursor (parallel/worker_pool.hpp), and the per-shard
+// answers are reassembled deterministically (parallel/merge.hpp). Workers
+// share NOTHING mutable: each owns its Solver and its CNF copy, and writes a
+// private result slot indexed by shard — disjointness is what removes the
+// blocking-clause interference that makes naive parallel all-SAT unsound.
 //
 // Only the engines call this layer: chronoAllSat and minterm blocking pick
 // it themselves when options.parallel.jobs >= 1. Lifted cube blocking and

@@ -227,23 +227,23 @@ void ServeCache::exportMetrics(Metrics& m) const {
   m.setCounter("serve.cache.bytes", bytes_);
 }
 
-size_t ContextPool::KeyHash::operator()(CircuitSource source) const {
+size_t CircuitIdentities::KeyHash::operator()(CircuitSource source) const {
   const size_t h = std::hash<std::string_view>()(source.text);
   return source.generator ? ~h : h;
 }
 
-ContextPool::ContextPool(size_t maxContexts, uint64_t maxIdentityBytes, Governor* governor)
-    : maxContexts_(maxContexts < 1 ? 1 : maxContexts), maxIdentityBytes_(maxIdentityBytes) {
+CircuitIdentities::CircuitIdentities(uint64_t maxBytes, Governor* governor)
+    : maxBytes_(maxBytes) {
   MutexLock lock(mu_);
   ledger_.attach(governor);
 }
 
-ContextPool::~ContextPool() {
+CircuitIdentities::~CircuitIdentities() {
   MutexLock lock(mu_);
   ledger_.attach(nullptr);
 }
 
-std::optional<CircuitIdentity> ContextPool::identify(CircuitSource source) {
+std::optional<CircuitIdentity> CircuitIdentities::find(CircuitSource source) {
   MutexLock lock(mu_);
   auto it = entries_.find(source);
   if (it == entries_.end()) return std::nullopt;
@@ -251,68 +251,39 @@ std::optional<CircuitIdentity> ContextPool::identify(CircuitSource source) {
   return it->second.identity;
 }
 
-CircuitContextPtr ContextPool::resolve(CircuitSource source,
-                                       const std::function<CircuitContextPtr()>& build) {
-  {
-    MutexLock lock(mu_);
-    auto it = entries_.find(source);
-    if (it != entries_.end() && it->second.context != nullptr) {
-      it->second.lastTouch = ++clock_;
-      ++reuses_;
-      return it->second.context;
-    }
-    ++builds_;
-  }
-  // Build outside the lock: parsing a big circuit must not stall resolution
-  // of unrelated circuits. A racing builder for the same source is harmless
-  // — contexts are immutable and the second one is dropped.
-  CircuitContextPtr ctx = build();
-  if (ctx == nullptr) return nullptr;
+void CircuitIdentities::remember(CircuitSource source, CircuitIdentity identity) {
   MutexLock lock(mu_);
   auto it = entries_.find(source);
   if (it == entries_.end()) {
+    // A racing request may have remembered the source first; building is
+    // deterministic, so its identity is this one.
     Entry entry;
-    entry.identity = ctx->identity();
+    entry.identity = identity;
     entry.bytes = 96 + source.text.size();  // entry + table-slot overhead
     bytes_ += entry.bytes;
     ledger_.charge(entry.bytes);
     it = entries_.emplace(Key{source.generator, std::string(source.text)}, entry).first;
   }
   it->second.lastTouch = ++clock_;
-  if (it->second.context != nullptr) return it->second.context;
-  it->second.context = ctx;
-  if (++contexts_ > maxContexts_) {
-    // The context leaves its slot; the identity stays for the next hit.
-    Entry* lru = nullptr;
-    for (auto& [key, entry] : entries_) {
-      if (entry.context != nullptr && (lru == nullptr || entry.lastTouch < lru->lastTouch)) {
-        lru = &entry;
-      }
-    }
-    lru->context = nullptr;
-    --contexts_;
-  }
-  // Self-shed with slack, so a full tier sorts once per eighth of its bytes
+  // Self-shed with slack, so a full memo sorts once per eighth of its bytes
   // rather than once per new source.
-  if (bytes_ > maxIdentityBytes_) shedLocked(maxIdentityBytes_ - maxIdentityBytes_ / 8);
-  return ctx;
+  if (bytes_ > maxBytes_) shedLocked(maxBytes_ - maxBytes_ / 8);
 }
 
-size_t ContextPool::shed(uint64_t targetBytes) {
+size_t CircuitIdentities::shed(uint64_t targetBytes) {
   MutexLock lock(mu_);
   return shedLocked(targetBytes);
 }
 
-size_t ContextPool::shedLocked(uint64_t targetBytes) {
+size_t CircuitIdentities::shedLocked(uint64_t targetBytes) {
   if (bytes_ <= targetBytes) return 0;
-  std::vector<decltype(entries_)::iterator> idle;
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.context == nullptr) idle.push_back(it);
-  }
-  std::sort(idle.begin(), idle.end(),
+  std::vector<decltype(entries_)::iterator> byAge;
+  byAge.reserve(entries_.size());
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) byAge.push_back(it);
+  std::sort(byAge.begin(), byAge.end(),
             [](auto a, auto b) { return a->second.lastTouch < b->second.lastTouch; });
   size_t evicted = 0;
-  for (auto it : idle) {
+  for (auto it : byAge) {
     if (bytes_ <= targetBytes) break;
     bytes_ -= it->second.bytes;
     ledger_.release(it->second.bytes);
@@ -322,19 +293,9 @@ size_t ContextPool::shedLocked(uint64_t targetBytes) {
   return evicted;
 }
 
-size_t ContextPool::entries() const {
+size_t CircuitIdentities::entries() const {
   MutexLock lock(mu_);
-  return contexts_;
-}
-
-uint64_t ContextPool::reuses() const {
-  MutexLock lock(mu_);
-  return reuses_;
-}
-
-uint64_t ContextPool::builds() const {
-  MutexLock lock(mu_);
-  return builds_;
+  return entries_.size();
 }
 
 }  // namespace presat::serve

@@ -1,5 +1,5 @@
-// Cross-query reuse for the serve layer: the result cache and the pooled
-// circuit contexts.
+// Cross-query reuse for the serve layer: the result cache and the memo of
+// circuit identities.
 //
 // ServeCache memoizes finished preimage covers across requests, keyed by
 // (circuit structural hash, target cube, method, project/compress flags) —
@@ -20,16 +20,12 @@
 // callable from admission control, so memory pressure sheds cache before it
 // sheds requests.
 //
-// ContextPool remembers circuits by their exact source in two tiers under
-// one lock and one LRU clock. Every source that built a context keeps its
-// identity (structural hash, state-bit count), which is all a cache hit
-// needs, so a hit on a remembered source parses nothing. A few of those
-// sources also keep the parsed context itself (netlist + transition system)
-// for the requests that run an engine. Contexts are immutable after
-// construction and safely shared across concurrent engine runs.
+// CircuitIdentities remembers, per exact circuit source, the identity
+// (structural hash, state-bit count) its build produced. That is all a cache
+// hit needs, so a hit on a remembered source parses nothing. It holds no
+// parsed circuit: every engine run builds and owns its own.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,10 +38,8 @@
 #include "base/sync.hpp"
 #include "base/thread_annotations.hpp"
 #include "base/types.hpp"
-#include "circuit/netlist.hpp"
 #include "govern/budget.hpp"
 #include "govern/governor.hpp"
-#include "preimage/transition_system.hpp"
 
 namespace presat::serve {
 
@@ -151,22 +145,7 @@ struct CircuitIdentity {
   int numStateBits = 0;
 };
 
-// One parsed circuit shared by every request that names it. Immutable after
-// construction; `system` views `netlist`, so the struct is neither movable
-// nor copyable once built (always held by shared_ptr).
-struct CircuitContext {
-  Netlist netlist;
-  uint64_t structuralHash = 0;
-  // Deliberately no CNF encoding: each engine run encodes its own, a small
-  // share of a miss, so pooling one would only add memory.
-  std::optional<TransitionSystem> system;
-
-  CircuitIdentity identity() const { return {structuralHash, system->numStateBits()}; }
-};
-
-using CircuitContextPtr = std::shared_ptr<const CircuitContext>;
-
-// A request's circuit source as the pool keys it: a generator spec or the
+// A request's circuit source as CircuitIdentities keys it: a generator spec or the
 // exact .bench text, compared byte for byte and viewed in place, so looking
 // a source up copies none of its text.
 struct CircuitSource {
@@ -176,39 +155,32 @@ struct CircuitSource {
   bool operator==(const CircuitSource&) const = default;
 };
 
-class ContextPool {
+class CircuitIdentities {
  public:
-  // At most `maxContexts` sources hold a parsed context (LRU; pinned
-  // shared_ptrs keep an evicted context alive until its last request
-  // finishes). Evicting a context keeps its source's identity; identities
-  // are bounded by `maxIdentityBytes` (source text plus overhead, charged
-  // to `governor`, which may be null) and the least recently used one that
-  // holds no context goes first.
-  ContextPool(size_t maxContexts, uint64_t maxIdentityBytes, Governor* governor);
-  ~ContextPool();
+  // Identities are bounded by `maxBytes` (source text plus overhead, charged
+  // to `governor`, which may be null); a new source that overflows the bound
+  // sheds the least recently used ones. With `maxBytes` 0 no identity
+  // outlives its request.
+  CircuitIdentities(uint64_t maxBytes, Governor* governor);
+  ~CircuitIdentities();
 
-  ContextPool(const ContextPool&) = delete;
-  ContextPool& operator=(const ContextPool&) = delete;
+  CircuitIdentities(const CircuitIdentities&) = delete;
+  CircuitIdentities& operator=(const CircuitIdentities&) = delete;
 
-  // The identity of a source that built a context here, without parsing
-  // it; nullopt when it never did or its identity was evicted.
-  std::optional<CircuitIdentity> identify(CircuitSource source);
+  // The identity remembered for `source`, without parsing it; nullopt when
+  // it was never remembered or has been shed.
+  std::optional<CircuitIdentity> find(CircuitSource source);
 
-  // Returns the pooled context for `source`, building it with `build` when
-  // no slot holds it. `build` returns null on invalid input (reported
-  // upstream as bad_request); a source that failed to build is never
-  // remembered, so every repeat fails the same way.
-  CircuitContextPtr resolve(CircuitSource source,
-                            const std::function<CircuitContextPtr()>& build);
+  // Remembers the identity a successful build of `source` produced. Callers
+  // never remember a source that failed to build, so every repeat of a bad
+  // source is built and rejected again.
+  void remember(CircuitSource source, CircuitIdentity identity);
 
-  // Evicts the least recently used identities that hold no context until
-  // the identity bytes are at most `targetBytes`. Returns the number
-  // evicted.
+  // Evicts the least recently used identities until their bytes are at
+  // most `targetBytes`. Returns the number evicted.
   size_t shed(uint64_t targetBytes);
 
-  size_t entries() const;   // contexts held
-  uint64_t reuses() const;  // resolve() answered from a slot
-  uint64_t builds() const;  // resolve() called `build` (sources parsed)
+  size_t entries() const;
 
  private:
   // The owned form of a CircuitSource; the transparent hash and equality
@@ -228,23 +200,18 @@ class ContextPool {
   };
   struct Entry {
     CircuitIdentity identity;
-    CircuitContextPtr context;  // null once evicted from the slots
     uint64_t lastTouch = 0;
     uint64_t bytes = 0;
   };
 
   size_t shedLocked(uint64_t targetBytes) REQUIRES(mu_);
 
-  const size_t maxContexts_;        // presat-analyze: lockfree(immutable after construction)
-  const uint64_t maxIdentityBytes_; // presat-analyze: lockfree(immutable after construction)
+  const uint64_t maxBytes_;  // presat-analyze: lockfree(immutable after construction)
   mutable Mutex mu_;
   std::unordered_map<Key, Entry, KeyHash, KeyEq> entries_ GUARDED_BY(mu_);
   MemoryLedger ledger_ GUARDED_BY(mu_);
   uint64_t bytes_ GUARDED_BY(mu_) = 0;
-  size_t contexts_ GUARDED_BY(mu_) = 0;
   uint64_t clock_ GUARDED_BY(mu_) = 0;
-  uint64_t reuses_ GUARDED_BY(mu_) = 0;
-  uint64_t builds_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace presat::serve

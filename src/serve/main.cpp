@@ -10,7 +10,7 @@
 //
 //   presat_serve [--workers N] [--queue-depth N] [--cache-mb N | --no-cache]
 //                [--mem-limit-mb N] [--max-jobs N] [--default-timeout-ms N]
-//                [--max-contexts N] [--no-banner]
+//                [--no-banner]
 //
 // Fault-injection builds (PRESAT_FAULTS) arm from PRESAT_FAULT_SITE /
 // PRESAT_FAULT_AFTER / PRESAT_FAULT_SEED at startup, exactly like
@@ -125,8 +125,6 @@ int runServe(int argc, char** argv) {
           static_cast<int>(parseU64Flag(arg, next(), ParallelOptions::kMaxJobs, 1));
     } else if (std::strcmp(arg, "--default-timeout-ms") == 0) {
       config.limits.defaultTimeoutMs = parseU64Flag(arg, next(), UINT64_MAX);
-    } else if (std::strcmp(arg, "--max-contexts") == 0) {
-      config.maxContexts = static_cast<size_t>(parseU64Flag(arg, next(), SIZE_MAX));
     } else if (std::strcmp(arg, "--no-banner") == 0) {
       config.banner = false;
     } else {
@@ -134,7 +132,7 @@ int runServe(int argc, char** argv) {
                    "usage: presat_serve [--workers N] [--queue-depth N]\n"
                    "                    [--cache-mb N | --no-cache] [--mem-limit-mb N]\n"
                    "                    [--max-jobs N] [--default-timeout-ms N]\n"
-                   "                    [--max-contexts N] [--no-banner]\n");
+                   "                    [--no-banner]\n");
       return 2;
     }
   }

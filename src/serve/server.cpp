@@ -28,8 +28,8 @@ Server::Server(const ServerConfig& config)
       cache_(config.cacheBytes, &governor_),
       // Identities only ever lead to cached covers, so they get an eighth
       // of the cache's budget: with the cache off, none outlives its
-      // context.
-      contexts_(config.maxContexts, config.cacheBytes / 8, &governor_) {}
+      // request.
+      identities_(config.cacheBytes / 8, &governor_) {}
 
 Server::~Server() { pool_.stop(); }
 
@@ -53,29 +53,25 @@ bool Server::admitMemory() {
   // identities are the server's only elastic consumers of the tracked-byte
   // pool, and both can be recomputed.
   cache_.shed(config_.memLimitBytes / 2);
-  contexts_.shed(config_.memLimitBytes / 4);
+  identities_.shed(config_.memLimitBytes / 4);
   return governor_.trackedBytes() <= config_.memLimitBytes;
 }
 
 void Server::executeRequest(const ServeRequest& req, const std::shared_ptr<CancelToken>& cancel,
                             Timer started) {
-  // A remembered source answers a cache hit from its identity alone; the
-  // context is resolved only when runPreimage asks for it.
-  const CircuitSource source = circuitSource(req);
-  CircuitRef circuit;
-  circuit.identity = contexts_.identify(source);
-  circuit.context = [&](std::string* error) {
-    return contexts_.resolve(source,
-                             [&] { return buildCircuitContext(req, config_.limits, error); });
-  };
   ExecResult result;
-  ServeError error = runPreimage(req, circuit, cache_, cancel.get(), config_.limits, &result);
-  if (!error.ok()) {
-    {
-      MutexLock lock(mu_);
+  ServeError error = runPreimage(req, identities_, cache_, cancel.get(), config_.limits, &result);
+  {
+    // Tallied before the response goes out, so a stats op the client sends
+    // after reading it already counts this build.
+    MutexLock lock(mu_);
+    contextBuilds_ += result.contextBuilds;
+    if (!error.ok()) {
       ++errorsBadRequest_;
       inflight_.erase(req.id);
     }
+  }
+  if (!error.ok()) {
     sendError(req.id, error);
     return;
   }
@@ -266,13 +262,11 @@ void Server::exportMetrics(Metrics& m) const {
     m.inc("serve.errors.bad_request", errorsBadRequest_);
     m.inc("serve.rejects.memory", rejectsMemory_);
     m.inc("serve.cancelled", cancels_);
+    m.inc("serve.context.builds", contextBuilds_);
     m.histogram("serve.request_us").merge(requestUs_);
   }
   pool_.exportMetrics(m);
   cache_.exportMetrics(m);
-  m.setCounter("serve.contexts", contexts_.entries());
-  m.setCounter("serve.context.reuses", contexts_.reuses());
-  m.setCounter("serve.context.builds", contexts_.builds());
 }
 
 }  // namespace presat::serve

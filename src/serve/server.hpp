@@ -3,8 +3,8 @@
 //
 // One Server owns the long-lived machinery — pre-warmed ServicePool workers
 // behind its bounded fairness queue, the cross-query ServeCache, the
-// ContextPool of parsed circuits and their identities, and a byte-tracking
-// Governor both of their ledgers charge — and serve() runs a connection:
+// CircuitIdentities memo, and a byte-tracking Governor both of their
+// ledgers charge — and serve() runs a connection:
 // emit the build-info banner, then read NDJSON request lines until EOF or a
 // shutdown op, answering out of order as workers finish (responses carry
 // the request id, so a multiplexing client can run many requests down one
@@ -19,7 +19,7 @@
 //            queue; a full queue answers "overloaded" (backpressure).
 //   execute  on a pooled worker: look up the circuit's identity, consult
 //            the cache (leader/follower); only when an engine must run (or
-//            the source is new) resolve the circuit context, and run the
+//            the source is new) build the circuit context, and run the
 //            engine under a per-request Governor wired to the request's
 //            CancelToken.
 //   respond  serialized response line under the write lock.
@@ -68,7 +68,6 @@ struct ServerConfig {
   size_t queueDepth = 64;             // fairness-queue admission cap
   uint64_t cacheBytes = 64ull << 20;  // cross-query cache budget (0 disables)
   uint64_t memLimitBytes = 0;         // server-wide tracked-bytes ceiling (0 = off)
-  size_t maxContexts = 32;            // pooled parsed circuits
   bool banner = true;                 // emit the build-info hello line
   SessionLimits limits;
 };
@@ -101,7 +100,7 @@ class Server {
   static void resetDrainForTest();
 
   const ServeCache& cache() const { return cache_; }
-  const ContextPool& contexts() const { return contexts_; }
+  const CircuitIdentities& identities() const { return identities_; }
 
  private:
   void sendLine(const std::string& line);
@@ -110,7 +109,7 @@ class Server {
   void handleCancel(const ServeRequest& req);
   void handleStats(const ServeRequest& req);
   // Memory-pressure admission gate: under pressure, sheds the cache and the
-  // idle circuit identities first and only rejects when that wasn't enough.
+  // circuit identities first and only rejects when that wasn't enough.
   bool admitMemory();
   void executeRequest(const ServeRequest& req, const std::shared_ptr<CancelToken>& cancel,
                       Timer started);
@@ -119,14 +118,14 @@ class Server {
 
   const ServerConfig config_;  // presat-analyze: lockfree(immutable after construction)
   // Byte-tracking only: constructed with an unlimited Budget so it never
-  // latches a trip; the cache and context-pool ledgers charge it and
+  // latches a trip; the cache and identity-memo ledgers charge it and
   // admitMemory() compares trackedBytes() against config_.memLimitBytes
   // itself.
   // presat-analyze: lockfree(atomic byte counter; internally synchronized)
   Governor governor_;
   ServicePool pool_;       // presat-analyze: lockfree(internally synchronized)
   ServeCache cache_;       // presat-analyze: lockfree(internally synchronized)
-  ContextPool contexts_;   // presat-analyze: lockfree(internally synchronized)
+  CircuitIdentities identities_;  // presat-analyze: lockfree(internally synchronized)
 
   // Response serialization. transport_ is only non-null inside serve().
   mutable Mutex writeMu_;
@@ -140,6 +139,7 @@ class Server {
   uint64_t errorsBadRequest_ GUARDED_BY(mu_) = 0;
   uint64_t rejectsMemory_ GUARDED_BY(mu_) = 0;
   uint64_t cancels_ GUARDED_BY(mu_) = 0;
+  uint64_t contextBuilds_ GUARDED_BY(mu_) = 0;  // parse attempts, failed builds included
   Histogram requestUs_ GUARDED_BY(mu_);  // admit -> response wall time
 };
 

@@ -131,9 +131,10 @@ CircuitSource circuitSource(const ServeRequest& req) {
   return req.gen.empty() ? CircuitSource{false, req.bench} : CircuitSource{true, req.gen};
 }
 
-CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimits& limits,
-                                      std::string* error) {
-  auto ctx = std::make_shared<CircuitContext>();
+std::unique_ptr<CircuitContext> buildCircuitContext(const ServeRequest& req,
+                                                    const SessionLimits& limits,
+                                                    std::string* error) {
+  auto ctx = std::make_unique<CircuitContext>();
   if (!req.gen.empty()) {
     if (!buildGeneratorChecked(req.gen, limits, &ctx->netlist, error)) return nullptr;
   } else {
@@ -162,7 +163,7 @@ CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimi
     return nullptr;
   }
   ctx->structuralHash = netlistStructuralHash(ctx->netlist);
-  // The TransitionSystem holds a pointer into ctx->netlist; the shared_ptr
+  // The TransitionSystem holds a pointer into ctx->netlist; the unique_ptr
   // keeps both alive together and the struct is never moved after this.
   ctx->system.emplace(ctx->netlist);
   return ctx;
@@ -214,23 +215,27 @@ CachedCover runEngine(const ServeRequest& req, const CircuitContext& ctx, Preima
 
 }  // namespace
 
-ServeError runPreimage(const ServeRequest& req, const CircuitRef& circuit, ServeCache& cache,
+ServeError runPreimage(const ServeRequest& req, CircuitIdentities& identities, ServeCache& cache,
                        CancelToken* cancel, const SessionLimits& limits, ExecResult* out) {
-  CircuitContextPtr context;
-  CircuitIdentity identity;
-  if (circuit.identity) {
-    identity = *circuit.identity;
-  } else {
+  const CircuitSource source = circuitSource(req);
+  std::unique_ptr<CircuitContext> context;
+  auto build = [&](std::string* error) {
+    context = buildCircuitContext(req, limits, error);
+    ++out->contextBuilds;
+    return context != nullptr;
+  };
+  std::optional<CircuitIdentity> identity = identities.find(source);
+  if (!identity) {
     std::string error;
-    context = circuit.context(&error);
-    if (context == nullptr) return {"bad_request", error, 0};
+    if (!build(&error)) return {"bad_request", error, 0};
     identity = context->identity();
+    identities.remember(source, *identity);
   }
   PreimageMethod method = PreimageMethod::kSuccessDriven;
   if (!parsePreimageMethod(req.method, &method)) {
     return {"bad_request", "unknown method '" + req.method + "'", 0};
   }
-  const int width = identity.numStateBits;
+  const int width = identity->numStateBits;
   LitVec targetCube;
   std::string cubeError;
   if (!parseTargetCube(req.target, width, &targetCube, &cubeError)) {
@@ -241,15 +246,15 @@ ServeError runPreimage(const ServeRequest& req, const CircuitRef& circuit, Serve
       // The identity came from this source building under these limits,
       // and building is deterministic, so it builds again.
       std::string error;
-      context = circuit.context(&error);
-      PRESAT_CHECK(context != nullptr) << "serve: a remembered source failed to build: " << error;
+      const bool built = build(&error);
+      PRESAT_CHECK(built) << "serve: a remembered source failed to build: " << error;
     }
     out->cover = runEngine(req, *context, method, targetCube, cancel, limits, &out->seconds);
   };
 
   const bool useCache = req.cache && cache.enabled();
   CacheKey key;
-  key.circuitHash = identity.structuralHash;
+  key.circuitHash = identity->structuralHash;
   key.target = cubeToText(targetCube, width);  // canonical: '-'/'X' fold to 'x'
   key.method = preimageMethodName(method);
   key.project = req.project;

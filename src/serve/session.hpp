@@ -3,27 +3,31 @@
 //
 // The daemon's cardinal rule is that CLIENT INPUT MUST NOT ABORT THE
 // PROCESS. The library's trusted-input entry points (parseBenchString, the
-// generator constructors, presat_cli's cube parser) enforce their contracts
-// with PRESAT_CHECK — correct for a CLI, fatal for a server. So this layer
-// takes every client-supplied artifact through a non-aborting path: .bench
-// text through bench_io's parseBench (the one parser, which reports instead
-// of aborting), generator specs and cubes through the checked builders
-// below, plus service-hygiene size caps.
+// generator constructors) enforce their contracts with PRESAT_CHECK —
+// correct for a CLI, fatal for a server. So this layer takes every
+// client-supplied artifact through a non-aborting path: .bench text through
+// bench_io's parseBench (the one parser, which reports instead of
+// aborting), generator specs and cubes through the checked builders below
+// (presat_cli parses its CUBE arguments with the same parseTargetCube),
+// plus service-hygiene size caps.
 //
-// runPreimage() is the request state machine's EXECUTE step: take the
-// circuit's identity (or build its context when the identity is unknown),
-// consult the cross-query cache (leader/follower), and only when an engine
-// must run fetch the context, build a per-request Governor from the request
-// budgets plus the request's cancel token, run the engine, publish/abandon
-// the cache entry, and hand back a CachedCover plus its cache disposition.
+// runPreimage() is the request state machine's EXECUTE step: find the
+// circuit's remembered identity (or build its context and remember the
+// identity when the source is unknown), consult the cross-query cache
+// (leader/follower), and only when an engine must run build the context,
+// build a per-request Governor from the request budgets plus the request's
+// cancel token, run the engine, publish/abandon the cache entry, and hand
+// back a CachedCover plus its cache disposition.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 
+#include "circuit/netlist.hpp"
 #include "govern/budget.hpp"
 #include "preimage/preimage.hpp"
+#include "preimage/transition_system.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -62,18 +66,30 @@ bool parsePreimageMethod(const std::string& name, PreimageMethod* method);
 
 // --- Circuit context construction ------------------------------------------
 
-// Builds a shared context for the request's circuit source (exactly one of
+// One parsed circuit, owned by the engine run that built it. `system` views
+// `netlist`, so the struct is neither movable nor copyable once built
+// (always held by unique_ptr).
+struct CircuitContext {
+  Netlist netlist;
+  uint64_t structuralHash = 0;
+  std::optional<TransitionSystem> system;
+
+  CircuitIdentity identity() const { return {structuralHash, system->numStateBits()}; }
+};
+
+// Builds the context for the request's circuit source (exactly one of
 // req.gen / req.bench is set — the protocol layer enforced that). Bench text
 // is parsed exactly once, by parseBench; around it sit only the limits the
 // parser cannot know: the byte and line caps before parsing, the no-DFF and
 // state-bit caps after. Returns null with a bad_request message on invalid
 // input (parse errors read ".bench line N: ...").
-CircuitContextPtr buildCircuitContext(const ServeRequest& req, const SessionLimits& limits,
-                                      std::string* error);
+std::unique_ptr<CircuitContext> buildCircuitContext(const ServeRequest& req,
+                                                    const SessionLimits& limits,
+                                                    std::string* error);
 
-// The request's circuit source as ContextPool keys it: the generator spec or
-// the exact bench text, viewed in `req` (which must outlive the result), so
-// only byte-identical sources share a context or an identity.
+// The request's circuit source as CircuitIdentities keys it: the generator
+// spec or the exact bench text, viewed in `req` (which must outlive the
+// result), so only byte-identical sources share an identity.
 CircuitSource circuitSource(const ServeRequest& req);
 
 // --- Execution --------------------------------------------------------------
@@ -82,24 +98,19 @@ struct ExecResult {
   CachedCover cover;
   const char* cacheDisposition = "off";  // "hit" | "dedup" | "miss" | "off"
   double seconds = 0.0;                  // engine wall time (0 for cache hits)
+  int contextBuilds = 0;                 // circuits built (parsed): at most 1
 };
 
-// The request's circuit as runPreimage sees it. `identity` is set when the
-// context pool remembers the exact source; `context` yields the parsed
-// circuit, or null with a bad_request message. runPreimage calls `context`
-// only when the identity is unknown or an engine must run (a miss, the
-// cert upgrade, `cache: false`), so a hit on a remembered source parses
-// nothing.
-struct CircuitRef {
-  std::optional<CircuitIdentity> identity;
-  std::function<CircuitContextPtr(std::string* error)> context;
-};
-
-// Runs one preimage request end to end. `cancel` is the request's
-// cancellation token (client disconnect / explicit cancel op); it is wired
-// into the per-request Budget so the engines observe it at their next
-// governor poll. Returns ok() or a bad_request error.
-ServeError runPreimage(const ServeRequest& req, const CircuitRef& circuit, ServeCache& cache,
+// Runs one preimage request end to end. The circuit's identity comes from
+// `identities` when it remembers the exact source; an unknown source is
+// built first, and its identity remembered unless the build failed (then
+// the request is a bad_request). A context is built only when an engine
+// runs — a miss, the cert upgrade, `cache: false` — and at most once per
+// request, so a hit on a remembered source parses nothing. `cancel` is the
+// request's cancellation token (client disconnect / explicit cancel op);
+// it is wired into the per-request Budget so the engines observe it at
+// their next governor poll. Returns ok() or a bad_request error.
+ServeError runPreimage(const ServeRequest& req, CircuitIdentities& identities, ServeCache& cache,
                        CancelToken* cancel, const SessionLimits& limits, ExecResult* out);
 
 // Serializes a finished request: {"id":...,"status":"ok","outcome":...,

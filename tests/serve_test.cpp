@@ -162,8 +162,8 @@ TEST(ServeSession, GeneratorSpecValidation) {
   EXPECT_FALSE(buildGeneratorChecked("nonsense:4", limits, &nl, &err));
 }
 
-CircuitContextPtr buildBenchContext(const std::string& text, const SessionLimits& limits,
-                                    std::string* err) {
+std::unique_ptr<CircuitContext> buildBenchContext(const std::string& text,
+                                                  const SessionLimits& limits, std::string* err) {
   ServeRequest req;
   req.bench = text;
   return buildCircuitContext(req, limits, err);
@@ -176,7 +176,7 @@ TEST(ServeSession, BenchValidationCatchesWhatTheParserWouldAbortOn) {
   SessionLimits limits;
   std::string err;
   const std::string good = "INPUT(a)\nq = DFF(d)\nd = AND(a, q)\nOUTPUT(q)\n";
-  CircuitContextPtr ctx = buildBenchContext(good, limits, &err);
+  std::unique_ptr<CircuitContext> ctx = buildBenchContext(good, limits, &err);
   ASSERT_NE(ctx, nullptr) << err;
   EXPECT_EQ(ctx->netlist.dffs().size(), 1u);
 
@@ -220,10 +220,12 @@ TEST(ServeSession, BenchValidationCatchesWhatTheParserWouldAbortOn) {
   EXPECT_NE(buildBenchContext(twoBits, capped, &err), nullptr) << err;
 }
 
-// A request's circuit as a server sees a source it does not remember yet:
-// no identity, and the context on demand (here already built).
-CircuitRef unknownSource(const CircuitContextPtr& context) {
-  return {std::nullopt, [context](std::string*) { return context; }};
+// Runs `req` the way a server with the cache off does: nothing remembered,
+// and the context built for the engine run.
+ServeError runUncached(const ServeRequest& req, const SessionLimits& limits, ExecResult* result) {
+  CircuitIdentities identities(0, nullptr);
+  ServeCache off(0, nullptr);
+  return runPreimage(req, identities, off, nullptr, limits, result);
 }
 
 // A combinational chain as deep as the line cap allows: q = DFF(g0),
@@ -241,7 +243,6 @@ TEST(ServeSession, DeepBufferChainDoesNotCrash) {
   SessionLimits limits;
   ASSERT_LE(text.size(), static_cast<size_t>(limits.maxBenchBytes));
 
-  std::string err;
   ServeError error;
   ExecResult result;
   std::thread worker([&] {
@@ -249,127 +250,123 @@ TEST(ServeSession, DeepBufferChainDoesNotCrash) {
     req.bench = text;
     req.target = "1";
     req.method = "chrono";
-    CircuitContextPtr ctx = buildCircuitContext(req, limits, &err);
-    if (ctx == nullptr) return;
-    ServeCache off(0, nullptr);
-    error = runPreimage(req, unknownSource(ctx), off, nullptr, limits, &result);
+    error = runUncached(req, limits, &result);
   });
   worker.join();
-  ASSERT_TRUE(err.empty()) << err;
   ASSERT_TRUE(error.ok()) << error.message;
   EXPECT_EQ(result.cover.outcome, Outcome::kComplete);
   EXPECT_EQ(result.cover.count.toDecimal(), "1");
 }
 
-// The pool shares a context only between byte-identical sources; a text one
-// byte away from a pooled one gets its own context, however its hash falls.
-TEST(ServeSession, ContextPoolKeysByExactSource) {
-  ContextPool pool(8, 0, nullptr);
+// The memo keys by the exact source, viewed in the request: a text one byte
+// away from a remembered one is unknown, however its hash falls, and a
+// generator spec equal to a bench text byte for byte is another source.
+TEST(ServeSession, CircuitIdentitiesKeyByExactSource) {
+  CircuitIdentities identities(1 << 20, nullptr);
   SessionLimits limits;
-  int builds = 0;
-  auto resolve = [&](const std::string& text) {
-    ServeRequest req;
-    req.bench = text;
-    return pool.resolve(circuitSource(req), [&]() -> CircuitContextPtr {
-      ++builds;
-      std::string err;
-      return buildCircuitContext(req, limits, &err);
-    });
-  };
   const std::string text = "INPUT(a)\nq = DFF(d)\nd = AND(a, q)\n";
   std::string oneByteOff = text;
   oneByteOff[oneByteOff.size() - 3] = 'a';  // d = AND(a, a)
-  CircuitContextPtr first = resolve(text);
-  CircuitContextPtr again = resolve(text);
-  CircuitContextPtr other = resolve(oneByteOff);
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(other, nullptr);
-  EXPECT_EQ(first, again);
-  EXPECT_NE(first, other);
-  EXPECT_NE(first->structuralHash, other->structuralHash);
-  EXPECT_EQ(builds, 2);
-  EXPECT_EQ(pool.entries(), 2u);
-  EXPECT_EQ(pool.reuses(), 1u);
-  EXPECT_EQ(pool.builds(), 2u);
-  // The key views the request's own text; a generator spec equal to a
-  // bench text byte for byte is still another source.
   ServeRequest req;
   req.bench = text;
-  EXPECT_EQ(circuitSource(req).text.data(), req.bench.data());
-  EXPECT_FALSE(circuitSource(req).generator);
+  ServeRequest copy;  // the same text in another request
+  copy.bench = text;
+  ServeRequest other;
+  other.bench = oneByteOff;
   ServeRequest gen;
   gen.gen = text;
+  std::string err;
+  std::unique_ptr<CircuitContext> ctx = buildCircuitContext(req, limits, &err);
+  ASSERT_NE(ctx, nullptr) << err;
+  std::unique_ptr<CircuitContext> otherCtx = buildCircuitContext(other, limits, &err);
+  ASSERT_NE(otherCtx, nullptr) << err;
+  EXPECT_NE(ctx->structuralHash, otherCtx->structuralHash);
+
+  identities.remember(circuitSource(req), ctx->identity());
+  std::optional<CircuitIdentity> found = identities.find(circuitSource(copy));
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->structuralHash, ctx->structuralHash);
+  EXPECT_EQ(found->numStateBits, 1);
+  EXPECT_FALSE(identities.find(circuitSource(other)).has_value());
+  EXPECT_FALSE(identities.find(circuitSource(gen)).has_value());
+  identities.remember(circuitSource(other), otherCtx->identity());
+  EXPECT_EQ(identities.entries(), 2u);
+
+  EXPECT_EQ(circuitSource(req).text.data(), req.bench.data());
+  EXPECT_FALSE(circuitSource(req).generator);
   EXPECT_TRUE(circuitSource(gen).generator);
   EXPECT_FALSE(circuitSource(gen) == circuitSource(req));
 }
 
-// Evicting a context keeps its source's identity; identities are charged to
-// the governor, shed least recently used first, and never evicted while they
-// hold a context. A source that fails to build is not remembered.
-TEST(ServeSession, ContextPoolKeepsIdentitiesPastEviction) {
+// runPreimage remembers a source only once it has built: a bad source is
+// built and rejected on every repeat and charges nothing, while a good one
+// is charged to the governor and answers its repeat without building.
+// shed() drops the least recently used identities first.
+TEST(ServeSession, CircuitIdentitiesRememberOnlySourcesThatBuilt) {
   Governor governor{Budget{}};
-  ContextPool pool(1, 1 << 20, &governor);
+  CircuitIdentities identities(1 << 20, &governor);
+  ServeCache cache(1 << 20, nullptr);
   SessionLimits limits;
-  ServeRequest a;
-  a.gen = "counter:5";
-  ServeRequest b;
-  b.gen = "lfsr:6";
+  auto run = [&](const ServeRequest& req, ExecResult* result) {
+    return runPreimage(req, identities, cache, nullptr, limits, result);
+  };
   ServeRequest bad;
   bad.bench = "INPUT(a)\nq = DFF(zzz)\n";
-  auto resolve = [&](const ServeRequest& req) {
-    std::string err;
-    return pool.resolve(circuitSource(req),
-                        [&] { return buildCircuitContext(req, limits, &err); });
-  };
-  CircuitContextPtr ctxA = resolve(a);
-  CircuitContextPtr ctxB = resolve(b);  // takes A's only slot
-  ASSERT_NE(ctxA, nullptr);
-  ASSERT_NE(ctxB, nullptr);
-  EXPECT_EQ(pool.entries(), 1u);
-  std::optional<CircuitIdentity> idA = pool.identify(circuitSource(a));
-  ASSERT_TRUE(idA.has_value());
-  EXPECT_EQ(idA->structuralHash, ctxA->structuralHash);
-  EXPECT_EQ(idA->numStateBits, 5);
-  EXPECT_EQ(pool.identify(circuitSource(b))->numStateBits, 6);
+  bad.target = "1";
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    ExecResult result;
+    ServeError e = run(bad, &result);
+    EXPECT_EQ(e.code, "bad_request");
+    EXPECT_EQ(e.message, ".bench line 2: undefined signal 'zzz'");
+    EXPECT_EQ(result.contextBuilds, 1);
+  }
+  EXPECT_EQ(identities.entries(), 0u);
+  EXPECT_EQ(governor.trackedBytes(), 0u);
+
+  ServeRequest a;
+  a.gen = "counter:5";
+  a.target = "1xxxx";
+  ServeRequest b;
+  b.gen = "lfsr:6";
+  b.target = "1xxxxx";
+  ExecResult firstA;
+  ASSERT_TRUE(run(a, &firstA).ok());
+  EXPECT_EQ(firstA.contextBuilds, 1);  // unknown source and a miss: one build
+  ExecResult firstB;
+  ASSERT_TRUE(run(b, &firstB).ok());
   const uint64_t charged = governor.trackedBytes();
   EXPECT_GT(charged, a.gen.size() + b.gen.size());
+  ExecResult repeat;
+  ASSERT_TRUE(run(a, &repeat).ok());  // touches A: B is now least recently used
+  EXPECT_EQ(repeat.contextBuilds, 0);
+  EXPECT_STREQ(repeat.cacheDisposition, "hit");
 
-  EXPECT_EQ(resolve(bad), nullptr);
-  EXPECT_EQ(resolve(bad), nullptr);
-  EXPECT_FALSE(pool.identify(circuitSource(bad)).has_value());
-  EXPECT_EQ(governor.trackedBytes(), charged);
-  EXPECT_EQ(pool.builds(), 4u);
-
-  // Only A's idle identity can go; B still holds the slot.
-  EXPECT_EQ(pool.shed(0), 1u);
-  EXPECT_FALSE(pool.identify(circuitSource(a)).has_value());
-  EXPECT_TRUE(pool.identify(circuitSource(b)).has_value());
+  EXPECT_EQ(identities.shed(charged - 1), 1u);
+  EXPECT_TRUE(identities.find(circuitSource(a)).has_value());
+  EXPECT_FALSE(identities.find(circuitSource(b)).has_value());
   EXPECT_LT(governor.trackedBytes(), charged);
   EXPECT_GT(governor.trackedBytes(), 0u);
+  EXPECT_EQ(identities.shed(0), 1u);
+  EXPECT_EQ(governor.trackedBytes(), 0u);
 }
 
-// The identity tier's bytes stay within its bound as new sources arrive.
-TEST(ServeSession, ContextPoolBoundsIdentityBytes) {
+// The memo's bytes stay within its bound as new sources arrive, the least
+// recently used going first; a bound of 0 keeps nothing.
+TEST(ServeSession, CircuitIdentitiesBoundTheirBytes) {
   Governor governor{Budget{}};
   constexpr uint64_t kMaxBytes = 2048;
-  ContextPool pool(1, kMaxBytes, &governor);
-  SessionLimits limits;
-  for (int n = 1; n <= 30; ++n) {
-    ServeRequest req;
-    req.gen = "counter:" + std::to_string(n);
-    std::string err;
-    ASSERT_NE(pool.resolve(circuitSource(req),
-                           [&] { return buildCircuitContext(req, limits, &err); }),
-              nullptr)
-        << err;
+  CircuitIdentities identities(kMaxBytes, &governor);
+  CircuitIdentities none(0, &governor);
+  std::vector<std::string> specs;
+  for (int n = 1; n <= 30; ++n) specs.push_back("counter:" + std::to_string(n));
+  for (const std::string& spec : specs) {
+    identities.remember({true, spec}, {0, 1});
+    none.remember({true, spec}, {0, 1});
     EXPECT_LE(governor.trackedBytes(), kMaxBytes);
   }
-  ServeRequest newest;
-  newest.gen = "counter:30";
-  ServeRequest oldest;
-  oldest.gen = "counter:1";
-  EXPECT_TRUE(pool.identify(circuitSource(newest)).has_value());
-  EXPECT_FALSE(pool.identify(circuitSource(oldest)).has_value());
+  EXPECT_TRUE(identities.find({true, specs.back()}).has_value());
+  EXPECT_FALSE(identities.find({true, specs.front()}).has_value());
+  EXPECT_EQ(none.entries(), 0u);
 }
 
 TEST(ServeSession, TargetCubeParsing) {
@@ -390,12 +387,8 @@ TEST(ServeSession, RejectsUnknownMethodName) {
   req.target = "1xxx";
   req.method = "bdd-relational";
   SessionLimits limits;
-  std::string err;
-  CircuitContextPtr ctx = buildCircuitContext(req, limits, &err);
-  ASSERT_NE(ctx, nullptr) << err;
-  ServeCache off(0, nullptr);
   ExecResult result;
-  ServeError e = runPreimage(req, unknownSource(ctx), off, nullptr, limits, &result);
+  ServeError e = runUncached(req, limits, &result);
   EXPECT_EQ(e.code, "bad_request");
   EXPECT_EQ(e.message, "unknown method 'bdd-relational'");
 }
@@ -407,12 +400,8 @@ CachedCover coldRun(const std::string& gen, const std::string& target) {
   req.gen = gen;
   req.target = target;
   SessionLimits limits;
-  std::string err;
-  CircuitContextPtr ctx = buildCircuitContext(req, limits, &err);
-  EXPECT_NE(ctx, nullptr) << err;
-  ServeCache off(0, nullptr);
   ExecResult result;
-  ServeError e = runPreimage(req, unknownSource(ctx), off, nullptr, limits, &result);
+  ServeError e = runUncached(req, limits, &result);
   EXPECT_TRUE(e.ok()) << e.message;
   return result.cover;
 }
@@ -966,13 +955,12 @@ uint64_t contextBuilds(const Server& server) {
   return m.counter("serve.context.builds");
 }
 
-// One slot, two sources, A B A B: the repeats hit the cache from their
-// remembered identities without building a context, and answer what the
-// first requests answered, byte for byte.
+// Two sources, A B A B: the repeats hit the cache from their remembered
+// identities without building a context, and answer what the first
+// requests answered, byte for byte.
 TEST(ServeServerTest, IdentityHitsBuildNoContext) {
   ServerConfig config;
   config.workers = 1;
-  config.maxContexts = 1;
   Server server(config);
   const std::string benchA = toBenchString(makeCounter(5));
   const std::string benchB = toBenchString(makeLfsr(5));
@@ -987,7 +975,6 @@ TEST(ServeServerTest, IdentityHitsBuildNoContext) {
   Metrics m;
   server.exportMetrics(m);
   EXPECT_EQ(m.counter("serve.context.builds"), 2u);
-  EXPECT_EQ(m.counter("serve.context.reuses"), 0u);
   EXPECT_EQ(m.counter("serve.cache.hits"), 2u);
 }
 
@@ -1012,7 +999,7 @@ TEST(ServeServerTest, MalformedBenchIsRejectedOnEveryRepeat) {
   EXPECT_EQ(messages[1], messages[0]);
   EXPECT_EQ(messages[2], messages[0]);
   EXPECT_EQ(contextBuilds(server), 3u);
-  EXPECT_EQ(server.contexts().entries(), 0u);
+  EXPECT_EQ(server.identities().entries(), 0u);
 }
 
 // A text one byte away from a remembered one (an appended comment) is
@@ -1047,14 +1034,13 @@ int checkCertificate(const std::string& cert) {
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
-// A cert-requesting repeat of a circuit that has left the pool, first
-// answered without a certificate, hits the certless entry: it builds the
-// context once to run the certifying engine, and the next cert request
-// replays the stored certificate without building.
-TEST(ServeServerTest, CertUpgradeAfterEvictionBuildsTheContextOnce) {
+// A cert-requesting repeat of a known circuit, first answered without a
+// certificate, hits the certless entry: it builds the context once to run
+// the certifying engine, and the next cert request replays the stored
+// certificate without building.
+TEST(ServeServerTest, CertUpgradeBuildsTheContextOnce) {
   ServerConfig config;
   config.workers = 1;
-  config.maxContexts = 1;
   Server server(config);
   const std::string benchA = toBenchString(makeCounter(5));
   const std::string benchB = toBenchString(makeLfsr(5));
@@ -1073,11 +1059,28 @@ TEST(ServeServerTest, CertUpgradeAfterEvictionBuildsTheContextOnce) {
   EXPECT_EQ(c1.find("cert")->text, c2.find("cert")->text);
   EXPECT_EQ(checkCertificate(c1.find("cert")->text), 0);
   // a and b built theirs; c1's upgrade built A's again; c2 replayed the
-  // stored certificate without resolving a context at all.
-  Metrics m;
-  server.exportMetrics(m);
-  EXPECT_EQ(m.counter("serve.context.builds"), 3u);
-  EXPECT_EQ(m.counter("serve.context.reuses"), 0u);
+  // stored certificate without building a context at all.
+  EXPECT_EQ(contextBuilds(server), 3u);
+}
+
+// With the cache off (--no-cache) the memo's bound is 0, so no identity
+// survives its request: each of four requests on one source builds its
+// context and runs the engine, answering the same cubes.
+TEST(ServeServerTest, CacheOffBuildsEveryRequest) {
+  ServerConfig config;
+  config.workers = 1;
+  config.cacheBytes = 0;
+  Server server(config);
+  const std::string bench = toBenchString(makeCounter(5));
+  StringTransport transport({benchRequest("r1", bench), benchRequest("r2", bench),
+                             benchRequest("r3", bench), benchRequest("r4", bench),
+                             R"({"id":"q","op":"shutdown"})"});
+  EXPECT_EQ(server.serve(transport), 0);
+  const std::string first = answerOf(transport.out, "r1");
+  EXPECT_NE(first.find(R"("cache":"off")"), std::string::npos) << first;
+  for (const char* id : {"r2", "r3", "r4"}) EXPECT_EQ(answerOf(transport.out, id), first) << id;
+  EXPECT_EQ(contextBuilds(server), 4u);
+  EXPECT_EQ(server.identities().entries(), 0u);
 }
 
 }  // namespace
