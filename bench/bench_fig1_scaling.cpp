@@ -45,13 +45,13 @@ int main() {
     }
     char mt[24];
     if (minterm.complete) {
-      std::snprintf(mt, sizeof(mt), "%s", fmtMs(minterm.seconds).c_str());
+      std::snprintf(mt, sizeof(mt), "%s", fmtMs(minterm.stats.seconds).c_str());
     } else {
       std::snprintf(mt, sizeof(mt), ">cap");
     }
     std::printf("%4d %12s | %12s %12s %12s %12s | %9zu %9llu\n", k,
-                sd.stateCount.toDecimal().c_str(), mt, fmtMs(cubeEng.seconds).c_str(),
-                fmtMs(sd.seconds).c_str(), fmtMs(bdd.seconds).c_str(), sd.states.cubes.size(),
+                sd.stateCount.toDecimal().c_str(), mt, fmtMs(cubeEng.stats.seconds).c_str(),
+                fmtMs(sd.stats.seconds).c_str(), fmtMs(bdd.stats.seconds).c_str(), sd.states.cubes.size(),
                 static_cast<unsigned long long>(sd.stats.graphNodes));
   }
   std::printf("\nminterm capped at %llu enumerated solutions\n",

@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
     }
     std::printf("%-12s %12s | %10llu %10.3f | %10s %10.3f\n", c.name.c_str(),
                 lifted.stateCount.toDecimal().c_str(),
-                static_cast<unsigned long long>(lifted.stats.satCalls), lifted.seconds * 1e3,
-                calls, plain.seconds * 1e3);
+                static_cast<unsigned long long>(lifted.stats.satCalls), lifted.stats.seconds * 1e3,
+                calls, plain.stats.seconds * 1e3);
     if (!jsonlPath.empty()) {
       appendMetricsJsonl(jsonlPath, "fig3b", c.name + "/lifted", lifted.metrics);
       appendMetricsJsonl(jsonlPath, "fig3b", c.name + "/plain", plain.metrics);

@@ -117,18 +117,18 @@ int main(int argc, char** argv) {
       std::snprintf(mtCubes, sizeof(mtCubes), ">%llu",
                     static_cast<unsigned long long>(kMintermCap));
     }
-    double speedup = chronoPar8.seconds > 0 ? chronoPar1.seconds / chronoPar8.seconds : 0.0;
+    double speedup = chronoPar8.stats.seconds > 0 ? chronoPar1.stats.seconds / chronoPar8.stats.seconds : 0.0;
     std::printf(
         "%-12s %5d %4d %6zu | %12s | %9s %11s | %9zu %11s | %9zu %11s %9llu | "
         "%9zu %11s %7llu | %9zu %11s | %11s %9zu | %9s %9s %5.2fx\n",
         c.name.c_str(), system.numStateBits(), system.numInputs(), c.netlist.numGates(),
-        sd.stateCount.toDecimal().c_str(), mtCubes, fmtMs(minterm.seconds).c_str(),
-        cube.states.cubes.size(), fmtMs(cube.seconds).c_str(), sd.states.cubes.size(),
-        fmtMs(sd.seconds).c_str(), static_cast<unsigned long long>(sd.stats.graphNodes),
-        chrono.states.cubes.size(), fmtMs(chrono.seconds).c_str(),
+        sd.stateCount.toDecimal().c_str(), mtCubes, fmtMs(minterm.stats.seconds).c_str(),
+        cube.states.cubes.size(), fmtMs(cube.stats.seconds).c_str(), sd.states.cubes.size(),
+        fmtMs(sd.stats.seconds).c_str(), static_cast<unsigned long long>(sd.stats.graphNodes),
+        chrono.states.cubes.size(), fmtMs(chrono.stats.seconds).c_str(),
         static_cast<unsigned long long>(chrono.stats.dbClausesPeak),
-        proj.states.cubes.size(), fmtMs(proj.seconds).c_str(), fmtMs(bdd.seconds).c_str(),
-        bdd.bddNodes, fmtMs(chronoPar1.seconds).c_str(), fmtMs(chronoPar8.seconds).c_str(),
+        proj.states.cubes.size(), fmtMs(proj.stats.seconds).c_str(), fmtMs(bdd.stats.seconds).c_str(),
+        static_cast<size_t>(bdd.metrics.counter("bdd.nodes")), fmtMs(chronoPar1.stats.seconds).c_str(), fmtMs(chronoPar8.stats.seconds).c_str(),
         speedup);
 
     if (!jsonlPath.empty()) {

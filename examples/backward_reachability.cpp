@@ -23,7 +23,7 @@ void report(const char* name, const ReachabilityResult& r) {
                 step.totalStates.toDecimal().c_str(), step.seconds * 1e3);
   }
   std::printf("  fixpoint: %s, total %.3f ms\n\n", r.fixpoint ? "yes" : "no",
-              r.totalSeconds * 1e3);
+              r.metrics.gauge("time.seconds") * 1e3);
 }
 
 }  // namespace

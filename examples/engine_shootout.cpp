@@ -71,7 +71,7 @@ int main() {
       PreimageResult r = computePreimage(system, c.target, method);
       std::printf("%-12s %-22s %12s %9zu %11.3f\n", first ? c.name.c_str() : "",
                   preimageMethodName(method), r.stateCount.toDecimal().c_str(),
-                  r.states.cubes.size(), r.seconds * 1e3);
+                  r.states.cubes.size(), r.stats.seconds * 1e3);
       if (first) {
         reference = r.stateCount;
       } else if (r.stateCount != reference) {

@@ -38,7 +38,7 @@ int main() {
   std::printf("  decisions       : %llu, memo hits: %llu\n",
               static_cast<unsigned long long>(sd.stats.decisions),
               static_cast<unsigned long long>(sd.stats.memoHits));
-  std::printf("  time            : %.3f ms\n\n", sd.seconds * 1e3);
+  std::printf("  time            : %.3f ms\n\n", sd.stats.seconds * 1e3);
 
   // A few of the cubes, in state-variable notation.
   std::printf("  first cubes:\n");
@@ -54,7 +54,7 @@ int main() {
   PreimageResult bdd = computePreimage(system, target, PreimageMethod::kBdd);
   bool agree = sameStates(sd.states, bdd.states);
   std::printf("\nBDD baseline: %s states in %.3f ms — %s\n",
-              bdd.stateCount.toDecimal().c_str(), bdd.seconds * 1e3,
+              bdd.stateCount.toDecimal().c_str(), bdd.stats.seconds * 1e3,
               agree ? "sets agree" : "MISMATCH (bug!)");
   return agree ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "allsat/blocking.hpp"
 
-#include "allsat/compress.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "check/audit_solver.hpp"
@@ -15,12 +14,10 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   // shard's blocking clauses. Lifted blocking stays serial at every `jobs`
   // (DESIGN.md "Parallel enumeration" has the measurement).
   if (options.parallel.enabled() && !lifter) {
-    AllSatResult result = parallelCnfAllSat(
-        cnf, projection, options, [&projection](const Cnf& sub, const AllSatOptions& o) {
-          return blockingAllSat(sub, projection, {}, o);
-        });
-    result.metrics.setLabel("engine", "minterm-blocking");
-    return result;
+    return parallelCnfAllSat(cnf, projection, options, "minterm-blocking",
+                             [&projection](const Cnf& sub, const AllSatOptions& o) {
+                               return blockingAllSat(sub, projection, {}, o);
+                             });
   }
   Timer timer;
   AllSatResult result;
@@ -51,13 +48,6 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
       break;
     }
     if (status.isFalse()) break;
-    // The cap is checked after the solve so that exact exhaustion at
-    // maxCubes still reports complete: this SAT call proves at least one
-    // uncovered solution remains.
-    if (options.maxCubes != 0 && result.cubes.size() >= options.maxCubes) {
-      result.outcome = Outcome::kCubeCap;
-      break;
-    }
 
     // The blocking clause requires at least one cube literal to differ.
     LitVec blocking;
@@ -84,6 +74,9 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
       }
     }
     result.cubes.push_back(std::move(projectedCube));
+    // One cube past the cap proves that more remain: finishCover drops it and
+    // reports the cap, while exact exhaustion at maxCubes stays complete.
+    if (options.maxCubes != 0 && result.cubes.size() > options.maxCubes) break;
     result.stats.blockingClauses += 1;
     result.stats.blockingLiterals += blocking.size();
 
@@ -93,23 +86,12 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     PRESAT_AUDIT_FULL(PRESAT_CHECK_AUDIT(auditSolver(solver)));
   }
 
-  // Project-then-dedup / compress epilogue: lifted covers may carry
-  // duplicate or subsumed cubes, so they take the overlapping cleanup path;
-  // the minterm cover is disjoint and only ever compressed. The union is
-  // unchanged either way, so the counting below is unaffected.
-  applyProjectionPostpass(result, options, /*disjointCubes=*/!maybeOverlapping);
-
-  // Lifted cubes from successive iterations can overlap earlier cubes, so the
-  // exact union count goes through a BDD; the disjoint case short-circuits.
-  if (maybeOverlapping) {
-    result.mintermCount =
-        countCubeUnionMinterms(result.cubes, static_cast<int>(projection.size()));
-  } else {
-    result.mintermCount =
-        countDisjointCubeMinterms(result.cubes, static_cast<int>(projection.size()));
-  }
-  finishSolverResult(result, solver, lifter ? "cube-blocking" : "minterm-blocking",
-                     timer.seconds(), governor);
+  // Lifted covers may carry overlapping, duplicate or subsumed cubes, so
+  // they take the epilogue's overlapping path (dedup, BDD union count); the
+  // minterm cover is disjoint.
+  copySolverStats(solver, result.stats);
+  finishCover(result, options, static_cast<int>(projection.size()), !maybeOverlapping,
+              lifter ? "cube-blocking" : "minterm-blocking", timer);
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "allsat/compress.hpp"
 #include "allsat/lifting.hpp"
 #include "base/log.hpp"
 #include "base/timer.hpp"
@@ -26,12 +25,10 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   if (options.parallel.enabled()) {
     // The guide units are level-0 assignments, so every emitted prefix keeps
     // them, and the widener is shared by every shard as is.
-    AllSatResult result = parallelCnfAllSat(
-        cnf, projection, options, [&projection, widener](const Cnf& sub, const AllSatOptions& o) {
-          return chronoAllSat(sub, projection, o, widener);
-        });
-    result.metrics.setLabel("engine", "chrono");
-    return result;
+    return parallelCnfAllSat(cnf, projection, options, "chrono",
+                             [&projection, widener](const Cnf& sub, const AllSatOptions& o) {
+                               return chronoAllSat(sub, projection, o, widener);
+                             });
   }
   Timer timer;
   AllSatResult result;
@@ -55,13 +52,6 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
         break;
       }
       if (status.isFalse()) break;
-      // The cap is checked after the solve so that exact exhaustion at
-      // maxCubes still reports complete: this model proves at least one
-      // uncovered solution remains.
-      if (options.maxCubes != 0 && result.cubes.size() >= options.maxCubes) {
-        result.outcome = Outcome::kCubeCap;
-        break;
-      }
 
       // Emission level: the shallowest sound prefix, but the cube may never
       // be wider than the deepest flipped level (disjointness with earlier
@@ -104,20 +94,18 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
       }
       result.stats.shrinkLits += projection.size() - projectedCube.size();
       result.cubes.push_back(std::move(projectedCube));
+      // One cube past the cap proves that more remain (finishCover drops it).
+      if (options.maxCubes != 0 && result.cubes.size() > options.maxCubes) break;
 
       if (!solver.flipToNextRegion(bEmit)) break;
     }
     solver.endEnumeration();
   }
 
-  // Wildcard compression preserves both the union and disjointness, so it
-  // runs before the count and the count stays the plain power-of-two sum.
-  applyProjectionPostpass(result, options, /*disjointCubes=*/true);
-
-  // Disjoint by construction, so the plain power-of-two sum is exact.
-  result.mintermCount =
-      countDisjointCubeMinterms(result.cubes, static_cast<int>(projection.size()));
-  finishSolverResult(result, solver, "chrono", timer.seconds(), governor);
+  // Disjoint by construction, so the count is the plain power-of-two sum.
+  copySolverStats(solver, result.stats);
+  finishCover(result, options, static_cast<int>(projection.size()), /*disjointCubes=*/true,
+              "chrono", timer);
   // The session is closed (level 0), so the structural solver audit applies;
   // the cube-set audit proves disjointness, and BDD-exact coverage when the
   // run completed (a budgeted partial set is audited for soundness only).

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 
+#include "allsat/compress.hpp"
 #include "base/log.hpp"
 #include "bdd/bdd.hpp"
 #include "govern/governor.hpp"
 #include "sat/solver.hpp"
 
 namespace presat {
-
-void finishResult(AllSatResult& result, const Governor* governor) {
-  result.complete = (result.outcome == Outcome::kComplete);
-  result.metrics.setLabel("outcome", outcomeName(result.outcome));
-  if (governor != nullptr) governor->exportMetrics(result.metrics);
-}
 
 void exportStatsToMetrics(const AllSatStats& stats, Metrics& m) {
   m.setCounter("sat.calls", stats.satCalls);
@@ -65,21 +60,45 @@ void accumulateStats(AllSatStats& total, const AllSatStats& part) {
   total.dbClausesPeak = std::max(total.dbClausesPeak, part.dbClausesPeak);
 }
 
-void finishSolverResult(AllSatResult& result, const Solver& solver, const char* engine,
-                        double seconds, const Governor* governor) {
+void copySolverStats(const Solver& solver, AllSatStats& stats) {
   const SolverStats& s = solver.stats();
-  result.stats.conflicts = s.conflicts;
-  result.stats.decisions = s.decisions;
-  result.stats.propagations = s.propagations;
-  result.stats.restarts = s.restarts;
-  result.stats.reduceDBs = s.reduceDBs;
-  result.stats.deletedClauses = s.deletedClauses;
-  result.stats.flips = s.flips;
-  result.stats.dbClausesPeak = s.dbClausesPeak;
-  result.stats.seconds = seconds;
+  stats.conflicts = s.conflicts;
+  stats.decisions = s.decisions;
+  stats.propagations = s.propagations;
+  stats.restarts = s.restarts;
+  stats.reduceDBs = s.reduceDBs;
+  stats.deletedClauses = s.deletedClauses;
+  stats.flips = s.flips;
+  stats.dbClausesPeak = s.dbClausesPeak;
+}
+
+void finishCover(AllSatResult& result, const AllSatOptions& options, int numProjectionVars,
+                 bool disjointCubes, const char* engine, const Timer& timer) {
+  if (options.maxCubes != 0 && result.cubes.size() > options.maxCubes) {
+    result.cubes.resize(options.maxCubes);
+    result.outcome = combineOutcomes(result.outcome, Outcome::kCubeCap);
+  }
+  applyProjectionPostpass(result, options, disjointCubes);
+  result.mintermCount = disjointCubes
+                            ? countDisjointCubeMinterms(result.cubes, numProjectionVars)
+                            : countCubeUnionMinterms(result.cubes, numProjectionVars);
+  result.stats.seconds = timer.seconds();
+  result.complete = (result.outcome == Outcome::kComplete);
   result.metrics.setLabel("engine", engine);
+  result.metrics.setLabel("outcome", outcomeName(result.outcome));
   exportStatsToMetrics(result.stats, result.metrics);
-  finishResult(result, governor);
+  if (options.governor != nullptr) options.governor->exportMetrics(result.metrics);
+}
+
+std::vector<LitVec> readBddCover(BddManager& mgr, BddRef set, int numVars, uint64_t maxCubes) {
+  const uint64_t limit = maxCubes == 0 || maxCubes == UINT64_MAX ? maxCubes : maxCubes + 1;
+  std::vector<LitVec> cubes = mgr.enumerateCubes(set, limit);
+  for (const LitVec& cube : cubes) {
+    for (Lit l : cube) {
+      PRESAT_CHECK(l.var() < numVars) << "cover BDD has x" << l.var() << " in its support";
+    }
+  }
+  return cubes;
 }
 
 BigUint countDisjointCubeMinterms(const std::vector<LitVec>& cubes, int numProjectionVars) {

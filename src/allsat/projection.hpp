@@ -13,6 +13,7 @@
 
 #include "base/biguint.hpp"
 #include "base/metrics.hpp"
+#include "base/timer.hpp"
 #include "base/types.hpp"
 #include "cnf/cnf.hpp"
 #include "govern/budget.hpp"
@@ -58,20 +59,14 @@ struct AllSatStats {
 };
 
 // Serializes the shared stats block into `m` under the canonical counter
-// names used by presat_cli --stats json and the BENCH_*.json files.
+// names used by presat_cli --stats json and the BENCH_*.json files. Called
+// by finishCover only.
 void exportStatsToMetrics(const AllSatStats& stats, Metrics& m);
 
 // Sums the counters of one sub-run (a parallel shard, one target cube) into
 // `total`; sat.db_clauses folds by max. `seconds` is owned by the caller's
 // wall-clock timer.
 void accumulateStats(AllSatStats& total, const AllSatStats& part);
-
-struct AllSatResult;
-
-// Engine epilogue for the governance contract: derives `complete` from
-// `result.outcome`, stamps the "outcome" metrics label, and — when a
-// governor was attached — appends its govern.* block.
-void finishResult(AllSatResult& result, const Governor* governor);
 
 struct AllSatResult {
   // True iff enumeration ran to completion (false when a solution/time cap
@@ -152,11 +147,31 @@ struct AllSatOptions {
   std::vector<CompressMergeRecord>* compressTrace = nullptr;
 };
 
-// Epilogue of the CNF engines: copies the solver's counters into
-// result.stats, stamps the wall time and the engine label, exports the stats
-// block, and runs finishResult.
-void finishSolverResult(AllSatResult& result, const Solver& solver, const char* engine,
-                        double seconds, const Governor* governor);
+// Copies the CNF engines' solver counters into `stats`.
+void copySolverStats(const Solver& solver, AllSatStats& stats);
+
+// The one epilogue every cover leaves its engine through — each serial
+// engine, the parallel merge, success-driven and the BDD preimage engine:
+//  * trims the cover to options.maxCubes, combining the outcome with
+//    Outcome::kCubeCap (an engine may hand in one cube past the cap to say
+//    that more remain);
+//  * runs applyProjectionPostpass (allsat/compress.hpp);
+//  * sets mintermCount to the union of the cubes it keeps — the power-of-two
+//    sum when `disjointCubes`, else through a scratch BDD;
+//  * stamps `timer` as stats.seconds, exports the stats block, the "engine"
+//    and "outcome" labels and, with a governor attached, its govern.* block,
+//    and derives `complete` from the outcome.
+void finishCover(AllSatResult& result, const AllSatOptions& options, int numProjectionVars,
+                 bool disjointCubes, const char* engine, const Timer& timer);
+
+// The cover of `set`, a BDD over variables [0, numVars) of `mgr` (others may
+// exist but must lie outside its support): its paths
+// (BddManager::enumerateCubes), pairwise disjoint and canonical. The
+// success-driven engine reads its solution graph's BDD through it and the
+// BDD preimage engine its preimage, so the two covers agree cube for cube.
+// With a cap it reads one path past `maxCubes`, which tells finishCover that
+// the cover was cut.
+std::vector<LitVec> readBddCover(BddManager& mgr, uint32_t set, int numVars, uint64_t maxCubes);
 
 // Sum of 2^(numProjectionVars - |cube|) over all cubes. Exact for disjoint
 // cube sets (which every engine in this library produces). Checks every

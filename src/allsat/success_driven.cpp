@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "allsat/compress.hpp"
 #include "base/log.hpp"
 #include "base/metrics.hpp"
 #include "base/rng.hpp"
@@ -203,29 +202,6 @@ class MemoTable {
   size_t firstSlots_ = kInitialSlots;
 };
 
-// The success-driven cover of `set`, the solution graph's BDD in `mgr` over
-// the projected index space: its paths (BddManager::enumerateCubes), the
-// same cover the BDD preimage engine reads off the same set, then the
-// optional compress pass. Sets summary.cubes and summary.mintermCount; past
-// options.maxCubes the cover stops at the cap, the outcome combines with
-// Outcome::kCubeCap, and the call returns true.
-bool readSuccessDrivenCover(BddManager& mgr, BddRef set, const AllSatOptions& options,
-                            AllSatResult& summary) {
-  summary.mintermCount = mgr.satCount(set);
-  // One path beyond the cap decides completeness.
-  const uint64_t probe = options.maxCubes == 0 || options.maxCubes == UINT64_MAX
-                             ? options.maxCubes
-                             : options.maxCubes + 1;
-  summary.cubes = mgr.enumerateCubes(set, probe);
-  const bool capped = options.maxCubes != 0 && summary.cubes.size() > options.maxCubes;
-  if (capped) {
-    summary.cubes.pop_back();
-    summary.outcome = combineOutcomes(summary.outcome, Outcome::kCubeCap);
-  }
-  applyProjectionPostpass(summary, options, /*disjointCubes=*/true);
-  return capped;
-}
-
 // One backward-justification search with success-driven learning, shared by
 // every objective set of one call.
 class Engine {
@@ -289,27 +265,28 @@ class Engine {
     SuccessDrivenResult result;
     result.graph = std::move(graph_);
     const SolutionGraph& graph = result.graph;
+    stats_.satCalls = problems.size();  // one justification search per root
     stats_.memoEntries = memo_.size();
     stats_.memoBytes = memo_.bytes();
     result.summary.stats = stats_;
     result.summary.stats.graphNodes = graph.numNodes();
     result.summary.stats.graphEdges = graph.numLiveEdges();
-    metrics_.setLabel("engine", "success-driven");
     metrics_.setCounter("sd.subsumed", subsumed_);
     if (frontierSizes_.count() != 0) metrics_.histogram("frontier.size").merge(frontierSizes_);
     result.summary.metrics = std::move(metrics_);
-    // One BDD pass over the graph serves the cover, the count and the audit.
+    // One BDD pass over the graph serves the cover and the audit.
     BddManager mgr(numProjection_);
     const std::vector<BddRef> rootBdds = graph.rootBdds(mgr);
     BddRef all = BddManager::kFalse;
     for (BddRef root : rootBdds) all = mgr.bddOr(all, root);
-    const bool capped = readSuccessDrivenCover(mgr, all, options_, result.summary);
+    result.summary.cubes = readBddCover(mgr, all, numProjection_, options_.maxCubes);
+    const bool capped =
+        options_.maxCubes != 0 && result.summary.cubes.size() > options_.maxCubes;
     // A governor trip dominates the cap: the pruned branches are the reason
     // the graph (and hence the cover / count) is only a lower bound.
     if (tripped_ && governor_ != nullptr) result.summary.outcome = governor_->reason();
-    result.summary.stats.seconds = timer.seconds();
-    exportStatsToMetrics(result.summary.stats, result.summary.metrics);
-    finishResult(result.summary, governor_);
+    finishCover(result.summary, options_, numProjection_, /*disjointCubes=*/true,
+                "success-driven", timer);
 
     // cheap = structural DAG invariants plus the reported cover against the
     // graph's BDD; full additionally replays every sampled path cube through

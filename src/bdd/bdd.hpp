@@ -82,9 +82,8 @@ class BddManager {
   // Cofactor with respect to a single literal.
   BddRef restrict1(BddRef f, Var v, bool value);
 
-  // Existential / universal quantification over a variable set.
+  // Existential quantification over a variable set.
   BddRef exists(BddRef f, const std::vector<Var>& vars);
-  BddRef forall(BddRef f, const std::vector<Var>& vars);
   // Relational product ∃vars. f ∧ g in one pass (avoids building the full
   // conjunction before quantifying) — the classic image/preimage primitive.
   BddRef andExists(BddRef f, BddRef g, const std::vector<Var>& vars);
@@ -98,8 +97,6 @@ class BddManager {
   // --- queries --------------------------------------------------------------------
   // Number of satisfying assignments over all numVars() variables.
   BigUint satCount(BddRef f);
-  // Support variables, ascending.
-  std::vector<Var> support(BddRef f);
   // Cubes (paths to kTrue), low branch first: literals over the decision
   // variables on the path. The paths of a reduced ordered BDD are pairwise
   // disjoint, and the list depends only on the function and the variable

@@ -1,6 +1,5 @@
 // Quantification, composition, counting, and enumeration algorithms.
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -91,10 +90,6 @@ BddRef BddManager::exists(BddRef f, const std::vector<Var>& vars) {
   return rec(rec, f);
 }
 
-BddRef BddManager::forall(BddRef f, const std::vector<Var>& vars) {
-  return bddNot(exists(bddNot(f), vars));
-}
-
 BddRef BddManager::andExists(BddRef f, BddRef g, const std::vector<Var>& vars) {
   std::vector<bool> quantified(static_cast<size_t>(numVars_), false);
   for (Var v : vars) {
@@ -176,26 +171,6 @@ BigUint BddManager::satCount(BddRef f) {
   };
   if (numVars_ < 64) return BigUint(countAs(uint64_t{0}));
   return countAs(BigUint(0));
-}
-
-std::vector<Var> BddManager::support(BddRef f) {
-  std::vector<bool> present(static_cast<size_t>(numVars_), false);
-  std::unordered_set<BddRef> visited;
-  std::vector<BddRef> stack{f};
-  while (!stack.empty()) {
-    BddRef g = stack.back();
-    stack.pop_back();
-    if (isConstant(g) || !visited.insert(g).second) continue;
-    const Node& n = node(g);
-    present[static_cast<size_t>(n.var)] = true;
-    stack.push_back(n.lo);
-    stack.push_back(n.hi);
-  }
-  std::vector<Var> result;
-  for (Var v = 0; v < numVars_; ++v) {
-    if (present[static_cast<size_t>(v)]) result.push_back(v);
-  }
-  return result;
 }
 
 std::vector<LitVec> BddManager::enumerateCubes(BddRef f, uint64_t limit) {

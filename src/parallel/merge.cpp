@@ -16,9 +16,6 @@ AllSatResult mergeShardSummaries(std::vector<ShardOutcome>& shards) {
   for (ShardOutcome& shard : shards) {
     for (LitVec& cube : shard.result.cubes) merged.cubes.push_back(std::move(cube));
     shard.result.cubes.clear();
-    // Disjoint shards: the union count is the sum of the shard counts.
-    merged.mintermCount += shard.result.mintermCount;
-    merged.complete = merged.complete && shard.result.complete;
     merged.outcome = combineOutcomes(merged.outcome, shard.result.outcome);
     accumulateStats(merged.stats, shard.result.stats);
     merged.metrics.merge(shard.result.metrics);
@@ -41,8 +38,8 @@ AuditResult auditShardPartition(const std::vector<ShardOutcome>& shards,
   }
 
   for (size_t i = 0; i < shards.size(); ++i) {
-    // Every shard cube must stay inside its guiding cube — sum-of-counts and
-    // concatenation both silently overcount if one leaks.
+    // Every shard cube must stay inside its guiding cube — the disjoint count
+    // of the concatenation silently overcounts if one leaks.
     if (mgr.bddAnd(unions[i], mgr.bddNot(guides[i])) != BddManager::kFalse) {
       audit.fail("parallel.shard.guide",
                  "shard " + std::to_string(i) + " enumerated solutions outside its guiding cube");

@@ -4,15 +4,15 @@
 // the split plan (parallel/cube_splitter.hpp). Because the guiding cubes are
 // pairwise disjoint and jointly exhaustive, merging is pure bookkeeping with
 // no blocking-clause interference between shards: cube lists concatenate in
-// shard-index order (the union stays exact), and shard counts ADD because
-// no two shards share a minterm.
+// shard-index order, and the union stays exact and disjoint because no two
+// shards share a minterm.
 //
 // Everything here is keyed by shard INDEX, never by completion order, so the
 // merged result is bit-identical for any worker count or schedule. The
 // auditor cross-checks the disjointness assumption through the BDD oracle
 // (invariants parallel.guide.disjoint / parallel.shard.guide /
-// parallel.shard.disjoint) — it exists because the sum-of-counts shortcut is
-// silently wrong the moment a shard leaks outside its guiding cube.
+// parallel.shard.disjoint) — it exists because the disjoint power-of-two
+// count of the merged cover is silently wrong the moment a shard leaks outside its guiding cube.
 #pragma once
 
 #include <vector>
@@ -39,12 +39,12 @@ struct ShardOutcome {
   bool ran = false;
 };
 
-// Concatenates shard cube lists and adds counts/stats in shard order.
-// `complete` ANDs across shards and `outcome` combines via combineOutcomes
-// (most urgent stop reason wins); metrics merge (the caller re-exports the
-// accumulated stats afterwards). Sound only for disjoint shards: a partial
-// shard under-enumerates its own region, so the concatenation stays a sound
-// under-approximation and the summed count a lower bound.
+// Concatenates shard cube lists and adds stats in shard order. `outcome`
+// combines via combineOutcomes (most urgent stop reason wins); metrics merge.
+// The caller's finishCover then counts the merged cover, derives `complete`
+// and re-exports the accumulated stats. Sound only for disjoint shards: a
+// partial shard under-enumerates its own region, so the concatenation stays
+// a sound under-approximation.
 AllSatResult mergeShardSummaries(std::vector<ShardOutcome>& shards);
 
 // BDD cross-check of the disjoint-partition contract:

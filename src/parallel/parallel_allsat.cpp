@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "allsat/compress.hpp"
 #include "base/check.hpp"
 #include "base/timer.hpp"
 #include "govern/faults.hpp"
@@ -58,7 +57,8 @@ size_t degradeSkippedShards(std::vector<ShardOutcome>& shards, const SplitPlan& 
 }  // namespace
 
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
-                               const AllSatOptions& options, const CnfShardSolver& solveShard) {
+                               const AllSatOptions& options, const char* engine,
+                               const CnfShardSolver& solveShard) {
   PRESAT_CHECK(options.parallel.enabled()) << "parallel engine called with jobs == 0";
   Timer timer;
 
@@ -99,32 +99,21 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
   result.guides = plan.cubes;
 
   // maxCubes is a GLOBAL cap but each shard enforced it locally, so the
-  // concatenation can exceed it. Trim to the cap (shard order keeps this
-  // deterministic) and recount the kept prefix, which is disjoint.
-  if (options.maxCubes != 0 && result.cubes.size() > options.maxCubes) {
-    result.cubes.resize(options.maxCubes);
-    result.outcome = combineOutcomes(result.outcome, Outcome::kCubeCap);
-    result.mintermCount =
-        countDisjointCubeMinterms(result.cubes, static_cast<int>(projection.size()));
-  }
-
-  // Cross-shard epilogue: each shard already projected/compressed its own
-  // cover (shardOptions passes the flags through), so shards exchanged
-  // compressed covers; this second pass merges wildcard pairs straddling a
-  // shard guide. It runs after the shard-partition audit on purpose — a
-  // cross-shard merge may erase guide literals, which is sound (the union
-  // is unchanged) but would no longer satisfy the per-shard guide shape.
-  applyProjectionPostpass(result, options, /*disjointCubes=*/true);
-
-  result.stats.seconds = timer.seconds();
-  exportStatsToMetrics(result.stats, result.metrics);
+  // concatenation can exceed it; the epilogue trims it in shard order, which
+  // keeps the result deterministic. Its post-pass merges wildcard pairs
+  // straddling a shard guide (each shard already projected/compressed its
+  // own cover, so shards exchanged compressed covers). It runs after the
+  // shard-partition audit on purpose — a cross-shard merge may erase guide
+  // literals, which is sound (the union is unchanged) but would no longer
+  // satisfy the per-shard guide shape.
+  finishCover(result, options, static_cast<int>(projection.size()), /*disjointCubes=*/true,
+              engine, timer);
   pool.exportMetrics(result.metrics);
   result.metrics.setCounter("parallel.shards", shards.size());
   result.metrics.setCounter("parallel.shards_skipped", shardsSkipped);
   // Sum of per-shard solve time: cpu_seconds / time.seconds is the achieved
   // parallel speedup.
   result.metrics.setGauge("parallel.cpu_seconds", cpuSeconds);
-  finishResult(result, governor);
   return result;
 }
 

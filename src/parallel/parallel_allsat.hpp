@@ -36,8 +36,10 @@ namespace presat {
 // contains.
 using CnfShardSolver = std::function<AllSatResult(const Cnf& sub, const AllSatOptions& options)>;
 
-// Split path of the CNF engines. The engine label is the caller's to set.
+// Split path of the CNF engine named `engine` (its "engine" label). The
+// merged cover leaves through finishCover like every serial one.
 AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
-                               const AllSatOptions& options, const CnfShardSolver& solveShard);
+                               const AllSatOptions& options, const char* engine,
+                               const CnfShardSolver& solveShard);
 
 }  // namespace presat

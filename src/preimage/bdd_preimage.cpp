@@ -1,6 +1,7 @@
 #include "preimage/bdd_preimage.hpp"
 
 #include "base/check.hpp"
+#include "base/timer.hpp"
 #include "circuit/netlist.hpp"
 
 namespace presat {
@@ -78,27 +79,6 @@ std::vector<BddRef> buildNodeBdds(BddManager& mgr, const TransitionSystem& syste
   return nodeBdd;
 }
 
-// Cubes of a BDD whose support must lie in the state variables 0..n-1.
-StateSet stateSetOf(BddManager& mgr, BddRef stateBdd, int numStateBits) {
-  StateSet set;
-  set.numStateBits = numStateBits;
-  set.cubes = mgr.enumerateCubes(stateBdd);
-  for (const LitVec& cube : set.cubes) {
-    for (Lit l : cube) {
-      PRESAT_CHECK(l.var() < numStateBits) << "state BDD has a non-state variable in its support";
-    }
-  }
-  return set;
-}
-
-// Model count of a state BDD: satCount ranges over every manager variable,
-// and the ones outside a state BDD's support each double it.
-BigUint countStatesOf(BddManager& mgr, BddRef stateBdd, int numStateBits) {
-  BigUint count = mgr.satCount(stateBdd);
-  count >>= static_cast<uint32_t>(mgr.numVars() - numStateBits);
-  return count;
-}
-
 }  // namespace
 
 BddTransition::BddTransition(const TransitionSystem& system, Governor* governor)
@@ -125,17 +105,27 @@ BddRef BddTransition::preimage(BddRef target) {
   return mgr_.exists(shifted, inputVars_);
 }
 
-StateSet BddTransition::preimage(const StateSet& target) {
-  PRESAT_CHECK(target.numStateBits == system_.numStateBits());
-  return toStateSet(preimage(target.toBdd(mgr_)));
-}
-
-StateSet BddTransition::toStateSet(BddRef stateBdd) {
-  return stateSetOf(mgr_, stateBdd, system_.numStateBits());
-}
-
-BigUint BddTransition::countStates(BddRef stateBdd) {
-  return countStatesOf(mgr_, stateBdd, system_.numStateBits());
+AllSatResult bddPreimage(const TransitionSystem& system, const StateSet& target,
+                         const AllSatOptions& options) {
+  Timer timer;
+  const int n = system.numStateBits();
+  PRESAT_CHECK(target.numStateBits == n);
+  AllSatResult result;
+  size_t nodes = 0;
+  try {
+    BddTransition transition(system, options.governor);
+    BddManager& mgr = transition.manager();
+    result.cubes = readBddCover(mgr, transition.preimage(target.toBdd(mgr)), n, options.maxCubes);
+    nodes = mgr.numNodes();
+  } catch (const GovernorStop& stop) {
+    // Mid-apply there is no usable partial BDD; the empty set is the sound
+    // under-approximation this engine degrades to.
+    result.cubes.clear();
+    result.outcome = stop.reason;
+  }
+  result.metrics.setCounter("bdd.nodes", nodes);
+  finishCover(result, options, n, /*disjointCubes=*/true, "bdd", timer);
+  return result;
 }
 
 BddRelationalTransition::BddRelationalTransition(const TransitionSystem& system)
@@ -151,11 +141,15 @@ BddRelationalTransition::BddRelationalTransition(const TransitionSystem& system)
 }
 
 StateSet BddRelationalTransition::toStateSet(BddRef stateBdd) {
-  return stateSetOf(mgr_, stateBdd, system_.numStateBits());
+  return {system_.numStateBits(), readBddCover(mgr_, stateBdd, system_.numStateBits(), 0)};
 }
 
 BigUint BddRelationalTransition::countStates(BddRef stateBdd) {
-  return countStatesOf(mgr_, stateBdd, system_.numStateBits());
+  // satCount ranges over every manager variable, and the ones outside a state
+  // BDD's support each double it.
+  BigUint count = mgr_.satCount(stateBdd);
+  count >>= static_cast<uint32_t>(mgr_.numVars() - system_.numStateBits());
+  return count;
 }
 
 }  // namespace presat

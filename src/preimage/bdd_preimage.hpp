@@ -5,14 +5,24 @@
 // composition followed by input quantification.
 #pragma once
 
-#include <memory>
 #include <vector>
 
+#include "allsat/projection.hpp"
 #include "bdd/bdd.hpp"
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
 
 namespace presat {
+
+// The BDD preimage engine: Pre(target) over the state bits, read off its BDD
+// by readBddCover — the success-driven engine's reader — and finished by
+// finishCover, so maxCubes, project and compress act as they do on every
+// engine. `options.governor` governs the node pool; a trip degrades to the
+// EMPTY cover with the trip's outcome, since the symbolic recursion has no
+// usable partial answer (still a sound under-approximation). The manager
+// size lands in the "bdd.nodes" counter.
+AllSatResult bddPreimage(const TransitionSystem& system, const StateSet& target,
+                         const AllSatOptions& options);
 
 class BddTransition {
  public:
@@ -27,11 +37,6 @@ class BddTransition {
 
   // One-step preimage of a state-space BDD (support must be state vars).
   BddRef preimage(BddRef target);
-  StateSet preimage(const StateSet& target);
-
-  StateSet toStateSet(BddRef stateBdd);
-  BddRef toBdd(const StateSet& set) { return set.toBdd(mgr_); }
-  BigUint countStates(BddRef stateBdd);
 
  private:
   const TransitionSystem& system_;

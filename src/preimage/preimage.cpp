@@ -9,7 +9,6 @@
 #include "cert/certificate.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tseitin.hpp"
-#include "govern/governor.hpp"
 #include "preimage/bdd_preimage.hpp"
 
 namespace presat {
@@ -86,44 +85,20 @@ CircuitWidener makeChronoWidener(const TransitionSystem& system, const StateSet&
   return CircuitWidener(nl, targetObjectives(system, target), sourceVar, scope);
 }
 
-PreimageResult fromAllSat(AllSatResult&& r, int numStateBits) {
-  PreimageResult result;
-  result.states.numStateBits = numStateBits;
-  result.states.cubes = std::move(r.cubes);
-  result.guides = std::move(r.guides);
-  result.stateCount = std::move(r.mintermCount);
-  result.complete = r.complete;
-  result.outcome = r.outcome;
-  result.stats = r.stats;
-  result.metrics = std::move(r.metrics);
-  result.seconds = r.stats.seconds;
-  // Worker-count-independent by the determinism contract, so CI can assert
-  // par1 == par8 straight off the metrics line.
-  result.metrics.setCounter("pre.cubes", result.states.cubes.size());
-  return result;
-}
-
-// Epilogue mirroring allsat's finishResult for the engines that assemble a
-// PreimageResult directly (success-driven loop, the BDD baseline).
-void finishPreimage(PreimageResult& result, const Governor* governor) {
-  result.complete = (result.outcome == Outcome::kComplete);
-  result.metrics.setLabel("outcome", outcomeName(result.outcome));
-  if (governor != nullptr) governor->exportMetrics(result.metrics);
-}
-
 // The success-driven engine over every target cube, one root each.
 SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const StateSet& target,
                                           const AllSatOptions& options) {
-  std::vector<CircuitAllSatProblem> problems(target.cubes.size());
-  for (size_t i = 0; i < problems.size(); ++i) {
-    problems[i].netlist = &system.netlist();
-    problems[i].projectionSources = system.stateNodes();
-    for (Lit l : target.cubes[i]) {
-      problems[i].objectives.emplace_back(system.nextStateRoot(l.var()), !l.sign());
-    }
+  std::vector<CircuitAllSatProblem> problems;
+  problems.reserve(target.cubes.size());
+  for (NodeCube& objectives : targetObjectives(system, target)) {
+    problems.push_back({&system.netlist(), std::move(objectives), system.stateNodes()});
   }
-  if (problems.empty()) return {};
-  return successDrivenAllSat(problems, options);
+  if (!problems.empty()) return successDrivenAllSat(problems, options);
+  // The engine needs a root; an empty target's cover is empty.
+  SuccessDrivenResult none;
+  finishCover(none.summary, options, system.numStateBits(), /*disjointCubes=*/true,
+              "success-driven", Timer());
+  return none;
 }
 
 // Disjointness guarantee backing the certificate's disjoint flag: minterm
@@ -205,18 +180,13 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     te = &*localEncoding;
   }
 
-  auto withPreprocessMetrics = [&te](PreimageResult&& r) {
-    exportPreprocessMetrics(te->base.stats, r.metrics);
-    return std::move(r);
-  };
-
-  PreimageResult result = [&]() -> PreimageResult {
+  AllSatResult r;
+  PreimageResult result;
   switch (method) {
     case PreimageMethod::kMintermBlocking:
     case PreimageMethod::kCubeBlockingLifted:
     case PreimageMethod::kChrono: {
       SatProblem problem = buildSatProblem(*te, system, target);
-      AllSatResult r;
       if (method == PreimageMethod::kChrono) {
         CircuitWidener widener = makeChronoWidener(system, target, *te, problem.projection);
         r = chronoAllSat(problem.cnf, problem.projection, satOpts, &widener);
@@ -227,58 +197,32 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
         }
         r = blockingAllSat(problem.cnf, problem.projection, lifter, satOpts);
       }
-      return withPreprocessMetrics(fromAllSat(std::move(r), n));
+      exportPreprocessMetrics(te->base.stats, r.metrics);
+      break;
     }
     case PreimageMethod::kSuccessDriven: {
-      Timer timer;
-      PreimageResult result;
-      result.states.numStateBits = n;
       SuccessDrivenResult sd = successDrivenPreimage(system, target, satOpts);
-      result.states.cubes = std::move(sd.summary.cubes);
-      result.stateCount = std::move(sd.summary.mintermCount);
-      result.outcome = sd.summary.outcome;
-      result.stats = sd.summary.stats;
-      result.stats.satCalls += target.cubes.size();  // one justification search per target cube
-      result.metrics = std::move(sd.summary.metrics);
+      r = std::move(sd.summary);
       result.graph = std::move(sd.graph);
-      result.seconds = timer.seconds();
-      result.stats.seconds = result.seconds;
-      result.metrics.setLabel("engine", "success-driven");
-      result.metrics.setCounter("pre.cubes", result.states.cubes.size());
-      exportStatsToMetrics(result.stats, result.metrics);
-      finishPreimage(result, options.allsat.governor);
-      return result;
+      break;
     }
-    case PreimageMethod::kBdd: {
-      Timer timer;
-      Governor* governor = options.allsat.governor;
-      PreimageResult result;
-      result.states.numStateBits = n;
-      try {
-        BddTransition transition(system, governor);
-        BddRef pre = transition.preimage(target.toBdd(transition.manager()));
-        result.states = transition.toStateSet(pre);
-        result.stateCount = transition.countStates(pre);
-        result.bddNodes = transition.manager().numNodes();
-      } catch (const GovernorStop& stop) {
-        // Mid-apply there is no usable partial BDD; the empty set is the
-        // sound under-approximation this engine degrades to.
-        result.states.cubes.clear();
-        result.stateCount = BigUint(0);
-        result.outcome = stop.reason;
-      }
-      result.seconds = timer.seconds();
-      result.metrics.setLabel("engine", preimageMethodName(method));
-      result.metrics.setCounter("bdd.nodes", result.bddNodes);
-      result.metrics.setCounter("pre.cubes", result.states.cubes.size());
-      result.metrics.setGauge("time.seconds", result.seconds);
-      finishPreimage(result, governor);
-      return result;
-    }
+    case PreimageMethod::kBdd:
+      r = bddPreimage(system, target, satOpts);
+      break;
   }
-  PRESAT_CHECK(false) << "unknown preimage method";
-  return {};
-  }();
+
+  // Every engine left through finishCover; this only renames its fields.
+  result.states.numStateBits = n;
+  result.states.cubes = std::move(r.cubes);
+  result.stateCount = std::move(r.mintermCount);
+  result.complete = r.complete;
+  result.outcome = r.outcome;
+  result.stats = r.stats;
+  result.metrics = std::move(r.metrics);
+  result.guides = std::move(r.guides);
+  // Worker-count-independent by the determinism contract, so CI can assert
+  // par1 == par8 straight off the metrics line.
+  result.metrics.setCounter("pre.cubes", result.states.cubes.size());
 
   if (options.emitCertificate) {
     // The certificate embeds the same CNF instantiation the CNF engines

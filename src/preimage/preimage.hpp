@@ -93,22 +93,26 @@ struct PreimageOptions {
   bool emitCertificate = false;
 };
 
+// The engine's AllSatResult, renamed: every engine's cover leaves through
+// finishCover (allsat/projection.hpp), so maxCubes, project and compress act
+// alike on all five, and stateCount always counts the returned cubes.
 struct PreimageResult {
   StateSet states;      // union of cubes = exact preimage (a sound
                         // under-approximation when outcome != kComplete)
-  BigUint stateCount;   // exact count of the union (lower bound when partial)
+  BigUint stateCount;   // exact count of the union of `states`'s cubes
   bool complete = true;
   // Structured stop reason (govern/budget.hpp); always consistent with
   // `complete`. The BDD engine degrades to the EMPTY set on a trip — the
   // symbolic recursion has no usable partial answer — which is still a
   // sound under-approximation.
   Outcome outcome = Outcome::kComplete;
-  AllSatStats stats;    // zero-initialized for the BDD engine
+  // Engine counters (zero for the BDD engine) and stats.seconds, the engine's
+  // wall time.
+  AllSatStats stats;
   // Observability export of `stats` (plus engine-specific histograms; the
-  // parallel engines merge them across their shards).
+  // parallel engines merge them across their shards; "bdd.nodes" for the
+  // BDD engine).
   Metrics metrics;
-  double seconds = 0.0;
-  size_t bddNodes = 0;  // BDD engine only: manager size after the query
   // Success-driven engine only: one solution graph with one root per target
   // cube, in target order (shared subgraphs stored once).
   SolutionGraph graph;

@@ -52,6 +52,8 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
   PRESAT_CHECK(target.numStateBits == n);
 
   ReachabilityResult result;
+  double preimageSeconds = 0.0;
+  double algebraSeconds = 0.0;
   // Every BDD operation of the sweep runs inside an `algebra` span, so the
   // caller's total decomposes into preimage time + set-algebra time (+ the
   // visitor and negligible loop overhead).
@@ -61,7 +63,7 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
   try {
     reached = target.toBdd(mgr_);
     frontier = reached;
-    result.algebraSeconds += algebra.seconds();
+    algebraSeconds += algebra.seconds();
     bool stop = visit && visit(0, reached);
 
     for (int depth = 1; !stop && depth <= maxDepth; ++depth) {
@@ -90,15 +92,15 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
       step.depth = depth;
       step.newStates = mgr_.satCount(fresh);
       step.totalStates = mgr_.satCount(reached);
-      step.seconds = pre.seconds;
+      step.seconds = pre.stats.seconds;
       step.stats = pre.stats;
       step.frontierCubes = frontierSet.cubes.size();
       stepAlgebra += algebra.seconds();
       step.algebraSeconds = stepAlgebra;
       result.steps.push_back(step);
 
-      result.preimageSeconds += pre.seconds;
-      result.algebraSeconds += stepAlgebra;
+      preimageSeconds += step.seconds;
+      algebraSeconds += stepAlgebra;
       frontier = fresh;
       stop = visit && visit(depth, reached);
 
@@ -118,7 +120,7 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
     // were fully computed; everything below is node-walk only (no mkNode)
     // and cannot throw again.
     result.outcome = stop.reason;
-    result.algebraSeconds += algebra.seconds();
+    algebraSeconds += algebra.seconds();
   }
   if (result.outcome != Outcome::kComplete) {
     result.fixpoint = false;
@@ -129,8 +131,10 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
   algebra.reset();
   result.reached.numStateBits = n;
   result.reached.cubes = mgr_.enumerateCubes(reached);
-  result.algebraSeconds += algebra.seconds();
+  algebraSeconds += algebra.seconds();
   exportStepMetrics(result.steps, result.metrics);
+  result.metrics.setGauge("time.preimage_seconds", preimageSeconds);
+  result.metrics.setGauge("time.algebra_seconds", algebraSeconds);
   return result;
 }
 
@@ -140,14 +144,11 @@ ReachabilityResult backwardReach(const TransitionSystem& system, const StateSet&
   Timer total;
   BackwardSweep sweep(system, method, options);
   ReachabilityResult result = sweep.run(target, maxDepth);
-  result.totalSeconds = total.seconds();
 
   Metrics& m = result.metrics;
   m.setCounter("reach.steps", result.steps.size());
   m.setCounter("reach.fixpoint", result.fixpoint ? 1 : 0);
-  m.setGauge("time.seconds", result.totalSeconds);
-  m.setGauge("time.preimage_seconds", result.preimageSeconds);
-  m.setGauge("time.algebra_seconds", result.algebraSeconds);
+  m.setGauge("time.seconds", total.seconds());
   m.setLabel("engine", preimageMethodName(method));
   m.setLabel("outcome", outcomeName(result.outcome));
   if (options.allsat.governor != nullptr) options.allsat.governor->exportMetrics(m);

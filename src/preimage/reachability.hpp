@@ -50,14 +50,11 @@ struct ReachabilityResult {
   // frontier).
   Outcome outcome = Outcome::kComplete;
   std::vector<ReachabilityStep> steps;
-  // Wall time of the whole iteration, INCLUDING the inter-step set algebra —
-  // the two components below account for where it went.
-  double totalSeconds = 0.0;
-  double preimageSeconds = 0.0;  // sum of steps[i].seconds
-  double algebraSeconds = 0.0;   // set-algebra total (incl. setup/final sets)
-  // Per-depth step records plus the totals above under stable names
-  // ("step.0001.new_states", "reach.steps", "time.algebra_seconds", ...) for
-  // presat_cli reach --stats json.
+  // Per-depth step records ("step.0001.new_states", ...), the sweep's
+  // "time.preimage_seconds" (sum of steps[i].seconds) and
+  // "time.algebra_seconds" (set-algebra total, incl. setup/final sets), and
+  // backwardReach's "time.seconds" (the whole iteration, INCLUDING the set
+  // algebra) and "reach.steps", for presat_cli reach --stats json.
   Metrics metrics;
 };
 
@@ -82,8 +79,8 @@ class BackwardSweep {
 
   // Steps from `target` until the frontier empties, maxDepth steps, a partial
   // step, a governor trip, or `visit` says stop. The result carries the step
-  // records, the reached set and the per-step metrics ("step.0001.*"); the
-  // caller adds its own totals and labels.
+  // records, the reached set, the per-step metrics ("step.0001.*") and the
+  // preimage/algebra time gauges; the caller adds its own totals and labels.
   ReachabilityResult run(const StateSet& target, int maxDepth, const Visitor& visit = {});
 
   BddManager& manager() { return mgr_; }

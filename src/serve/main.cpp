@@ -9,8 +9,7 @@
 // is the reference client and load driver.
 //
 //   presat_serve [--workers N] [--queue-depth N] [--cache-mb N | --no-cache]
-//                [--mem-limit-mb N] [--max-jobs N] [--default-timeout-ms N]
-//                [--no-banner]
+//                [--mem-limit-mb N] [--default-timeout-ms N] [--no-banner]
 //
 // Fault-injection builds (PRESAT_FAULTS) arm from PRESAT_FAULT_SITE /
 // PRESAT_FAULT_AFTER / PRESAT_FAULT_SEED at startup, exactly like
@@ -28,7 +27,6 @@
 #include <string>
 
 #include "govern/faults.hpp"
-#include "parallel/options.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -77,16 +75,15 @@ class StdioTransport : public LineTransport {
   }
 };
 
-// Digits only, in [min, max]: a sign, blank, trailing text or a value out
-// of range exits 2 rather than wrapping or truncating.
-uint64_t parseU64Flag(const char* flagName, const char* value, uint64_t max, uint64_t min = 0) {
+// Digits only, in [0, max]: a sign, blank, trailing text or a value out of
+// range exits 2 rather than wrapping or truncating.
+uint64_t parseU64Flag(const char* flagName, const char* value, uint64_t max) {
   const char* last = value + std::strlen(value);
   uint64_t v = 0;
   auto [end, ec] = std::from_chars(value, last, v);
-  if (end == value || ec != std::errc() || end != last || v < min || v > max) {
-    std::fprintf(stderr, "presat_serve: %s needs a decimal number in [%llu, %llu], got '%s'\n",
-                 flagName, static_cast<unsigned long long>(min),
-                 static_cast<unsigned long long>(max), value);
+  if (end == value || ec != std::errc() || end != last || v > max) {
+    std::fprintf(stderr, "presat_serve: %s needs a decimal number in [0, %llu], got '%s'\n",
+                 flagName, static_cast<unsigned long long>(max), value);
     std::exit(2);
   }
   return v;
@@ -118,11 +115,6 @@ int runServe(int argc, char** argv) {
       cacheMb = 0;
     } else if (std::strcmp(arg, "--mem-limit-mb") == 0) {
       config.memLimitBytes = parseU64Flag(arg, next(), kMaxMb) << 20;
-    } else if (std::strcmp(arg, "--max-jobs") == 0) {
-      // Every request runs with jobs in [1, maxJobs], so maxJobs itself
-      // must lie in [1, kMaxJobs].
-      config.limits.maxJobs =
-          static_cast<int>(parseU64Flag(arg, next(), ParallelOptions::kMaxJobs, 1));
     } else if (std::strcmp(arg, "--default-timeout-ms") == 0) {
       config.limits.defaultTimeoutMs = parseU64Flag(arg, next(), UINT64_MAX);
     } else if (std::strcmp(arg, "--no-banner") == 0) {
@@ -131,8 +123,7 @@ int runServe(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: presat_serve [--workers N] [--queue-depth N]\n"
                    "                    [--cache-mb N | --no-cache] [--mem-limit-mb N]\n"
-                   "                    [--max-jobs N] [--default-timeout-ms N]\n"
-                   "                    [--no-banner]\n");
+                   "                    [--default-timeout-ms N] [--no-banner]\n");
       return 2;
     }
   }

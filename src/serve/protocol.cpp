@@ -1,11 +1,8 @@
 #include "serve/protocol.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-
-#include "parallel/options.hpp"
 
 namespace presat::serve {
 
@@ -361,7 +358,6 @@ bool parseRequest(const std::string& line, int lineNo, ServeRequest& out, ServeE
   for (const auto& [k, v] : doc.fields) {
     if (k == "id" || k == "op") continue;
     bool good = true;
-    uint64_t u = 0;
     if (k == "gen") good = takeString(v, k, out.gen, error, lineNo);
     else if (k == "bench") good = takeString(v, k, out.bench, error, lineNo);
     else if (k == "target") good = takeString(v, k, out.target, error, lineNo);
@@ -372,12 +368,7 @@ bool parseRequest(const std::string& line, int lineNo, ServeRequest& out, ServeE
     else if (k == "compress") good = takeBool(v, k, out.compress, error, lineNo);
     else if (k == "cache") good = takeBool(v, k, out.cache, error, lineNo);
     else if (k == "cert") good = takeBool(v, k, out.cert, error, lineNo);
-    else if (k == "jobs") {
-      good = takeU64(v, k, u, error, lineNo);
-      if (good) {
-        out.jobs = static_cast<int>(std::min<uint64_t>(u, ParallelOptions::kMaxJobs));
-      }
-    } else if (k == "max_cubes") good = takeU64(v, k, out.maxCubes, error, lineNo);
+    else if (k == "max_cubes") good = takeU64(v, k, out.maxCubes, error, lineNo);
     else if (k == "timeout_ms") good = takeU64(v, k, out.timeoutMs, error, lineNo);
     else if (k == "mem_limit_mb") good = takeU64(v, k, out.memLimitMb, error, lineNo);
     else if (k == "conflict_limit") good = takeU64(v, k, out.conflictLimit, error, lineNo);

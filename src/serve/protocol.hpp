@@ -122,7 +122,6 @@ struct ServeRequest {
   bool compress = false;
   bool cert = false;    // emit a presat-cert-v1 certificate with the cover
   bool cache = true;    // opt out of the cross-query cache (oracle runs)
-  int jobs = 1;         // per-request cube-and-conquer width (server-capped)
   uint64_t maxCubes = 0;
   uint64_t timeoutMs = 0;
   uint64_t memLimitMb = 0;

@@ -195,7 +195,7 @@ CachedCover runEngine(const ServeRequest& req, const CircuitContext& ctx, Preima
   options.allsat.maxCubes = req.maxCubes;
   options.allsat.project = req.project;
   options.allsat.compress = req.compress;
-  options.allsat.parallel.jobs = std::clamp(req.jobs, 1, limits.maxJobs);
+  options.allsat.parallel.jobs = 1;
   options.allsat.governor = &governor;
   options.emitCertificate = req.cert;
 
@@ -209,7 +209,7 @@ CachedCover runEngine(const ServeRequest& req, const CircuitContext& ctx, Preima
   cover.outcome = result.outcome;
   cover.width = width;
   cover.cert = std::move(result.certificate);
-  *seconds = result.seconds;
+  *seconds = result.stats.seconds;
   return cover;
 }
 

@@ -41,7 +41,6 @@ struct SessionLimits {
   int maxStateBits = 64;         // .bench circuits: DFF count cap
   int maxBenchBytes = 1 << 20;   // .bench text size cap
   int maxBenchLines = 20000;     // .bench line count cap
-  int maxJobs = 8;               // clamp on request `jobs`; at least 1
   uint64_t defaultTimeoutMs = 0; // applied when the request names no deadline
   uint64_t maxCacheablePayload = 1u << 22;  // covers larger than this are not retained
 };

@@ -72,23 +72,14 @@ TEST(Bdd, RestrictCofactor) {
   EXPECT_EQ(mgr.restrict1(f, 2, true), f);  // var not in support
 }
 
-TEST(Bdd, ExistsForall) {
+TEST(Bdd, Exists) {
   BddManager mgr(3);
   BddRef a = mgr.variable(0);
   BddRef b = mgr.variable(1);
   BddRef f = mgr.bddAnd(a, b);
   EXPECT_EQ(mgr.exists(f, {0}), b);
-  EXPECT_EQ(mgr.forall(f, {0}), BddManager::kFalse);
   BddRef g = mgr.bddOr(a, b);
-  EXPECT_EQ(mgr.forall(g, {0}), b);
   EXPECT_EQ(mgr.exists(g, {0, 1}), BddManager::kTrue);
-}
-
-TEST(Bdd, SupportComputation) {
-  BddManager mgr(5);
-  BddRef f = mgr.bddAnd(mgr.variable(1), mgr.bddXor(mgr.variable(3), mgr.variable(4)));
-  EXPECT_EQ(mgr.support(f), (std::vector<Var>{1, 3, 4}));
-  EXPECT_TRUE(mgr.support(BddManager::kTrue).empty());
 }
 
 TEST(Bdd, SatCountMatchesTruthTable) {

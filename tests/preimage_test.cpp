@@ -313,7 +313,7 @@ TEST(BddTransition, IgnoresLogicOutsideNextStateCones) {
   PreimageResult preB = computePreimage(b, target, PreimageMethod::kBdd);
   EXPECT_EQ(preA.states.cubes, preB.states.cubes);
   EXPECT_EQ(preA.stateCount, preB.stateCount);
-  EXPECT_EQ(preA.bddNodes, preB.bddNodes);
+  EXPECT_EQ(preA.metrics.counter("bdd.nodes"), preB.metrics.counter("bdd.nodes"));
 
   ImageResult imgA = computeImage(a, target, ImageMethod::kBdd);
   ImageResult imgB = computeImage(b, target, ImageMethod::kBdd);
@@ -394,6 +394,110 @@ TEST(Preimage, SuccessDrivenReportsGraphs) {
   EXPECT_EQ(p.states.cubes, testutil::graphBddCover(p.graph, 6));
   EXPECT_EQ(p.states.cubes, m.states.cubes);
   EXPECT_EQ(p.stateCount, m.stateCount);
+}
+
+// A generator suite for the cover-epilogue tests: one target each.
+struct CapCase {
+  Netlist nl;
+  StateSet target;
+};
+
+std::vector<CapCase> capSuite() {
+  std::vector<CapCase> cases;
+  cases.push_back({makeCounter(5), StateSet::fromCube(5, {mkLit(4)})});
+  cases.push_back({makeGrayCounter(5), StateSet::fromCube(5, {mkLit(0), mkLit(3, true)})});
+  cases.push_back({makeLfsr(6), StateSet::fromCube(6, {mkLit(0), mkLit(2, true)})});
+  cases.push_back({makeShiftRegister(6), StateSet::fromCube(6, {mkLit(5)})});
+  cases.push_back({makeRoundRobinArbiter(3), StateSet::fromCube(3, {mkLit(0)})});
+  cases.push_back({makeAccumulator(4), StateSet::fromCube(4, {mkLit(1, true), mkLit(3)})});
+  cases.push_back({makeTrafficLight(), StateSet::all(4)});
+  return cases;
+}
+
+// Every engine's cover leaves through finishCover, so the BDD engine honours
+// maxCubes like the SAT engines: on lfsr:6 / 1x0xxx (6 BDD paths) a cap of 2
+// returns the first two paths with outcome cube-cap, counted as the 8 states
+// they cover, for the BDD engine and success-driven alike.
+TEST(Preimage, BddAndSuccessDrivenHonourTheCubeCap) {
+  Netlist nl = makeLfsr(6);
+  TransitionSystem ts(nl);
+  const StateSet target = StateSet::fromCube(6, {mkLit(0), mkLit(2, true)});
+  PreimageOptions capped;
+  capped.allsat.maxCubes = 2;
+  PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd, capped);
+  PreimageResult sd = computePreimage(ts, target, PreimageMethod::kSuccessDriven, capped);
+  PreimageResult all = computePreimage(ts, target, PreimageMethod::kBdd);
+  ASSERT_EQ(all.states.cubes.size(), 6u);
+  EXPECT_EQ(all.outcome, Outcome::kComplete);
+  for (const PreimageResult* r : {&bdd, &sd}) {
+    EXPECT_EQ(r->outcome, Outcome::kCubeCap);
+    EXPECT_FALSE(r->complete);
+    EXPECT_EQ(r->states.cubes,
+              std::vector<LitVec>(all.states.cubes.begin(), all.states.cubes.begin() + 2));
+    EXPECT_EQ(r->stateCount.toU64(), 8u);
+    EXPECT_EQ(r->metrics.label("outcome"), "cube-cap");
+  }
+  // A cap at the cover's size is exact exhaustion, not a cut.
+  capped.allsat.maxCubes = 6;
+  EXPECT_EQ(computePreimage(ts, target, PreimageMethod::kBdd, capped).outcome,
+            Outcome::kComplete);
+}
+
+// The BDD engine runs the shared compress post-pass, so its compressed cover
+// is success-driven's cube for cube, and its certificate's compress flag is
+// backed by merge witnesses.
+TEST(Preimage, BddCompressedCoverEqualsSuccessDriven) {
+  for (const CapCase& c : capSuite()) {
+    TransitionSystem ts(c.nl);
+    PreimageOptions options;
+    options.allsat.compress = true;
+    options.emitCertificate = true;
+    PreimageResult bdd = computePreimage(ts, c.target, PreimageMethod::kBdd, options);
+    PreimageResult sd = computePreimage(ts, c.target, PreimageMethod::kSuccessDriven, options);
+    EXPECT_EQ(bdd.states.cubes, sd.states.cubes);
+    EXPECT_EQ(bdd.stateCount, sd.stateCount);
+    EXPECT_EQ(bdd.metrics.counter("compress.cubes_out"), bdd.states.cubes.size());
+    PreimageResult plain = computePreimage(ts, c.target, PreimageMethod::kBdd);
+    EXPECT_EQ(bdd.stateCount, plain.stateCount);
+    if (bdd.states.cubes.size() < plain.states.cubes.size()) {
+      EXPECT_NE(bdd.certificate.find("\nw "), std::string::npos);
+    }
+  }
+  // lfsr:6 / 1x0xxx: 6 paths compress to 5 cubes.
+  Netlist nl = makeLfsr(6);
+  TransitionSystem lfsr(nl);
+  PreimageOptions compress;
+  compress.allsat.compress = true;
+  EXPECT_EQ(computePreimage(lfsr, StateSet::fromCube(6, {mkLit(0), mkLit(2, true)}),
+                            PreimageMethod::kBdd, compress)
+                .states.cubes.size(),
+            5u);
+}
+
+// For every engine, at every cap, on the generator suite: stateCount is the
+// union of the returned cubes, and a cut cover reports cube-cap.
+TEST(Preimage, CappedCountIsTheUnionOfTheReturnedCubes) {
+  for (const CapCase& c : capSuite()) {
+    TransitionSystem ts(c.nl);
+    ASSERT_EQ(c.target.numStateBits, ts.numStateBits());
+    for (PreimageMethod method : kAllPreimageMethods) {
+      const BigUint full = computePreimage(ts, c.target, method).stateCount;
+      for (uint64_t cap : {1, 2, 3}) {
+        PreimageOptions options;
+        options.allsat.maxCubes = cap;
+        PreimageResult r = computePreimage(ts, c.target, method, options);
+        SCOPED_TRACE(std::string(preimageMethodName(method)) + " cap " + std::to_string(cap));
+        EXPECT_LE(r.states.cubes.size(), cap);
+        EXPECT_EQ(r.stateCount, countCubeUnionMinterms(r.states.cubes, ts.numStateBits()));
+        if (r.outcome == Outcome::kComplete) {
+          EXPECT_EQ(r.stateCount, full);
+        } else {
+          EXPECT_EQ(r.outcome, Outcome::kCubeCap);
+          EXPECT_EQ(r.states.cubes.size(), cap);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

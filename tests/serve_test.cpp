@@ -793,6 +793,35 @@ TEST(ServeServerTest, BudgetedRequestDegradesToSoundPartial) {
   EXPECT_EQ(after.find("outcome")->text, "complete");
 }
 
+// The BDD engine honours max_cubes like every other engine: the first two
+// of lfsr:6 / 1x0xxx's six BDD paths, outcome cube-cap, counted as the 8
+// states they cover.
+TEST(ServeServerTest, BddHonoursMaxCubes) {
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  StringTransport transport({
+      R"({"id":"bdd","op":"preimage","gen":"lfsr:6","target":"1x0xxx","method":"bdd","max_cubes":2})",
+      R"({"id":"jobs","op":"preimage","gen":"lfsr:6","target":"1x0xxx","jobs":2})",
+      R"({"id":"q","op":"shutdown"})",
+  });
+  EXPECT_EQ(server.serve(transport), 0);
+  JsonValue bdd = findResponse(transport.out, "bdd");
+  EXPECT_EQ(bdd.find("status")->text, "ok");
+  EXPECT_EQ(bdd.find("outcome")->text, "cube-cap");
+  EXPECT_EQ(bdd.find("complete")->boolean, false);
+  EXPECT_EQ(bdd.find("count")->text, "8");
+  const JsonValue* cubes = bdd.find("cubes");
+  ASSERT_NE(cubes, nullptr);
+  ASSERT_EQ(cubes->items.size(), 2u);
+  EXPECT_EQ(cubes->items[0].text, "00xx01");
+  EXPECT_EQ(cubes->items[1].text, "00xx10");
+  // `jobs` is no protocol field: the daemon's parallelism is its workers.
+  JsonValue jobs = findResponse(transport.out, "jobs");
+  EXPECT_EQ(jobs.find("status")->text, "error");
+  EXPECT_EQ(jobs.find("error")->find("code")->text, "bad_request");
+}
+
 TEST(ServeServerTest, OverloadAnswersStructuredError) {
   ServerConfig config;
   config.workers = 1;

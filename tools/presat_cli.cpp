@@ -406,7 +406,7 @@ int cmdPreimage(const Args& args) {
   if (!certPath.empty()) writeFileOrDie(certPath, r.certificate);
   std::printf("preimage: %s states in %zu cubes (%s, %.3f ms)\n",
               r.stateCount.toDecimal().c_str(), r.states.cubes.size(), preimageMethodName(method),
-              r.seconds * 1e3);
+              r.stats.seconds * 1e3);
   for (const LitVec& cube : r.states.cubes) {
     std::printf("  %s\n", serve::cubeToText(cube, system.numStateBits()).c_str());
   }
@@ -450,7 +450,9 @@ int cmdReach(const Args& args) {
   }
   std::printf("fixpoint: %s, reached %s states, total %.3f ms (preimage %.3f, algebra %.3f)\n",
               r.fixpoint ? "yes" : "no", r.reached.countStates().toDecimal().c_str(),
-              r.totalSeconds * 1e3, r.preimageSeconds * 1e3, r.algebraSeconds * 1e3);
+              r.metrics.gauge("time.seconds") * 1e3,
+              r.metrics.gauge("time.preimage_seconds") * 1e3,
+              r.metrics.gauge("time.algebra_seconds") * 1e3);
   if (args.flag("stats") == "json") {
     std::printf("%s\n", r.metrics.toJson().c_str());
   }
