@@ -90,7 +90,8 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   // they take the epilogue's overlapping path (dedup, BDD union count); the
   // minterm cover is disjoint.
   copySolverStats(solver, result.stats);
-  finishCover(result, options, static_cast<int>(projection.size()), !maybeOverlapping,
+  finishCover(result, options, static_cast<int>(projection.size()),
+              maybeOverlapping ? CoverKind::kOverlapping : CoverKind::kDisjoint,
               lifter ? "cube-blocking" : "minterm-blocking", timer);
   return result;
 }

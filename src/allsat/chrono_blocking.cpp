@@ -104,8 +104,8 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
 
   // Disjoint by construction, so the count is the plain power-of-two sum.
   copySolverStats(solver, result.stats);
-  finishCover(result, options, static_cast<int>(projection.size()), /*disjointCubes=*/true,
-              "chrono", timer);
+  finishCover(result, options, static_cast<int>(projection.size()), CoverKind::kDisjoint, "chrono",
+              timer);
   // The session is closed (level 0), so the structural solver audit applies;
   // the cube-set audit proves disjointness, and BDD-exact coverage when the
   // run completed (a budgeted partial set is audited for soundness only).

@@ -239,17 +239,16 @@ CompressStats dedupCubes(std::vector<LitVec>& cubes) {
   return stats;
 }
 
-void applyProjectionPostpass(AllSatResult& result, const AllSatOptions& options,
-                             bool disjointCubes) {
+void applyProjectionPostpass(AllSatResult& result, const AllSatOptions& options, CoverKind kind) {
   if (!options.project && !options.compress) return;
   CompressStats total;
   total.cubesIn = result.cubes.size();
-  if (options.project && !disjointCubes) {
+  if (options.project && kind == CoverKind::kOverlapping) {
     CompressStats d = dedupCubes(result.cubes);
     total.duplicates += d.duplicates;
     total.subsumed += d.subsumed;
   }
-  if (options.compress) {
+  if (options.compress && kind != CoverKind::kIsop) {
     CompressStats c = compressCubes(result.cubes, options.governor, options.compressTrace);
     total.merges += c.merges;
     total.duplicates += c.duplicates;

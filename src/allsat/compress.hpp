@@ -21,6 +21,7 @@ class Metrics;
 struct AllSatOptions;
 struct AllSatResult;
 struct CompressMergeRecord;
+enum class CoverKind;
 
 struct CompressStats {
   uint64_t cubesIn = 0;
@@ -52,11 +53,11 @@ CompressStats compressCubes(std::vector<LitVec>& cubes, Governor* governor = nul
 CompressStats dedupCubes(std::vector<LitVec>& cubes);
 
 // Engine epilogue for the projected mode: applies dedupCubes when the
-// engine's raw cubes may overlap (`disjointCubes` false) and `project` is
-// on, then compressCubes when `compress` is on, and stamps the proj.* /
-// compress.* metrics. Call after the cube set is final but before counting
-// or exporting stats; the union (and hence mintermCount) is unchanged.
-void applyProjectionPostpass(AllSatResult& result, const AllSatOptions& options,
-                             bool disjointCubes);
+// engine's raw cubes may overlap (CoverKind::kOverlapping) and `project` is
+// on, then compressCubes when `compress` is on and the cover is no ISOP, and
+// stamps the proj.* / compress.* metrics. Call after the cube set is final
+// but before counting or exporting stats; the union (and hence mintermCount)
+// is unchanged.
+void applyProjectionPostpass(AllSatResult& result, const AllSatOptions& options, CoverKind kind);
 
 }  // namespace presat

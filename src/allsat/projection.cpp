@@ -73,32 +73,24 @@ void copySolverStats(const Solver& solver, AllSatStats& stats) {
 }
 
 void finishCover(AllSatResult& result, const AllSatOptions& options, int numProjectionVars,
-                 bool disjointCubes, const char* engine, const Timer& timer) {
-  if (options.maxCubes != 0 && result.cubes.size() > options.maxCubes) {
+                 CoverKind kind, const char* engine, const Timer& timer) {
+  const bool cut = options.maxCubes != 0 && result.cubes.size() > options.maxCubes;
+  if (cut) {
     result.cubes.resize(options.maxCubes);
     result.outcome = combineOutcomes(result.outcome, Outcome::kCubeCap);
   }
-  applyProjectionPostpass(result, options, disjointCubes);
-  result.mintermCount = disjointCubes
-                            ? countDisjointCubeMinterms(result.cubes, numProjectionVars)
-                            : countCubeUnionMinterms(result.cubes, numProjectionVars);
+  applyProjectionPostpass(result, options, kind);
+  if (kind == CoverKind::kDisjoint) {
+    result.mintermCount = countDisjointCubeMinterms(result.cubes, numProjectionVars);
+  } else if (kind == CoverKind::kOverlapping || cut) {
+    result.mintermCount = countCubeUnionMinterms(result.cubes, numProjectionVars);
+  }
   result.stats.seconds = timer.seconds();
   result.complete = (result.outcome == Outcome::kComplete);
   result.metrics.setLabel("engine", engine);
   result.metrics.setLabel("outcome", outcomeName(result.outcome));
   exportStatsToMetrics(result.stats, result.metrics);
   if (options.governor != nullptr) options.governor->exportMetrics(result.metrics);
-}
-
-std::vector<LitVec> readBddCover(BddManager& mgr, BddRef set, int numVars, uint64_t maxCubes) {
-  const uint64_t limit = maxCubes == 0 || maxCubes == UINT64_MAX ? maxCubes : maxCubes + 1;
-  std::vector<LitVec> cubes = mgr.enumerateCubes(set, limit);
-  for (const LitVec& cube : cubes) {
-    for (Lit l : cube) {
-      PRESAT_CHECK(l.var() < numVars) << "cover BDD has x" << l.var() << " in its support";
-    }
-  }
-  return cubes;
 }
 
 BigUint countDisjointCubeMinterms(const std::vector<LitVec>& cubes, int numProjectionVars) {

@@ -79,10 +79,9 @@ struct AllSatResult {
   // disjointness guarantees continue to hold.
   Outcome outcome = Outcome::kComplete;
   // Cubes in the projected index space whose UNION is the projected solution
-  // set. Every engine but lifted cube blocking produces pairwise-disjoint
-  // cubes (success-driven reads its cover off a BDD); lifted cubes may
-  // overlap (the union is still exact), which is why mintermCount is
-  // computed via BDD there.
+  // set. Minterm blocking and chrono produce pairwise-disjoint cubes;
+  // success-driven and kBdd return the ISOP of a BDD, and lifted cube
+  // blocking's cubes may overlap too (the union is still exact).
   std::vector<LitVec> cubes;
   // Exact number of projected minterms in the union of `cubes`.
   BigUint mintermCount;
@@ -121,13 +120,14 @@ struct AllSatOptions {
   // shrinks, and the input/aux space is never exhaustively decided. The
   // blocking engines project-then-dedup (canonical sort, duplicate and
   // subsumed cube removal) so the cross-engine audit still compares equal
-  // state sets; the success-driven cover is already projected and disjoint.
-  // The projected union is identical either way.
+  // state sets; the success-driven and kBdd covers are already projected
+  // ISOPs. The projected union is identical either way.
   bool project = false;
   // Wildcard compression post-pass (Wild-style (x & A) | (~x & A) = A
   // merging) over the final cube set — and over each parallel shard's cover
   // before the merge, so shards exchange compressed covers. Union- and
-  // disjointness-preserving; mintermCount is unaffected.
+  // disjointness-preserving; mintermCount is unaffected. An ISOP cover
+  // (success-driven, kBdd) has no pair to merge and is left as it is.
   bool compress = false;
   // Cube-and-conquer parallel enumeration (src/parallel/). jobs == 0 keeps
   // the serial engines; with jobs >= 1 the engines that split partition the
@@ -150,31 +150,34 @@ struct AllSatOptions {
 // Copies the CNF engines' solver counters into `stats`.
 void copySolverStats(const Solver& solver, AllSatStats& stats);
 
+// What finishCover may assume of the cover an engine hands it. kIsop is
+// BddManager::isop(f, f) of a BDD f the engine holds (sd, kBdd), with
+// mintermCount already set from f: prime and irredundant, so there is
+// nothing to deduplicate or merge.
+enum class CoverKind {
+  kDisjoint,     // pairwise disjoint cubes (minterm, chrono, split runs)
+  kOverlapping,  // cubes may overlap (lifted cube blocking)
+  kIsop,
+};
+
 // The one epilogue every cover leaves its engine through — each serial
 // engine, the parallel merge, success-driven and the BDD preimage engine:
 //  * trims the cover to options.maxCubes, combining the outcome with
 //    Outcome::kCubeCap (an engine may hand in one cube past the cap to say
 //    that more remain);
-//  * runs applyProjectionPostpass (allsat/compress.hpp);
+//  * runs applyProjectionPostpass (allsat/compress.hpp), which leaves an
+//    ISOP as it is;
 //  * sets mintermCount to the union of the cubes it keeps — the power-of-two
-//    sum when `disjointCubes`, else through a scratch BDD;
+//    sum for a disjoint cover, the engine's own count for an uncut ISOP,
+//    else through a scratch BDD;
 //  * stamps `timer` as stats.seconds, exports the stats block, the "engine"
 //    and "outcome" labels and, with a governor attached, its govern.* block,
 //    and derives `complete` from the outcome.
 void finishCover(AllSatResult& result, const AllSatOptions& options, int numProjectionVars,
-                 bool disjointCubes, const char* engine, const Timer& timer);
-
-// The cover of `set`, a BDD over variables [0, numVars) of `mgr` (others may
-// exist but must lie outside its support): its paths
-// (BddManager::enumerateCubes), pairwise disjoint and canonical. The
-// success-driven engine reads its solution graph's BDD through it and the
-// BDD preimage engine its preimage, so the two covers agree cube for cube.
-// With a cap it reads one path past `maxCubes`, which tells finishCover that
-// the cover was cut.
-std::vector<LitVec> readBddCover(BddManager& mgr, uint32_t set, int numVars, uint64_t maxCubes);
+                 CoverKind kind, const char* engine, const Timer& timer);
 
 // Sum of 2^(numProjectionVars - |cube|) over all cubes. Exact for disjoint
-// cube sets (which every engine in this library produces). Checks every
+// cube sets (minterm and chrono covers). Checks every
 // literal's variable against the projected index space and rejects cubes
 // mentioning a variable twice — an out-of-range or duplicated literal would
 // silently corrupt the count.

@@ -241,8 +241,8 @@ class Engine {
     memoLedger_.attach(governor_);
   }
 
-  // Solves every problem as the next root of the shared graph, then reads
-  // the cover and the count off the graph's BDD.
+  // Solves every problem as the next root of the shared graph, then takes
+  // the cover (its ISOP) and the count from the graph's BDD.
   SuccessDrivenResult run(std::span<const CircuitAllSatProblem> problems) {
     Timer timer;
     std::vector<NodeId> roots;
@@ -279,14 +279,15 @@ class Engine {
     const std::vector<BddRef> rootBdds = graph.rootBdds(mgr);
     BddRef all = BddManager::kFalse;
     for (BddRef root : rootBdds) all = mgr.bddOr(all, root);
-    result.summary.cubes = readBddCover(mgr, all, numProjection_, options_.maxCubes);
+    result.summary.cubes = mgr.isop(all, all);
+    result.summary.mintermCount = mgr.satCount(all);
     const bool capped =
         options_.maxCubes != 0 && result.summary.cubes.size() > options_.maxCubes;
     // A governor trip dominates the cap: the pruned branches are the reason
     // the graph (and hence the cover / count) is only a lower bound.
     if (tripped_ && governor_ != nullptr) result.summary.outcome = governor_->reason();
-    finishCover(result.summary, options_, numProjection_, /*disjointCubes=*/true,
-                "success-driven", timer);
+    finishCover(result.summary, options_, numProjection_, CoverKind::kIsop, "success-driven",
+                timer);
 
     // cheap = structural DAG invariants plus the reported cover against the
     // graph's BDD; full additionally replays every sampled path cube through

@@ -37,11 +37,11 @@
 //    (projected subsumption): no node is built, and the other branch is
 //    not searched.
 //  * The graph is the engine's store, not its cover. The graph's
-//    root-to-SUCCESS paths may overlap, so the cover is read off the graph's
-//    reduced ordered BDD instead (readBddCover, the BDD preimage engine's
-//    reader too): its paths are pairwise disjoint and depend only on the
-//    solution set, so the cover equals the BDD engine's and does not depend
-//    on the branch order.
+//    root-to-SUCCESS paths may overlap and follow the branch order, so the
+//    cover is the ISOP of the graph's BDD instead (BddManager::isop, as the
+//    BDD preimage engine's cover is): prime, irredundant cubes that depend
+//    only on the solution set, so the cover equals the BDD engine's and does
+//    not depend on the branch order. The count comes from the same BDD.
 //  * The engine never splits: it keeps no clause database that grows with
 //    every solution, so a cube-and-conquer split (src/parallel/) has nothing
 //    to divide, and it runs serially at every options.parallel.jobs. Its
@@ -68,9 +68,10 @@ struct CircuitAllSatProblem {
 };
 
 struct SuccessDrivenResult {
-  // The cover is one cover of the union of all roots: the paths of the
-  // graph's BDD, so it is disjoint and canonical, and maxCubes caps it as a
-  // whole. mintermCount counts the union of the cubes returned (finishCover).
+  // The cover is one cover of the union of all roots: the ISOP of the
+  // graph's BDD, so it is prime, irredundant and canonical (its cubes may
+  // overlap), and maxCubes caps it as a whole. mintermCount counts the union
+  // of the cubes returned (finishCover).
   // The per-root answers live in the graph.
   AllSatResult summary;
   // Root i answers problem i.

@@ -1,4 +1,4 @@
-// presat-cert-v1: independently verifiable disjoint-cover certificates.
+// presat-cert-v1: independently verifiable cover certificates.
 //
 // A certificate packages everything an external checker needs to verify a
 // preimage cover without trusting this library: the CNF the query solved
@@ -55,7 +55,9 @@ struct CertificateSpec {
   const std::vector<LitVec>* guides = nullptr;
   const std::vector<CompressMergeRecord>* merges = nullptr;
   Outcome outcome = Outcome::kComplete;
-  bool disjoint = true;  // engine guarantees pairwise-disjoint cubes
+  // Pairwise-disjoint cubes (minterm blocking, chrono); false (cube blocking,
+  // the ISOPs of success-driven and kBdd) skips the disjointness check.
+  bool disjoint = true;
   const char* engine = "";
   uint64_t circuitHash = 0;
   int jobs = 0;  // 0 = serial

@@ -107,14 +107,12 @@ AuditResult auditBdd(const BddManager& mgr) {
 
 void corruptBddForTest(BddManager& mgr, BddCorruption kind) {
   switch (kind) {
-    case BddCorruption::kOrderViolation: {
-      for (BddRef f = 2; f < mgr.nodes_.size(); ++f) {
-        // Point lo back at the node itself: same variable, order violated.
-        mgr.nodes_[f].lo = f;
-        return;
-      }
-      PRESAT_CHECK(false) << "corruptBddForTest: no interior node";
-    }
+    case BddCorruption::kOrderViolation:
+      PRESAT_CHECK(mgr.nodes_.size() > 2) << "corruptBddForTest: no interior node";
+      // Point the first interior node's lo back at itself: same variable,
+      // order violated.
+      mgr.nodes_[2].lo = 2;
+      return;
     case BddCorruption::kRedundantNode:
       // Bypasses mkNode's reduction rule; also unbalances the unique table.
       mgr.nodes_.push_back({0, BddManager::kTrue, BddManager::kTrue});

@@ -1,5 +1,6 @@
 #include "check/audit_netlist.hpp"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -114,31 +115,27 @@ void corruptNetlistForTest(Netlist& nl, NetlistCorruption kind) {
   nl.dropViews();
   switch (kind) {
     case NetlistCorruption::kSelfLoop: {
-      for (NodeId id = 0; id < nl.numNodes(); ++id) {
-        if (isCombinational(nl.type(id))) {
-          nl.nodes_[id].fanins[0] = id;
-          return;
-        }
-      }
-      PRESAT_CHECK(false) << "corruptNetlistForTest: no combinational gate";
+      NodeId id = 0;
+      while (id < nl.numNodes() && !isCombinational(nl.type(id))) ++id;
+      PRESAT_CHECK(id < nl.numNodes()) << "corruptNetlistForTest: no combinational gate";
+      nl.nodes_[id].fanins[0] = id;
+      return;
     }
     case NetlistCorruption::kArity: {
       // A second fanin violates the fixed arity of a NOT gate, or the
       // single-data-pin arity of a DFF (whose fanin edges are sequential,
       // so no other invariant is disturbed).
-      for (NodeId id = 0; id < nl.numNodes(); ++id) {
-        if (nl.type(id) == GateType::kNot) {
-          nl.nodes_[id].fanins.push_back(nl.nodes_[id].fanins[0]);
-          return;
-        }
+      NodeId id = 0;
+      while (id < nl.numNodes() && nl.type(id) != GateType::kNot) ++id;
+      if (id == nl.numNodes()) {
+        auto dff = std::find_if(nl.dffs().begin(), nl.dffs().end(),
+                                [&nl](NodeId d) { return !nl.nodes_[d].fanins.empty(); });
+        PRESAT_CHECK(dff != nl.dffs().end())
+            << "corruptNetlistForTest: no NOT gate or connected DFF";
+        id = *dff;
       }
-      for (NodeId id : nl.dffs()) {
-        if (!nl.nodes_[id].fanins.empty()) {
-          nl.nodes_[id].fanins.push_back(nl.nodes_[id].fanins[0]);
-          return;
-        }
-      }
-      PRESAT_CHECK(false) << "corruptNetlistForTest: no NOT gate or connected DFF";
+      nl.nodes_[id].fanins.push_back(nl.nodes_[id].fanins[0]);
+      return;
     }
     case NetlistCorruption::kDffData: {
       PRESAT_CHECK(!nl.dffs().empty()) << "corruptNetlistForTest: no DFF";

@@ -277,23 +277,19 @@ AuditResult auditSolver(const Solver& s) {
 void corruptSolverForTest(Solver& s, SolverCorruption kind) {
   switch (kind) {
     case SolverCorruption::kSwapWatchedLiteral: {
-      for (ClauseRef c : s.clauses_) {
-        if (s.arena_.size(c) >= 3) {
-          Lit* lits = s.arena_.lits(c);
-          std::swap(lits[1], lits[2]);
-          return;
-        }
-      }
-      PRESAT_CHECK(false) << "corruptSolverForTest: no clause of size >= 3";
+      auto c = std::find_if(s.clauses_.begin(), s.clauses_.end(),
+                            [&s](ClauseRef ref) { return s.arena_.size(ref) >= 3; });
+      PRESAT_CHECK(c != s.clauses_.end()) << "corruptSolverForTest: no clause of size >= 3";
+      Lit* lits = s.arena_.lits(*c);
+      std::swap(lits[1], lits[2]);
+      return;
     }
     case SolverCorruption::kDropWatcher: {
-      for (auto& list : s.watches_) {
-        if (!list.empty()) {
-          list.pop_back();
-          return;
-        }
-      }
-      PRESAT_CHECK(false) << "corruptSolverForTest: no watcher to drop";
+      auto list = std::find_if(s.watches_.begin(), s.watches_.end(),
+                               [](const std::vector<Solver::Watcher>& w) { return !w.empty(); });
+      PRESAT_CHECK(list != s.watches_.end()) << "corruptSolverForTest: no watcher to drop";
+      list->pop_back();
+      return;
     }
     case SolverCorruption::kLearntCountDrift:
       ++s.numLearnts_;

@@ -106,8 +106,8 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
   // shard-partition audit on purpose — a cross-shard merge may erase guide
   // literals, which is sound (the union is unchanged) but would no longer
   // satisfy the per-shard guide shape.
-  finishCover(result, options, static_cast<int>(projection.size()), /*disjointCubes=*/true,
-              engine, timer);
+  finishCover(result, options, static_cast<int>(projection.size()), CoverKind::kDisjoint, engine,
+              timer);
   pool.exportMetrics(result.metrics);
   result.metrics.setCounter("parallel.shards", shards.size());
   result.metrics.setCounter("parallel.shards_skipped", shardsSkipped);

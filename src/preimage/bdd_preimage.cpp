@@ -115,7 +115,10 @@ AllSatResult bddPreimage(const TransitionSystem& system, const StateSet& target,
   try {
     BddTransition transition(system, options.governor);
     BddManager& mgr = transition.manager();
-    result.cubes = readBddCover(mgr, transition.preimage(target.toBdd(mgr)), n, options.maxCubes);
+    const BddRef pre = transition.preimage(target.toBdd(mgr));
+    result.cubes = mgr.isop(pre, pre);
+    // satCount ranges over the inputs too, and each one doubles it.
+    result.mintermCount = mgr.satCount(pre) >> static_cast<uint32_t>(system.numInputs());
     nodes = mgr.numNodes();
   } catch (const GovernorStop& stop) {
     // Mid-apply there is no usable partial BDD; the empty set is the sound
@@ -124,7 +127,7 @@ AllSatResult bddPreimage(const TransitionSystem& system, const StateSet& target,
     result.outcome = stop.reason;
   }
   result.metrics.setCounter("bdd.nodes", nodes);
-  finishCover(result, options, n, /*disjointCubes=*/true, "bdd", timer);
+  finishCover(result, options, n, CoverKind::kIsop, "bdd", timer);
   return result;
 }
 
@@ -141,7 +144,7 @@ BddRelationalTransition::BddRelationalTransition(const TransitionSystem& system)
 }
 
 StateSet BddRelationalTransition::toStateSet(BddRef stateBdd) {
-  return {system_.numStateBits(), readBddCover(mgr_, stateBdd, system_.numStateBits(), 0)};
+  return {system_.numStateBits(), mgr_.isop(stateBdd, stateBdd)};
 }
 
 BigUint BddRelationalTransition::countStates(BddRef stateBdd) {

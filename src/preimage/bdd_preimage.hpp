@@ -14,13 +14,13 @@
 
 namespace presat {
 
-// The BDD preimage engine: Pre(target) over the state bits, read off its BDD
-// by readBddCover — the success-driven engine's reader — and finished by
-// finishCover, so maxCubes, project and compress act as they do on every
-// engine. `options.governor` governs the node pool; a trip degrades to the
-// EMPTY cover with the trip's outcome, since the symbolic recursion has no
-// usable partial answer (still a sound under-approximation). The manager
-// size lands in the "bdd.nodes" counter.
+// The BDD preimage engine: Pre(target) over the state bits, returned as the
+// ISOP of its BDD — the form of the success-driven engine's cover — counted
+// from that BDD and finished by finishCover, so maxCubes, project and
+// compress act as they do on every engine. `options.governor` governs the
+// node pool; a trip degrades to the EMPTY cover with the trip's outcome,
+// since the symbolic recursion has no usable partial answer (still a sound
+// under-approximation). The manager size lands in the "bdd.nodes" counter.
 AllSatResult bddPreimage(const TransitionSystem& system, const StateSet& target,
                          const AllSatOptions& options);
 
@@ -55,6 +55,7 @@ class BddRelationalTransition {
   BddManager& manager() { return mgr_; }
   BddRef relation() const { return relation_; }
 
+  // The ISOP of a state-space BDD (support must be state vars).
   StateSet toStateSet(BddRef stateBdd);
   BigUint countStates(BddRef stateBdd);
 

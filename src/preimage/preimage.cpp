@@ -96,18 +96,17 @@ SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const 
   if (!problems.empty()) return successDrivenAllSat(problems, options);
   // The engine needs a root; an empty target's cover is empty.
   SuccessDrivenResult none;
-  finishCover(none.summary, options, system.numStateBits(), /*disjointCubes=*/true,
-              "success-driven", Timer());
+  finishCover(none.summary, options, system.numStateBits(), CoverKind::kIsop, "success-driven",
+              Timer());
   return none;
 }
 
 // Disjointness guarantee backing the certificate's disjoint flag: minterm
-// and chrono covers are disjoint by construction, BDD and success-driven
-// covers are distinct root-to-true paths of one BDD, and wildcard
-// compression preserves all of that. Lifted-cube covers may overlap (their
-// union is still exact).
+// and chrono covers are disjoint by construction, and wildcard compression
+// keeps them so. Lifted-cube covers may overlap, and the success-driven and
+// BDD covers are ISOPs, whose prime cubes overlap (every union is exact).
 bool methodCoverDisjoint(PreimageMethod method) {
-  return method != PreimageMethod::kCubeBlockingLifted;
+  return method == PreimageMethod::kMintermBlocking || method == PreimageMethod::kChrono;
 }
 
 }  // namespace

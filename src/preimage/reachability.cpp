@@ -117,8 +117,7 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
   } catch (const GovernorStop& stop) {
     // Set algebra tripped mid-operation. BddRef assignments are atomic at
     // the statement level, so reached/frontier keep the last values that
-    // were fully computed; everything below is node-walk only (no mkNode)
-    // and cannot throw again.
+    // were fully computed.
     result.outcome = stop.reason;
     algebraSeconds += algebra.seconds();
   }
@@ -130,7 +129,13 @@ ReachabilityResult BackwardSweep::run(const StateSet& target, int maxDepth,
 
   algebra.reset();
   result.reached.numStateBits = n;
-  result.reached.cubes = mgr_.enumerateCubes(reached);
+  try {
+    result.reached.cubes = mgr_.isop(reached, reached);
+  } catch (const GovernorStop&) {
+    // A tripped manager builds no node, which the ISOP needs; the paths of
+    // `reached` need none. The set, and hence the outcome, is the same.
+    result.reached.cubes = mgr_.enumerateCubes(reached);
+  }
   algebraSeconds += algebra.seconds();
   exportStepMetrics(result.steps, result.metrics);
   result.metrics.setGauge("time.preimage_seconds", preimageSeconds);

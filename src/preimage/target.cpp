@@ -51,6 +51,7 @@ uint32_t StateSet::toBdd(BddManager& mgr) const {
 }
 
 std::string StateSet::toString() const {
+  if (cubes.empty()) return "0";
   std::string out;
   for (size_t i = 0; i < cubes.size(); ++i) {
     if (i) out += " + ";
@@ -65,7 +66,6 @@ std::string StateSet::toString() const {
     }
     out.pop_back();
   }
-  if (cubes.empty()) out = "0";
   return out;
 }
 

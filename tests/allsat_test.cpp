@@ -299,7 +299,7 @@ TEST_P(SuccessDrivenFuzz, MatchesBruteForce) {
       EXPECT_EQ(cubesToMinterms(r.summary.cubes, p.projectionSources.size()), expected)
           << "seed-group " << GetParam() << " iter " << iter << " learning " << learning;
       EXPECT_EQ(r.summary.mintermCount.toU64(), expected.size());
-      // The cover is the graph's BDD, read path by path.
+      // The cover is the ISOP of the graph's BDD.
       EXPECT_EQ(r.summary.cubes,
                 testutil::graphBddCover(r.graph, static_cast<int>(p.projectionSources.size())));
       expectGraphAuditOk(r.graph, p);
@@ -389,8 +389,8 @@ TEST(SuccessDriven, GeneratorCoversBitIdenticalAcrossMemoModes) {
 }
 
 // A multi-cube preimage target runs one engine: one root per target cube,
-// one memo across them. Its cover must be the BDD of the union of the
-// per-cube answers, read path by path; its count the BDD engine's; and every
+// one memo across them. Its cover must be the ISOP of the BDD of the union of
+// the per-cube answers; its count the BDD engine's; and every
 // memo hit — cross-root ones included — must match the exact cut key.
 TEST(SuccessDrivenMultiRoot, PreimageMatchesPerCubeRuns) {
   Rng rng(733);
@@ -434,7 +434,7 @@ TEST(SuccessDrivenMultiRoot, PreimageMatchesPerCubeRuns) {
     options.allsat.memoCheckExact = true;
     PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
     ASSERT_TRUE(pre.complete) << name;
-    EXPECT_EQ(pre.states.cubes, mgr.enumerateCubes(perCube)) << name;
+    EXPECT_EQ(pre.states.cubes, mgr.isop(perCube, perCube)) << name;
     EXPECT_EQ(pre.states.cubes, testutil::graphBddCover(pre.graph, bits)) << name;
     EXPECT_EQ(pre.stateCount, computePreimage(ts, target, PreimageMethod::kBdd).stateCount)
         << name;
@@ -492,7 +492,9 @@ class Fnv1a {
 //    move.
 //  * The cover digest folds the cover and the state count. It was re-pinned
 //    when the cover became the graph's BDD paths: it no longer depends on
-//    the branch order, only on the solution set.
+//    the branch order, only on the solution set. It was re-pinned again
+//    when the cover became the ISOP of that BDD (asserted below, with the
+//    count the BDD gives): same sets and counts, fewer and wider cubes.
 // Re-pin either only for a change that is meant to alter what it folds.
 TEST(SuccessDriven, CoversMatchPinnedDigest) {
   Fnv1a graphDigest;
@@ -524,6 +526,10 @@ TEST(SuccessDriven, CoversMatchPinnedDigest) {
       options.allsat.parallel.jobs = jobs;
       PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
       ASSERT_TRUE(pre.complete) << name << " jobs " << jobs;
+      BddManager mgr(target.numStateBits);
+      const BddRef set = pre.graph.toBdd(mgr);
+      ASSERT_EQ(pre.states.cubes, mgr.isop(set, set)) << name << " jobs " << jobs;
+      ASSERT_EQ(pre.stateCount, mgr.satCount(set)) << name << " jobs " << jobs;
       for (size_t r = 0; r < pre.graph.numRoots(); ++r) {
         graphDigest.mix(pre.graph.enumerateRootCubes(r));
       }
@@ -533,7 +539,7 @@ TEST(SuccessDriven, CoversMatchPinnedDigest) {
     }
   }
   EXPECT_EQ(graphDigest.value(), 0x22598198eea6ebddull) << std::hex << graphDigest.value();
-  EXPECT_EQ(coverDigest.value(), 0x62220c5e3f5ee165ull) << std::hex << coverDigest.value();
+  EXPECT_EQ(coverDigest.value(), 0xd64d44e67c83ca45ull) << std::hex << coverDigest.value();
 }
 
 // next(s0) = OR(s0, i0) = 1 holds in every state: i0 = 1 justifies it. The

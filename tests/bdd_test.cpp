@@ -355,7 +355,9 @@ TEST(Bdd, IsopIsPrimeIrredundantCoverOfTheInterval) {
     const BddRef cover = orOfCubes(mgr, cubes);
     EXPECT_TRUE(implies(mgr, lower, cover)) << where;
     EXPECT_TRUE(implies(mgr, cover, upper)) << where;
-    if (exact) EXPECT_EQ(cover, lower) << where;
+    if (exact) {
+      EXPECT_EQ(cover, lower) << where;
+    }
     // Irredundant: every cube covers some state of `lower` no other does.
     for (size_t i = 0; i < cubes.size(); ++i) {
       EXPECT_FALSE(implies(mgr, lower, orOfCubes(mgr, cubes, i))) << where << " cube " << i;

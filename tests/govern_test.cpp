@@ -571,6 +571,26 @@ TEST(GovernedReach, TripFoldsSoundPrefixAndNeverClaimsFixpoint) {
   EXPECT_FALSE(r.fixpoint);
   EXPECT_TRUE(statesSubsetOf(r.reached, oracle.reached));
   EXPECT_EQ(r.metrics.label("outcome"), "cancelled");
+
+  // A trip after the sweep has grown `reached` past the target: the ISOP of
+  // the reached set needs nodes the tripped manager cannot build, so the
+  // sweep returns the set's paths instead, with the trip's outcome.
+  Netlist lfsr = makeLfsr(8);
+  TransitionSystem lts(lfsr);
+  const StateSet lfsrTarget = StateSet::fromCube(8, {mkLit(0), mkLit(2, true), mkLit(7)});
+  ReachabilityResult lfsrOracle = backwardReach(lts, lfsrTarget, 32, PreimageMethod::kBdd, {});
+  Budget conflicts;
+  conflicts.conflictLimit = 2;
+  Governor conflictGovernor(conflicts);
+  PreimageOptions conflictOpts;
+  conflictOpts.allsat.governor = &conflictGovernor;
+  ReachabilityResult mid =
+      backwardReach(lts, lfsrTarget, 32, PreimageMethod::kChrono, conflictOpts);
+  EXPECT_EQ(mid.outcome, Outcome::kConflicts);
+  EXPECT_FALSE(mid.fixpoint);
+  ASSERT_FALSE(mid.steps.empty());
+  EXPECT_TRUE(statesSubsetOf(mid.reached, lfsrOracle.reached));
+  EXPECT_EQ(countCubeUnionMinterms(mid.reached.cubes, 8), mid.steps.back().totalStates);
 }
 
 TEST(GovernedSafety, TripDegradesVerdictToUnknownNeverSafe) {

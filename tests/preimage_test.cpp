@@ -325,7 +325,9 @@ TEST(BddTransition, IgnoresLogicOutsideNextStateCones) {
 // one FNV-1a digest pinned to the value the engines produced when the test
 // was written. BDD covers are canonical in the variable order, so a change to
 // the BDD any next-state function gets moves the digest. Re-pin it only for
-// a change that is meant to alter what the symbolic engines produce.
+// a change that is meant to alter what the symbolic engines produce. It was
+// re-pinned when the covers became the ISOP of the BDD instead of its paths;
+// each cover is asserted to be the ISOP of its own union, counted exactly.
 TEST(Preimage, BddCoversMatchPinnedDigest) {
   uint64_t digest = 0xcbf29ce484222325ull;
   auto mix = [&digest](uint64_t word) {
@@ -335,6 +337,10 @@ TEST(Preimage, BddCoversMatchPinnedDigest) {
     }
   };
   auto mixCover = [&mix](const StateSet& states, const BigUint& count) {
+    BddManager mgr(states.numStateBits);
+    const BddRef set = cubesToBdd(mgr, states.cubes);
+    EXPECT_EQ(states.cubes, mgr.isop(set, set));
+    EXPECT_EQ(count, mgr.satCount(set));
     mix(states.cubes.size());
     for (const LitVec& cube : states.cubes) {
       mix(cube.size());
@@ -362,7 +368,7 @@ TEST(Preimage, BddCoversMatchPinnedDigest) {
     ImageResult img = computeImage(ts, target, ImageMethod::kBdd);
     mixCover(img.states, img.stateCount);
   }
-  EXPECT_EQ(digest, 0x6a0db1c2a2707f18ull) << std::hex << digest;
+  EXPECT_EQ(digest, 0xc9192c409e36904aull) << std::hex << digest;
 }
 
 TEST(Preimage, SuccessDrivenReportsGraphs) {
@@ -386,7 +392,7 @@ TEST(Preimage, SuccessDrivenReportsGraphs) {
   BddManager mgr(6);
   EXPECT_EQ(mgr.satCount(m.graph.toBdd(mgr)), m.stateCount);
 
-  // The parallel path appends one merged cube-and-conquer graph per cube.
+  // sd never splits: at jobs=2 it runs serially, to the same cover.
   PreimageOptions jobs;
   jobs.allsat.parallel.jobs = 2;
   PreimageResult p = computePreimage(ts, multi, PreimageMethod::kSuccessDriven, jobs);
@@ -415,9 +421,10 @@ std::vector<CapCase> capSuite() {
 }
 
 // Every engine's cover leaves through finishCover, so the BDD engine honours
-// maxCubes like the SAT engines: on lfsr:6 / 1x0xxx (6 BDD paths) a cap of 2
-// returns the first two paths with outcome cube-cap, counted as the 8 states
-// they cover, for the BDD engine and success-driven alike.
+// maxCubes like the SAT engines: on lfsr:6 / 1x0xxx (3 ISOP cubes, 28 states)
+// a cap of 2 returns the first two cubes with outcome cube-cap, counted as
+// the 22 states they cover (the cubes overlap: their sizes sum to 24), for
+// the BDD engine and success-driven alike.
 TEST(Preimage, BddAndSuccessDrivenHonourTheCubeCap) {
   Netlist nl = makeLfsr(6);
   TransitionSystem ts(nl);
@@ -427,25 +434,30 @@ TEST(Preimage, BddAndSuccessDrivenHonourTheCubeCap) {
   PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd, capped);
   PreimageResult sd = computePreimage(ts, target, PreimageMethod::kSuccessDriven, capped);
   PreimageResult all = computePreimage(ts, target, PreimageMethod::kBdd);
-  ASSERT_EQ(all.states.cubes.size(), 6u);
+  ASSERT_EQ(all.states.cubes.size(), 3u);
   EXPECT_EQ(all.outcome, Outcome::kComplete);
+  BddManager mgr(6);
+  const BddRef set = cubesToBdd(mgr, all.states.cubes);
+  EXPECT_EQ(all.states.cubes, mgr.isop(set, set));
+  EXPECT_EQ(all.stateCount.toU64(), 28u);
   for (const PreimageResult* r : {&bdd, &sd}) {
     EXPECT_EQ(r->outcome, Outcome::kCubeCap);
     EXPECT_FALSE(r->complete);
     EXPECT_EQ(r->states.cubes,
               std::vector<LitVec>(all.states.cubes.begin(), all.states.cubes.begin() + 2));
-    EXPECT_EQ(r->stateCount.toU64(), 8u);
+    EXPECT_EQ(r->stateCount.toU64(), 22u);
     EXPECT_EQ(r->metrics.label("outcome"), "cube-cap");
   }
   // A cap at the cover's size is exact exhaustion, not a cut.
-  capped.allsat.maxCubes = 6;
+  capped.allsat.maxCubes = 3;
   EXPECT_EQ(computePreimage(ts, target, PreimageMethod::kBdd, capped).outcome,
             Outcome::kComplete);
 }
 
 // The BDD engine runs the shared compress post-pass, so its compressed cover
-// is success-driven's cube for cube, and its certificate's compress flag is
-// backed by merge witnesses.
+// is success-driven's cube for cube. Both covers are ISOPs, in which no two
+// cubes merge: compress leaves them as they are, reports no merge and
+// writes no merge witness into the certificate.
 TEST(Preimage, BddCompressedCoverEqualsSuccessDriven) {
   for (const CapCase& c : capSuite()) {
     TransitionSystem ts(c.nl);
@@ -456,14 +468,19 @@ TEST(Preimage, BddCompressedCoverEqualsSuccessDriven) {
     PreimageResult sd = computePreimage(ts, c.target, PreimageMethod::kSuccessDriven, options);
     EXPECT_EQ(bdd.states.cubes, sd.states.cubes);
     EXPECT_EQ(bdd.stateCount, sd.stateCount);
-    EXPECT_EQ(bdd.metrics.counter("compress.cubes_out"), bdd.states.cubes.size());
     PreimageResult plain = computePreimage(ts, c.target, PreimageMethod::kBdd);
+    EXPECT_EQ(bdd.states.cubes, plain.states.cubes);
     EXPECT_EQ(bdd.stateCount, plain.stateCount);
-    if (bdd.states.cubes.size() < plain.states.cubes.size()) {
-      EXPECT_NE(bdd.certificate.find("\nw "), std::string::npos);
+    for (const PreimageResult* r : {&bdd, &sd}) {
+      EXPECT_EQ(r->metrics.counter("compress.cubes_in"), r->states.cubes.size());
+      EXPECT_EQ(r->metrics.counter("compress.cubes_out"), r->states.cubes.size());
+      EXPECT_EQ(r->metrics.counter("compress.merges"), 0u);
+      EXPECT_EQ(r->certificate.find("\nw "), std::string::npos);
+      EXPECT_NE(r->certificate.find(" compress=1 disjoint=0 "), std::string::npos);
     }
   }
-  // lfsr:6 / 1x0xxx: 6 paths compress to 5 cubes.
+  // lfsr:6 / 1x0xxx: the wildcard merge took its 6 BDD paths to 5 cubes; the
+  // ISOP has 3.
   Netlist nl = makeLfsr(6);
   TransitionSystem lfsr(nl);
   PreimageOptions compress;
@@ -471,7 +488,7 @@ TEST(Preimage, BddCompressedCoverEqualsSuccessDriven) {
   EXPECT_EQ(computePreimage(lfsr, StateSet::fromCube(6, {mkLit(0), mkLit(2, true)}),
                             PreimageMethod::kBdd, compress)
                 .states.cubes.size(),
-            5u);
+            3u);
 }
 
 // For every engine, at every cap, on the generator suite: stateCount is the
@@ -495,6 +512,64 @@ TEST(Preimage, CappedCountIsTheUnionOfTheReturnedCubes) {
           EXPECT_EQ(r.outcome, Outcome::kCubeCap);
           EXPECT_EQ(r.states.cubes.size(), cap);
         }
+      }
+    }
+  }
+}
+
+// sd and kBdd return the ISOP of the preimage they hold: on the generator
+// suite and 200 random circuits both covers are the same list, whose union
+// is the set lifted cube blocking finds, whose count is that union's, whose
+// every cube is prime (no literal can go) and needed (no cube can go), and
+// which is the same at jobs=1 and jobs=4.
+TEST(Preimage, SuccessDrivenAndBddReturnOnePrimeIrredundantCover) {
+  std::vector<CapCase> cases = capSuite();
+  Rng rng(3607);
+  for (int i = 0; i < 200; ++i) {
+    RandomCircuitParams params;
+    params.seed = rng.next();
+    params.numInputs = static_cast<int>(rng.range(1, 4));
+    params.numDffs = static_cast<int>(rng.range(3, 10));
+    params.numGates = static_cast<int>(rng.range(20, 200));
+    Netlist nl = makeRandomSequential(params);
+    StateSet target;
+    target.numStateBits = params.numDffs;
+    for (int c = static_cast<int>(rng.range(1, 3)); c > 0; --c) {
+      LitVec cube;
+      for (int b = 0; b < params.numDffs; ++b) {
+        if (rng.chance(1, 2)) cube.push_back(mkLit(static_cast<Var>(b), rng.flip()));
+      }
+      target.cubes.push_back(cube);
+    }
+    cases.push_back({std::move(nl), std::move(target)});
+  }
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    TransitionSystem ts(cases[i].nl);
+    const StateSet& target = cases[i].target;
+    const PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd);
+    const std::vector<LitVec>& cover = bdd.states.cubes;
+    for (int jobs : {1, 4}) {
+      PreimageOptions options;
+      options.allsat.parallel.jobs = jobs;
+      const PreimageResult sd =
+          computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+      EXPECT_EQ(sd.states.cubes, cover) << "jobs " << jobs;
+      EXPECT_EQ(sd.stateCount, bdd.stateCount) << "jobs " << jobs;
+    }
+    BddManager mgr(ts.numStateBits());
+    const BddRef set = cubesToBdd(mgr, cover);
+    const PreimageResult cb = computePreimage(ts, target, PreimageMethod::kCubeBlockingLifted);
+    EXPECT_EQ(set, cubesToBdd(mgr, cb.states.cubes));
+    EXPECT_EQ(bdd.stateCount, mgr.satCount(set));
+    for (size_t c = 0; c < cover.size(); ++c) {
+      std::vector<LitVec> others = cover;
+      others.erase(others.begin() + static_cast<std::ptrdiff_t>(c));
+      EXPECT_NE(cubesToBdd(mgr, others), set) << "cube " << c << " is redundant";
+      for (size_t l = 0; l < cover[c].size(); ++l) {
+        LitVec wider = cover[c];
+        wider.erase(wider.begin() + static_cast<std::ptrdiff_t>(l));
+        EXPECT_NE(mgr.bddOr(set, mgr.cube(wider)), set) << "cube " << c << " is not prime";
       }
     }
   }

@@ -794,8 +794,8 @@ TEST(ServeServerTest, BudgetedRequestDegradesToSoundPartial) {
 }
 
 // The BDD engine honours max_cubes like every other engine: the first two
-// of lfsr:6 / 1x0xxx's six BDD paths, outcome cube-cap, counted as the 8
-// states they cover.
+// of lfsr:6 / 1x0xxx's three ISOP cubes, outcome cube-cap, counted as the 22
+// states they cover (16 + 8, less the 2 they share).
 TEST(ServeServerTest, BddHonoursMaxCubes) {
   ServerConfig config;
   config.workers = 1;
@@ -810,12 +810,12 @@ TEST(ServeServerTest, BddHonoursMaxCubes) {
   EXPECT_EQ(bdd.find("status")->text, "ok");
   EXPECT_EQ(bdd.find("outcome")->text, "cube-cap");
   EXPECT_EQ(bdd.find("complete")->boolean, false);
-  EXPECT_EQ(bdd.find("count")->text, "8");
+  EXPECT_EQ(bdd.find("count")->text, "22");
   const JsonValue* cubes = bdd.find("cubes");
   ASSERT_NE(cubes, nullptr);
   ASSERT_EQ(cubes->items.size(), 2u);
-  EXPECT_EQ(cubes->items[0].text, "00xx01");
-  EXPECT_EQ(cubes->items[1].text, "00xx10");
+  EXPECT_EQ(cubes->items[0].text, "1x0xxx");
+  EXPECT_EQ(cubes->items[1].text, "x0xx01");
   // `jobs` is no protocol field: the daemon's parallelism is its workers.
   JsonValue jobs = findResponse(transport.out, "jobs");
   EXPECT_EQ(jobs.find("status")->text, "error");

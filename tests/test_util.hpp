@@ -81,11 +81,12 @@ inline std::vector<lbool> originalModel(const PreprocessedCnf& pre,
   return out;
 }
 
-// The cover a success-driven run must return for `graph`: the paths of the
+// The cover a success-driven run must return for `graph`: the ISOP of the
 // BDD of the union of its roots over `numProjectionVars` variables.
 inline std::vector<LitVec> graphBddCover(const SolutionGraph& graph, int numProjectionVars) {
   BddManager mgr(numProjectionVars);
-  return mgr.enumerateCubes(graph.toBdd(mgr));
+  const BddRef set = graph.toBdd(mgr);
+  return mgr.isop(set, set);
 }
 
 }  // namespace presat::testutil
