@@ -202,6 +202,49 @@ class MemoTable {
   size_t firstSlots_ = kInitialSlots;
 };
 
+// A nogood literal "node n has value v", packed as 2n + lbool(v).raw(): it
+// is true exactly when value_[n].raw() equals its low bit.
+using NodeLit = uint32_t;
+
+NodeLit nodeLit(NodeId n, bool v) { return 2 * n + (v ? l_True : l_False).raw(); }
+NodeId litNode(NodeLit l) { return l >> 1; }
+bool litValue(NodeLit l) { return (l & 1) == l_True.raw(); }
+
+// Under PRESAT_AUDIT=full, the first this many nogoods a query learns are
+// each checked by a SAT call (auditNogood).
+constexpr uint64_t kNogoodAuditsPerQuery = 64;
+
+// Learned nogoods: sets of node literals that no evaluation of the netlist
+// (under the current root's objectives) makes true together, stored flat.
+// Each is watched on its first two literals, which are kept not-true where
+// the search allows.
+class NogoodStore {
+ public:
+  size_t size() const { return start_.size() - 1; }
+  uint64_t bytes() const {
+    return (lits_.capacity() + start_.capacity()) * sizeof(uint32_t);
+  }
+  std::span<NodeLit> operator[](uint32_t c) {
+    return {lits_.data() + start_[c], lits_.data() + start_[c + 1]};
+  }
+  std::span<const NodeLit> operator[](uint32_t c) const {
+    return {lits_.data() + start_[c], lits_.data() + start_[c + 1]};
+  }
+  uint32_t add(std::span<const NodeLit> lits) {
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
+    start_.push_back(static_cast<uint32_t>(lits_.size()));
+    return static_cast<uint32_t>(size() - 1);
+  }
+  void clear() {
+    lits_.clear();
+    start_.resize(1);
+  }
+
+ private:
+  std::vector<NodeLit> lits_;
+  std::vector<uint32_t> start_{0};  // nogood c is lits_[start_[c], start_[c + 1])
+};
+
 // One backward-justification search with success-driven learning, shared by
 // every objective set of one call.
 class Engine {
@@ -215,7 +258,9 @@ class Engine {
         value_(nl_.numNodes(), l_Undef),
         projIndex_(nl_.numNodes(), -1),
         numProjection_(static_cast<int>(projectionSources.size())),
-        frontier_(nl_.topologicalOrder()) {
+        projWords_((projectionSources.size() + 63) / 64),
+        frontier_(nl_.topologicalOrder()),
+        why_(nl_.numNodes()) {
     for (size_t i = 0; i < projectionSources.size(); ++i) {
       NodeId src = projectionSources[i];
       PRESAT_CHECK(!isCombinational(nl_.type(src)))
@@ -229,6 +274,7 @@ class Engine {
     if (options_.successLearning) {
       initZobrist();
       live_.assign(nl_.numNodes(), 0);
+      assignedProj_.assign(projWords_, 0);
     }
     initControllability();
     // Constants carry their value from the start and never need
@@ -239,6 +285,7 @@ class Engine {
     }
     graphLedger_.attach(governor_);
     memoLedger_.attach(governor_);
+    nogoodLedger_.attach(governor_);
   }
 
   // Solves every problem as the next root of the shared graph, then takes
@@ -272,6 +319,8 @@ class Engine {
     result.summary.stats.graphNodes = graph.numNodes();
     result.summary.stats.graphEdges = graph.numLiveEdges();
     metrics_.setCounter("sd.subsumed", subsumed_);
+    metrics_.setCounter("sd.nogoods", nogoodsStored_);
+    metrics_.setCounter("sd.nogood_implied", nogoodImplied_);
     if (frontierSizes_.count() != 0) metrics_.histogram("frontier.size").merge(frontierSizes_);
     result.summary.metrics = std::move(metrics_);
     // One BDD pass over the graph serves the cover and the audit.
@@ -323,9 +372,10 @@ class Engine {
   void solveRoot(const NodeCube& objectives) {
     LitVec rootLits;
     curNewProj_ = &rootLits;
+    curObjectives_ = &objectives;
     bool consistent = true;
     for (const NodeAssign& obj : objectives) {
-      if (!assign(obj.first, obj.second)) {
+      if (!assign(obj.first, obj.second, kNoReason)) {
         consistent = false;
         break;
       }
@@ -336,18 +386,24 @@ class Engine {
     // they belong to this root's assignment, not the next one's.
     pending_.clear();
     undoTo(0);
+    clearNogoods();
   }
 
   // --- assignment & propagation ------------------------------------------------
 
-  bool assign(NodeId n, bool v) {
+  // Assigns n = v, forced by `reason` (kNoReason for an objective or a
+  // decision), and checks the nogoods watching the new literal. Returns false
+  // on a contradiction; a nogood made all true is left in conflict_.
+  bool assign(NodeId n, bool v, int reason) {
     lbool cur = value_[n];
     if (!cur.isUndef()) return cur.isTrue() == v;
     value_[n] = lbool(v);
+    why_[n] = {depth_, reason};
     if (options_.successLearning && live_[n] > 0) key_.flip(assignKey(n));
     trail_.push_back({EventKind::kAssign, n});
     if (projIndex_[n] >= 0) {
       curNewProj_->push_back(mkLit(static_cast<Var>(projIndex_[n]), !v));
+      if (options_.successLearning) setBit(assignedProj_.data(), projIndex_[n]);
     }
     if (isCombinational(nl_.type(n))) {
       enterFrontier(n);
@@ -356,7 +412,7 @@ class Engine {
     for (NodeId fo : fanouts_[n]) {
       if (!value_[fo].isUndef() && frontier_.contains(fo)) pending_.push_back(fo);
     }
-    return true;
+    return watchHead_.empty() || checkWatches(nodeLit(n, v));
   }
 
   // A justified gate leaves the frontier and stops holding its fanins live.
@@ -377,7 +433,10 @@ class Engine {
 
     lbool forward = evalGateTernary(gate, value_);
     if (!forward.isUndef()) {
-      if (forward.isTrue() != v) return false;  // conflict
+      if (forward.isTrue() != v) {
+        conflict_ = static_cast<int>(g);
+        return false;
+      }
       removeFromFrontier(g);
       return true;
     }
@@ -399,7 +458,7 @@ class Engine {
           // Non-controlled output: every fanin must take the non-controlling
           // value.
           for (NodeId f : gate.fanins) {
-            if (value_[f].isUndef() && !assign(f, !ctrlIn)) return false;
+            if (value_[f].isUndef() && !assign(f, !ctrlIn, static_cast<int>(g))) return false;
           }
           pending_.push_back(g);
           return true;
@@ -463,22 +522,40 @@ class Engine {
   }
 
   bool forceAndRecheck(NodeId g, NodeId fanin, bool v) {
-    if (!assign(fanin, v)) return false;
+    if (!assign(fanin, v, static_cast<int>(g))) return false;
     pending_.push_back(g);
     return true;
   }
 
+  // Runs the nogood implications, then the gate rechecks, to a fixpoint.
+  // On a conflict both queues are emptied and false returned.
   bool propagateFixpoint() {
-    while (!pending_.empty()) {
-      NodeId g = pending_.back();
-      pending_.pop_back();
-      if (value_[g].isUndef()) continue;
-      if (!examine(g)) {
+    for (;;) {
+      bool ok = true;
+      if (!implied_.empty()) {
+        const auto [lit, c] = implied_.back();
+        implied_.pop_back();
+        const NodeId n = litNode(lit);
+        if (value_[n].isUndef()) {
+          ++nogoodImplied_;
+          ok = assign(n, litValue(lit), nogoodReason(c));
+        } else if (!litTrue(lit)) {
+          conflict_ = nogoodReason(c);
+          ok = false;
+        }
+      } else if (!pending_.empty()) {
+        const NodeId g = pending_.back();
+        pending_.pop_back();
+        ok = value_[g].isUndef() || examine(g);
+      } else {
+        return true;
+      }
+      if (!ok) {
         pending_.clear();
+        implied_.clear();
         return false;
       }
     }
-    return true;
   }
 
   void undoTo(size_t mark) {
@@ -488,7 +565,10 @@ class Engine {
       if (e.kind == EventKind::kAssign) {
         // An unassigned gate holds its fanins live as the frontier gate did.
         if (frontier_.contains(e.node)) leaveFrontier(e.node);
-        if (options_.successLearning && live_[e.node] > 0) key_.flip(assignKey(e.node));
+        if (options_.successLearning) {
+          if (live_[e.node] > 0) key_.flip(assignKey(e.node));
+          if (projIndex_[e.node] >= 0) clearBit(assignedProj_.data(), projIndex_[e.node]);
+        }
         value_[e.node] = l_Undef;
       } else {
         enterFrontier(e.node);
@@ -782,7 +862,340 @@ class Engine {
     ++memoGen_;
   }
 
+  // --- conflict learning -----------------------------------------------------------
+  //
+  // Every assignment records its depth (the decisions on the current path)
+  // and its reason: the gate whose examine() forced it, or the nogood that
+  // implied it; objectives and decisions have none. A failed branch is
+  // analysed to the first UIP of its depth, as in CDCL: starting from the
+  // conflict (a gate whose forward value contradicts its required value, or
+  // a nogood made all true), the latest current-depth literal is replaced by
+  // its reason's literals until one current-depth literal is left. The
+  // result is stored as a nogood: a set of node literals no evaluation of
+  // the netlist makes true together under this root's objectives (the
+  // objective-level literals are left out, so the store is cleared with
+  // every root). A nogood with one open literal implies its opposite, and an
+  // implied gate joins the frontier like any required value.
+  //
+  // A nogood only prunes evaluations that do not exist, so no search state's
+  // projected solution set changes: the memo key stays exact, and a memo
+  // hit's subgraph is still the answer for every state with that key
+  // (namesAssigned() covers the one hit it cannot be attached to).
+
+  static constexpr int kNoReason = -1;
+  static int nogoodReason(uint32_t c) { return -static_cast<int>(c) - 2; }
+  static bool isNogoodReason(int reason) { return reason <= -2; }
+  static uint32_t nogoodOf(int reason) { return static_cast<uint32_t>(-reason - 2); }
+
+  bool litTrue(NodeLit l) const { return value_[litNode(l)].raw() == (l & 1); }
+  bool litFalse(NodeLit l) const { return value_[litNode(l)].raw() == ((l & 1) ^ 1); }
+
+  // Visits the nogoods watching `p`, which just became true: moves each
+  // watch to a literal that is not true, queues the implication of a nogood
+  // left with one open literal, and returns false (conflict_ set) for one
+  // made all true.
+  bool checkWatches(NodeLit p) {
+    for (uint32_t* link = &watchHead_[p]; *link != kNoWatch;) {
+      const uint32_t w = *link;
+      const uint32_t c = watchPool_[w].nogood;
+      std::span<NodeLit> lits = nogoods_[c];
+      if (lits.size() == 1) {
+        conflict_ = nogoodReason(c);
+        return false;
+      }
+      if (lits[0] == p) std::swap(lits[0], lits[1]);
+      const NodeLit other = lits[0];
+      if (!litFalse(other)) {
+        size_t k = 2;
+        while (k < lits.size() && litTrue(lits[k])) ++k;
+        if (k < lits.size()) {
+          // Move the watch: unlink it here, link it into lits[k]'s list.
+          std::swap(lits[1], lits[k]);
+          *link = watchPool_[w].next;
+          watchPool_[w].next = watchHead_[lits[1]];
+          watchHead_[lits[1]] = w;
+          continue;
+        }
+        if (litTrue(other)) {
+          conflict_ = nogoodReason(c);
+          return false;
+        }
+        implied_.push_back({other ^ 1, c});
+      }
+      link = &watchPool_[w].next;
+    }
+    return true;
+  }
+
+  // Calls f(node) for every literal of `reason` other than `implied`'s:
+  // what forced `implied`, or with implied == kNoNode, what made `reason`
+  // a conflict. A gate's literals are read from its type and the current
+  // values, which have not changed since it forced or conflicted.
+  template <typename F>
+  void forEachReasonNode(int reason, NodeId implied, F&& f) const {
+    if (isNogoodReason(reason)) {
+      for (NodeLit l : nogoods_[nogoodOf(reason)]) {
+        if (litNode(l) != implied) f(litNode(l));
+      }
+      return;
+    }
+    const NodeId g = static_cast<NodeId>(reason);
+    const GateNode& gate = nl_.node(g);
+    f(g);
+    switch (gate.type) {
+      case GateType::kBuf:
+      case GateType::kNot:
+        if (implied == kNoNode) f(gate.fanins[0]);
+        return;
+      case GateType::kAnd:
+      case GateType::kNand:
+      case GateType::kOr:
+      case GateType::kNor: {
+        const bool ctrlIn = (gate.type == GateType::kOr || gate.type == GateType::kNor);
+        const bool inverted = (gate.type == GateType::kNand || gate.type == GateType::kNor);
+        if (implied != kNoNode) {
+          // A non-controlled output forces each fanin alone; a controlled
+          // one forces its last open fanin once every other is assigned.
+          if (value_[g].isTrue() == (ctrlIn != inverted)) {
+            for (NodeId fi : gate.fanins) {
+              if (fi != implied) f(fi);
+            }
+          }
+          return;
+        }
+        // A controlled forward value takes one controlling fanin (the
+        // shallowest), a non-controlled one every fanin.
+        NodeId ctrl = kNoNode;
+        for (NodeId fi : gate.fanins) {
+          if (!value_[fi].isUndef() && value_[fi].isTrue() == ctrlIn &&
+              (ctrl == kNoNode || why_[fi].depth < why_[ctrl].depth)) {
+            ctrl = fi;
+          }
+        }
+        if (ctrl != kNoNode) {
+          f(ctrl);
+        } else {
+          for (NodeId fi : gate.fanins) f(fi);
+        }
+        return;
+      }
+      case GateType::kXor:
+      case GateType::kXnor:
+        for (NodeId fi : gate.fanins) {
+          if (fi != implied) f(fi);
+        }
+        return;
+      case GateType::kMux: {
+        const NodeId sel = gate.fanins[0];
+        if (implied == kNoNode) {
+          if (value_[sel].isUndef()) {
+            f(gate.fanins[1]);
+            f(gate.fanins[2]);
+          } else {
+            f(sel);
+            f(gate.fanins[value_[sel].isTrue() ? 2 : 1]);
+          }
+        } else if (implied == sel) {
+          f(gate.fanins[1]);
+          f(gate.fanins[2]);
+        } else {
+          f(sel);
+        }
+        return;
+      }
+      default:
+        PRESAT_CHECK(false) << "reason gate " << gateTypeName(gate.type) << " is not combinational";
+    }
+  }
+
+  // Analyses the conflict in conflict_ to the first UIP of the current
+  // depth and stores the nogood, unless it is the nogood that raised the
+  // conflict (it has one current-depth literal, so analysis would return
+  // it) or has no current-depth literal. Either nogood is remembered as
+  // missed (see assertMissed).
+  void learnFromConflict() {
+    if (seen_.empty()) seen_.assign(nl_.numNodes(), 0);
+    if (isNogoodReason(conflict_)) rememberMissed(nogoodOf(conflict_));
+    learnt_.clear();
+    int open = 0;
+    auto visit = [this, &open](NodeId n) {
+      if (seen_[n] != 0) return;
+      seen_[n] = 1;
+      seenNodes_.push_back(n);
+      if (why_[n].depth == depth_) {
+        ++open;
+      } else if (why_[n].depth > 0) {
+        learnt_.push_back(nodeLit(n, value_[n].isTrue()));
+      }
+    };
+    forEachReasonNode(conflict_, kNoNode, visit);
+    // A nogood with one current-depth literal would be learned again as it
+    // is, so the trail walk is skipped.
+    if (isNogoodReason(conflict_) && open == 1) open = 0;
+    NodeId uip = kNoNode;
+    // Every current-depth literal lies in the trail after the depth's
+    // decision, and each reason's literals lie before the literal they forced.
+    for (size_t i = trail_.size(); open > 0;) {
+      const Event& e = trail_[--i];
+      if (e.kind != EventKind::kAssign || seen_[e.node] == 0 || why_[e.node].depth != depth_) {
+        continue;
+      }
+      if (--open == 0) {
+        uip = e.node;
+      } else {
+        PRESAT_DCHECK(why_[e.node].reason != kNoReason);
+        forEachReasonNode(why_[e.node].reason, e.node, visit);
+      }
+    }
+    for (NodeId n : seenNodes_) seen_[n] = 0;
+    seenNodes_.clear();
+    if (uip == kNoNode) return;
+    learnt_.push_back(nodeLit(uip, value_[uip].isTrue()));
+    // The UIP, open once the branch is undone, and the deepest other
+    // literal are the watches.
+    std::swap(learnt_.front(), learnt_.back());
+    for (size_t k = 2; k < learnt_.size(); ++k) {
+      if (why_[litNode(learnt_[k])].depth > why_[litNode(learnt_[1])].depth) {
+        std::swap(learnt_[1], learnt_[k]);
+      }
+    }
+    rememberMissed(storeNogood());
+  }
+
+  // The search never backjumps, so a nogood learned at one depth, or one
+  // that raised a conflict with a single literal of that depth, has one
+  // open literal once the branch is undone while its other watch stays
+  // true: the watches do not see it. Such nogoods are remembered, and
+  // assertMissed() implies them where they are unit.
+  void rememberMissed(uint32_t c) {
+    if (missedFlag_.size() <= c) missedFlag_.resize(c + 1, 0);
+    if (missedFlag_[c] != 0) return;
+    missedFlag_[c] = 1;
+    missed_.push_back(c);
+  }
+
+  // Queues the implication of every remembered nogood that has one open
+  // literal and no false one, forgets those with two open literals (their
+  // watches see them again), and propagates. Returns false on a conflict.
+  bool assertMissed() {
+    for (size_t i = 0; i < missed_.size();) {
+      const uint32_t c = missed_[i];
+      NodeLit open = 0;
+      int numOpen = 0;
+      bool satisfied = false;
+      for (NodeLit l : nogoods_[c]) {
+        if (litFalse(l)) {
+          satisfied = true;
+          break;
+        }
+        if (!litTrue(l)) {
+          ++numOpen;
+          open = l;
+        }
+      }
+      if (!satisfied && numOpen >= 2) {
+        missedFlag_[c] = 0;
+        missed_[i] = missed_.back();
+        missed_.pop_back();
+        continue;
+      }
+      if (!satisfied && numOpen == 0) {
+        conflict_ = nogoodReason(c);
+        implied_.clear();
+        return false;
+      }
+      if (!satisfied) implied_.push_back({open ^ 1, c});
+      ++i;
+    }
+    return propagateFixpoint();
+  }
+
+  uint32_t storeNogood() {
+    if (watchHead_.empty()) watchHead_.assign(2 * static_cast<size_t>(nl_.numNodes()), kNoWatch);
+    const uint64_t before = nogoodBytes();
+    const uint32_t c = nogoods_.add(learnt_);
+    for (size_t i = 0; i < std::min<size_t>(2, learnt_.size()); ++i) {
+      watchPool_.push_back({c, watchHead_[learnt_[i]]});
+      watchHead_[learnt_[i]] = static_cast<uint32_t>(watchPool_.size() - 1);
+    }
+    ++nogoodsStored_;
+    nogoodLedger_.charge(nogoodBytes() - before);
+    if constexpr (kAuditLevel == AuditLevel::kFull) {
+      if (nogoodsAudited_ < kNogoodAuditsPerQuery) {
+        ++nogoodsAudited_;
+        NodeCube nogood;
+        for (NodeLit l : learnt_) nogood.emplace_back(litNode(l), litValue(l));
+        PRESAT_CHECK_AUDIT(auditNogood(nl_, *curObjectives_, nogood));
+      }
+    }
+    return c;
+  }
+
+  uint64_t nogoodBytes() const {
+    return nogoods_.bytes() + watchHead_.capacity() * sizeof(uint32_t) +
+           watchPool_.capacity() * sizeof(Watch);
+  }
+
+  // Empties the store and its watch lists for the next root.
+  void clearNogoods() {
+    for (uint32_t c = 0; c < nogoods_.size(); ++c) {
+      std::span<const NodeLit> lits = nogoods_[c];
+      watchHead_[lits[0]] = kNoWatch;
+      if (lits.size() > 1) watchHead_[lits[1]] = kNoWatch;
+    }
+    nogoods_.clear();
+    watchPool_.clear();
+    missed_.clear();
+    std::fill(missedFlag_.begin(), missedFlag_.end(), 0);
+  }
+
   // --- search -------------------------------------------------------------------------
+
+  // Counts the conflict in conflict_, drops what propagation left queued and
+  // learns from it.
+  void onConflict() {
+    ++stats_.conflicts;
+    if (governor_ != nullptr) governor_->countConflicts(1);
+    pending_.clear();
+    implied_.clear();
+    learnFromConflict();
+  }
+
+  // The projection sources a subgraph names. The search below a state only
+  // assigns what the state leaves unassigned, but a nogood may imply a node
+  // far from the frontier, and another path to the same memo key may have
+  // assigned that node already (outside its key, which holds only the
+  // nodes the subsearch could read without nogoods). The nogood's
+  // implication holds on both paths, so the solution set is the same, but
+  // the hitting path would assign the source twice: such a hit is searched
+  // again instead. names_ holds, per graph node, a bitset of the sources
+  // its paths name; assignedProj_ those the current path assigns.
+  static void setBit(uint64_t* bits, int i) { bits[i >> 6] |= uint64_t{1} << (i & 63); }
+  static void clearBit(uint64_t* bits, int i) { bits[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
+
+  bool namesAssigned(int child) const {
+    if (child < 0) return false;
+    const uint64_t* names = names_.data() + static_cast<size_t>(child) * projWords_;
+    for (size_t w = 0; w < projWords_; ++w) {
+      if ((names[w] & assignedProj_[w]) != 0) return true;
+    }
+    return false;
+  }
+
+  // Appends the names of the node just added to the graph.
+  void recordNames(const SolutionGraph::Node& node) {
+    const size_t at = names_.size();
+    names_.resize(at + projWords_, 0);
+    for (const SolutionGraph::Branch& b : node.branch) {
+      for (Lit l : b.newLits) setBit(names_.data() + at, l.var());
+      if (b.child >= 0) {
+        for (size_t w = 0; w < projWords_; ++w) {
+          names_[at + w] |= names_[static_cast<size_t>(b.child) * projWords_ + w];
+        }
+      }
+    }
+    graphLedger_.charge(projWords_ * sizeof(uint64_t));
+  }
 
   // Whether the subgraph `child` covers every completion of the projection
   // sources its paths leave open.
@@ -802,13 +1215,24 @@ class Engine {
     }
     if (tripped_) return SolutionGraph::kFail;
     if (frontier_.empty()) return SolutionGraph::kSuccess;
+    // Implications the watches missed hold in this state: the memo key
+    // and the branch see them.
+    if (!missed_.empty()) {
+      if (!assertMissed()) {
+        onConflict();
+        return SolutionGraph::kFail;
+      }
+      if (frontier_.empty()) return SolutionGraph::kSuccess;
+    }
     const Sig128 key = key_;
     if (options_.successLearning) {
       if (options_.memoCheckExact) {
         PRESAT_CHECK(key == recomputedKey())
             << "memo key drifted: the maintained signature differs from a recomputed one";
       }
-      if (MemoTable::Slot* hit = memo_.find(key)) {
+      MemoTable::Slot* hit = memo_.find(key);
+      if (hit != nullptr && namesAssigned(hit->child)) hit = nullptr;
+      if (hit != nullptr) {
         ++stats_.memoHits;
         hit->gen = memoGen_;
         if (options_.memoCheckExact) {
@@ -830,18 +1254,18 @@ class Engine {
     SolutionGraph::Node node;
     node.decisionId = branchNode;
     int subsumedBy = SolutionGraph::kFail;
+    ++depth_;
     for (int b = 0; b < 2; ++b) {
       bool val = (b == 0) ? firstValue : !firstValue;
       size_t mark = trail_.size();
       LitVec newProj;
       curNewProj_ = &newProj;
-      bool consistent = assign(branchNode, val) && propagateFixpoint();
+      bool consistent = assign(branchNode, val, kNoReason) && propagateFixpoint();
       int child = SolutionGraph::kFail;
       if (consistent) {
         child = solveState();
       } else {
-        ++stats_.conflicts;
-        if (governor_ != nullptr) governor_->countConflicts(1);
+        onConflict();
       }
       undoTo(mark);
       // Projected subsumption: a branch that fixes no projection source and
@@ -854,6 +1278,7 @@ class Engine {
       node.branch[b].child = child;
       node.branch[b].newLits = std::move(newProj);
     }
+    --depth_;
 
     int index;
     if (subsumedBy != SolutionGraph::kFail) {
@@ -868,6 +1293,7 @@ class Engine {
           (node.branch[0].newLits.capacity() + node.branch[1].newLits.capacity()) *
               sizeof(Lit));
       index = graph_.addNode(node);
+      if (options_.successLearning) recordNames(node);
       // Covers every completion: a split on one projection source whose
       // branches add only that source's literal and both cover everything.
       full_.push_back(projIndex_[branchNode] >= 0 && node.branch[0].newLits.size() == 1 &&
@@ -892,16 +1318,49 @@ class Engine {
   bool tripped_ = false;          // latched locally: fail-fast unwind flag
   MemoryLedger graphLedger_;      // solution-graph bytes
   MemoryLedger memoLedger_;       // memo slot-array bytes, charged as it grows
+  MemoryLedger nogoodLedger_;     // nogood store bytes, charged as it grows
   const FanoutLists& fanouts_;
   std::vector<lbool> value_;
   std::vector<int> projIndex_;
   int numProjection_;  // projected index space: [0, projectionSources.size())
+  size_t projWords_;   // 64-bit words per bitset over that space
   std::vector<uint32_t> cc_;  // controllability: cc_[2n + v]
 
   Frontier frontier_;  // unjustified gates, ordered by topological position
   std::vector<NodeId> pending_;
   std::vector<Event> trail_;
   LitVec* curNewProj_ = nullptr;
+  const NodeCube* curObjectives_ = nullptr;
+
+  // Conflict learning (see above): per node, the depth and reason of its
+  // assignment; the nogoods and, per node literal, the nogoods watching it.
+  struct Why {
+    uint32_t depth = 0;
+    int reason = kNoReason;  // gate id, nogoodReason(c) or kNoReason
+  };
+  uint32_t depth_ = 0;
+  std::vector<Why> why_;
+  int conflict_ = kNoReason;  // the last conflict, in the same encoding
+  NogoodStore nogoods_;
+  // Watch lists: per node literal, the first of a linked list of watches
+  // in watchPool_; a nogood's two watches sit in the lists of its first two
+  // literals. Allocated at the first nogood.
+  struct Watch {
+    uint32_t nogood;
+    uint32_t next;  // kNoWatch ends the list
+  };
+  static constexpr uint32_t kNoWatch = UINT32_MAX;
+  std::vector<uint32_t> watchHead_;
+  std::vector<Watch> watchPool_;
+  std::vector<std::pair<NodeLit, uint32_t>> implied_;  // (literal to assign, nogood)
+  std::vector<NodeLit> learnt_;
+  std::vector<uint8_t> seen_;  // allocated at the first conflict
+  std::vector<NodeId> seenNodes_;
+  std::vector<uint32_t> missed_;     // nogoods the watches may not see
+  std::vector<uint8_t> missedFlag_;  // per nogood: in missed_
+  uint64_t nogoodsStored_ = 0;
+  uint64_t nogoodImplied_ = 0;
+  uint64_t nogoodsAudited_ = 0;
 
   // Zobrist tables: zAssign_[2n + v] keys "node n assigned value v",
   // zFrontier_[n] keys "node n is an unjustified frontier gate".
@@ -917,6 +1376,8 @@ class Engine {
 
   SolutionGraph graph_;
   std::vector<uint8_t> full_;  // per graph node: coversEverything()
+  std::vector<uint64_t> names_;         // per graph node: sources its paths name
+  std::vector<uint64_t> assignedProj_;  // sources the current path assigns
   uint64_t subsumed_ = 0;      // search nodes answered by subsumption
   AllSatStats stats_;
   Metrics metrics_;

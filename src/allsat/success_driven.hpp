@@ -18,12 +18,24 @@
 //    the objectives' cone. That covers the justification cut (the nodes
 //    reachable from the frontier through frontier gates and unassigned
 //    nodes); assignment is backward-only and a justified gate is never
-//    re-examined, so the subsearch reads nothing beyond that cut: the key
-//    is exact. It is kept up to date as nodes are assigned and justified,
+//    re-examined, so the subsearch's solutions depend on nothing beyond
+//    that cut: the key is exact. It is kept up to date as nodes are assigned and justified,
 //    so a probe costs no walk. Solved subproblems are memoized and their
 //    solution sub-DAGs shared, so equivalent subproblems are never re-solved
 //    and the result is a compact SolutionGraph instead of an exponential
 //    cube list.
+//  * Conflict learning: a failed branch is analysed, as in CDCL, to the
+//    first UIP of its depth over the reasons of its assignments (the gate
+//    whose examine() forced a value, or the nogood that implied it). The
+//    result is a nogood, a set of node values no evaluation of the netlist
+//    makes true together under the root's objectives, watched on two
+//    literals; once one literal is left open, the node gets the opposite
+//    value. The search does not backjump, so a nogood that is unit while
+//    its other watch stays true is remembered and implied at the entry of
+//    each search state. A nogood removes only evaluations that do not
+//    exist, so no state's solution set changes and the memo key stays
+//    exact. The store holds one root's nogoods and runs at every
+//    successLearning setting.
 //  * One engine can answer several objective sets over the same netlist and
 //    projection (a multi-cube preimage target): each becomes one root of a
 //    shared graph, and the memo carries over between them — its key never

@@ -371,4 +371,27 @@ AuditResult auditSolutionGraph(const SolutionGraph& g,
   return r;
 }
 
+AuditResult auditNogood(const Netlist& netlist, const NodeCube& objectives,
+                        const NodeCube& nogood) {
+  AuditResult r;
+  std::vector<NodeId> roots;
+  for (const NodeAssign& a : objectives) roots.push_back(a.first);
+  for (const NodeAssign& a : nogood) roots.push_back(a.first);
+  const CircuitEncoding enc = encodeCircuit(netlist, roots);
+  Solver solver;
+  solver.addCnf(enc.cnf);
+  LitVec units;
+  for (const NodeAssign& a : objectives) units.push_back(enc.litOf(a.first, a.second));
+  for (const NodeAssign& a : nogood) units.push_back(enc.litOf(a.first, a.second));
+  if (solver.okay() && !solver.solve(units).isFalse()) {
+    std::string lits;
+    for (const NodeAssign& a : nogood) {
+      lits += (lits.empty() ? "" : " ") + std::to_string(a.first) + "=" + (a.second ? "1" : "0");
+    }
+    r.fail("graph.nogood.sat", "nogood {" + lits + "} holds in an evaluation that meets the " +
+                                   std::to_string(objectives.size()) + " objective(s)");
+  }
+  return r;
+}
+
 }  // namespace presat

@@ -38,12 +38,22 @@
 //                       objectives — checked by SAT on the Tseitin encoding.
 //                       Cubes promise ∀state ∃input, so plain ternary
 //                       simulation is NOT sufficient here.
+//
+// auditNogood checks one conflict-learning nogood of the success-driven
+// engine on its own:
+//
+//   graph.nogood.sat    the nogood's (node, value) literals cannot all hold
+//                       in an evaluation of the netlist that meets the
+//                       objectives of the root it was learned under — one
+//                       SAT call on the Tseitin encoding of their cone, with
+//                       every literal and objective as a unit, is UNSAT
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "allsat/lifting.hpp"
 #include "base/types.hpp"
 #include "check/audit.hpp"
 
@@ -85,5 +95,10 @@ struct SolutionGraphAuditOptions {
 
 AuditResult auditSolutionGraph(const SolutionGraph& graph,
                                const SolutionGraphAuditOptions& options = {});
+
+// graph.nogood.sat for one nogood (see above). The engine leaves out the
+// literals its root's objectives fix, so the objectives are part of the check.
+AuditResult auditNogood(const Netlist& netlist, const NodeCube& objectives,
+                        const NodeCube& nogood);
 
 }  // namespace presat

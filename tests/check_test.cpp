@@ -276,6 +276,24 @@ TEST(AuditSolutionGraphDeathTest, CheckAuditAbortsWithInvariantName) {
   EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditSolutionGraph(g)), "graph\\.child-range");
 }
 
+// A conflict-learning nogood is a set of node values no evaluation makes
+// true together under its root's objectives. On g = AND(a, b) with the
+// objective g = 1, {b = 0} is one (only with the objective), {g = 1, a = 0}
+// one on its own; the forged {a = 1, b = 1} holds when g = 1.
+TEST(AuditNogood, SoundNogoodsPassAndAForgedOneIsReported) {
+  Netlist nl;
+  NodeId a = nl.addInput("a");
+  NodeId b = nl.addInput("b");
+  NodeId g = nl.mkAnd(a, b, "g");
+  nl.markOutput(g, "g");
+  const NodeCube objectives = {{g, true}};
+  EXPECT_TRUE(auditNogood(nl, objectives, {{b, false}}).ok());
+  EXPECT_TRUE(auditNogood(nl, {}, {{g, true}, {a, false}}).ok());
+  EXPECT_FALSE(auditNogood(nl, {}, {{b, false}}).ok());
+  AuditResult forged = auditNogood(nl, objectives, {{a, true}, {b, true}});
+  EXPECT_TRUE(forged.has("graph.nogood.sat")) << forged.toString();
+}
+
 // Multi-root graphs: the node-array checks run once, the root checks for
 // every root. Root 0 is sound in each corruption below; only root 1 breaks.
 SolutionGraph twoRootGraph() {

@@ -3,10 +3,14 @@
 // enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
+#include "check/audit_solution_graph.hpp"
 #include "gen/generators.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
@@ -16,6 +20,7 @@
 #include "preimage/target.hpp"
 #include "preimage/transition_system.hpp"
 #include "test_util.hpp"
+#include "../bench/bench_util.hpp"
 
 namespace presat {
 namespace {
@@ -573,6 +578,149 @@ TEST(Preimage, SuccessDrivenAndBddReturnOnePrimeIrredundantCover) {
       }
     }
   }
+}
+
+// A random netlist with every gate type the engine justifies through:
+// AND/OR families of 2-3 fanins, XOR/XNOR of 2-3, MUX, BUF and NOT, and now
+// and then a repeated fanin.
+Netlist makeMixedRandom(Rng& rng, int inputs, int dffs, int gates) {
+  Netlist nl;
+  std::vector<NodeId> pool;
+  std::vector<NodeId> state;
+  for (int i = 0; i < inputs; ++i) pool.push_back(nl.addInput("i" + std::to_string(i)));
+  for (int i = 0; i < dffs; ++i) {
+    state.push_back(nl.addDff("s" + std::to_string(i)));
+    pool.push_back(state.back());
+  }
+  static constexpr GateType kTypes[] = {GateType::kAnd, GateType::kNand, GateType::kOr,
+                                        GateType::kNor, GateType::kXor, GateType::kXnor,
+                                        GateType::kMux, GateType::kBuf, GateType::kNot};
+  for (int g = 0; g < gates; ++g) {
+    const GateType type = kTypes[rng.below(std::size(kTypes))];
+    size_t arity = 2 + rng.below(2);
+    if (type == GateType::kMux) arity = 3;
+    if (type == GateType::kBuf || type == GateType::kNot) arity = 1;
+    std::vector<NodeId> fanins;
+    for (size_t k = 0; k < arity; ++k) {
+      const bool repeat = k > 0 && rng.chance(1, 12);
+      fanins.push_back(repeat ? fanins[rng.below(k)] : pool[rng.below(pool.size())]);
+    }
+    pool.push_back(nl.addGate(type, std::move(fanins), "g" + std::to_string(g)));
+  }
+  for (size_t i = 0; i < state.size(); ++i) {
+    nl.connectDffData(state[i], pool[pool.size() - 1 - rng.below(std::min<size_t>(pool.size(), 8))]);
+  }
+  nl.validate();
+  return nl;
+}
+
+// Conflict learning prunes, it never changes an answer: on the generator
+// suite and 200 random circuits (half of them with MUX, BUF and repeated
+// fanins) sd's cover and count are kBdd's, with and without success-driven
+// learning and at every `jobs`, while memoCheckExact checks every memo hit
+// against the exact cut key and the maintained key against a recomputed one.
+TEST(Preimage, SuccessDrivenConflictLearningKeepsTheAnswer) {
+  std::vector<CapCase> cases = capSuite();
+  Rng rng(4421);
+  for (int i = 0; i < 200; ++i) {
+    const int inputs = static_cast<int>(rng.range(1, 6));
+    const int dffs = static_cast<int>(rng.range(3, 16));
+    const int gates = static_cast<int>(rng.range(20, 160));
+    Netlist nl;
+    if (i % 2 == 0) {
+      RandomCircuitParams params;
+      params.seed = rng.next();
+      params.numInputs = inputs;
+      params.numDffs = dffs;
+      params.numGates = gates;
+      nl = makeRandomSequential(params);
+    } else {
+      nl = makeMixedRandom(rng, inputs, dffs, gates);
+    }
+    StateSet target;
+    target.numStateBits = dffs;
+    for (int c = static_cast<int>(rng.range(1, 3)); c > 0; --c) {
+      LitVec cube;
+      for (int b = 0; b < dffs; ++b) {
+        if (rng.chance(1, 2)) cube.push_back(mkLit(static_cast<Var>(b), rng.flip()));
+      }
+      target.cubes.push_back(cube);
+    }
+    cases.push_back({std::move(nl), std::move(target)});
+  }
+  uint64_t nogoods = 0;
+  uint64_t implied = 0;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    TransitionSystem ts(cases[i].nl);
+    ASSERT_LE(ts.numStateBits() + ts.numInputs(), 22);
+    const PreimageResult bdd = computePreimage(ts, cases[i].target, PreimageMethod::kBdd);
+    for (bool learning : {true, false}) {
+      for (int jobs : {0, 1, 4}) {
+        PreimageOptions options;
+        options.allsat.successLearning = learning;
+        options.allsat.memoCheckExact = true;
+        options.allsat.parallel.jobs = jobs;
+        const PreimageResult sd =
+            computePreimage(ts, cases[i].target, PreimageMethod::kSuccessDriven, options);
+        EXPECT_EQ(sd.states.cubes, bdd.states.cubes) << "learning " << learning << " jobs " << jobs;
+        EXPECT_EQ(sd.stateCount, bdd.stateCount) << "learning " << learning << " jobs " << jobs;
+        nogoods += sd.metrics.counter("sd.nogoods");
+        implied += sd.metrics.counter("sd.nogood_implied");
+      }
+    }
+  }
+  // The suite exercises the nogoods, not only the gate-level search.
+  EXPECT_GT(nogoods, 0u);
+  EXPECT_GT(implied, 0u);
+}
+
+// A nogood can imply a node no frontier gate reaches through unassigned
+// nodes, so a state's subgraph can name a state bit that another path to the
+// same memo key has assigned already, outside its key. Reusing it there
+// would give a path that assigns the bit twice (graph.path.repeat), though
+// the count stays right: the engine searches such a hit again. This
+// rand16x240-shaped circuit and target hit the repeat before it did.
+TEST(Preimage, SuccessDrivenMemoHitNeverAssignsASourceTwice) {
+  RandomCircuitParams params;
+  params.numInputs = 6;
+  params.numDffs = 16;
+  params.numGates = 240;
+  params.seed = 6722059717400994120ull;
+  Netlist nl = makeRandomSequential(params);
+  TransitionSystem ts(nl);
+  const StateSet target = StateSet::fromCube(
+      16, {~mkLit(0), mkLit(1), mkLit(2), mkLit(3), mkLit(4), mkLit(5)});
+  PreimageOptions options;
+  options.allsat.memoCheckExact = true;
+  const PreimageResult sd = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+  const PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd);
+  EXPECT_GT(sd.metrics.counter("sd.nogood_implied"), 0u);
+  SolutionGraphAuditOptions audit;
+  audit.numProjectionVars = 16;
+  const AuditResult result = auditSolutionGraph(sd.graph, audit);
+  EXPECT_TRUE(result.ok()) << result.toString();
+  EXPECT_EQ(sd.states.cubes, bdd.states.cubes);
+  EXPECT_EQ(sd.stateCount.toU64(), 24288u);
+}
+
+// Table 1's rand16x240 row: before conflict learning sd made 7 758
+// decisions and hit 2 292 conflicts on it; nogoods cut that to 2 183 and
+// 65. The cover stays kBdd's.
+TEST(Preimage, SuccessDrivenLearnsFromConflictsOnRand16x240) {
+  const std::vector<benchutil::BenchCase> suite = benchutil::standardSuite();
+  auto it = std::find_if(suite.begin(), suite.end(),
+                         [](const benchutil::BenchCase& c) { return c.name == "rand16x240"; });
+  ASSERT_NE(it, suite.end());
+  TransitionSystem ts(it->netlist);
+  const PreimageResult sd = computePreimage(ts, it->target, PreimageMethod::kSuccessDriven);
+  const PreimageResult bdd = computePreimage(ts, it->target, PreimageMethod::kBdd);
+  EXPECT_LE(sd.stats.decisions, 4000u);
+  EXPECT_LE(sd.stats.conflicts, 600u);
+  EXPECT_GT(sd.metrics.counter("sd.nogoods"), 0u);
+  EXPECT_GT(sd.metrics.counter("sd.nogood_implied"), 0u);
+  EXPECT_EQ(sd.states.cubes, bdd.states.cubes);
+  EXPECT_EQ(sd.stateCount, bdd.stateCount);
 }
 
 }  // namespace
