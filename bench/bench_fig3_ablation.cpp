@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "allsat/success_driven.hpp"
+#include "base/log.hpp"
 #include "bench_util.hpp"
 
 using namespace presat;
@@ -21,13 +22,13 @@ namespace {
 Netlist parityTree(int stateBits) {
   Netlist nl;
   std::vector<NodeId> layer, state;
-  for (int i = 0; i < stateBits; ++i) layer.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < stateBits; ++i) layer.push_back(nl.addDff(numbered("s", i)));
   state = layer;
   int gid = 0;
   while (layer.size() > 1) {
     std::vector<NodeId> next;
     for (size_t i = 0; i + 1 < layer.size(); i += 2) {
-      next.push_back(nl.mkXor(layer[i], layer[i + 1], "x" + std::to_string(gid++)));
+      next.push_back(nl.mkXor(layer[i], layer[i + 1], numbered("x", gid++)));
     }
     if (layer.size() % 2 == 1) next.push_back(layer.back());
     layer = std::move(next);

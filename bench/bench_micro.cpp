@@ -9,6 +9,7 @@
 
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
+#include "base/log.hpp"
 #include "base/rng.hpp"
 #include "bench_util.hpp"
 #include "bdd/bdd.hpp"
@@ -151,13 +152,13 @@ void BM_SuccessDrivenParityTree(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   Netlist nl;
   std::vector<NodeId> layer, dffs;
-  for (int i = 0; i < bits; ++i) layer.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < bits; ++i) layer.push_back(nl.addDff(numbered("s", i)));
   dffs = layer;
   int gid = 0;
   while (layer.size() > 1) {
     std::vector<NodeId> next;
     for (size_t i = 0; i + 1 < layer.size(); i += 2) {
-      next.push_back(nl.mkXor(layer[i], layer[i + 1], "x" + std::to_string(gid++)));
+      next.push_back(nl.mkXor(layer[i], layer[i + 1], numbered("x", gid++)));
     }
     if (layer.size() % 2 == 1) next.push_back(layer.back());
     layer = std::move(next);

@@ -7,7 +7,7 @@
 // (clauses / literals, capped), the lifted-cube database, the chronological
 // engine's peak clause database (flat — zero blocking clauses, the store IS
 // the CNF plus a bounded learnt set), the projected-chrono compressed cover
-// (cubes / literals after wildcard merging), and the solution graph (nodes /
+// (cubes / literals of the ISOP of its union), and the solution graph (nodes /
 // edges / stored literals) with the learning-cache size. The graph is the
 // one multi-root graph of the query: a subgraph shared between branches or
 // between the roots of a multi-cube target is stored, and counted, once.
@@ -49,8 +49,8 @@ int main() {
       return 1;
     }
     size_t graphLits = sd.graph.numStoredLiterals();
-    // Compressed-cover footprint: cubes and literals of the wildcard-merged
-    // disjoint cover — the flat-store answer to the solution graph.
+    // Compressed-cover footprint: cubes and literals of the ISOP cover —
+    // the flat-store answer to the solution graph.
     size_t projLits = 0;
     for (const LitVec& cubeLits : proj.states.cubes) projLits += cubeLits.size();
     // Footprint ratio: minterm blocking literals per solution-graph literal.
@@ -77,7 +77,7 @@ int main() {
       "cb = lifted-cube blocking DB; ch = chronological backtracking (ch-db = peak\n"
       "stored clauses — solution-count-independent; ch-flips = pseudo-decision\n"
       "flips, the zero-storage stand-in for blocking clauses); pj = projected\n"
-      "chrono + wildcard compression (compressed disjoint cover, cubes/literals);\n"
+      "chrono + compression (ISOP cover, cubes/literals);\n"
       "gr = success-driven solution graph (one graph per query, one root per\n"
       "target cube; shared subgraphs count once in gr-lits); mt/gr = minterm\n"
       "blocking literals per graph literal (the paper's blow-up-vs-shared-graph\n"

@@ -32,7 +32,6 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   Solver solver;
   solver.setGovernor(governor);
   bool consistent = solver.addCnf(cnf);
-  bool maybeOverlapping = false;
 
   while (consistent) {
     if (governor != nullptr && governor->poll() != Outcome::kComplete) {
@@ -61,7 +60,6 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
         blocking.push_back(~l);
         projectedCube.push_back(mkLit(static_cast<Var>(index), l.sign()));
       }
-      if (cube.size() < projection.size()) maybeOverlapping = true;
     } else {
       // Position by position, so a variable listed twice in the projection
       // (image: two state bits driven by one node) fills both positions.
@@ -87,11 +85,11 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   }
 
   // Lifted covers may carry overlapping, duplicate or subsumed cubes, so
-  // they take the epilogue's overlapping path (dedup, BDD union count); the
-  // minterm cover is disjoint.
+  // they take the epilogue's overlapping path (the ISOP under `project`, a
+  // BDD union count); the minterm cover is disjoint.
   copySolverStats(solver, result.stats);
   finishCover(result, options, static_cast<int>(projection.size()),
-              maybeOverlapping ? CoverKind::kOverlapping : CoverKind::kDisjoint,
+              lifter ? CoverKind::kOverlapping : CoverKind::kDisjoint,
               lifter ? "cube-blocking" : "minterm-blocking", timer);
   return result;
 }

@@ -102,19 +102,24 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     solver.endEnumeration();
   }
 
-  // Disjoint by construction, so the count is the plain power-of-two sum.
-  copySolverStats(solver, result.stats);
-  finishCover(result, options, static_cast<int>(projection.size()), CoverKind::kDisjoint, "chrono",
-              timer);
   // The session is closed (level 0), so the structural solver audit applies;
   // the cube-set audit proves disjointness, and BDD-exact coverage when the
-  // run completed (a budgeted partial set is audited for soundness only).
+  // run completed (a budgeted or capped partial set is audited for soundness
+  // only). It reads chrono's own cover, before `compress` may shrink it.
   ChronoAuditOptions auditOptions;
   if (options.project) auditOptions.diagPrefix = "proj";
   static_cast<void>(auditOptions);
   PRESAT_AUDIT_FULL(PRESAT_CHECK_AUDIT(auditSolver(solver)));
-  PRESAT_AUDIT_FULL(PRESAT_CHECK_AUDIT(
-      auditChronoCubes(cnf, projection, result.cubes, result.complete, auditOptions)));
+  PRESAT_AUDIT_FULL(PRESAT_CHECK_AUDIT(auditChronoCubes(
+      cnf, projection, result.cubes,
+      result.outcome == Outcome::kComplete &&
+          (options.maxCubes == 0 || result.cubes.size() <= options.maxCubes),
+      auditOptions)));
+
+  // Disjoint by construction, so the count is the plain power-of-two sum.
+  copySolverStats(solver, result.stats);
+  finishCover(result, options, static_cast<int>(projection.size()), CoverKind::kDisjoint, "chrono",
+              timer);
   return result;
 }
 

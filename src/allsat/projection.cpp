@@ -1,6 +1,7 @@
 #include "allsat/projection.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "allsat/compress.hpp"
 #include "base/log.hpp"
@@ -72,18 +73,70 @@ void copySolverStats(const Solver& solver, AllSatStats& stats) {
   stats.dbClausesPeak = s.dbClausesPeak;
 }
 
+namespace {
+
+// Replaces `cubes` by isop(f, f) of their union f over variables
+// 0..numVars-1 and returns f's minterm count. The scratch BDD is charged to
+// `governor`; a trip leaves `cubes` as they were and returns nothing.
+std::optional<BigUint> shrinkToIsop(std::vector<LitVec>& cubes, int numVars,
+                                    Governor* governor) {
+  BddManager mgr(numVars);
+  mgr.setGovernor(governor);
+  try {
+    const BddRef f = cubesToBdd(mgr, cubes);
+    cubes = mgr.isop(f, f);
+    return mgr.satCount(f);
+  } catch (const GovernorStop&) {
+    return std::nullopt;
+  }
+}
+
+// Cuts the cover to `maxCubes` (0 = no cap); true if it cut.
+bool trimToCap(AllSatResult& result, uint64_t maxCubes) {
+  if (maxCubes == 0 || result.cubes.size() <= maxCubes) return false;
+  result.cubes.resize(maxCubes);
+  result.outcome = combineOutcomes(result.outcome, Outcome::kCubeCap);
+  return true;
+}
+
+}  // namespace
+
+CompressStats compressCubes(std::vector<LitVec>& cubes, Governor* governor,
+                            std::vector<CompressMergeRecord>* /*trace*/) {
+  int numVars = 0;
+  for (const LitVec& cube : cubes) {
+    for (Lit l : cube) numVars = std::max(numVars, l.var() + 1);
+  }
+  CompressStats stats;
+  stats.cubesIn = cubes.size();
+  shrinkToIsop(cubes, numVars, governor);
+  stats.cubesOut = cubes.size();
+  return stats;
+}
+
 void finishCover(AllSatResult& result, const AllSatOptions& options, int numProjectionVars,
                  CoverKind kind, const char* engine, const Timer& timer) {
-  const bool cut = options.maxCubes != 0 && result.cubes.size() > options.maxCubes;
-  if (cut) {
-    result.cubes.resize(options.maxCubes);
-    result.outcome = combineOutcomes(result.outcome, Outcome::kCubeCap);
+  const bool cut = trimToCap(result, options.maxCubes);
+  const size_t cubesIn = result.cubes.size();
+  std::optional<BigUint> count;
+  if (kind != CoverKind::kIsop &&
+      (options.compress || (options.project && kind == CoverKind::kOverlapping))) {
+    count = shrinkToIsop(result.cubes, numProjectionVars, options.governor);
   }
-  applyProjectionPostpass(result, options, kind);
-  if (kind == CoverKind::kDisjoint) {
+  if (count) {
+    // An ISOP may outgrow the cover it replaces.
+    result.mintermCount = trimToCap(result, options.maxCubes)
+                              ? countCubeUnionMinterms(result.cubes, numProjectionVars)
+                              : std::move(*count);
+  } else if (kind == CoverKind::kDisjoint) {
     result.mintermCount = countDisjointCubeMinterms(result.cubes, numProjectionVars);
   } else if (kind == CoverKind::kOverlapping || cut) {
     result.mintermCount = countCubeUnionMinterms(result.cubes, numProjectionVars);
+  }
+  if (options.project) result.metrics.setCounter("proj.cubes", result.cubes.size());
+  if (options.compress) {
+    result.metrics.setCounter("compress.cubes_in", cubesIn);
+    result.metrics.setCounter("compress.cubes_out", result.cubes.size());
   }
   result.stats.seconds = timer.seconds();
   result.complete = (result.outcome == Outcome::kComplete);

@@ -25,10 +25,10 @@ class BddManager;
 class Governor;
 class Solver;
 
-// One wildcard merge applied by compressCubes: parents (A & x) and (A & ~x)
-// collapsed into `merged` = A by eliminating `mergeVar`. The trace is the
-// certificate's compression witness — a checker can replay each record and
-// confirm the rewrite preserved the cover's union.
+// One wildcard-merge witness (parents (A & x) and (A & ~x) collapsed into
+// `merged` = A by eliminating `mergeVar`): the certificate's `w` line. No
+// cover in this library is a wildcard merge any more, so nothing emits one;
+// the record and its grammar remain for callers that still pass a trace.
 struct CompressMergeRecord {
   Var mergeVar = 0;
   LitVec merged;  // projected index space, sorted by variable
@@ -79,9 +79,10 @@ struct AllSatResult {
   // disjointness guarantees continue to hold.
   Outcome outcome = Outcome::kComplete;
   // Cubes in the projected index space whose UNION is the projected solution
-  // set. Minterm blocking and chrono produce pairwise-disjoint cubes;
-  // success-driven and kBdd return the ISOP of a BDD, and lifted cube
-  // blocking's cubes may overlap too (the union is still exact).
+  // set. Minterm blocking and chrono produce pairwise-disjoint cubes unless
+  // `compress` shrank them; success-driven, kBdd and every compressed cover
+  // are the ISOP of a BDD, and lifted cube blocking's cubes may overlap too
+  // (the union is still exact).
   std::vector<LitVec> cubes;
   // Exact number of projected minterms in the union of `cubes`.
   BigUint mintermCount;
@@ -117,17 +118,17 @@ struct AllSatOptions {
   // scope prefix plus the already-implied input/aux literals satisfy every
   // clause (an existential witness), and the cube widening reads the
   // unassigned input/aux variables as free — so cubes widen, `pre.cubes`
-  // shrinks, and the input/aux space is never exhaustively decided. The
-  // blocking engines project-then-dedup (canonical sort, duplicate and
-  // subsumed cube removal) so the cross-engine audit still compares equal
-  // state sets; the success-driven and kBdd covers are already projected
-  // ISOPs. The projected union is identical either way.
+  // shrinks, and the input/aux space is never exhaustively decided. A lifted
+  // cube-blocking cover, whose cubes may overlap, leaves as the ISOP of its
+  // union (see finishCover); the minterm cover is disjoint already, and the
+  // success-driven and kBdd covers are already projected ISOPs. The
+  // projected union is identical either way.
   bool project = false;
-  // Wildcard compression post-pass (Wild-style (x & A) | (~x & A) = A
-  // merging) over the final cube set — and over each parallel shard's cover
-  // before the merge, so shards exchange compressed covers. Union- and
-  // disjointness-preserving; mintermCount is unaffected. An ISOP cover
-  // (success-driven, kBdd) has no pair to merge and is left as it is.
+  // Shrinks every cover to the ISOP of its union, isop(f, f) in finishCover:
+  // the cover success-driven and kBdd return anyway, so with `compress` on
+  // every engine returns the same cubes. Parallel shards hand in their raw
+  // disjoint covers; only the merged cover is shrunk. The union and
+  // mintermCount are unaffected, but the cubes may overlap.
   bool compress = false;
   // Cube-and-conquer parallel enumeration (src/parallel/). jobs == 0 keeps
   // the serial engines; with jobs >= 1 the engines that split partition the
@@ -140,11 +141,6 @@ struct AllSatOptions {
   // null = ungoverned (the default — hot paths stay unchanged). Shared
   // across parallel shards: one trip stops every worker cooperatively.
   Governor* governor = nullptr;
-  // When non-null, compressCubes appends one CompressMergeRecord per wildcard
-  // merge it applies (the certificate's `w` witness lines). Not owned; serial
-  // paths only — parallel shard compression never traces (shards would race
-  // on the shared vector).
-  std::vector<CompressMergeRecord>* compressTrace = nullptr;
 };
 
 // Copies the CNF engines' solver counters into `stats`.
@@ -152,8 +148,7 @@ void copySolverStats(const Solver& solver, AllSatStats& stats);
 
 // What finishCover may assume of the cover an engine hands it. kIsop is
 // BddManager::isop(f, f) of a BDD f the engine holds (sd, kBdd), with
-// mintermCount already set from f: prime and irredundant, so there is
-// nothing to deduplicate or merge.
+// mintermCount already set from f: there is nothing left to shrink.
 enum class CoverKind {
   kDisjoint,     // pairwise disjoint cubes (minterm, chrono, split runs)
   kOverlapping,  // cubes may overlap (lifted cube blocking)
@@ -161,18 +156,24 @@ enum class CoverKind {
 };
 
 // The one epilogue every cover leaves its engine through — each serial
-// engine, the parallel merge, success-driven and the BDD preimage engine:
+// engine, the parallel merge, success-driven and the BDD preimage engine —
+// and the only place a cover is shrunk:
 //  * trims the cover to options.maxCubes, combining the outcome with
 //    Outcome::kCubeCap (an engine may hand in one cube past the cap to say
 //    that more remain);
-//  * runs applyProjectionPostpass (allsat/compress.hpp), which leaves an
-//    ISOP as it is;
-//  * sets mintermCount to the union of the cubes it keeps — the power-of-two
-//    sum for a disjoint cover, the engine's own count for an uncut ISOP,
-//    else through a scratch BDD;
+//  * with `compress` on, or `project` on over a kOverlapping cover, replaces
+//    a cover that is no ISOP yet by isop(f, f) of its union f, built once in
+//    a scratch BDD charged to options.governor, and reads mintermCount off
+//    f. An ISOP can outgrow a cut cover: it is then cut again and
+//    recounted. A trip keeps the unshrunk cover, counted as below; the
+//    outcome stays the engine's, since the union is the same;
+//  * otherwise sets mintermCount to the union of the cubes it keeps — the
+//    power-of-two sum for a disjoint cover, the engine's own count for an
+//    uncut ISOP, else through a scratch BDD;
 //  * stamps `timer` as stats.seconds, exports the stats block, the "engine"
-//    and "outcome" labels and, with a governor attached, its govern.* block,
-//    and derives `complete` from the outcome.
+//    and "outcome" labels, proj.cubes under `project`, compress.cubes_in /
+//    compress.cubes_out under `compress` and, with a governor attached, its
+//    govern.* block, and derives `complete` from the outcome.
 void finishCover(AllSatResult& result, const AllSatOptions& options, int numProjectionVars,
                  CoverKind kind, const char* engine, const Timer& timer);
 

@@ -17,8 +17,9 @@
 // into it. Whole-graph queries (BDD, sizes) cover the union of all roots.
 //
 // Path cubes overlap: two paths may share minterms or carry the same cube.
-// So the success-driven engine's cover is the graph's BDD paths, which are
-// disjoint; the path cubes serve only the audit.
+// So the success-driven engine's cover is not the path cubes but the ISOP
+// isop(f, f) of the graph's BDD f (see rootBdds); the path cubes serve only
+// the audit.
 #pragma once
 
 #include <cstdint>

@@ -19,4 +19,10 @@ std::string toString(const LitVec& lits) {
   return out;
 }
 
+std::string numbered(std::string_view prefix, int64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 }  // namespace presat

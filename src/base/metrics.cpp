@@ -144,7 +144,10 @@ std::string Metrics::toJson(int indent) const {
     out.open('{');
     for (const auto& [name, v] : labels_) {
       out.key(name);
-      out.value("\"" + jsonEscape(v) + "\"");
+      std::string quoted = "\"";
+      quoted += jsonEscape(v);
+      quoted += '"';
+      out.value(quoted);
     }
     out.close('}');
   }

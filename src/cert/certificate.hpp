@@ -6,10 +6,11 @@
 // witness per cube (`j` lines — a model of F that extends the cube, so the
 // cube holds at least one solution; it says nothing about the cube's other
 // minterms), the parallel split's guide cubes (`g` lines — the cross-shard
-// disjointness argument), the wildcard-compression merge witnesses (`w`
-// lines — one (x & A) | (~x & A) = A record per merge), and a clausal
-// completeness proof (`a`/`e` lines) whose final empty clause shows that
-// F AND the blocking clauses of every cube is UNSAT — i.e. no solution
+// disjointness argument), optional merge witnesses (`w` lines — one
+// (x & A) | (~x & A) = A record each; no cover of this library carries one,
+// since a compressed cover is an ISOP, but the grammar stays), and a
+// clausal completeness proof (`a`/`e` lines) whose final empty clause shows
+// that F AND the blocking clauses of every cube is UNSAT — i.e. no solution
 // escapes the cover. Partial (governor-degraded) covers carry no
 // completeness proof; the checker then verifies the witnesses and
 // disjointness only, and that the claimed outcome is an honest degradation
@@ -56,7 +57,8 @@ struct CertificateSpec {
   const std::vector<CompressMergeRecord>* merges = nullptr;
   Outcome outcome = Outcome::kComplete;
   // Pairwise-disjoint cubes (minterm blocking, chrono); false (cube blocking,
-  // the ISOPs of success-driven and kBdd) skips the disjointness check.
+  // the ISOPs of success-driven, kBdd and every compressed cover) skips the
+  // disjointness check.
   bool disjoint = true;
   const char* engine = "";
   uint64_t circuitHash = 0;

@@ -2,13 +2,14 @@
 
 #include <string>
 
+#include "base/log.hpp"
 #include "bdd/bdd.hpp"
 
 namespace presat {
 
 namespace {
 
-std::string refStr(BddRef f) { return "@" + std::to_string(f); }
+std::string refStr(BddRef f) { return numbered("@", f); }
 
 }  // namespace
 

@@ -386,7 +386,9 @@ AuditResult auditNogood(const Netlist& netlist, const NodeCube& objectives,
   if (solver.okay() && !solver.solve(units).isFalse()) {
     std::string lits;
     for (const NodeAssign& a : nogood) {
-      lits += (lits.empty() ? "" : " ") + std::to_string(a.first) + "=" + (a.second ? "1" : "0");
+      if (!lits.empty()) lits += ' ';
+      lits += std::to_string(a.first);
+      lits += a.second ? "=1" : "=0";
     }
     r.fail("graph.nogood.sat", "nogood {" + lits + "} holds in an evaluation that meets the " +
                                    std::to_string(objectives.size()) + " objective(s)");

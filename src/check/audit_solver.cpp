@@ -191,7 +191,7 @@ AuditResult auditSolver(const Solver& s) {
     const bool onTrail = trailPos.count(static_cast<Var>(v)) != 0;
     if (assigned != onTrail) {
       r.fail("solver.trail.assign",
-             "x" + std::to_string(v) + (assigned ? " is assigned but not on the trail"
+             numbered("x", v) + (assigned ? " is assigned but not on the trail"
                                                  : " is on the trail but unassigned"));
     }
   }

@@ -306,7 +306,7 @@ void writeBench(std::ostream& out, const Netlist& netlist) {
   auto nodeName = [&](NodeId id) {
     const std::string& n = netlist.name(id);
     if (!n.empty()) return n;
-    return "n" + std::to_string(id);
+    return numbered("n", id);
   };
   for (NodeId id : netlist.inputs()) out << "INPUT(" << nodeName(id) << ")\n";
   for (NodeId id : netlist.outputs()) out << "OUTPUT(" << nodeName(id) << ")\n";

@@ -11,7 +11,7 @@ CnfCircuit cnfToCircuit(const Cnf& cnf) {
   Netlist& nl = result.netlist;
   result.varNode.reserve(static_cast<size_t>(cnf.numVars()));
   for (Var v = 0; v < cnf.numVars(); ++v) {
-    result.varNode.push_back(nl.addInput("x" + std::to_string(v)));
+    result.varNode.push_back(nl.addInput(numbered("x", v)));
   }
   std::vector<NodeId> negated(static_cast<size_t>(cnf.numVars()), kNoNode);
   auto litNode = [&](Lit l) -> NodeId {
@@ -35,7 +35,7 @@ CnfCircuit cnfToCircuit(const Cnf& cnf) {
     for (Lit l : c) lits.push_back(litNode(l));
     clauseNodes.push_back(lits.size() == 1 ? lits[0]
                                            : nl.addGate(GateType::kOr, std::move(lits),
-                                                        "c" + std::to_string(i)));
+                                                        numbered("c", i)));
   }
   if (clauseNodes.empty()) {
     result.root = nl.addConst(true, "true");

@@ -29,10 +29,10 @@ Netlist makeCounter(int bits, bool withEnable) {
   NodeId carry = withEnable ? nl.addInput("en") : nl.addConst(true, "one");
   std::vector<NodeId> state;
   state.reserve(static_cast<size_t>(bits));
-  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff(numbered("s", i)));
   for (int i = 0; i < bits; ++i) {
-    NodeId sum = nl.mkXor(state[static_cast<size_t>(i)], carry, "sum" + std::to_string(i));
-    carry = nl.mkAnd(state[static_cast<size_t>(i)], carry, "c" + std::to_string(i + 1));
+    NodeId sum = nl.mkXor(state[static_cast<size_t>(i)], carry, numbered("sum", i));
+    carry = nl.mkAnd(state[static_cast<size_t>(i)], carry, numbered("c", i + 1));
     nl.connectDffData(state[static_cast<size_t>(i)], sum);
   }
   nl.markOutput(carry, "cout");
@@ -44,7 +44,7 @@ Netlist makeGrayCounter(int bits) {
   PRESAT_CHECK(bits >= 1);
   Netlist nl;
   std::vector<NodeId> gray;
-  for (int i = 0; i < bits; ++i) gray.push_back(nl.addDff("g" + std::to_string(i)));
+  for (int i = 0; i < bits; ++i) gray.push_back(nl.addDff(numbered("g", i)));
 
   // Decode gray -> binary: b_i = g_i ^ b_{i+1}, b_{n-1} = g_{n-1}.
   std::vector<NodeId> binary(static_cast<size_t>(bits));
@@ -52,22 +52,22 @@ Netlist makeGrayCounter(int bits) {
   for (int i = bits - 2; i >= 0; --i) {
     binary[static_cast<size_t>(i)] = nl.mkXor(gray[static_cast<size_t>(i)],
                                               binary[static_cast<size_t>(i + 1)],
-                                              "b" + std::to_string(i));
+                                              numbered("b", i));
   }
   // Increment.
   NodeId carry = nl.addConst(true, "one");
   std::vector<NodeId> nextBinary(static_cast<size_t>(bits));
   for (int i = 0; i < bits; ++i) {
     nextBinary[static_cast<size_t>(i)] =
-        nl.mkXor(binary[static_cast<size_t>(i)], carry, "nb" + std::to_string(i));
-    carry = nl.mkAnd(binary[static_cast<size_t>(i)], carry, "nc" + std::to_string(i + 1));
+        nl.mkXor(binary[static_cast<size_t>(i)], carry, numbered("nb", i));
+    carry = nl.mkAnd(binary[static_cast<size_t>(i)], carry, numbered("nc", i + 1));
   }
   // Re-encode binary -> gray: g_i = b_i ^ b_{i+1}, g_{n-1} = b_{n-1}.
   for (int i = 0; i < bits; ++i) {
     NodeId next = (i == bits - 1)
                       ? nextBinary[static_cast<size_t>(i)]
                       : nl.mkXor(nextBinary[static_cast<size_t>(i)],
-                                 nextBinary[static_cast<size_t>(i + 1)], "ng" + std::to_string(i));
+                                 nextBinary[static_cast<size_t>(i + 1)], numbered("ng", i));
     nl.connectDffData(gray[static_cast<size_t>(i)], next);
   }
   nl.markOutput(gray[0], "lsb");
@@ -81,7 +81,7 @@ Netlist makeLfsr(int bits, uint64_t tapsMask) {
   Netlist nl;
   NodeId en = nl.addInput("en");
   std::vector<NodeId> state;
-  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff(numbered("s", i)));
 
   std::vector<NodeId> taps;
   for (int i = 0; i < bits; ++i) {
@@ -91,7 +91,7 @@ Netlist makeLfsr(int bits, uint64_t tapsMask) {
   NodeId feedback = taps.size() == 1 ? taps[0] : nl.addGate(GateType::kXor, taps, "fb");
   for (int i = 0; i < bits; ++i) {
     NodeId shifted = (i == 0) ? feedback : state[static_cast<size_t>(i - 1)];
-    NodeId next = nl.mkMux(en, state[static_cast<size_t>(i)], shifted, "n" + std::to_string(i));
+    NodeId next = nl.mkMux(en, state[static_cast<size_t>(i)], shifted, numbered("n", i));
     nl.connectDffData(state[static_cast<size_t>(i)], next);
   }
   nl.markOutput(state[static_cast<size_t>(bits - 1)], "out");
@@ -104,7 +104,7 @@ Netlist makeShiftRegister(int bits) {
   Netlist nl;
   NodeId d = nl.addInput("d");
   std::vector<NodeId> state;
-  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff(numbered("s", i)));
   for (int i = 0; i < bits; ++i) {
     nl.connectDffData(state[static_cast<size_t>(i)],
                       i == 0 ? d : state[static_cast<size_t>(i - 1)]);
@@ -119,9 +119,9 @@ Netlist makeRoundRobinArbiter(int clients) {
   const int n = clients;
   Netlist nl;
   std::vector<NodeId> req;
-  for (int i = 0; i < n; ++i) req.push_back(nl.addInput("r" + std::to_string(i)));
+  for (int i = 0; i < n; ++i) req.push_back(nl.addInput(numbered("r", i)));
   std::vector<NodeId> ptr;  // one-hot pointer to the highest-priority client
-  for (int i = 0; i < n; ++i) ptr.push_back(nl.addDff("p" + std::to_string(i)));
+  for (int i = 0; i < n; ++i) ptr.push_back(nl.addDff(numbered("p", i)));
 
   std::vector<NodeId> notReq;
   for (int i = 0; i < n; ++i) notReq.push_back(nl.mkNot(req[static_cast<size_t>(i)]));
@@ -150,7 +150,7 @@ Netlist makeRoundRobinArbiter(int clients) {
     NodeId next = nl.mkMux(anyGrant, ptr[static_cast<size_t>(j)], rotated);
     nl.connectDffData(ptr[static_cast<size_t>(j)], next);
   }
-  for (int i = 0; i < n; ++i) nl.markOutput(grant[static_cast<size_t>(i)], "g" + std::to_string(i));
+  for (int i = 0; i < n; ++i) nl.markOutput(grant[static_cast<size_t>(i)], numbered("g", i));
   nl.validate();
   return nl;
 }
@@ -209,18 +209,18 @@ Netlist makeAccumulator(int bits) {
   PRESAT_CHECK(bits >= 1);
   Netlist nl;
   std::vector<NodeId> in, state;
-  for (int i = 0; i < bits; ++i) in.push_back(nl.addInput("a" + std::to_string(i)));
-  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < bits; ++i) in.push_back(nl.addInput(numbered("a", i)));
+  for (int i = 0; i < bits; ++i) state.push_back(nl.addDff(numbered("s", i)));
   NodeId carry = nl.addConst(false, "cin");
   for (int i = 0; i < bits; ++i) {
     NodeId si = state[static_cast<size_t>(i)];
     NodeId ai = in[static_cast<size_t>(i)];
-    NodeId halfSum = nl.mkXor(si, ai, "h" + std::to_string(i));
-    NodeId sum = nl.mkXor(halfSum, carry, "sum" + std::to_string(i));
+    NodeId halfSum = nl.mkXor(si, ai, numbered("h", i));
+    NodeId sum = nl.mkXor(halfSum, carry, numbered("sum", i));
     // carry-out = (s & a) | (c & (s ^ a))
-    NodeId gen = nl.mkAnd(si, ai, "g" + std::to_string(i));
-    NodeId prop = nl.mkAnd(halfSum, carry, "p" + std::to_string(i));
-    carry = nl.mkOr(gen, prop, "c" + std::to_string(i + 1));
+    NodeId gen = nl.mkAnd(si, ai, numbered("g", i));
+    NodeId prop = nl.mkAnd(halfSum, carry, numbered("p", i));
+    carry = nl.mkOr(gen, prop, numbered("c", i + 1));
     nl.connectDffData(si, sum);
   }
   nl.markOutput(carry, "cout");
@@ -239,9 +239,9 @@ Netlist makeCombinationLock(const std::vector<int>& code, int bitsPerSymbol) {
 
   Netlist nl;
   std::vector<NodeId> in;
-  for (int b = 0; b < bitsPerSymbol; ++b) in.push_back(nl.addInput("in" + std::to_string(b)));
+  for (int b = 0; b < bitsPerSymbol; ++b) in.push_back(nl.addInput(numbered("in", b)));
   std::vector<NodeId> progress;
-  for (int b = 0; b < stateBits; ++b) progress.push_back(nl.addDff("p" + std::to_string(b)));
+  for (int b = 0; b < stateBits; ++b) progress.push_back(nl.addDff(numbered("p", b)));
 
   std::vector<NodeId> notIn, notProgress;
   for (NodeId i : in) notIn.push_back(nl.mkNot(i));
@@ -272,7 +272,7 @@ Netlist makeCombinationLock(const std::vector<int>& code, int bitsPerSymbol) {
   std::vector<NodeId> advanceTo(static_cast<size_t>(len + 1), kNoNode);
   for (int i = 0; i < len; ++i) {
     advanceTo[static_cast<size_t>(i + 1)] =
-        nl.mkAnd(stateEquals(i), symbolEquals(code[i]), "adv" + std::to_string(i + 1));
+        nl.mkAnd(stateEquals(i), symbolEquals(code[i]), numbered("adv", i + 1));
   }
   NodeId open = stateEquals(len);
 
@@ -282,7 +282,7 @@ Netlist makeCombinationLock(const std::vector<int>& code, int bitsPerSymbol) {
       if ((value >> b) & 1) terms.push_back(advanceTo[static_cast<size_t>(value)]);
     }
     if ((len >> b) & 1) terms.push_back(open);  // absorbing open state
-    NodeId next = terms.empty() ? nl.addConst(false, "zero" + std::to_string(b))
+    NodeId next = terms.empty() ? nl.addConst(false, numbered("zero", b))
                                 : orAll(nl, terms);
     nl.connectDffData(progress[static_cast<size_t>(b)], next);
   }

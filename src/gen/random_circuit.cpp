@@ -15,10 +15,10 @@ Netlist makeRandomSequential(const RandomCircuitParams& params) {
 
   Netlist nl;
   std::vector<NodeId> pool;  // candidate fanin nodes, in creation order
-  for (int i = 0; i < params.numInputs; ++i) pool.push_back(nl.addInput("x" + std::to_string(i)));
+  for (int i = 0; i < params.numInputs; ++i) pool.push_back(nl.addInput(numbered("x", i)));
   std::vector<NodeId> dffs;
   for (int i = 0; i < params.numDffs; ++i) {
-    NodeId d = nl.addDff("s" + std::to_string(i));
+    NodeId d = nl.addDff(numbered("s", i));
     dffs.push_back(d);
     pool.push_back(d);
   }
@@ -65,7 +65,7 @@ Netlist makeRandomSequential(const RandomCircuitParams& params) {
         fanins.resize(1);
       }
     }
-    pool.push_back(nl.addGate(type, std::move(fanins), "g" + std::to_string(g)));
+    pool.push_back(nl.addGate(type, std::move(fanins), numbered("g", g)));
   }
 
   // Next-state functions: sample from the most recently created gates so the

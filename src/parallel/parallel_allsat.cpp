@@ -14,13 +14,12 @@ namespace presat {
 
 namespace {
 
-// Per-shard options: serial inner engines (no recursive splitting).
+// Per-shard options: serial inner engines (no recursive splitting) that
+// hand in their raw disjoint covers; only the merged cover is shrunk.
 AllSatOptions shardOptions(const AllSatOptions& options) {
   AllSatOptions inner = options;
   inner.parallel = ParallelOptions{};
-  // Concurrent shards would race on a shared compression trace; the merged
-  // cover's post-pass traces instead.
-  inner.compressTrace = nullptr;
+  inner.compress = false;
   return inner;
 }
 
@@ -93,19 +92,18 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
   AllSatResult result = mergeShardSummaries(shards);
   // The split plan is the certificate's cross-shard disjointness argument:
   // every shard enumerated inside its guide cube, and the guides partition
-  // the projected space. (Post-merge compression may still merge across a
-  // guide boundary; the checker verifies cube disjointness directly and
-  // treats the guides as documentation of the split.)
+  // the projected space. (A compressed cover's ISOP cubes may cross guide
+  // boundaries and overlap; its certificate claims no disjointness, and the
+  // checker treats the guides as documentation of the split.)
   result.guides = plan.cubes;
 
   // maxCubes is a GLOBAL cap but each shard enforced it locally, so the
   // concatenation can exceed it; the epilogue trims it in shard order, which
-  // keeps the result deterministic. Its post-pass merges wildcard pairs
-  // straddling a shard guide (each shard already projected/compressed its
-  // own cover, so shards exchanged compressed covers). It runs after the
-  // shard-partition audit on purpose — a cross-shard merge may erase guide
-  // literals, which is sound (the union is unchanged) but would no longer
-  // satisfy the per-shard guide shape.
+  // keeps the result deterministic. Under `compress` it then replaces the
+  // merged cover by the ISOP of its union, which is the same at every job
+  // count. It runs after the shard-partition audit on purpose: ISOP cubes
+  // need not lie inside one guide, which is sound (the union is unchanged)
+  // but would no longer satisfy the per-shard guide shape.
   finishCover(result, options, static_cast<int>(projection.size()), CoverKind::kDisjoint, engine,
               timer);
   pool.exportMetrics(result.metrics);

@@ -102,11 +102,12 @@ SuccessDrivenResult successDrivenPreimage(const TransitionSystem& system, const 
 }
 
 // Disjointness guarantee backing the certificate's disjoint flag: minterm
-// and chrono covers are disjoint by construction, and wildcard compression
-// keeps them so. Lifted-cube covers may overlap, and the success-driven and
+// and chrono covers are disjoint by construction unless `compress` replaced
+// them by an ISOP. Lifted-cube covers may overlap, and the success-driven and
 // BDD covers are ISOPs, whose prime cubes overlap (every union is exact).
-bool methodCoverDisjoint(PreimageMethod method) {
-  return method == PreimageMethod::kMintermBlocking || method == PreimageMethod::kChrono;
+bool methodCoverDisjoint(PreimageMethod method, bool compress) {
+  return !compress &&
+         (method == PreimageMethod::kMintermBlocking || method == PreimageMethod::kChrono);
 }
 
 }  // namespace
@@ -168,12 +169,10 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
 
   // The CNF engines run on the shared (or locally built) preprocessed
   // encoding. So does the certificate of every engine: it embeds the CNF the
-  // cover is checked against, and compression traces its merge witnesses.
+  // cover is checked against.
   std::optional<TransitionEncoding> localEncoding;
   const TransitionEncoding* te = options.encoding;
-  AllSatOptions satOpts = options.allsat;
-  std::vector<CompressMergeRecord> mergeTrace;
-  if (options.emitCertificate) satOpts.compressTrace = &mergeTrace;
+  const AllSatOptions& satOpts = options.allsat;
   if (te == nullptr && (preimageMethodUsesCnf(method) || options.emitCertificate)) {
     localEncoding = buildTransitionEncoding(system, options.allsat.governor);
     te = &*localEncoding;
@@ -235,9 +234,8 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     spec.scope = &problem.projection;
     spec.cubes = &result.states.cubes;
     if (!result.guides.empty()) spec.guides = &result.guides;
-    if (!mergeTrace.empty()) spec.merges = &mergeTrace;
     spec.outcome = result.outcome;
-    spec.disjoint = methodCoverDisjoint(method);
+    spec.disjoint = methodCoverDisjoint(method, satOpts.compress);
     spec.engine = preimageMethodName(method);
     spec.circuitHash = netlistStructuralHash(system.netlist());
     spec.jobs = satOpts.parallel.jobs;

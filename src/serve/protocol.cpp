@@ -276,12 +276,16 @@ bool parseJson(const std::string& line, JsonValue& out, std::string& error) {
 
 void JsonObjectWriter::key(const std::string& k) {
   if (!body_.empty()) body_ += ",";
-  body_ += "\"" + jsonEscape(k) + "\":";
+  body_ += '"';
+  body_ += jsonEscape(k);
+  body_ += "\":";
 }
 
 void JsonObjectWriter::field(const std::string& k, const std::string& value) {
   key(k);
-  body_ += "\"" + jsonEscape(value) + "\"";
+  body_ += '"';
+  body_ += jsonEscape(value);
+  body_ += '"';
 }
 
 void JsonObjectWriter::field(const std::string& k, const char* value) {

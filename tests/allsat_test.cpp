@@ -9,6 +9,7 @@
 #include "allsat/lifting.hpp"
 #include "allsat/projection.hpp"
 #include "allsat/success_driven.hpp"
+#include "base/log.hpp"
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
 #include "check/audit_solution_graph.hpp"
@@ -595,13 +596,13 @@ TEST(SuccessDriven, AgreesWithMintermEngineOnS27) {
 Netlist makeParityTree(int stateBits) {
   Netlist nl;
   std::vector<NodeId> layer;
-  for (int i = 0; i < stateBits; ++i) layer.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < stateBits; ++i) layer.push_back(nl.addDff(numbered("s", i)));
   std::vector<NodeId> state = layer;
   int gateId = 0;
   while (layer.size() > 1) {
     std::vector<NodeId> next;
     for (size_t i = 0; i + 1 < layer.size(); i += 2) {
-      next.push_back(nl.mkXor(layer[i], layer[i + 1], "x" + std::to_string(gateId++)));
+      next.push_back(nl.mkXor(layer[i], layer[i + 1], numbered("x", gateId++)));
     }
     if (layer.size() % 2 == 1) next.push_back(layer.back());
     layer = std::move(next);

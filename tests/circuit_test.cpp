@@ -5,6 +5,7 @@
 #include <sstream>
 #include <thread>
 
+#include "base/log.hpp"
 #include "base/rng.hpp"
 #include "check/audit_netlist.hpp"
 #include "circuit/bench_io.hpp"
@@ -257,7 +258,7 @@ TEST(BenchIo, RoundTripPreservesBehaviour) {
         if (isCombinational(original.type(id))) continue;
         bool v = rng.flip();
         src1[id] = v;
-        NodeId other = back.findByName(original.name(id).empty() ? "n" + std::to_string(id)
+        NodeId other = back.findByName(original.name(id).empty() ? numbered("n", id)
                                                                  : original.name(id));
         ASSERT_NE(other, kNoNode);
         src2[other] = v;
@@ -356,7 +357,7 @@ TEST(BenchIo, DeepChainParsesWithoutRecursion) {
   constexpr int kGates = 200000;
   std::string text = "INPUT(a)\nOUTPUT(q)\nq = DFF(g0)\n";
   for (int i = 0; i + 1 < kGates; ++i) {
-    text += "g" + std::to_string(i) + " = NOT(g" + std::to_string(i + 1) + ")\n";
+    text += numbered("g", i) + numbered(" = NOT(g", i + 1) + ")\n";
   }
   text += "g" + std::to_string(kGates - 1) + " = AND(a, q)\n";
   Netlist nl;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "allsat/lifting.hpp"
+#include "base/log.hpp"
 #include "base/rng.hpp"
 #include "circuit/simulator.hpp"
 #include "gen/iscas.hpp"
@@ -231,7 +232,7 @@ TEST(JustificationLifterProperty, XorMuxHeavyNetlistsStayForcing) {
     Netlist nl;
     std::vector<NodeId> sources;
     int numInputs = static_cast<int>(rng.range(4, 7));
-    for (int i = 0; i < numInputs; ++i) sources.push_back(nl.addInput("i" + std::to_string(i)));
+    for (int i = 0; i < numInputs; ++i) sources.push_back(nl.addInput(numbered("i", i)));
     std::vector<NodeId> pool = sources;
     auto pick = [&] { return pool[rng.below(pool.size())]; };
     int numGates = static_cast<int>(rng.range(8, 30));
@@ -453,9 +454,9 @@ Netlist xorMuxSequential(Rng& rng) {
   std::vector<NodeId> pool;
   int numInputs = static_cast<int>(rng.range(2, 4));
   int numDffs = static_cast<int>(rng.range(3, 6));
-  for (int i = 0; i < numInputs; ++i) pool.push_back(nl.addInput("i" + std::to_string(i)));
+  for (int i = 0; i < numInputs; ++i) pool.push_back(nl.addInput(numbered("i", i)));
   std::vector<NodeId> dffs;
-  for (int i = 0; i < numDffs; ++i) dffs.push_back(nl.addDff("s" + std::to_string(i)));
+  for (int i = 0; i < numDffs; ++i) dffs.push_back(nl.addDff(numbered("s", i)));
   pool.insert(pool.end(), dffs.begin(), dffs.end());
   size_t firstGate = pool.size();
   auto pick = [&] { return pool[rng.below(pool.size())]; };
@@ -572,7 +573,7 @@ TEST(JustificationLifterParity, MatchesWholeNetlistReferenceLift) {
                                 "random seed " + std::to_string(seed), &forced);
   }
   for (int net = 0; net < 80; ++net) {
-    models += checkLifterParity(xorMuxSequential(rng), rng, "xor/mux net " + std::to_string(net),
+    models += checkLifterParity(xorMuxSequential(rng), rng, numbered("xor/mux net ", net),
                                 &forced);
   }
   EXPECT_TRUE(forced) << "no query had a pure-eliminated input in its cone";

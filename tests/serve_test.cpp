@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/log.hpp"
 #include "circuit/bench_io.hpp"
 #include "circuit/netlist.hpp"
 #include "gen/generators.hpp"
@@ -237,7 +238,7 @@ TEST(ServeSession, DeepBufferChainDoesNotCrash) {
   constexpr int kGates = 19990;
   std::string text = "INPUT(a)\nq = DFF(g0)\n";
   for (int i = 0; i + 1 < kGates; ++i) {
-    text += "g" + std::to_string(i) + " = BUF(g" + std::to_string(i + 1) + ")\n";
+    text += numbered("g", i) + numbered(" = BUF(g", i + 1) + ")\n";
   }
   text += "g" + std::to_string(kGates - 1) + " = AND(a, q)\n";
   SessionLimits limits;

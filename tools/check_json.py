@@ -213,8 +213,10 @@ def check_table1(records: list) -> None:
         cubes_by_case[case] = r["counters"]["pre.cubes"]
         counters_by_case[case] = r["counters"]
 
-    # Projected series: proj.cubes (== its final pre.cubes) present, and
-    # compression must not have grown the cover.
+    # Projected series: proj.cubes (== its final pre.cubes) present, and the
+    # compressed cover, serial and at both worker counts, as large as the
+    # success-driven cover it must equal (the ISOP of the same set; it may
+    # have more cubes than the plain chrono cover).
     def check_proj(case: str, proj: str) -> None:
         counters = counters_by_case[proj]
         if "proj.cubes" not in counters:
@@ -222,9 +224,15 @@ def check_table1(records: list) -> None:
         if counters["proj.cubes"] != cubes_by_case[proj]:
             fail(f"table1 case {proj!r}: proj.cubes {counters['proj.cubes']} "
                  f"!= pre.cubes {cubes_by_case[proj]}")
-        if cubes_by_case[proj] > cubes_by_case[case]:
-            fail(f"compression regression: {proj!r} produced {cubes_by_case[proj]} "
-                 f"cubes but {case!r} produced {cubes_by_case[case]}")
+        sd = case[:-len("chrono")] + "sd"
+        if sd not in cubes_by_case:
+            fail(f"table1 case {case!r} has no series {sd!r}")
+        for series in (proj, proj + "-par1", proj + "-par8"):
+            if series not in cubes_by_case:
+                fail(f"table1 case {case!r} has no series {series!r}")
+            if cubes_by_case[series] != cubes_by_case[sd]:
+                fail(f"compression mismatch: {series!r} produced {cubes_by_case[series]} "
+                     f"cubes but {sd!r} produced {cubes_by_case[sd]}")
 
     # Certificate series: emission is observation, not search — same cover,
     # plus the cert.* counters the emitter stamps.

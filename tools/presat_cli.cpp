@@ -21,11 +21,12 @@
 //               at 64 (src/parallel/; results are bit-identical for every
 //               N >= 1; lifted cube blocking runs serially at every N)
 //   --project   projected enumeration: chrono stops at existential witnesses
-//               and emits cubes natively over the projection scope; the
-//               other engines dedup their projected covers (same state set,
-//               fewer cubes)
-//   --compress  wildcard cube compression ((x & A) | (~x & A) = A) over the
-//               final cover and over each parallel shard's cover
+//               and emits cubes natively over the projection scope; lifted
+//               cube blocking returns the ISOP of its possibly overlapping
+//               cover (same state set, fewer cubes)
+//   --compress  every engine returns the ISOP of its cover's union, the
+//               cover success-driven and bdd return (same state set; the
+//               cubes may overlap)
 // and the resource-budget flags (src/govern/; any of them attaches a
 // Governor; a budgeted run that stops early prints the stop reason and exits
 // with code 2, its printed cubes being a sound under-approximation):
@@ -118,7 +119,7 @@ namespace {
                "  presat_cli audit    <file.cnf> | --gen SPEC [--target CUBE]\n"
                "\nSAT enumeration commands also take --jobs N (parallel cube-and-conquer,\n"
                "at most 64 workers), --project (projected enumeration over the scope),\n"
-               "and --compress (wildcard cube compression of the enumerated cover).\n"
+               "and --compress (the ISOP of the cover's union, as sd and bdd return).\n"
                "Budgets: --timeout-ms N, --mem-limit-mb N, --conflict-limit N; a run that\n"
                "stops on a budget prints the reason and exits 2 with a sound partial result.\n"
                "CUBE: one char per state bit (bit 0 first): 0, 1, x/- for don't-care.\n"
@@ -515,7 +516,34 @@ struct EngineRun {
   std::vector<LitVec> cubes;
   BigUint count;
   bool complete = true;
+  // Ran with `compress` to completion, its governor (if any) untripped, so
+  // its cover must be the ISOP of its union.
+  bool compressed = false;
 };
+
+bool ranCompressed(const AllSatOptions& options, bool complete) {
+  return options.compress && complete &&
+         (options.governor == nullptr || !options.governor->tripped());
+}
+
+// With `compress` on, every engine returns isop(f, f) of its cover's union
+// f, the cover success-driven and kBdd return, so each compressed run must
+// list `reference`'s cubes exactly. (A trip inside the shrink keeps the
+// unshrunk cover, which ranCompressed leaves to the union checks.)
+void checkCompressedCovers(AuditResult& audit, const std::vector<EngineRun>& runs,
+                           const std::string& reference) {
+  auto ref = std::find_if(runs.begin(), runs.end(),
+                          [&reference](const EngineRun& run) { return run.name == reference; });
+  if (ref == runs.end() || !ref->complete) return;
+  for (const EngineRun& run : runs) {
+    if (!run.compressed || run.cubes == ref->cubes) continue;
+    audit.fail("audit.compress.isop", run.name + " returned " +
+                                          std::to_string(run.cubes.size()) +
+                                          " compressed cubes, not the " +
+                                          std::to_string(ref->cubes.size()) + " of " +
+                                          ref->name + "'s ISOP");
+  }
+}
 
 // Engine-agreement checks over runs of the same instance: every engine must
 // produce the same solution-set union (compared canonically as BDDs in one
@@ -612,25 +640,31 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     AllSatOptions chronoOptions;
     applyEngineFlags(args, chronoOptions);
     AllSatResult r = chronoAllSat(pre.cnf, scope, chronoOptions);
-    // Proves chrono.disjoint and chrono.cover against the BDD oracle.
-    audit.merge(auditChronoCubes(original, projection, r.cubes, r.complete));
-    runs.push_back({"chrono", std::move(r.cubes), std::move(r.mintermCount), r.complete});
+    // Proves chrono.disjoint and chrono.cover against the BDD oracle; a
+    // compressed cover is an ISOP instead, checked against success-driven's.
+    if (!chronoOptions.compress) {
+      audit.merge(auditChronoCubes(original, projection, r.cubes, r.complete));
+    }
+    runs.push_back({"chrono", std::move(r.cubes), std::move(r.mintermCount), r.complete,
+                    ranCompressed(chronoOptions, r.complete)});
   }
-  {
-    // Projected-native chrono with compression: the same state set through
-    // the witness early-stop, projected shrinking, and wildcard merging —
-    // audited under the proj.* names and cross-checked below like any other
-    // engine (the fault-injection lane rides this run too).
+  for (bool compress : {false, true}) {
+    // Projected-native chrono: the same state set through the witness
+    // early-stop and projected shrinking, audited under the proj.* names,
+    // then once more compressed to the ISOP. Both are cross-checked below
+    // like any other engine (the fault-injection lane rides them too).
     AllSatOptions projOptions;
     applyEngineFlags(args, projOptions);
     projOptions.project = true;
-    projOptions.compress = true;
+    projOptions.compress = compress;
     AllSatResult r = chronoAllSat(pre.cnf, scope, projOptions);
-    ChronoAuditOptions projAudit;
-    projAudit.diagPrefix = "proj";
-    audit.merge(auditChronoCubes(original, projection, r.cubes, r.complete, projAudit));
-    runs.push_back(
-        {"chrono-projected", std::move(r.cubes), std::move(r.mintermCount), r.complete});
+    if (!compress) {
+      ChronoAuditOptions projAudit;
+      projAudit.diagPrefix = "proj";
+      audit.merge(auditChronoCubes(original, projection, r.cubes, r.complete, projAudit));
+    }
+    runs.push_back({compress ? "chrono-compressed" : "chrono-projected", std::move(r.cubes),
+                    std::move(r.mintermCount), r.complete, ranCompressed(projOptions, r.complete)});
   }
   {
     CnfCircuit circuit = cnfToCircuit(original);
@@ -668,6 +702,7 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     }
   }
 
+  checkCompressedCovers(audit, runs, "success-driven");
   crossCheckRuns(audit, runs, width);
   return finishAudit(audit, args.positional[0] + " (" + std::to_string(runs.size()) + " engines)");
 }
@@ -701,11 +736,14 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
     std::unique_ptr<Governor> governor = makeGovernor(args);
     options.allsat.governor = governor.get();
     PreimageResult r = computePreimage(system, target, method, options);
-    if (method == PreimageMethod::kMintermBlocking && !cubesPairwiseDisjoint(r.states.cubes)) {
+    // A compressed cover is an ISOP, whose cubes may overlap.
+    if (method == PreimageMethod::kMintermBlocking && !options.allsat.compress &&
+        !cubesPairwiseDisjoint(r.states.cubes)) {
       audit.fail("audit.minterm.disjoint",
                  "minterm-blocking produced overlapping preimage cubes on " + spec);
     }
-    if (method == PreimageMethod::kChrono && !cubesPairwiseDisjoint(r.states.cubes)) {
+    if (method == PreimageMethod::kChrono && !options.allsat.compress &&
+        !cubesPairwiseDisjoint(r.states.cubes)) {
       audit.fail("chrono.disjoint",
                  "chrono produced overlapping preimage cubes on " + spec);
     }
@@ -715,26 +753,28 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
       audit.merge(auditSolutionGraph(r.graph, graphOptions));
     }
     runs.push_back({preimageMethodName(method), std::move(r.states.cubes),
-                    std::move(r.stateCount), r.complete});
+                    std::move(r.stateCount), r.complete, ranCompressed(options.allsat, r.complete)});
   }
-  {
-    // Projected-native chrono with wildcard compression, cross-checked
-    // against the five baselines above: a compressed cover must describe
-    // exactly the same state set, and must itself stay pairwise disjoint.
+  for (bool compress : {false, true}) {
+    // Projected-native chrono, cross-checked against the five baselines
+    // above: without compression its cover must stay pairwise disjoint, and
+    // compressed it must be the BDD engine's ISOP.
     std::unique_ptr<Governor> governor = makeGovernor(args);
     PreimageOptions projOptions = options;
     projOptions.allsat.governor = governor.get();
     projOptions.allsat.project = true;
-    projOptions.allsat.compress = true;
+    projOptions.allsat.compress = compress;
     PreimageResult r = computePreimage(system, target, PreimageMethod::kChrono, projOptions);
-    if (!cubesPairwiseDisjoint(r.states.cubes)) {
+    if (!compress && !cubesPairwiseDisjoint(r.states.cubes)) {
       audit.fail("proj.disjoint",
                  "projected chrono produced overlapping preimage cubes on " + spec);
     }
-    runs.push_back(
-        {"chrono-projected", std::move(r.states.cubes), std::move(r.stateCount), r.complete});
+    runs.push_back({compress ? "chrono-compressed" : "chrono-projected",
+                    std::move(r.states.cubes), std::move(r.stateCount), r.complete,
+                    ranCompressed(projOptions.allsat, r.complete)});
   }
 
+  checkCompressedCovers(audit, runs, preimageMethodName(PreimageMethod::kBdd));
   crossCheckRuns(audit, runs, width);
   return finishAudit(audit, spec + " target=" + targetText + " (" +
                                 std::to_string(runs.size()) + " engines)");
