@@ -217,10 +217,11 @@ void BM_CubeBlockingLiftedRandomLogic(benchmark::State& state) {
 BENCHMARK(BM_CubeBlockingLiftedRandomLogic)->Unit(benchmark::kMillisecond);
 
 // A presat_serve cache miss on a rand14x200 circuit, the serve-mixed
-// workload's shape: chrono with project+compress at jobs=1 (as the daemon
-// clamps it). The encoding is built outside the timed loop, so the loop
-// times the engine alone. Tracks the circuit widening's per-model cost next
-// to BM_CubeBlockingLiftedRandomLogic's lifting. items_per_second reports
+// workload's shape: chrono with project+compress, which runs serially at
+// every `jobs`, the daemon's jobs = 1 included. The encoding is built
+// outside the timed loop, so the loop times the engine alone. Tracks the
+// circuit widening's per-model cost next to
+// BM_CubeBlockingLiftedRandomLogic's lifting. items_per_second reports
 // chrono regions (flips) per second.
 void BM_ChronoProjectedRand14x200(benchmark::State& state) {
   Netlist nl = benchutil::randomBench(6, 14, 200, 43);
@@ -231,7 +232,6 @@ void BM_ChronoProjectedRand14x200(benchmark::State& state) {
   opts.encoding = &te;
   opts.allsat.project = true;
   opts.allsat.compress = true;
-  opts.allsat.parallel.jobs = 1;
   uint64_t flips = 0;
   for (auto _ : state) {
     PreimageResult r = computePreimage(ts, target, PreimageMethod::kChrono, opts);

@@ -10,11 +10,12 @@
 // projected chrono with compression returns success-driven's cover, the ISOP
 // of the same state set, cube for cube.
 //
-// The two par columns run chrono, an engine that splits, through the
-// cube-and-conquer path (src/parallel/) at 1 and 8 workers; their ratio is
-// the achieved parallel speedup (1.0 on a single-core host — the work is
-// identical by the determinism contract, only the scheduling differs). The
-// success-driven engine never splits, so it has no par runs.
+// The two par columns run minterm blocking, the one engine that splits,
+// through the cube-and-conquer path (src/parallel/) at 1 and 8 workers with
+// the mt column's cap; their ratio is the achieved parallel speedup (1.0 on
+// a single-core host — the work is identical by the determinism contract,
+// only the scheduling differs). Every other engine runs serially at every
+// worker count, so it has no par runs.
 //
 // Each ms cell is the best of kRuns runs of that engine on that row, and
 // the runs must return the same cover and count.
@@ -80,12 +81,12 @@ int main(int argc, char** argv) {
     PreimageResult chrono = run(PreimageMethod::kChrono);
     PreimageResult bdd = run(PreimageMethod::kBdd);
 
-    PreimageOptions par1;
+    PreimageOptions par1 = mintermOpts;
     par1.allsat.parallel.jobs = 1;
-    PreimageOptions par8;
+    PreimageOptions par8 = mintermOpts;
     par8.allsat.parallel.jobs = 8;
-    PreimageResult chronoPar1 = run(PreimageMethod::kChrono, par1);
-    PreimageResult chronoPar8 = run(PreimageMethod::kChrono, par8);
+    PreimageResult mintermPar1 = run(PreimageMethod::kMintermBlocking, par1);
+    PreimageResult mintermPar8 = run(PreimageMethod::kMintermBlocking, par8);
 
     // Certificate-emitting chrono run: same query as `chrono` above but with
     // presat-cert-v1 assembly (witnesses and the replayed proof) on. Its
@@ -103,12 +104,6 @@ int main(int argc, char** argv) {
     projOpts.allsat.project = true;
     projOpts.allsat.compress = true;
     PreimageResult proj = run(PreimageMethod::kChrono, projOpts);
-    PreimageOptions projPar1 = projOpts;
-    projPar1.allsat.parallel.jobs = 1;
-    PreimageResult projPar1R = run(PreimageMethod::kChrono, projPar1);
-    PreimageOptions projPar8 = projOpts;
-    projPar8.allsat.parallel.jobs = 8;
-    PreimageResult projPar8R = run(PreimageMethod::kChrono, projPar8);
 
     if (!agree) {
       std::printf("RUNS DISAGREE on %s: an engine's %d runs returned different answers\n",
@@ -118,23 +113,22 @@ int main(int argc, char** argv) {
 
     // Sanity: complete engines must agree (minterm may be capped), and the
     // parallel runs must agree with the serial engine AND each other. The
-    // chrono shards partition the space, so its par1 cube list differs from
-    // the serial one — but par1 vs par8 must be bit-identical.
+    // minterm shards partition the space, so a par1 cube list differs from
+    // the serial one (and under the cap holds other minterms) — but par1 vs
+    // par8 must be bit-identical.
     if (cube.stateCount != sd.stateCount || sd.stateCount != bdd.stateCount ||
         (minterm.complete && minterm.stateCount != sd.stateCount) ||
-        chrono.stateCount != sd.stateCount ||
-        chronoPar1.stateCount != sd.stateCount ||
-        chronoPar1.states.cubes != chronoPar8.states.cubes ||
+        mintermPar1.complete != minterm.complete ||
+        (mintermPar1.complete && mintermPar1.stateCount != sd.stateCount) ||
+        mintermPar1.states.cubes != mintermPar8.states.cubes ||
+        mintermPar1.stateCount != mintermPar8.stateCount || chrono.stateCount != sd.stateCount ||
         chronoCert.states.cubes != chrono.states.cubes || chronoCert.certificate.empty()) {
       std::printf("ENGINE DISAGREEMENT on %s\n", c.name.c_str());
       return 1;
     }
     // The compressed projected cover must be success-driven's cover cube for
-    // cube, with sd's count, at every worker count.
-    if (proj.stateCount != sd.stateCount || projPar1R.stateCount != sd.stateCount ||
-        projPar8R.stateCount != sd.stateCount || proj.states.cubes != sd.states.cubes ||
-        projPar1R.states.cubes != sd.states.cubes ||
-        projPar8R.states.cubes != sd.states.cubes) {
+    // cube, with sd's count.
+    if (proj.stateCount != sd.stateCount || proj.states.cubes != sd.states.cubes) {
       std::printf("PROJECTED ENGINE DISAGREEMENT on %s\n", c.name.c_str());
       return 1;
     }
@@ -146,7 +140,9 @@ int main(int argc, char** argv) {
       std::snprintf(mtCubes, sizeof(mtCubes), ">%llu",
                     static_cast<unsigned long long>(kMintermCap));
     }
-    double speedup = chronoPar8.stats.seconds > 0 ? chronoPar1.stats.seconds / chronoPar8.stats.seconds : 0.0;
+    double speedup = mintermPar8.stats.seconds > 0
+                         ? mintermPar1.stats.seconds / mintermPar8.stats.seconds
+                         : 0.0;
     std::printf(
         "%-12s %5d %4d %6zu | %12s | %9s %11s | %9zu %11s | %9zu %11s %9llu | "
         "%9zu %11s %7llu | %9zu %11s | %11s %9zu | %9s %9s %5.2fx\n",
@@ -156,21 +152,20 @@ int main(int argc, char** argv) {
         fmtMs(sd.stats.seconds).c_str(), static_cast<unsigned long long>(sd.stats.graphNodes),
         chrono.states.cubes.size(), fmtMs(chrono.stats.seconds).c_str(),
         static_cast<unsigned long long>(chrono.stats.dbClausesPeak),
-        proj.states.cubes.size(), fmtMs(proj.stats.seconds).c_str(), fmtMs(bdd.stats.seconds).c_str(),
-        static_cast<size_t>(bdd.metrics.counter("bdd.nodes")), fmtMs(chronoPar1.stats.seconds).c_str(), fmtMs(chronoPar8.stats.seconds).c_str(),
+        proj.states.cubes.size(), fmtMs(proj.stats.seconds).c_str(),
+        fmtMs(bdd.stats.seconds).c_str(), static_cast<size_t>(bdd.metrics.counter("bdd.nodes")),
+        fmtMs(mintermPar1.stats.seconds).c_str(), fmtMs(mintermPar8.stats.seconds).c_str(),
         speedup);
 
     if (!jsonlPath.empty()) {
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/minterm", minterm.metrics);
+      appendMetricsJsonl(jsonlPath, "table1", c.name + "/minterm-par1", mintermPar1.metrics);
+      appendMetricsJsonl(jsonlPath, "table1", c.name + "/minterm-par8", mintermPar8.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/cube-lifted", cube.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/sd", sd.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono", chrono.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-cert", chronoCert.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-par1", chronoPar1.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-par8", chronoPar8.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-proj", proj.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-proj-par1", projPar1R.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono-proj-par8", projPar8R.metrics);
     }
   }
   std::printf(
@@ -180,7 +175,7 @@ int main(int argc, char** argv) {
       "blocking clauses),\n"
       "pj = projected chrono + compression (same state set, sd's ISOP cover "
       "cube for cube),\n"
-      "par1/par8 = cube-and-conquer chrono at 1/8 workers "
+      "par1/par8 = cube-and-conquer minterm blocking at 1/8 workers, same cap "
       "(spdup = par1/par8 wall time)\n",
       static_cast<unsigned long long>(kMintermCap));
   return 0;

@@ -14,10 +14,7 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
   // shard's blocking clauses. Lifted blocking stays serial at every `jobs`
   // (DESIGN.md "Parallel enumeration" has the measurement).
   if (options.parallel.enabled() && !lifter) {
-    return parallelCnfAllSat(cnf, projection, options, "minterm-blocking",
-                             [&projection](const Cnf& sub, const AllSatOptions& o) {
-                               return blockingAllSat(sub, projection, {}, o);
-                             });
+    return parallelMintermAllSat(cnf, projection, options);
   }
   Timer timer;
   AllSatResult result;

@@ -7,7 +7,6 @@
 #include "base/timer.hpp"
 #include "check/audit_chrono.hpp"
 #include "check/audit_solver.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "sat/solver.hpp"
 
 namespace presat {
@@ -21,14 +20,6 @@ AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     PRESAT_CHECK(v >= 0 && v < cnf.numVars()) << "unknown variable x" << v << " in chrono scope";
     PRESAT_CHECK(!inScope[static_cast<size_t>(v)]) << "chrono scope lists x" << v << " twice";
     inScope[static_cast<size_t>(v)] = 1;
-  }
-  if (options.parallel.enabled()) {
-    // The guide units are level-0 assignments, so every emitted prefix keeps
-    // them, and the widener is shared by every shard as is.
-    return parallelCnfAllSat(cnf, projection, options, "chrono",
-                             [&projection, widener](const Cnf& sub, const AllSatOptions& o) {
-                               return chronoAllSat(sub, projection, o, widener);
-                             });
   }
   Timer timer;
   AllSatResult result;

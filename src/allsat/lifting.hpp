@@ -65,8 +65,8 @@ int projectedWitnessLevel(const Cnf& cnf, const std::vector<lbool>& model,
 // simulation over the objectives' fanin cone, with the scope sources stamped
 // beyond the prefix set to X and every other source at its model value.
 //
-// Built once per query and immutable afterwards, so parallel shards share
-// one instance; each enumeration run owns its value buffer.
+// Built once per query and immutable afterwards; the enumeration run owns
+// the value buffer.
 class CircuitWidener {
  public:
   // `objectives`: the target as a union of node cubes (some cube must hold).

@@ -86,11 +86,11 @@ struct AllSatResult {
   std::vector<LitVec> cubes;
   // Exact number of projected minterms in the union of `cubes`.
   BigUint mintermCount;
-  // Split runs only (minterm blocking and chrono at jobs >= 1): the
-  // disjoint guiding cubes (projected index space) the space was split
-  // into. Shard covers live inside their guide cube, so the guides are the
-  // certificate's cross-shard disjointness argument. Empty for serial runs,
-  // which lifted cube blocking and success-driven are at every `jobs`.
+  // Split runs only (minterm blocking at jobs >= 1): the disjoint guiding
+  // cubes (projected index space) the space was split into. Shard covers
+  // live inside their guide cube, so the guides are the certificate's
+  // cross-shard disjointness argument. Empty for serial runs, which lifted
+  // cube blocking, chrono and success-driven are at every `jobs`.
   std::vector<LitVec> guides;
   AllSatStats stats;
   // Uniform observability export (counters/gauges/histograms) — see
@@ -131,9 +131,9 @@ struct AllSatOptions {
   // mintermCount are unaffected, but the cubes may overlap.
   bool compress = false;
   // Cube-and-conquer parallel enumeration (src/parallel/). jobs == 0 keeps
-  // the serial engines; with jobs >= 1 the engines that split partition the
-  // projected space into disjoint guiding cubes and solve them on a worker
-  // pool, and lifted cube blocking stays serial. The result is bit-identical
+  // the serial engines; with jobs >= 1 minterm blocking partitions the
+  // projected space into disjoint guiding cubes and solves them on a worker
+  // pool, and every other engine stays serial. The result is bit-identical
   // for every jobs >= 1 (see parallel/options.hpp).
   ParallelOptions parallel;
   // Resource governor enforcing a Budget (deadline / memory ceiling /

@@ -2,8 +2,8 @@
 //
 // The chrono engine (src/allsat/chrono_blocking.cpp) promises cubes that are
 // pairwise disjoint AND whose union is exactly the projected solution set —
-// the two properties its minterm counting and the parallel shard merge rely
-// on. This auditor proves both against independent oracles:
+// the two properties its minterm counting relies on. This auditor proves
+// both against independent oracles:
 //
 //   chrono.disjoint   no two cubes share a projected minterm (pairwise
 //                     opposite-literal clash, O(n^2) over the cube set)

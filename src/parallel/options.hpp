@@ -9,19 +9,19 @@
 namespace presat {
 
 struct ParallelOptions {
-  // 0 = serial engines, untouched. >= 1 lets the engines that split
-  // (chrono, minterm blocking) partition the projected space into
+  // 0 = serial engines, untouched. >= 1 lets the one engine that splits,
+  // minterm blocking, partition the projected space into
   // 2^kDefaultSplitDepth guiding cubes and solve them on this many worker
   // threads. The split does NOT scale with `jobs`, so the RESULT is the same
-  // for every jobs >= 1; only wall-clock changes. Lifted cube blocking and
-  // success-driven run serially at every `jobs`.
+  // for every jobs >= 1; only wall-clock changes. Lifted cube blocking,
+  // chrono and success-driven run serially at every `jobs`.
   int jobs = 0;
 
   // 16 subcubes — enough slack for 8 workers claiming shards from the shared
   // task cursor without fragmenting small instances. Clamped to the
   // projection width.
   static constexpr int kDefaultSplitDepth = 4;
-  // Largest worker count a front end (presat_cli, presat_serve) passes on.
+  // Largest worker count presat_cli passes on.
   static constexpr int kMaxJobs = 64;
 
   bool enabled() const { return jobs > 0; }

@@ -1,7 +1,9 @@
 #include "parallel/parallel_allsat.hpp"
 
+#include <functional>
 #include <utility>
 
+#include "allsat/blocking.hpp"
 #include "base/check.hpp"
 #include "base/timer.hpp"
 #include "govern/faults.hpp"
@@ -14,8 +16,8 @@ namespace presat {
 
 namespace {
 
-// Per-shard options: serial inner engines (no recursive splitting) that
-// hand in their raw disjoint covers; only the merged cover is shrunk.
+// Per-shard options: serial minterm blocking (no recursive splitting) that
+// hands in its raw disjoint cover; only the merged cover is shrunk.
 AllSatOptions shardOptions(const AllSatOptions& options) {
   AllSatOptions inner = options;
   inner.parallel = ParallelOptions{};
@@ -55,9 +57,8 @@ size_t degradeSkippedShards(std::vector<ShardOutcome>& shards, const SplitPlan& 
 
 }  // namespace
 
-AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projection,
-                               const AllSatOptions& options, const char* engine,
-                               const CnfShardSolver& solveShard) {
+AllSatResult parallelMintermAllSat(const Cnf& cnf, const std::vector<Var>& projection,
+                                   const AllSatOptions& options) {
   PRESAT_CHECK(options.parallel.enabled()) << "parallel engine called with jobs == 0";
   Timer timer;
 
@@ -75,7 +76,7 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
       sub.addUnit(mkLit(projection[static_cast<size_t>(l.var())], l.sign()));
     }
     shards[i].guide = plan.cubes[i];
-    shards[i].result = solveShard(sub, shardOptions(options));
+    shards[i].result = blockingAllSat(sub, projection, {}, shardOptions(options));
   };
   // The pool's stop predicate: once the shared governor trips, workers drain
   // instead of popping further shards.
@@ -104,8 +105,8 @@ AllSatResult parallelCnfAllSat(const Cnf& cnf, const std::vector<Var>& projectio
   // count. It runs after the shard-partition audit on purpose: ISOP cubes
   // need not lie inside one guide, which is sound (the union is unchanged)
   // but would no longer satisfy the per-shard guide shape.
-  finishCover(result, options, static_cast<int>(projection.size()), CoverKind::kDisjoint, engine,
-              timer);
+  finishCover(result, options, static_cast<int>(projection.size()), CoverKind::kDisjoint,
+              "minterm-blocking", timer);
   pool.exportMetrics(result.metrics);
   result.metrics.setCounter("parallel.shards", shards.size());
   result.metrics.setCounter("parallel.shards_skipped", shardsSkipped);

@@ -109,15 +109,16 @@ struct PreimageResult {
   // Engine counters (zero for the BDD engine) and stats.seconds, the engine's
   // wall time.
   AllSatStats stats;
-  // Observability export of `stats` (plus engine-specific histograms; the
-  // parallel engines merge them across their shards; "bdd.nodes" for the
+  // Observability export of `stats` (plus engine-specific histograms; split
+  // minterm blocking merges them across its shards; "bdd.nodes" for the
   // BDD engine).
   Metrics metrics;
   // Success-driven engine only: one solution graph with one root per target
   // cube, in target order (shared subgraphs stored once).
   SolutionGraph graph;
-  // Parallel runs: the disjoint guide cubes of the shard split (projected
-  // index space) — the certificate's cross-shard disjointness argument.
+  // Split minterm-blocking runs: the disjoint guide cubes of the shard split
+  // (projected index space) — the certificate's cross-shard disjointness
+  // argument.
   std::vector<LitVec> guides;
   // Only with PreimageOptions::emitCertificate: the presat-cert-v1 text.
   std::string certificate;

@@ -4,8 +4,8 @@
 // ServeCache memoizes finished preimage covers across requests, keyed by
 // (circuit structural hash, target cube, method, project/compress flags) —
 // everything that determines the answer, and nothing that doesn't (budgets
-// and jobs are excluded: results are budget-independent when complete, and
-// the parallel merge is bit-identical for every jobs >= 1). Only COMPLETE
+// are excluded: results are budget-independent when complete, and every
+// engine run uses the same jobs = 1). Only COMPLETE
 // results are retained: a partial cover is an artifact of one request's
 // budget and must not be served to a request that could afford the full
 // answer. Concurrent same-key requests dedup to one computation: the first

@@ -195,6 +195,8 @@ CachedCover runEngine(const ServeRequest& req, const CircuitContext& ctx, Preima
   options.allsat.maxCubes = req.maxCubes;
   options.allsat.project = req.project;
   options.allsat.compress = req.compress;
+  // jobs = 1 matters only to minterm blocking, whose split then runs inline
+  // on this service worker; every other engine is serial at any `jobs`.
   options.allsat.parallel.jobs = 1;
   options.allsat.governor = &governor;
   options.emitCertificate = req.cert;

@@ -117,10 +117,9 @@ TEST(CertAccept, ParallelJobsOneAndEight) {
       // Every complete cover embeds the replayed proof.
       EXPECT_GT(r.metrics.counter("cert.proof_steps"), 0u)
           << preimageMethodName(method) << " jobs=" << jobs;
-      if (method == PreimageMethod::kCubeBlockingLifted) {
-        // Lifted cube blocking never splits.
-        EXPECT_TRUE(r.guides.empty()) << "jobs=" << jobs;
-      }
+      // Only minterm blocking splits and lists guides.
+      EXPECT_EQ(r.guides.empty(), method != PreimageMethod::kMintermBlocking)
+          << preimageMethodName(method) << " jobs=" << jobs;
     }
   }
 }
@@ -226,12 +225,80 @@ TEST(CertAccept, SuccessDrivenCoverIsTheBddCoverAtEveryJobCount) {
   }
 }
 
+// Chrono never splits: at jobs 0, 1, 4 and 8 it runs the same serial engine,
+// so the cover, count, outcome, counters and certificate (apart from the
+// header's jobs= field) are the same, raw and under project+compress, and
+// no run lists guides. Every certificate passes the checker.
+TEST(CertAccept, ChronoIsTheSameAtEveryJobCount) {
+  struct Case {
+    std::string name;
+    Netlist nl;
+    StateSet target;
+  };
+  std::vector<Case> cases;
+  auto addGenerator = [&cases](const char* name, Netlist nl) {
+    StateSet target = StateSet::fromCube(static_cast<int>(nl.dffs().size()), {mkLit(0)});
+    cases.push_back({name, std::move(nl), std::move(target)});
+  };
+  addGenerator("counter:4", makeCounter(4));
+  addGenerator("gray:3", makeGrayCounter(3));
+  addGenerator("lfsr:4", makeLfsr(4));
+  addGenerator("arbiter:3", makeRoundRobinArbiter(3));
+  addGenerator("traffic", makeTrafficLight());
+  addGenerator("lock", makeCombinationLock({1, 2, 3}, 2));
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Netlist nl = benchutil::randomBench(5, 12, 150, seed);
+    StateSet target = benchutil::reachableCube(nl, 4, 500 + seed);
+    cases.push_back({"rand12x150:" + std::to_string(seed), std::move(nl), std::move(target)});
+  }
+  for (benchutil::BenchCase& c : benchutil::standardSuite()) {
+    if (c.name == "rand16x240") cases.push_back({c.name, std::move(c.netlist), c.target});
+  }
+  ASSERT_EQ(cases.size(), 6u + 20u + 1u);
+
+  // The metrics export without its gauges, which are wall times.
+  auto counters = [](const Metrics& m) {
+    std::string json = m.toJson();
+    const size_t begin = json.find("\"gauges\"");
+    return begin == std::string::npos ? json : json.erase(begin, json.find('}', begin) - begin);
+  };
+  for (const Case& c : cases) {
+    TransitionSystem ts(c.nl);
+    for (bool projectCompress : {false, true}) {
+      PreimageOptions options;
+      options.emitCertificate = true;
+      options.allsat.project = projectCompress;
+      options.allsat.compress = projectCompress;
+      const PreimageResult serial = computePreimage(ts, c.target, PreimageMethod::kChrono, options);
+      ASSERT_TRUE(serial.complete) << c.name;
+      for (int jobs : {0, 1, 4, 8}) {
+        const std::string what =
+            c.name + (projectCompress ? " project+compress" : "") + " jobs=" + std::to_string(jobs);
+        options.allsat.parallel.jobs = jobs;
+        const PreimageResult r = computePreimage(ts, c.target, PreimageMethod::kChrono, options);
+        EXPECT_EQ(r.states.cubes, serial.states.cubes) << what;
+        EXPECT_EQ(r.stateCount, serial.stateCount) << what;
+        EXPECT_EQ(r.outcome, serial.outcome) << what;
+        EXPECT_TRUE(r.guides.empty()) << what;
+        EXPECT_EQ(counters(r.metrics), counters(serial.metrics)) << what;
+        std::string cert = r.certificate;
+        const std::string header = " jobs=" + std::to_string(jobs) + "\n";
+        const size_t at = cert.find(header);
+        ASSERT_NE(at, std::string::npos) << what;
+        EXPECT_EQ(cert.replace(at, header.size(), " jobs=0\n"), serial.certificate) << what;
+        const CheckRun run = runChecker(r.certificate);
+        EXPECT_EQ(run.exitCode, 0) << what << "\n" << run.output;
+      }
+    }
+  }
+}
+
 // With `compress` on, every engine returns the ISOP of its cover's union,
 // which is kBdd's cover: on the generator suite and on 100 random circuits,
 // minterm blocking (jobs 0 and 4), lifted cube blocking (under `project` or
-// `compress`), chrono (jobs 0, 1 and 4) and success-driven each list the
-// BDD engine's cubes exactly, with its count, and each certificate says
-// disjoint=0 and passes the checker.
+// `compress`), chrono (jobs 0, 1 and 4, with and without `project`) and
+// success-driven each list the BDD engine's cubes exactly, with its count,
+// and each certificate says disjoint=0 and passes the checker.
 TEST(CertAccept, CompressedCoverIsTheBddCoverForEveryEngine) {
   struct Config {
     PreimageMethod method;
@@ -245,6 +312,7 @@ TEST(CertAccept, CompressedCoverIsTheBddCoverForEveryEngine) {
       {PreimageMethod::kCubeBlockingLifted, 0, true, false},
       {PreimageMethod::kCubeBlockingLifted, 0, false, true},
       {PreimageMethod::kChrono, 0, true, true},
+      {PreimageMethod::kChrono, 0, false, true},
       {PreimageMethod::kChrono, 1, false, true},
       {PreimageMethod::kChrono, 4, true, true},
       {PreimageMethod::kSuccessDriven, 0, false, true},
@@ -550,7 +618,11 @@ TEST(CertFaults, EverySiteYieldsVerifiableCert) {
     if (std::string(site) == "bdd.alloc") method = PreimageMethod::kBdd;
     if (std::string(site) == "sd.node") method = PreimageMethod::kSuccessDriven;
     PreimageOptions options;
-    if (std::string(site) == "parallel.shard") options.allsat.parallel.jobs = 2;
+    if (std::string(site) == "parallel.shard") {
+      // Only minterm blocking splits, so only it reaches the shard site.
+      method = PreimageMethod::kMintermBlocking;
+      options.allsat.parallel.jobs = 2;
+    }
     Budget budget;
     Governor governor(budget);
     options.allsat.governor = &governor;

@@ -235,8 +235,8 @@ std::vector<std::string> canonicalCubes(const std::vector<LitVec>& cubes, int wi
 }
 
 // Generator-suite preimage equivalence: kChrono agrees with the success-driven
-// and BDD engines on every circuit, serially and in parallel, and --jobs N is
-// bit-identical for every N >= 1. The random circuits are where the circuit
+// and BDD engines on every circuit, and never splits, so --jobs N returns the
+// serial cover cube for cube. The random circuits are where the circuit
 // widening drops the most scope literals.
 TEST(ChronoPreimage, MatchesOtherEnginesOnGeneratorSuite) {
   struct Fixture {
@@ -276,27 +276,18 @@ TEST(ChronoPreimage, MatchesOtherEnginesOnGeneratorSuite) {
     EXPECT_TRUE(cubesPairwiseDisjoint(serial.states.cubes)) << fixture.name;
     EXPECT_TRUE(sameStates(serial.states, bdd.states)) << fixture.name;
 
-    PreimageOptions one;
-    one.allsat.parallel.jobs = 1;
-    PreimageOptions four;
-    four.allsat.parallel.jobs = 4;
-    PreimageResult r1 = computePreimage(ts, target, PreimageMethod::kChrono, one);
-    PreimageResult r4 = computePreimage(ts, target, PreimageMethod::kChrono, four);
-
-    // Parallel shards partition the space, so the cube LIST differs from the
-    // serial run — but jobs=1 vs jobs=4 must be bit-identical, and both must
-    // denote the same state set with the same exact count.
-    EXPECT_EQ(canonicalCubes(r1.states.cubes, n), canonicalCubes(r4.states.cubes, n))
-        << fixture.name;
-    EXPECT_EQ(r1.stateCount, r4.stateCount) << fixture.name;
-    EXPECT_EQ(r1.stateCount, serial.stateCount) << fixture.name;
-    EXPECT_TRUE(cubesPairwiseDisjoint(r1.states.cubes)) << fixture.name;
-    EXPECT_TRUE(sameStates(r1.states, bdd.states)) << fixture.name;
-
-    // The no-clause-growth property survives the parallel front-end: the
-    // merged peak is the max across shards, each of which is flat.
-    EXPECT_EQ(r1.stats.blockingClauses, 0u) << fixture.name;
-    EXPECT_EQ(r1.stats.dbClausesPeak, r4.stats.dbClausesPeak) << fixture.name;
+    for (int jobs : {1, 4}) {
+      PreimageOptions options;
+      options.allsat.parallel.jobs = jobs;
+      PreimageResult r = computePreimage(ts, target, PreimageMethod::kChrono, options);
+      EXPECT_EQ(canonicalCubes(r.states.cubes, n), canonicalCubes(serial.states.cubes, n))
+          << fixture.name << " jobs=" << jobs;
+      EXPECT_EQ(r.stateCount, serial.stateCount) << fixture.name << " jobs=" << jobs;
+      EXPECT_TRUE(r.guides.empty()) << fixture.name << " jobs=" << jobs;
+      EXPECT_EQ(r.stats.blockingClauses, 0u) << fixture.name << " jobs=" << jobs;
+      EXPECT_EQ(r.stats.dbClausesPeak, serial.stats.dbClausesPeak)
+          << fixture.name << " jobs=" << jobs;
+    }
   }
 }
 

@@ -435,7 +435,7 @@ TEST(GovernedParallel, PreCancelledJobs4SkipsEveryShard) {
   AllSatOptions opts;
   opts.governor = &governor;
   opts.parallel.jobs = 4;
-  AllSatResult r = chronoAllSat(cnf, projection, opts);
+  AllSatResult r = blockingAllSat(cnf, projection, {}, opts);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.outcome, Outcome::kCancelled);
   EXPECT_TRUE(r.cubes.empty());
@@ -467,7 +467,7 @@ TEST(GovernedParallel, MidRunCancelJobs4MergedShardsStayDisjointAndSound) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     token.cancel();
   });
-  AllSatResult r = chronoAllSat(cnf, projection, opts);
+  AllSatResult r = blockingAllSat(cnf, projection, {}, opts);
   watchdog.join();
 
   // Where the cancel landed is timing-dependent; the contract is not.
@@ -833,7 +833,7 @@ TEST(FaultInjection, WorkerShardFaultCancelsPoolButKeepsFinishedShards) {
   AllSatOptions opts;
   opts.governor = &governor;
   opts.parallel.jobs = 4;
-  AllSatResult r = chronoAllSat(cnf, projection, opts);
+  AllSatResult r = blockingAllSat(cnf, projection, {}, opts);
   EXPECT_TRUE(faults::faultFired());
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.outcome, Outcome::kCancelled);

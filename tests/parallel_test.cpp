@@ -165,8 +165,8 @@ std::vector<std::string> canonicalCubes(const std::vector<LitVec>& cubes, int wi
 
 // The determinism contract: --jobs N is bit-identical for every N >= 1, and
 // semantically equal to the serial engine, across the generator suite.
-// Lifted cube blocking never splits, so its cover is the serial one at every
-// `jobs`, cube for cube.
+// Lifted cube blocking and chrono never split, so their covers are the
+// serial ones at every `jobs`, cube for cube, with no guides.
 TEST(ParallelPreimage, ResultIndependentOfWorkerCount) {
   struct Fixture {
     const char* name;
@@ -211,10 +211,13 @@ TEST(ParallelPreimage, ResultIndependentOfWorkerCount) {
       EXPECT_EQ(r1.stateCount, rs.stateCount)
           << fixture.name << " " << preimageMethodName(method);
 
-      if (method == PreimageMethod::kCubeBlockingLifted) {
-        EXPECT_EQ(r1.states.cubes, rs.states.cubes) << fixture.name;
-        EXPECT_EQ(r8.states.cubes, rs.states.cubes) << fixture.name;
-        EXPECT_TRUE(r1.guides.empty()) << fixture.name;
+      if (method == PreimageMethod::kCubeBlockingLifted || method == PreimageMethod::kChrono) {
+        EXPECT_EQ(r1.states.cubes, rs.states.cubes)
+            << fixture.name << " " << preimageMethodName(method);
+        EXPECT_EQ(r8.states.cubes, rs.states.cubes)
+            << fixture.name << " " << preimageMethodName(method);
+        EXPECT_TRUE(r1.guides.empty()) << fixture.name << " " << preimageMethodName(method);
+        EXPECT_TRUE(r8.guides.empty()) << fixture.name << " " << preimageMethodName(method);
       }
     }
   }

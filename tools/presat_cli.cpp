@@ -117,8 +117,9 @@ namespace {
                "  presat_cli version\n"
                "  presat_cli bmc      <file.bench> --init CUBE --target CUBE [--depth N]\n"
                "  presat_cli audit    <file.cnf> | --gen SPEC [--target CUBE]\n"
-               "\nSAT enumeration commands also take --jobs N (parallel cube-and-conquer,\n"
-               "at most 64 workers), --project (projected enumeration over the scope),\n"
+               "\nSAT enumeration commands also take --jobs N (minterm blocking's parallel\n"
+               "cube-and-conquer, at most 64 workers; the other engines run serially),\n"
+               "--project (projected enumeration over the scope),\n"
                "and --compress (the ISOP of the cover's union, as sd and bdd return).\n"
                "Budgets: --timeout-ms N, --mem-limit-mb N, --conflict-limit N; a run that\n"
                "stops on a budget prints the reason and exits 2 with a sound partial result.\n"
@@ -186,7 +187,7 @@ bool takesFlag(const Command& command, std::string_view name) {
 bool isBooleanFlag(const std::string& name) { return name == "project" || name == "compress"; }
 
 // Shared --jobs/--project/--compress handling for the SAT enumeration
-// commands. --jobs is capped like presat_serve's `jobs` field.
+// commands. --jobs is capped at ParallelOptions::kMaxJobs.
 void applyEngineFlags(const Args& args, AllSatOptions& options) {
   options.parallel.jobs = std::min(args.intFlag("jobs", options.parallel.jobs),
                                    ParallelOptions::kMaxJobs);
@@ -617,7 +618,13 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
 
   std::vector<EngineRun> runs;
   {
-    AllSatResult r = blockingAllSat(pre.cnf, scope);
+    // Minterm blocking honors --jobs like the circuit-mode audit, so the
+    // shard merge is cross-checked against the serial engines here too. It
+    // keeps its raw disjoint cover for the check below.
+    AllSatOptions mintermOptions;
+    applyEngineFlags(args, mintermOptions);
+    mintermOptions.project = mintermOptions.compress = false;
+    AllSatResult r = blockingAllSat(pre.cnf, scope, {}, mintermOptions);
     if (!cubesPairwiseDisjoint(r.cubes)) {
       audit.fail("audit.minterm.disjoint",
                  "minterm-blocking produced overlapping cubes on " + args.positional[0]);
@@ -635,8 +642,8 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
     runs.push_back({"cube-blocking", std::move(r.cubes), std::move(r.mintermCount), r.complete});
   }
   {
-    // Chronological enumeration honors --jobs like the circuit-mode audit, so
-    // the shard merge is cross-checked against the serial engines here too.
+    // Chronological enumeration takes --project/--compress like the
+    // circuit-mode audit.
     AllSatOptions chronoOptions;
     applyEngineFlags(args, chronoOptions);
     AllSatResult r = chronoAllSat(pre.cnf, scope, chronoOptions);
@@ -722,8 +729,8 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   }
   StateSet target = parseCubeArg(targetText, width);
 
-  // --jobs routes every SAT engine through the cube-and-conquer path while
-  // the BDD baseline stays serial — the cross-check then doubles as a
+  // --jobs routes minterm blocking through the cube-and-conquer path while
+  // every other engine stays serial — the cross-check then doubles as a
   // parallel-vs-oracle equivalence test.
   PreimageOptions options;
   applyEngineFlags(args, options.allsat);
