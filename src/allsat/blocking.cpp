@@ -75,6 +75,9 @@ AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
     result.stats.blockingClauses += 1;
     result.stats.blockingLiterals += blocking.size();
 
+    // The solver still holds the model's trail, which falsifies the blocking
+    // clause: adding it backjumps to its assertion level, and the next
+    // solve() resumes there.
     consistent = solver.addClause(blocking);
     // Each blocking clause mutates the watch/trail structures the next solve
     // depends on — at full audit depth, re-validate the solver every round.

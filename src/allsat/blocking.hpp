@@ -6,8 +6,10 @@
 // call and one clause per projected minterm). With a lifter each model is
 // first grown into a solution cube over the projection scope and the whole
 // cube is blocked at once, cutting the solver calls from #minterms to roughly
-// #cubes — but the clause database still grows with every solution and each
-// solution is still re-derived by a full CDCL search.
+// #cubes — but the clause database still grows with every solution. The
+// solver keeps each model's trail (sat/solver.hpp): the blocking clause
+// backjumps to its assertion level and the next search resumes from there,
+// instead of re-deriving the next solution from level 0.
 #pragma once
 
 #include <functional>

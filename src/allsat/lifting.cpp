@@ -1,6 +1,7 @@
 #include "allsat/lifting.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/log.hpp"
 #include "circuit/ternary.hpp"
@@ -193,15 +194,39 @@ JustificationLifter::JustificationLifter(const Netlist& netlist, std::vector<Nod
       objectives_(std::move(objectives)),
       sources_(std::move(sources)),
       values_(netlist.numNodes(), l_Undef),
+      emitCount_(netlist.numNodes(), 0),
       stamp_(netlist.numNodes(), 0) {
   PRESAT_CHECK(sources_.size() == netlist_.numNodes()) << "one source binding per node";
   for (const NodeCube& cube : objectives_) {
     for (const NodeAssign& obj : cube) PRESAT_CHECK(obj.first < netlist_.numNodes());
   }
   splitCone(netlist_, objectives_, order_, coneSources_);
+  // Support masks: bit k of a node's mask is set iff the k-th emitted cone
+  // source lies in the node's fanin cone. Only their popcounts are kept.
+  size_t numEmitted = 0;
   for (NodeId id : coneSources_) {
     PRESAT_CHECK(!sources_[id].emit || sources_[id].var != kNullVar)
         << "emitted source " << netlist_.name(id) << " has no model variable";
+    if (sources_[id].emit) ++numEmitted;
+  }
+  const size_t words = (numEmitted + 63) / 64;
+  std::vector<uint64_t> support(netlist_.numNodes() * words, 0);
+  size_t bit = 0;
+  for (NodeId id : coneSources_) {
+    if (!sources_[id].emit) continue;
+    support[id * words + bit / 64] |= uint64_t{1} << (bit % 64);
+    emitCount_[id] = 1;
+    ++bit;
+  }
+  for (NodeId id : order_) {
+    uint64_t* mask = support.data() + id * words;
+    for (NodeId f : netlist_.node(id).fanins) {
+      const uint64_t* in = support.data() + f * words;
+      for (size_t w = 0; w < words; ++w) mask[w] |= in[w];
+    }
+    uint32_t count = 0;
+    for (size_t w = 0; w < words; ++w) count += static_cast<uint32_t>(std::popcount(mask[w]));
+    emitCount_[id] = count;
   }
 }
 
@@ -271,7 +296,8 @@ LitVec JustificationLifter::lift(const std::vector<lbool>& model) {
             pushFanins(g);
             break;
           }
-          // One controlling fanin suffices; prefer one already marked.
+          // One controlling fanin suffices: one already marked, else the one
+          // whose cone holds the fewest emitted sources (the first on a tie).
           NodeId pick = kNoNode;
           for (NodeId f : g.fanins) {
             if (values_[f].isTrue() == ctrlIn) {
@@ -279,7 +305,7 @@ LitVec JustificationLifter::lift(const std::vector<lbool>& model) {
                 pick = f;
                 break;
               }
-              if (pick == kNoNode) pick = f;
+              if (pick == kNoNode || emitCount_[f] < emitCount_[pick]) pick = f;
             }
           }
           PRESAT_CHECK(pick != kNoNode) << "inconsistent node values in lifting";

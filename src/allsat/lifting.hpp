@@ -7,7 +7,8 @@
 //    formula).
 //  * JustificationLifter — circuit-level critical tracing. Starting from the
 //    required output values, it keeps only the source assignments needed to
-//    justify them (one controlling fanin suffices for a controlled gate).
+//    justify them (one controlling fanin suffices for a controlled gate: the
+//    one whose cone holds the fewest emitted sources, so the cube stays wide).
 //    The kept source cube forces the objectives under ANY completion, so its
 //    projection onto the state variables is a valid preimage cube.
 //  * CircuitWidener — chrono's circuit-side prefix widening: the shortest
@@ -128,8 +129,8 @@ class JustificationLifter {
   // Returns the emitted sources the justification of the first realized
   // objective cube reaches, as literals over their model variables, in the
   // order the walk reaches them. Prefers a controlling fanin that is already
-  // marked, else the first one; a MUX's select goes before its chosen data
-  // input.
+  // marked, else the one whose fanin cone holds the fewest emitted sources
+  // (the first on a tie); a MUX's select goes before its chosen data input.
   LitVec lift(const std::vector<lbool>& model);
 
  private:
@@ -139,6 +140,7 @@ class JustificationLifter {
   std::vector<NodeId> order_;        // cone gates and constants, topological
   std::vector<NodeId> coneSources_;  // the cone's inputs and DFF outputs
   std::vector<lbool> values_;        // node-indexed; cone entries rewritten per lift
+  std::vector<uint32_t> emitCount_;  // node-indexed; emitted sources in its fanin cone
   std::vector<uint32_t> stamp_;      // node marked in this lift iff stamp_ == epoch_
   uint32_t epoch_ = 0;
   std::vector<NodeId> stack_;

@@ -1,10 +1,11 @@
 #include "parallel/parallel_allsat.hpp"
 
-#include <functional>
+#include <cstdint>
 #include <utility>
 
 #include "allsat/blocking.hpp"
 #include "base/check.hpp"
+#include "base/sync.hpp"
 #include "base/timer.hpp"
 #include "govern/faults.hpp"
 #include "govern/governor.hpp"
@@ -35,12 +36,42 @@ bool beginShard(Governor* governor) {
   return governor == nullptr || !governor->tripped();
 }
 
-// Rewrites shard slots whose task never ran (drained after a trip, or skipped
-// by beginShard) as empty partial results — guide attached, zero cubes, the
-// governor's stop reason — so merge and audit see the uniform shard shape.
-// Returns the number of rewritten shards.
+// The global cube cap across shards. The pool claims shards in index order
+// and the merge concatenates them in that order, so once the finished prefix
+// of shards holds more than maxCubes cubes, the trimmed cover is fixed: no
+// later shard can add a cube that survives the trim, and the cap is hit.
+class ShardPrefixCap {
+ public:
+  ShardPrefixCap(size_t numShards, uint64_t maxCubes)
+      : maxCubes_(maxCubes), cubes_(numShards, kUnfinished) {}
+
+  void finish(size_t shard, size_t cubes) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    cubes_[shard] = cubes;
+    while (prefix_ < cubes_.size() && cubes_[prefix_] != kUnfinished) {
+      prefixCubes_ += cubes_[prefix_++];
+    }
+  }
+  bool reached() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return maxCubes_ != 0 && prefixCubes_ > maxCubes_;
+  }
+
+ private:
+  static constexpr size_t kUnfinished = SIZE_MAX;
+  Mutex mu_;
+  const uint64_t maxCubes_ GUARDED_BY(mu_);
+  std::vector<size_t> cubes_ GUARDED_BY(mu_);  // per shard; kUnfinished until it ran
+  size_t prefix_ GUARDED_BY(mu_) = 0;          // shards [0, prefix_) have finished
+  uint64_t prefixCubes_ GUARDED_BY(mu_) = 0;
+};
+
+// Rewrites shard slots whose task never ran (drained after a trip or the
+// cube cap, or skipped by beginShard) as empty partial results — guide
+// attached, zero cubes, the stop reason — so merge and audit see the uniform
+// shard shape. Returns the number of rewritten shards.
 size_t degradeSkippedShards(std::vector<ShardOutcome>& shards, const SplitPlan& plan,
-                            const Governor* governor) {
+                            Outcome reason) {
   size_t skipped = 0;
   for (size_t i = 0; i < shards.size(); ++i) {
     ShardOutcome& shard = shards[i];
@@ -48,9 +79,7 @@ size_t degradeSkippedShards(std::vector<ShardOutcome>& shards, const SplitPlan& 
     ++skipped;
     shard.guide = plan.cubes[i];
     shard.result.complete = false;
-    shard.result.outcome = governor != nullptr && governor->tripped()
-                               ? governor->reason()
-                               : Outcome::kCancelled;
+    shard.result.outcome = reason;
   }
   return skipped;
 }
@@ -67,6 +96,7 @@ AllSatResult parallelMintermAllSat(const Cnf& cnf, const std::vector<Var>& proje
   Governor* governor = options.governor;
 
   WorkerPool pool(options.parallel.jobs);
+  ShardPrefixCap cap(plan.cubes.size(), options.maxCubes);
   auto shardTask = [&](size_t i, int /*worker*/) {
     if (!beginShard(governor)) return;
     shards[i].ran = true;
@@ -77,13 +107,19 @@ AllSatResult parallelMintermAllSat(const Cnf& cnf, const std::vector<Var>& proje
     }
     shards[i].guide = plan.cubes[i];
     shards[i].result = blockingAllSat(sub, projection, {}, shardOptions(options));
+    cap.finish(i, shards[i].result.cubes.size());
   };
-  // The pool's stop predicate: once the shared governor trips, workers drain
-  // instead of popping further shards.
-  std::function<bool()> stop;
-  if (governor != nullptr) stop = [governor] { return governor->tripped(); };
+  // The pool's stop predicate: once the shared governor trips or the
+  // finished prefix passes the cube cap, workers drain instead of popping
+  // further shards.
+  auto stop = [governor, &cap] {
+    return (governor != nullptr && governor->tripped()) || cap.reached();
+  };
   pool.run(plan.cubes.size(), shardTask, stop);
-  size_t shardsSkipped = degradeSkippedShards(shards, plan, governor);
+  Outcome stopReason = governor != nullptr && governor->tripped() ? governor->reason()
+                       : cap.reached()                             ? Outcome::kCubeCap
+                                                                   : Outcome::kCancelled;
+  size_t shardsSkipped = degradeSkippedShards(shards, plan, stopReason);
 
   PRESAT_AUDIT_FULL(PRESAT_CHECK_AUDIT(
       auditShardPartition(shards, static_cast<int>(projection.size()))));
@@ -100,7 +136,8 @@ AllSatResult parallelMintermAllSat(const Cnf& cnf, const std::vector<Var>& proje
 
   // maxCubes is a GLOBAL cap but each shard enforced it locally, so the
   // concatenation can exceed it; the epilogue trims it in shard order, which
-  // keeps the result deterministic. Under `compress` it then replaces the
+  // keeps the result deterministic (the shards the cap skipped lie past the
+  // trim at every `jobs`). Under `compress` it then replaces the
   // merged cover by the ISOP of its union, which is the same at every job
   // count. It runs after the shard-partition audit on purpose: ISOP cubes
   // need not lie inside one guide, which is sound (the union is unchanged)

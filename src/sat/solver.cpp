@@ -67,19 +67,26 @@ Var Solver::newVar() {
 }
 
 bool Solver::addClause(const LitVec& lits) {
-  PRESAT_CHECK(decisionLevel() == 0) << "clauses may only be added at level 0";
+  PRESAT_CHECK(!enumerating_ || decisionLevel() == 0)
+      << "an enumeration session takes clauses only at level 0";
   if (!ok_) return false;
 
   LitVec c = lits;
   std::sort(c.begin(), c.end());
   c.erase(std::unique(c.begin(), c.end()), c.end());
+  for (Lit l : c) PRESAT_CHECK(l.var() >= 0 && l.var() < numVars()) << "unknown variable in clause";
+  // A clause the kept trail falsifies (a blocking clause) joins by a
+  // backjump to its assertion level below; any other clause joins at level 0.
+  if (decisionLevel() > 0 &&
+      !std::all_of(c.begin(), c.end(), [this](Lit l) { return value(l).isFalse(); })) {
+    cancelUntil(0);
+  }
   LitVec cleaned;
   for (size_t i = 0; i < c.size(); ++i) {
-    PRESAT_CHECK(c[i].var() >= 0 && c[i].var() < numVars()) << "unknown variable in clause";
     if (i + 1 < c.size() && c[i].var() == c[i + 1].var()) return true;  // tautology
     lbool v = value(c[i]);
     if (v.isTrue()) return true;  // already satisfied at level 0
-    if (!v.isFalse()) cleaned.push_back(c[i]);
+    if (!v.isFalse() || level_[static_cast<size_t>(c[i].var())] > 0) cleaned.push_back(c[i]);
   }
 
   // Occurrence-count polarity priors: decide a fresh variable toward the
@@ -99,6 +106,22 @@ bool Solver::addClause(const LitVec& lits) {
     if (proofLog_ != nullptr) proofLog_->addEmpty();
     return false;
   }
+  // On a falsified clause, backjump to its assertion level: the deepest
+  // literal goes first and the next deepest second (the watch pair). One
+  // literal at the deepest level is asserted at the second-deepest level;
+  // several deepest literals are all unassigned one level below theirs.
+  bool asserting = false;
+  if (decisionLevel() > 0) {
+    auto deeper = [this](Lit a, Lit b) {
+      return level_[static_cast<size_t>(a.var())] > level_[static_cast<size_t>(b.var())];
+    };
+    std::partial_sort(cleaned.begin(), cleaned.begin() + std::min<size_t>(2, cleaned.size()),
+                      cleaned.end(), deeper);
+    const int deepest = level_[static_cast<size_t>(cleaned[0].var())];
+    const int second = cleaned.size() == 1 ? 0 : level_[static_cast<size_t>(cleaned[1].var())];
+    asserting = second < deepest;
+    cancelUntil(asserting ? second : deepest - 1);
+  }
   if (cleaned.size() == 1) {
     uncheckedEnqueue(cleaned[0], kNullClauseRef);
     ok_ = (propagate() == kNullClauseRef);
@@ -107,6 +130,7 @@ bool Solver::addClause(const LitVec& lits) {
   }
   ClauseRef clause = allocClause(cleaned, /*learnt=*/false);
   attachClause(clause);
+  if (asserting) uncheckedEnqueue(cleaned[0], clause);
   return true;
 }
 
@@ -711,6 +735,9 @@ lbool Solver::solve(const LitVec& assumptions) {
   PRESAT_CHECK(!enumerating_) << "solve() during an enumeration session";
   model_.clear();
   if (!ok_) return l_False;
+  // Without assumptions the search resumes from the trail the last SAT
+  // answer kept; assumptions are decided from level 1 on, so they start over.
+  if (!assumptions.empty()) cancelUntil(0);
   assumptions_ = assumptions;
   // Recomputed on every call: the limit tracks the current original-clause
   // count (which grows under incremental use, e.g. blocking-clause all-SAT)
@@ -731,8 +758,11 @@ lbool Solver::solve(const LitVec& assumptions) {
     if (status == l_Undef && governor_ != nullptr && governor_->tripped()) break;
   }
 
-  if (status == l_True) model_ = assigns_;
-  cancelUntil(0);
+  if (status == l_True) {
+    model_ = assigns_;
+  } else {
+    cancelUntil(0);
+  }
   return status;
 }
 

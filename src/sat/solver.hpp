@@ -7,9 +7,12 @@
 // immortal, high-LBD clauses age out unless recently used). Clauses live in a
 // compacting 32-bit-reference arena (sat/clause_arena.hpp) instead of
 // per-clause heap allocations. The solver is incremental: clauses can be
-// added between solve() calls, and solve() accepts assumption literals —
-// both are load-bearing for the blocking-clause all-SAT baselines, which add
-// one clause per enumerated solution and re-solve.
+// added between solve() calls, and solve() accepts assumption literals.
+// A SAT answer keeps its trail, so blocking-clause all-SAT resumes from the
+// model it just found: the blocking clause, which that trail falsifies,
+// joins by a backjump to its assertion level, and the next solve() goes on
+// from there. Assumptions, and a clause the trail does not falsify, start
+// over from level 0.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +60,12 @@ class Solver {
   // --- problem construction -------------------------------------------------
   Var newVar();
   int numVars() const { return static_cast<int>(assigns_.size()); }
-  // Adds a clause; returns false if the solver became trivially UNSAT.
+  // Adds a clause; returns false if the solver became trivially UNSAT. A
+  // clause every literal of which the kept trail falsifies backjumps to its
+  // assertion level: one deepest literal is asserted at the second-deepest
+  // level with the clause as its reason; two or more deepest literals are
+  // all unassigned one level below theirs; a single literal lands at level
+  // 0. Any other clause cancels the trail to level 0 first.
   bool addClause(const LitVec& lits);
   bool addClause(std::initializer_list<Lit> lits) { return addClause(LitVec(lits)); }
   // Loads every clause of a CNF (creating variables as needed).
@@ -66,7 +74,9 @@ class Solver {
 
   // --- solving ---------------------------------------------------------------
   // Returns l_True (SAT, model() valid), l_False (UNSAT under assumptions),
-  // or l_Undef if the attached governor tripped.
+  // or l_Undef if the attached governor tripped. l_True keeps the trail;
+  // the other answers cancel it to level 0. Without assumptions the search
+  // resumes from a kept trail; with them it starts over from level 0.
   lbool solve() { return solve({}); }
   lbool solve(const LitVec& assumptions);
 
@@ -159,8 +169,8 @@ class Solver {
   const SolverStats& stats() const { return stats_; }
   size_t numLearnts() const { return numLearnts_; }
 
-  // Current assignment value during/after search (level-0 forced values
-  // persist between solves).
+  // Current assignment value during/after search: the kept trail after a
+  // SAT answer, the level-0 forced values otherwise.
   lbool value(Var v) const { return assigns_[static_cast<size_t>(v)]; }
   lbool value(Lit l) const { return assigns_[static_cast<size_t>(l.var())] ^ l.sign(); }
 

@@ -356,8 +356,10 @@ TEST(JustificationLifter, WorksOnS27) {
 // The per-model lifting path of the lifted-cube engine before its lifter
 // was built once per query, kept as the parity oracle: lift the internal
 // model to the original space, simulate the whole netlist, justify the first
-// realized target cube by recursive critical tracing, keep the state sources
-// and translate them back to internal literals.
+// realized target cube by recursive critical tracing (a controlled gate
+// through a marked controlling fanin, else the one whose cone holds the
+// fewest state nodes), keep the state sources and translate them back to
+// internal literals.
 LitVec referenceLift(const TransitionSystem& system, const StateSet& target,
                      const TransitionEncoding& te, const std::vector<lbool>& internalModel) {
   const Netlist& nl = system.netlist();
@@ -382,6 +384,13 @@ LitVec referenceLift(const TransitionSystem& system, const StateSet& target,
     ADD_FAILURE() << "model does not reach the target set";
     return {};
   }
+
+  std::vector<bool> isState(nl.numNodes(), false);
+  for (NodeId st : system.stateNodes()) isState[st] = true;
+  auto statesInCone = [&](NodeId id) {
+    std::vector<NodeId> cone = nl.coneOf({id});
+    return std::count_if(cone.begin(), cone.end(), [&](NodeId n) { return isState[n]; });
+  };
 
   std::vector<bool> marked(nl.numNodes(), false);
   NodeCube kept;
@@ -416,7 +425,7 @@ LitVec referenceLift(const TransitionSystem& system, const StateSet& target,
                 pick = f;
                 break;
               }
-              if (pick == kNoNode) pick = f;
+              if (pick == kNoNode || statesInCone(f) < statesInCone(pick)) pick = f;
             }
           }
           self(self, pick);
@@ -437,8 +446,6 @@ LitVec referenceLift(const TransitionSystem& system, const StateSet& target,
   };
   for (Lit l : *satisfied) mark(mark, system.nextStateRoot(l.var()));
 
-  std::vector<bool> isState(nl.numNodes(), false);
-  for (NodeId st : system.stateNodes()) isState[st] = true;
   LitVec cube;
   for (const NodeAssign& a : kept) {
     if (isState[a.first]) cube.push_back(te.base.internalLit(mkLit(te.enc.varOf(a.first), !a.second)));

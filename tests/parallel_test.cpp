@@ -349,6 +349,31 @@ TEST(ParallelCnf, GlobalMaxCubesCapHolds) {
   EXPECT_EQ(r.mintermCount, countCubeUnionMinterms(r.cubes, 3));
 }
 
+// 10 free variables: 1 024 minterms, 64 in each of the 16 shards. Under a
+// cap of 100 the first two shards already hold more than the cap, so the
+// pool claims no further shard; the skipped shards report the cap, and the
+// trimmed cover, count and outcome are the same at every job count.
+TEST(ParallelCnf, CapStopsClaimingShardsPastTheFinishedPrefix) {
+  Cnf cnf;
+  std::vector<Var> projection;
+  for (int i = 0; i < 10; ++i) projection.push_back(cnf.newVar());
+  AllSatOptions options;
+  options.maxCubes = 100;
+  options.parallel.jobs = 1;
+  AllSatResult one = blockingAllSat(cnf, projection, {}, options);
+  EXPECT_EQ(one.outcome, Outcome::kCubeCap);
+  EXPECT_EQ(one.cubes.size(), 100u);
+  EXPECT_EQ(one.metrics.counter("parallel.shards"), 16u);
+  EXPECT_EQ(one.metrics.counter("parallel.shards_skipped"), 14u);
+  for (int jobs : {4, 8}) {
+    options.parallel.jobs = jobs;
+    AllSatResult r = blockingAllSat(cnf, projection, {}, options);
+    EXPECT_EQ(r.cubes, one.cubes) << "jobs=" << jobs;
+    EXPECT_EQ(r.mintermCount, one.mintermCount) << "jobs=" << jobs;
+    EXPECT_EQ(r.outcome, Outcome::kCubeCap) << "jobs=" << jobs;
+  }
+}
+
 TEST(ParallelOptionsStruct, SerialByDefault) {
   ParallelOptions options;
   EXPECT_FALSE(options.enabled());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -138,6 +139,78 @@ TEST(Solver, IncrementalAddAfterSolve) {
     ASSERT_LE(models, 3);
   }
   EXPECT_EQ(models, 3);
+}
+
+// A SAT answer keeps its trail; assumptions a, b, c are decided at levels
+// 1, 2, 3, so each test below knows every literal's level.
+class KeptTrail : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int i = 0; i < 5; ++i) s.newVar();
+    s.addClause({~c, e});  // c implies e at c's level
+    ASSERT_TRUE(s.solve({a, b, c}).isTrue());
+    ASSERT_EQ(s.levelOf(e.var()), 3);
+  }
+  void expectAuditOk() {
+    AuditResult audit = auditSolver(s);
+    EXPECT_TRUE(audit.ok()) << audit.toString();
+  }
+  Solver s;
+  Lit a = mkLit(0), b = mkLit(1), c = mkLit(2), d = mkLit(3), e = mkLit(4);
+};
+
+TEST_F(KeptTrail, OneDeepestLiteralIsAssertedAtTheSecondDeepestLevel) {
+  ASSERT_TRUE(s.addClause({~a, ~c}));
+  EXPECT_EQ(s.currentDecisionLevel(), 1);
+  EXPECT_TRUE(s.value(c).isFalse());
+  EXPECT_EQ(s.levelOf(c.var()), 1);
+  EXPECT_TRUE(s.value(b).isUndef());
+  expectAuditOk();
+  ASSERT_TRUE(s.solve().isTrue());
+  EXPECT_TRUE(s.modelValue(a));
+  EXPECT_FALSE(s.modelValue(c));
+}
+
+TEST_F(KeptTrail, TwoDeepestLiteralsAreBothUnassigned) {
+  ASSERT_TRUE(s.addClause({~a, ~c, ~e}));
+  EXPECT_EQ(s.currentDecisionLevel(), 2);
+  EXPECT_TRUE(s.value(c).isUndef());
+  EXPECT_TRUE(s.value(e).isUndef());
+  EXPECT_TRUE(s.value(b).isTrue());
+  expectAuditOk();
+  ASSERT_TRUE(s.solve().isTrue());
+  EXPECT_FALSE(s.modelValue(c));
+}
+
+TEST_F(KeptTrail, EveryLiteralFalseAtLevelZeroIsUnsat) {
+  ASSERT_TRUE(s.addClause({d}));
+  ASSERT_TRUE(s.solve({a}).isTrue());
+  ASSERT_EQ(s.levelOf(d.var()), 0);
+  ASSERT_GT(s.currentDecisionLevel(), 0);
+  EXPECT_FALSE(s.addClause({~d}));
+  EXPECT_FALSE(s.okay());
+  EXPECT_TRUE(s.solve().isFalse());
+}
+
+TEST_F(KeptTrail, UnitClauseLandsAtLevelZero) {
+  ASSERT_TRUE(s.addClause({~b}));
+  EXPECT_EQ(s.currentDecisionLevel(), 0);
+  EXPECT_TRUE(s.value(b).isFalse());
+  EXPECT_EQ(s.levelOf(b.var()), 0);
+  expectAuditOk();
+}
+
+TEST_F(KeptTrail, ClauseTheTrailDoesNotFalsifyJoinsAtLevelZero) {
+  ASSERT_TRUE(s.addClause({~a, b}));
+  EXPECT_EQ(s.currentDecisionLevel(), 0);
+  EXPECT_TRUE(s.value(a).isUndef());
+  expectAuditOk();
+}
+
+TEST_F(KeptTrail, AssumptionsStartOverFromLevelZero) {
+  ASSERT_TRUE(s.solve({~a}).isTrue());
+  EXPECT_FALSE(s.modelValue(a));
+  EXPECT_EQ(s.levelOf(a.var()), 1);
 }
 
 TEST(Solver, ConflictBudgetReturnsUndef) {
@@ -325,6 +398,43 @@ TEST(SolverStress, ManyIncrementalBlocksStayConsistent) {
   fresh.addCnf(accumulated);
   EXPECT_TRUE(fresh.solve().isFalse());
   EXPECT_EQ(models, static_cast<int>(bruteForceModelCount(cnf)));
+}
+
+// Blocking enumeration on the kept trail: each solve() resumes from the last
+// model and each blocking clause backjumps to its assertion level. On random
+// CNFs, blocking full models or projected minterms meets every brute-force
+// solution exactly once.
+TEST(SolverFuzz, KeptTrailBlockingMeetsEverySolutionOnce) {
+  Rng rng(4021);
+  for (int iter = 0; iter < 400; ++iter) {
+    int vars = static_cast<int>(rng.range(1, 12));
+    Cnf cnf = testutil::randomCnf(rng, vars, static_cast<int>(rng.range(1, vars * 4)));
+    std::vector<Var> projection;
+    for (Var v = 0; v < vars; ++v) {
+      if (iter % 2 == 0 || rng.flip()) projection.push_back(v);
+    }
+    std::set<uint64_t> expected = bruteForceProjectedSolutions(cnf, projection);
+    std::set<uint64_t> seen;
+    Solver s;
+    bool consistent = s.addCnf(cnf);
+    while (consistent && s.solve().isTrue()) {
+      std::vector<bool> model(static_cast<size_t>(vars));
+      for (Var v = 0; v < vars; ++v) model[static_cast<size_t>(v)] = s.modelValue(v);
+      ASSERT_TRUE(cnf.evaluate(model)) << "iter " << iter;
+      uint64_t bits = 0;
+      LitVec block;
+      for (size_t i = 0; i < projection.size(); ++i) {
+        bool value = s.modelValue(projection[i]);
+        if (value) bits |= uint64_t{1} << i;
+        block.push_back(mkLit(projection[i], value));
+      }
+      ASSERT_TRUE(seen.insert(bits).second) << "iter " << iter << ": solution met twice";
+      consistent = s.addClause(block);
+      AuditResult audit = auditSolver(s);
+      ASSERT_TRUE(audit.ok()) << "iter " << iter << ":\n" << audit.toString();
+    }
+    EXPECT_EQ(seen, expected) << "iter " << iter;
+  }
 }
 
 // Repeated solving with assumptions agrees with solving a copy with the
