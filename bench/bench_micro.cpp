@@ -217,8 +217,8 @@ void BM_CubeBlockingLiftedRandomLogic(benchmark::State& state) {
 BENCHMARK(BM_CubeBlockingLiftedRandomLogic)->Unit(benchmark::kMillisecond);
 
 // A presat_serve cache miss on a rand14x200 circuit, the serve-mixed
-// workload's shape: chrono with project+compress, which runs serially at
-// every `jobs`, the daemon's jobs = 1 included. The encoding is built
+// workload's shape: chrono with project+compress, run serially as on a
+// daemon worker. The encoding is built
 // outside the timed loop, so the loop times the engine alone. Tracks the
 // circuit widening's per-model cost next to
 // BM_CubeBlockingLiftedRandomLogic's lifting. items_per_second reports

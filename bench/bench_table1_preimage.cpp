@@ -10,12 +10,7 @@
 // projected chrono with compression returns success-driven's cover, the ISOP
 // of the same state set, cube for cube.
 //
-// The two par columns run minterm blocking, the one engine that splits,
-// through the cube-and-conquer path (src/parallel/) at 1 and 8 workers with
-// the mt column's cap; their ratio is the achieved parallel speedup (1.0 on
-// a single-core host — the work is identical by the determinism contract,
-// only the scheduling differs). Every other engine runs serially at every
-// worker count, so it has no par runs.
+// Every engine runs serially, as the paper's comparison does.
 //
 // Each ms cell is the best of kRuns runs of that engine on that row, and
 // the runs must return the same cover and count.
@@ -60,10 +55,10 @@ int main(int argc, char** argv) {
   std::printf(
       "Table 1: one-step preimage (complete enumeration)\n"
       "%-12s %5s %4s %6s | %12s | %9s %11s | %9s %11s | %9s %11s %9s | %9s %11s %7s | "
-      "%9s %11s | %11s %9s | %9s %9s %6s\n",
+      "%9s %11s | %11s %9s\n",
       "circuit", "dffs", "pi", "gates", "pre-states", "mt-cubes", "mt-ms", "cb-cubes", "cb-ms",
       "sd-cubes", "sd-ms", "sd-graph", "ch-cubes", "ch-ms", "ch-db", "pj-cubes", "pj-ms",
-      "bdd-ms", "bdd-nodes", "par1-ms", "par8-ms", "spdup");
+      "bdd-ms", "bdd-nodes");
 
   for (BenchCase& c : suite) {
     TransitionSystem system(c.netlist);
@@ -80,13 +75,6 @@ int main(int argc, char** argv) {
     PreimageResult sd = run(PreimageMethod::kSuccessDriven);
     PreimageResult chrono = run(PreimageMethod::kChrono);
     PreimageResult bdd = run(PreimageMethod::kBdd);
-
-    PreimageOptions par1 = mintermOpts;
-    par1.allsat.parallel.jobs = 1;
-    PreimageOptions par8 = mintermOpts;
-    par8.allsat.parallel.jobs = 8;
-    PreimageResult mintermPar1 = run(PreimageMethod::kMintermBlocking, par1);
-    PreimageResult mintermPar8 = run(PreimageMethod::kMintermBlocking, par8);
 
     // Certificate-emitting chrono run: same query as `chrono` above but with
     // presat-cert-v1 assembly (witnesses and the replayed proof) on. Its
@@ -111,17 +99,10 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // Sanity: complete engines must agree (minterm may be capped), and the
-    // parallel runs must agree with the serial engine AND each other. The
-    // minterm shards partition the space, so a par1 cube list differs from
-    // the serial one (and under the cap holds other minterms) — but par1 vs
-    // par8 must be bit-identical.
+    // Sanity: complete engines must agree (minterm may be capped).
     if (cube.stateCount != sd.stateCount || sd.stateCount != bdd.stateCount ||
         (minterm.complete && minterm.stateCount != sd.stateCount) ||
-        mintermPar1.complete != minterm.complete ||
-        (mintermPar1.complete && mintermPar1.stateCount != sd.stateCount) ||
-        mintermPar1.states.cubes != mintermPar8.states.cubes ||
-        mintermPar1.stateCount != mintermPar8.stateCount || chrono.stateCount != sd.stateCount ||
+        chrono.stateCount != sd.stateCount ||
         chronoCert.states.cubes != chrono.states.cubes || chronoCert.certificate.empty()) {
       std::printf("ENGINE DISAGREEMENT on %s\n", c.name.c_str());
       return 1;
@@ -140,12 +121,9 @@ int main(int argc, char** argv) {
       std::snprintf(mtCubes, sizeof(mtCubes), ">%llu",
                     static_cast<unsigned long long>(kMintermCap));
     }
-    double speedup = mintermPar8.stats.seconds > 0
-                         ? mintermPar1.stats.seconds / mintermPar8.stats.seconds
-                         : 0.0;
     std::printf(
         "%-12s %5d %4d %6zu | %12s | %9s %11s | %9zu %11s | %9zu %11s %9llu | "
-        "%9zu %11s %7llu | %9zu %11s | %11s %9zu | %9s %9s %5.2fx\n",
+        "%9zu %11s %7llu | %9zu %11s | %11s %9zu\n",
         c.name.c_str(), system.numStateBits(), system.numInputs(), c.netlist.numGates(),
         sd.stateCount.toDecimal().c_str(), mtCubes, fmtMs(minterm.stats.seconds).c_str(),
         cube.states.cubes.size(), fmtMs(cube.stats.seconds).c_str(), sd.states.cubes.size(),
@@ -153,14 +131,10 @@ int main(int argc, char** argv) {
         chrono.states.cubes.size(), fmtMs(chrono.stats.seconds).c_str(),
         static_cast<unsigned long long>(chrono.stats.dbClausesPeak),
         proj.states.cubes.size(), fmtMs(proj.stats.seconds).c_str(),
-        fmtMs(bdd.stats.seconds).c_str(), static_cast<size_t>(bdd.metrics.counter("bdd.nodes")),
-        fmtMs(mintermPar1.stats.seconds).c_str(), fmtMs(mintermPar8.stats.seconds).c_str(),
-        speedup);
+        fmtMs(bdd.stats.seconds).c_str(), static_cast<size_t>(bdd.metrics.counter("bdd.nodes")));
 
     if (!jsonlPath.empty()) {
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/minterm", minterm.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/minterm-par1", mintermPar1.metrics);
-      appendMetricsJsonl(jsonlPath, "table1", c.name + "/minterm-par8", mintermPar8.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/cube-lifted", cube.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/sd", sd.metrics);
       appendMetricsJsonl(jsonlPath, "table1", c.name + "/chrono", chrono.metrics);
@@ -174,9 +148,7 @@ int main(int argc, char** argv) {
       "ch = chronological backtracking (ch-db = peak stored clauses: flat, no "
       "blocking clauses),\n"
       "pj = projected chrono + compression (same state set, sd's ISOP cover "
-      "cube for cube),\n"
-      "par1/par8 = cube-and-conquer minterm blocking at 1/8 workers, same cap "
-      "(spdup = par1/par8 wall time)\n",
+      "cube for cube)\n",
       static_cast<unsigned long long>(kMintermCap));
   return 0;
 }

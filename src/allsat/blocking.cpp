@@ -3,19 +3,12 @@
 #include "base/log.hpp"
 #include "base/timer.hpp"
 #include "check/audit_solver.hpp"
-#include "parallel/parallel_allsat.hpp"
 #include "sat/solver.hpp"
 
 namespace presat {
 
 AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                             const ModelLifter& lifter, const AllSatOptions& options) {
-  // Minterm blocking splits: each shard's clause database holds only its own
-  // shard's blocking clauses. Lifted blocking stays serial at every `jobs`
-  // (DESIGN.md "Parallel enumeration" has the measurement).
-  if (options.parallel.enabled() && !lifter) {
-    return parallelMintermAllSat(cnf, projection, options);
-  }
   Timer timer;
   AllSatResult result;
 

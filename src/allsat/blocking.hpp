@@ -32,9 +32,7 @@ using ModelLifter = std::function<LitVec(const std::vector<lbool>& model)>;
 // preprocessCnf (cnf/preprocess.hpp) once themselves. The engine label is
 // "minterm-blocking" without a lifter (the cover is then pairwise disjoint)
 // and "cube-blocking" with one (cubes may overlap; the count goes through a
-// BDD). With options.parallel.jobs >= 1 minterm blocking splits
-// (parallel/parallel_allsat.hpp); cube blocking stays serial, so its cover is
-// the same at every `jobs`.
+// BDD).
 AllSatResult blockingAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                             const ModelLifter& lifter = {}, const AllSatOptions& options = {});
 

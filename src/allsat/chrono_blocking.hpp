@@ -33,9 +33,7 @@ class CircuitWidener;
 // Enumerates the projection of the solution set of `cnf`, exactly as given,
 // onto `projection` with zero blocking clauses. `projection` must not list a
 // variable twice. `widener` (may be null) speaks `cnf`'s variables and then
-// chooses every emitted prefix and the deferred scope tier. The engine never
-// splits: its clause database stays flat, so a split divides nothing, and
-// its cover, count and stats are the same at every options.parallel.jobs.
+// chooses every emitted prefix and the deferred scope tier.
 AllSatResult chronoAllSat(const Cnf& cnf, const std::vector<Var>& projection,
                           const AllSatOptions& options,
                           const CircuitWidener* widener = nullptr);

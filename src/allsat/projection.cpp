@@ -35,32 +35,6 @@ void exportStatsToMetrics(const AllSatStats& stats, Metrics& m) {
   m.setGauge("time.seconds", stats.seconds);
 }
 
-void accumulateStats(AllSatStats& total, const AllSatStats& part) {
-  total.satCalls += part.satCalls;
-  total.conflicts += part.conflicts;
-  total.decisions += part.decisions;
-  total.propagations += part.propagations;
-  total.restarts += part.restarts;
-  total.reduceDBs += part.reduceDBs;
-  total.deletedClauses += part.deletedClauses;
-  total.blockingClauses += part.blockingClauses;
-  total.blockingLiterals += part.blockingLiterals;
-  total.memoHits += part.memoHits;
-  total.memoMisses += part.memoMisses;
-  total.memoEvictions += part.memoEvictions;
-  total.memoEntries += part.memoEntries;
-  total.memoBytes += part.memoBytes;
-  total.graphNodes += part.graphNodes;
-  total.graphEdges += part.graphEdges;
-  total.flips += part.flips;
-  total.shrinkLits += part.shrinkLits;
-  total.widenSims += part.widenSims;
-  // Parts run independent solvers; the meaningful global figure is the
-  // worst single database, not the sum. Max over a fixed part set is
-  // schedule-independent, preserving the determinism contract.
-  total.dbClausesPeak = std::max(total.dbClausesPeak, part.dbClausesPeak);
-}
-
 void copySolverStats(const Solver& solver, AllSatStats& stats) {
   const SolverStats& s = solver.stats();
   stats.conflicts = s.conflicts;

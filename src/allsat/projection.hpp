@@ -63,11 +63,6 @@ struct AllSatStats {
 // by finishCover only.
 void exportStatsToMetrics(const AllSatStats& stats, Metrics& m);
 
-// Sums the counters of one sub-run (a parallel shard, one target cube) into
-// `total`; sat.db_clauses folds by max. `seconds` is owned by the caller's
-// wall-clock timer.
-void accumulateStats(AllSatStats& total, const AllSatStats& part);
-
 struct AllSatResult {
   // True iff enumeration ran to completion (false when a solution/time cap
   // stopped it early — counts are then lower bounds). Always equals
@@ -86,12 +81,6 @@ struct AllSatResult {
   std::vector<LitVec> cubes;
   // Exact number of projected minterms in the union of `cubes`.
   BigUint mintermCount;
-  // Split runs only (minterm blocking at jobs >= 1): the disjoint guiding
-  // cubes (projected index space) the space was split into. Shard covers
-  // live inside their guide cube, so the guides are the certificate's
-  // cross-shard disjointness argument. Empty for serial runs, which lifted
-  // cube blocking, chrono and success-driven are at every `jobs`.
-  std::vector<LitVec> guides;
   AllSatStats stats;
   // Uniform observability export (counters/gauges/histograms) — see
   // base/metrics.hpp for the JSON schema.
@@ -126,20 +115,14 @@ struct AllSatOptions {
   bool project = false;
   // Shrinks every cover to the ISOP of its union, isop(f, f) in finishCover:
   // the cover success-driven and kBdd return anyway, so with `compress` on
-  // every engine returns the same cubes. Parallel shards hand in their raw
-  // disjoint covers; only the merged cover is shrunk. The union and
-  // mintermCount are unaffected, but the cubes may overlap.
+  // every engine returns the same cubes. The union and mintermCount are
+  // unaffected, but the cubes may overlap.
   bool compress = false;
-  // Cube-and-conquer parallel enumeration (src/parallel/). jobs == 0 keeps
-  // the serial engines; with jobs >= 1 minterm blocking partitions the
-  // projected space into disjoint guiding cubes and solves them on a worker
-  // pool, and every other engine stays serial. The result is bit-identical
-  // for every jobs >= 1 (see parallel/options.hpp).
+  // No engine reads it: every engine runs serially (parallel/options.hpp).
   ParallelOptions parallel;
   // Resource governor enforcing a Budget (deadline / memory ceiling /
   // conflict cap / cancellation) over the whole query. Not owned;
-  // null = ungoverned (the default — hot paths stay unchanged). Shared
-  // across parallel shards: one trip stops every worker cooperatively.
+  // null = ungoverned (the default — hot paths stay unchanged).
   Governor* governor = nullptr;
 };
 
@@ -150,13 +133,13 @@ void copySolverStats(const Solver& solver, AllSatStats& stats);
 // BddManager::isop(f, f) of a BDD f the engine holds (sd, kBdd), with
 // mintermCount already set from f: there is nothing left to shrink.
 enum class CoverKind {
-  kDisjoint,     // pairwise disjoint cubes (minterm, chrono, split runs)
+  kDisjoint,     // pairwise disjoint cubes (minterm, chrono)
   kOverlapping,  // cubes may overlap (lifted cube blocking)
   kIsop,
 };
 
-// The one epilogue every cover leaves its engine through — each serial
-// engine, the parallel merge, success-driven and the BDD preimage engine —
+// The one epilogue every cover leaves its engine through — the blocking
+// engines, chrono, success-driven and the BDD preimage engine —
 // and the only place a cover is shrunk:
 //  * trims the cover to options.maxCubes, combining the outcome with
 //    Outcome::kCubeCap (an engine may hand in one cube past the cap to say

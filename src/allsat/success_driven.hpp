@@ -54,10 +54,6 @@
 //    BDD preimage engine's cover is): prime, irredundant cubes that depend
 //    only on the solution set, so the cover equals the BDD engine's and does
 //    not depend on the branch order. The count comes from the same BDD.
-//  * The engine never splits: it keeps no clause database that grows with
-//    every solution, so a cube-and-conquer split (src/parallel/) has nothing
-//    to divide, and it runs serially at every options.parallel.jobs. Its
-//    cover, count, graph and metrics are the same for every `jobs`.
 #pragma once
 
 #include <span>

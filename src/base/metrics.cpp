@@ -129,13 +129,6 @@ const Histogram* Metrics::findHistogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void Metrics::merge(const Metrics& other) {
-  for (const auto& [name, v] : other.counters_) counters_[name] += v;
-  for (const auto& [name, v] : other.gauges_) gauges_[name] += v;
-  for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
-  for (const auto& [name, v] : other.labels_) labels_.emplace(name, v);
-}
-
 std::string Metrics::toJson(int indent) const {
   JsonOut out(indent);
   out.open('{');

@@ -22,15 +22,14 @@
 // Key discipline (enforced by tools/presat_analyze.py, which also emits the
 // checked-in tools/metrics_registry.json index of every registration site):
 // literal keys are dotted names matching [a-z][a-z0-9_]*(.[a-z0-9_]+)* —
-// lowercase segments joined by dots, e.g. "parallel.task_us" — and a key
+// lowercase segments joined by dots, e.g. "serve.queue_us" — and a key
 // keeps ONE kind (counter, gauge, histogram, or label) across the whole
 // repo, because the JSON schema files one section per kind and a collision
 // would silently split a key across sections.
 //
 // Threading: Metrics is thread-COMPATIBLE, not thread-safe — no locks, no
-// atomics, by design. Every engine, worker shard, and bench case fills its
-// own private instance; cross-thread aggregation happens strictly after the
-// WorkerPool join barrier via merge(). presat_analyze's sync rules keep it
+// atomics, by design. Every engine run, serve request and bench case fills
+// its own private instance on one thread. presat_analyze's sync rules keep it
 // that way: adding a shared mutable Metrics would need a GUARDED_BY-annotated
 // mutex or an explicit lockfree waiver to pass the analyze lane.
 #pragma once
@@ -82,16 +81,12 @@ class Metrics {
   double gauge(const std::string& name) const;
 
   // Labels: string dimensions identifying the emitter (engine name, bench
-  // case). Labels never aggregate; merge() keeps the receiver's value.
+  // case).
   void setLabel(const std::string& name, const std::string& value) { labels_[name] = value; }
   std::string label(const std::string& name) const;
 
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
   const Histogram* findHistogram(const std::string& name) const;
-
-  // Aggregates `other` into this: counters add, gauges add (total time across
-  // sub-queries), histograms merge, and labels keep existing entries.
-  void merge(const Metrics& other);
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty() && labels_.empty();

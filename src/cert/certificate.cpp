@@ -46,6 +46,8 @@ uint64_t certCnfHash(const Cnf& cnf) {
 
 CertificateResult buildCertificate(const CertificateSpec& spec) {
   PRESAT_CHECK(spec.cnf != nullptr && spec.scope != nullptr && spec.cubes != nullptr);
+  PRESAT_CHECK(spec.guides == nullptr || spec.guides->empty())
+      << "certificate: guide cubes are no longer part of the format";
   const Cnf& cnf = *spec.cnf;
   const std::vector<Var>& scope = *spec.scope;
   const std::vector<LitVec>& cubes = *spec.cubes;
@@ -71,9 +73,8 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
   cert.append("h flags project=").append(spec.project ? "1" : "0");
   cert.append(" compress=").append(spec.compress ? "1" : "0");
   cert.append(" disjoint=").append(spec.disjoint ? "1" : "0");
-  cert.append(" jobs=");
-  cert.append(std::to_string(spec.jobs));
-  cert.push_back('\n');
+  // Every engine is serial: the token stays for the format, always 0.
+  cert.append(" jobs=0\n");
   cert.append("h outcome ").append(outcomeName(spec.outcome)).append("\n");
   cert.append("h cnfhash ");
   appendHex64(cert, certCnfHash(cnf));
@@ -109,10 +110,7 @@ CertificateResult buildCertificate(const CertificateSpec& spec) {
     }
   }
 
-  // --- guides and compression witnesses -------------------------------------
-  if (spec.guides != nullptr) {
-    for (const LitVec& guide : *spec.guides) appendLitLine(cert, 'g', guide);
-  }
+  // --- compression witnesses -----------------------------------------------
   if (spec.merges != nullptr) {
     // "w <var> <lits> 0": the eliminated variable written as its positive
     // literal, then the merged cube.

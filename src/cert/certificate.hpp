@@ -5,8 +5,7 @@
 // (`f` lines), the cover (`c` cubes over the projected scope), one model
 // witness per cube (`j` lines — a model of F that extends the cube, so the
 // cube holds at least one solution; it says nothing about the cube's other
-// minterms), the parallel split's guide cubes (`g` lines — the cross-shard
-// disjointness argument), optional merge witnesses (`w` lines — one
+// minterms), optional merge witnesses (`w` lines — one
 // (x & A) | (~x & A) = A record each; no cover of this library carries one,
 // since a compressed cover is an ISOP, but the grammar stays), and a
 // clausal completeness proof (`a`/`e` lines) whose final empty clause shows
@@ -23,19 +22,19 @@
 //   h vars <n>                       CNF variable count
 //   h scope <k> <v_1> ... <v_k>      CNF variable of projected index i
 //   h flags project=<0|1> compress=<0|1> disjoint=<0|1> jobs=<n>
+//                                    the writer always says jobs=0
 //   h outcome <complete|deadline|memory|conflicts|cancelled|cube-cap>
 //   h cnfhash <16 hex digits>        FNV-1a over the `f` integer stream
 //   f <lits> 0                       one per CNF clause
 //   c <lits> 0                       one per cube (projected index space)
 //   j <lits> 0                       one per cube, same order (CNF space)
-//   g <lits> 0                       guide cubes (projected index space)
 //   w <var> <lits> 0                 merge witness: var eliminated, merged A
 //   a <lits> 0 | e <lits> 0          proof: RUP addition / deletion
 //   h end                            required trailer (truncation tripwire)
 //
 // The checker (src/checktool/presat_check.cpp) shares NO code with this
 // library by design: it has its own parser and propagation loop, so a bug in
-// the solver, arena, or merge logic cannot silently blind the verifier.
+// the solver, arena, or cover shaping cannot silently blind the verifier.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +51,10 @@ struct CertificateSpec {
   const Cnf* cnf = nullptr;                    // formula the cover speaks about
   const std::vector<Var>* scope = nullptr;     // CNF var of projected index i
   const std::vector<LitVec>* cubes = nullptr;  // cover, projected index space
-  // Optional sections (null/empty = omitted).
+  // Must be null or empty: no engine splits, and the format has no guide
+  // lines any more. Kept for the benchmark harness, which still sets it.
   const std::vector<LitVec>* guides = nullptr;
+  // Optional section (null/empty = omitted).
   const std::vector<CompressMergeRecord>* merges = nullptr;
   Outcome outcome = Outcome::kComplete;
   // Pairwise-disjoint cubes (minterm blocking, chrono); false (cube blocking,
@@ -62,7 +63,7 @@ struct CertificateSpec {
   bool disjoint = true;
   const char* engine = "";
   uint64_t circuitHash = 0;
-  int jobs = 0;  // 0 = serial
+  int jobs = 0;  // ignored (the header says jobs=0); kept for the benchmark harness
   bool project = false;
   bool compress = false;
 };

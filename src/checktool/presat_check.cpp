@@ -4,7 +4,7 @@
 // it has its own parser, its own unit-propagation loop, and its own hash
 // recomputation, all in this one translation unit, linked against nothing but
 // the C++ standard library. A bug in the solver, the clause arena, or the
-// merge logic therefore cannot silently blind the verifier that is supposed
+// cover shaping therefore cannot silently blind the verifier that is supposed
 // to catch it. The only shared artifact is the certificate FORMAT SPEC in
 // src/cert/certificate.hpp — an independent implementation of the same
 // grammar, not shared source.
@@ -76,7 +76,6 @@ struct Certificate {
   std::vector<std::vector<int>> cnf;        // CNF space
   std::vector<std::vector<int>> cubes;      // projected index space
   std::vector<std::vector<int>> witnesses;  // CNF space, one per cube
-  std::vector<std::vector<int>> guides;     // projected index space
   std::vector<MergeWitness> merges;
   std::vector<ProofStep> proof;
   bool sawEnd = false;
@@ -175,7 +174,7 @@ bool startsWith(const char* p, size_t len, const char* prefix) {
 }
 
 // Section order: f < c < j < g < w < proof. 'h end' closes the certificate.
-enum Section { kSecNone = 0, kSecF, kSecC, kSecJ, kSecG, kSecW, kSecProof };
+enum Section { kSecNone = 0, kSecF, kSecC, kSecJ, kSecW, kSecProof };
 
 Certificate parseCertificate(const std::string& text) {
   Certificate cert;
@@ -281,7 +280,6 @@ Certificate parseCertificate(const std::string& text) {
       case 'f': want = kSecF; break;
       case 'c': want = kSecC; break;
       case 'j': want = kSecJ; break;
-      case 'g': want = kSecG; break;
       case 'w': want = kSecW; break;
       case 'a':
       case 'e': want = kSecProof; break;
@@ -306,10 +304,6 @@ Certificate parseCertificate(const std::string& text) {
       case 'j':
         parseLitList(p, end, cert.vars, "witness", in.lineNo, lits);
         cert.witnesses.push_back(lits);
-        break;
-      case 'g':
-        parseLitList(p, end, static_cast<int64_t>(cert.scope.size()), "guide", in.lineNo, lits);
-        cert.guides.push_back(lits);
         break;
       case 'w': {
         int64_t v;
@@ -429,11 +423,11 @@ bool cubesDisjoint(const std::vector<int>& a, const std::vector<int>& b) {
   return false;
 }
 
-void checkDisjoint(const std::vector<std::vector<int>>& cubes, const char* what) {
+void checkDisjoint(const std::vector<std::vector<int>>& cubes) {
   for (size_t i = 0; i < cubes.size(); ++i) {
     for (size_t j = i + 1; j < cubes.size(); ++j) {
       if (!cubesDisjoint(cubes[i], cubes[j]))
-        fail("cert.cover.overlap", "%s %zu and %zu overlap", what, i, j);
+        fail("cert.cover.overlap", "cubes %zu and %zu overlap", i, j);
     }
   }
 }
@@ -697,8 +691,7 @@ int main(int argc, char** argv) {
          static_cast<unsigned long long>(expectHash));
 
   checkCubesAndWitnesses(cert);
-  if (cert.disjoint) checkDisjoint(cert.cubes, "cubes");
-  checkDisjoint(cert.guides, "guide cubes");
+  if (cert.disjoint) checkDisjoint(cert.cubes);
   checkProof(cert, complete);
 
   if (complete) {

@@ -1,9 +1,9 @@
 // One-shot CNF preprocessing: pure-literal elimination, subsumption, and
 // dense variable remapping.
 //
-// Run once per parsed circuit, before any (possibly parallel, possibly
-// pooled) enumeration over the formula. The pass computes a reduced CNF over
-// a dense internal variable space plus the two maps between the spaces, so
+// Run once per parsed circuit, before any (possibly pooled) enumeration over
+// the formula. The pass computes a reduced CNF over a dense internal
+// variable space plus the two maps between the spaces, so
 // every consumer downstream of the solver — models, cubes, audits, the BDD
 // oracle — keeps seeing ORIGINAL variable numbering while the CDCL inner
 // loop runs on the smaller remapped formula.

@@ -33,7 +33,6 @@ inline constexpr const char* kSites[] = {
     "cnf.preprocess",   // CNF preprocessing — falls back to identity pass
     "bdd.alloc",        // BddManager::mkNode — injects node-pool exhaustion
     "sd.node",          // success-driven solution-graph growth
-    "parallel.shard",   // worker-shard fault — cancels the shared token
 };
 inline constexpr int kNumSites = static_cast<int>(sizeof(kSites) / sizeof(kSites[0]));
 

@@ -2,9 +2,9 @@
 //
 // One Governor instance governs one query end to end — it is shared (by
 // plain pointer) across the CDCL solver, all enumeration engines, the BDD
-// node allocator, the fixpoint loops, and every parallel worker shard, so
-// all of them draw from the same deadline, the same tracked-byte pool, and
-// the same conflict cap, and all of them observe the same latched trip.
+// node allocator and the fixpoint loops, so all of them draw from the same
+// deadline, the same tracked-byte pool, and the same conflict cap, and all
+// of them observe the same latched trip.
 //
 // Thread safety: every member is safe to call concurrently. State is a
 // handful of relaxed atomics; the trip reason is latched with a CAS so the

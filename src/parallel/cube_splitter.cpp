@@ -5,16 +5,17 @@
 #include "allsat/success_driven.hpp"
 #include "base/log.hpp"
 #include "circuit/netlist.hpp"
-#include "parallel/options.hpp"
 
 namespace presat {
 
 namespace {
 
+// 16 subcubes, clamped to the projection width.
+constexpr int kDefaultSplitDepth = 4;
+
 // Ranks candidate split variables by (score desc, index asc) and keeps the
-// best `depth`, returned in ascending index order so the cube enumeration —
-// and with it the merged result — is independent of the scoring details'
-// tie-break history. Candidates with score 0 participate too (the balanced
+// best `depth`, returned in ascending index order so the cube enumeration
+// is independent of the scoring details' tie-break history. Candidates with score 0 participate too (the balanced
 // fallback): the sort is total over all projection variables.
 std::vector<Var> pickTopVars(const std::vector<uint64_t>& score, int depth) {
   std::vector<Var> vars(score.size());
@@ -30,7 +31,7 @@ std::vector<Var> pickTopVars(const std::vector<uint64_t>& score, int depth) {
 }  // namespace
 
 int resolveSplitDepth(int requested, size_t numProjectionVars) {
-  int depth = requested < 0 ? ParallelOptions::kDefaultSplitDepth : requested;
+  int depth = requested < 0 ? kDefaultSplitDepth : requested;
   if (static_cast<size_t>(depth) > numProjectionVars) {
     depth = static_cast<int>(numProjectionVars);
   }
@@ -92,31 +93,6 @@ SplitPlan planCircuitSplit(const CircuitAllSatProblem& problem, int splitDepth) 
   std::vector<uint64_t> score(sources.size(), 0);
   for (size_t i = 0; i < sources.size(); ++i) {
     if (inCone[sources[i]]) score[i] = nodeScore[sources[i]];
-  }
-
-  plan.splitVars = pickTopVars(score, depth);
-  plan.cubes = enumerateGuideCubes(plan.splitVars);
-  return plan;
-}
-
-SplitPlan planCnfSplit(const Cnf& cnf, const std::vector<Var>& projection, int splitDepth) {
-  int depth = resolveSplitDepth(splitDepth, projection.size());
-  SplitPlan plan;
-  if (depth == 0) {
-    plan.cubes = enumerateGuideCubes({});
-    return plan;
-  }
-
-  // Occurrence count over the original clauses, the standard cube-and-conquer
-  // proxy when no structure is available: fixing a frequently-occurring
-  // variable simplifies the most clauses in both halves.
-  std::vector<uint64_t> occurrences(static_cast<size_t>(cnf.numVars()), 0);
-  for (const Clause& clause : cnf.clauses()) {
-    for (Lit l : clause) occurrences[static_cast<size_t>(l.var())] += 1;
-  }
-  std::vector<uint64_t> score(projection.size(), 0);
-  for (size_t i = 0; i < projection.size(); ++i) {
-    score[i] = occurrences[static_cast<size_t>(projection[i])];
   }
 
   plan.splitVars = pickTopVars(score, depth);

@@ -1,28 +1,24 @@
-// Guiding-cube splitter: derives 2^depth pairwise-disjoint cubes over the
-// projection scope that partition the search space for cube-and-conquer.
+// Guiding-cube splitter: derives 2^depth pairwise-disjoint cubes over a
+// circuit problem's projection scope, the cubes a cube-and-conquer search
+// would solve one by one.
 //
-// The split variables are chosen by a lookahead score, not blindly: for a
-// circuit problem the candidates are ranked by how much of the objectives'
+// No engine splits: every engine enumerates serially. What remains here is
+// kept for the benchmark harness's `parallel.split` probe
+// (perfbench/harness.cpp) and its tests, and goes when that probe does.
+//
+// The split variables are ranked by how much of the objectives'
 // justification cone they influence (fanout degree inside the transitive
-// fanin cone of the objectives, with a depth bonus for sources feeding the
-// frontier-near layers); for a CNF problem the proxy is clause-occurrence
-// count. Variables outside the objectives' support would split the space
-// without constraining either half — the fallback to balanced low-index
-// splitting only triggers when fewer scored candidates exist than the depth
-// needs (tiny projections, constant cones).
-//
-// Disjointness and coverage hold by construction: the 2^depth cubes are
+// fanin cone of the objectives, weighted by the level of the fanout gate).
+// Variables outside the objectives' support score 0 and are only chosen when
+// fewer scored candidates exist than the depth needs. The 2^depth cubes are
 // exactly the assignments of the chosen split variables, enumerated in
-// binary order (cube index bit j = value of splitVars[j]). Every consumer
-// relies on that order being deterministic — the merge layer reassembles
-// results by cube index, which is what makes the parallel result independent
-// of worker count and scheduling.
+// binary order (cube index bit j = value of splitVars[j]), so they are
+// pairwise disjoint and jointly cover the projected space.
 #pragma once
 
 #include <vector>
 
 #include "allsat/projection.hpp"
-#include "cnf/cnf.hpp"
 
 namespace presat {
 
@@ -37,24 +33,14 @@ struct SplitPlan {
   std::vector<LitVec> cubes;
 };
 
-// Resolves a requested split depth: auto (-1) becomes
-// ParallelOptions::kDefaultSplitDepth, then clamps to the projection width.
-// The engines always split at the default depth. Outside the planners and
-// the tests, its only caller is the benchmark harness's `parallel.split`
-// probe (perfbench/harness.cpp).
+// Resolves a requested split depth: auto (-1) becomes 4, then clamps to the
+// projection width.
 int resolveSplitDepth(int requested, size_t numProjectionVars);
 
-// Circuit split with justification-cone lookahead scoring. No engine calls
-// it. Outside the tests, its only caller is the benchmark harness's
-// `parallel.split` probe (perfbench/harness.cpp); it can go when that probe
-// does.
+// Circuit split with justification-cone lookahead scoring.
 SplitPlan planCircuitSplit(const CircuitAllSatProblem& problem, int splitDepth);
 
-// CNF split with occurrence-count scoring.
-SplitPlan planCnfSplit(const Cnf& cnf, const std::vector<Var>& projection, int splitDepth);
-
 // Expands `splitVars` into the 2^k guiding cubes in binary index order.
-// Exposed for the merge layer's tests; the planners call it internally.
 std::vector<LitVec> enumerateGuideCubes(const std::vector<Var>& splitVars);
 
 }  // namespace presat

@@ -1,10 +1,7 @@
 #include "parallel/worker_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <deque>
-#include <thread>  // presat-analyze: raw-thread(the one permitted spawn site; see WorkerPool::run)
+#include <thread>  // presat-analyze: raw-thread(the one permitted spawn site; see ServicePool)
 #include <utility>
 #include <vector>
 
@@ -147,67 +144,6 @@ void ServicePool::exportMetrics(Metrics& m) const {
   m.setCounter("serve.workers", static_cast<uint64_t>(impl_->numThreads));
   m.setCounter("serve.pool.completed", impl_->completed);
   m.setCounter("serve.pool.abandoned", impl_->abandoned);
-}
-
-WorkerPool::WorkerPool(int numThreads) : numThreads_(numThreads < 1 ? 1 : numThreads) {}
-
-void WorkerPool::run(size_t numTasks, const std::function<void(size_t task, int worker)>& fn,
-                     const std::function<bool()>& stop) {
-  PRESAT_CHECK(fn != nullptr);
-  // No more workers than tasks: an extra worker would only spin up to find
-  // the cursor already past the end.
-  size_t workers = std::max<size_t>(1, std::min(static_cast<size_t>(numThreads_), numTasks));
-  // The one queue: the next unclaimed task index. A worker that claims an
-  // index always runs it, so after the join every index below the cursor
-  // ran exactly once and every index at or past it was never started.
-  std::atomic<size_t> next{0};
-  // Each worker records only into its own slot; merged after the join.
-  std::vector<Histogram> taskMicros(workers);
-
-  auto workerMain = [&](size_t self) {
-    while (!(stop != nullptr && stop())) {
-      size_t task = next.fetch_add(1, std::memory_order_relaxed);
-      if (task >= numTasks) return;
-      auto start = std::chrono::steady_clock::now();
-      fn(task, static_cast<int>(self));
-      auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-      taskMicros[self].record(static_cast<uint64_t>(micros));
-    }
-  };
-
-  if (workers == 1) {
-    // Single-threaded runs stay on the calling thread: no thread spawn cost,
-    // and engine PRESAT_CHECK failures surface with the caller's stack.
-    workerMain(0);
-  } else {
-    // The batch spawn site (presat_analyze rule raw-thread): every worker is
-    // joined below, so no thread outlives the batch.
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back(workerMain, w);  // presat-analyze: raw-thread(WorkerPool is the pool)
-    }
-    for (std::thread& t : threads) t.join();
-  }
-
-  // Once a stop predicate has tripped, unclaimed tasks are the expected
-  // graceful-degradation outcome; without one the batch-closed contract
-  // still holds exactly.
-  size_t claimed = std::min(next.load(), numTasks);
-  PRESAT_CHECK((stop != nullptr && stop()) || claimed == numTasks)
-      << "worker pool left tasks behind";
-  stats_.tasksRun += claimed;
-  stats_.tasksSkipped += numTasks - claimed;
-  for (const Histogram& h : taskMicros) stats_.taskMicros.merge(h);
-}
-
-void WorkerPool::exportMetrics(Metrics& m) const {
-  m.setCounter("parallel.jobs", static_cast<uint64_t>(numThreads_));
-  m.setCounter("parallel.tasks", stats_.tasksRun);
-  m.setCounter("parallel.tasks_skipped", stats_.tasksSkipped);
-  m.histogram("parallel.task_us").merge(stats_.taskMicros);
 }
 
 }  // namespace presat

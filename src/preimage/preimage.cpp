@@ -217,9 +217,6 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
   result.outcome = r.outcome;
   result.stats = r.stats;
   result.metrics = std::move(r.metrics);
-  result.guides = std::move(r.guides);
-  // Worker-count-independent by the determinism contract, so CI can assert
-  // par1 == par8 straight off the metrics line.
   result.metrics.setCounter("pre.cubes", result.states.cubes.size());
 
   if (options.emitCertificate) {
@@ -233,12 +230,10 @@ PreimageResult computePreimage(const TransitionSystem& system, const StateSet& t
     spec.cnf = &problem.cnf;
     spec.scope = &problem.projection;
     spec.cubes = &result.states.cubes;
-    if (!result.guides.empty()) spec.guides = &result.guides;
     spec.outcome = result.outcome;
     spec.disjoint = methodCoverDisjoint(method, satOpts.compress);
     spec.engine = preimageMethodName(method);
     spec.circuitHash = netlistStructuralHash(system.netlist());
-    spec.jobs = satOpts.parallel.jobs;
     spec.project = satOpts.project;
     spec.compress = satOpts.compress;
     CertificateResult cert = buildCertificate(spec);

@@ -87,8 +87,8 @@ struct PreimageOptions {
   const TransitionEncoding* encoding = nullptr;
   // Emit a presat-cert-v1 certificate (cert/certificate.hpp) into
   // PreimageResult::certificate, verifiable by the standalone presat_check
-  // tool. Its completeness proof is replayed after the run, for every engine
-  // and every `jobs`. Off by default — the zero-cost path adds no work
+  // tool. Its completeness proof is replayed after the run, for every
+  // engine. Off by default — the zero-cost path adds no work
   // anywhere.
   bool emitCertificate = false;
 };
@@ -109,16 +109,14 @@ struct PreimageResult {
   // Engine counters (zero for the BDD engine) and stats.seconds, the engine's
   // wall time.
   AllSatStats stats;
-  // Observability export of `stats` (plus engine-specific histograms; split
-  // minterm blocking merges them across its shards; "bdd.nodes" for the
-  // BDD engine).
+  // Observability export of `stats` (plus engine-specific histograms;
+  // "bdd.nodes" for the BDD engine).
   Metrics metrics;
   // Success-driven engine only: one solution graph with one root per target
   // cube, in target order (shared subgraphs stored once).
   SolutionGraph graph;
-  // Split minterm-blocking runs: the disjoint guide cubes of the shard split
-  // (projected index space) — the certificate's cross-shard disjointness
-  // argument.
+  // Always empty: no engine splits. Kept for the benchmark harness
+  // (perfbench/harness.cpp), which still reads it.
   std::vector<LitVec> guides;
   // Only with PreimageOptions::emitCertificate: the presat-cert-v1 text.
   std::string certificate;

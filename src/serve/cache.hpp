@@ -5,8 +5,8 @@
 // (circuit structural hash, target cube, method, project/compress flags) —
 // everything that determines the answer, and nothing that doesn't (budgets
 // are excluded: results are budget-independent when complete, and every
-// engine run uses the same jobs = 1). Only COMPLETE
-// results are retained: a partial cover is an artifact of one request's
+// engine runs serially on one service worker). Only COMPLETE results are
+// retained: a partial cover is an artifact of one request's
 // budget and must not be served to a request that could afford the full
 // answer. Concurrent same-key requests dedup to one computation: the first
 // becomes the *leader* (kMiss — it must publish() or abandon()), later ones

@@ -479,12 +479,11 @@ class Fnv1a {
 //    change of branch order (learning on and off would move together); this
 //    digest can. Reading the cover off the BDD left it unchanged. It was
 //    re-pinned when the engine stopped splitting at jobs >= 1: the jobs=4
-//    pass used to fold the graph merged from 16 shard searches, and now
-//    folds the serial graph again, so the value is that of folding each
-//    serial graph twice. It was re-pinned again when the search began to
-//    justify an AND-family gate through its cheapest fanin (SCOAP order)
-//    and to return a branch's child for the whole node when that child
-//    covers every completion: both change the graph the search builds, not
+//    pass used to fold the graph merged from 16 shard searches, and then
+//    folded the serial graph again. It was re-pinned again when the search
+//    began to justify an AND-family gate through its cheapest fanin (SCOAP
+//    order) and to return a branch's child for the whole node when that
+//    child covers every completion: both change the graph the search builds, not
 //    the solution set, and the cover digest did not move. It was re-pinned
 //    once more when the memo key became the frontier plus the values of the
 //    live nodes (kept up to date per assignment) instead of the values on
@@ -499,6 +498,9 @@ class Fnv1a {
 //    the branch order, only on the solution set. It was re-pinned again
 //    when the cover became the ISOP of that BDD (asserted below, with the
 //    count the BDD gives): same sets and counts, fewer and wider cubes.
+//  * Both were re-pinned when the `jobs` option went away: the test folded
+//    every answer twice, once per `jobs` setting (both serial runs), and
+//    now folds it once. The parent engine folding once gives these values.
 // Re-pin either only for a change that is meant to alter what it folds.
 TEST(SuccessDriven, CoversMatchPinnedDigest) {
   Fnv1a graphDigest;
@@ -525,25 +527,21 @@ TEST(SuccessDriven, CoversMatchPinnedDigest) {
       }
       target.cubes.push_back(cube);
     }
-    for (int jobs : {0, 4}) {
-      PreimageOptions options;
-      options.allsat.parallel.jobs = jobs;
-      PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
-      ASSERT_TRUE(pre.complete) << name << " jobs " << jobs;
-      BddManager mgr(target.numStateBits);
-      const BddRef set = pre.graph.toBdd(mgr);
-      ASSERT_EQ(pre.states.cubes, mgr.isop(set, set)) << name << " jobs " << jobs;
-      ASSERT_EQ(pre.stateCount, mgr.satCount(set)) << name << " jobs " << jobs;
-      for (size_t r = 0; r < pre.graph.numRoots(); ++r) {
-        graphDigest.mix(pre.graph.enumerateRootCubes(r));
-      }
-      graphDigest.mix(pre.graph.numNodes());
-      coverDigest.mix(pre.states.cubes);
-      for (char c : pre.stateCount.toDecimal()) coverDigest.mix(static_cast<uint8_t>(c));
+    PreimageResult pre = computePreimage(ts, target, PreimageMethod::kSuccessDriven);
+    ASSERT_TRUE(pre.complete) << name;
+    BddManager mgr(target.numStateBits);
+    const BddRef set = pre.graph.toBdd(mgr);
+    ASSERT_EQ(pre.states.cubes, mgr.isop(set, set)) << name;
+    ASSERT_EQ(pre.stateCount, mgr.satCount(set)) << name;
+    for (size_t r = 0; r < pre.graph.numRoots(); ++r) {
+      graphDigest.mix(pre.graph.enumerateRootCubes(r));
     }
+    graphDigest.mix(pre.graph.numNodes());
+    coverDigest.mix(pre.states.cubes);
+    for (char c : pre.stateCount.toDecimal()) coverDigest.mix(static_cast<uint8_t>(c));
   }
-  EXPECT_EQ(graphDigest.value(), 0xd9d9e78f684dfa85ull) << std::hex << graphDigest.value();
-  EXPECT_EQ(coverDigest.value(), 0xd64d44e67c83ca45ull) << std::hex << coverDigest.value();
+  EXPECT_EQ(graphDigest.value(), 0xe2f1965bac8ffd44ull) << std::hex << graphDigest.value();
+  EXPECT_EQ(coverDigest.value(), 0x8df7425a75711260ull) << std::hex << coverDigest.value();
 }
 
 // next(s0) = OR(s0, i0) = 1 holds in every state: i0 = 1 justifies it. The
@@ -670,15 +668,12 @@ TEST(SuccessDriven, CubesAreSoundOnCounter) {
 }
 
 // A repeated projection source would be counted once per position: the
-// engine refuses it at every `jobs`.
+// engine refuses it.
 TEST(SuccessDrivenDeath, RepeatedProjectionSourceIsRejected) {
   Netlist nl = makeCounter(3);
   CircuitAllSatProblem p = problemFor(nl, {{nl.dffData(nl.dffs()[0]), true}});
   p.projectionSources.push_back(nl.dffs()[0]);
   EXPECT_DEATH(successDrivenAllSat(p), "projection lists node [0-9]+ twice");
-  AllSatOptions parallel;
-  parallel.parallel.jobs = 2;
-  EXPECT_DEATH(successDrivenAllSat(p, parallel), "projection lists node [0-9]+ twice");
 }
 
 // Stopping exactly at maxCubes must still report complete: the engines now

@@ -1,4 +1,4 @@
-// Fixture: std::thread constructed outside the WorkerPool. Expect:
+// Fixture: std::thread constructed outside the ServicePool. Expect:
 // raw-thread.
 #include <thread>
 

@@ -12,7 +12,6 @@
 #include "check/audit_solution_graph.hpp"
 #include "check/audit_solver.hpp"
 #include "gen/generators.hpp"
-#include "parallel/merge.hpp"
 #include "sat/solver.hpp"
 #include "test_util.hpp"
 
@@ -389,53 +388,6 @@ TEST(AuditSolutionGraphDeathTest, SuppliedRootBddsNeedOnePerRoot) {
   options.bddManager = &mgr;
   options.rootBdds = rootBdds;
   EXPECT_DEATH((void)auditSolutionGraph(g, options), "one BDD per root");
-}
-
-// --- parallel shard partition -------------------------------------------------
-
-// Two shards splitting a 2-variable projected space on variable 0: shard 0
-// owns the x0=0 half, shard 1 the x0=1 half.
-std::vector<ShardOutcome> makeCleanShards() {
-  std::vector<ShardOutcome> shards(2);
-  shards[0].guide = {~mkLit(0)};
-  shards[0].result.cubes = {{~mkLit(0), mkLit(1)}};
-  shards[1].guide = {mkLit(0)};
-  shards[1].result.cubes = {{mkLit(0)}};
-  return shards;
-}
-
-TEST(AuditShardPartition, CleanShardsPass) {
-  std::vector<ShardOutcome> shards = makeCleanShards();
-  AuditResult r = auditShardPartition(shards, 2);
-  EXPECT_TRUE(r.ok()) << r.toString();
-}
-
-TEST(AuditShardPartition, DetectsForeignCube) {
-  std::vector<ShardOutcome> shards = makeCleanShards();
-  corruptShardsForTest(shards, ShardCorruption::kForeignCube);
-  AuditResult r = auditShardPartition(shards, 2);
-  EXPECT_TRUE(r.has("parallel.shard.disjoint")) << r.toString();
-}
-
-TEST(AuditShardPartition, DetectsGuideEscape) {
-  std::vector<ShardOutcome> shards = makeCleanShards();
-  corruptShardsForTest(shards, ShardCorruption::kGuideEscape);
-  AuditResult r = auditShardPartition(shards, 2);
-  EXPECT_TRUE(r.has("parallel.shard.guide")) << r.toString();
-}
-
-TEST(AuditShardPartition, DetectsOverlappingGuides) {
-  std::vector<ShardOutcome> shards = makeCleanShards();
-  shards[1].guide = shards[0].guide;  // both claim the x0=0 half
-  AuditResult r = auditShardPartition(shards, 2);
-  EXPECT_TRUE(r.has("parallel.guide.disjoint")) << r.toString();
-}
-
-TEST(AuditShardPartitionDeathTest, CheckAuditAbortsWithInvariantName) {
-  std::vector<ShardOutcome> shards = makeCleanShards();
-  corruptShardsForTest(shards, ShardCorruption::kForeignCube);
-  EXPECT_DEATH(PRESAT_CHECK_AUDIT(auditShardPartition(shards, 2)),
-               "parallel\\.shard\\.disjoint");
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // primitives, the degradation contract of every enumeration engine under
 // deadline / memory / cancellation trips (partial results must be SOUND
 // under-approximations, verified against the ungoverned BDD oracle), the
-// parallel runner's cooperative cancellation, the fixpoint loops' partial
+// fixpoint loops' partial
 // folds, and — in PRESAT_FAULTS builds — the deterministic fault-injection
 // harness at every governed site.
 #include <gtest/gtest.h>
@@ -421,74 +421,7 @@ TEST(GovernedPreimage, DegradationMatrixIsSoundAgainstBddOracle) {
   }
 }
 
-// --- parallel cancellation ----------------------------------------------------
-
-TEST(GovernedParallel, PreCancelledJobs4SkipsEveryShard) {
-  Cnf cnf(6);
-  cnf.addBinary(mkLit(0), mkLit(1));
-  std::vector<Var> projection = {0, 1, 2, 3, 4, 5};
-  CancelToken token;
-  token.cancel();
-  Budget budget;
-  budget.cancel = &token;
-  Governor governor(budget);
-  AllSatOptions opts;
-  opts.governor = &governor;
-  opts.parallel.jobs = 4;
-  AllSatResult r = blockingAllSat(cnf, projection, {}, opts);
-  EXPECT_FALSE(r.complete);
-  EXPECT_EQ(r.outcome, Outcome::kCancelled);
-  EXPECT_TRUE(r.cubes.empty());
-  EXPECT_TRUE(cubesPairwiseDisjoint(r.cubes));
-  EXPECT_GE(r.metrics.counter("parallel.shards_skipped"), 1u);
-  EXPECT_EQ(r.metrics.label("outcome"), "cancelled");
-}
-
-// Cancellation lands while 4 workers are mid-enumeration: in-flight shards
-// drain, whatever merged must be pairwise disjoint (each shard under-
-// enumerates its own region of the partition) and a sound subset of the
-// brute-force solution set.
-TEST(GovernedParallel, MidRunCancelJobs4MergedShardsStayDisjointAndSound) {
-  // 2^11 isolated solutions: minterm-grained, plenty of work to interrupt.
-  const int vars = 12;
-  Cnf cnf = testutil::oddParity(vars);
-  std::vector<Var> projection;
-  for (Var v = 0; v < vars; ++v) projection.push_back(v);
-  std::set<uint64_t> exact = bruteForceProjectedSolutions(cnf, projection);
-
-  CancelToken token;
-  Budget budget;
-  budget.cancel = &token;
-  Governor governor(budget);
-  AllSatOptions opts;
-  opts.governor = &governor;
-  opts.parallel.jobs = 4;
-  std::thread watchdog([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    token.cancel();
-  });
-  AllSatResult r = blockingAllSat(cnf, projection, {}, opts);
-  watchdog.join();
-
-  // Where the cancel landed is timing-dependent; the contract is not.
-  EXPECT_TRUE(cubesPairwiseDisjoint(r.cubes));
-  for (const LitVec& cube : r.cubes) {
-    for (uint64_t bits = 0; bits < (1ull << vars); ++bits) {
-      if (cubeCoversMinterm(cube, bits)) {
-        EXPECT_TRUE(exact.count(bits)) << bits;
-      }
-    }
-  }
-  EXPECT_LE(r.mintermCount.toU64(), exact.size());
-  if (r.complete) {
-    EXPECT_EQ(r.outcome, Outcome::kComplete);
-    EXPECT_EQ(r.mintermCount.toU64(), exact.size());
-  } else {
-    EXPECT_EQ(r.outcome, Outcome::kCancelled);
-  }
-}
-
-TEST(GovernedParallel, SuccessDrivenPreCancelledDegradesSoundly) {
+TEST(GovernedSuccessDriven, PreCancelledDegradesSoundly) {
   Netlist nl = makeLfsr(4);
   TransitionSystem ts(nl);
   const int n = ts.numStateBits();
@@ -502,7 +435,6 @@ TEST(GovernedParallel, SuccessDrivenPreCancelledDegradesSoundly) {
   Governor governor(budget);
   PreimageOptions opts;
   opts.allsat.governor = &governor;
-  opts.allsat.parallel.jobs = 4;
   PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven, opts);
   EXPECT_FALSE(r.complete);
   EXPECT_EQ(r.outcome, Outcome::kCancelled);
@@ -816,36 +748,6 @@ TEST(FaultInjection, ArenaCompactFaultTripsMemoryButArenaStaysConsistent) {
   // post-compaction clause database still solves.
   s.setGovernor(nullptr);
   EXPECT_TRUE(s.solve().isTrue());
-}
-
-TEST(FaultInjection, WorkerShardFaultCancelsPoolButKeepsFinishedShards) {
-  const int vars = 8;
-  Cnf cnf(vars);
-  cnf.addBinary(mkLit(0), mkLit(1));
-  std::vector<Var> projection;
-  for (Var v = 0; v < vars; ++v) projection.push_back(v);
-  std::set<uint64_t> exact = bruteForceProjectedSolutions(cnf, projection);
-
-  // The 2nd shard prologue injects a worker death, which cancels the shared
-  // governor; the pool drains, never-ran shards are rewritten as skipped.
-  FaultGuard guard("parallel.shard", 2);
-  Governor governor(Budget{});
-  AllSatOptions opts;
-  opts.governor = &governor;
-  opts.parallel.jobs = 4;
-  AllSatResult r = blockingAllSat(cnf, projection, {}, opts);
-  EXPECT_TRUE(faults::faultFired());
-  EXPECT_FALSE(r.complete);
-  EXPECT_EQ(r.outcome, Outcome::kCancelled);
-  EXPECT_TRUE(cubesPairwiseDisjoint(r.cubes));
-  for (const LitVec& cube : r.cubes) {
-    for (uint64_t bits = 0; bits < (1ull << vars); ++bits) {
-      if (cubeCoversMinterm(cube, bits)) {
-        EXPECT_TRUE(exact.count(bits));
-      }
-    }
-  }
-  EXPECT_LE(r.mintermCount.toU64(), exact.size());
 }
 
 TEST(FaultInjection, ArmFromEnvParsesSiteAndCountdown) {

@@ -56,28 +56,6 @@ TEST(Metrics, CountersGaugesLabels) {
   EXPECT_EQ(m.label("missing"), "");
 }
 
-TEST(Metrics, MergeSemantics) {
-  Metrics a;
-  a.setCounter("n", 2);
-  a.setGauge("t", 1.0);
-  a.setLabel("engine", "a");
-  a.histogram("h").record(1);
-  Metrics b;
-  b.setCounter("n", 3);
-  b.setCounter("only_b", 1);
-  b.setGauge("t", 0.5);
-  b.setLabel("engine", "b");
-  b.setLabel("extra", "e");
-  b.histogram("h").record(4);
-  a.merge(b);
-  EXPECT_EQ(a.counter("n"), 5u);          // counters add
-  EXPECT_EQ(a.counter("only_b"), 1u);
-  EXPECT_DOUBLE_EQ(a.gauge("t"), 1.5);    // gauges add (times across sub-runs)
-  EXPECT_EQ(a.label("engine"), "a");      // labels keep existing
-  EXPECT_EQ(a.label("extra"), "e");
-  EXPECT_EQ(a.histogram("h").count(), 2u);
-}
-
 TEST(Metrics, JsonIsDeterministicAndOrdered) {
   Metrics m;
   m.setCounter("zeta", 1);

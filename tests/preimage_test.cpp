@@ -397,15 +397,6 @@ TEST(Preimage, SuccessDrivenReportsGraphs) {
   EXPECT_EQ(m.states.cubes, testutil::graphBddCover(m.graph, 6));
   BddManager mgr(6);
   EXPECT_EQ(mgr.satCount(m.graph.toBdd(mgr)), m.stateCount);
-
-  // sd never splits: at jobs=2 it runs serially, to the same cover.
-  PreimageOptions jobs;
-  jobs.allsat.parallel.jobs = 2;
-  PreimageResult p = computePreimage(ts, multi, PreimageMethod::kSuccessDriven, jobs);
-  ASSERT_EQ(p.graph.numRoots(), 3u);
-  EXPECT_EQ(p.states.cubes, testutil::graphBddCover(p.graph, 6));
-  EXPECT_EQ(p.states.cubes, m.states.cubes);
-  EXPECT_EQ(p.stateCount, m.stateCount);
 }
 
 // A generator suite for the cover-epilogue tests: one target each.
@@ -524,8 +515,7 @@ TEST(Preimage, CappedCountIsTheUnionOfTheReturnedCubes) {
 // sd and kBdd return the ISOP of the preimage they hold: on the generator
 // suite and 200 random circuits both covers are the same list, whose union
 // is the set lifted cube blocking finds, whose count is that union's, whose
-// every cube is prime (no literal can go) and needed (no cube can go), and
-// which is the same at jobs=1 and jobs=4.
+// every cube is prime (no literal can go) and needed (no cube can go).
 TEST(Preimage, SuccessDrivenAndBddReturnOnePrimeIrredundantCover) {
   std::vector<CapCase> cases = capSuite();
   Rng rng(3607);
@@ -553,14 +543,9 @@ TEST(Preimage, SuccessDrivenAndBddReturnOnePrimeIrredundantCover) {
     const StateSet& target = cases[i].target;
     const PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd);
     const std::vector<LitVec>& cover = bdd.states.cubes;
-    for (int jobs : {1, 4}) {
-      PreimageOptions options;
-      options.allsat.parallel.jobs = jobs;
-      const PreimageResult sd =
-          computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
-      EXPECT_EQ(sd.states.cubes, cover) << "jobs " << jobs;
-      EXPECT_EQ(sd.stateCount, bdd.stateCount) << "jobs " << jobs;
-    }
+    const PreimageResult sd = computePreimage(ts, target, PreimageMethod::kSuccessDriven);
+    EXPECT_EQ(sd.states.cubes, cover);
+    EXPECT_EQ(sd.stateCount, bdd.stateCount);
     BddManager mgr(ts.numStateBits());
     const BddRef set = cubesToBdd(mgr, cover);
     const PreimageResult cb = computePreimage(ts, target, PreimageMethod::kCubeBlockingLifted);
@@ -616,7 +601,7 @@ Netlist makeMixedRandom(Rng& rng, int inputs, int dffs, int gates) {
 // Conflict learning prunes, it never changes an answer: on the generator
 // suite and 200 random circuits (half of them with MUX, BUF and repeated
 // fanins) sd's cover and count are kBdd's, with and without success-driven
-// learning and at every `jobs`, while memoCheckExact checks every memo hit
+// learning, while memoCheckExact checks every memo hit
 // against the exact cut key and the maintained key against a recomputed one.
 TEST(Preimage, SuccessDrivenConflictLearningKeepsTheAnswer) {
   std::vector<CapCase> cases = capSuite();
@@ -655,18 +640,15 @@ TEST(Preimage, SuccessDrivenConflictLearningKeepsTheAnswer) {
     ASSERT_LE(ts.numStateBits() + ts.numInputs(), 22);
     const PreimageResult bdd = computePreimage(ts, cases[i].target, PreimageMethod::kBdd);
     for (bool learning : {true, false}) {
-      for (int jobs : {0, 1, 4}) {
-        PreimageOptions options;
-        options.allsat.successLearning = learning;
-        options.allsat.memoCheckExact = true;
-        options.allsat.parallel.jobs = jobs;
-        const PreimageResult sd =
-            computePreimage(ts, cases[i].target, PreimageMethod::kSuccessDriven, options);
-        EXPECT_EQ(sd.states.cubes, bdd.states.cubes) << "learning " << learning << " jobs " << jobs;
-        EXPECT_EQ(sd.stateCount, bdd.stateCount) << "learning " << learning << " jobs " << jobs;
-        nogoods += sd.metrics.counter("sd.nogoods");
-        implied += sd.metrics.counter("sd.nogood_implied");
-      }
+      PreimageOptions options;
+      options.allsat.successLearning = learning;
+      options.allsat.memoCheckExact = true;
+      const PreimageResult sd =
+          computePreimage(ts, cases[i].target, PreimageMethod::kSuccessDriven, options);
+      EXPECT_EQ(sd.states.cubes, bdd.states.cubes) << "learning " << learning;
+      EXPECT_EQ(sd.stateCount, bdd.stateCount) << "learning " << learning;
+      nogoods += sd.metrics.counter("sd.nogoods");
+      implied += sd.metrics.counter("sd.nogood_implied");
     }
   }
   // The suite exercises the nogoods, not only the gate-level search.
@@ -720,6 +702,67 @@ TEST(Preimage, SuccessDrivenLearnsFromConflictsOnRand16x240) {
   EXPECT_GT(sd.metrics.counter("sd.nogood_implied"), 0u);
   EXPECT_EQ(sd.states.cubes, bdd.states.cubes);
   EXPECT_EQ(sd.stateCount, bdd.stateCount);
+}
+
+// With project + compress, the cover the caller receives (projected,
+// compressed) passes the cheap solution-graph audit against the engine's
+// graph, and the count is exact.
+TEST(Preimage, SuccessDrivenProjectCompressCoverPassesAuditAndCountsExactly) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomCircuitParams params;
+    params.numInputs = 4;
+    params.numDffs = 8;
+    params.numGates = 60;
+    params.seed = seed;
+    Netlist nl = makeRandomSequential(params);
+    TransitionSystem ts(nl);
+    const int n = ts.numStateBits();
+    for (const LitVec& cube : {LitVec{mkLit(0)}, LitVec{~mkLit(1), mkLit(2)}}) {
+      StateSet target = StateSet::fromCube(n, cube);
+      PreimageOptions options;
+      options.allsat.project = true;
+      options.allsat.compress = true;
+      PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+      PreimageResult oracle = computePreimage(ts, target, PreimageMethod::kBdd, {});
+      EXPECT_EQ(r.stateCount, oracle.stateCount) << "seed " << seed;
+      EXPECT_TRUE(sameStates(r.states, oracle.states)) << "seed " << seed;
+
+      SolutionGraphAuditOptions audit;
+      audit.numProjectionVars = n;
+      audit.maxCubeSatChecks = 0;
+      audit.cover = &r.states.cubes;
+      AuditResult a = auditSolutionGraph(r.graph, audit);
+      EXPECT_TRUE(a.ok()) << "seed " << seed << ": " << a.toString();
+    }
+  }
+}
+
+// maxCubes caps the one cover of the union. Each half of this target (next
+// bit 0 of an 8-bit Gray counter is 1, or 0) has a preimage of several
+// cubes, but the union is every state: one empty cube, which fits a cap of
+// 1.
+TEST(Preimage, SuccessDrivenMaxCubesCapsTheUnionCover) {
+  const int n = 8;
+  Netlist nl = makeGrayCounter(n);
+  TransitionSystem ts(nl);
+  StateSet target = StateSet::fromCube(n, {mkLit(0)});
+  target.cubes.push_back({~mkLit(0)});
+  PreimageOptions options;
+  options.allsat.maxCubes = 1;
+  PreimageResult r = computePreimage(ts, target, PreimageMethod::kSuccessDriven, options);
+  EXPECT_EQ(r.outcome, Outcome::kComplete);
+  EXPECT_EQ(r.states.cubes, std::vector<LitVec>{LitVec{}});
+  EXPECT_EQ(r.stateCount, BigUint(1u << n));
+
+  options.allsat.maxCubes = 0;
+  StateSet half = StateSet::fromCube(n, {mkLit(0)});
+  PreimageResult full = computePreimage(ts, half, PreimageMethod::kSuccessDriven, options);
+  options.allsat.maxCubes = 1;
+  PreimageResult capped = computePreimage(ts, half, PreimageMethod::kSuccessDriven, options);
+  ASSERT_GT(full.states.cubes.size(), 1u);
+  EXPECT_EQ(capped.outcome, Outcome::kCubeCap);
+  EXPECT_EQ(capped.states.cubes,
+            std::vector<LitVec>(full.states.cubes.begin(), full.states.cubes.begin() + 1));
 }
 
 }  // namespace

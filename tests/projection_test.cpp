@@ -139,7 +139,7 @@ TEST(Compress, CollapsesFullSpaceToEmptyCube) {
 
 // The compression contract: union preserved exactly, an irredundant cover
 // (every cube holds a minterm no other cube does), and byte-identical output
-// on a repeated run (the parallel determinism contract leans on this). On
+// on a repeated run. On
 // these 200 seeded covers the ISOP also never has more cubes than chrono's
 // disjoint cover in; that is an observation about these inputs, not part of
 // the contract (an ISOP can outgrow a disjoint cover of the same set, see
@@ -374,21 +374,10 @@ TEST(ProjectedChronoProperty, MatchesBruteForceWithSmallerCover) {
   }
 }
 
-std::vector<std::string> canonicalCubes(const std::vector<LitVec>& cubes, int width) {
-  std::vector<std::string> out;
-  out.reserve(cubes.size());
-  for (const LitVec& cube : cubes) {
-    std::string s(static_cast<size_t>(width), 'x');
-    for (Lit l : cube) s[static_cast<size_t>(l.var())] = l.sign() ? '0' : '1';
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 // Generator-suite equivalence: projected+compressed chrono preimages are
-// the BDD engine's cover cube for cube on every circuit and bit-identical at
-// jobs=1 vs jobs=8. On this fixed suite they also use no more cubes than the
-// plain chrono enumeration, which an ISOP does not promise in general.
+// the BDD engine's cover cube for cube on every circuit. On this fixed suite
+// they also use no more cubes than the plain chrono enumeration, which an
+// ISOP does not promise in general.
 TEST(ProjectedChronoPreimage, MatchesBddOracleOnGeneratorSuite) {
   struct Fixture {
     std::string name;
@@ -416,7 +405,6 @@ TEST(ProjectedChronoPreimage, MatchesBddOracleOnGeneratorSuite) {
 
   for (const Fixture& fixture : suite) {
     TransitionSystem ts(fixture.nl);
-    const int n = ts.numStateBits();
     const StateSet& target = fixture.target;
 
     PreimageResult bdd = computePreimage(ts, target, PreimageMethod::kBdd, {});
@@ -431,17 +419,6 @@ TEST(ProjectedChronoPreimage, MatchesBddOracleOnGeneratorSuite) {
     EXPECT_EQ(proj.stateCount, bdd.stateCount) << fixture.name;
     EXPECT_EQ(proj.states.cubes, bdd.states.cubes) << fixture.name;
     EXPECT_LE(proj.states.cubes.size(), plain.states.cubes.size()) << fixture.name;
-
-    PreimageOptions one = projOpts;
-    one.allsat.parallel.jobs = 1;
-    PreimageOptions eight = projOpts;
-    eight.allsat.parallel.jobs = 8;
-    PreimageResult r1 = computePreimage(ts, target, PreimageMethod::kChrono, one);
-    PreimageResult r8 = computePreimage(ts, target, PreimageMethod::kChrono, eight);
-    EXPECT_EQ(canonicalCubes(r1.states.cubes, n), canonicalCubes(r8.states.cubes, n))
-        << fixture.name;
-    EXPECT_EQ(r1.stateCount, bdd.stateCount) << fixture.name;
-    EXPECT_EQ(r1.states.cubes, bdd.states.cubes) << fixture.name;
   }
 }
 

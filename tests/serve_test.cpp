@@ -747,6 +747,59 @@ TEST(ServeServerTest, EndToEndMixedScript) {
   EXPECT_EQ(m.counter("serve.errors.parse"), 1u);
 }
 
+// The daemon's parallelism is its worker count, and it must not change an
+// answer: one mixed script (every engine, project+compress, a certificate
+// and a repeated request) gets the same status, outcome, cubes, count and
+// certificate for every id at one worker and at four. Cache dispositions
+// and timings may differ.
+TEST(ServeServerTest, AnswersAreTheSameAtEveryWorkerCount) {
+  const std::vector<std::string> script = {
+      R"({"id":"sd","op":"preimage","gen":"lfsr:7","target":"1x0x1xx","method":"success-driven"})",
+      R"({"id":"cb","op":"preimage","gen":"lfsr:6","target":"1x0xxx","method":"cube-blocking-lifted"})",
+      R"({"id":"mt","op":"preimage","gen":"arbiter:4","target":"x1x1","method":"minterm-blocking"})",
+      R"({"id":"ch","op":"preimage","gen":"arbiter:5","target":"x1x0x","method":"chrono","project":true,"compress":true})",
+      R"({"id":"bdd","op":"preimage","gen":"gray:5","target":"1xx0x","method":"bdd"})",
+      R"({"id":"cert","op":"preimage","gen":"lfsr:5","target":"1x0xx","method":"minterm-blocking","cert":true})",
+      R"({"id":"sd2","op":"preimage","gen":"lfsr:7","target":"1x0x1xx","method":"success-driven"})",
+      R"({"id":"q","op":"shutdown"})",
+  };
+  auto run = [&script](int workers) {
+    ServerConfig config;
+    config.workers = workers;
+    Server server(config);
+    StringTransport transport(script);
+    EXPECT_EQ(server.serve(transport), 0) << "workers=" << workers;
+    return transport.out;
+  };
+  const std::vector<std::string> one = run(1);
+  const std::vector<std::string> four = run(4);
+  auto text = [](const JsonValue& r, const char* key) {
+    const JsonValue* v = r.find(key);
+    return v == nullptr ? std::string("<absent>") : v->text;
+  };
+  auto cubes = [](const JsonValue& r) {
+    std::vector<std::string> out;
+    if (const JsonValue* v = r.find("cubes")) {
+      for (const JsonValue& cube : v->items) out.push_back(cube.text);
+    }
+    return out;
+  };
+  for (const char* id : {"sd", "cb", "mt", "ch", "bdd", "cert", "sd2", "q"}) {
+    const JsonValue a = findResponse(one, id);
+    const JsonValue b = findResponse(four, id);
+    EXPECT_EQ(text(a, "status"), "ok") << id;
+    EXPECT_EQ(text(a, "status"), text(b, "status")) << id;
+    EXPECT_EQ(text(a, "outcome"), text(b, "outcome")) << id;
+    EXPECT_EQ(cubes(a), cubes(b)) << id;
+    EXPECT_EQ(text(a, "count"), text(b, "count")) << id;
+    EXPECT_EQ(text(a, "cert"), text(b, "cert")) << id;
+  }
+  const JsonValue cert = findResponse(one, "cert");
+  ASSERT_NE(cert.find("cert"), nullptr);
+  EXPECT_NE(cert.find("cert")->text.find("h outcome complete"), std::string::npos);
+  EXPECT_EQ(cubes(findResponse(one, "sd")), cubes(findResponse(one, "sd2")));
+}
+
 TEST(ServeServerTest, SameIdConcurrentlyInFlightIsRejected) {
   // A slow first request keeps the id in flight while the duplicate arrives.
   ServerConfig config;

@@ -20,8 +20,6 @@ stderr, exit 0 on success.
           `table1` records must:
             * cover the four SAT enumeration engines (minterm-blocking,
               cube-blocking, success-driven, chrono) and carry `pre.cubes`;
-            * pair every `<circuit>/<engine>-par1` case with a `-par8` case of
-              IDENTICAL `pre.cubes` (worker count must not change the result);
             * pair every `<circuit>/chrono` case with a `chrono-proj` series
               whose `proj.cubes` equals its `pre.cubes` and the `sd` series'
               `pre.cubes` (both are the ISOP), and with a `chrono-cert` series of
@@ -242,20 +240,6 @@ def check_table1(records: list) -> None:
 
     check_sibling_series(cubes_by_case, "-proj", check_proj)
     check_sibling_series(cubes_by_case, "-cert", check_cert)
-
-    par_pairs = 0
-    for case, cubes in sorted(cubes_by_case.items()):
-        if not case.endswith("-par1"):
-            continue
-        partner = case[:-len("-par1")] + "-par8"
-        if partner not in cubes_by_case:
-            fail(f"table1 case {case!r} has no matching {partner!r} record")
-        if cubes != cubes_by_case[partner]:
-            fail(f"determinism violation: {case!r} produced {cubes} cubes but "
-                 f"{partner!r} produced {cubes_by_case[partner]}")
-        par_pairs += 1
-    if par_pairs == 0:
-        fail("table1 contains no par1/par8 pairs to compare")
 
 
 def median(values: list) -> float:

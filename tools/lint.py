@@ -18,9 +18,9 @@ Rules (each has a stable id used in the report):
                     every includer)
   narrowing-size    no `int x = expr.size()`-style narrowing in headers
                     without an explicit static_cast
-  detached-thread   no `.detach()` anywhere — a detached thread outlives the
-                    WorkerPool join barrier, so it can touch shard slots and
-                    stack-local task state after run() returned; governed
+  detached-thread   no `.detach()` anywhere — a detached thread outlives
+                    the ServicePool's stop() join, so it can touch
+                    stack-local state after its owner returned; governed
                     cancellation (CancelToken + Governor::tripped) is the
                     supported way to abandon work
 

@@ -26,10 +26,10 @@ Rules (stable ids):
                           allocations must flow through governor-charged
                           paths (solver clause arena, BDD node pool, standard
                           containers) so MemoryLedger accounting stays sound
-  raw-thread              no std::thread construction outside the WorkerPool
-                          (src/parallel/worker_pool.cpp) — every thread must
-                          sit behind the pool's join barrier and its
-                          governor-stop drain
+  raw-thread              no std::thread construction outside the
+                          ServicePool (src/parallel/worker_pool.cpp) — every
+                          thread must be one of the pool's workers, joined
+                          by its stop()
   metrics-key-grammar     metrics key literals match the dotted-name grammar
                           [a-z][a-z0-9_]*(.[a-z0-9_]+)*
   metrics-kind-collision  a key keeps one kind (counter/gauge/histogram/
@@ -440,9 +440,9 @@ class Analyzer:
         line = toks[i].line
         if not self.waived(line, "raw-thread"):
             self.finding("raw-thread", line,
-                         "std::thread outside WorkerPool — every thread must "
-                         "sit behind the pool's join barrier and governor-stop "
-                         "drain (src/parallel/worker_pool.cpp)")
+                         "std::thread outside ServicePool — every thread must "
+                         "be a pool worker joined by its stop() "
+                         "(src/parallel/worker_pool.cpp)")
 
     def _check_metrics(self, i: int, stack: list[Scope]) -> None:
         toks = self.tokens

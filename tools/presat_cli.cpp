@@ -17,9 +17,6 @@
 //
 // The SAT-based enumeration commands (allsat, preimage, reach, safety, audit)
 // also accept:
-//   --jobs N    cube-and-conquer parallel enumeration on N workers, capped
-//               at 64 (src/parallel/; results are bit-identical for every
-//               N >= 1; lifted cube blocking runs serially at every N)
 //   --project   projected enumeration: chrono stops at existential witnesses
 //               and emits cubes natively over the projection scope; lifted
 //               cube blocking returns the ISOP of its possibly overlapping
@@ -117,10 +114,9 @@ namespace {
                "  presat_cli version\n"
                "  presat_cli bmc      <file.bench> --init CUBE --target CUBE [--depth N]\n"
                "  presat_cli audit    <file.cnf> | --gen SPEC [--target CUBE]\n"
-               "\nSAT enumeration commands also take --jobs N (minterm blocking's parallel\n"
-               "cube-and-conquer, at most 64 workers; the other engines run serially),\n"
-               "--project (projected enumeration over the scope),\n"
-               "and --compress (the ISOP of the cover's union, as sd and bdd return).\n"
+               "\nSAT enumeration commands also take --project (projected enumeration over\n"
+               "the scope) and --compress (the ISOP of the cover's union, as sd and bdd\n"
+               "return).\n"
                "Budgets: --timeout-ms N, --mem-limit-mb N, --conflict-limit N; a run that\n"
                "stops on a budget prints the reason and exits 2 with a sound partial result.\n"
                "CUBE: one char per state bit (bit 0 first): 0, 1, x/- for don't-care.\n"
@@ -172,8 +168,8 @@ struct Command {
   std::vector<std::string_view> own;
   int (*run)(const Args& args);
 };
-constexpr std::string_view kEngineFlags[] = {"jobs",       "project",      "compress",
-                                             "timeout-ms", "mem-limit-mb", "conflict-limit"};
+constexpr std::string_view kEngineFlags[] = {"project", "compress", "timeout-ms",
+                                             "mem-limit-mb", "conflict-limit"};
 
 bool takesFlag(const Command& command, std::string_view name) {
   if (command.engine &&
@@ -186,11 +182,8 @@ bool takesFlag(const Command& command, std::string_view name) {
 // Valueless switches: presence alone turns the mode on.
 bool isBooleanFlag(const std::string& name) { return name == "project" || name == "compress"; }
 
-// Shared --jobs/--project/--compress handling for the SAT enumeration
-// commands. --jobs is capped at ParallelOptions::kMaxJobs.
+// Shared --project/--compress handling for the SAT enumeration commands.
 void applyEngineFlags(const Args& args, AllSatOptions& options) {
-  options.parallel.jobs = std::min(args.intFlag("jobs", options.parallel.jobs),
-                                   ParallelOptions::kMaxJobs);
   if (args.boolFlag("project")) options.project = true;
   if (args.boolFlag("compress")) options.compress = true;
 }
@@ -618,13 +611,8 @@ int cmdAuditCnf(AuditResult& audit, const Args& args) {
 
   std::vector<EngineRun> runs;
   {
-    // Minterm blocking honors --jobs like the circuit-mode audit, so the
-    // shard merge is cross-checked against the serial engines here too. It
-    // keeps its raw disjoint cover for the check below.
-    AllSatOptions mintermOptions;
-    applyEngineFlags(args, mintermOptions);
-    mintermOptions.project = mintermOptions.compress = false;
-    AllSatResult r = blockingAllSat(pre.cnf, scope, {}, mintermOptions);
+    // Minterm blocking keeps its raw disjoint cover for the check below.
+    AllSatResult r = blockingAllSat(pre.cnf, scope, {}, {});
     if (!cubesPairwiseDisjoint(r.cubes)) {
       audit.fail("audit.minterm.disjoint",
                  "minterm-blocking produced overlapping cubes on " + args.positional[0]);
@@ -729,9 +717,6 @@ int cmdAuditCircuit(AuditResult& audit, const Args& args) {
   }
   StateSet target = parseCubeArg(targetText, width);
 
-  // --jobs routes minterm blocking through the cube-and-conquer path while
-  // every other engine stays serial — the cross-check then doubles as a
-  // parallel-vs-oracle equivalence test.
   PreimageOptions options;
   applyEngineFlags(args, options.allsat);
 
